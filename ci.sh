@@ -15,6 +15,12 @@ cargo build --release
 echo "== tier-1: cargo test -q"
 cargo test -q
 
+echo "== workspace: cargo test -q --workspace"
+# Every crate's unit and integration tests, not only the root package's:
+# allocator regressions, golden-output snapshots, CLI exit codes, and
+# the exec, checker and sim unit tests.
+cargo test -q --workspace
+
 echo "== release smoke: repro --table1 --check --jobs 2"
 # Exercises the parallel engine end to end in release mode (the unit
 # tests above run debug-mode): a table over the memoized build cache,
@@ -29,19 +35,6 @@ echo "== fuzz smoke: repro --fuzz 64 --seed 1 --jobs 2"
 # fixed seed keeps CI deterministic; exit 1 means a minimized
 # reproducer was printed — file it under tests/corpus/.
 cargo run --release -q -p harness --bin repro -- --fuzz 64 --seed 1 --jobs 2
-
-echo "== dual-engine smoke: repro --table1 under ast vs decoded (byte-identical)"
-# The decoded engine's equivalence contract at the output level: the
-# paper's headline table must be byte-identical whichever engine
-# simulated it. Stdout only — stderr carries timing lines that differ.
-diff <(cargo run --release -q -p harness --bin repro -- --table1 --engine ast --jobs 2 2> /dev/null) \
-     <(cargo run --release -q -p harness --bin repro -- --table1 --engine decoded --jobs 2 2> /dev/null)
-
-echo "== decoded-engine fuzz smoke: repro --fuzz 64 --seed 1 --dual-engine --jobs 2"
-# The same fixed-seed campaign with every simulation run under BOTH
-# engines; any divergence in values, metrics, or traps is an
-# engine-mismatch failure.
-cargo run --release -q -p harness --bin repro -- --fuzz 64 --seed 1 --dual-engine --jobs 2
 
 echo "== inject smoke: repro --inject-sweep --jobs 2"
 # Fault-injection sweep in release mode: arm each registered fault

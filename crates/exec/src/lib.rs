@@ -179,34 +179,12 @@ impl Stage {
     }
 }
 
-/// Times `f`, printing `prog: stage: 1.23s (jobs=N)` to stderr. The
-/// wall-clock is also recorded process-wide (see [`recorded_stages`])
-/// so binaries can export their stage timings, e.g. `repro
-/// --bench-json`.
+/// Times `f`, printing `prog: stage: 1.23s (jobs=N)` to stderr.
 pub fn timed<T>(prog: &str, stage: &str, f: impl FnOnce() -> T) -> T {
     let s = Stage::start(stage);
-    let start = std::time::Instant::now();
     let out = f();
-    record_stage(stage, start.elapsed().as_secs_f64());
     eprintln!("{prog}: {}", s.line());
     out
-}
-
-/// Stage timings recorded by [`timed`], in execution order.
-static STAGES: std::sync::Mutex<Vec<(String, f64)>> = std::sync::Mutex::new(Vec::new());
-
-/// Records a named stage's wall-clock seconds for later export.
-pub fn record_stage(name: &str, secs: f64) {
-    STAGES
-        .lock()
-        .expect("stage recorder lock")
-        .push((name.to_string(), secs));
-}
-
-/// Every stage recorded so far (by [`timed`] or [`record_stage`]), in
-/// execution order.
-pub fn recorded_stages() -> Vec<(String, f64)> {
-    STAGES.lock().expect("stage recorder lock").clone()
 }
 
 #[cfg(test)]

@@ -214,7 +214,6 @@ mod tests {
             variants: vec![Variant::PostPass],
             mutation: Some(Mutation::SkipSpillStore),
             alloc: regalloc::AllocConfig::tiny(3),
-            ..OracleConfig::default()
         };
         let rep = campaign_report(2, 1, 2, &cfg);
         assert!(

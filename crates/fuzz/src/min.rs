@@ -51,7 +51,6 @@ pub fn minimize(m: &Module, cfg: &OracleConfig) -> Option<(Module, Failure)> {
         },
         mutation: cfg.mutation,
         alloc: cfg.alloc,
-        dual_engine: cfg.dual_engine,
     };
     let still_fails = |cand: &Module| -> Option<Failure> {
         if cand.verify().is_err() {

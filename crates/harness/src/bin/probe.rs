@@ -9,24 +9,16 @@
 //! parallelism); the report is assembled in suite order regardless of
 //! which worker finished first, and a timing line goes to stderr.
 
+const USAGE: &str = "usage: probe [--jobs N]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--help" | "-h" => {
-                eprintln!("usage: probe [--jobs N] [--engine ast|decoded]");
+                eprintln!("{USAGE}");
                 std::process::exit(0);
-            }
-            "--engine" => {
-                i += 1;
-                match args.get(i).and_then(|v| sim::Engine::parse(v)) {
-                    Some(e) => sim::set_default_engine(e),
-                    None => {
-                        eprintln!("probe: --engine needs ast|decoded");
-                        std::process::exit(2);
-                    }
-                }
             }
             "--jobs" => {
                 i += 1;
@@ -40,7 +32,7 @@ fn main() {
             }
             a if a.starts_with("--jobs=") => set_jobs(a.trim_start_matches("--jobs=")),
             a => {
-                eprintln!("probe: unknown argument `{a}` (usage: probe [--jobs N])");
+                eprintln!("probe: unknown argument `{a}` ({USAGE})");
                 std::process::exit(2);
             }
         }

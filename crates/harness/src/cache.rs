@@ -13,7 +13,7 @@
 //!   (unit, variant, CCM size); `--table3 --check` stops re-allocating
 //!   the 616 configurations the tables already produced;
 //! * **measurements** — [`measure_unit`] memoizes the simulation result
-//!   per (unit, variant, machine fingerprint); Table 2's rows are a
+//!   per (unit, variant, machine configuration); Table 2's rows are a
 //!   subset of Table 3's, and the sweep/multitask studies revisit the
 //!   same CCM sizes.
 //!
@@ -187,7 +187,7 @@ fn digest(m: &Measurement) -> u64 {
     h
 }
 
-type MeasKey = (String, Variant, String);
+type MeasKey = (String, Variant, MachineConfig);
 type MeasMap = Mutex<HashMap<MeasKey, Sealed>>;
 
 fn meas_cache() -> &'static MeasMap {
@@ -196,9 +196,9 @@ fn meas_cache() -> &'static MeasMap {
 }
 
 /// [`pipeline::measure`] over the allocation cache, itself memoized per
-/// (unit name, variant, machine). The machine key is the full
-/// `MachineConfig` debug rendering, so distinct cache models, latencies,
-/// or CCM sizes never share an entry.
+/// (unit name, variant, machine). The machine key is the whole
+/// `MachineConfig` compared by value, so distinct cache models,
+/// latencies, or CCM sizes never share an entry.
 ///
 /// # Errors
 ///
@@ -211,7 +211,7 @@ pub fn measure_unit(
     variant: Variant,
     machine: &MachineConfig,
 ) -> Result<Measurement, PipelineError> {
-    let key = (name.to_string(), variant, format!("{machine:?}"));
+    let key = (name.to_string(), variant, machine.clone());
     {
         let mut map = lock(meas_cache());
         if let Some(sealed) = map.get(&key) {
@@ -315,11 +315,7 @@ mod tests {
         };
         let clean = measure_unit(k.name, &base, Variant::PostPass, &machine).unwrap();
         // Corrupt the sealed entry behind the cache's back.
-        let key = (
-            k.name.to_string(),
-            Variant::PostPass,
-            format!("{machine:?}"),
-        );
+        let key = (k.name.to_string(), Variant::PostPass, machine.clone());
         lock(meas_cache())
             .get_mut(&key)
             .expect("entry present")

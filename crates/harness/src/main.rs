@@ -20,9 +20,8 @@ use harness::{error, inject_sweep, report};
 
 const USAGE: &str = "usage: repro [--table1] [--table2] [--table3] [--table4] \
      [--figure3] [--figure4] [--ablation] [--sweep] [--design] [--sched] [--multitask] \
-     [--check[=json]] [--csv [DIR]] [--fuzz N [--seed S] [--dual-engine]] [--inject-sweep] \
-     [--sim-budget N] [--engine ast|decoded] [--bench-json PATH] \
-     [--errors-json] [--jobs N] [--all]";
+     [--check[=json]] [--csv [DIR]] [--fuzz N [--seed S]] [--inject-sweep] \
+     [--sim-budget N] [--errors-json] [--jobs N] [--all]";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -52,10 +51,8 @@ struct Opts {
     csv: Option<std::path::PathBuf>,
     fuzz: Option<usize>,
     fuzz_seed: u64,
-    fuzz_dual_engine: bool,
     inject_sweep: bool,
     errors_json: bool,
-    bench_json: Option<std::path::PathBuf>,
 }
 
 fn parse(args: &[String]) -> Opts {
@@ -113,22 +110,6 @@ fn parse(args: &[String]) -> Opts {
                     _ => die(&format!("invalid --fuzz count `{v}`")),
                 }
             }
-            "--engine" => {
-                i += 1;
-                let v = args.get(i).unwrap_or_else(|| die("--engine needs a name"));
-                match sim::Engine::parse(v) {
-                    Some(e) => sim::set_default_engine(e),
-                    None => die(&format!("invalid --engine `{v}` (ast|decoded)")),
-                }
-            }
-            "--bench-json" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--bench-json needs a path"));
-                o.bench_json = Some(std::path::PathBuf::from(v));
-            }
-            "--dual-engine" => o.fuzz_dual_engine = true,
             "--seed" => {
                 i += 1;
                 let v = args.get(i).unwrap_or_else(|| die("--seed needs a value"));
@@ -156,9 +137,6 @@ fn parse(args: &[String]) -> Opts {
     }
     if o.fuzz.is_none() && o.fuzz_seed != 0 {
         die("--seed only applies to --fuzz");
-    }
-    if o.fuzz.is_none() && o.fuzz_dual_engine {
-        die("--dual-engine only applies to --fuzz");
     }
     if all {
         o.table1 = true;
@@ -247,10 +225,7 @@ fn main() {
     }
     if let Some(n) = o.fuzz {
         let seed = o.fuzz_seed;
-        let cfg = fuzz::OracleConfig {
-            dual_engine: o.fuzz_dual_engine,
-            ..fuzz::OracleConfig::default()
-        };
+        let cfg = fuzz::OracleConfig::default();
         let rep = exec::timed("repro", "fuzz", || {
             fuzz::campaign_report(n, seed, exec::default_jobs(), &cfg)
         });
@@ -266,21 +241,6 @@ fn main() {
         print!("{}", inject_sweep::render(&outcomes));
         if outcomes.iter().any(|v| !v.passed) {
             deferred_failure = true;
-        }
-    }
-    if let Some(path) = o.bench_json {
-        // Last so the snapshot captures every stage timed above.
-        match exec::timed("repro", "bench-json", || {
-            harness::bench_json::write_bench_json(&path)
-        }) {
-            Ok(speedup) => eprintln!(
-                "wrote {} (decoded engine geomean speedup: {speedup:.2}x)",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("bench-json failed: {e}");
-                deferred_failure = true;
-            }
         }
     }
     if let Some(dir) = o.csv {

@@ -8,7 +8,7 @@
 //! cache that catches conflict evictions.
 
 /// Cache geometry and timing.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size: u32,

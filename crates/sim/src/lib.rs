@@ -31,15 +31,10 @@
 
 pub mod cache;
 pub mod config;
-pub mod decode;
 pub mod machine;
 pub mod metrics;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use config::{
-    default_engine, default_max_steps, set_default_engine, set_default_max_steps, Engine,
-    MachineConfig, DEFAULT_MAX_STEPS,
-};
-pub use decode::DecodedModule;
+pub use config::{default_max_steps, set_default_max_steps, MachineConfig, DEFAULT_MAX_STEPS};
 pub use machine::{run_module, Machine, RetValues, SimError};
 pub use metrics::Metrics;

@@ -15,8 +15,7 @@ use std::fmt;
 use iloc::{BlockId, FBinKind, Function, IBinKind, Module, Op, Reg, RegClass, SpillKind};
 
 use crate::cache::Cache;
-use crate::config::{Engine, MachineConfig};
-use crate::decode::DecodedModule;
+use crate::config::MachineConfig;
 use crate::metrics::Metrics;
 
 /// A simulator trap.
@@ -97,24 +96,22 @@ struct Frame<'m> {
 
 /// The machine: memory, CCM, and execution state.
 pub struct Machine<'m> {
-    pub(crate) module: &'m Module,
-    pub(crate) cfg: MachineConfig,
-    pub(crate) mem: Vec<u8>,
-    pub(crate) ccm: Vec<u8>,
-    pub(crate) globals: HashMap<String, i64>,
-    pub(crate) globals_end: i64,
-    pub(crate) cache: Option<Cache>,
+    module: &'m Module,
+    cfg: MachineConfig,
+    mem: Vec<u8>,
+    ccm: Vec<u8>,
+    globals: HashMap<String, i64>,
+    globals_end: i64,
+    cache: Option<Cache>,
     /// Execution counters, reset by [`Machine::run`].
     pub metrics: Metrics,
     /// Per-function (max gpr index, max fpr index).
     reg_limits: Vec<(u32, u32)>,
-    /// Lazily built flat-PC lowering used by [`Engine::Decoded`].
-    decoded: Option<DecodedModule>,
     /// Dirty main-memory watermarks: the byte range `[dirty_lo,
     /// dirty_hi)` written by stores since the last reset. [`Machine::run`]
     /// clears only this range instead of re-zeroing all of `mem`.
-    pub(crate) dirty_lo: usize,
-    pub(crate) dirty_hi: usize,
+    dirty_lo: usize,
+    dirty_hi: usize,
 }
 
 impl<'m> Machine<'m> {
@@ -155,7 +152,6 @@ impl<'m> Machine<'m> {
             cache,
             metrics: Metrics::default(),
             reg_limits,
-            decoded: None,
             dirty_lo: usize::MAX,
             dirty_hi: 0,
         }
@@ -173,13 +169,6 @@ impl<'m> Machine<'m> {
             .get(name)
             .copied()
             .ok_or_else(|| SimError::UnknownGlobal(name.to_string()))
-    }
-
-    /// The global symbol table this machine laid out: symbol → base
-    /// address. This is the layout [`DecodedModule::decode`] bakes
-    /// `loadSym` addresses from.
-    pub fn globals_map(&self) -> &HashMap<String, i64> {
-        &self.globals
     }
 
     /// Raw bytes of global `name` (after execution, reflects stores).
@@ -205,12 +194,6 @@ impl<'m> Machine<'m> {
 
     /// Runs `entry` (which must take no parameters) to completion.
     ///
-    /// Dispatches on [`MachineConfig::engine`]. The decoded engine
-    /// lowers the module once (cached across runs) and executes the
-    /// flat-PC form; the AST engine interprets the module directly. Both
-    /// are observationally identical: same return values, same
-    /// [`Metrics`], same [`SimError`] on every trap.
-    ///
     /// # Errors
     ///
     /// Returns a [`SimError`] on any trap; see the enum for conditions.
@@ -219,20 +202,7 @@ impl<'m> Machine<'m> {
         if inject::faultpoint!("sim.unknown_global") {
             return Err(SimError::UnknownGlobal("__injected__".to_string()));
         }
-        match self.cfg.engine {
-            Engine::Ast => self.run_ast(entry),
-            Engine::Decoded => {
-                // Decode once, reuse across runs; take/restore avoids
-                // borrowing `self` while the loop mutates it.
-                let dec = match self.decoded.take() {
-                    Some(d) => d,
-                    None => DecodedModule::decode(self.module, &self.globals),
-                };
-                let r = self.exec_decoded(&dec, entry);
-                self.decoded = Some(dec);
-                r
-            }
-        }
+        self.interpret(entry)
     }
 
     /// Per-run reset: metrics, the CCM, and only the *dirty* range of
@@ -254,8 +224,8 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// The tree-walking reference interpreter ([`Engine::Ast`]).
-    fn run_ast(&mut self, entry: &str) -> Result<RetValues, SimError> {
+    /// The interpreter loop: walks the module's blocks directly.
+    fn interpret(&mut self, entry: &str) -> Result<RetValues, SimError> {
         let findex = self.module.function_indices();
         let entry_idx = *findex
             .get(entry)
@@ -647,7 +617,7 @@ impl<'m> Machine<'m> {
         })
     }
 
-    pub(crate) fn mem_access(&mut self, addr: i64, is_store: bool) -> u64 {
+    fn mem_access(&mut self, addr: i64, is_store: bool) -> u64 {
         match &mut self.cache {
             Some(c) => c.access(addr as u64, is_store),
             None => self.cfg.mem_latency,
@@ -662,7 +632,7 @@ impl<'m> Machine<'m> {
         }
     }
 
-    pub(crate) fn ccm_check(&self, off: u32, size: u32) -> Result<(), SimError> {
+    fn ccm_check(&self, off: u32, size: u32) -> Result<(), SimError> {
         if off + size > self.cfg.ccm_size {
             Err(SimError::CcmOutOfBounds {
                 off,
@@ -673,14 +643,14 @@ impl<'m> Machine<'m> {
         }
     }
 
-    pub(crate) fn read_i32(&self, addr: i64) -> Result<i32, SimError> {
+    fn read_i32(&self, addr: i64) -> Result<i32, SimError> {
         let a = self.check_addr(addr, 4)?;
         Ok(i32::from_le_bytes(
             self.mem[a..a + 4].try_into().expect("4 bytes"),
         ))
     }
 
-    pub(crate) fn write_i32(&mut self, addr: i64, v: i32) -> Result<(), SimError> {
+    fn write_i32(&mut self, addr: i64, v: i32) -> Result<(), SimError> {
         let a = self.check_addr(addr, 4)?;
         self.mem[a..a + 4].copy_from_slice(&v.to_le_bytes());
         self.dirty_lo = self.dirty_lo.min(a);
@@ -688,14 +658,14 @@ impl<'m> Machine<'m> {
         Ok(())
     }
 
-    pub(crate) fn read_f64(&self, addr: i64) -> Result<f64, SimError> {
+    fn read_f64(&self, addr: i64) -> Result<f64, SimError> {
         let a = self.check_addr(addr, 8)?;
         Ok(f64::from_le_bytes(
             self.mem[a..a + 8].try_into().expect("8 bytes"),
         ))
     }
 
-    pub(crate) fn write_f64(&mut self, addr: i64, v: f64) -> Result<(), SimError> {
+    fn write_f64(&mut self, addr: i64, v: f64) -> Result<(), SimError> {
         let a = self.check_addr(addr, 8)?;
         self.mem[a..a + 8].copy_from_slice(&v.to_le_bytes());
         self.dirty_lo = self.dirty_lo.min(a);
@@ -708,7 +678,7 @@ impl<'m> Machine<'m> {
 /// 32-bit signed values (Fortran `INTEGER`), kept sign-extended in the
 /// interpreter's 64-bit register file. Every result wraps to 32 bits, so
 /// a value spilled through a 4-byte slot reloads bit-identically.
-pub(crate) fn ibin(kind: IBinKind, a: i64, b: i64) -> Result<i64, SimError> {
+fn ibin(kind: IBinKind, a: i64, b: i64) -> Result<i64, SimError> {
     let (a, b) = (a as i32, b as i32);
     let r: i32 = match kind {
         IBinKind::Add => a.wrapping_add(b),
@@ -735,7 +705,7 @@ pub(crate) fn ibin(kind: IBinKind, a: i64, b: i64) -> Result<i64, SimError> {
     Ok(r as i64)
 }
 
-pub(crate) fn cmp(kind: iloc::CmpKind, a: &i64, b: &i64) -> i64 {
+fn cmp(kind: iloc::CmpKind, a: &i64, b: &i64) -> i64 {
     use iloc::CmpKind::*;
     (match kind {
         Lt => a < b,
@@ -747,7 +717,7 @@ pub(crate) fn cmp(kind: iloc::CmpKind, a: &i64, b: &i64) -> i64 {
     }) as i64
 }
 
-pub(crate) fn fcmp(kind: iloc::CmpKind, a: f64, b: f64) -> i64 {
+fn fcmp(kind: iloc::CmpKind, a: f64, b: f64) -> i64 {
     use iloc::CmpKind::*;
     (match kind {
         Lt => a < b,
@@ -1008,14 +978,123 @@ mod tests {
         fb.switch_to(spin);
         fb.jump(spin);
         let m = module_of(vec![fb.finish()], vec![]);
-        let cfg = MachineConfig {
-            max_steps: 1000,
-            ..MachineConfig::default()
-        };
+        for max_steps in [1, 2, 17, 1000] {
+            let cfg = MachineConfig {
+                max_steps,
+                ..MachineConfig::default()
+            };
+            let mut machine = Machine::new(&m, cfg);
+            assert_eq!(machine.run("main").unwrap_err(), SimError::StepLimit);
+            // The trap fires on the first instruction past the budget,
+            // before it executes: every counted instruction but that one
+            // cost its cycle.
+            assert_eq!(machine.metrics.instrs, max_steps + 1);
+            assert_eq!(machine.metrics.cycles, max_steps);
+        }
+    }
+
+    #[test]
+    fn unknown_global_traps_when_executed() {
+        let mut fb = FuncBuilder::new("main");
+        let d = fb.vreg(RegClass::Gpr);
+        fb.emit(Op::LoadSym {
+            sym: "nope".to_string(),
+            dst: d,
+        });
+        fb.ret(&[]);
+        let mut m = Module::new();
+        m.push_function(fb.finish());
         assert_eq!(
-            run_module(&m, cfg, "main").unwrap_err(),
-            SimError::StepLimit
+            run_module(&m, MachineConfig::default(), "main").unwrap_err(),
+            SimError::UnknownGlobal("nope".to_string())
         );
+    }
+
+    #[test]
+    fn unknown_global_on_cold_path_does_not_trap() {
+        let mut fb = FuncBuilder::new("main");
+        fb.set_ret_classes(&[RegClass::Gpr]);
+        let one = fb.loadi(1);
+        let hot = fb.block("hot");
+        let cold = fb.block("cold");
+        fb.cbr(one, hot, cold);
+        fb.switch_to(cold);
+        let d = fb.vreg(RegClass::Gpr);
+        fb.emit(Op::LoadSym {
+            sym: "nope".to_string(),
+            dst: d,
+        });
+        fb.ret(&[d]);
+        fb.switch_to(hot);
+        let r = fb.loadi(7);
+        fb.ret(&[r]);
+        let mut m = Module::new();
+        m.push_function(fb.finish());
+        let (v, _) = run_module(&m, MachineConfig::default(), "main").expect("cold path");
+        assert_eq!(v.ints, vec![7]);
+    }
+
+    #[test]
+    fn unknown_callee_traps() {
+        let mut fb = FuncBuilder::new("main");
+        fb.call("ghost", &[], &[]);
+        fb.ret(&[]);
+        let mut m = Module::new();
+        m.push_function(fb.finish());
+        assert_eq!(
+            run_module(&m, MachineConfig::default(), "main").unwrap_err(),
+            SimError::UnknownFunction("ghost".to_string())
+        );
+    }
+
+    #[test]
+    fn missing_terminator_traps() {
+        let mut f = Function::new("main");
+        let e = f.entry();
+        let v = f.new_vreg(RegClass::Gpr);
+        f.block_mut(e)
+            .instrs
+            .push(iloc::Instr::new(Op::LoadI { imm: 1, dst: v }));
+        let mut m = Module::new();
+        m.push_function(f);
+        let mut machine = Machine::new(&m, MachineConfig::default());
+        assert_eq!(
+            machine.run("main").unwrap_err(),
+            SimError::MissingTerminator
+        );
+        // One real instruction ran; the fall-off is counted but costs
+        // no cycle.
+        assert_eq!(machine.metrics.instrs, 2);
+        assert_eq!(machine.metrics.cycles, 1);
+    }
+
+    #[test]
+    fn reruns_of_one_machine_are_identical() {
+        // Each run reads main memory and the CCM before writing them: a
+        // second run must see the zeroed state again, which pins the
+        // dirty-range memory reset and the reused CCM buffer.
+        let mut fb = FuncBuilder::new("main");
+        fb.set_ret_classes(&[RegClass::Gpr, RegClass::Gpr]);
+        let base = fb.loadsym("g");
+        let old = fb.loadai(base, 0);
+        let v = fb.loadi(41);
+        let v1 = fb.addi(v, 1);
+        fb.storeai(v1, base, 0);
+        let now = fb.loadai(base, 0);
+        let s = fb.add(old, now);
+        let stale = fb.vreg(RegClass::Gpr);
+        fb.emit(Op::CcmLoad { off: 8, dst: stale });
+        fb.emit(Op::CcmStore { val: s, off: 8 });
+        fb.ret(&[s, stale]);
+        let m = module_of(vec![fb.finish()], vec![Global::zeroed("g", 8)]);
+        let mut machine = Machine::new(&m, MachineConfig::default());
+        let first = machine.run("main").unwrap();
+        let metrics = machine.metrics;
+        assert_eq!(first.ints, vec![42, 0]);
+        for _ in 0..3 {
+            assert_eq!(machine.run("main").unwrap(), first);
+            assert_eq!(machine.metrics, metrics);
+        }
     }
 
     #[test]
