@@ -9,6 +9,10 @@ cargo fmt --check
 echo "== cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, warnings are errors)"
+# Catches doc comments that link to items which no longer exist.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1: cargo build --release"
 cargo build --release
 

@@ -2,7 +2,7 @@
 
 /// A fixed-universe bit set over `0..len`.
 ///
-/// All dataflow facts in this crate (live registers, reaching definitions,
+/// All dataflow facts in this crate (live registers, defined registers,
 /// live spill slots) are represented as `BitSet`s over a dense numbering.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BitSet {

@@ -6,7 +6,7 @@
 //! checker uses this to prove that allocated code never reads a physical
 //! register before giving it a value; the analysis is phrased over the
 //! generic [`DataflowProblem`] trait so it composes with the same solver
-//! as liveness and reaching definitions.
+//! as liveness.
 //!
 //! Transfer semantics: parameters and the activation-record pointer are
 //! defined on entry; an ordinary definition adds its target; a call first

@@ -6,13 +6,14 @@
 //!
 //! * [`BitSet`] — dense bit sets for dataflow facts;
 //! * [`dataflow`] — a generic gen/kill worklist solver;
+//! * [`DefinedRegs`] — must-be-defined registers (a forward instance of
+//!   the solver, used by the post-allocation checker);
 //! * [`Dominators`] — Cooper–Harvey–Kennedy dominators, dominator tree,
 //!   and dominance frontiers;
 //! * [`Liveness`] — per-block and per-instruction register liveness;
 //! * [`LoopInfo`] — natural loops and nesting depth (spill-cost weights);
 //! * [`ssa`] — SSA construction (semi-pruned) and destruction (with
 //!   parallel-copy sequentialization);
-//! * [`ReachingDefs`] — reaching definitions (a framework instance);
 //! * [`DefUse`] — def-use chains;
 //! * [`CallGraph`] — call graph, Tarjan SCCs, bottom-up order for the
 //!   interprocedural CCM allocator.
@@ -50,7 +51,6 @@ pub mod defuse;
 pub mod dom;
 pub mod liveness;
 pub mod loops;
-pub mod reaching;
 pub mod regindex;
 pub mod ssa;
 
@@ -62,6 +62,5 @@ pub use defuse::{DefUse, InstrRef};
 pub use dom::Dominators;
 pub use liveness::Liveness;
 pub use loops::{Loop, LoopInfo};
-pub use reaching::{DefSite, ReachingDefs};
 pub use regindex::RegIndex;
 pub use ssa::{check_single_def, from_ssa, split_critical_edges, to_ssa};

@@ -128,8 +128,9 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Appends `s` as a JSON string literal, escaping per RFC 8259.
-fn json_string(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string literal, escaping per RFC 8259. Every
+/// JSON renderer in the workspace escapes strings through this one.
+pub fn json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

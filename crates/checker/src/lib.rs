@@ -65,7 +65,7 @@ mod diag;
 mod machine;
 mod slots;
 
-pub use diag::{render_json, render_text, Diagnostic, Severity};
+pub use diag::{json_string, render_json, render_text, Diagnostic, Severity};
 
 /// What the checker assumes about the machine and the allocation run.
 #[derive(Copy, Clone, Debug)]
@@ -137,8 +137,9 @@ mod tests {
     use iloc::{Instr, Op, Reg, RegClass, SpillKind};
     use regalloc::AllocConfig;
 
-    /// A module big enough to spill under a tiny register file.
-    fn spilled_module(k: u32) -> (Module, AllocConfig) {
+    /// A module big enough to spill under a 3-register file, allocated
+    /// as `variant` with a 512-byte CCM.
+    fn spilled_module(variant: ccm::Variant) -> (Module, AllocConfig) {
         let mut fb = FuncBuilder::new("main");
         fb.set_ret_classes(&[RegClass::Gpr]);
         let vals: Vec<_> = (0..16).map(|i| fb.loadi(i)).collect();
@@ -149,35 +150,28 @@ mod tests {
         fb.ret(&[acc]);
         let mut m = Module::new();
         m.push_function(fb.finish());
-        let alloc = AllocConfig::tiny(k);
-        regalloc::allocate_module(&mut m, &alloc);
+        let alloc = AllocConfig::tiny(3);
+        ccm::allocate_variant(&mut m, variant, 512, &alloc);
         (m, alloc)
     }
 
     #[test]
     fn honest_allocation_has_no_errors() {
-        let (m, alloc) = spilled_module(3);
+        let (m, alloc) = spilled_module(ccm::Variant::Baseline);
         let diags = check_module(&m, &CheckerConfig::with_alloc(512, alloc));
         assert!(!has_errors(&diags), "{}", render_text(&diags));
     }
 
     #[test]
     fn honest_promotion_has_no_errors() {
-        let (mut m, alloc) = spilled_module(3);
-        ccm::postpass_promote(
-            &mut m,
-            &ccm::PostpassConfig {
-                ccm_size: 512,
-                interprocedural: true,
-            },
-        );
+        let (m, alloc) = spilled_module(ccm::Variant::PostPassCallGraph);
         let diags = check_module(&m, &CheckerConfig::with_alloc(512, alloc));
         assert!(!has_errors(&diags), "{}", render_text(&diags));
     }
 
     #[test]
     fn surviving_vreg_is_reported() {
-        let (mut m, alloc) = spilled_module(3);
+        let (mut m, alloc) = spilled_module(ccm::Variant::Baseline);
         let f = &mut m.functions[0];
         let e = f.entry();
         let v = Reg::new(RegClass::Gpr, iloc::FIRST_VREG);
@@ -190,7 +184,7 @@ mod tests {
 
     #[test]
     fn undefined_slot_load_is_reported() {
-        let (mut m, alloc) = spilled_module(3);
+        let (mut m, alloc) = spilled_module(ccm::Variant::Baseline);
         // Delete the first spill store: its slot's restores lose their
         // dominating definition.
         let f = &mut m.functions[0];
@@ -213,7 +207,7 @@ mod tests {
 
     #[test]
     fn json_round_trips_the_fields() {
-        let (mut m, alloc) = spilled_module(3);
+        let (mut m, alloc) = spilled_module(ccm::Variant::Baseline);
         let f = &mut m.functions[0];
         let e = f.entry();
         let v = Reg::new(RegClass::Gpr, iloc::FIRST_VREG);

@@ -25,33 +25,12 @@ mod queue;
 
 pub use queue::{render_payload, ItemPanic};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 /// The number of hardware threads, with a fallback of 1 when the OS
 /// cannot say.
 pub fn available() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Process-wide default worker count: 0 means "unset, use
-/// [`available`]". Set once at binary startup from `--jobs`.
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default worker count used by
-/// [`default_jobs`]. Binaries call this once from `--jobs N`.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// The default worker count: the last [`set_default_jobs`] value, or
-/// [`available`] if none was set (or 0 was set).
-pub fn default_jobs() -> usize {
-    match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => available(),
-        n => n,
-    }
 }
 
 /// Parses a `--jobs` argument: a positive integer.
@@ -141,28 +120,19 @@ where
     out
 }
 
-/// [`par_map`] with the process-wide [`default_jobs`] worker count.
-pub fn par_map_default<I, T, F, L>(items: &[I], label: L, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-    L: Fn(&I) -> String + Sync,
-{
-    par_map(default_jobs(), items, label, f)
-}
-
 /// A stopwatch for the binaries' per-stage timing lines.
 pub struct Stage {
     name: String,
+    jobs: usize,
     start: std::time::Instant,
 }
 
 impl Stage {
-    /// Starts timing a named stage.
-    pub fn start(name: impl Into<String>) -> Self {
+    /// Starts timing a named stage that runs on `jobs` workers.
+    pub fn start(name: impl Into<String>, jobs: usize) -> Self {
         Stage {
             name: name.into(),
+            jobs,
             start: std::time::Instant::now(),
         }
     }
@@ -174,14 +144,15 @@ impl Stage {
             "{}: {:.2}s (jobs={})",
             self.name,
             self.start.elapsed().as_secs_f64(),
-            default_jobs()
+            self.jobs
         )
     }
 }
 
-/// Times `f`, printing `prog: stage: 1.23s (jobs=N)` to stderr.
-pub fn timed<T>(prog: &str, stage: &str, f: impl FnOnce() -> T) -> T {
-    let s = Stage::start(stage);
+/// Times `f` on `jobs` workers, printing `prog: stage: 1.23s (jobs=N)`
+/// to stderr.
+pub fn timed<T>(prog: &str, stage: &str, jobs: usize, f: impl FnOnce() -> T) -> T {
+    let s = Stage::start(stage, jobs);
     let out = f();
     eprintln!("{prog}: {}", s.line());
     out
@@ -255,14 +226,5 @@ mod tests {
         assert_eq!(parse_jobs("4"), Ok(4));
         assert!(parse_jobs("0").is_err());
         assert!(parse_jobs("lots").is_err());
-    }
-
-    #[test]
-    fn default_jobs_round_trips() {
-        assert!(default_jobs() >= 1);
-        set_default_jobs(3);
-        assert_eq!(default_jobs(), 3);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
     }
 }

@@ -28,7 +28,7 @@ fn main() {
             alloc,
             ..OracleConfig::default()
         };
-        let rep = campaign_report(n, seed, exec::default_jobs(), &cfg);
+        let rep = campaign_report(n, seed, exec::available(), &cfg);
         println!("=== alloc {label}: {}", rep.text);
     }
 }

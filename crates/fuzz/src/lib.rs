@@ -28,9 +28,10 @@ pub mod oracle;
 pub use gen::gen_module;
 pub use min::minimize;
 pub use oracle::{
-    apply_mutation, run_oracle, CaseStats, Failure, FailureKind, Mutation, OracleConfig, Variant,
+    apply_mutation, run_oracle, CaseStats, Failure, FailureKind, Mutation, OracleConfig,
 };
 
+use ccm::Variant;
 use iloc::Module;
 
 /// Derives the seed for case `index` of a campaign from the base seed.
@@ -163,7 +164,7 @@ pub fn campaign_report(n: usize, seed: u64, jobs: usize, cfg: &OracleConfig) -> 
             r.index,
             r.seed,
             f.kind.label(),
-            f.variant.label(),
+            f.variant.short(),
             f.ccm,
             f.detail
         );
@@ -214,6 +215,7 @@ mod tests {
             variants: vec![Variant::PostPass],
             mutation: Some(Mutation::SkipSpillStore),
             alloc: regalloc::AllocConfig::tiny(3),
+            ..OracleConfig::default()
         };
         let rep = campaign_report(2, 1, 2, &cfg);
         assert!(

@@ -1,10 +1,10 @@
 //! Automatic test-case minimization.
 //!
 //! [`minimize`] takes a module the oracle rejects and greedily shrinks
-//! it while the *same bug* (same [`FailureKind`] and variant, per
-//! [`Failure::same_bug`]) still reproduces. Reduction passes run
-//! coarse-to-fine, each to a fixpoint, and the whole ladder repeats
-//! until no pass makes progress:
+//! it while the *same bug* (same [`FailureKind`](crate::FailureKind)
+//! and variant, per [`Failure::same_bug`]) still reproduces. Reduction
+//! passes run coarse-to-fine, each to a fixpoint, and the whole ladder
+//! repeats until no pass makes progress:
 //!
 //! 1. **Drop functions** — replace every call to a helper with constant
 //!    zero definitions of its return registers, then delete it;
@@ -34,7 +34,7 @@
 
 use iloc::{BlockId, Instr, Module, Op};
 
-use crate::oracle::{run_oracle, Failure, OracleConfig, Variant};
+use crate::oracle::{run_oracle, Failure, OracleConfig};
 
 /// Shrinks `m` to a smaller module that still fails the oracle with the
 /// same bug. Returns the minimized module and its failure, or `None` if
@@ -44,13 +44,8 @@ pub fn minimize(m: &Module, cfg: &OracleConfig) -> Option<(Module, Failure)> {
     // Focus the oracle on the failing configuration.
     let focused = OracleConfig {
         ccm_sizes: vec![orig.ccm],
-        variants: if orig.variant == Variant::Baseline {
-            vec![Variant::Baseline]
-        } else {
-            vec![orig.variant]
-        },
-        mutation: cfg.mutation,
-        alloc: cfg.alloc,
+        variants: vec![orig.variant],
+        ..cfg.clone()
     };
     let still_fails = |cand: &Module| -> Option<Failure> {
         if cand.verify().is_err() {
@@ -364,7 +359,7 @@ fn shrink_globals(
 mod tests {
     use super::*;
     use crate::gen::gen_module;
-    use crate::oracle::{allocate, apply_mutation, CaseStats, Mutation};
+    use crate::oracle::{apply_mutation, CaseStats, Mutation};
 
     /// The acceptance-criteria mutation test: an injected allocator bug
     /// must be caught and shrink to <= 2 functions / <= 12 ops. Runs
@@ -392,12 +387,7 @@ mod tests {
         };
         // Make sure the mutation actually applies to this module.
         let mut probe = m.clone();
-        allocate(
-            &mut probe,
-            crate::oracle::Variant::PostPassCallGraph,
-            64,
-            &tiny,
-        );
+        ccm::allocate_variant(&mut probe, ccm::Variant::PostPassCallGraph, 64, &tiny);
         assert!(apply_mutation(&mut probe, Mutation::BumpCcmOffset));
 
         let (small, f) = minimize(&m, &broken).expect("bug must be caught");

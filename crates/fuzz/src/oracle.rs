@@ -24,81 +24,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use ccm::Variant;
 use iloc::{Module, Op, SpillKind};
 use regalloc::AllocConfig;
 use sim::MachineConfig;
-
-/// The allocation strategy under test: the paper's three CCM methods
-/// plus the no-CCM baseline. Mirrors the harness pipeline's variant set;
-/// redefined here so `fuzz` stays independent of the harness crate (the
-/// harness depends on `fuzz` for `repro --fuzz`).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub enum Variant {
-    /// Conventional Chaitin-Briggs; all spills to main memory.
-    Baseline,
-    /// Post-pass CCM promotion, no interprocedural information.
-    PostPass,
-    /// Post-pass CCM promotion with call-graph information.
-    PostPassCallGraph,
-    /// CCM spilling integrated into the Chaitin-Briggs allocator.
-    Integrated,
-}
-
-impl Variant {
-    /// All variants, baseline first.
-    pub const ALL: [Variant; 4] = [
-        Variant::Baseline,
-        Variant::PostPass,
-        Variant::PostPassCallGraph,
-        Variant::Integrated,
-    ];
-
-    /// Short name used in fuzz reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Variant::Baseline => "baseline",
-            Variant::PostPass => "postpass",
-            Variant::PostPassCallGraph => "postpass+cg",
-            Variant::Integrated => "integrated",
-        }
-    }
-}
-
-/// Applies `variant` allocation at `ccm_size` under `cfg`, returning the
-/// number of spilled live ranges. Same dispatch as the harness pipeline,
-/// with the register supply configurable so tests (and the minimizer)
-/// can force spilling on tiny modules.
-pub fn allocate(m: &mut Module, variant: Variant, ccm_size: u32, cfg: &AllocConfig) -> usize {
-    match variant {
-        Variant::Baseline => regalloc::allocate_module(m, cfg).total_spilled(),
-        Variant::PostPass => {
-            let n = regalloc::allocate_module(m, cfg).total_spilled();
-            ccm::postpass_promote(
-                m,
-                &ccm::PostpassConfig {
-                    ccm_size,
-                    interprocedural: false,
-                },
-            );
-            n
-        }
-        Variant::PostPassCallGraph => {
-            let n = regalloc::allocate_module(m, cfg).total_spilled();
-            ccm::postpass_promote(
-                m,
-                &ccm::PostpassConfig {
-                    ccm_size,
-                    interprocedural: true,
-                },
-            );
-            n
-        }
-        Variant::Integrated => {
-            let (a, _, _) = ccm::allocate_module_integrated(m, cfg, ccm_size);
-            a.total_spilled()
-        }
-    }
-}
 
 /// A deliberate post-allocation bug, for testing the oracle itself.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -186,7 +115,8 @@ pub fn apply_mutation(m: &mut Module, mu: Mutation) -> bool {
 }
 
 /// What the oracle runs: CCM sizes, variants (baseline always runs as
-/// the reference), and an optional injected bug.
+/// the reference), an optional injected bug, the register supply and
+/// the simulator's step budget.
 #[derive(Clone, Debug)]
 pub struct OracleConfig {
     /// CCM capacities to test, each simulated independently.
@@ -200,6 +130,9 @@ pub struct OracleConfig {
     /// Register supply for allocation (and the checker). Tests and the
     /// minimizer shrink it so tiny modules still spill.
     pub alloc: AllocConfig,
+    /// Instruction steps each simulation may take before it traps
+    /// (`repro --sim-budget`).
+    pub max_steps: u64,
 }
 
 impl Default for OracleConfig {
@@ -209,6 +142,7 @@ impl Default for OracleConfig {
             variants: Variant::ALL.to_vec(),
             mutation: None,
             alloc: AllocConfig::default(),
+            max_steps: sim::DEFAULT_MAX_STEPS,
         }
     }
 }
@@ -288,7 +222,7 @@ fn run_variant(
     variant: Variant,
     ccm: u32,
     mutation: Option<Mutation>,
-    alloc: &AllocConfig,
+    cfg: &OracleConfig,
 ) -> Result<VariantRun, Failure> {
     let fail = |kind, detail| Failure {
         kind,
@@ -298,24 +232,15 @@ fn run_variant(
     };
     let allocated = catch_unwind(AssertUnwindSafe(|| {
         let mut mm = m.clone();
-        let spilled = allocate(&mut mm, variant, ccm, alloc);
+        let spilled = ccm::allocate_variant(&mut mm, variant, ccm, &cfg.alloc).spilled_ranges;
         if let Some(mu) = mutation.filter(|_| variant != Variant::Baseline) {
             apply_mutation(&mut mm, mu);
         }
         (mm, spilled)
     }));
-    let (mm, spilled) = match allocated {
-        Ok(r) => r,
-        Err(p) => {
-            let msg = p
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic".to_string());
-            return Err(fail(FailureKind::Panicked, msg));
-        }
-    };
-    let diags = checker::check_module(&mm, &checker::CheckerConfig::with_alloc(ccm, *alloc));
+    let (mm, spilled) =
+        allocated.map_err(|p| fail(FailureKind::Panicked, exec::render_payload(p.as_ref())))?;
+    let diags = checker::check_module(&mm, &checker::CheckerConfig::with_alloc(ccm, cfg.alloc));
     if checker::has_errors(&diags) {
         let errors = checker::errors(&diags);
         let detail = format!(
@@ -325,7 +250,11 @@ fn run_variant(
         );
         return Err(fail(FailureKind::CheckerRejected, detail));
     }
-    match sim::run_module(&mm, MachineConfig::with_ccm(ccm), "main") {
+    let machine = MachineConfig {
+        max_steps: cfg.max_steps,
+        ..MachineConfig::with_ccm(ccm)
+    };
+    match sim::run_module(&mm, machine, "main") {
         Ok((vals, metrics)) => Ok(VariantRun {
             ints: vals.ints,
             float_bits: vals.floats.iter().map(|f| f.to_bits()).collect(),
@@ -350,7 +279,7 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
     };
     let mut first = true;
     for &ccm in &cfg.ccm_sizes {
-        let base = run_variant(m, Variant::Baseline, ccm, None, &cfg.alloc)?;
+        let base = run_variant(m, Variant::Baseline, ccm, None, cfg)?;
         if first {
             stats.spilled_ranges = base.spilled;
             stats.base_cycles = base.cycles;
@@ -360,7 +289,7 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
             if v == Variant::Baseline {
                 continue;
             }
-            let r = run_variant(m, v, ccm, cfg.mutation, &cfg.alloc)?;
+            let r = run_variant(m, v, ccm, cfg.mutation, cfg)?;
             stats.ccm_ops += r.ccm_ops;
             if r.ints != base.ints || r.float_bits != base.float_bits {
                 return Err(Failure {
@@ -371,7 +300,7 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
                         "baseline ints {:?} floats {:x?}, {} ints {:?} floats {:x?}",
                         base.ints,
                         base.float_bits,
-                        v.label(),
+                        v.short(),
                         r.ints,
                         r.float_bits
                     ),
@@ -404,7 +333,7 @@ mod tests {
                 panic!(
                     "seed {seed} failed honestly: {:?} {} at ccm {}: {}",
                     f.kind,
-                    f.variant.label(),
+                    f.variant.short(),
                     f.ccm,
                     f.detail
                 );
@@ -438,7 +367,7 @@ mod tests {
             // two always apply on a promoted module. If the mutation
             // could not apply, passing is the correct outcome.
             let mut probe = m.clone();
-            allocate(&mut probe, Variant::PostPassCallGraph, 64, &broken.alloc);
+            ccm::allocate_variant(&mut probe, Variant::PostPassCallGraph, 64, &broken.alloc);
             let applies = apply_mutation(&mut probe, mu);
             let verdict = run_oracle(&m, &broken);
             if applies {

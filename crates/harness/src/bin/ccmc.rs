@@ -8,16 +8,17 @@
 //! ```text
 //! ccmc INPUT.iloc [--variant base|postpass|postpass-cg|integrated]
 //!                 [--ccm SIZE] [--unroll N] [--licm] [--run] [--entry NAME]
-//!                 [--emit] [--stats] [--check[=json]] [--jobs N]
+//!                 [--emit] [--stats] [--check[=json]]
 //! ```
 //!
-//! `--jobs N` sets the parallel engine's worker count for any harness
-//! machinery ccmc invokes; `--stats` additionally prints per-stage
-//! wall-clock timing lines (parse/opt/alloc/check/run) to stderr.
+//! `--stats` additionally prints per-stage wall-clock timing lines
+//! (parse/opt/alloc/check/run) to stderr; ccmc runs every stage on one
+//! thread.
 
 use std::process::exit;
 
-use harness::{allocate_variant, Variant};
+use ccm::Variant;
+use regalloc::AllocConfig;
 use sim::MachineConfig;
 
 struct Options {
@@ -71,15 +72,11 @@ fn parse_args() -> Options {
             "--stats" => o.stats = true,
             "--check" => o.check = Some(CheckFormat::Text),
             "--check=json" => o.check = Some(CheckFormat::Json),
-            "--jobs" => match exec::parse_jobs(&req_s(args.next(), "--jobs needs a count")) {
-                Ok(n) => exec::set_default_jobs(n),
-                Err(e) => die(&e),
-            },
             "--help" | "-h" => {
                 eprintln!(
                     "usage: ccmc INPUT.iloc [--variant base|postpass|postpass-cg|integrated]\n\
                      \x20            [--ccm SIZE] [--unroll N] [--licm] [--run] [--entry NAME]\n\
-                     \x20            [--emit] [--stats] [--check[=json]] [--jobs N]"
+                     \x20            [--emit] [--stats] [--check[=json]]"
                 );
                 exit(0);
             }
@@ -111,7 +108,7 @@ fn main() {
     // Per-stage wall-clock, printed (with --stats) after the run.
     let mut stage_lines: Vec<String> = Vec::new();
     let mut staged = |name: &str, f: &mut dyn FnMut()| {
-        let s = exec::Stage::start(name);
+        let s = exec::Stage::start(name, 1);
         f();
         stage_lines.push(s.line());
     };
@@ -138,7 +135,7 @@ fn main() {
     let mut spilled = 0;
     let mut degraded: Vec<ccm::Degradation> = Vec::new();
     staged("allocate", &mut || {
-        let outcome = allocate_variant(&mut m, o.variant, o.ccm_size);
+        let outcome = ccm::allocate_variant(&mut m, o.variant, o.ccm_size, &AllocConfig::default());
         spilled = outcome.spilled_ranges;
         degraded = outcome.degraded;
         m.verify()
@@ -149,7 +146,7 @@ fn main() {
     }
 
     if let Some(format) = o.check {
-        let s = exec::Stage::start("check");
+        let s = exec::Stage::start("check", 1);
         let diags = harness::check_allocated(&m, o.ccm_size);
         stage_lines.push(s.line());
         match format {
@@ -195,7 +192,7 @@ fn main() {
     }
 
     if let Some(entry) = o.run {
-        let s = exec::Stage::start("run");
+        let s = exec::Stage::start("run", 1);
         let cfg = MachineConfig::with_ccm(o.ccm_size);
         match sim::run_module(&m, cfg, &entry) {
             Ok((vals, metrics)) => {

@@ -13,6 +13,7 @@ const USAGE: &str = "usage: probe [--jobs N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut jobs = exec::available();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -22,15 +23,18 @@ fn main() {
             }
             "--jobs" => {
                 i += 1;
-                match args.get(i) {
-                    Some(v) => set_jobs(v),
+                match args.get(i).map(|v| exec::parse_jobs(v)) {
+                    Some(Ok(n)) => jobs = n,
+                    Some(Err(e)) => {
+                        eprintln!("probe: {e}");
+                        std::process::exit(2);
+                    }
                     None => {
                         eprintln!("probe: --jobs needs a count");
                         std::process::exit(2);
                     }
                 }
             }
-            a if a.starts_with("--jobs=") => set_jobs(a.trim_start_matches("--jobs=")),
             a => {
                 eprintln!("probe: unknown argument `{a}` ({USAGE})");
                 std::process::exit(2);
@@ -41,9 +45,9 @@ fn main() {
 
     const CCM: u32 = 512;
     let kernels = suite::kernels();
-    let stage = exec::Stage::start("probe");
+    let stage = exec::Stage::start("probe", jobs);
     let reports = exec::par_map_contained(
-        exec::default_jobs(),
+        jobs,
         &kernels,
         |k| format!("probe {}", k.name),
         |k| {
@@ -53,7 +57,8 @@ fn main() {
                 Err(e) => return format!("{:<10} FAILED: {e}\n", k.name),
             };
             let mut am = m.clone();
-            let stats = regalloc::allocate_module(&mut am, &regalloc::AllocConfig::default());
+            let alloc = regalloc::AllocConfig::default();
+            let stats = regalloc::allocate_module(&mut am, &alloc);
             let bytes: u32 = am.functions.iter().map(|f| f.frame.spill_bytes()).sum();
             // pressure of the biggest routine
             let mut maxg = 0;
@@ -65,7 +70,7 @@ fn main() {
             }
             // Checker verdict on the CCM-promoted allocation.
             let mut cm = m.clone();
-            harness::allocate_variant(&mut cm, harness::Variant::PostPassCallGraph, CCM);
+            ccm::allocate_variant(&mut cm, ccm::Variant::PostPassCallGraph, CCM, &alloc);
             let diags = harness::check_allocated(&cm, CCM);
             let errors = checker::errors(&diags).len();
             let verdict = if diags.is_empty() {
@@ -103,15 +108,5 @@ fn main() {
     eprintln!("probe: {}", stage.line());
     if failures > 0 {
         std::process::exit(1);
-    }
-}
-
-fn set_jobs(v: &str) {
-    match exec::parse_jobs(v) {
-        Ok(n) => exec::set_default_jobs(n),
-        Err(e) => {
-            eprintln!("probe: {e}");
-            std::process::exit(2);
-        }
     }
 }

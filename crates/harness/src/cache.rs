@@ -36,12 +36,13 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use ccm::Variant;
 use iloc::Module;
 use sim::MachineConfig;
 use suite::{Kernel, Program};
 
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::{self, Measurement, Variant};
+use crate::pipeline::{self, Measurement};
 
 /// Locks a cache map, recovering from poisoning: a panic caught by the
 /// containment layer must not wedge every later measurement.
@@ -102,7 +103,7 @@ pub fn program(p: &Program) -> Result<Arc<Module>, PipelineError> {
 /// One allocated-and-checked configuration of one suite unit.
 #[derive(Clone)]
 pub struct Allocated {
-    /// The module after [`pipeline::allocate_variant`].
+    /// The module after [`ccm::allocate_variant`].
     pub module: Arc<Module>,
     /// Every diagnostic from [`pipeline::check_allocated`].
     pub diags: Arc<Vec<checker::Diagnostic>>,

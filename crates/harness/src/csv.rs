@@ -4,6 +4,7 @@ use std::fmt::Write as _;
 
 use crate::experiments::{CompactionRow, ProgramRow, SpeedupRow};
 use crate::extensions::SweepPoint;
+use crate::pipeline::RunConfig;
 
 /// Table 1 as CSV (`routine,before,after,ratio`).
 pub fn table1_csv(rows: &[CompactionRow]) -> String {
@@ -63,13 +64,13 @@ pub fn sweep_csv(points: &[SweepPoint]) -> String {
     s
 }
 
-/// Writes every experiment's CSV into `dir` (created if needed). Returns
-/// the file names written.
+/// Writes every experiment's CSV into `dir` (created if needed), running
+/// the experiments under `run`. Returns the file names written.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from directory creation or file writes.
-pub fn export_all(dir: &std::path::Path) -> std::io::Result<Vec<String>> {
+pub fn export_all(dir: &std::path::Path, run: &RunConfig) -> std::io::Result<Vec<String>> {
     std::fs::create_dir_all(dir)?;
     let mut written = Vec::new();
     let mut put = |name: &str, contents: String| -> std::io::Result<()> {
@@ -77,17 +78,20 @@ pub fn export_all(dir: &std::path::Path) -> std::io::Result<Vec<String>> {
         written.push(name.to_string());
         Ok(())
     };
-    put("table1.csv", table1_csv(&crate::table1()))?;
-    let mut sized = crate::speedup_rows_multi(&[512, 1024], exec::default_jobs());
+    put("table1.csv", table1_csv(&crate::table1(run)))?;
+    let mut sized = crate::speedup_rows_multi(&[512, 1024], run);
     let r1024 = sized.pop().expect("two sizes");
     let r512 = sized.pop().expect("two sizes");
     put("table2_512.csv", speedups_csv(&r512))?;
     put("table2_1024.csv", speedups_csv(&r1024))?;
-    put("figure3.csv", figure_csv(&crate::figure(512)))?;
-    put("figure4.csv", figure_csv(&crate::figure(1024)))?;
+    put("figure3.csv", figure_csv(&crate::figure(512, run)))?;
+    put("figure4.csv", figure_csv(&crate::figure(1024, run)))?;
     put(
         "sweep.csv",
-        sweep_csv(&crate::ccm_sweep(&[64, 128, 256, 512, 1024, 2048, 4096])),
+        sweep_csv(&crate::ccm_sweep(
+            &[64, 128, 256, 512, 1024, 2048, 4096],
+            run,
+        )),
     )?;
     Ok(written)
 }

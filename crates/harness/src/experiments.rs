@@ -3,18 +3,18 @@
 //! Every sweep-shaped experiment fans out over the parallel engine
 //! ([`exec::par_map`]) with one work item per independent (unit, variant
 //! set, CCM size) measurement, and collects results **by item index** so
-//! the output is byte-identical whatever `--jobs` value ran it. The
-//! `*_jobs` variants take an explicit worker count (used by the
-//! determinism tests); the plain names use [`exec::default_jobs`], which
-//! the binaries set from `--jobs`.
+//! the output is byte-identical whatever `--jobs` value ran it. Each
+//! takes the run's settings as a [`RunConfig`]: the worker count and
+//! the machine every simulation runs on.
 
 use std::collections::HashMap;
 
+use ccm::Variant;
 use sim::{CacheConfig, MachineConfig};
 
 use crate::cache;
 use crate::error::{self, PipelineError, Stage};
-use crate::pipeline::{Measurement, Variant};
+use crate::pipeline::{Measurement, RunConfig};
 
 /// Table 1 row: spill-memory compaction for one routine.
 #[derive(Clone, Debug)]
@@ -41,15 +41,10 @@ impl CompactionRow {
 /// Runs the Table 1 experiment: Chaitin-Briggs allocation followed by
 /// coloring-based spill-memory compaction, reporting bytes before/after
 /// per spilling routine, sorted by descending `before`.
-pub fn table1() -> Vec<CompactionRow> {
-    table1_jobs(exec::default_jobs())
-}
-
-/// [`table1`] with an explicit worker count.
-pub fn table1_jobs(jobs: usize) -> Vec<CompactionRow> {
+pub fn table1(run: &RunConfig) -> Vec<CompactionRow> {
     let kernels = suite::kernels();
     let mut rows: Vec<CompactionRow> = error::par_contained(
-        jobs,
+        run.jobs,
         &kernels,
         |k| format!("table1 {}", k.name),
         |k| {
@@ -61,8 +56,10 @@ pub fn table1_jobs(jobs: usize) -> Vec<CompactionRow> {
             }
             ccm::compact_module(&mut m);
             let after: u32 = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
-            // Correctness guard: compaction must not change results.
-            let (v, _) = sim::run_module(&m, MachineConfig::default(), "main").map_err(|e| {
+            // Correctness guard: compaction must not change results. The
+            // compacted code makes no CCM accesses; 1024 B is the
+            // default machine's CCM size.
+            let (v, _) = sim::run_module(&m, run.machine(1024), "main").map_err(|e| {
                 PipelineError::new(Stage::Sim, k.name, format!("trapped after compaction: {e}"))
             })?;
             if !v.floats.first().is_some_and(|f| f.is_finite()) {
@@ -141,16 +138,19 @@ impl SpeedupRow {
 /// Any stage failure from [`cache::measure_unit`]; additionally a CCM
 /// variant whose program checksum diverges from the baseline is a
 /// `stage=sim` error (the transformation changed observable behavior).
-fn measure_kernel(k: &suite::Kernel, ccm_size: u32) -> Result<Option<SpeedupRow>, PipelineError> {
-    let machine = MachineConfig::with_ccm(ccm_size);
+fn measure_kernel(
+    k: &suite::Kernel,
+    machine: &MachineConfig,
+) -> Result<Option<SpeedupRow>, PipelineError> {
+    let ccm_size = machine.ccm_size;
     let m = cache::optimized(k)?;
-    let baseline = cache::measure_unit(k.name, &m, Variant::Baseline, &machine)?;
+    let baseline = cache::measure_unit(k.name, &m, Variant::Baseline, machine)?;
     if baseline.spilled_ranges == 0 {
         return Ok(None);
     }
-    let postpass = cache::measure_unit(k.name, &m, Variant::PostPass, &machine)?;
-    let postpass_cg = cache::measure_unit(k.name, &m, Variant::PostPassCallGraph, &machine)?;
-    let integrated = cache::measure_unit(k.name, &m, Variant::Integrated, &machine)?;
+    let postpass = cache::measure_unit(k.name, &m, Variant::PostPass, machine)?;
+    let postpass_cg = cache::measure_unit(k.name, &m, Variant::PostPassCallGraph, machine)?;
+    let integrated = cache::measure_unit(k.name, &m, Variant::Integrated, machine)?;
     for (v, r) in [
         (Variant::PostPass, &postpass),
         (Variant::PostPassCallGraph, &postpass_cg),
@@ -180,13 +180,8 @@ fn measure_kernel(k: &suite::Kernel, ccm_size: u32) -> Result<Option<SpeedupRow>
 /// Runs the Table 2 experiment at the given CCM size over every kernel
 /// that spills: absolute baseline cycles plus relative cycle counts for
 /// the three CCM allocation methods.
-pub fn speedup_rows(ccm_size: u32) -> Vec<SpeedupRow> {
-    speedup_rows_jobs(ccm_size, exec::default_jobs())
-}
-
-/// [`speedup_rows`] with an explicit worker count.
-pub fn speedup_rows_jobs(ccm_size: u32, jobs: usize) -> Vec<SpeedupRow> {
-    speedup_rows_multi(&[ccm_size], jobs)
+pub fn speedup_rows(ccm_size: u32, run: &RunConfig) -> Vec<SpeedupRow> {
+    speedup_rows_multi(&[ccm_size], run)
         .pop()
         .expect("one size requested")
 }
@@ -195,7 +190,7 @@ pub fn speedup_rows_jobs(ccm_size: u32, jobs: usize) -> Vec<SpeedupRow> {
 /// (kernel × size), returning one row vector per requested size with
 /// kernels in suite order. This is how `table3` and the CSV export get
 /// both sizes measured concurrently instead of as two serial sweeps.
-pub fn speedup_rows_multi(sizes: &[u32], jobs: usize) -> Vec<Vec<SpeedupRow>> {
+pub fn speedup_rows_multi(sizes: &[u32], run: &RunConfig) -> Vec<Vec<SpeedupRow>> {
     let kernels = suite::kernels();
     let mut items: Vec<(usize, u32, suite::Kernel)> = Vec::new();
     for (si, &size) in sizes.iter().enumerate() {
@@ -204,10 +199,10 @@ pub fn speedup_rows_multi(sizes: &[u32], jobs: usize) -> Vec<Vec<SpeedupRow>> {
         }
     }
     let results = error::par_contained(
-        jobs,
+        run.jobs,
         &items,
         |(_, size, k)| format!("speedups {} @ {size} B", k.name),
-        |(_, size, k)| measure_kernel(k, *size),
+        |(_, size, k)| measure_kernel(k, &run.machine(*size)),
     );
     let mut out: Vec<Vec<SpeedupRow>> = sizes.iter().map(|_| Vec::new()).collect();
     for ((si, _, _), row) in items.iter().zip(results) {
@@ -257,13 +252,8 @@ pub fn improved_names(r512: &[SpeedupRow], r1024: &[SpeedupRow]) -> Result<Vec<S
 /// Table 3: kernels whose best CCM-variant cycle count improves when the
 /// CCM grows from 512 to 1024 bytes. Returns `(rows512, rows1024,
 /// improved_names)`.
-pub fn table3() -> (Vec<SpeedupRow>, Vec<SpeedupRow>, Vec<String>) {
-    table3_jobs(exec::default_jobs())
-}
-
-/// [`table3`] with an explicit worker count.
-pub fn table3_jobs(jobs: usize) -> (Vec<SpeedupRow>, Vec<SpeedupRow>, Vec<String>) {
-    let mut sized = speedup_rows_multi(&[512, 1024], jobs);
+pub fn table3(run: &RunConfig) -> (Vec<SpeedupRow>, Vec<SpeedupRow>, Vec<String>) {
+    let mut sized = speedup_rows_multi(&[512, 1024], run);
     let r1024 = sized.pop().expect("two sizes");
     let r512 = sized.pop().expect("two sizes");
     let improved = improved_names(&r512, &r1024).unwrap_or_else(|e| {
@@ -333,16 +323,11 @@ impl ProgramRow {
 
 /// Runs the Figure 3 (512 B) or Figure 4 (1024 B) experiment over the 13
 /// programs.
-pub fn figure(ccm_size: u32) -> Vec<ProgramRow> {
-    figure_jobs(ccm_size, exec::default_jobs())
-}
-
-/// [`figure`] with an explicit worker count.
-pub fn figure_jobs(ccm_size: u32, jobs: usize) -> Vec<ProgramRow> {
-    let machine = MachineConfig::with_ccm(ccm_size);
+pub fn figure(ccm_size: u32, run: &RunConfig) -> Vec<ProgramRow> {
+    let machine = run.machine(ccm_size);
     let programs = suite::programs();
     error::par_contained(
-        jobs,
+        run.jobs,
         &programs,
         |p| format!("figure {} @ {ccm_size} B", p.name),
         |p| {
@@ -406,12 +391,7 @@ pub struct AblationRow {
 /// spill-heavy kernels: a plain cache, a bigger cache, a cache with a
 /// write buffer, and a cache with a victim cache — in each case comparing
 /// spilling through the hierarchy against spilling to the CCM.
-pub fn ablation() -> Vec<AblationRow> {
-    ablation_jobs(exec::default_jobs())
-}
-
-/// [`ablation`] with an explicit worker count.
-pub fn ablation_jobs(jobs: usize) -> Vec<AblationRow> {
+pub fn ablation(run: &RunConfig) -> Vec<AblationRow> {
     let kernels = ["fpppp", "twldrv", "jacld", "radf5", "deseco"];
     let mut configs: Vec<(String, CacheConfig)> = Vec::new();
     let base = CacheConfig::small_direct_mapped();
@@ -455,13 +435,13 @@ pub fn ablation_jobs(jobs: usize) -> Vec<AblationRow> {
         ccm_hits: (u64, u64),
     }
     let cells = error::par_contained(
-        jobs,
+        run.jobs,
         &items,
         |(ci, _, name)| format!("ablation {} on {}", name, configs[*ci].0),
         |(ci, ccfg, name)| {
             let machine = MachineConfig {
                 cache: Some(ccfg.clone()),
-                ..MachineConfig::with_ccm(512)
+                ..run.machine(512)
             };
             let k = suite::kernel(name)
                 .ok_or_else(|| PipelineError::new(Stage::Parse, *name, "unknown suite kernel"))?;
@@ -536,12 +516,7 @@ impl CheckRow {
 
 /// Runs the post-allocation checker over the whole suite (every kernel
 /// and every program) under each variant at each CCM size.
-pub fn check_suite(sizes: &[u32]) -> Vec<CheckRow> {
-    check_suite_jobs(sizes, exec::default_jobs())
-}
-
-/// [`check_suite`] with an explicit worker count.
-pub fn check_suite_jobs(sizes: &[u32], jobs: usize) -> Vec<CheckRow> {
+pub fn check_suite(sizes: &[u32], run: &RunConfig) -> Vec<CheckRow> {
     // Warm the build cache in parallel, one item per unit…
     let kernels = suite::kernels();
     let programs = suite::programs();
@@ -557,7 +532,7 @@ pub fn check_suite_jobs(sizes: &[u32], jobs: usize) -> Vec<CheckRow> {
     // A unit whose build fails is recorded and dropped here; every later
     // item indexes into the surviving builds only.
     let built: Vec<(String, std::sync::Arc<iloc::Module>)> = error::par_contained(
-        jobs,
+        run.jobs,
         &units,
         |u| {
             let name = match u {
@@ -586,7 +561,7 @@ pub fn check_suite_jobs(sizes: &[u32], jobs: usize) -> Vec<CheckRow> {
         }
     }
     error::par_contained(
-        jobs,
+        run.jobs,
         &items,
         |(ui, ccm, v)| format!("check {} {v:?} @ {ccm} B", built[*ui].0),
         |(ui, ccm, v)| {
@@ -611,7 +586,7 @@ mod tests {
 
     #[test]
     fn table1_reports_spilling_routines_with_valid_ratios() {
-        let rows = table1();
+        let rows = table1(&RunConfig::default());
         assert!(rows.len() >= 10, "need a healthy population of spillers");
         for r in &rows {
             assert!(r.after <= r.before, "{}: compaction grew memory", r.name);
@@ -629,7 +604,7 @@ mod tests {
 
     #[test]
     fn speedups_have_paper_shape_at_512() {
-        let rows = speedup_rows(512);
+        let rows = speedup_rows(512, &RunConfig::default());
         assert!(rows.len() >= 10);
         // No CCM variant may ever be slower than baseline.
         for r in &rows {

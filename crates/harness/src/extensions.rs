@@ -3,11 +3,12 @@
 //! choices DESIGN.md calls out — scalar optimization, LICM, coalescing,
 //! and the calling convention.
 
+use ccm::Variant;
 use regalloc::AllocConfig;
 use sim::MachineConfig;
 
 use crate::error::{self, PipelineError, Stage};
-use crate::pipeline::Variant;
+use crate::pipeline::RunConfig;
 
 /// One point on the CCM sizing curve.
 #[derive(Clone, Copy, Debug)]
@@ -25,17 +26,12 @@ pub struct SweepPoint {
 
 /// Sweeps the CCM size over the spilling kernels, answering the paper's
 /// sizing question: most of the benefit arrives by a few hundred bytes.
-pub fn ccm_sweep(sizes: &[u32]) -> Vec<SweepPoint> {
-    ccm_sweep_jobs(sizes, exec::default_jobs())
-}
-
-/// [`ccm_sweep`] with an explicit worker count.
-pub fn ccm_sweep_jobs(sizes: &[u32], jobs: usize) -> Vec<SweepPoint> {
+pub fn ccm_sweep(sizes: &[u32], run: &RunConfig) -> Vec<SweepPoint> {
     // Measure the baseline once, in parallel over the (cached) builds.
     let kernels = suite::kernels();
-    let machine0 = MachineConfig::with_ccm(16);
+    let machine0 = run.machine(16);
     let baselines = error::par_contained(
-        jobs,
+        run.jobs,
         &kernels,
         |k| format!("sweep baseline {}", k.name),
         |k| {
@@ -61,11 +57,11 @@ pub fn ccm_sweep_jobs(sizes: &[u32], jobs: usize) -> Vec<SweepPoint> {
         }
     }
     let cells = error::par_contained(
-        jobs,
+        run.jobs,
         &items,
         |(_, size, ki)| format!("sweep {} @ {size} B", kernels[*ki].name),
         |(si, size, ki)| {
-            let machine = MachineConfig::with_ccm(*size);
+            let machine = run.machine(*size);
             let k = &kernels[*ki];
             let m = crate::cache::optimized(k)?;
             let r = crate::cache::measure_unit(k.name, &m, Variant::PostPassCallGraph, &machine)?;
@@ -117,8 +113,9 @@ fn run_config(
     opts: &opt::OptOptions,
     alloc: &AllocConfig,
     promote: bool,
+    run: &RunConfig,
 ) -> Result<DesignRow, PipelineError> {
-    let machine = MachineConfig::with_ccm(512);
+    let machine = run.machine(512);
     let mut spilled = 0;
     let mut spill_bytes = 0;
     let mut cycles = 0;
@@ -131,15 +128,13 @@ fn run_config(
             ..*opts
         };
         opt::optimize_module(&mut m, &o);
-        spilled += regalloc::allocate_module(&mut m, alloc).total_spilled();
+        let variant = if promote {
+            Variant::PostPassCallGraph
+        } else {
+            Variant::Baseline
+        };
+        spilled += ccm::allocate_variant(&mut m, variant, 512, alloc).spilled_ranges;
         if promote {
-            ccm::postpass_promote(
-                &mut m,
-                &ccm::PostpassConfig {
-                    ccm_size: 512,
-                    interprocedural: true,
-                },
-            );
             // Paper, footnote 3: repack the remaining heavyweight slots
             // so the reported spill space is honest.
             ccm::compact_module(&mut m);
@@ -164,7 +159,7 @@ fn run_config(
 /// Ablates the design choices: scalar optimization on/off, LICM on/off,
 /// coalescing on/off, and caller-saved conventions — each measured by
 /// spills produced and cycles executed on a spill-heavy subset.
-pub fn design_ablation() -> Vec<DesignRow> {
+pub fn design_ablation(run: &RunConfig) -> Vec<DesignRow> {
     let base_opts = opt::OptOptions::default();
     let base_alloc = AllocConfig::default();
     let mut rows = Vec::new();
@@ -184,9 +179,12 @@ pub fn design_ablation() -> Vec<DesignRow> {
     };
     push(
         "baseline (opt, coalesce, no CCM)",
-        run_config(&base_opts, &base_alloc, false),
+        run_config(&base_opts, &base_alloc, false, run),
     );
-    push("+ CCM post-pass", run_config(&base_opts, &base_alloc, true));
+    push(
+        "+ CCM post-pass",
+        run_config(&base_opts, &base_alloc, true, run),
+    );
     push(
         "no scalar optimization",
         run_config(
@@ -196,6 +194,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
             },
             &base_alloc,
             false,
+            run,
         ),
     );
     push(
@@ -207,6 +206,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
             },
             &base_alloc,
             false,
+            run,
         ),
     );
     push(
@@ -218,6 +218,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 ..base_alloc
             },
             false,
+            run,
         ),
     );
     push(
@@ -229,6 +230,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 ..base_alloc
             },
             true,
+            run,
         ),
     );
     push(
@@ -240,6 +242,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 ..base_alloc
             },
             false,
+            run,
         ),
     );
     push(
@@ -251,6 +254,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 ..base_alloc
             },
             false,
+            run,
         ),
     );
     push(
@@ -262,6 +266,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 ..base_alloc
             },
             false,
+            run,
         ),
     );
     rows
@@ -319,7 +324,7 @@ mod tests {
 
     #[test]
     fn sweep_is_monotone_and_saturates() {
-        let pts = ccm_sweep(&[32, 128, 512, 2048]);
+        let pts = ccm_sweep(&[32, 128, 512, 2048], &RunConfig::default());
         for w in pts.windows(2) {
             assert!(
                 w[1].total_pct >= w[0].total_pct - 1e-9,
@@ -337,7 +342,7 @@ mod tests {
 
     #[test]
     fn design_ablation_directions() {
-        let rows = design_ablation();
+        let rows = design_ablation(&RunConfig::default());
         let get = |label: &str| {
             rows.iter()
                 .find(|r| r.config.starts_with(label))
@@ -384,10 +389,10 @@ pub struct SchedRow {
 /// raising spill counts, and (c) CCM spilling removing the need to hide
 /// spill reloads at all ("let the scheduler place the load for a spilled
 /// value next to its use", §1).
-pub fn scheduling_study() -> Vec<SchedRow> {
+pub fn scheduling_study(run: &RunConfig) -> Vec<SchedRow> {
     let machine = MachineConfig {
         load_delay: Some(2),
-        ..MachineConfig::with_ccm(512)
+        ..run.machine(512)
     };
     // Kernels whose loads sit next to their uses — the code shape where
     // hoisting loads for latency genuinely lengthens live ranges. (The
@@ -397,9 +402,9 @@ pub fn scheduling_study() -> Vec<SchedRow> {
     let kernels = ["radf4", "radb4", "colbur", "cosqf1", "zeroin"];
     let mut rows = Vec::new();
 
-    let mut run = |label: &str, pre_sched: bool, post_sched: bool, promote: bool| {
+    let mut study = |label: &str, pre_sched: bool, post_sched: bool, variant: Variant| {
         let cells = error::par_contained(
-            exec::default_jobs(),
+            run.jobs,
             &kernels,
             |name| format!("sched study {name} ({label})"),
             |name| {
@@ -410,17 +415,8 @@ pub fn scheduling_study() -> Vec<SchedRow> {
                 if pre_sched {
                     sched::schedule_module(&mut m, 3);
                 }
-                let spilled =
-                    regalloc::allocate_module(&mut m, &AllocConfig::default()).total_spilled();
-                if promote {
-                    ccm::postpass_promote(
-                        &mut m,
-                        &ccm::PostpassConfig {
-                            ccm_size: 512,
-                            interprocedural: true,
-                        },
-                    );
-                }
+                let spilled = ccm::allocate_variant(&mut m, variant, 512, &AllocConfig::default())
+                    .spilled_ranges;
                 if post_sched {
                     sched::schedule_module(&mut m, 3);
                 }
@@ -447,11 +443,21 @@ pub fn scheduling_study() -> Vec<SchedRow> {
         rows.push(row);
     };
 
-    run("unscheduled, no CCM", false, false, false);
-    run("post-RA scheduled, no CCM", false, true, false);
-    run("pre-RA scheduled, no CCM", true, false, false);
-    run("unscheduled + CCM", false, false, true);
-    run("post-RA scheduled + CCM", false, true, true);
+    study("unscheduled, no CCM", false, false, Variant::Baseline);
+    study("post-RA scheduled, no CCM", false, true, Variant::Baseline);
+    study("pre-RA scheduled, no CCM", true, false, Variant::Baseline);
+    study(
+        "unscheduled + CCM",
+        false,
+        false,
+        Variant::PostPassCallGraph,
+    );
+    study(
+        "post-RA scheduled + CCM",
+        false,
+        true,
+        Variant::PostPassCallGraph,
+    );
     rows
 }
 
@@ -484,7 +490,7 @@ mod sched_tests {
 
     #[test]
     fn scheduling_study_directions() {
-        let rows = scheduling_study();
+        let rows = scheduling_study(&RunConfig::default());
         let get = |label: &str| {
             rows.iter()
                 .find(|r| r.config == label)
@@ -537,7 +543,7 @@ pub const MULTITASK_QUANTA: [u64; 3] = [10_000, 100_000, 1_000_000];
 /// carve it up with a base register? Benefits come from the measured
 /// sizing curve; copy cost is `2 × size/8` memory operations at two
 /// cycles each (save + restore of 8-byte words).
-pub fn multitask_study() -> Vec<MultitaskRow> {
+pub fn multitask_study(run: &RunConfig) -> Vec<MultitaskRow> {
     let processes = 4u32;
     let sizes = [1024u32, 4096, 16 * 1024, 32 * 1024];
     // Measure the sizing curve at every size we need (full + quarter).
@@ -548,7 +554,7 @@ pub fn multitask_study() -> Vec<MultitaskRow> {
     }
     need.sort_unstable();
     need.dedup();
-    let points = ccm_sweep(&need);
+    let points = ccm_sweep(&need, run);
     let benefit = |size: u32| -> f64 {
         points
             .iter()
@@ -615,7 +621,7 @@ mod multitask_tests {
 
     #[test]
     fn partitioning_beats_copying_at_short_quanta() {
-        let rows = multitask_study();
+        let rows = multitask_study(&RunConfig::default());
         // The paper's recommendation: with a base register, a 16-32 KB CCM
         // gives every process the full single-process benefit.
         let big = rows.iter().find(|r| r.ccm_size == 32 * 1024).unwrap();

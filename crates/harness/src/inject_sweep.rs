@@ -20,12 +20,13 @@
 
 use std::panic;
 
+use ccm::Variant;
 use iloc::Module;
 use sim::MachineConfig;
 
 use crate::cache;
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::{self, Measurement, Variant};
+use crate::pipeline::{self, Measurement};
 
 /// The verdict for one fault point.
 #[derive(Clone, Debug)]

@@ -15,9 +15,11 @@
 //!
 //! The `repro` binary prints them: `cargo run --release -p harness -- --all`.
 //!
-//! Sweep-shaped experiments fan out over the parallel engine in the
-//! `exec` crate (`--jobs N`, default: available parallelism) and share
-//! the memoized suite builds in [`cache`], so `repro --all` builds each
+//! Every experiment takes the run's settings as a [`RunConfig`]: the
+//! worker count (`--jobs N`, default: available parallelism) and the
+//! simulator's step budget (`--sim-budget N`). Sweep-shaped experiments
+//! fan out over the parallel engine in the `exec` crate and share the
+//! memoized suite builds in [`cache`], so `repro --all` builds each
 //! module once instead of once per table. Results are collected by work
 //! item index, never by completion order: any `--jobs` value produces
 //! byte-identical output to `--jobs 1`.
@@ -31,18 +33,15 @@ pub mod inject_sweep;
 pub mod pipeline;
 pub mod report;
 
-pub use extensions::{
-    ccm_sweep, ccm_sweep_jobs, design_ablation, multitask_study, render_design, render_multitask,
-    render_sched, render_sweep, scheduling_study, DesignRow, MultitaskRow, SchedRow, SweepPoint,
-};
-
+pub use ccm::Variant;
 pub use csv::export_all;
 pub use error::{PipelineError, Stage};
 pub use experiments::{
-    ablation, ablation_jobs, check_suite, check_suite_jobs, figure, figure_jobs, improved_names,
-    speedup_rows, speedup_rows_jobs, speedup_rows_multi, table1, table1_jobs, table3, table3_jobs,
-    table4_from, AblationRow, CheckRow, CompactionRow, ProgramRow, SpeedupRow, Table4Cell,
+    ablation, check_suite, figure, improved_names, speedup_rows, speedup_rows_multi, table1,
+    table3, table4_from, AblationRow, CheckRow, CompactionRow, ProgramRow, SpeedupRow, Table4Cell,
 };
-pub use pipeline::{
-    allocate_variant, check_allocated, measure, AllocOutcome, Measurement, Variant,
+pub use extensions::{
+    ccm_sweep, design_ablation, multitask_study, render_design, render_multitask, render_sched,
+    render_sweep, scheduling_study, DesignRow, MultitaskRow, SchedRow, SweepPoint,
 };
+pub use pipeline::{check_allocated, measure, Measurement, RunConfig};

@@ -16,7 +16,7 @@
 //! `--inject-sweep` fires each registered fault point one at a time and
 //! asserts the pipeline survives with the expected structured failure.
 
-use harness::{error, inject_sweep, report};
+use harness::{error, inject_sweep, report, RunConfig};
 
 const USAGE: &str = "usage: repro [--table1] [--table2] [--table3] [--table4] \
      [--figure3] [--figure4] [--ablation] [--sweep] [--design] [--sched] [--multitask] \
@@ -35,6 +35,7 @@ fn die(msg: &str) -> ! {
 
 #[derive(Default)]
 struct Opts {
+    run: RunConfig,
     table1: bool,
     table2: bool,
     table3: bool,
@@ -85,7 +86,7 @@ fn parse(args: &[String]) -> Opts {
                     .get(i)
                     .unwrap_or_else(|| die("--sim-budget needs a step count"));
                 match v.parse::<u64>() {
-                    Ok(n) if n > 0 => sim::set_default_max_steps(n),
+                    Ok(n) if n > 0 => o.run.max_steps = n,
                     _ => die(&format!("invalid --sim-budget `{v}`")),
                 }
             }
@@ -122,7 +123,7 @@ fn parse(args: &[String]) -> Opts {
                 i += 1;
                 let v = args.get(i).unwrap_or_else(|| die("--jobs needs a count"));
                 match exec::parse_jobs(v) {
-                    Ok(n) => exec::set_default_jobs(n),
+                    Ok(n) => o.run.jobs = n,
                     Err(e) => die(&e),
                 }
             }
@@ -166,16 +167,18 @@ fn main() {
     // cases, sweep verdicts, csv IO) that aren't PipelineErrors.
     let mut deferred_failure = false;
 
+    let run = &o.run;
+    let jobs = run.jobs;
     if o.table1 {
-        let rows = exec::timed("repro", "table1", harness::table1);
+        let rows = exec::timed("repro", "table1", jobs, || harness::table1(run));
         println!("{}", report::render_table1(&rows));
     }
     if o.table2 {
-        let rows = exec::timed("repro", "table2", || harness::speedup_rows(512));
+        let rows = exec::timed("repro", "table2", jobs, || harness::speedup_rows(512, run));
         println!("{}", report::render_table2(&rows, 512));
     }
     if o.table3 || o.table4 {
-        let (r512, r1024, improved) = exec::timed("repro", "table3", harness::table3);
+        let (r512, r1024, improved) = exec::timed("repro", "table3", jobs, || harness::table3(run));
         if o.table3 {
             println!("{}", report::render_table3(&r512, &r1024, &improved));
         }
@@ -184,36 +187,38 @@ fn main() {
         }
     }
     if o.figure3 {
-        let rows = exec::timed("repro", "figure3", || harness::figure(512));
+        let rows = exec::timed("repro", "figure3", jobs, || harness::figure(512, run));
         println!("{}", report::render_figure(&rows, 512));
     }
     if o.figure4 {
-        let rows = exec::timed("repro", "figure4", || harness::figure(1024));
+        let rows = exec::timed("repro", "figure4", jobs, || harness::figure(1024, run));
         println!("{}", report::render_figure(&rows, 1024));
     }
     if o.ablation {
-        let rows = exec::timed("repro", "ablation", harness::ablation);
+        let rows = exec::timed("repro", "ablation", jobs, || harness::ablation(run));
         println!("{}", report::render_ablation(&rows));
     }
     if o.sweep {
         let sizes = [64, 128, 256, 512, 1024, 2048, 4096];
-        let pts = exec::timed("repro", "sweep", || harness::ccm_sweep(&sizes));
+        let pts = exec::timed("repro", "sweep", jobs, || harness::ccm_sweep(&sizes, run));
         println!("{}", harness::render_sweep(&pts));
     }
     if o.design {
-        let rows = exec::timed("repro", "design", harness::design_ablation);
+        let rows = exec::timed("repro", "design", jobs, || harness::design_ablation(run));
         println!("{}", harness::render_design(&rows));
     }
     if o.sched {
-        let rows = exec::timed("repro", "sched", harness::scheduling_study);
+        let rows = exec::timed("repro", "sched", jobs, || harness::scheduling_study(run));
         println!("{}", harness::render_sched(&rows));
     }
     if o.multitask {
-        let rows = exec::timed("repro", "multitask", harness::multitask_study);
+        let rows = exec::timed("repro", "multitask", jobs, || harness::multitask_study(run));
         println!("{}", harness::render_multitask(&rows));
     }
     if o.check {
-        let rows = exec::timed("repro", "check", || harness::check_suite(&[512, 1024]));
+        let rows = exec::timed("repro", "check", jobs, || {
+            harness::check_suite(&[512, 1024], run)
+        });
         if o.check_json {
             print!("{}", report::render_check_json(&rows));
         } else {
@@ -225,9 +230,12 @@ fn main() {
     }
     if let Some(n) = o.fuzz {
         let seed = o.fuzz_seed;
-        let cfg = fuzz::OracleConfig::default();
-        let rep = exec::timed("repro", "fuzz", || {
-            fuzz::campaign_report(n, seed, exec::default_jobs(), &cfg)
+        let cfg = fuzz::OracleConfig {
+            max_steps: run.max_steps,
+            ..fuzz::OracleConfig::default()
+        };
+        let rep = exec::timed("repro", "fuzz", jobs, || {
+            fuzz::campaign_report(n, seed, jobs, &cfg)
         });
         print!("{}", rep.text);
         if rep.failures > 0 {
@@ -235,16 +243,16 @@ fn main() {
         }
     }
     if o.inject_sweep {
-        let outcomes = exec::timed("repro", "inject-sweep", || {
-            inject_sweep::run_sweep(exec::default_jobs())
+        let outcomes = exec::timed("repro", "inject-sweep", jobs, || {
+            inject_sweep::run_sweep(jobs)
         });
         print!("{}", inject_sweep::render(&outcomes));
         if outcomes.iter().any(|v| !v.passed) {
             deferred_failure = true;
         }
     }
-    if let Some(dir) = o.csv {
-        match exec::timed("repro", "csv", || harness::export_all(&dir)) {
+    if let Some(dir) = &o.csv {
+        match exec::timed("repro", "csv", jobs, || harness::export_all(dir, run)) {
             Ok(files) => eprintln!("wrote {} CSV files to {}", files.len(), dir.display()),
             Err(e) => {
                 eprintln!("csv export failed: {e}");

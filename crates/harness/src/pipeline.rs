@@ -9,52 +9,41 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use ccm::{AllocOutcome, Variant};
 use iloc::Module;
 use regalloc::AllocConfig;
 use sim::{MachineConfig, Metrics};
 
 use crate::error::{PipelineError, Stage};
 
-/// The allocation strategy under test — the three CCM methods of the
-/// paper plus the no-CCM baseline.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub enum Variant {
-    /// Conventional Chaitin-Briggs; all spills to main memory.
-    Baseline,
-    /// Post-pass CCM allocator, no interprocedural information.
-    PostPass,
-    /// Post-pass CCM allocator with call-graph information.
-    PostPassCallGraph,
-    /// CCM spilling integrated into the Chaitin-Briggs allocator.
-    Integrated,
+/// The settings of one run, passed explicitly to every experiment:
+/// the parallel engine's worker count (`--jobs`) and the simulator's
+/// instruction budget (`--sim-budget`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunConfig {
+    /// Worker threads for the parallel engine.
+    pub jobs: usize,
+    /// Instruction steps every simulation may take before it traps.
+    pub max_steps: u64,
 }
 
-impl Variant {
-    /// All variants, baseline first.
-    pub const ALL: [Variant; 4] = [
-        Variant::Baseline,
-        Variant::PostPass,
-        Variant::PostPassCallGraph,
-        Variant::Integrated,
-    ];
-
-    /// Column label used in the printed tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Variant::Baseline => "Without CCM",
-            Variant::PostPass => "Post-Pass",
-            Variant::PostPassCallGraph => "Post-Pass w/ Call Graph",
-            Variant::Integrated => "Integrated",
+impl Default for RunConfig {
+    /// All available hardware threads and [`sim::DEFAULT_MAX_STEPS`].
+    fn default() -> RunConfig {
+        RunConfig {
+            jobs: exec::available(),
+            max_steps: sim::DEFAULT_MAX_STEPS,
         }
     }
+}
 
-    /// Short name used in error reports and JSON.
-    pub fn short(&self) -> &'static str {
-        match self {
-            Variant::Baseline => "baseline",
-            Variant::PostPass => "postpass",
-            Variant::PostPassCallGraph => "postpass+cg",
-            Variant::Integrated => "integrated",
+impl RunConfig {
+    /// The paper's machine with a `ccm_size`-byte CCM and this run's
+    /// step budget.
+    pub fn machine(&self, ccm_size: u32) -> MachineConfig {
+        MachineConfig {
+            max_steps: self.max_steps,
+            ..MachineConfig::with_ccm(ccm_size)
         }
     }
 }
@@ -79,61 +68,6 @@ pub struct Measurement {
     pub degraded: Vec<ccm::Degradation>,
 }
 
-/// The outcome of [`allocate_variant`]: spill statistics plus any
-/// per-function degradation events.
-#[derive(Clone, Debug, Default)]
-pub struct AllocOutcome {
-    /// Live ranges spilled during allocation.
-    pub spilled_ranges: usize,
-    /// Functions that abandoned CCM allocation and kept conventional
-    /// heavyweight spills.
-    pub degraded: Vec<ccm::Degradation>,
-}
-
-/// Applies `variant` allocation (with CCM capacity `ccm_size`) to an
-/// optimized module. The input should come from
-/// [`suite::build_optimized`] or [`suite::build_program`].
-pub fn allocate_variant(m: &mut Module, variant: Variant, ccm_size: u32) -> AllocOutcome {
-    let cfg = AllocConfig::default();
-    let postpass = |m: &mut Module, interprocedural: bool| -> AllocOutcome {
-        let n = regalloc::allocate_module(m, &cfg).total_spilled();
-        let promos = ccm::postpass_promote(
-            m,
-            &ccm::PostpassConfig {
-                ccm_size,
-                interprocedural,
-            },
-        );
-        AllocOutcome {
-            spilled_ranges: n,
-            degraded: promos
-                .into_iter()
-                .filter_map(|p| {
-                    p.degraded.map(|reason| ccm::Degradation {
-                        function: p.name,
-                        reason,
-                    })
-                })
-                .collect(),
-        }
-    };
-    match variant {
-        Variant::Baseline => AllocOutcome {
-            spilled_ranges: regalloc::allocate_module(m, &cfg).total_spilled(),
-            degraded: Vec::new(),
-        },
-        Variant::PostPass => postpass(m, false),
-        Variant::PostPassCallGraph => postpass(m, true),
-        Variant::Integrated => {
-            let (a, _, degraded) = ccm::allocate_module_integrated(m, &cfg, ccm_size);
-            AllocOutcome {
-                spilled_ranges: a.total_spilled(),
-                degraded,
-            }
-        }
-    }
-}
-
 /// Runs the post-allocation static checker on an allocated module,
 /// returning every diagnostic (the structural verifier is one of its
 /// passes, so this subsumes `m.verify()`).
@@ -141,9 +75,10 @@ pub fn check_allocated(m: &Module, ccm_size: u32) -> Vec<checker::Diagnostic> {
     checker::check_module(m, &checker::CheckerConfig::new(ccm_size))
 }
 
-/// [`allocate_variant`] with allocator panics contained: a panic inside
-/// register allocation or CCM promotion becomes a `stage=alloc`
-/// [`PipelineError`] instead of unwinding through the campaign.
+/// [`ccm::allocate_variant`] under the default register supply, with
+/// allocator panics contained: a panic inside register allocation or
+/// CCM promotion becomes a `stage=alloc` [`PipelineError`] instead of
+/// unwinding through the campaign.
 ///
 /// # Errors
 ///
@@ -156,7 +91,7 @@ pub fn allocate_contained(
 ) -> Result<AllocOutcome, PipelineError> {
     let mut scratch = std::mem::take(m);
     match catch_unwind(AssertUnwindSafe(move || {
-        let out = allocate_variant(&mut scratch, variant, ccm_size);
+        let out = ccm::allocate_variant(&mut scratch, variant, ccm_size, &AllocConfig::default());
         (scratch, out)
     })) {
         Ok((allocated, out)) => {

@@ -270,10 +270,11 @@ pub fn render_check_json(rows: &[crate::experiments::CheckRow]) -> String {
         if i > 0 {
             s.push(',');
         }
+        s.push_str("\n{\"name\":");
+        checker::json_string(&r.name, &mut s);
         let _ = write!(
             s,
-            "\n{{\"name\":\"{}\",\"variant\":\"{:?}\",\"ccm\":{},\"diagnostics\":{}}}",
-            r.name,
+            ",\"variant\":\"{:?}\",\"ccm\":{},\"diagnostics\":{}}}",
             r.variant,
             r.ccm,
             checker::render_json(&r.diags).trim_end()

@@ -64,12 +64,44 @@ fn probe_rejects_unknown_flags() {
 }
 
 #[test]
+fn probe_rejects_the_jobs_equals_spelling() {
+    let (code, _, err) = run(env!("CARGO_BIN_EXE_probe"), &["--jobs=2"]);
+    assert_eq!(code, 2);
+    assert!(err.contains("unknown argument `--jobs=2`"), "stderr: {err}");
+}
+
+#[test]
 fn ccmc_rejects_unknown_flags_and_bad_jobs() {
     let ccmc = env!("CARGO_BIN_EXE_ccmc");
     let (code, _, err) = run(ccmc, &["--bogus"]);
     assert_eq!(code, 2);
     assert!(err.contains("unknown argument"), "stderr: {err}");
-    let (code, _, err) = run(ccmc, &["--jobs", "0"]);
-    assert_eq!(code, 2);
-    assert!(err.contains("--jobs"), "stderr: {err}");
+    // ccmc runs no parallel work, so it takes no `--jobs` at all.
+    for args in [&["--jobs", "0"][..], &["--jobs", "2"][..]] {
+        let (code, _, err) = run(ccmc, args);
+        assert_eq!(code, 2, "{args:?} must exit 2");
+        assert!(err.contains("unknown argument `--jobs`"), "stderr: {err}");
+    }
+}
+
+/// `--sim-budget` reaches every simulation of the run, the fuzz
+/// oracle's included: a 10-step budget traps the very first baseline
+/// run, the campaign reports it as a failing case, and the process
+/// exits 1 once the report is printed.
+#[test]
+fn repro_sim_budget_caps_fuzz_simulations() {
+    let args = [
+        "--fuzz",
+        "2",
+        "--seed",
+        "1",
+        "--sim-budget",
+        "10",
+        "--jobs",
+        "1",
+    ];
+    let (code, out, err) = run(env!("CARGO_BIN_EXE_repro"), &args);
+    assert_eq!(code, 1, "stderr: {err}");
+    assert!(out.contains("trap in baseline"), "stdout: {out}");
+    assert!(out.contains("step limit"), "stdout: {out}");
 }

@@ -1,27 +1,11 @@
 //! Machine configuration: the paper's abstract machine.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::cache::CacheConfig;
 
 /// The out-of-the-box instruction budget: far above any suite kernel,
 /// low enough that a generated infinite loop fails one measurement in
 /// bounded time instead of hanging a campaign forever.
 pub const DEFAULT_MAX_STEPS: u64 = 2_000_000_000;
-
-static MAX_STEPS_OVERRIDE: AtomicU64 = AtomicU64::new(DEFAULT_MAX_STEPS);
-
-/// Sets the process-wide default instruction budget picked up by every
-/// subsequently constructed [`MachineConfig`]. Binaries call this once
-/// from `--sim-budget N`; explicit `max_steps` fields still win.
-pub fn set_default_max_steps(n: u64) {
-    MAX_STEPS_OVERRIDE.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current process-wide default instruction budget.
-pub fn default_max_steps() -> u64 {
-    MAX_STEPS_OVERRIDE.load(Ordering::Relaxed)
-}
 
 /// Simulator parameters.
 ///
@@ -60,7 +44,7 @@ impl Default for MachineConfig {
             ccm_latency: 1,
             ccm_size: 1024,
             mem_size: 8 << 20,
-            max_steps: default_max_steps(),
+            max_steps: DEFAULT_MAX_STEPS,
             cache: None,
             load_delay: None,
         }

@@ -35,6 +35,6 @@ pub mod machine;
 pub mod metrics;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use config::{default_max_steps, set_default_max_steps, MachineConfig, DEFAULT_MAX_STEPS};
+pub use config::{MachineConfig, DEFAULT_MAX_STEPS};
 pub use machine::{run_module, Machine, RetValues, SimError};
 pub use metrics::Metrics;

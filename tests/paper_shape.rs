@@ -16,7 +16,7 @@ fn must(r: Result<harness::Measurement, harness::PipelineError>) -> harness::Mea
 /// exactly that way here, and every other ratio is sane.
 #[test]
 fn table1_shape_monoliths_do_not_compact() {
-    let rows = harness::table1();
+    let rows = harness::table1(&harness::RunConfig::default());
     let monoliths = ["paroi", "inisla", "energyx", "pdiagX"];
     for name in monoliths {
         let r = rows

@@ -2,7 +2,14 @@
 //! `--jobs` value, name-joined Table 3 pairing, and NaN-free CSV output.
 
 use harness::csv::{figure_csv, speedups_csv};
-use harness::{improved_names, Measurement, SpeedupRow};
+use harness::{improved_names, Measurement, RunConfig, SpeedupRow};
+
+fn jobs(jobs: usize) -> RunConfig {
+    RunConfig {
+        jobs,
+        ..RunConfig::default()
+    }
+}
 
 fn meas(cycles: u64, mem_cycles: u64) -> Measurement {
     Measurement {
@@ -101,8 +108,8 @@ fn speedups_csv_is_nan_free_even_with_zero_baseline() {
 /// ordering included. Also doubles as a NaN-free check on live output.
 #[test]
 fn speedup_rows_are_identical_at_any_job_count() {
-    let serial = harness::speedup_rows_jobs(512, 1);
-    let parallel = harness::speedup_rows_jobs(512, 4);
+    let serial = harness::speedup_rows(512, &jobs(1));
+    let parallel = harness::speedup_rows(512, &jobs(4));
     let a = speedups_csv(&serial);
     let b = speedups_csv(&parallel);
     assert_eq!(a, b, "parallel speedup rows diverged from serial");
@@ -111,8 +118,8 @@ fn speedup_rows_are_identical_at_any_job_count() {
 
 #[test]
 fn figure_rows_are_identical_at_any_job_count() {
-    let serial = harness::figure_jobs(512, 1);
-    let parallel = harness::figure_jobs(512, 4);
+    let serial = harness::figure(512, &jobs(1));
+    let parallel = harness::figure(512, &jobs(4));
     let a = figure_csv(&serial);
     let b = figure_csv(&parallel);
     assert_eq!(a, b, "parallel figure rows diverged from serial");
