@@ -32,6 +32,14 @@ echo "== release smoke: repro --table1 --check --jobs 2"
 # argument parser, all under a small worker count.
 cargo run --release -q -p harness --bin repro -- --table1 --check --jobs 2 > /dev/null
 
+echo "== kernels output: repro --table1 --table2 --table3 --table4 --jobs 2"
+# The benchmark's kernels workload in release mode: its stdout must
+# match the committed expected file byte for byte (the golden tests
+# above run a subset of the tables in debug mode). The file is only
+# read here.
+cargo run --release -q -p harness --bin repro -- --table1 --table2 --table3 --table4 --jobs 2 \
+    | diff - perfbench/expected/kernels.out
+
 echo "== fuzz smoke: repro --fuzz 64 --seed 1 --jobs 2"
 # Fixed-seed differential fuzzing campaign: every generated module must
 # produce bit-identical checksums under all allocation variants, pass

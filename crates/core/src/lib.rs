@@ -16,7 +16,8 @@
 //!   integrated into the Chaitin-Briggs allocator (§3.2, Figure 2);
 //! * [`allocate_variant`] — one [`Variant`] (the baseline or one of the
 //!   three CCM methods) applied end to end, the dispatch every
-//!   experiment and the fuzz oracle share.
+//!   experiment and the fuzz oracle share; [`promote_allocated`] derives
+//!   a post-pass variant from an existing baseline allocation.
 //!
 //! # Quickstart
 //!
@@ -82,4 +83,4 @@ pub use integrated::{
 };
 pub use postpass::{postpass_promote, FnPromotion, PostpassConfig};
 pub use slots::{CallSite, SlotAnalysis};
-pub use variant::{allocate_variant, AllocOutcome, Variant};
+pub use variant::{allocate_variant, promote_allocated, AllocOutcome, Variant};

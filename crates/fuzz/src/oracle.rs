@@ -201,7 +201,7 @@ impl Failure {
 pub struct CaseStats {
     /// Instructions in the generated module (pre-allocation).
     pub instrs: usize,
-    /// Live ranges the baseline spilled (at the first CCM size).
+    /// Live ranges the baseline allocation spilled.
     pub spilled_ranges: usize,
     /// CCM operations executed across all non-baseline runs.
     pub ccm_ops: u64,
@@ -214,14 +214,51 @@ struct VariantRun {
     float_bits: Vec<u64>,
     cycles: u64,
     ccm_ops: u64,
-    spilled: usize,
 }
 
-fn run_variant(
+fn panicked(variant: Variant, ccm: u32, payload: &(dyn std::any::Any + Send)) -> Failure {
+    Failure {
+        kind: FailureKind::Panicked,
+        variant,
+        ccm,
+        detail: exec::render_payload(payload),
+    }
+}
+
+/// Allocates `variant` at `ccm` and applies `mutation`: the post-pass
+/// variants are derived from `allocated`, the baseline allocation of
+/// `m`; the integrated allocator starts over from `m`.
+fn derive_variant(
     m: &Module,
+    allocated: &Module,
     variant: Variant,
     ccm: u32,
     mutation: Option<Mutation>,
+    cfg: &OracleConfig,
+) -> Result<Module, Failure> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut mm = if variant == Variant::Integrated {
+            let mut mm = m.clone();
+            ccm::allocate_variant(&mut mm, variant, ccm, &cfg.alloc);
+            mm
+        } else {
+            let mut mm = allocated.clone();
+            ccm::promote_allocated(&mut mm, variant, ccm);
+            mm
+        };
+        if let Some(mu) = mutation {
+            apply_mutation(&mut mm, mu);
+        }
+        mm
+    }))
+    .map_err(|p| panicked(variant, ccm, p.as_ref()))
+}
+
+/// Checks and simulates one allocated configuration.
+fn check_and_run(
+    mm: &Module,
+    variant: Variant,
+    ccm: u32,
     cfg: &OracleConfig,
 ) -> Result<VariantRun, Failure> {
     let fail = |kind, detail| Failure {
@@ -230,17 +267,7 @@ fn run_variant(
         ccm,
         detail,
     };
-    let allocated = catch_unwind(AssertUnwindSafe(|| {
-        let mut mm = m.clone();
-        let spilled = ccm::allocate_variant(&mut mm, variant, ccm, &cfg.alloc).spilled_ranges;
-        if let Some(mu) = mutation.filter(|_| variant != Variant::Baseline) {
-            apply_mutation(&mut mm, mu);
-        }
-        (mm, spilled)
-    }));
-    let (mm, spilled) =
-        allocated.map_err(|p| fail(FailureKind::Panicked, exec::render_payload(p.as_ref())))?;
-    let diags = checker::check_module(&mm, &checker::CheckerConfig::with_alloc(ccm, cfg.alloc));
+    let diags = checker::check_module(mm, &checker::CheckerConfig::with_alloc(ccm, cfg.alloc));
     if checker::has_errors(&diags) {
         let errors = checker::errors(&diags);
         let detail = format!(
@@ -254,13 +281,12 @@ fn run_variant(
         max_steps: cfg.max_steps,
         ..MachineConfig::with_ccm(ccm)
     };
-    match sim::run_module(&mm, machine, "main") {
+    match sim::run_module(mm, machine, "main") {
         Ok((vals, metrics)) => Ok(VariantRun {
             ints: vals.ints,
             float_bits: vals.floats.iter().map(|f| f.to_bits()).collect(),
             cycles: metrics.cycles,
             ccm_ops: metrics.ccm_ops,
-            spilled,
         }),
         Err(e) => Err(fail(FailureKind::Trap, e.to_string())),
     }
@@ -268,28 +294,44 @@ fn run_variant(
 
 /// Runs the full differential oracle on one module.
 ///
+/// The baseline Chaitin-Briggs allocation is computed once per module
+/// and serves every CCM size: it is the baseline at each size, and the
+/// post-pass variants are derived from it with
+/// [`ccm::promote_allocated`], exactly as a fresh
+/// [`ccm::allocate_variant`] would produce them. Every (variant, CCM
+/// size) is still mutated when configured, checked and simulated.
+///
 /// # Errors
 ///
 /// Returns the first [`Failure`] in deterministic (CCM size, variant)
-/// order.
+/// order. A panic in the baseline allocation is reported at the first
+/// CCM size.
 pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> {
     let mut stats = CaseStats {
         instrs: m.instr_count(),
         ..CaseStats::default()
     };
-    let mut first = true;
-    for &ccm in &cfg.ccm_sizes {
-        let base = run_variant(m, Variant::Baseline, ccm, None, cfg)?;
-        if first {
-            stats.spilled_ranges = base.spilled;
+    let Some(&first_ccm) = cfg.ccm_sizes.first() else {
+        return Ok(stats);
+    };
+    let (allocated, spilled) = catch_unwind(AssertUnwindSafe(|| {
+        let mut mm = m.clone();
+        let spilled = regalloc::allocate_module(&mut mm, &cfg.alloc).total_spilled();
+        (mm, spilled)
+    }))
+    .map_err(|p| panicked(Variant::Baseline, first_ccm, p.as_ref()))?;
+    stats.spilled_ranges = spilled;
+    for (i, &ccm) in cfg.ccm_sizes.iter().enumerate() {
+        let base = check_and_run(&allocated, Variant::Baseline, ccm, cfg)?;
+        if i == 0 {
             stats.base_cycles = base.cycles;
-            first = false;
         }
         for &v in &cfg.variants {
             if v == Variant::Baseline {
                 continue;
             }
-            let r = run_variant(m, v, ccm, cfg.mutation, cfg)?;
+            let mm = derive_variant(m, &allocated, v, ccm, cfg.mutation, cfg)?;
+            let r = check_and_run(&mm, v, ccm, cfg)?;
             stats.ccm_ops += r.ccm_ops;
             if r.ints != base.ints || r.float_bits != base.float_bits {
                 return Err(Failure {

@@ -9,21 +9,36 @@
 //!
 //! * **builds** — [`optimized`]/[`program`] memoize
 //!   [`suite::build_optimized`]/[`suite::build_program`] per unit name;
-//! * **allocations** — [`allocated`] memoizes allocate-then-check per
-//!   (unit, variant, CCM size); `--table3 --check` stops re-allocating
-//!   the 616 configurations the tables already produced;
+//! * **the baseline allocation** — [`baseline_allocation`] memoizes the
+//!   Chaitin-Briggs allocation once per unit. The post-pass CCM
+//!   allocator runs after a conventional Chaitin-Briggs allocation and
+//!   only rewrites its spill code (the paper's §3.1), so that allocation
+//!   depends on neither the variant nor the CCM size: `Baseline`,
+//!   `Post-Pass` and `Post-Pass w/ Call Graph` at every size share it,
+//!   and Table 1 compacts it;
+//! * **allocations** — [`allocated`] memoizes derive-then-check per
+//!   (unit, variant, CCM size). `Baseline` shares the unit's allocated
+//!   module without a copy; the post-pass variants promote a clone of
+//!   it ([`ccm::promote_allocated`], a few percent of the allocation's
+//!   cost), which gives exactly what a fresh [`ccm::allocate_variant`]
+//!   would. Only the integrated allocator, which places spills during
+//!   allocation and so depends on the CCM size, allocates per
+//!   configuration. `--table3 --check` stops re-allocating the 616
+//!   configurations the tables already produced;
 //! * **measurements** — [`measure_unit`] memoizes the simulation result
 //!   per (unit, variant, machine configuration); Table 2's rows are a
 //!   subset of Table 3's, and the sweep/multitask studies revisit the
 //!   same CCM sizes.
 //!
 //! Failure is structured end to end: build panics become `stage=opt`
-//! errors, allocation panics `stage=alloc`, checker rejections
-//! `stage=checker`, simulator traps `stage=sim` — and every cached
-//! measurement is **sealed** with a digest at insert time, so a
-//! corrupted entry (bit rot, or the `cache.corrupt_measurement` fault
-//! point) is detected on its next hit as a `stage=cache` error and
-//! evicted instead of silently poisoning a table.
+//! errors, allocation and promotion panics `stage=alloc` (a failed
+//! baseline allocation is reported at each configuration that needed
+//! it), checker rejections `stage=checker`, simulator traps
+//! `stage=sim` — and every cached measurement is **sealed** with a
+//! digest at insert time, so a corrupted entry (bit rot, or the
+//! `cache.corrupt_measurement` fault point) is detected on its next hit
+//! as a `stage=cache` error and evicted instead of silently poisoning a
+//! table.
 //!
 //! Expensive work happens outside the map locks — two workers racing on
 //! the same key may both compute it (identical results, first insert
@@ -38,6 +53,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use ccm::Variant;
 use iloc::Module;
+use regalloc::AllocConfig;
 use sim::MachineConfig;
 use suite::{Kernel, Program};
 
@@ -100,6 +116,44 @@ pub fn program(p: &Program) -> Result<Arc<Module>, PipelineError> {
     memoized(program_cache(), p.name, move || suite::build_program(&p))
 }
 
+type BaseMap = Mutex<HashMap<String, (Arc<Module>, usize)>>;
+
+fn baseline_cache() -> &'static BaseMap {
+    static CACHE: OnceLock<BaseMap> = OnceLock::new();
+    CACHE.get_or_init(BaseMap::default)
+}
+
+/// The Chaitin-Briggs allocation of `base` under the default register
+/// supply, memoized per unit name: the allocated module and the number
+/// of live ranges it spilled. It depends on neither the variant nor the
+/// CCM size, so every non-integrated configuration in [`allocated`] and
+/// Table 1's compaction start from this one allocation. `base` must be
+/// the cached build for `name`.
+///
+/// # Errors
+///
+/// An allocation panic is contained as a `stage=alloc` error with no
+/// variant or CCM coordinates. Nothing is cached, so a later call
+/// retries.
+pub fn baseline_allocation(
+    name: &str,
+    base: &Arc<Module>,
+) -> Result<(Arc<Module>, usize), PipelineError> {
+    if let Some((m, spilled)) = lock(baseline_cache()).get(name) {
+        return Ok((Arc::clone(m), *spilled));
+    }
+    let (m, spilled) = pipeline::contain_alloc(name, || {
+        let mut m = (**base).clone();
+        let spilled = regalloc::allocate_module(&mut m, &AllocConfig::default()).total_spilled();
+        (m, spilled)
+    })?;
+    let mut map = lock(baseline_cache());
+    let (m, spilled) = map
+        .entry(name.to_string())
+        .or_insert((Arc::new(m), spilled));
+    Ok((Arc::clone(m), *spilled))
+}
+
 /// One allocated-and-checked configuration of one suite unit.
 #[derive(Clone)]
 pub struct Allocated {
@@ -126,13 +180,19 @@ fn alloc_cache() -> &'static AllocMap {
 /// Kernel and program names are globally unique in the suite, so the flat
 /// name key cannot collide; `base` must be the cached build for `name`.
 ///
+/// Only [`Variant::Integrated`] allocates here. The other variants start
+/// from the unit's [`baseline_allocation`]: `Baseline` shares its module
+/// as is, and the post-pass variants promote a clone of it with
+/// [`ccm::promote_allocated`].
+///
 /// Checker diagnostics are data here, not failure: `--check` reports
 /// error rows rather than skipping them. [`measure_unit`] applies the
 /// error gate before simulating.
 ///
 /// # Errors
 ///
-/// An allocation panic is contained as a `stage=alloc` error.
+/// An allocation or promotion panic is contained as a `stage=alloc`
+/// error.
 pub fn allocated(
     name: &str,
     base: &Arc<Module>,
@@ -143,14 +203,31 @@ pub fn allocated(
     if let Some(a) = lock(alloc_cache()).get(&key) {
         return Ok(a.clone());
     }
-    let mut m = (**base).clone();
-    let outcome = pipeline::allocate_contained(&mut m, name, variant, ccm_size)?;
-    let diags = pipeline::check_allocated(&m, ccm_size);
+    let at = |e: PipelineError| e.at(variant, ccm_size);
+    let (module, spilled_ranges, degraded) = if variant == Variant::Integrated {
+        let mut m = (**base).clone();
+        let outcome = pipeline::allocate_contained(&mut m, name, variant, ccm_size)?;
+        (Arc::new(m), outcome.spilled_ranges, outcome.degraded)
+    } else {
+        let (allocated, spilled) = baseline_allocation(name, base).map_err(at)?;
+        if variant == Variant::Baseline {
+            (allocated, spilled, Vec::new())
+        } else {
+            let (m, degraded) = pipeline::contain_alloc(name, || {
+                let mut m = (*allocated).clone();
+                let degraded = ccm::promote_allocated(&mut m, variant, ccm_size);
+                (m, degraded)
+            })
+            .map_err(at)?;
+            (Arc::new(m), spilled, degraded)
+        }
+    };
+    let diags = pipeline::check_allocated(&module, ccm_size);
     let built = Allocated {
-        module: Arc::new(m),
+        module,
         diags: Arc::new(diags),
-        spilled_ranges: outcome.spilled_ranges,
-        degraded: Arc::new(outcome.degraded),
+        spilled_ranges,
+        degraded: Arc::new(degraded),
     };
     Ok(lock(alloc_cache()).entry(key).or_insert(built).clone())
 }
@@ -275,6 +352,36 @@ mod tests {
         assert!(Arc::ptr_eq(&cached, &again), "second lookup must hit");
         let fresh = suite::build_optimized(&k);
         assert_eq!(format!("{fresh}"), format!("{cached}"));
+    }
+
+    #[test]
+    fn one_baseline_allocation_serves_every_non_integrated_config() {
+        let k = suite::kernel("fpppp").unwrap();
+        let base = optimized(&k).unwrap();
+        let at = |v, size| allocated(k.name, &base, v, size).unwrap();
+        let (shared, spilled) = baseline_allocation(k.name, &base).unwrap();
+        assert!(spilled > 0, "fpppp must spill");
+        // Baseline at both sizes is the memoized module itself, not a copy.
+        for size in [512, 1024] {
+            let b = at(Variant::Baseline, size);
+            assert!(Arc::ptr_eq(&b.module, &shared), "baseline @ {size} B");
+            assert_eq!(b.spilled_ranges, spilled);
+        }
+        // A derived post-pass configuration equals a fresh allocation.
+        for v in [Variant::PostPass, Variant::PostPassCallGraph] {
+            for size in [512, 1024] {
+                let derived = at(v, size);
+                let mut fresh = (*base).clone();
+                let out = ccm::allocate_variant(&mut fresh, v, size, &AllocConfig::default());
+                assert_eq!(
+                    format!("{fresh}"),
+                    format!("{}", derived.module),
+                    "{v:?} @ {size} B"
+                );
+                assert_eq!(out.spilled_ranges, derived.spilled_ranges);
+                assert_eq!(out.degraded, *derived.degraded);
+            }
+        }
     }
 
     #[test]

@@ -48,12 +48,16 @@ pub fn table1(run: &RunConfig) -> Vec<CompactionRow> {
         &kernels,
         |k| format!("table1 {}", k.name),
         |k| {
-            let mut m = (*cache::optimized(k)?).clone();
-            regalloc::allocate_module(&mut m, &regalloc::AllocConfig::default());
-            let before: u32 = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
+            let (allocated, _) = cache::baseline_allocation(k.name, &cache::optimized(k)?)?;
+            let before: u32 = allocated
+                .functions
+                .iter()
+                .map(|f| f.frame.spill_bytes())
+                .sum();
             if before == 0 {
                 return Ok(None);
             }
+            let mut m = (*allocated).clone();
             ccm::compact_module(&mut m);
             let after: u32 = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
             // Correctness guard: compaction must not change results. The

@@ -109,166 +109,139 @@ pub struct DesignRow {
 
 const ABLATION_KERNELS: [&str; 5] = ["fpppp", "radf5", "deseco", "urand", "erhs"];
 
-fn run_config(
-    opts: &opt::OptOptions,
-    alloc: &AllocConfig,
-    promote: bool,
+/// One design-ablation configuration: its row label, the optimizer
+/// options, the register supply, and whether the post-pass CCM
+/// allocator (plus compaction) runs after allocation.
+type DesignConfig = (&'static str, opt::OptOptions, AllocConfig, bool);
+
+/// Builds, optimizes, allocates and simulates one ablation kernel under
+/// one configuration. Returns (spilled ranges, spill bytes, cycles).
+fn run_cell(
+    (_, opts, alloc, promote): &DesignConfig,
+    name: &'static str,
     run: &RunConfig,
-) -> Result<DesignRow, PipelineError> {
-    let machine = run.machine(512);
-    let mut spilled = 0;
-    let mut spill_bytes = 0;
-    let mut cycles = 0;
-    for name in ABLATION_KERNELS {
-        let k = suite::kernel(name)
-            .ok_or_else(|| PipelineError::new(Stage::Parse, name, "unknown suite kernel"))?;
-        let mut m = (k.build)();
-        let o = opt::OptOptions {
-            unroll: k.unroll,
-            ..*opts
-        };
-        opt::optimize_module(&mut m, &o);
-        let variant = if promote {
-            Variant::PostPassCallGraph
-        } else {
-            Variant::Baseline
-        };
-        spilled += ccm::allocate_variant(&mut m, variant, 512, alloc).spilled_ranges;
-        if promote {
-            // Paper, footnote 3: repack the remaining heavyweight slots
-            // so the reported spill space is honest.
-            ccm::compact_module(&mut m);
-        }
-        spill_bytes += m
-            .functions
-            .iter()
-            .map(|f| f.frame.spill_bytes())
-            .sum::<u32>();
-        let (_, metrics) = sim::run_module(&m, machine.clone(), "main")
-            .map_err(|e| PipelineError::new(Stage::Sim, name, e.to_string()))?;
-        cycles += metrics.cycles;
+) -> Result<(usize, u32, u64), PipelineError> {
+    let k = suite::kernel(name)
+        .ok_or_else(|| PipelineError::new(Stage::Parse, name, "unknown suite kernel"))?;
+    let mut m = (k.build)();
+    let o = opt::OptOptions {
+        unroll: k.unroll,
+        ..*opts
+    };
+    opt::optimize_module(&mut m, &o);
+    let variant = if *promote {
+        Variant::PostPassCallGraph
+    } else {
+        Variant::Baseline
+    };
+    let spilled = ccm::allocate_variant(&mut m, variant, 512, alloc).spilled_ranges;
+    if *promote {
+        // Paper, footnote 3: repack the remaining heavyweight slots
+        // so the reported spill space is honest.
+        ccm::compact_module(&mut m);
     }
-    Ok(DesignRow {
-        config: String::new(),
-        spilled,
-        spill_bytes,
-        cycles,
-    })
+    let spill_bytes = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
+    let (_, metrics) = sim::run_module(&m, run.machine(512), "main")
+        .map_err(|e| PipelineError::new(Stage::Sim, name, e.to_string()))?;
+    Ok((spilled, spill_bytes, metrics.cycles))
 }
 
 /// Ablates the design choices: scalar optimization on/off, LICM on/off,
 /// coalescing on/off, and caller-saved conventions — each measured by
 /// spills produced and cycles executed on a spill-heavy subset.
 pub fn design_ablation(run: &RunConfig) -> Vec<DesignRow> {
-    let base_opts = opt::OptOptions::default();
-    let base_alloc = AllocConfig::default();
-    let mut rows = Vec::new();
-    // A failed configuration is recorded and its row dropped; the other
-    // configurations still report.
-    let mut push = |label: &str, r: Result<DesignRow, PipelineError>| match r {
-        Ok(mut row) => {
-            row.config = label.to_string();
-            rows.push(row);
-        }
-        Err(e) => {
-            error::record(PipelineError {
-                unit: format!("design ablation `{label}` ({})", e.unit),
-                ..e
-            });
-        }
+    let opts = opt::OptOptions::default();
+    let alloc = AllocConfig::default();
+    let remat = AllocConfig {
+        rematerialize: true,
+        ..alloc
     };
-    push(
-        "baseline (opt, coalesce, no CCM)",
-        run_config(&base_opts, &base_alloc, false, run),
-    );
-    push(
-        "+ CCM post-pass",
-        run_config(&base_opts, &base_alloc, true, run),
-    );
-    push(
-        "no scalar optimization",
-        run_config(
-            &opt::OptOptions {
+    let configs: [DesignConfig; 9] = [
+        ("baseline (opt, coalesce, no CCM)", opts, alloc, false),
+        ("+ CCM post-pass", opts, alloc, true),
+        (
+            "no scalar optimization",
+            opt::OptOptions {
                 max_rounds: 0,
-                ..base_opts
+                ..opts
             },
-            &base_alloc,
+            alloc,
             false,
-            run,
         ),
-    );
-    push(
-        "with LICM (more pressure)",
-        run_config(
-            &opt::OptOptions {
-                licm: true,
-                ..base_opts
-            },
-            &base_alloc,
+        (
+            "with LICM (more pressure)",
+            opt::OptOptions { licm: true, ..opts },
+            alloc,
             false,
-            run,
         ),
-    );
-    push(
-        "with rematerialization",
-        run_config(
-            &base_opts,
-            &AllocConfig {
-                rematerialize: true,
-                ..base_alloc
-            },
-            false,
-            run,
-        ),
-    );
-    push(
-        "remat + CCM post-pass",
-        run_config(
-            &base_opts,
-            &AllocConfig {
-                rematerialize: true,
-                ..base_alloc
-            },
-            true,
-            run,
-        ),
-    );
-    push(
-        "no coalescing",
-        run_config(
-            &base_opts,
-            &AllocConfig {
+        ("with rematerialization", opts, remat, false),
+        ("remat + CCM post-pass", opts, remat, true),
+        (
+            "no coalescing",
+            opts,
+            AllocConfig {
                 coalesce: false,
-                ..base_alloc
+                ..alloc
             },
             false,
-            run,
         ),
-    );
-    push(
-        "caller-saved = 8",
-        run_config(
-            &base_opts,
-            &AllocConfig {
+        (
+            "caller-saved = 8",
+            opts,
+            AllocConfig {
                 caller_saved: 8,
-                ..base_alloc
+                ..alloc
             },
             false,
-            run,
         ),
-    );
-    push(
-        "caller-saved = 16",
-        run_config(
-            &base_opts,
-            &AllocConfig {
+        (
+            "caller-saved = 16",
+            opts,
+            AllocConfig {
                 caller_saved: 16,
-                ..base_alloc
+                ..alloc
             },
             false,
-            run,
         ),
+    ];
+    // One work item per (configuration, kernel). A cell's failure comes
+    // back as data so each configuration records only its first failure
+    // in kernel order; per-config sums are folded in item order.
+    let items: Vec<(usize, &'static str)> = (0..configs.len())
+        .flat_map(|ci| ABLATION_KERNELS.map(|name| (ci, name)))
+        .collect();
+    let cells = error::par_contained(
+        run.jobs,
+        &items,
+        |(ci, name)| format!("design ablation {name} ({})", configs[*ci].0),
+        |(ci, name)| Ok(run_cell(&configs[*ci], name, run)),
     );
+    let mut rows = Vec::new();
+    for (&(label, ..), cells) in configs.iter().zip(cells.chunks(ABLATION_KERNELS.len())) {
+        // The first failure in kernel order decides: a failed
+        // configuration is recorded and its row dropped, and the other
+        // configurations still report. `None` is a contained worker
+        // panic, which `par_contained` already recorded.
+        let sums: Option<Result<Vec<_>, _>> = cells
+            .iter()
+            .map(|c| c.as_ref().map(Result::as_ref))
+            .collect();
+        match sums {
+            Some(Ok(sums)) => rows.push(DesignRow {
+                config: label.to_string(),
+                spilled: sums.iter().map(|s| s.0).sum(),
+                spill_bytes: sums.iter().map(|s| s.1).sum(),
+                cycles: sums.iter().map(|s| s.2).sum(),
+            }),
+            Some(Err(e)) => {
+                error::record(PipelineError {
+                    unit: format!("design ablation `{label}` ({})", e.unit),
+                    ..e.clone()
+                });
+            }
+            None => {}
+        }
+    }
     rows
 }
 

@@ -75,10 +75,23 @@ pub fn check_allocated(m: &Module, ccm_size: u32) -> Vec<checker::Diagnostic> {
     checker::check_module(m, &checker::CheckerConfig::new(ccm_size))
 }
 
+/// Runs allocation work `f` for `unit` with panics contained: a panic
+/// inside register allocation or CCM promotion becomes a `stage=alloc`
+/// [`PipelineError`] instead of unwinding through the campaign. The
+/// error carries no (variant, CCM size) coordinates; callers attach
+/// them.
+///
+/// # Errors
+///
+/// Returns the structured allocation failure.
+pub fn contain_alloc<T>(unit: &str, f: impl FnOnce() -> T) -> Result<T, PipelineError> {
+    catch_unwind(AssertUnwindSafe(f))
+        .map_err(|p| PipelineError::new(Stage::Alloc, unit, exec::render_payload(p.as_ref())))
+}
+
 /// [`ccm::allocate_variant`] under the default register supply, with
-/// allocator panics contained: a panic inside register allocation or
-/// CCM promotion becomes a `stage=alloc` [`PipelineError`] instead of
-/// unwinding through the campaign.
+/// allocator panics contained ([`contain_alloc`]) and reported at
+/// (`variant`, `ccm_size`).
 ///
 /// # Errors
 ///
@@ -90,21 +103,13 @@ pub fn allocate_contained(
     ccm_size: u32,
 ) -> Result<AllocOutcome, PipelineError> {
     let mut scratch = std::mem::take(m);
-    match catch_unwind(AssertUnwindSafe(move || {
+    let (allocated, out) = contain_alloc(unit, move || {
         let out = ccm::allocate_variant(&mut scratch, variant, ccm_size, &AllocConfig::default());
         (scratch, out)
-    })) {
-        Ok((allocated, out)) => {
-            *m = allocated;
-            Ok(out)
-        }
-        Err(payload) => {
-            Err(
-                PipelineError::new(Stage::Alloc, unit, exec::render_payload(payload.as_ref()))
-                    .at(variant, ccm_size),
-            )
-        }
-    }
+    })
+    .map_err(|e| e.at(variant, ccm_size))?;
+    *m = allocated;
+    Ok(out)
 }
 
 /// Converts checker diagnostics into a `stage=checker` error when any

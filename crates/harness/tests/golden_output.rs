@@ -1,6 +1,6 @@
 //! Golden-snapshot tests for `repro`'s report output: the rendered
-//! tables and figures are compared byte-for-byte against committed
-//! expected files. The whole pipeline — suite build, optimization,
+//! tables and figures, and a fixed-seed fuzz campaign report, are
+//! compared byte-for-byte against committed expected files. The whole pipeline — suite build, optimization,
 //! allocation, CCM promotion, simulation — is deterministic, so any
 //! diff here is a real behavior change and must be reviewed, not
 //! blindly re-recorded.
@@ -57,4 +57,9 @@ fn table3_matches_golden() {
 #[test]
 fn figure3_matches_golden() {
     check_golden(&["--figure3"], "figure3.txt");
+}
+
+#[test]
+fn fuzz64_seed1_matches_golden() {
+    check_golden(&["--fuzz", "64", "--seed", "1"], "fuzz64-seed1.txt");
 }
