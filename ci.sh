@@ -28,8 +28,8 @@ cargo test -q --workspace
 echo "== release smoke: repro --table1 --check --jobs 2"
 # Exercises the parallel engine end to end in release mode (the unit
 # tests above run debug-mode): a table over the memoized build cache,
-# the full 616-config checker sweep through par_map, and the strict
-# argument parser, all under a small worker count.
+# the full 616-config checker sweep through par_map_contained, and the
+# strict argument parser, all under a small worker count.
 cargo run --release -q -p harness --bin repro -- --table1 --check --jobs 2 > /dev/null
 
 echo "== kernels output: repro --table1 --table2 --table3 --table4 --jobs 2"
@@ -39,6 +39,14 @@ echo "== kernels output: repro --table1 --table2 --table3 --table4 --jobs 2"
 # read here.
 cargo run --release -q -p harness --bin repro -- --table1 --table2 --table3 --table4 --jobs 2 \
     | diff - perfbench/expected/kernels.out
+
+echo "== programs output: repro --figure3 --figure4 --jobs 2"
+# The benchmark's programs workload in release mode: Figures 3 and 4
+# over the 13 linked programs must match the committed expected file
+# byte for byte (the golden tests cover Figure 3 only). The file is only
+# read here.
+cargo run --release -q -p harness --bin repro -- --figure3 --figure4 --jobs 2 \
+    | diff - perfbench/expected/programs.out
 
 echo "== fuzz smoke: repro --fuzz 64 --seed 1 --jobs 2"
 # Fixed-seed differential fuzzing campaign: every generated module must

@@ -194,80 +194,3 @@ mod tests {
         assert_eq!(s.iter().count(), 0);
     }
 }
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-    use std::collections::HashSet;
-
-    const U: usize = 200;
-
-    fn arb_elems() -> impl Strategy<Value = Vec<usize>> {
-        prop::collection::vec(0..U, 0..64)
-    }
-
-    proptest! {
-        /// BitSet agrees with a HashSet model under union / intersect /
-        /// subtract / insert / remove.
-        #[test]
-        fn matches_hashset_model(a in arb_elems(), b in arb_elems()) {
-            let mut sa = BitSet::new(U);
-            let mut ha: HashSet<usize> = HashSet::new();
-            for &x in &a { sa.insert(x); ha.insert(x); }
-            let mut sb = BitSet::new(U);
-            let mut hb: HashSet<usize> = HashSet::new();
-            for &x in &b { sb.insert(x); hb.insert(x); }
-
-            let mut un = sa.clone();
-            un.union_with(&sb);
-            let hu: HashSet<usize> = ha.union(&hb).copied().collect();
-            prop_assert_eq!(un.iter().collect::<HashSet<_>>(), hu);
-
-            let mut ix = sa.clone();
-            ix.intersect_with(&sb);
-            let hi: HashSet<usize> = ha.intersection(&hb).copied().collect();
-            prop_assert_eq!(ix.iter().collect::<HashSet<_>>(), hi);
-
-            let mut df = sa.clone();
-            df.subtract(&sb);
-            let hd: HashSet<usize> = ha.difference(&hb).copied().collect();
-            prop_assert_eq!(df.iter().collect::<HashSet<_>>(), hd);
-
-            prop_assert_eq!(sa.count(), ha.len());
-            prop_assert_eq!(sa.is_empty(), ha.is_empty());
-        }
-
-        /// The change-reporting booleans are accurate.
-        #[test]
-        fn change_reports_are_accurate(a in arb_elems(), b in arb_elems()) {
-            let mut sa = BitSet::new(U);
-            for &x in &a { sa.insert(x); }
-            let mut sb = BitSet::new(U);
-            for &x in &b { sb.insert(x); }
-            let before = sa.clone();
-            let changed = sa.union_with(&sb);
-            prop_assert_eq!(changed, sa != before);
-            // Union is idempotent: second application never changes.
-            prop_assert!(!sa.clone().union_with(&sb));
-            let mut again = sa.clone();
-            prop_assert!(!again.union_with(&sb));
-        }
-
-        /// Iteration is strictly increasing and round-trips.
-        #[test]
-        fn iter_sorted_and_complete(a in arb_elems()) {
-            let mut s = BitSet::new(U);
-            for &x in &a { s.insert(x); }
-            let items: Vec<usize> = s.iter().collect();
-            let mut sorted = items.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            prop_assert_eq!(&items, &sorted);
-            let rebuilt: BitSet = items.iter().copied().collect();
-            for &x in &items {
-                prop_assert!(rebuilt.contains(x));
-            }
-        }
-    }
-}

@@ -130,6 +130,15 @@ pub fn errors(diags: &[Diagnostic]) -> Vec<&Diagnostic> {
         .collect()
 }
 
+/// The one-line summary of a rejected module,
+/// `"N checker error(s); first: <diagnostic>"`, or `None` when no
+/// diagnostic has [`Severity::Error`].
+pub fn error_summary(diags: &[Diagnostic]) -> Option<String> {
+    let errors = errors(diags);
+    let first = errors.first()?;
+    Some(format!("{} checker error(s); first: {first}", errors.len()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +169,7 @@ mod tests {
         let (m, alloc) = spilled_module(ccm::Variant::Baseline);
         let diags = check_module(&m, &CheckerConfig::with_alloc(512, alloc));
         assert!(!has_errors(&diags), "{}", render_text(&diags));
+        assert_eq!(error_summary(&diags), None);
     }
 
     #[test]
@@ -180,6 +190,9 @@ mod tests {
             .insert(0, Instr::new(Op::LoadI { imm: 1, dst: v }));
         let diags = check_module(&m, &CheckerConfig::with_alloc(512, alloc));
         assert!(diags.iter().any(|d| d.check == "machine-vreg"));
+        let first = errors(&diags)[0].to_string();
+        let summary = error_summary(&diags).expect("errors summarize");
+        assert!(summary.ends_with(&format!("checker error(s); first: {first}")));
     }
 
     #[test]

@@ -3,27 +3,24 @@
 //!
 //! The container this repo builds in has no network, so there is no
 //! `rayon`; this crate hand-rolls the 10% of it the harness needs on
-//! `std::thread::scope` plus an atomic work queue (the same vendored-shim
-//! precedent as `crates/proptest`). The one entry point that matters is
-//! [`par_map`]: map a function over a slice on N worker threads with
-//! three guarantees the experiments rely on —
+//! `std::thread::scope` plus an atomic work queue. The one entry point
+//! that matters is [`par_map_contained`]: map a function over a slice on
+//! N worker threads with three guarantees the experiments rely on —
 //!
 //! 1. **Determinism**: results are collected *by item index*, never by
-//!    completion order, so `par_map(n, ..)` is byte-identical to
-//!    `par_map(1, ..)` for any pure `f`.
+//!    completion order, so `par_map_contained(n, ..)` is byte-identical
+//!    to `par_map_contained(1, ..)` for any pure `f`.
 //! 2. **Panic containment**: a panicking item poisons only its own
-//!    result slot — [`par_map_contained`] returns it as a structured
-//!    [`ItemFailure`] carrying the item's label and the captured
-//!    payload, and every other item still runs. The serial path
-//!    contains panics identically, so failure reports are byte-equal
-//!    at any job count. ([`par_map`] keeps the legacy all-or-nothing
-//!    behavior: it re-raises the first failure with its label.)
+//!    result slot — it comes back as a structured [`ItemFailure`]
+//!    carrying the item's label and the captured payload, and every
+//!    other item still runs. The serial path contains panics
+//!    identically, so failure reports are byte-equal at any job count.
 //! 3. **No oversubscription surprises**: `jobs` is clamped to the item
 //!    count, and `jobs <= 1` runs inline with no threads at all.
 
 mod queue;
 
-pub use queue::{render_payload, ItemPanic};
+pub use queue::render_payload;
 
 /// The number of hardware threads, with a fallback of 1 when the OS
 /// cannot say.
@@ -92,34 +89,6 @@ where
         .collect()
 }
 
-/// Maps `f` over `items` on up to `jobs` scoped worker threads, returning
-/// results in item order. `label` names an item for diagnostics; when a
-/// worker panics, the panic is re-raised here as
-/// `"<label>: <original message>"` so the failing kernel/variant is
-/// visible even from a release binary. Callers that must survive item
-/// failures use [`par_map_contained`] instead.
-///
-/// # Panics
-///
-/// Re-raises the first (lowest-index) worker panic with the item label
-/// prepended.
-pub fn par_map<I, T, F, L>(jobs: usize, items: &[I], label: L, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-    L: Fn(&I) -> String + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    for r in par_map_contained(jobs, items, label, f) {
-        match r {
-            Ok(v) => out.push(v),
-            Err(e) => panic!("{}: {}", e.label, e.message),
-        }
-    }
-    out
-}
-
 /// A stopwatch for the binaries' per-stage timing lines.
 pub struct Stage {
     name: String,
@@ -165,35 +134,12 @@ mod tests {
     #[test]
     fn par_map_matches_serial_for_any_jobs() {
         let items: Vec<u64> = (0..257).collect();
-        let serial = par_map(1, &items, |i| i.to_string(), |&i| i * 31 + 7);
+        let map = |jobs| par_map_contained(jobs, &items, |i| i.to_string(), |&i| i * 31 + 7);
+        let serial = map(1);
+        assert!(serial.iter().all(Result::is_ok));
         for jobs in [2, 3, 8, 64] {
-            let par = par_map(jobs, &items, |i| i.to_string(), |&i| i * 31 + 7);
-            assert_eq!(par, serial, "jobs={jobs} diverged");
+            assert_eq!(map(jobs), serial, "jobs={jobs} diverged");
         }
-    }
-
-    #[test]
-    fn panic_carries_item_label() {
-        let items = ["radf5/postpass/512", "fpppp/integrated/1024"];
-        let err = std::panic::catch_unwind(|| {
-            par_map(
-                2,
-                &items,
-                |s| s.to_string(),
-                |s| {
-                    if s.contains("fpppp") {
-                        panic!("checksum mismatch");
-                    }
-                    s.len()
-                },
-            )
-        })
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("fpppp/integrated/1024") && msg.contains("checksum mismatch"),
-            "bad panic message: {msg}"
-        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The scoped work queue underneath [`par_map`](crate::par_map).
+//! The scoped work queue underneath
+//! [`par_map_contained`](crate::par_map_contained).
 //!
 //! Work items are claimed by index from a shared atomic counter, so the
 //! queue itself is just an integer: workers race on `fetch_add` and each
@@ -19,7 +20,7 @@ use std::sync::Mutex;
 /// A caught panic from one work item: the item's index plus the unwind
 /// payload rendered as text (`&str` or `String` payloads verbatim).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ItemPanic {
+pub(crate) struct ItemPanic {
     /// Index of the work item whose closure panicked.
     pub index: usize,
     /// The unwind payload as text.
@@ -41,7 +42,7 @@ pub fn render_payload(payload: &(dyn std::any::Any + Send)) -> String {
 /// returns the per-item outcomes ordered by index. A panicking item
 /// becomes `Err(ItemPanic)` in its own slot; the other items are
 /// unaffected and still execute.
-pub fn run<T, F>(jobs: usize, n: usize, f: F) -> Vec<Result<T, ItemPanic>>
+pub(crate) fn run<T, F>(jobs: usize, n: usize, f: F) -> Vec<Result<T, ItemPanic>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

@@ -16,10 +16,10 @@
 //!   reproducers printable as parseable ILOC (checked into
 //!   `tests/corpus/` as permanent regression tests).
 //!
-//! [`campaign`] fans cases out through [`exec::par_map`] with per-case
-//! seeds derived by [`case_seed`], so case *i* is byte-identical at any
-//! `--jobs` count; `repro --fuzz N [--seed S]` is a thin CLI wrapper
-//! around [`campaign_report`].
+//! [`campaign`] fans cases out through [`exec::par_map_contained`] with
+//! per-case seeds derived by [`case_seed`], so case *i* is
+//! byte-identical at any `--jobs` count; `repro --fuzz N [--seed S]` is
+//! a thin CLI wrapper around [`campaign_report`].
 
 pub mod gen;
 pub mod min;

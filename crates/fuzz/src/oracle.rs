@@ -268,13 +268,7 @@ fn check_and_run(
         detail,
     };
     let diags = checker::check_module(mm, &checker::CheckerConfig::with_alloc(ccm, cfg.alloc));
-    if checker::has_errors(&diags) {
-        let errors = checker::errors(&diags);
-        let detail = format!(
-            "{} checker error(s); first: {}",
-            errors.len(),
-            errors.first().map(|d| d.to_string()).unwrap_or_default()
-        );
+    if let Some(detail) = checker::error_summary(&diags) {
         return Err(fail(FailureKind::CheckerRejected, detail));
     }
     let machine = MachineConfig {

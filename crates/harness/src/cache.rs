@@ -308,25 +308,11 @@ pub fn measure_unit(
         }
     }
     let a = allocated(name, base, variant, machine.ccm_size)?;
-    pipeline::checker_gate(&a.diags, name, variant, machine.ccm_size)?;
-    let (vals, metrics) = sim::run_module(&a.module, machine.clone(), "main").map_err(|e| {
-        PipelineError::new(Stage::Sim, name, e.to_string()).at(variant, machine.ccm_size)
-    })?;
-    let spill_bytes = a
-        .module
-        .functions
-        .iter()
-        .map(|f| f.frame.spill_bytes())
-        .sum();
-    let built = Measurement {
-        cycles: metrics.cycles,
-        mem_cycles: metrics.mem_op_cycles,
-        metrics,
-        checksum: vals.floats.first().copied().unwrap_or(f64::NAN),
-        spill_bytes,
+    let outcome = ccm::AllocOutcome {
         spilled_ranges: a.spilled_ranges,
         degraded: (*a.degraded).clone(),
     };
+    let built = pipeline::check_and_measure(name, &a.module, &a.diags, variant, machine, outcome)?;
     let mut sealed = Sealed {
         digest: digest(&built),
         m: built.clone(),

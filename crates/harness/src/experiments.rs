@@ -1,9 +1,10 @@
 //! The experiments: one function per table/figure of the paper.
 //!
 //! Every sweep-shaped experiment fans out over the parallel engine
-//! ([`exec::par_map`]) with one work item per independent (unit, variant
-//! set, CCM size) measurement, and collects results **by item index** so
-//! the output is byte-identical whatever `--jobs` value ran it. Each
+//! ([`error::par_contained`] on [`exec::par_map_contained`]) with one
+//! work item per independent (unit, variant set, CCM size) measurement,
+//! and collects results **by item index** so the output is
+//! byte-identical whatever `--jobs` value ran it. Each
 //! takes the run's settings as a [`RunConfig`]: the worker count and
 //! the machine every simulation runs on.
 

@@ -51,7 +51,7 @@ struct Opts {
     check_json: bool,
     csv: Option<std::path::PathBuf>,
     fuzz: Option<usize>,
-    fuzz_seed: u64,
+    fuzz_seed: Option<u64>,
     inject_sweep: bool,
     errors_json: bool,
 }
@@ -115,7 +115,7 @@ fn parse(args: &[String]) -> Opts {
                 i += 1;
                 let v = args.get(i).unwrap_or_else(|| die("--seed needs a value"));
                 match v.parse::<u64>() {
-                    Ok(s) => o.fuzz_seed = s,
+                    Ok(s) => o.fuzz_seed = Some(s),
                     Err(_) => die(&format!("invalid --seed `{v}`")),
                 }
             }
@@ -136,7 +136,7 @@ fn parse(args: &[String]) -> Opts {
         }
         i += 1;
     }
-    if o.fuzz.is_none() && o.fuzz_seed != 0 {
+    if o.fuzz.is_none() && o.fuzz_seed.is_some() {
         die("--seed only applies to --fuzz");
     }
     if all {
@@ -229,7 +229,7 @@ fn main() {
         }
     }
     if let Some(n) = o.fuzz {
-        let seed = o.fuzz_seed;
+        let seed = o.fuzz_seed.unwrap_or(0);
         let cfg = fuzz::OracleConfig {
             max_steps: run.max_steps,
             ..fuzz::OracleConfig::default()

@@ -112,32 +112,37 @@ pub fn allocate_contained(
     Ok(out)
 }
 
-/// Converts checker diagnostics into a `stage=checker` error when any
-/// has error severity.
+/// The tail every measurement shares: refuses a module whose `diags`
+/// carry checker errors, simulates it on `machine`, and assembles the
+/// [`Measurement`] from the run and the allocation's `outcome`.
 ///
 /// # Errors
 ///
-/// Returns the structured checker rejection.
-pub fn checker_gate(
-    diags: &[checker::Diagnostic],
+/// Returns `stage=checker` for a checker rejection and `stage=sim` for
+/// a simulator trap.
+pub fn check_and_measure(
     unit: &str,
+    m: &Module,
+    diags: &[checker::Diagnostic],
     variant: Variant,
-    ccm_size: u32,
-) -> Result<(), PipelineError> {
-    if !checker::has_errors(diags) {
-        return Ok(());
+    machine: &MachineConfig,
+    outcome: AllocOutcome,
+) -> Result<Measurement, PipelineError> {
+    let at = |e: PipelineError| e.at(variant, machine.ccm_size);
+    if let Some(detail) = checker::error_summary(diags) {
+        return Err(at(PipelineError::new(Stage::Checker, unit, detail)));
     }
-    let errors = checker::errors(diags);
-    Err(PipelineError::new(
-        Stage::Checker,
-        unit,
-        format!(
-            "{} checker error(s); first: {}",
-            errors.len(),
-            errors.first().map(|d| d.to_string()).unwrap_or_default()
-        ),
-    )
-    .at(variant, ccm_size))
+    let (vals, metrics) = sim::run_module(m, machine.clone(), "main")
+        .map_err(|e| at(PipelineError::new(Stage::Sim, unit, e.to_string())))?;
+    Ok(Measurement {
+        cycles: metrics.cycles,
+        mem_cycles: metrics.mem_op_cycles,
+        metrics,
+        checksum: vals.floats.first().copied().unwrap_or(f64::NAN),
+        spill_bytes: m.functions.iter().map(|f| f.frame.spill_bytes()).sum(),
+        spilled_ranges: outcome.spilled_ranges,
+        degraded: outcome.degraded,
+    })
 }
 
 /// Allocates (per `variant`) and simulates an optimized module, returning
@@ -172,20 +177,7 @@ pub fn measure_named(
 ) -> Result<Measurement, PipelineError> {
     let alloc = allocate_contained(&mut m, unit, variant, machine.ccm_size)?;
     let diags = check_allocated(&m, machine.ccm_size);
-    checker_gate(&diags, unit, variant, machine.ccm_size)?;
-    let (vals, metrics) = sim::run_module(&m, machine.clone(), "main").map_err(|e| {
-        PipelineError::new(Stage::Sim, unit, e.to_string()).at(variant, machine.ccm_size)
-    })?;
-    let spill_bytes = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
-    Ok(Measurement {
-        cycles: metrics.cycles,
-        mem_cycles: metrics.mem_op_cycles,
-        metrics,
-        checksum: vals.floats.first().copied().unwrap_or(f64::NAN),
-        spill_bytes,
-        spilled_ranges: alloc.spilled_ranges,
-        degraded: alloc.degraded,
-    })
+    check_and_measure(unit, &m, &diags, variant, machine, alloc)
 }
 
 #[cfg(test)]

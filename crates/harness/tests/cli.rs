@@ -105,3 +105,20 @@ fn repro_sim_budget_caps_fuzz_simulations() {
     assert!(out.contains("trap in baseline"), "stdout: {out}");
     assert!(out.contains("step limit"), "stdout: {out}");
 }
+
+/// `--seed` without `--fuzz` is a usage error for every seed value,
+/// zero included: the parser records whether the flag was given, not
+/// whether its value differs from the default.
+#[test]
+fn repro_rejects_seed_without_fuzz() {
+    let repro = env!("CARGO_BIN_EXE_repro");
+    for seed in ["0", "3"] {
+        let (code, out, err) = run(repro, &["--table1", "--seed", seed]);
+        assert_eq!(code, 2, "--seed {seed} without --fuzz must exit 2");
+        assert!(out.is_empty(), "--seed {seed} stdout: {out}");
+        assert!(
+            err.contains("--seed only applies to --fuzz"),
+            "--seed {seed} stderr: {err}"
+        );
+    }
+}

@@ -10,7 +10,7 @@
 use std::collections::HashSet;
 
 use analysis::BitSet;
-use iloc::{BlockId, Function, Op, Reg};
+use iloc::{BlockId, Function, Op};
 
 use crate::entity::{Entity, EntityIndex};
 
@@ -225,13 +225,6 @@ impl InterferenceGraph {
             .iter()
             .filter(|&&n| !self.entities.entity(n).is_ccm())
             .count()
-    }
-
-    /// Interferers of `a` restricted to register entities.
-    pub fn reg_neighbors(&self, a: usize) -> Vec<Reg> {
-        self.neighbors(a)
-            .filter_map(|n| self.entities.entity(n).as_reg())
-            .collect()
     }
 
     /// Interferers of `a` restricted to CCM locations (byte offsets).

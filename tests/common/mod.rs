@@ -1,229 +1,62 @@
-//! A random-program generator for property-based testing.
+//! The random stream every property test draws from.
 //!
-//! Generates small, *always-valid, always-terminating* modules: a fixed
-//! set of integer and float variables is initialized up front; statements
-//! then mutate them through arithmetic, memory round-trips through a
-//! scratch global, structured if/else diamonds, and counted loops with
-//! positive trip counts. Every generated module passes the verifier, runs
-//! without traps, and is deterministic — so any divergence between the
-//! raw program and its optimized/allocated/promoted forms is a genuine
-//! compiler bug.
+//! A property runs as a plain `for case in 0..N` loop. Case `case` gets
+//! its own [`Rng`], seeded by [`fuzz::case_seed`], so a failing case
+//! index reproduces on its own, and a [`Case`] guard names that index
+//! and prints the generated input if the case panics.
 
-use iloc::builder::FuncBuilder;
-use iloc::{CmpKind, FBinKind, Global, IBinKind, Module, Op, Reg, RegClass};
-use proptest::prelude::*;
+use std::fmt::Display;
 
-/// A straight-line or structured statement over the variable pool.
-#[derive(Clone, Debug)]
-pub enum Stmt {
-    /// `ivar[d] = ivar[a] OP ivar[b]` (division excluded).
-    IBin(usize, usize, usize, u8),
-    /// `ivar[d] = ivar[a] OP imm` (shift amounts kept small).
-    IBinI(usize, usize, i64, u8),
-    /// `fvar[d] = fvar[a] OP fvar[b]` (add/sub/mult only).
-    FBin(usize, usize, usize, u8),
-    /// `ivar[d] = cmp(ivar[a], ivar[b])`.
-    ICmp(usize, usize, usize, u8),
-    /// Store `ivar[a]` to the scratch global at slot `s`, reload into
-    /// `ivar[d]`.
-    IMemRoundTrip(usize, usize, u8),
-    /// Store `fvar[a]` to the scratch global at slot `s`, reload into
-    /// `fvar[d]`.
-    FMemRoundTrip(usize, usize, u8),
-    /// `fvar[d] = i2f(ivar[a])`.
-    I2F(usize, usize),
-    /// if (ivar[c] != 0) { then-stmts } else { else-stmts }.
-    If(usize, Vec<Stmt>, Vec<Stmt>),
-    /// A counted loop running `trip` iterations over its body.
-    Loop(u8, Vec<Stmt>),
+/// Base seed of the property-test stream.
+const SEED: u64 = 0x5eed;
+
+/// A SplitMix64 stream: draw `k` is [`fuzz::case_seed`] of the case's
+/// seed at index `k`, which is exactly the SplitMix64 sequence.
+pub struct Rng {
+    seed: u64,
+    draws: usize,
 }
 
-/// Number of integer variables in the pool.
-pub const NI: usize = 6;
-/// Number of float variables in the pool.
-pub const NF: usize = 6;
-
-fn leaf_stmt() -> impl Strategy<Value = Stmt> {
-    prop_oneof![
-        (0..NI, 0..NI, 0..NI, 0..7u8).prop_map(|(d, a, b, o)| Stmt::IBin(d, a, b, o)),
-        (0..NI, 0..NI, -8i64..8, 0..7u8).prop_map(|(d, a, i, o)| Stmt::IBinI(d, a, i, o)),
-        (0..NF, 0..NF, 0..NF, 0..3u8).prop_map(|(d, a, b, o)| Stmt::FBin(d, a, b, o)),
-        (0..NI, 0..NI, 0..NI, 0..6u8).prop_map(|(d, a, b, o)| Stmt::ICmp(d, a, b, o)),
-        (0..NI, 0..NI, 0..8u8).prop_map(|(d, a, s)| Stmt::IMemRoundTrip(d, a, s)),
-        (0..NF, 0..NF, 0..8u8).prop_map(|(d, a, s)| Stmt::FMemRoundTrip(d, a, s)),
-        (0..NF, 0..NI).prop_map(|(d, a)| Stmt::I2F(d, a)),
-    ]
-}
-
-/// Strategy for a statement tree of bounded depth and size.
-pub fn arb_stmts() -> impl Strategy<Value = Vec<Stmt>> {
-    let leaf = leaf_stmt();
-    let stmt = leaf.prop_recursive(2, 24, 6, |inner| {
-        prop_oneof![
-            (
-                0..NI,
-                prop::collection::vec(inner.clone(), 1..4),
-                prop::collection::vec(inner.clone(), 1..4)
-            )
-                .prop_map(|(c, t, e)| Stmt::If(c, t, e)),
-            (1..5u8, prop::collection::vec(inner, 1..4)).prop_map(|(n, b)| Stmt::Loop(n, b)),
-        ]
-    });
-    prop::collection::vec(stmt, 1..12)
-}
-
-fn ibin_kind(o: u8) -> IBinKind {
-    [
-        IBinKind::Add,
-        IBinKind::Sub,
-        IBinKind::Mult,
-        IBinKind::And,
-        IBinKind::Or,
-        IBinKind::Xor,
-        IBinKind::Shl,
-    ][o as usize % 7]
-}
-
-fn fbin_kind(o: u8) -> FBinKind {
-    [FBinKind::Add, FBinKind::Sub, FBinKind::Mult][o as usize % 3]
-}
-
-fn cmp_kind(o: u8) -> CmpKind {
-    CmpKind::ALL[o as usize % 6]
-}
-
-fn emit_stmts(fb: &mut FuncBuilder, ivars: &[Reg], fvars: &[Reg], scratch: Reg, stmts: &[Stmt]) {
-    for s in stmts {
-        match s {
-            Stmt::IBin(d, a, b, o) => {
-                let kind = ibin_kind(*o);
-                // Cap shift amounts so results stay architecture-defined.
-                let rhs = if kind == IBinKind::Shl {
-                    let masked = fb.vreg(RegClass::Gpr);
-                    fb.emit(Op::IBinI {
-                        kind: IBinKind::And,
-                        lhs: ivars[*b],
-                        imm: 7,
-                        dst: masked,
-                    });
-                    masked
-                } else {
-                    ivars[*b]
-                };
-                fb.emit(Op::IBin {
-                    kind,
-                    lhs: ivars[*a],
-                    rhs,
-                    dst: ivars[*d],
-                });
-            }
-            Stmt::IBinI(d, a, i, o) => {
-                let kind = ibin_kind(*o);
-                let imm = if kind == IBinKind::Shl {
-                    i.rem_euclid(8)
-                } else {
-                    *i
-                };
-                fb.emit(Op::IBinI {
-                    kind,
-                    lhs: ivars[*a],
-                    imm,
-                    dst: ivars[*d],
-                });
-            }
-            Stmt::FBin(d, a, b, o) => {
-                fb.emit(Op::FBin {
-                    kind: fbin_kind(*o),
-                    lhs: fvars[*a],
-                    rhs: fvars[*b],
-                    dst: fvars[*d],
-                });
-            }
-            Stmt::ICmp(d, a, b, o) => {
-                fb.emit(Op::ICmp {
-                    kind: cmp_kind(*o),
-                    lhs: ivars[*a],
-                    rhs: ivars[*b],
-                    dst: ivars[*d],
-                });
-            }
-            Stmt::IMemRoundTrip(d, a, slot) => {
-                let off = (*slot as i64) * 8;
-                fb.storeai(ivars[*a], scratch, off);
-                let t = fb.loadai(scratch, off);
-                fb.emit(Op::I2I {
-                    src: t,
-                    dst: ivars[*d],
-                });
-            }
-            Stmt::FMemRoundTrip(d, a, slot) => {
-                let off = 64 + (*slot as i64) * 8;
-                fb.fstoreai(fvars[*a], scratch, off);
-                let t = fb.floadai(scratch, off);
-                fb.emit(Op::F2F {
-                    src: t,
-                    dst: fvars[*d],
-                });
-            }
-            Stmt::I2F(d, a) => {
-                let t = fb.i2f(ivars[*a]);
-                fb.emit(Op::F2F {
-                    src: t,
-                    dst: fvars[*d],
-                });
-            }
-            Stmt::If(c, then_s, else_s) => {
-                let tb = fb.block(format!("t{}", fb.current().index()));
-                let eb = fb.block(format!("e{}", fb.current().index()));
-                let jb = fb.block(format!("j{}", fb.current().index()));
-                fb.cbr(ivars[*c], tb, eb);
-                fb.switch_to(tb);
-                emit_stmts(fb, ivars, fvars, scratch, then_s);
-                fb.jump(jb);
-                fb.switch_to(eb);
-                emit_stmts(fb, ivars, fvars, scratch, else_s);
-                fb.jump(jb);
-                fb.switch_to(jb);
-            }
-            Stmt::Loop(trip, body) => {
-                fb.counted_loop(0, *trip as i64, 1, |fb, _| {
-                    emit_stmts(fb, ivars, fvars, scratch, body);
-                });
-            }
+impl Rng {
+    /// The stream of property case `case`.
+    pub fn for_case(case: usize) -> Rng {
+        Rng {
+            seed: fuzz::case_seed(SEED, case),
+            draws: 0,
         }
     }
+
+    /// The next raw 64-bit value.
+    pub fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        fuzz::case_seed(self.seed, self.draws - 1)
+    }
+
+    /// A value in `0..n`. The modulo bias is negligible for the small
+    /// ranges the generators draw from.
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
 }
 
-/// Materializes a statement tree as a complete, verified module whose
-/// `main` returns `(int_checksum, float_checksum)`.
-pub fn build_module(stmts: &[Stmt]) -> Module {
-    let mut fb = FuncBuilder::new("main");
-    fb.set_ret_classes(&[RegClass::Gpr, RegClass::Fpr]);
-    let scratch = fb.loadsym("scratch");
-    let ivars: Vec<Reg> = (0..NI as i64).map(|i| fb.loadi(i * 3 + 1)).collect();
-    let fvars: Vec<Reg> = (0..NF).map(|i| fb.loadf(i as f64 * 0.5 + 0.25)).collect();
-    emit_stmts(&mut fb, &ivars, &fvars, scratch, stmts);
-    // Checksums over the whole pool.
-    let mut iacc = ivars[0];
-    for v in &ivars[1..] {
-        iacc = fb.add(iacc, *v);
-    }
-    let mut facc = fvars[0];
-    for v in &fvars[1..] {
-        facc = fb.fadd(facc, *v);
-    }
-    fb.ret(&[iacc, facc]);
-
-    let mut m = Module::new();
-    m.push_global(Global::zeroed("scratch", 64 + 64));
-    m.push_function(fb.finish());
-    m.verify().expect("generated module must verify");
-    m
+/// Names a running case: if the case panics, dropping the guard during
+/// the unwind prints the case index and the generated input.
+pub struct Case<'a> {
+    index: usize,
+    input: &'a dyn Display,
 }
 
-/// Runs a module and returns `(int checksum, float checksum bits)`.
-pub fn run_checksum(m: &Module) -> (i64, u64) {
-    let (v, _) = sim::run_module(m, sim::MachineConfig::with_ccm(64), "main")
-        .expect("generated module must not trap");
-    (v.ints[0], v.floats[0].to_bits())
+impl<'a> Case<'a> {
+    /// Guards case `index`, whose generated input is `input`.
+    pub fn new(index: usize, input: &'a dyn Display) -> Case<'a> {
+        Case { index, input }
+    }
+}
+
+impl Drop for Case<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("failing case {}; input:\n{}", self.index, self.input);
+        }
+    }
 }

@@ -4,101 +4,137 @@
 //! compaction, post-pass CCM promotion, and integrated CCM allocation.
 
 mod common;
+#[path = "common/stmts.rs"]
+mod stmts;
 
-use common::{arb_stmts, build_module, run_checksum};
-use proptest::prelude::*;
+use common::{Case, Rng};
 use regalloc::AllocConfig;
+use stmts::{arb_stmts, build_module, run_checksum};
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 96,
-        failure_persistence: None,
-        ..ProptestConfig::default()
-    })]
+/// Generated programs per property.
+const CASES: usize = 96;
 
-    /// The scalar optimizer preserves program behavior.
-    #[test]
-    fn optimization_preserves_semantics(stmts in arb_stmts()) {
-        let m = build_module(&stmts);
+/// The scalar optimizer preserves program behavior.
+#[test]
+fn optimization_preserves_semantics() {
+    for case in 0..CASES {
+        let m = build_module(&arb_stmts(&mut Rng::for_case(case)));
+        let _case = Case::new(case, &m);
         let expected = run_checksum(&m);
         let mut o = m.clone();
         opt::optimize_module(&mut o, &opt::OptOptions::default());
         o.verify().expect("optimized module verifies");
-        prop_assert_eq!(run_checksum(&o), expected);
+        assert_eq!(run_checksum(&o), expected);
     }
+}
 
-    /// Register allocation with very few registers (forcing heavy
-    /// spilling) preserves behavior, and leaves no virtual registers.
-    #[test]
-    fn allocation_under_pressure_preserves_semantics(stmts in arb_stmts()) {
-        let m = build_module(&stmts);
+/// Register allocation with very few registers (forcing heavy
+/// spilling) preserves behavior, and leaves no virtual registers.
+#[test]
+fn allocation_under_pressure_preserves_semantics() {
+    for case in 0..CASES {
+        let m = build_module(&arb_stmts(&mut Rng::for_case(case)));
+        let _case = Case::new(case, &m);
         let expected = run_checksum(&m);
         let mut a = m.clone();
         opt::optimize_module(&mut a, &opt::OptOptions::default());
         regalloc::allocate_module(&mut a, &AllocConfig::tiny(3));
         a.verify().expect("allocated module verifies");
         for f in &a.functions {
-            prop_assert!(regalloc::no_virtual_regs(f));
+            assert!(regalloc::no_virtual_regs(f), "{} keeps a vreg", f.name);
         }
-        prop_assert_eq!(run_checksum(&a), expected);
+        assert_eq!(run_checksum(&a), expected);
     }
+}
 
-    /// Spill-memory compaction never changes behavior.
-    #[test]
-    fn compaction_preserves_semantics(stmts in arb_stmts()) {
-        let m = build_module(&stmts);
+/// Spill-memory compaction never changes behavior.
+#[test]
+fn compaction_preserves_semantics() {
+    for case in 0..CASES {
+        let m = build_module(&arb_stmts(&mut Rng::for_case(case)));
+        let _case = Case::new(case, &m);
         let expected = run_checksum(&m);
         let mut a = m.clone();
         regalloc::allocate_module(&mut a, &AllocConfig::tiny(3));
         ccm::compact_module(&mut a);
         a.verify().expect("compacted module verifies");
-        prop_assert_eq!(run_checksum(&a), expected);
+        assert_eq!(run_checksum(&a), expected);
     }
+}
 
-    /// Post-pass CCM promotion (both conventions, tiny CCM included so
-    /// the heavyweight path is exercised) preserves behavior.
-    #[test]
-    fn postpass_promotion_preserves_semantics(stmts in arb_stmts(), inter in any::<bool>(), ccm_size in prop_oneof![Just(8u32), Just(24), Just(64)]) {
-        let m = build_module(&stmts);
+/// Post-pass CCM promotion (both conventions, tiny CCM included so
+/// the heavyweight path is exercised) preserves behavior.
+#[test]
+fn postpass_promotion_preserves_semantics() {
+    for case in 0..CASES {
+        let mut rng = Rng::for_case(case);
+        let m = build_module(&arb_stmts(&mut rng));
+        let _case = Case::new(case, &m);
+        let interprocedural = rng.below(2) == 1;
+        let ccm_size = [8, 24, 64][rng.below(3)];
         let expected = run_checksum(&m);
         let mut a = m.clone();
         regalloc::allocate_module(&mut a, &AllocConfig::tiny(3));
-        ccm::postpass_promote(&mut a, &ccm::PostpassConfig { ccm_size, interprocedural: inter });
+        ccm::postpass_promote(
+            &mut a,
+            &ccm::PostpassConfig {
+                ccm_size,
+                interprocedural,
+            },
+        );
         a.verify().expect("promoted module verifies");
-        prop_assert_eq!(run_checksum(&a), expected);
+        assert_eq!(
+            run_checksum(&a),
+            expected,
+            "interprocedural={interprocedural} @ {ccm_size}B"
+        );
     }
+}
 
-    /// The integrated CCM allocator preserves behavior.
-    #[test]
-    fn integrated_allocation_preserves_semantics(stmts in arb_stmts(), ccm_size in prop_oneof![Just(8u32), Just(24), Just(64)]) {
-        let m = build_module(&stmts);
+/// The integrated CCM allocator preserves behavior.
+#[test]
+fn integrated_allocation_preserves_semantics() {
+    for case in 0..CASES {
+        let mut rng = Rng::for_case(case);
+        let m = build_module(&arb_stmts(&mut rng));
+        let _case = Case::new(case, &m);
+        let ccm_size = [8, 24, 64][rng.below(3)];
         let expected = run_checksum(&m);
         let mut a = m.clone();
         ccm::allocate_module_integrated(&mut a, &AllocConfig::tiny(3), ccm_size);
         a.verify().expect("integrated module verifies");
-        prop_assert_eq!(run_checksum(&a), expected);
+        assert_eq!(run_checksum(&a), expected, "@ {ccm_size}B");
     }
+}
 
-    /// Rematerializing allocation preserves behavior.
-    #[test]
-    fn remat_allocation_preserves_semantics(stmts in arb_stmts()) {
-        let m = build_module(&stmts);
+/// Rematerializing allocation preserves behavior.
+#[test]
+fn remat_allocation_preserves_semantics() {
+    for case in 0..CASES {
+        let m = build_module(&arb_stmts(&mut Rng::for_case(case)));
+        let _case = Case::new(case, &m);
         let expected = run_checksum(&m);
         let mut a = m.clone();
         opt::optimize_module(&mut a, &opt::OptOptions::default());
         regalloc::allocate_module(
             &mut a,
-            &AllocConfig { rematerialize: true, ..AllocConfig::tiny(3) },
+            &AllocConfig {
+                rematerialize: true,
+                ..AllocConfig::tiny(3)
+            },
         );
         a.verify().expect("allocated module verifies");
-        prop_assert_eq!(run_checksum(&a), expected);
+        assert_eq!(run_checksum(&a), expected);
     }
+}
 
-    /// SSA round-trip alone (construction then destruction) preserves
-    /// behavior and leaves strict SSA in between.
-    #[test]
-    fn ssa_round_trip_preserves_semantics(stmts in arb_stmts()) {
-        let m = build_module(&stmts);
+/// SSA round-trip alone (construction then destruction) preserves
+/// behavior and leaves strict SSA in between.
+#[test]
+fn ssa_round_trip_preserves_semantics() {
+    for case in 0..CASES {
+        let m = build_module(&arb_stmts(&mut Rng::for_case(case)));
+        let _case = Case::new(case, &m);
         let expected = run_checksum(&m);
         let mut s = m.clone();
         for f in &mut s.functions {
@@ -107,16 +143,21 @@ proptest! {
             analysis::from_ssa(f);
         }
         s.verify().expect("round-tripped module verifies");
-        prop_assert_eq!(run_checksum(&s), expected);
+        assert_eq!(run_checksum(&s), expected);
     }
+}
 
-    /// The post-allocation checker never reports an error on honest
-    /// pipeline output: every variant, at both paper CCM sizes, yields a
-    /// module free of `Severity::Error` diagnostics. (Warnings such as a
-    /// dead spill store are legal for unoptimized spill code.)
-    #[test]
-    fn checker_never_fires_on_honest_output(stmts in arb_stmts(), ccm_size in prop_oneof![Just(512u32), Just(1024)]) {
-        let m = build_module(&stmts);
+/// The post-allocation checker never reports an error on honest
+/// pipeline output: every variant, at both paper CCM sizes, yields a
+/// module free of `Severity::Error` diagnostics. (Warnings such as a
+/// dead spill store are legal for unoptimized spill code.)
+#[test]
+fn checker_never_fires_on_honest_output() {
+    for case in 0..CASES {
+        let mut rng = Rng::for_case(case);
+        let m = build_module(&arb_stmts(&mut rng));
+        let _case = Case::new(case, &m);
+        let ccm_size = [512, 1024][rng.below(2)];
         let alloc = AllocConfig::tiny(3);
         let cfg = checker::CheckerConfig::with_alloc(ccm_size, alloc);
 
@@ -124,10 +165,19 @@ proptest! {
         let mut base = m.clone();
         regalloc::allocate_module(&mut base, &alloc);
         // Post-pass promotion, without and with call-graph information.
-        let mut pp = base.clone();
-        ccm::postpass_promote(&mut pp, &ccm::PostpassConfig { ccm_size, interprocedural: false });
-        let mut ppcg = base.clone();
-        ccm::postpass_promote(&mut ppcg, &ccm::PostpassConfig { ccm_size, interprocedural: true });
+        let promoted = |interprocedural| {
+            let mut pp = base.clone();
+            ccm::postpass_promote(
+                &mut pp,
+                &ccm::PostpassConfig {
+                    ccm_size,
+                    interprocedural,
+                },
+            );
+            pp
+        };
+        let pp = promoted(false);
+        let ppcg = promoted(true);
         // Integrated CCM allocation.
         let mut integ = m.clone();
         ccm::allocate_module_integrated(&mut integ, &alloc, ccm_size);
@@ -139,27 +189,37 @@ proptest! {
             ("integrated", &integ),
         ] {
             let diags = checker::check_module(module, &cfg);
-            prop_assert!(
+            assert!(
                 !checker::has_errors(&diags),
                 "{label} @ {ccm_size}B:\n{}",
                 checker::render_text(&diags)
             );
         }
     }
+}
 
-    /// CCM promotion never increases cycle counts, and the promoted
-    /// program never touches main memory more often than the baseline.
-    #[test]
-    fn promotion_is_never_a_pessimization(stmts in arb_stmts()) {
-        let mut a = build_module(&stmts);
+/// CCM promotion never increases cycle counts, and the promoted
+/// program never touches main memory more often than the baseline.
+#[test]
+fn promotion_is_never_a_pessimization() {
+    for case in 0..CASES {
+        let m = build_module(&arb_stmts(&mut Rng::for_case(case)));
+        let _case = Case::new(case, &m);
+        let mut a = m.clone();
         regalloc::allocate_module(&mut a, &AllocConfig::tiny(3));
         let mut p = a.clone();
-        ccm::postpass_promote(&mut p, &ccm::PostpassConfig { ccm_size: 64, interprocedural: true });
+        ccm::postpass_promote(
+            &mut p,
+            &ccm::PostpassConfig {
+                ccm_size: 64,
+                interprocedural: true,
+            },
+        );
         let cfg = sim::MachineConfig::with_ccm(64);
         let (_, mb) = sim::run_module(&a, cfg.clone(), "main").expect("baseline runs");
         let (_, mp) = sim::run_module(&p, cfg, "main").expect("promoted runs");
-        prop_assert!(mp.cycles <= mb.cycles);
-        prop_assert!(mp.main_mem_ops <= mb.main_mem_ops);
-        prop_assert_eq!(mp.instrs, mb.instrs, "post-pass must not add instructions");
+        assert!(mp.cycles <= mb.cycles);
+        assert!(mp.main_mem_ops <= mb.main_mem_ops);
+        assert_eq!(mp.instrs, mb.instrs, "post-pass must not add instructions");
     }
 }
