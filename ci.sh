@@ -48,6 +48,13 @@ echo "== programs output: repro --figure3 --figure4 --jobs 2"
 cargo run --release -q -p harness --bin repro -- --figure3 --figure4 --jobs 2 \
     | diff - perfbench/expected/programs.out
 
+echo "== fuzz output: repro --fuzz 512 --seed 1 --jobs 2"
+# The benchmark's fuzz workload in release mode: the 512-case campaign's
+# stdout must match the committed expected file byte for byte. The file
+# is only read here.
+cargo run --release -q -p harness --bin repro -- --fuzz 512 --seed 1 --jobs 2 \
+    | diff - perfbench/expected/fuzz-seed1.out
+
 echo "== fuzz smoke: repro --fuzz 64 --seed 1 --jobs 2"
 # Fixed-seed differential fuzzing campaign: every generated module must
 # produce bit-identical checksums under all allocation variants, pass

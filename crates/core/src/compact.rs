@@ -6,8 +6,9 @@
 //! slot takes the lowest aligned offset not overlapping any
 //! already-placed *interfering* slot — so disjoint lifetimes share bytes.
 
-use iloc::{Function, Module, Op, SlotId, SpillKind};
+use iloc::{Function, Module, SlotId};
 
+use crate::postpass::{align_up, overlaps, retarget_spill_ops};
 use crate::slots::SlotAnalysis;
 
 /// Result of compacting one function's spill memory.
@@ -56,7 +57,7 @@ pub fn compact_spill_memory(f: &mut Function) -> CompactStats {
         // Lowest aligned offset whose byte range avoids every interfering
         // already-placed slot — the paper's "try successive locations"
         // search.
-        let mut off = next_aligned(base, size);
+        let mut off = align_up(base, size);
         loop {
             let candidate = (off, size);
             let clash = analysis.adj[si].iter().any(|&other| {
@@ -67,35 +68,18 @@ pub fn compact_spill_memory(f: &mut Function) -> CompactStats {
             if !clash {
                 break;
             }
-            off = next_aligned(off + 1, size);
+            off = align_up(off + 1, size);
         }
         placed[si] = Some((off, size));
     }
 
-    // Rewrite slot offsets and the spill instructions that address them.
+    // Move the slots, then the spill instructions that address them.
     for (si, p) in placed.iter().enumerate() {
         if let Some((off, _)) = p {
             f.frame.slot_mut(SlotId(si as u32)).offset = *off;
         }
     }
-    for b in f.block_ids().collect::<Vec<_>>() {
-        for i in 0..f.block(b).instrs.len() {
-            let instr = &f.block(b).instrs[i];
-            let slot = match instr.spill {
-                SpillKind::Store(s) | SpillKind::Restore(s) => s,
-                SpillKind::None => continue,
-            };
-            let new_off = f.frame.slot(slot).offset as i64;
-            match &mut f.block_mut(b).instrs[i].op {
-                Op::StoreAI { off, .. }
-                | Op::LoadAI { off, .. }
-                | Op::FStoreAI { off, .. }
-                | Op::FLoadAI { off, .. } => *off = new_off,
-                // CCM spill instructions are untouched by frame compaction.
-                _ => {}
-            }
-        }
-    }
+    retarget_spill_ops(f);
 
     CompactStats {
         before,
@@ -111,19 +95,11 @@ pub fn compact_module(m: &mut Module) -> Vec<(String, CompactStats)> {
         .collect()
 }
 
-fn next_aligned(x: u32, align: u32) -> u32 {
-    (x + align - 1) & !(align - 1)
-}
-
-fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
-    a.0 < b.0 + b.1 && b.0 < a.0 + a.1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use iloc::builder::FuncBuilder;
-    use iloc::{Instr, Reg, RegClass};
+    use iloc::{Instr, Op, Reg, RegClass, SpillKind};
 
     /// Two slots with disjoint lifetimes: store0/load0 then store1/load1.
     fn disjoint_slots() -> Function {

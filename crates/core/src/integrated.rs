@@ -1,211 +1,153 @@
-//! CCM allocation during spill-code insertion (§3.2, Figure 2).
+//! The integrated CCM allocator (§3.2, Figure 2) as a placement pass.
 //!
-//! The integrated scheme makes CCM locations visible *inside* the
-//! Chaitin-Briggs allocator: CCM offsets appear as entities in the
-//! interference graph (the `regalloc` crate builds those edges), the
-//! coloring phase ignores them, and spill-code insertion consults them —
-//! a value `v` may be spilled to CCM position `m` unless
+//! The paper threads CCM locations through the Chaitin-Briggs
+//! interference graph: coloring ignores them and spill-code insertion
+//! consults them, so a value `v` may be spilled to CCM position `m`
+//! unless a value already placed at `m` is live where `v` is. Because
+//! coloring never reads those edges, they decide only *where* a spilled
+//! value lands, never *which* values spill — the same spill/placement
+//! split as Bouchez, Darte & Rastello's "spill everywhere". This module
+//! therefore runs after the one baseline allocation, over its spill
+//! slots:
 //!
-//! * an edge `(v, m)` is in the interference graph (a previous round's
-//!   occupant of `m` is live where `v` is), or
-//! * a value `p` with an edge `(v, p)` — or copy-related to `v` with
-//!   overlapping live ranges, which the copy exemption hides from the
-//!   edge set — was already spilled to `m` in the current round (the
-//!   paper's footnote-5 side structure).
+//! * slots are visited in creation order, which is spill order;
+//! * each goes first-fit to the lowest size-aligned CCM offset that no
+//!   earlier interfering CCM slot ([`SlotAnalysis::adj`]) uses and that
+//!   the other register class has never used (the per-class
+//!   interference graphs cannot see each other);
+//! * values live across calls keep the conservative intraprocedural
+//!   convention and stay in main memory, so CCM contents can never be
+//!   clobbered by a callee;
+//! * the slots left in the frame are repacked in order, exactly where
+//!   the allocator would have put them had the CCM slots taken no frame
+//!   space.
 //!
-//! Values live across calls keep the conservative intraprocedural
-//! convention and go to main memory, so CCM contents can never be
-//! clobbered by a callee. Offsets used by the *other* register class are
-//! never shared (the per-class interference graphs cannot see each other).
+//! The result is byte-identical to running the allocator with the CCM
+//! placement built into spill-code insertion, at a fraction of the cost.
 
+use crate::postpass::{align_up, overlaps, retarget_spill_ops};
+use crate::slots::SlotAnalysis;
 use crate::Degradation;
-use iloc::{Function, Module, Reg, SpillSlot};
-use regalloc::{
-    allocate_function_with, AllocConfig, AllocStats, Entity, InterferenceGraph, Placement,
-    SpillPlacer,
-};
+use iloc::{Function, Module};
+use regalloc::{AllocConfig, AllocStats};
 
-/// Statistics from integrated allocation of one function.
+/// Statistics from integrated CCM placement.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IntegratedStats {
     /// Spilled live ranges redirected into the CCM.
     pub ccm_spills: usize,
     /// Spilled live ranges sent to main memory (heavyweight).
     pub heavyweight_spills: usize,
-    /// Highest CCM byte used, across the whole run.
+    /// Highest CCM byte used.
     pub high_water: u32,
 }
 
-/// A [`SpillPlacer`] that tries the CCM first, per the paper's integrated
-/// algorithm.
-#[derive(Debug)]
-pub struct CcmPlacer {
-    ccm_size: u32,
-    /// (value, offset, size) placed in the current spill round.
-    round: Vec<(Reg, u32, u32)>,
-    /// Byte intervals ever handed out, per class — used to forbid
-    /// cross-class sharing.
-    intervals: [Vec<(u32, u32)>; 2],
-    /// Accumulated statistics.
-    pub stats: IntegratedStats,
-}
-
-impl CcmPlacer {
-    /// Creates a placer for a CCM of `ccm_size` bytes.
-    pub fn new(ccm_size: u32) -> CcmPlacer {
-        CcmPlacer {
-            ccm_size,
-            round: Vec::new(),
-            intervals: [Vec::new(), Vec::new()],
-            stats: IntegratedStats::default(),
-        }
-    }
-}
-
-fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
-    a.0 < b.0 + b.1 && b.0 < a.0 + a.1
-}
-
-fn align_up(x: u32, align: u32) -> u32 {
-    (x + align - 1) & !(align - 1)
-}
-
-impl SpillPlacer for CcmPlacer {
-    fn place(
-        &mut self,
-        f: &mut Function,
-        v: Reg,
-        v_id: usize,
-        graph: &InterferenceGraph,
-    ) -> Placement {
-        // Conservative interprocedural convention: call-crossing values
-        // stay in main memory.
-        if graph.crosses_call(v_id) {
-            self.stats.heavyweight_spills += 1;
-            return Placement::Frame(f.frame.new_slot(v.class()));
-        }
-        let class = v.class();
-        let size = class.value_size();
-
-        // Forbidden byte intervals for v:
-        let mut forbidden: Vec<(u32, u32)> = Vec::new();
-        // 1. CCM locations v interferes with (previous rounds' spills,
-        //    visible as Ccm entities in the graph).
-        for off in graph.ccm_neighbors(v_id) {
-            forbidden.push((off, size.max(graph.entities.class().value_size())));
-        }
-        // 2. Same-round placements of values conflicting with v. Note
-        //    `slot_conflict`, not `interferes`: copy-related values can
-        //    share a register but not a spill slot.
-        for (p, off, psize) in &self.round {
-            let p_id = graph.entities.get(Entity::Reg(*p));
-            let conflict = match p_id {
-                Some(pid) => graph.slot_conflict(v_id, pid),
-                None => true, // unknown: be safe
-            };
-            if conflict {
-                forbidden.push((*off, *psize));
-            }
-        }
-        // 3. Anything the other register class ever used.
-        let other = 1 - class.index();
-        forbidden.extend(self.intervals[other].iter().copied());
-
-        // Successive-location search from the bottom of the CCM.
-        let mut off = 0u32;
-        let placed = loop {
-            if off + size > self.ccm_size {
-                break None;
-            }
-            if forbidden.iter().any(|&iv| overlaps((off, size), iv)) {
-                off = align_up(off + 1, size);
-                continue;
-            }
-            break Some(off);
-        };
-
-        match placed {
-            Some(off) => {
-                self.round.push((v, off, size));
-                self.intervals[class.index()].push((off, size));
-                self.stats.ccm_spills += 1;
-                self.stats.high_water = self.stats.high_water.max(off + size);
-                let slot = f.frame.push_slot(SpillSlot {
-                    offset: off,
-                    class,
-                    in_ccm: true,
-                });
-                Placement::Ccm(slot)
-            }
-            None => {
-                self.stats.heavyweight_spills += 1;
-                Placement::Frame(f.frame.new_slot(class))
-            }
-        }
-    }
-
-    fn end_round(&mut self) {
-        self.round.clear();
-    }
-}
-
-/// Runs the integrated allocator on one function: Chaitin-Briggs with CCM
-/// spilling built into spill-code insertion. Returns the allocator stats,
-/// the placer's CCM stats, and — when CCM placement had to be abandoned
-/// for this function — a [`Degradation`] event describing the fallback.
-///
-/// Degradation reruns the allocation with a zero-sized CCM, so every
-/// spill becomes a conventional heavyweight spill for this function only;
-/// the rest of the module is unaffected.
-pub fn allocate_function_integrated(
-    f: &mut Function,
-    cfg: &AllocConfig,
-    ccm_size: u32,
-) -> (AllocStats, IntegratedStats, Option<Degradation>) {
+/// Places one allocated function's spill slots the integrated way and
+/// retargets its spill code. Returns the placement stats and — when CCM
+/// placement had to be abandoned for this function — a [`Degradation`]
+/// event; a degraded function keeps its baseline frame slots untouched.
+fn place_function(f: &mut Function, ccm_size: u32) -> (IntegratedStats, Option<Degradation>) {
     if inject::faultpoint!("alloc.ccm_coloring") {
-        // The fault fires before any mutation, so a clean zero-CCM rerun
-        // models "coloring failed, fall back to heavyweight spills".
-        let mut placer = CcmPlacer::new(0);
-        let stats = allocate_function_with(f, cfg, &mut placer);
+        let stats = IntegratedStats {
+            heavyweight_spills: f.frame.slots.len(),
+            ..IntegratedStats::default()
+        };
         let d = Degradation {
             function: f.name.clone(),
             reason: "injected CCM coloring failure".to_string(),
         };
-        return (stats, placer.stats, Some(d));
+        return (stats, Some(d));
     }
-    let mut placer = CcmPlacer::new(ccm_size);
-    let stats = allocate_function_with(f, cfg, &mut placer);
-    (stats, placer.stats, None)
+    let mut stats = IntegratedStats::default();
+    if f.frame.slots.is_empty() {
+        return (stats, None);
+    }
+    let analysis = SlotAnalysis::compute(f);
+    // CCM byte intervals per class; a slot may use none of the other
+    // class's bytes.
+    let mut used: [Vec<(u32, u32)>; 2] = [Vec::new(), Vec::new()];
+    let mut frame_end = f.frame.locals_size;
+    for si in 0..analysis.n {
+        let slots = &f.frame.slots;
+        debug_assert!(
+            !slots[si].in_ccm,
+            "integrated placement runs on a baseline allocation"
+        );
+        let (class, size) = (slots[si].class, slots[si].size());
+        // Slots after `si` are still in the frame, so only earlier CCM
+        // placements can clash.
+        let clash = |off: u32| {
+            let candidate = (off, size);
+            analysis.adj[si].iter().any(|&t| {
+                slots[t].in_ccm && overlaps(candidate, (slots[t].offset, slots[t].size()))
+            }) || used[1 - class.index()]
+                .iter()
+                .any(|&p| overlaps(candidate, p))
+        };
+        let placed = if analysis.crosses_call[si] {
+            None
+        } else {
+            let mut off = 0;
+            while off + size <= ccm_size && clash(off) {
+                off = align_up(off + 1, size);
+            }
+            (off + size <= ccm_size).then_some(off)
+        };
+        let slot = &mut f.frame.slots[si];
+        match placed {
+            Some(off) => {
+                used[class.index()].push((off, size));
+                slot.offset = off;
+                slot.in_ccm = true;
+                stats.ccm_spills += 1;
+                stats.high_water = stats.high_water.max(off + size);
+            }
+            None => {
+                // Exactly where `FrameInfo::new_slot` would have put it
+                // had the CCM slots never taken frame space.
+                slot.offset = align_up(frame_end, size);
+                frame_end = slot.offset + size;
+                stats.heavyweight_spills += 1;
+            }
+        }
+    }
+    retarget_spill_ops(f);
+    (stats, None)
 }
 
-/// Runs the integrated allocator over every function. Each function gets
-/// a fresh placer; the intraprocedural convention (no call-crossing values
-/// in CCM) makes cross-function offset reuse safe. The returned vector
-/// lists every function that degraded to heavyweight spilling.
+/// The integrated CCM allocator as a placement pass over an allocated
+/// module (every spill slot still in the frame). Each function is
+/// placed on its own; the intraprocedural convention (no call-crossing
+/// values in CCM) makes cross-function offset reuse safe. Returns the
+/// summed placement stats and every function that degraded to
+/// heavyweight spilling.
+pub fn integrated_promote(m: &mut Module, ccm_size: u32) -> (IntegratedStats, Vec<Degradation>) {
+    if inject::faultpoint!("alloc.panic") {
+        panic!("injected allocator panic (integrated)");
+    }
+    let mut total = IntegratedStats::default();
+    let mut degradations = Vec::new();
+    for f in &mut m.functions {
+        let (c, d) = place_function(f, ccm_size);
+        total.ccm_spills += c.ccm_spills;
+        total.heavyweight_spills += c.heavyweight_spills;
+        total.high_water = total.high_water.max(c.high_water);
+        degradations.extend(d);
+    }
+    (total, degradations)
+}
+
+/// Runs the integrated allocator: the Chaitin-Briggs allocation, then
+/// [`integrated_promote`]. Returns the allocator stats, the placement
+/// stats and the functions that degraded to heavyweight spilling.
 pub fn allocate_module_integrated(
     m: &mut Module,
     cfg: &AllocConfig,
     ccm_size: u32,
 ) -> (AllocStats, IntegratedStats, Vec<Degradation>) {
-    if inject::faultpoint!("alloc.panic") {
-        panic!("injected allocator panic (integrated)");
-    }
-    let mut alloc_total = AllocStats::default();
-    let mut ccm_total = IntegratedStats::default();
-    let mut degradations = Vec::new();
-    for f in &mut m.functions {
-        let (a, c, d) = allocate_function_integrated(f, cfg, ccm_size);
-        for i in 0..2 {
-            alloc_total.spilled[i] += a.spilled[i];
-            alloc_total.coalesced[i] += a.coalesced[i];
-            alloc_total.rounds[i] += a.rounds[i];
-        }
-        ccm_total.ccm_spills += c.ccm_spills;
-        ccm_total.heavyweight_spills += c.heavyweight_spills;
-        ccm_total.high_water = ccm_total.high_water.max(c.high_water);
-        degradations.extend(d);
-    }
-    (alloc_total, ccm_total, degradations)
+    let alloc = regalloc::allocate_module(m, cfg);
+    let (stats, degradations) = integrated_promote(m, ccm_size);
+    (alloc, stats, degradations)
 }
 
 #[cfg(test)]
@@ -270,10 +212,30 @@ mod tests {
         let (_, ccm, _) = allocate_module_integrated(&mut b, &AllocConfig::tiny(4), 0);
         assert_eq!(ccm.ccm_spills, 0);
         assert!(ccm.heavyweight_spills > 0);
-        let (va, ma) = sim::run_module(&a, sim::MachineConfig::default(), "main").unwrap();
-        let (vb, mb) = sim::run_module(&b, sim::MachineConfig::default(), "main").unwrap();
-        assert_eq!(va, vb);
-        assert_eq!(ma.cycles, mb.cycles);
+        assert_eq!(a.to_string(), b.to_string(), "byte-identical to baseline");
+    }
+
+    #[test]
+    fn heavyweight_slots_repack_below_ccm_placed_ones() {
+        // A CCM with room for two integer slots: the rest stay in the
+        // frame, packed from the bottom as if the CCM slots took no
+        // frame space.
+        let mut m = wide_module(40);
+        let (_, ccm, _) = allocate_module_integrated(&mut m, &AllocConfig::tiny(3), 8);
+        assert!(ccm.ccm_spills > 0 && ccm.heavyweight_spills > 0);
+        let frame = &m.functions[0].frame;
+        let mut offsets: Vec<u32> = frame
+            .slots
+            .iter()
+            .filter(|s| !s.in_ccm)
+            .map(|s| s.offset)
+            .collect();
+        let expected: Vec<u32> = (0..offsets.len() as u32)
+            .map(|i| frame.locals_size + 4 * i)
+            .collect();
+        offsets.sort_unstable();
+        assert_eq!(offsets, expected);
+        assert_eq!(frame.spill_bytes(), 4 * ccm.heavyweight_spills as u32);
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //!   (§4.1, Table 1);
 //! * [`postpass_promote`] — the post-pass CCM allocator, intraprocedural
 //!   and interprocedural (Figure 1);
-//! * [`CcmPlacer`] / [`allocate_module_integrated`] — CCM spilling
-//!   integrated into the Chaitin-Briggs allocator (§3.2, Figure 2);
+//! * [`integrated_promote`] / [`allocate_module_integrated`] — the
+//!   integrated allocator's CCM spilling (§3.2, Figure 2), as a
+//!   spill-order placement over the Chaitin-Briggs allocation;
 //! * [`allocate_variant`] — one [`Variant`] (the baseline or one of the
 //!   three CCM methods) applied end to end, the dispatch every
 //!   experiment and the fuzz oracle share; [`promote_allocated`] derives
-//!   a post-pass variant from an existing baseline allocation.
+//!   any variant from an existing baseline allocation.
 //!
 //! # Quickstart
 //!
@@ -78,9 +79,7 @@ impl std::fmt::Display for Degradation {
 }
 
 pub use compact::{compact_module, compact_spill_memory, CompactStats};
-pub use integrated::{
-    allocate_function_integrated, allocate_module_integrated, CcmPlacer, IntegratedStats,
-};
+pub use integrated::{allocate_module_integrated, integrated_promote, IntegratedStats};
 pub use postpass::{postpass_promote, FnPromotion, PostpassConfig};
 pub use slots::{CallSite, SlotAnalysis};
 pub use variant::{allocate_variant, promote_allocated, AllocOutcome, Variant};

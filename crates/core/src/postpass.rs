@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use analysis::CallGraph;
-use iloc::{Function, Module, Op, SlotId, SpillKind, SpillSlot};
+use iloc::{Function, Module, Op, SlotId, SpillSlot};
 
 use crate::slots::SlotAnalysis;
 
@@ -153,7 +153,7 @@ fn promote_function(
         }
     };
 
-    // Rewrite the promoted slots and their spill instructions.
+    // Move the promoted slots, then point their spill code at the CCM.
     for (si, p) in placements.iter().enumerate() {
         let Some((ccm_off, _)) = p else { continue };
         let slot = f.frame.slot_mut(SlotId(si as u32));
@@ -163,39 +163,7 @@ fn promote_function(
             in_ccm: true,
         };
     }
-    for b in f.block_ids().collect::<Vec<_>>() {
-        for i in 0..f.block(b).instrs.len() {
-            let instr = &f.block(b).instrs[i];
-            let slot_id = match instr.spill {
-                SpillKind::Store(s) | SpillKind::Restore(s) => s,
-                SpillKind::None => continue,
-            };
-            if placements[slot_id.index()].is_none() {
-                continue;
-            }
-            let ccm_off = f.frame.slot(slot_id).offset;
-            let new_op = match &f.block(b).instrs[i].op {
-                Op::StoreAI { val, .. } => Op::CcmStore {
-                    val: *val,
-                    off: ccm_off,
-                },
-                Op::LoadAI { dst, .. } => Op::CcmLoad {
-                    off: ccm_off,
-                    dst: *dst,
-                },
-                Op::FStoreAI { val, .. } => Op::CcmFStore {
-                    val: *val,
-                    off: ccm_off,
-                },
-                Op::FLoadAI { dst, .. } => Op::CcmFLoad {
-                    off: ccm_off,
-                    dst: *dst,
-                },
-                other => other.clone(), // already CCM (repeat runs)
-            };
-            f.block_mut(b).instrs[i].op = new_op;
-        }
-    }
+    retarget_spill_ops(f);
 
     FnPromotion {
         name: f.name.clone(),
@@ -268,19 +236,53 @@ fn color_function_slots(
     Ok((placements, promoted, heavyweight, high_water))
 }
 
-fn align_up(x: u32, align: u32) -> u32 {
+pub(crate) fn align_up(x: u32, align: u32) -> u32 {
     (x + align - 1) & !(align - 1)
 }
 
-fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
+pub(crate) fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
     a.0 < b.0 + b.1 && b.0 < a.0 + a.1
+}
+
+/// Points every tagged spill instruction of `f` at its slot's current
+/// home: a CCM access at the offset of a slot in the CCM, a frame access
+/// at the offset of a slot in the activation record. The CCM passes and
+/// spill-memory compaction move slots, then call this once.
+pub(crate) fn retarget_spill_ops(f: &mut Function) {
+    let slots = &f.frame.slots;
+    for instr in f.blocks.iter_mut().flat_map(|b| &mut b.instrs) {
+        let Some(s) = instr.spill_slot() else {
+            continue;
+        };
+        let SpillSlot {
+            offset: off,
+            in_ccm,
+            ..
+        } = slots[s.index()];
+        match &mut instr.op {
+            Op::StoreAI { off: o, .. }
+            | Op::LoadAI { off: o, .. }
+            | Op::FStoreAI { off: o, .. }
+            | Op::FLoadAI { off: o, .. }
+                if !in_ccm =>
+            {
+                *o = i64::from(off);
+            }
+            &mut Op::StoreAI { val, .. } => instr.op = Op::CcmStore { val, off },
+            &mut Op::LoadAI { dst, .. } => instr.op = Op::CcmLoad { off, dst },
+            &mut Op::FStoreAI { val, .. } => instr.op = Op::CcmFStore { val, off },
+            &mut Op::FLoadAI { dst, .. } => instr.op = Op::CcmFLoad { off, dst },
+            // A CCM access: CCM slots never move once placed.
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use iloc::builder::FuncBuilder;
-    use iloc::RegClass;
+    use iloc::{RegClass, SpillKind};
     use regalloc::{allocate_module, AllocConfig};
 
     /// Builds a module whose single function spills under a tiny register

@@ -1,13 +1,13 @@
 //! Analysis over spill *locations* (§3.1 of the paper).
 //!
-//! The post-pass CCM allocator operates on the memory slots holding
-//! spilled values rather than on register live ranges. Its notion of
-//! liveness is the paper's: a spill location *m* is live at point *p* if
-//! some execution path from *p* reaches a load of *m* — it is *defined*
-//! by a spill store and *used* by a spill restore. From that liveness we
-//! build an interference graph over slots, reference counts, loop-weighted
-//! costs, and the per-call-site live sets the interprocedural allocator
-//! consults.
+//! The CCM allocators (post-pass and integrated) operate on the memory
+//! slots holding spilled values rather than on register live ranges.
+//! Their notion of liveness is the paper's: a spill location *m* is live
+//! at point *p* if some execution path from *p* reaches a load of *m* —
+//! it is *defined* by a spill store and *used* by a spill restore. From
+//! that liveness we build an interference graph over slots, reference
+//! counts, loop-weighted costs, and the per-call-site live sets the
+//! interprocedural allocator consults.
 
 use std::collections::HashSet;
 

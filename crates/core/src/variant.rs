@@ -3,8 +3,7 @@
 //! the allocator calls that implement it; the harness experiments, the
 //! drivers and the fuzz oracle all go through it. Its second half,
 //! [`promote_allocated`], lets a caller that already holds the baseline
-//! allocation derive the post-pass variants from it without allocating
-//! again.
+//! allocation derive every variant from it without allocating again.
 
 use iloc::Module;
 use regalloc::AllocConfig;
@@ -69,21 +68,14 @@ pub struct AllocOutcome {
 /// Applies `variant` allocation with register supply `cfg` and CCM
 /// capacity `ccm_size` to an optimized (still virtual-register) module.
 ///
-/// Every variant but [`Variant::Integrated`] is the baseline
-/// Chaitin-Briggs allocation followed by [`promote_allocated`].
+/// Every variant is the baseline Chaitin-Briggs allocation followed by
+/// [`promote_allocated`].
 pub fn allocate_variant(
     m: &mut Module,
     variant: Variant,
     ccm_size: u32,
     cfg: &AllocConfig,
 ) -> AllocOutcome {
-    if variant == Variant::Integrated {
-        let (a, _, degraded) = crate::allocate_module_integrated(m, cfg, ccm_size);
-        return AllocOutcome {
-            spilled_ranges: a.total_spilled(),
-            degraded,
-        };
-    }
     let spilled_ranges = regalloc::allocate_module(m, cfg).total_spilled();
     AllocOutcome {
         spilled_ranges,
@@ -95,23 +87,20 @@ pub fn allocate_variant(
 /// baseline Chaitin-Briggs allocation, returning the per-function
 /// degradation events. A no-op for [`Variant::Baseline`].
 ///
-/// The post-pass allocator runs after a conventional allocation (§3.1)
-/// and leaves its register assignment untouched, so one baseline
-/// allocation serves every post-pass variant and CCM size: cloning it
-/// and promoting gives exactly what [`allocate_variant`] gives.
+/// No CCM method changes the register assignment: the post-pass
+/// allocator runs after a conventional allocation (§3.1), and the
+/// integrated allocator's CCM edges decide only where a spilled value
+/// lands, never which values spill (§3.2; see [`integrated_promote`]).
+/// So one baseline allocation serves every variant and CCM size: cloning
+/// it and promoting gives exactly what [`allocate_variant`] gives.
 ///
-/// # Panics
-///
-/// On [`Variant::Integrated`], which replaces the Chaitin-Briggs
-/// allocation instead of following it.
+/// [`integrated_promote`]: crate::integrated_promote
 pub fn promote_allocated(m: &mut Module, variant: Variant, ccm_size: u32) -> Vec<Degradation> {
     let interprocedural = match variant {
         Variant::Baseline => return Vec::new(),
         Variant::PostPass => false,
         Variant::PostPassCallGraph => true,
-        Variant::Integrated => {
-            panic!("integrated allocation cannot be derived from a baseline allocation")
-        }
+        Variant::Integrated => return crate::integrated_promote(m, ccm_size).1,
     };
     crate::postpass_promote(
         m,
@@ -133,10 +122,30 @@ pub fn promote_allocated(m: &mut Module, variant: Variant, ccm_size: u32) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iloc::builder::FuncBuilder;
+    use iloc::RegClass;
 
     #[test]
-    #[should_panic(expected = "cannot be derived")]
-    fn integrated_is_not_derivable() {
-        promote_allocated(&mut Module::new(), Variant::Integrated, 512);
+    fn integrated_derives_from_the_baseline_allocation() {
+        let mut fb = FuncBuilder::new("main");
+        fb.set_ret_classes(&[RegClass::Gpr]);
+        let vals: Vec<_> = (0..14).map(|i| fb.loadi(i)).collect();
+        let mut acc = vals[13];
+        for v in vals[..13].iter().rev() {
+            acc = fb.add(acc, *v);
+        }
+        fb.ret(&[acc]);
+        let mut m = Module::new();
+        m.push_function(fb.finish());
+        let cfg = AllocConfig::tiny(4);
+
+        let mut derived = m.clone();
+        regalloc::allocate_module(&mut derived, &cfg);
+        assert!(promote_allocated(&mut derived, Variant::Integrated, 64).is_empty());
+        let mut fresh = m;
+        let out = allocate_variant(&mut fresh, Variant::Integrated, 64, &cfg);
+        assert!(out.spilled_ranges > 0);
+        assert_eq!(derived.to_string(), fresh.to_string());
+        assert!(derived.functions[0].frame.slots.iter().any(|s| s.in_ccm));
     }
 }

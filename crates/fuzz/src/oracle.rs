@@ -225,27 +225,17 @@ fn panicked(variant: Variant, ccm: u32, payload: &(dyn std::any::Any + Send)) ->
     }
 }
 
-/// Allocates `variant` at `ccm` and applies `mutation`: the post-pass
-/// variants are derived from `allocated`, the baseline allocation of
-/// `m`; the integrated allocator starts over from `m`.
+/// Derives `variant` at `ccm` from `allocated`, the baseline allocation,
+/// and applies `mutation`.
 fn derive_variant(
-    m: &Module,
     allocated: &Module,
     variant: Variant,
     ccm: u32,
     mutation: Option<Mutation>,
-    cfg: &OracleConfig,
 ) -> Result<Module, Failure> {
     catch_unwind(AssertUnwindSafe(|| {
-        let mut mm = if variant == Variant::Integrated {
-            let mut mm = m.clone();
-            ccm::allocate_variant(&mut mm, variant, ccm, &cfg.alloc);
-            mm
-        } else {
-            let mut mm = allocated.clone();
-            ccm::promote_allocated(&mut mm, variant, ccm);
-            mm
-        };
+        let mut mm = allocated.clone();
+        ccm::promote_allocated(&mut mm, variant, ccm);
         if let Some(mu) = mutation {
             apply_mutation(&mut mm, mu);
         }
@@ -290,10 +280,10 @@ fn check_and_run(
 ///
 /// The baseline Chaitin-Briggs allocation is computed once per module
 /// and serves every CCM size: it is the baseline at each size, and the
-/// post-pass variants are derived from it with
-/// [`ccm::promote_allocated`], exactly as a fresh
-/// [`ccm::allocate_variant`] would produce them. Every (variant, CCM
-/// size) is still mutated when configured, checked and simulated.
+/// CCM variants are derived from it with [`ccm::promote_allocated`],
+/// exactly as a fresh [`ccm::allocate_variant`] would produce them.
+/// Every (variant, CCM size) is still mutated when configured, checked
+/// and simulated.
 ///
 /// # Errors
 ///
@@ -324,7 +314,7 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
             if v == Variant::Baseline {
                 continue;
             }
-            let mm = derive_variant(m, &allocated, v, ccm, cfg.mutation, cfg)?;
+            let mm = derive_variant(&allocated, v, ccm, cfg.mutation)?;
             let r = check_and_run(&mm, v, ccm, cfg)?;
             stats.ccm_ops += r.ccm_ops;
             if r.ints != base.ints || r.float_bits != base.float_bits {

@@ -10,21 +10,20 @@
 //! * **builds** — [`optimized`]/[`program`] memoize
 //!   [`suite::build_optimized`]/[`suite::build_program`] per unit name;
 //! * **the baseline allocation** — [`baseline_allocation`] memoizes the
-//!   Chaitin-Briggs allocation once per unit. The post-pass CCM
-//!   allocator runs after a conventional Chaitin-Briggs allocation and
-//!   only rewrites its spill code (the paper's §3.1), so that allocation
-//!   depends on neither the variant nor the CCM size: `Baseline`,
-//!   `Post-Pass` and `Post-Pass w/ Call Graph` at every size share it,
-//!   and Table 1 compacts it;
+//!   Chaitin-Briggs allocation once per unit. No CCM method changes the
+//!   register assignment: the post-pass allocator runs after a
+//!   conventional allocation and only rewrites its spill code (the
+//!   paper's §3.1), and the integrated allocator's CCM edges decide only
+//!   where a spill lands (§3.2). So that allocation depends on neither
+//!   the variant nor the CCM size: all four variants at every size share
+//!   it, and Table 1 compacts it;
 //! * **allocations** — [`allocated`] memoizes derive-then-check per
 //!   (unit, variant, CCM size). `Baseline` shares the unit's allocated
-//!   module without a copy; the post-pass variants promote a clone of
-//!   it ([`ccm::promote_allocated`], a few percent of the allocation's
+//!   module without a copy; every CCM variant promotes a clone of it
+//!   ([`ccm::promote_allocated`], a few percent of the allocation's
 //!   cost), which gives exactly what a fresh [`ccm::allocate_variant`]
-//!   would. Only the integrated allocator, which places spills during
-//!   allocation and so depends on the CCM size, allocates per
-//!   configuration. `--table3 --check` stops re-allocating the 616
-//!   configurations the tables already produced;
+//!   would. `--table3 --check` stops re-allocating the 616 configurations
+//!   the tables already produced;
 //! * **measurements** — [`measure_unit`] memoizes the simulation result
 //!   per (unit, variant, machine configuration); Table 2's rows are a
 //!   subset of Table 3's, and the sweep/multitask studies revisit the
@@ -126,9 +125,9 @@ fn baseline_cache() -> &'static BaseMap {
 /// The Chaitin-Briggs allocation of `base` under the default register
 /// supply, memoized per unit name: the allocated module and the number
 /// of live ranges it spilled. It depends on neither the variant nor the
-/// CCM size, so every non-integrated configuration in [`allocated`] and
-/// Table 1's compaction start from this one allocation. `base` must be
-/// the cached build for `name`.
+/// CCM size, so every configuration in [`allocated`] and Table 1's
+/// compaction start from this one allocation. `base` must be the cached
+/// build for `name`.
 ///
 /// # Errors
 ///
@@ -180,10 +179,9 @@ fn alloc_cache() -> &'static AllocMap {
 /// Kernel and program names are globally unique in the suite, so the flat
 /// name key cannot collide; `base` must be the cached build for `name`.
 ///
-/// Only [`Variant::Integrated`] allocates here. The other variants start
-/// from the unit's [`baseline_allocation`]: `Baseline` shares its module
-/// as is, and the post-pass variants promote a clone of it with
-/// [`ccm::promote_allocated`].
+/// Every variant starts from the unit's [`baseline_allocation`]:
+/// `Baseline` shares its module as is, and the CCM variants promote a
+/// clone of it with [`ccm::promote_allocated`].
 ///
 /// Checker diagnostics are data here, not failure: `--check` reports
 /// error rows rather than skipping them. [`measure_unit`] applies the
@@ -204,23 +202,17 @@ pub fn allocated(
         return Ok(a.clone());
     }
     let at = |e: PipelineError| e.at(variant, ccm_size);
-    let (module, spilled_ranges, degraded) = if variant == Variant::Integrated {
-        let mut m = (**base).clone();
-        let outcome = pipeline::allocate_contained(&mut m, name, variant, ccm_size)?;
-        (Arc::new(m), outcome.spilled_ranges, outcome.degraded)
+    let (allocated, spilled_ranges) = baseline_allocation(name, base).map_err(at)?;
+    let (module, degraded) = if variant == Variant::Baseline {
+        (allocated, Vec::new())
     } else {
-        let (allocated, spilled) = baseline_allocation(name, base).map_err(at)?;
-        if variant == Variant::Baseline {
-            (allocated, spilled, Vec::new())
-        } else {
-            let (m, degraded) = pipeline::contain_alloc(name, || {
-                let mut m = (*allocated).clone();
-                let degraded = ccm::promote_allocated(&mut m, variant, ccm_size);
-                (m, degraded)
-            })
-            .map_err(at)?;
-            (Arc::new(m), spilled, degraded)
-        }
+        let (m, degraded) = pipeline::contain_alloc(name, || {
+            let mut m = (*allocated).clone();
+            let degraded = ccm::promote_allocated(&mut m, variant, ccm_size);
+            (m, degraded)
+        })
+        .map_err(at)?;
+        (Arc::new(m), degraded)
     };
     let diags = pipeline::check_allocated(&module, ccm_size);
     let built = Allocated {
@@ -341,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn one_baseline_allocation_serves_every_non_integrated_config() {
+    fn one_baseline_allocation_serves_every_config() {
         let k = suite::kernel("fpppp").unwrap();
         let base = optimized(&k).unwrap();
         let at = |v, size| allocated(k.name, &base, v, size).unwrap();
@@ -353,8 +345,12 @@ mod tests {
             assert!(Arc::ptr_eq(&b.module, &shared), "baseline @ {size} B");
             assert_eq!(b.spilled_ranges, spilled);
         }
-        // A derived post-pass configuration equals a fresh allocation.
-        for v in [Variant::PostPass, Variant::PostPassCallGraph] {
+        // A derived CCM configuration equals a fresh allocation.
+        for v in [
+            Variant::PostPass,
+            Variant::PostPassCallGraph,
+            Variant::Integrated,
+        ] {
             for size in [512, 1024] {
                 let derived = at(v, size);
                 let mut fresh = (*base).clone();

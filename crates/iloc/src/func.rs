@@ -123,14 +123,6 @@ impl FrameInfo {
         id
     }
 
-    /// Appends a slot with an explicit placement (used by the CCM passes
-    /// to record compiler-controlled-memory slots) and returns its id.
-    pub fn push_slot(&mut self, slot: SpillSlot) -> SlotId {
-        let id = SlotId(self.slots.len() as u32);
-        self.slots.push(slot);
-        id
-    }
-
     /// Looks up a slot.
     pub fn slot(&self, id: SlotId) -> &SpillSlot {
         &self.slots[id.index()]

@@ -64,14 +64,14 @@ pub struct FaultPoint {
 pub const REGISTRY: &[FaultPoint] = &[
     FaultPoint {
         name: "alloc.ccm_coloring",
-        site: "ccm::postpass::promote_function / ccm::integrated::allocate_function_integrated",
+        site: "ccm::postpass::promote_function / ccm::integrated::place_function",
         effect: "CCM slot coloring fails for one function",
         expect: "degradation event: the function falls back to heavyweight spills; \
                  outputs byte-identical; no error",
     },
     FaultPoint {
         name: "alloc.panic",
-        site: "ccm::postpass_promote / ccm::allocate_module_integrated entry",
+        site: "ccm::postpass_promote / ccm::integrated_promote entry",
         effect: "the CCM allocator panics",
         expect: "PipelineError stage=alloc containing `injected allocator panic`",
     },

@@ -12,9 +12,9 @@ use iloc::{Function, Module, Op, Reg, RegClass};
 use crate::color::color;
 use crate::config::AllocConfig;
 use crate::costs::SpillCosts;
-use crate::entity::{Entity, EntityIndex};
+use crate::entity::EntityIndex;
 use crate::igraph::InterferenceGraph;
-use crate::spill::{insert_spill_code, rematerialize_spills, FramePlacer, SpillPlacer};
+use crate::spill::{insert_spill_code, rematerialize_spills};
 
 /// Statistics from allocating one function.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -46,28 +46,19 @@ impl AllocStats {
     }
 }
 
-/// Allocates registers for `f` with the baseline frame placer (all spills
-/// go to main memory). See [`allocate_function_with`] for custom placers.
+/// Allocates registers for `f`. Every spilled live range gets a slot
+/// in the activation record (main memory); the CCM passes of the `ccm`
+/// crate may move those slots afterwards.
 pub fn allocate_function(f: &mut Function, cfg: &AllocConfig) -> AllocStats {
-    allocate_function_with(f, cfg, &mut FramePlacer)
-}
-
-/// Allocates registers for `f`, sending each spilled live range to
-/// `placer` — the hook the CCM-integrated allocator plugs into.
-pub fn allocate_function_with(
-    f: &mut Function,
-    cfg: &AllocConfig,
-    placer: &mut dyn SpillPlacer,
-) -> AllocStats {
     let mut stats = AllocStats::default();
     for class in RegClass::ALL {
-        allocate_class(f, cfg, class, placer, &mut stats);
+        allocate_class(f, cfg, class, &mut stats);
     }
     debug_assert!(no_virtual_regs(f), "allocation left virtual registers");
     stats
 }
 
-/// Allocates every function in the module with the baseline placer.
+/// Allocates every function in the module.
 pub fn allocate_module(m: &mut Module, cfg: &AllocConfig) -> AllocStats {
     let mut total = AllocStats::default();
     for f in &mut m.functions {
@@ -77,13 +68,7 @@ pub fn allocate_module(m: &mut Module, cfg: &AllocConfig) -> AllocStats {
     total
 }
 
-fn allocate_class(
-    f: &mut Function,
-    cfg: &AllocConfig,
-    class: RegClass,
-    placer: &mut dyn SpillPlacer,
-    stats: &mut AllocStats,
-) {
+fn allocate_class(f: &mut Function, cfg: &AllocConfig, class: RegClass, stats: &mut AllocStats) {
     let k = cfg.k(class);
     let ci = class.index();
     let mut unspillable: HashSet<Reg> = HashSet::new();
@@ -124,9 +109,8 @@ fn allocate_class(
             // Rewrite to physical registers.
             let mut map: HashMap<Reg, Reg> = HashMap::new();
             for (&id, &c) in &coloring.colors {
-                if let Some(r) = graph.entities.entity(id).as_reg() {
-                    map.insert(r, Reg::new(class, cfg.physical_index(class, c)));
-                }
+                let r = graph.entities.reg(id);
+                map.insert(r, Reg::new(class, cfg.physical_index(class, c)));
             }
             rewrite_regs(f, &map);
             return;
@@ -135,7 +119,7 @@ fn allocate_class(
         let spilled: Vec<Reg> = coloring
             .spilled
             .iter()
-            .filter_map(|&id| graph.entities.entity(id).as_reg())
+            .map(|&id| graph.entities.reg(id))
             .collect();
         stats.spilled[ci] += spilled.len();
         let (remat, heavy): (Vec<Reg>, Vec<Reg>) = spilled
@@ -150,7 +134,7 @@ fn allocate_class(
             unspillable.extend(rematerialize_spills(f, &pairs));
         }
         if !heavy.is_empty() {
-            let temps = insert_spill_code(f, &heavy, placer, &graph);
+            let temps = insert_spill_code(f, &heavy);
             unspillable.extend(temps);
         }
     }
@@ -186,10 +170,7 @@ fn coalesce_pass(f: &mut Function, graph: &mut InterferenceGraph, k: u32) -> usi
             if !src.is_virtual() || !dst.is_virtual() {
                 continue;
             }
-            let (is_, id_) = match (
-                graph.entities.get(Entity::Reg(src)),
-                graph.entities.get(Entity::Reg(dst)),
-            ) {
+            let (is_, id_) = match (graph.entities.get(src), graph.entities.get(dst)) {
                 (Some(a), Some(b)) => (a, b),
                 _ => continue,
             };

@@ -1,8 +1,4 @@
 //! Simplify/select graph coloring with optimistic spilling (Briggs).
-//!
-//! CCM-location nodes are present in the graph but invisible to coloring:
-//! per §3.2, "the allocator ignores these edges during allocation and uses
-//! them during spill code insertion".
 
 use std::collections::HashMap;
 
@@ -12,58 +8,39 @@ use crate::igraph::InterferenceGraph;
 /// Result of one coloring attempt.
 #[derive(Clone, Debug, Default)]
 pub struct Coloring {
-    /// Assigned colors, by dense entity id (register entities only).
+    /// Assigned colors, by dense entity id.
     pub colors: HashMap<usize, u32>,
     /// Entity ids that could not be colored and must be spilled.
     pub spilled: Vec<usize>,
 }
 
-/// Colors the register entities of `g` with `k` colors.
+/// Colors the nodes of `g` with `k` colors.
 ///
 /// Entities that are live across calls are denied colors below
 /// `caller_saved` (0 disables the restriction). Spill choice follows the
 /// classic cost/degree heuristic over [`SpillCosts`].
 pub fn color(g: &InterferenceGraph, k: u32, caller_saved: u32, costs: &SpillCosts) -> Coloring {
     let n = g.len();
-    // Only register entities participate.
-    let is_node: Vec<bool> = (0..n).map(|i| !g.entities.entity(i).is_ccm()).collect();
-
-    // Working degrees count only register-entity neighbors.
-    let mut degree: Vec<usize> = (0..n)
-        .map(|i| {
-            if !is_node[i] {
-                return 0;
-            }
-            g.neighbors(i).filter(|&x| is_node[x]).count()
-        })
-        .collect();
-
-    let node_cost = |i: usize| -> f64 {
-        match g.entities.entity(i).as_reg() {
-            Some(r) => costs.cost(r),
-            None => f64::INFINITY,
-        }
-    };
+    let mut degree: Vec<usize> = (0..n).map(|i| g.degree(i)).collect();
+    let node_cost = |i: usize| costs.cost(g.entities.reg(i));
 
     let mut removed = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
-    let mut remaining: usize = is_node.iter().filter(|&&b| b).count();
+    let mut remaining = n;
 
     while remaining > 0 {
         // Prefer any node with degree < k.
         let pick = (0..n)
-            .filter(|&i| is_node[i] && !removed[i])
+            .filter(|&i| !removed[i])
             .find(|&i| degree[i] < k as usize)
             .or_else(|| {
                 // Optimistic spill candidate: minimum cost/degree. Infinite-
                 // cost nodes are only chosen as a last resort.
-                (0..n)
-                    .filter(|&i| is_node[i] && !removed[i])
-                    .min_by(|&a, &b| {
-                        let ra = node_cost(a) / (degree[a].max(1) as f64);
-                        let rb = node_cost(b) / (degree[b].max(1) as f64);
-                        ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
-                    })
+                (0..n).filter(|&i| !removed[i]).min_by(|&a, &b| {
+                    let ra = node_cost(a) / (degree[a].max(1) as f64);
+                    let rb = node_cost(b) / (degree[b].max(1) as f64);
+                    ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
+                })
             })
             .expect("remaining > 0 implies a node exists");
 
@@ -71,7 +48,7 @@ pub fn color(g: &InterferenceGraph, k: u32, caller_saved: u32, costs: &SpillCost
         stack.push(pick);
         remaining -= 1;
         for nb in g.neighbors(pick) {
-            if is_node[nb] && !removed[nb] {
+            if !removed[nb] {
                 degree[nb] -= 1;
             }
         }
@@ -101,7 +78,7 @@ pub fn color(g: &InterferenceGraph, k: u32, caller_saved: u32, costs: &SpillCost
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entity::{Entity, EntityIndex};
+    use crate::entity::EntityIndex;
     use iloc::builder::FuncBuilder;
     use iloc::RegClass;
     use std::collections::HashSet;
@@ -131,11 +108,8 @@ mod tests {
         let costs = SpillCosts::compute(&f, &HashSet::new());
         let c = color(&g, 8, 0, &costs);
         assert!(c.spilled.is_empty());
-        // All register entities colored.
-        for (id, e) in g.entities.iter() {
-            if !e.is_ccm() {
-                assert!(c.colors.contains_key(&id));
-            }
+        for (id, _) in g.entities.iter() {
+            assert!(c.colors.contains_key(&id));
         }
     }
 
@@ -175,7 +149,7 @@ mod tests {
         let g = build(&f);
         let costs = SpillCosts::compute(&f, &HashSet::new());
         let c = color(&g, 8, 4, &costs);
-        let ia = g.entities.id(Entity::Reg(a));
+        let ia = g.entities.id(a);
         assert!(
             c.colors[&ia] >= 4,
             "call-crossing value must avoid caller-saved colors"
@@ -191,7 +165,7 @@ mod tests {
         fb.ret(&[]);
         let f = fb.finish();
         let mut g = build(&f);
-        let ids: Vec<usize> = r.iter().map(|x| g.entities.id(Entity::Reg(*x))).collect();
+        let ids: Vec<usize> = r.iter().map(|x| g.entities.id(*x)).collect();
         // Clear incidental edges by construction: loads don't overlap here
         // (each dies immediately), so add exactly the 4-cycle.
         g.add_edge(ids[0], ids[1]);

@@ -1,50 +1,24 @@
-//! Allocation entities: live ranges of registers *and* CCM locations.
+//! Allocation entities: the virtual registers of one class, numbered
+//! densely so the interference graph can index them.
 //!
-//! Section 3.2 of the paper extends the Chaitin-Briggs interference graph
-//! with a name space for CCM locations, so spill-code insertion can see
-//! which CCM slots a value may not share. An [`Entity`] is either a
-//! virtual register or a CCM location (identified by its byte offset).
+//! Spill placement, the CCM included, happens after allocation (the
+//! `ccm` crate's passes), so the graph holds registers only.
 
 use std::collections::HashMap;
 
 use iloc::{Function, Op, Reg, RegClass};
 
-/// A node identity in the interference graph.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Entity {
-    /// A virtual register (candidate live range).
-    Reg(Reg),
-    /// A CCM location at the given byte offset.
-    Ccm(u32),
-}
-
-impl Entity {
-    /// Whether this entity is a CCM location.
-    pub fn is_ccm(&self) -> bool {
-        matches!(self, Entity::Ccm(_))
-    }
-
-    /// The register, if this is a register entity.
-    pub fn as_reg(&self) -> Option<Reg> {
-        match self {
-            Entity::Reg(r) => Some(*r),
-            Entity::Ccm(_) => None,
-        }
-    }
-}
-
-/// Dense numbering of the entities of one register class in a function:
-/// its virtual registers plus the CCM offsets its spill code of that
-/// class touches.
+/// Dense numbering of the virtual registers of one register class in a
+/// function: the node identities of its interference graph.
 #[derive(Clone, Debug)]
 pub struct EntityIndex {
     class: RegClass,
-    to_id: HashMap<Entity, usize>,
-    from_id: Vec<Entity>,
+    to_id: HashMap<Reg, usize>,
+    from_id: Vec<Reg>,
 }
 
 impl EntityIndex {
-    /// Collects all entities of `class` appearing in `f`.
+    /// Collects all virtual registers of `class` appearing in `f`.
     pub fn build(f: &Function, class: RegClass) -> EntityIndex {
         let mut idx = EntityIndex {
             class,
@@ -53,32 +27,15 @@ impl EntityIndex {
         };
         f.for_each_reg(|r| {
             if r.class() == class && r.is_virtual() {
-                idx.intern(Entity::Reg(r));
+                idx.intern(r);
             }
         });
-        for b in &f.blocks {
-            for i in &b.instrs {
-                match &i.op {
-                    Op::CcmStore { off, .. } | Op::CcmLoad { off, .. }
-                        if class == RegClass::Gpr =>
-                    {
-                        idx.intern(Entity::Ccm(*off));
-                    }
-                    Op::CcmFStore { off, .. } | Op::CcmFLoad { off, .. }
-                        if class == RegClass::Fpr =>
-                    {
-                        idx.intern(Entity::Ccm(*off));
-                    }
-                    _ => {}
-                }
-            }
-        }
         idx
     }
 
-    fn intern(&mut self, e: Entity) -> usize {
-        *self.to_id.entry(e).or_insert_with(|| {
-            self.from_id.push(e);
+    fn intern(&mut self, r: Reg) -> usize {
+        *self.to_id.entry(r).or_insert_with(|| {
+            self.from_id.push(r);
             self.from_id.len() - 1
         })
     }
@@ -98,63 +55,46 @@ impl EntityIndex {
         self.from_id.is_empty()
     }
 
-    /// Dense id of `e`, if present.
-    pub fn get(&self, e: Entity) -> Option<usize> {
-        self.to_id.get(&e).copied()
+    /// Dense id of `r`, if present.
+    pub fn get(&self, r: Reg) -> Option<usize> {
+        self.to_id.get(&r).copied()
     }
 
-    /// Dense id of `e`.
+    /// Dense id of `r`.
     ///
     /// # Panics
     ///
-    /// Panics if `e` was not collected.
-    pub fn id(&self, e: Entity) -> usize {
-        self.get(e)
-            .unwrap_or_else(|| panic!("entity {e:?} not in index"))
+    /// Panics if `r` was not collected.
+    pub fn id(&self, r: Reg) -> usize {
+        self.get(r)
+            .unwrap_or_else(|| panic!("register {r:?} not in index"))
     }
 
-    /// The entity with dense id `id`.
-    pub fn entity(&self, id: usize) -> Entity {
+    /// The register with dense id `id`.
+    pub fn reg(&self, id: usize) -> Reg {
         self.from_id[id]
     }
 
-    /// Iterates `(id, entity)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, Entity)> + '_ {
+    /// Iterates `(id, register)` pairs.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Reg)> + '_ {
         self.from_id.iter().copied().enumerate()
     }
 
     /// The entity uses/defs of `op` relevant to this index, as
-    /// `(uses, defs)` id vectors. CCM loads *use* their location; CCM
-    /// stores *define* it — the paper's §3.1 liveness definition for
-    /// memory locations.
+    /// `(uses, defs)` id vectors.
     pub fn uses_defs(&self, op: &Op) -> (Vec<usize>, Vec<usize>) {
         let mut uses = Vec::new();
         let mut defs = Vec::new();
         op.visit_uses(|r| {
-            if let Some(id) = self.get(Entity::Reg(r)) {
+            if let Some(id) = self.get(r) {
                 uses.push(id);
             }
         });
         op.visit_defs(|r| {
-            if let Some(id) = self.get(Entity::Reg(r)) {
+            if let Some(id) = self.get(r) {
                 defs.push(id);
             }
         });
-        match op {
-            Op::CcmStore { off, .. } if self.class == RegClass::Gpr => {
-                defs.push(self.id(Entity::Ccm(*off)));
-            }
-            Op::CcmFStore { off, .. } if self.class == RegClass::Fpr => {
-                defs.push(self.id(Entity::Ccm(*off)));
-            }
-            Op::CcmLoad { off, .. } if self.class == RegClass::Gpr => {
-                uses.push(self.id(Entity::Ccm(*off)));
-            }
-            Op::CcmFLoad { off, .. } if self.class == RegClass::Fpr => {
-                uses.push(self.id(Entity::Ccm(*off)));
-            }
-            _ => {}
-        }
         (uses, defs)
     }
 }
@@ -165,43 +105,21 @@ mod tests {
     use iloc::builder::FuncBuilder;
 
     #[test]
-    fn collects_vregs_and_ccm_offsets_per_class() {
+    fn collects_virtual_registers_per_class() {
         let mut fb = FuncBuilder::new("f");
         let a = fb.loadi(1);
         let x = fb.loadf(2.0);
-        fb.emit(Op::CcmStore { val: a, off: 0 });
-        fb.emit(Op::CcmFStore { val: x, off: 8 });
         fb.ret(&[]);
         let f = fb.finish();
 
         let gi = EntityIndex::build(&f, RegClass::Gpr);
-        assert_eq!(gi.len(), 2); // a + ccm[0]
-        assert!(gi.get(Entity::Ccm(0)).is_some());
-        assert!(gi.get(Entity::Ccm(8)).is_none()); // belongs to FPR index
+        assert_eq!(gi.len(), 1);
+        assert_eq!(gi.reg(gi.id(a)), a);
+        assert!(gi.get(x).is_none()); // belongs to the FPR index
 
         let fi = EntityIndex::build(&f, RegClass::Fpr);
-        assert_eq!(fi.len(), 2); // x + ccm[8]
-        assert!(fi.get(Entity::Ccm(8)).is_some());
-    }
-
-    #[test]
-    fn ccm_store_defines_location_load_uses_it() {
-        let mut fb = FuncBuilder::new("f");
-        let a = fb.loadi(1);
-        fb.emit(Op::CcmStore { val: a, off: 4 });
-        let b = fb.vreg(RegClass::Gpr);
-        fb.emit(Op::CcmLoad { off: 4, dst: b });
-        fb.ret(&[]);
-        let f = fb.finish();
-        let gi = EntityIndex::build(&f, RegClass::Gpr);
-        let store = &f.block(f.entry()).instrs[1].op;
-        let (u, d) = gi.uses_defs(store);
-        assert_eq!(u.len(), 1); // the value
-        assert_eq!(d, vec![gi.id(Entity::Ccm(4))]);
-        let load = &f.block(f.entry()).instrs[2].op;
-        let (u, d) = gi.uses_defs(load);
-        assert!(u.contains(&gi.id(Entity::Ccm(4))));
-        assert_eq!(d, vec![gi.id(Entity::Reg(b))]);
+        assert_eq!(fi.len(), 1);
+        assert!(fi.get(x).is_some());
     }
 
     #[test]
@@ -213,6 +131,6 @@ mod tests {
         f.ret_classes = vec![RegClass::Gpr];
         let gi = EntityIndex::build(&f, RegClass::Gpr);
         assert_eq!(gi.len(), 1);
-        assert!(gi.get(Entity::Reg(iloc::Reg::RARP)).is_none());
+        assert!(gi.get(iloc::Reg::RARP).is_none());
     }
 }

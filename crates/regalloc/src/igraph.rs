@@ -1,32 +1,25 @@
-//! Interference-graph construction over allocation entities.
+//! Interference-graph construction over the virtual registers of one
+//! class.
 //!
 //! The graph is built per register class with the classic backward scan:
-//! at each instruction, every entity defined there interferes with every
-//! entity live after it (copies exempt their source, enabling
-//! coalescing). CCM locations participate exactly like live ranges — a
-//! CCM slot is defined by its `spill` and used by its `restore`s — giving
-//! the §3.2 "CCM names in the interference graph" semantics.
+//! at each instruction, every register defined there interferes with
+//! every register live after it (copies exempt their source, enabling
+//! coalescing).
 
 use std::collections::HashSet;
 
 use analysis::BitSet;
 use iloc::{BlockId, Function, Op};
 
-use crate::entity::{Entity, EntityIndex};
+use crate::entity::EntityIndex;
 
-/// An interference graph over the entities of one class.
+/// An interference graph over the virtual registers of one class.
 #[derive(Clone, Debug)]
 pub struct InterferenceGraph {
     /// Adjacency sets, indexed by dense entity id.
     adj: Vec<HashSet<usize>>,
     /// Entities that are live across at least one call site.
     crosses_call: Vec<bool>,
-    /// Copy-related pairs `(min, max)` whose live ranges overlap: the
-    /// builder suppressed their interference edge (the Chaitin copy
-    /// exemption — both sides hold the same value, so sharing a
-    /// *register* is harmless). Spill-placement must still keep their
-    /// *slots* apart; see [`InterferenceGraph::slot_conflict`].
-    copy_overlap: HashSet<(usize, usize)>,
     /// The dense numbering.
     pub entities: EntityIndex,
 }
@@ -38,7 +31,6 @@ impl InterferenceGraph {
         let mut g = InterferenceGraph {
             adj: vec![HashSet::new(); n],
             crosses_call: vec![false; n],
-            copy_overlap: HashSet::new(),
             entities,
         };
         if n == 0 {
@@ -59,22 +51,14 @@ impl InterferenceGraph {
                 let (uses, defs) = g.entities.uses_defs(&instr.op);
                 // Copy: the source does not interfere with the target.
                 let copy_src: Option<usize> = match &instr.op {
-                    Op::I2I { src, .. } | Op::F2F { src, .. } => g.entities.get(Entity::Reg(*src)),
+                    Op::I2I { src, .. } | Op::F2F { src, .. } => g.entities.get(*src),
                     _ => None,
                 };
                 for &d in &defs {
                     for l in live.iter() {
-                        if l == d {
-                            continue;
+                        if l != d && Some(l) != copy_src {
+                            g.add_edge(d, l);
                         }
-                        if Some(l) == copy_src {
-                            // Exempt from interference, but the ranges do
-                            // overlap (src is live past the copy) — record
-                            // it so spill placement keeps the slots apart.
-                            g.copy_overlap.insert((d.min(l), d.max(l)));
-                            continue;
-                        }
-                        g.add_edge(d, l);
                     }
                 }
                 // Values live across a call (live after it minus its defs).
@@ -99,11 +83,7 @@ impl InterferenceGraph {
         // Parameters are simultaneously defined at entry: make them
         // pairwise interfere so the call sequence can bind each to a
         // distinct register.
-        let params: Vec<usize> = f
-            .params
-            .iter()
-            .filter_map(|p| g.entities.get(Entity::Reg(*p)))
-            .collect();
+        let params: Vec<usize> = f.params.iter().filter_map(|p| g.entities.get(*p)).collect();
         for i in 0..params.len() {
             for j in i + 1..params.len() {
                 g.add_edge(params[i], params[j]);
@@ -124,17 +104,6 @@ impl InterferenceGraph {
     /// Whether `a` and `b` interfere.
     pub fn interferes(&self, a: usize, b: usize) -> bool {
         self.adj[a].contains(&b)
-    }
-
-    /// Whether `a` and `b` may not share a spill location: they interfere,
-    /// or they are a copy pair with overlapping live ranges. The copy
-    /// exemption makes `interferes` the wrong oracle for storage reuse —
-    /// copy-related values may share a *register* (same value) but their
-    /// simultaneously-live spill slots still violate the checker's
-    /// slot-overlap discipline (found by differential fuzzing under
-    /// squeezed register files).
-    pub fn slot_conflict(&self, a: usize, b: usize) -> bool {
-        self.interferes(a, b) || self.copy_overlap.contains(&(a.min(b), a.max(b)))
     }
 
     /// Neighbors of `a`.
@@ -175,28 +144,11 @@ impl InterferenceGraph {
         if self.crosses_call[b] {
             self.crosses_call[a] = true;
         }
-        // `b`'s copy-overlap pairs carry over to the merged node.
-        let stale: Vec<(usize, usize)> = self
-            .copy_overlap
-            .iter()
-            .filter(|&&(x, y)| x == b || y == b)
-            .copied()
-            .collect();
-        for (x, y) in stale {
-            self.copy_overlap.remove(&(x, y));
-            let other = if x == b { y } else { x };
-            if other != a {
-                self.copy_overlap.insert((a.min(other), a.max(other)));
-            }
-        }
     }
 
     /// Briggs' conservative-coalescing test for merging `a` and `b` with
     /// `k` colors: the combined node must have fewer than `k` neighbors of
-    /// significant degree (≥ k). CCM-location nodes take no color, so they
-    /// are invisible here exactly as they are to the coloring phase —
-    /// counting them used to block safe coalesces after integrated spill
-    /// rounds, leaving dead copies behind (found by differential fuzzing).
+    /// significant degree (≥ k).
     pub fn briggs_safe(&self, a: usize, b: usize, k: usize) -> bool {
         let mut significant = 0;
         let mut seen: HashSet<usize> = HashSet::new();
@@ -204,11 +156,8 @@ impl InterferenceGraph {
             if *n == a || *n == b || !seen.insert(*n) {
                 continue;
             }
-            if self.entities.entity(*n).is_ccm() {
-                continue;
-            }
             // A common neighbor of both loses one edge after the merge.
-            let mut deg = self.color_degree(*n);
+            let mut deg = self.degree(*n);
             if self.adj[a].contains(n) && self.adj[b].contains(n) {
                 deg -= 1;
             }
@@ -218,27 +167,9 @@ impl InterferenceGraph {
         }
         significant < k
     }
-
-    /// Degree of `a` counting only colorable (register) neighbors.
-    pub fn color_degree(&self, a: usize) -> usize {
-        self.adj[a]
-            .iter()
-            .filter(|&&n| !self.entities.entity(n).is_ccm())
-            .count()
-    }
-
-    /// Interferers of `a` restricted to CCM locations (byte offsets).
-    pub fn ccm_neighbors(&self, a: usize) -> Vec<u32> {
-        self.neighbors(a)
-            .filter_map(|n| match self.entities.entity(n) {
-                Entity::Ccm(off) => Some(off),
-                Entity::Reg(_) => None,
-            })
-            .collect()
-    }
 }
 
-/// Block-level liveness (live-in, live-out) over an entity universe.
+/// Block-level liveness (live-in, live-out) over the registers of `idx`.
 pub fn entity_liveness(f: &Function, idx: &EntityIndex) -> (Vec<BitSet>, Vec<BitSet>) {
     let n_blocks = f.blocks.len();
     let n = idx.len();
@@ -308,10 +239,10 @@ mod tests {
         fb.ret(&[c]);
         let f = fb.finish();
         let g = graph_for(&f, RegClass::Gpr);
-        let (ia, ib) = (g.entities.id(Entity::Reg(a)), g.entities.id(Entity::Reg(b)));
+        let (ia, ib) = (g.entities.id(a), g.entities.id(b));
         assert!(g.interferes(ia, ib));
         // c is defined when nothing else is live → no edges to a/b.
-        let ic = g.entities.id(Entity::Reg(c));
+        let ic = g.entities.id(c);
         assert!(!g.interferes(ic, ia));
     }
 
@@ -325,80 +256,11 @@ mod tests {
         fb.ret(&[c]);
         let f = fb.finish();
         let g = graph_for(&f, RegClass::Gpr);
-        let (ia, ib) = (g.entities.id(Entity::Reg(a)), g.entities.id(Entity::Reg(b)));
+        let (ia, ib) = (g.entities.id(a), g.entities.id(b));
         assert!(
             !g.interferes(ia, ib),
             "copy-related nodes must not interfere"
         );
-    }
-
-    #[test]
-    fn copy_pair_with_overlapping_ranges_is_a_slot_conflict() {
-        // Regression for a fuzzer finding: `b := a` with `a` live past
-        // the copy. The copy exemption rightly omits the interference
-        // edge (same value — a register can be shared), but if both spill
-        // their slots must not share bytes, so `slot_conflict` still
-        // reports the pair.
-        let mut fb = FuncBuilder::new("f");
-        fb.set_ret_classes(&[RegClass::Gpr]);
-        let a = fb.loadi(1);
-        let b = fb.copy(a); // a stays live: used again below
-        let c = fb.add(a, b);
-        fb.ret(&[c]);
-        let f = fb.finish();
-        let g = graph_for(&f, RegClass::Gpr);
-        let (ia, ib) = (g.entities.id(Entity::Reg(a)), g.entities.id(Entity::Reg(b)));
-        assert!(!g.interferes(ia, ib));
-        assert!(g.slot_conflict(ia, ib));
-        // No phantom conflicts: b dies at the add defining c, so the
-        // non-copy pair (b, c) neither interferes nor overlaps.
-        let ic = g.entities.id(Entity::Reg(c));
-        assert!(!g.slot_conflict(ib, ic));
-    }
-
-    #[test]
-    fn merge_carries_copy_overlap_pairs() {
-        let mut fb = FuncBuilder::new("f");
-        fb.set_ret_classes(&[RegClass::Gpr]);
-        let a = fb.loadi(1);
-        let b = fb.copy(a);
-        let c = fb.add(a, b);
-        let d = fb.copy(c);
-        fb.ret(&[d]);
-        let f = fb.finish();
-        let mut g = graph_for(&f, RegClass::Gpr);
-        let (ia, ib, ic) = (
-            g.entities.id(Entity::Reg(a)),
-            g.entities.id(Entity::Reg(b)),
-            g.entities.id(Entity::Reg(c)),
-        );
-        assert!(g.slot_conflict(ia, ib));
-        // Merge b into c (they don't conflict): c inherits b's overlap
-        // with a.
-        assert!(!g.interferes(ib, ic));
-        g.merge(ic, ib);
-        assert!(g.slot_conflict(ia, ic));
-    }
-
-    #[test]
-    fn ccm_location_interferes_with_values_live_over_it() {
-        // spill a → ccm[0]; compute b while ccm[0] holds a; restore.
-        let mut fb = FuncBuilder::new("f");
-        fb.set_ret_classes(&[RegClass::Gpr]);
-        let a = fb.loadi(1);
-        fb.emit(Op::CcmStore { val: a, off: 0 });
-        let b = fb.loadi(2); // live while ccm[0] is live
-        let a2 = fb.vreg(RegClass::Gpr);
-        fb.emit(Op::CcmLoad { off: 0, dst: a2 });
-        let c = fb.add(a2, b);
-        fb.ret(&[c]);
-        let f = fb.finish();
-        let g = graph_for(&f, RegClass::Gpr);
-        let islot = g.entities.id(Entity::Ccm(0));
-        let ib = g.entities.id(Entity::Reg(b));
-        assert!(g.interferes(islot, ib));
-        // And the helper view exposes it from b's side.
-        assert_eq!(g.ccm_neighbors(ib), vec![0]);
     }
 
     #[test]
@@ -411,9 +273,9 @@ mod tests {
         fb.ret(&[c]);
         let f = fb.finish();
         let g = graph_for(&f, RegClass::Gpr);
-        assert!(g.crosses_call(g.entities.id(Entity::Reg(a))));
+        assert!(g.crosses_call(g.entities.id(a)));
         // The call's own result does not cross the call.
-        assert!(!g.crosses_call(g.entities.id(Entity::Reg(rets[0]))));
+        assert!(!g.crosses_call(g.entities.id(rets[0])));
     }
 
     #[test]
@@ -424,7 +286,7 @@ mod tests {
         fb.ret(&[]); // neither used
         let f = fb.finish();
         let g = graph_for(&f, RegClass::Gpr);
-        assert!(g.interferes(g.entities.id(Entity::Reg(p)), g.entities.id(Entity::Reg(q))));
+        assert!(g.interferes(g.entities.id(p), g.entities.id(q)));
     }
 
     #[test]
@@ -438,11 +300,7 @@ mod tests {
         fb.ret(&[c]);
         let f = fb.finish();
         let mut g = graph_for(&f, RegClass::Gpr);
-        let (ia, ib, ix) = (
-            g.entities.id(Entity::Reg(a)),
-            g.entities.id(Entity::Reg(b)),
-            g.entities.id(Entity::Reg(x)),
-        );
+        let (ia, ib, ix) = (g.entities.id(a), g.entities.id(b), g.entities.id(x));
         assert!(g.interferes(ib, ix));
         g.merge(ia, ib);
         assert!(g.interferes(ia, ix), "a inherits b's edge to x");
@@ -459,7 +317,7 @@ mod tests {
         fb.ret(&[]);
         let f = fb.finish();
         let mut g = graph_for(&f, RegClass::Gpr);
-        let ids: Vec<usize> = r.iter().map(|x| g.entities.id(Entity::Reg(*x))).collect();
+        let ids: Vec<usize> = r.iter().map(|x| g.entities.id(*x)).collect();
         // center = ids[0]; leaves = 1,2,3.
         g.add_edge(ids[0], ids[1]);
         g.add_edge(ids[0], ids[2]);
@@ -469,39 +327,5 @@ mod tests {
         assert!(g.briggs_safe(ids[1], ids[2], 2));
         // With k=1: significant = 1 which is not < 1 → unsafe.
         assert!(!g.briggs_safe(ids[1], ids[2], 1));
-    }
-
-    #[test]
-    fn briggs_test_ignores_ccm_location_nodes() {
-        // Regression for a fuzzer finding: after an integrated spill round
-        // the graph contains CCM-location entities. They take no color, so
-        // they must not count toward the Briggs significant-neighbor test
-        // (nor toward a neighbor's degree) — counting them blocked safe
-        // coalesces and left dead copies in the integrated variant.
-        let mut fb = FuncBuilder::new("f");
-        let p0 = fb.param(RegClass::Gpr);
-        let p1 = fb.param(RegClass::Gpr);
-        fb.emit(iloc::Op::CcmStore { val: p0, off: 0 });
-        fb.emit(iloc::Op::CcmStore { val: p1, off: 4 });
-        let r: Vec<_> = (0..3).map(|_| fb.loadi(0)).collect();
-        fb.ret(&[]);
-        let f = fb.finish();
-        let mut g = graph_for(&f, RegClass::Gpr);
-        let ids: Vec<usize> = r.iter().map(|x| g.entities.id(Entity::Reg(*x))).collect();
-        let ccm0 = g.entities.id(Entity::Ccm(0));
-        let ccm4 = g.entities.id(Entity::Ccm(4));
-        // a–center and b–center edges plus heavy CCM "interference".
-        g.add_edge(ids[0], ids[2]);
-        g.add_edge(ids[1], ids[2]);
-        for &i in &[ids[0], ids[1], ids[2]] {
-            g.add_edge(i, ccm0);
-            g.add_edge(i, ccm4);
-        }
-        // k = 2: center's colorable degree is 2 (≥ k) → 1 significant
-        // neighbor < 2 → safe. With CCM nodes miscounted, the two CCM
-        // neighbors would each look significant and the test would fail.
-        assert!(g.briggs_safe(ids[0], ids[1], 2));
-        assert_eq!(g.color_degree(ids[2]), 2);
-        assert_eq!(g.degree(ids[2]), 4);
     }
 }

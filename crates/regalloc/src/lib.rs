@@ -4,11 +4,12 @@
 //! Implements the allocator of Briggs' thesis as used by the paper:
 //! interference-graph construction over live ranges, conservative
 //! coalescing, `10^depth` spill costs, simplify/select with optimistic
-//! coloring, and spill-everywhere code insertion — plus the paper's §3.2
-//! extension points: CCM locations appear as first-class interference
-//! graph [`Entity`]s, and spilled live ranges are placed through the
-//! [`SpillPlacer`] trait so the CCM-integrated allocator can redirect them
-//! into compiler-controlled memory.
+//! coloring, and spill-everywhere code insertion into activation-record
+//! slots. Spill code is tagged with its slot; the CCM allocators of the
+//! `ccm` crate run over the allocated code and move slots into
+//! compiler-controlled memory. The paper's integrated allocator (§3.2)
+//! consults CCM locations only when placing a spill, never when coloring,
+//! so it too is a placement pass over this allocation.
 //!
 //! # Example
 //!
@@ -43,12 +44,11 @@ pub mod igraph;
 pub mod spill;
 
 pub use allocator::{
-    allocate_function, allocate_function_with, allocate_module, check_register_bounds,
-    no_virtual_regs, AllocStats,
+    allocate_function, allocate_module, check_register_bounds, no_virtual_regs, AllocStats,
 };
 pub use color::{color, Coloring};
 pub use config::AllocConfig;
 pub use costs::{SpillCosts, INFINITE};
-pub use entity::{Entity, EntityIndex};
+pub use entity::EntityIndex;
 pub use igraph::{entity_liveness, InterferenceGraph};
-pub use spill::{insert_spill_code, FramePlacer, Placement, SpillPlacer};
+pub use spill::insert_spill_code;

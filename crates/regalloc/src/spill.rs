@@ -1,88 +1,21 @@
 //! Spill-code insertion ("spill everywhere", the Chaitin discipline).
 //!
-//! Every spilled live range gets a storage location from a
-//! [`SpillPlacer`]: the baseline placer uses a fresh activation-record
-//! slot; the CCM-integrated placer (in the `ccm` crate) may instead pick a
-//! compiler-controlled-memory offset, which is exactly the paper's §3.2
-//! modification. Stores after defs and loads before uses are tagged with
-//! their slot so downstream passes can identify spill traffic precisely.
+//! Every spilled live range gets a fresh activation-record slot. Stores
+//! after defs and loads before uses are tagged with their slot, so the
+//! CCM passes that run after allocation (the `ccm` crate) can find the
+//! spill traffic and move it into compiler-controlled memory.
 
 use std::collections::{HashMap, HashSet};
 
-use iloc::{Function, Instr, Op, Reg, RegClass, SlotId, SpillSlot};
-
-use crate::igraph::InterferenceGraph;
-
-/// Where a spilled live range lives.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Placement {
-    /// A main-memory slot in the activation record.
-    Frame(SlotId),
-    /// A CCM location at the given byte offset (already recorded as an
-    /// `in_ccm` slot in the frame).
-    Ccm(SlotId),
-}
-
-impl Placement {
-    /// The frame slot id backing this placement.
-    pub fn slot(&self) -> SlotId {
-        match self {
-            Placement::Frame(s) | Placement::Ccm(s) => *s,
-        }
-    }
-}
-
-/// Chooses storage for spilled live ranges.
-pub trait SpillPlacer {
-    /// Picks a location for spilled register `v` (graph node `v_id`).
-    ///
-    /// Implementations may inspect `graph` for `v`'s interference with
-    /// other live ranges and with CCM locations, and must create the
-    /// backing [`SpillSlot`] in `f.frame`.
-    fn place(
-        &mut self,
-        f: &mut Function,
-        v: Reg,
-        v_id: usize,
-        graph: &InterferenceGraph,
-    ) -> Placement;
-
-    /// Called once after a round of spill insertion completes.
-    fn end_round(&mut self) {}
-}
-
-/// The baseline placer: every spilled value gets a fresh slot in the
-/// activation record (main memory), extending the frame as needed —
-/// matching the paper's description of a traditional allocator.
-#[derive(Debug, Default)]
-pub struct FramePlacer;
-
-impl SpillPlacer for FramePlacer {
-    fn place(
-        &mut self,
-        f: &mut Function,
-        v: Reg,
-        _v_id: usize,
-        _graph: &InterferenceGraph,
-    ) -> Placement {
-        Placement::Frame(f.frame.new_slot(v.class()))
-    }
-}
+use iloc::{Function, Instr, Op, Reg, RegClass, SlotId};
 
 /// Inserts spill code for `spilled` registers. Returns the set of
 /// temporaries created (they must get infinite spill cost next round).
-pub fn insert_spill_code(
-    f: &mut Function,
-    spilled: &[Reg],
-    placer: &mut dyn SpillPlacer,
-    graph: &InterferenceGraph,
-) -> HashSet<Reg> {
-    let mut placements: HashMap<Reg, Placement> = HashMap::new();
-    for &v in spilled {
-        let v_id = graph.entities.id(crate::entity::Entity::Reg(v));
-        let p = placer.place(f, v, v_id, graph);
-        placements.insert(v, p);
-    }
+pub fn insert_spill_code(f: &mut Function, spilled: &[Reg]) -> HashSet<Reg> {
+    let slots: HashMap<Reg, SlotId> = spilled
+        .iter()
+        .map(|&v| (v, f.frame.new_slot(v.class())))
+        .collect();
 
     let mut temps: HashSet<Reg> = HashSet::new();
     let spilled_set: HashSet<Reg> = spilled.iter().copied().collect();
@@ -116,7 +49,7 @@ pub fn insert_spill_code(
                 let t = f.new_vreg(v.class());
                 temps.insert(t);
                 use_map.insert(v, t);
-                let load = load_instr(f, t, placements[&v]);
+                let load = load_instr(f, t, slots[&v]);
                 f.block_mut(b).instrs.insert(i, load);
                 i += 1;
             }
@@ -134,7 +67,7 @@ pub fn insert_spill_code(
             }
             let mut after = i + 1;
             for &v in &defined {
-                let store = store_instr_from(f, def_map[&v], placements[&v]);
+                let store = store_instr(f, def_map[&v], slots[&v]);
                 f.block_mut(b).instrs.insert(after, store);
                 after += 1;
             }
@@ -148,15 +81,14 @@ pub fn insert_spill_code(
     let entry = f.entry();
     let mut entry_stores: Vec<Instr> = Vec::new();
     for p in f.params.clone() {
-        if let Some(&pl) = placements.get(&p) {
-            entry_stores.push(store_instr(f, p, pl));
+        if let Some(&slot) = slots.get(&p) {
+            entry_stores.push(store_instr(f, p, slot));
         }
     }
     for (k, instr) in entry_stores.into_iter().enumerate() {
         f.block_mut(entry).instrs.insert(k, instr);
     }
 
-    placer.end_round();
     temps
 }
 
@@ -201,59 +133,36 @@ pub fn rematerialize_spills(f: &mut Function, spilled: &[(Reg, Op)]) -> HashSet<
     temps
 }
 
-/// Builds the tagged store of `value_reg` into placement `p`.
-fn store_instr_from(f: &Function, value_reg: Reg, p: Placement) -> Instr {
-    let slot_id = p.slot();
-    let slot: SpillSlot = *f.frame.slot(slot_id);
-    let op = match (p, value_reg.class()) {
-        (Placement::Frame(_), RegClass::Gpr) => Op::StoreAI {
+/// Builds the tagged store of `value_reg` into frame slot `slot_id`.
+fn store_instr(f: &Function, value_reg: Reg, slot_id: SlotId) -> Instr {
+    let off = i64::from(f.frame.slot(slot_id).offset);
+    let op = match value_reg.class() {
+        RegClass::Gpr => Op::StoreAI {
             val: value_reg,
             addr: Reg::RARP,
-            off: slot.offset as i64,
+            off,
         },
-        (Placement::Frame(_), RegClass::Fpr) => Op::FStoreAI {
+        RegClass::Fpr => Op::FStoreAI {
             val: value_reg,
             addr: Reg::RARP,
-            off: slot.offset as i64,
-        },
-        (Placement::Ccm(_), RegClass::Gpr) => Op::CcmStore {
-            val: value_reg,
-            off: slot.offset,
-        },
-        (Placement::Ccm(_), RegClass::Fpr) => Op::CcmFStore {
-            val: value_reg,
-            off: slot.offset,
+            off,
         },
     };
     Instr::spill_store(op, slot_id)
 }
 
-/// Store of the original register (used for parameter saves at entry).
-fn store_instr(f: &Function, v: Reg, p: Placement) -> Instr {
-    store_instr_from(f, v, p)
-}
-
-/// Builds the tagged reload into `temp` from placement `p`.
-fn load_instr(f: &Function, temp: Reg, p: Placement) -> Instr {
-    let slot_id = p.slot();
-    let slot: SpillSlot = *f.frame.slot(slot_id);
-    let op = match (p, temp.class()) {
-        (Placement::Frame(_), RegClass::Gpr) => Op::LoadAI {
+/// Builds the tagged reload into `temp` from frame slot `slot_id`.
+fn load_instr(f: &Function, temp: Reg, slot_id: SlotId) -> Instr {
+    let off = i64::from(f.frame.slot(slot_id).offset);
+    let op = match temp.class() {
+        RegClass::Gpr => Op::LoadAI {
             addr: Reg::RARP,
-            off: slot.offset as i64,
+            off,
             dst: temp,
         },
-        (Placement::Frame(_), RegClass::Fpr) => Op::FLoadAI {
+        RegClass::Fpr => Op::FLoadAI {
             addr: Reg::RARP,
-            off: slot.offset as i64,
-            dst: temp,
-        },
-        (Placement::Ccm(_), RegClass::Gpr) => Op::CcmLoad {
-            off: slot.offset,
-            dst: temp,
-        },
-        (Placement::Ccm(_), RegClass::Fpr) => Op::CcmFLoad {
-            off: slot.offset,
+            off,
             dst: temp,
         },
     };
@@ -263,13 +172,8 @@ fn load_instr(f: &Function, temp: Reg, p: Placement) -> Instr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entity::EntityIndex;
     use iloc::builder::FuncBuilder;
     use iloc::SpillKind;
-
-    fn graph(f: &Function) -> InterferenceGraph {
-        InterferenceGraph::build(f, EntityIndex::build(f, RegClass::Gpr))
-    }
 
     #[test]
     fn spill_everywhere_inserts_store_after_def_and_load_before_use() {
@@ -279,8 +183,7 @@ mod tests {
         let b = fb.addi(a, 1);
         fb.ret(&[b]);
         let mut f = fb.finish();
-        let g = graph(&f);
-        let temps = insert_spill_code(&mut f, &[a], &mut FramePlacer, &g);
+        let temps = insert_spill_code(&mut f, &[a]);
         iloc::verify_function(&f).unwrap();
         assert_eq!(temps.len(), 2); // one def temp + one use temp
         let instrs = &f.block(f.entry()).instrs;
@@ -300,8 +203,7 @@ mod tests {
         let r = fb.addi(p, 1);
         fb.ret(&[r]);
         let mut f = fb.finish();
-        let g = graph(&f);
-        insert_spill_code(&mut f, &[p], &mut FramePlacer, &g);
+        insert_spill_code(&mut f, &[p]);
         iloc::verify_function(&f).unwrap();
         let first = &f.block(f.entry()).instrs[0];
         assert!(matches!(first.spill, SpillKind::Store(_)));
@@ -316,8 +218,7 @@ mod tests {
         let y = fb.fadd(x, x);
         fb.ret(&[y]);
         let mut f = fb.finish();
-        let g = InterferenceGraph::build(&f, EntityIndex::build(&f, RegClass::Fpr));
-        insert_spill_code(&mut f, &[x], &mut FramePlacer, &g);
+        insert_spill_code(&mut f, &[x]);
         iloc::verify_function(&f).unwrap();
         assert!(f
             .blocks
@@ -334,8 +235,7 @@ mod tests {
         let a = fb.loadi(3);
         fb.ret(&[a]);
         let mut f = fb.finish();
-        let g = graph(&f);
-        insert_spill_code(&mut f, &[a], &mut FramePlacer, &g);
+        insert_spill_code(&mut f, &[a]);
         iloc::verify_function(&f).unwrap();
         let instrs = &f.block(f.entry()).instrs;
         let n = instrs.len();
@@ -351,8 +251,7 @@ mod tests {
         let s = fb.add(a, a);
         fb.ret(&[s]);
         let mut f = fb.finish();
-        let g = graph(&f);
-        insert_spill_code(&mut f, &[a], &mut FramePlacer, &g);
+        insert_spill_code(&mut f, &[a]);
         let reloads = f
             .blocks
             .iter()

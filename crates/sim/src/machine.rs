@@ -9,6 +9,7 @@
 //! are sized per function — which lets tests compare observable behavior
 //! across every compilation configuration.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -94,6 +95,15 @@ struct Frame<'m> {
     saved_sp: i64,
 }
 
+thread_local! {
+    /// An all-zero main-memory image kept for the thread's next
+    /// [`Machine`]. A dropped machine clears what it wrote and leaves its
+    /// image here, so a thread allocates one image instead of a fresh
+    /// `mem_size` buffer per simulation: short runs no longer pay for
+    /// zeroing megabytes, and the image's untouched pages stay unmapped.
+    static SPARE_MEM: Cell<Option<Vec<u8>>> = const { Cell::new(None) };
+}
+
 /// The machine: memory, CCM, and execution state.
 pub struct Machine<'m> {
     module: &'m Module,
@@ -117,7 +127,10 @@ pub struct Machine<'m> {
 impl<'m> Machine<'m> {
     /// Creates a machine and lays out the module's globals.
     pub fn new(module: &'m Module, cfg: MachineConfig) -> Machine<'m> {
-        let mut mem = vec![0u8; cfg.mem_size];
+        let mut mem = SPARE_MEM
+            .with(Cell::take)
+            .filter(|m| m.len() == cfg.mem_size)
+            .unwrap_or_else(|| vec![0u8; cfg.mem_size]);
         let mut globals = HashMap::new();
         let mut next: i64 = 64; // keep address 0 unmapped
         for g in &module.globals {
@@ -212,16 +225,21 @@ impl<'m> Machine<'m> {
     fn reset_run(&mut self) {
         self.metrics = Metrics::default();
         self.ccm.fill(0);
-        if self.dirty_hi > self.dirty_lo {
-            self.mem[self.dirty_lo..self.dirty_hi].fill(0);
-        }
-        self.dirty_lo = usize::MAX;
-        self.dirty_hi = 0;
+        self.clear_dirty();
         let module = self.module;
         for g in &module.globals {
             let base = self.globals[&g.name] as usize;
             self.mem[base..base + g.init.len()].copy_from_slice(&g.init);
         }
+    }
+
+    /// Zeroes the dirty range of main memory.
+    fn clear_dirty(&mut self) {
+        if self.dirty_hi > self.dirty_lo {
+            self.mem[self.dirty_lo..self.dirty_hi].fill(0);
+        }
+        self.dirty_lo = usize::MAX;
+        self.dirty_hi = 0;
     }
 
     /// The interpreter loop: walks the module's blocks directly.
@@ -674,6 +692,23 @@ impl<'m> Machine<'m> {
     }
 }
 
+impl Drop for Machine<'_> {
+    /// Returns the main-memory image to `SPARE_MEM` all-zero: stores
+    /// only ever touch the dirty range, and globals sit below
+    /// `globals_end`.
+    fn drop(&mut self) {
+        self.clear_dirty();
+        let globals_end = usize::try_from(self.globals_end)
+            .unwrap_or(0)
+            .min(self.mem.len());
+        self.mem[..globals_end].fill(0);
+        let mem = std::mem::take(&mut self.mem);
+        // During thread teardown the slot may already be gone; the image
+        // is then simply freed.
+        let _ = SPARE_MEM.try_with(|spare| spare.set(Some(mem)));
+    }
+}
+
 /// Integer ALU semantics: the machine's general-purpose registers hold
 /// 32-bit signed values (Fortran `INTEGER`), kept sign-extended in the
 /// interpreter's 64-bit register file. Every result wraps to 32 bits, so
@@ -1094,6 +1129,65 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(machine.run("main").unwrap(), first);
             assert_eq!(machine.metrics, metrics);
+        }
+    }
+
+    #[test]
+    fn a_dropped_machine_leaves_an_all_zero_image_for_the_next() {
+        // Writes a global at the bottom of memory and a frame slot at the
+        // top (the stack), then reads both back.
+        let mut f = Function::new("main");
+        f.ret_classes = vec![RegClass::Gpr, RegClass::Gpr];
+        let slot = f.frame.new_slot(RegClass::Gpr);
+        let off = f.frame.slot(slot).offset as i64;
+        let e = f.entry();
+        let (g, v, w, x) = (
+            f.new_vreg(RegClass::Gpr),
+            f.new_vreg(RegClass::Gpr),
+            f.new_vreg(RegClass::Gpr),
+            f.new_vreg(RegClass::Gpr),
+        );
+        f.block_mut(e).instrs = [
+            Op::LoadSym {
+                sym: "g".into(),
+                dst: g,
+            },
+            Op::LoadI { imm: -1, dst: v },
+            Op::StoreAI {
+                val: v,
+                addr: g,
+                off: 4,
+            },
+            Op::StoreAI {
+                val: v,
+                addr: Reg::RARP,
+                off,
+            },
+            Op::LoadAI {
+                addr: Reg::RARP,
+                off,
+                dst: w,
+            },
+            Op::LoadAI {
+                addr: g,
+                off: 4,
+                dst: x,
+            },
+            Op::Ret { vals: vec![w, x] },
+        ]
+        .into_iter()
+        .map(iloc::Instr::new)
+        .collect();
+        let m = module_of(vec![f], vec![Global::from_i32s("g", &[7, 0])]);
+        for _ in 0..2 {
+            // The second run starts from the returned image and must see
+            // exactly what the first saw.
+            let (v, _) = run_module(&m, MachineConfig::default(), "main").unwrap();
+            assert_eq!(v.ints, vec![-1, -1]);
+            let mem = SPARE_MEM.with(Cell::take).expect("image returned");
+            assert_eq!(mem.len(), MachineConfig::default().mem_size);
+            assert!(mem.iter().all(|&b| b == 0), "image not cleared");
+            SPARE_MEM.with(|spare| spare.set(Some(mem)));
         }
     }
 

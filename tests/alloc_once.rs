@@ -1,15 +1,15 @@
-//! Alloc-once equivalence: a post-pass variant derived from an existing
+//! Alloc-once equivalence: a CCM variant derived from an existing
 //! baseline allocation (`ccm::promote_allocated` on a clone) is exactly
 //! the module a fresh `ccm::allocate_variant` produces — same code, same
 //! spill count, same degradation events. The harness cache and the fuzz
-//! oracle allocate each unit once and derive every post-pass
-//! configuration this way.
+//! oracle allocate each unit once and derive every configuration this
+//! way.
 
 use ccm::Variant;
 use iloc::Module;
 use regalloc::AllocConfig;
 
-/// Asserts the derivation is exact for both post-pass variants at 512
+/// Asserts the derivation is exact for the three CCM variants at 512
 /// and 1024 B, and that deriving `Baseline` changes nothing. Returns the
 /// number of live ranges the baseline allocation spilled.
 fn assert_derivation_exact(label: &str, m: &Module, cfg: &AllocConfig) -> usize {
@@ -18,7 +18,11 @@ fn assert_derivation_exact(label: &str, m: &Module, cfg: &AllocConfig) -> usize 
     let mut same = allocated.clone();
     assert!(ccm::promote_allocated(&mut same, Variant::Baseline, 512).is_empty());
     assert_eq!(same.to_string(), allocated.to_string(), "{label}: baseline");
-    for v in [Variant::PostPass, Variant::PostPassCallGraph] {
+    for v in [
+        Variant::PostPass,
+        Variant::PostPassCallGraph,
+        Variant::Integrated,
+    ] {
         for size in [512, 1024] {
             let mut derived = allocated.clone();
             let degraded = ccm::promote_allocated(&mut derived, v, size);
@@ -37,7 +41,7 @@ fn assert_derivation_exact(label: &str, m: &Module, cfg: &AllocConfig) -> usize 
 }
 
 #[test]
-fn derived_post_pass_equals_fresh_on_spilling_kernels() {
+fn derived_variants_equal_fresh_on_spilling_kernels() {
     for name in ["radf5", "fpppp", "deseco", "jacld"] {
         let k = suite::kernel(name).expect("suite kernel");
         let m = suite::build_optimized(&k);
@@ -47,7 +51,7 @@ fn derived_post_pass_equals_fresh_on_spilling_kernels() {
 }
 
 #[test]
-fn derived_post_pass_equals_fresh_on_fuzz_modules() {
+fn derived_variants_equal_fresh_on_fuzz_modules() {
     let mut spilling = 0;
     for i in 0..24 {
         let m = fuzz::gen_module(fuzz::case_seed(1, i));
