@@ -25,6 +25,13 @@ echo "== workspace: cargo test -q --workspace"
 # the exec, checker and sim unit tests.
 cargo test -q --workspace
 
+echo "== allocator: cargo test -q --release -p regalloc"
+# The allocator's unit tests again with optimizations on: overflow
+# checks and debug_assert! are off here, so the bit matrix's triangular
+# indexing and the equivalence tests against the quadratic reference
+# coloring and the HashSet graph model must hold without them.
+cargo test -q --release -p regalloc
+
 echo "== release smoke: repro --table1 --check --jobs 2"
 # Exercises the parallel engine end to end in release mode (the unit
 # tests above run debug-mode): a table over the memoized build cache,

@@ -11,7 +11,7 @@ use iloc::{Function, Module, Op, Reg, RegClass};
 
 use crate::color::color;
 use crate::config::AllocConfig;
-use crate::costs::SpillCosts;
+use crate::costs::{block_weights, SpillCosts};
 use crate::entity::EntityIndex;
 use crate::igraph::InterferenceGraph;
 use crate::spill::{insert_spill_code, rematerialize_spills};
@@ -28,6 +28,9 @@ pub struct AllocStats {
     /// Spilled live ranges handled by rematerialization (no memory
     /// traffic), per class. Subset of `spilled`.
     pub rematerialized: [usize; 2],
+    /// Interference graphs built, per class: one per round, plus one
+    /// more after every coalescing pass that merged something.
+    pub graph_builds: [usize; 2],
 }
 
 impl AllocStats {
@@ -42,6 +45,7 @@ impl AllocStats {
             self.coalesced[i] += other.coalesced[i];
             self.rounds[i] += other.rounds[i];
             self.rematerialized[i] += other.rematerialized[i];
+            self.graph_builds[i] += other.graph_builds[i];
         }
     }
 }
@@ -51,8 +55,9 @@ impl AllocStats {
 /// crate may move those slots afterwards.
 pub fn allocate_function(f: &mut Function, cfg: &AllocConfig) -> AllocStats {
     let mut stats = AllocStats::default();
+    let weights = block_weights(f);
     for class in RegClass::ALL {
-        allocate_class(f, cfg, class, &mut stats);
+        allocate_class(f, cfg, class, &weights, &mut stats);
     }
     debug_assert!(no_virtual_regs(f), "allocation left virtual registers");
     stats
@@ -68,7 +73,13 @@ pub fn allocate_module(m: &mut Module, cfg: &AllocConfig) -> AllocStats {
     total
 }
 
-fn allocate_class(f: &mut Function, cfg: &AllocConfig, class: RegClass, stats: &mut AllocStats) {
+fn allocate_class(
+    f: &mut Function,
+    cfg: &AllocConfig,
+    class: RegClass,
+    weights: &[f64],
+    stats: &mut AllocStats,
+) {
     let k = cfg.k(class);
     let ci = class.index();
     let mut unspillable: HashSet<Reg> = HashSet::new();
@@ -81,6 +92,7 @@ fn allocate_class(f: &mut Function, cfg: &AllocConfig, class: RegClass, stats: &
         loop {
             let idx = EntityIndex::build(f, class);
             graph = InterferenceGraph::build(f, idx);
+            stats.graph_builds[ci] += 1;
             if !cfg.coalesce {
                 break;
             }
@@ -102,17 +114,19 @@ fn allocate_class(f: &mut Function, cfg: &AllocConfig, class: RegClass, stats: &
             HashMap::new()
         };
         let remat_set: HashSet<Reg> = remat_defs.keys().copied().collect();
-        let costs = SpillCosts::compute_with_remat(f, &unspillable, &remat_set);
+        let costs = SpillCosts::compute(f, weights, &graph.entities, &unspillable, &remat_set);
         let coloring = color(&graph, k, cfg.caller_saved, &costs);
 
         if coloring.spilled.is_empty() {
             // Rewrite to physical registers.
-            let mut map: HashMap<Reg, Reg> = HashMap::new();
-            for (&id, &c) in &coloring.colors {
-                let r = graph.entities.reg(id);
-                map.insert(r, Reg::new(class, cfg.physical_index(class, c)));
-            }
-            rewrite_regs(f, &map);
+            let physical = |r: Reg| match graph.entities.get(r) {
+                Some(id) => {
+                    let c = coloring.colors[id].expect("nothing spilled, so all colored");
+                    Reg::new(class, cfg.physical_index(class, c))
+                }
+                None => r,
+            };
+            rewrite_regs(f, physical);
             return;
         }
 
@@ -226,18 +240,16 @@ fn remat_candidates(f: &Function, class: RegClass) -> HashMap<Reg, Op> {
     def_op
 }
 
-fn rewrite_regs(f: &mut Function, map: &HashMap<Reg, Reg>) {
+fn rewrite_regs(f: &mut Function, map: impl Fn(Reg) -> Reg) {
     for b in f.block_ids().collect::<Vec<_>>() {
         for i in 0..f.block(b).instrs.len() {
             let op = &mut f.block_mut(b).instrs[i].op;
-            op.map_uses(|r| map.get(&r).copied().unwrap_or(r));
-            op.map_defs(|r| map.get(&r).copied().unwrap_or(r));
+            op.map_uses(&map);
+            op.map_defs(&map);
         }
     }
     for p in &mut f.params {
-        if let Some(&n) = map.get(p) {
-            *p = n;
-        }
+        *p = map(*p);
     }
 }
 
@@ -323,6 +335,30 @@ mod tests {
         // Both copies vanish.
         assert_eq!(f.instr_count(), 2);
         verify_function(&f).unwrap();
+    }
+
+    #[test]
+    fn graph_builds_count_rounds_and_coalesce_rebuilds() {
+        // Spilling without copies: one build per round.
+        let mut f = wide_int_function(12);
+        let stats = allocate_function(&mut f, &AllocConfig::tiny(4));
+        assert!(stats.rounds[0] > 1, "setup must spill");
+        assert_eq!(stats.coalesced[0], 0);
+        assert_eq!(stats.graph_builds, stats.rounds);
+
+        // A merging coalesce pass forces a rebuild within its round.
+        let mut fb = FuncBuilder::new("f");
+        fb.set_ret_classes(&[RegClass::Gpr]);
+        let a = fb.loadi(1);
+        let b = fb.copy(a);
+        fb.ret(&[b]);
+        let mut f = fb.finish();
+        let stats = allocate_function(&mut f, &AllocConfig::default());
+        assert!(stats.coalesced[0] > 0);
+        assert!(stats.graph_builds[0] > stats.rounds[0]);
+        for c in 0..2 {
+            assert!(stats.graph_builds[c] >= stats.rounds[c]);
+        }
     }
 
     #[test]

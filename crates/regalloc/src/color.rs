@@ -1,6 +1,12 @@
 //! Simplify/select graph coloring with optimistic spilling (Briggs).
+//!
+//! Simplify keeps the non-removed nodes of degree < k in a [`BitSet`] and
+//! removes its lowest member; when it is empty, the optimistic spill
+//! candidate is the first node of least cost/degree in a scan over the
+//! dense [`SpillCosts`] vector. Those two rules fix the stack, and the
+//! stack fixes the order of [`Coloring::spilled`].
 
-use std::collections::HashMap;
+use analysis::BitSet;
 
 use crate::costs::SpillCosts;
 use crate::igraph::InterferenceGraph;
@@ -8,9 +14,10 @@ use crate::igraph::InterferenceGraph;
 /// Result of one coloring attempt.
 #[derive(Clone, Debug, Default)]
 pub struct Coloring {
-    /// Assigned colors, by dense entity id.
-    pub colors: HashMap<usize, u32>,
-    /// Entity ids that could not be colored and must be spilled.
+    /// Assigned colors, by dense entity id (`None` for spilled entities).
+    pub colors: Vec<Option<u32>>,
+    /// Entity ids that could not be colored and must be spilled, in the
+    /// order select reached them.
     pub spilled: Vec<usize>,
 }
 
@@ -21,54 +28,65 @@ pub struct Coloring {
 /// classic cost/degree heuristic over [`SpillCosts`].
 pub fn color(g: &InterferenceGraph, k: u32, caller_saved: u32, costs: &SpillCosts) -> Coloring {
     let n = g.len();
+    let k_nodes = k as usize;
     let mut degree: Vec<usize> = (0..n).map(|i| g.degree(i)).collect();
-    let node_cost = |i: usize| costs.cost(g.entities.reg(i));
-
     let mut removed = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut remaining = n;
+    // Non-removed nodes of degree < k. Degrees only fall, so a node
+    // enters once and leaves when it is removed.
+    let mut low = BitSet::new(n);
+    for (i, &d) in degree.iter().enumerate() {
+        if d < k_nodes {
+            low.insert(i);
+        }
+    }
 
-    while remaining > 0 {
-        // Prefer any node with degree < k.
-        let pick = (0..n)
-            .filter(|&i| !removed[i])
-            .find(|&i| degree[i] < k as usize)
-            .or_else(|| {
-                // Optimistic spill candidate: minimum cost/degree. Infinite-
-                // cost nodes are only chosen as a last resort.
-                (0..n).filter(|&i| !removed[i]).min_by(|&a, &b| {
-                    let ra = node_cost(a) / (degree[a].max(1) as f64);
-                    let rb = node_cost(b) / (degree[b].max(1) as f64);
-                    ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
-                })
-            })
-            .expect("remaining > 0 implies a node exists");
+    let mut stack: Vec<usize> = Vec::with_capacity(n);
+    for _ in 0..n {
+        // Prefer the lowest node with degree < k.
+        let pick = low.iter().next().unwrap_or_else(|| {
+            // Optimistic spill candidate: the first node of minimum
+            // cost/degree. Infinite-cost nodes are only chosen as a last
+            // resort.
+            let mut best: Option<(usize, f64)> = None;
+            for i in (0..n).filter(|&i| !removed[i]) {
+                let ratio = costs.cost(i) / (degree[i].max(1) as f64);
+                if best.is_none_or(|(_, r)| ratio < r) {
+                    best = Some((i, ratio));
+                }
+            }
+            best.expect("an unremoved node remains").0
+        });
 
+        low.remove(pick);
         removed[pick] = true;
         stack.push(pick);
-        remaining -= 1;
         for nb in g.neighbors(pick) {
             if !removed[nb] {
                 degree[nb] -= 1;
+                // Just dropped below k.
+                if degree[nb] + 1 == k_nodes {
+                    low.insert(nb);
+                }
             }
         }
     }
 
     // Select: pop and assign the lowest legal color.
-    let mut out = Coloring::default();
+    let mut out = Coloring {
+        colors: vec![None; n],
+        spilled: Vec::new(),
+    };
+    let mut used = vec![false; k_nodes];
     while let Some(i) = stack.pop() {
-        let mut used = vec![false; k as usize];
+        used.fill(false);
         for nb in g.neighbors(i) {
-            if let Some(&c) = out.colors.get(&nb) {
+            if let Some(c) = out.colors[nb] {
                 used[c as usize] = true;
             }
         }
         let min_color = if g.crosses_call(i) { caller_saved } else { 0 };
-        let choice = (min_color..k).find(|&c| !used[c as usize]);
-        match choice {
-            Some(c) => {
-                out.colors.insert(i, c);
-            }
+        match (min_color..k).find(|&c| !used[c as usize]) {
+            Some(c) => out.colors[i] = Some(c),
             None => out.spilled.push(i),
         }
     }
@@ -78,10 +96,12 @@ pub fn color(g: &InterferenceGraph, k: u32, caller_saved: u32, costs: &SpillCost
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costs::{block_weights, INFINITE};
     use crate::entity::EntityIndex;
+    use crate::testkit::{isolated_nodes, SplitMix64};
     use iloc::builder::FuncBuilder;
     use iloc::RegClass;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     /// Builds a function where `width` integer values are simultaneously
     /// live (a chain of loads followed by a reduction).
@@ -101,15 +121,19 @@ mod tests {
         InterferenceGraph::build(f, EntityIndex::build(f, RegClass::Gpr))
     }
 
+    fn costs_for(f: &iloc::Function, g: &InterferenceGraph) -> SpillCosts {
+        let none = HashSet::new();
+        SpillCosts::compute(f, &block_weights(f), &g.entities, &none, &none)
+    }
+
     #[test]
     fn enough_colors_colors_everything() {
         let (f, _) = wide_function(6);
         let g = build(&f);
-        let costs = SpillCosts::compute(&f, &HashSet::new());
-        let c = color(&g, 8, 0, &costs);
+        let c = color(&g, 8, 0, &costs_for(&f, &g));
         assert!(c.spilled.is_empty());
         for (id, _) in g.entities.iter() {
-            assert!(c.colors.contains_key(&id));
+            assert!(c.colors[id].is_some());
         }
     }
 
@@ -117,11 +141,10 @@ mod tests {
     fn neighbors_get_distinct_colors() {
         let (f, _) = wide_function(5);
         let g = build(&f);
-        let costs = SpillCosts::compute(&f, &HashSet::new());
-        let c = color(&g, 8, 0, &costs);
+        let c = color(&g, 8, 0, &costs_for(&f, &g));
         for (id, _) in g.entities.iter() {
             for nb in g.neighbors(id) {
-                if let (Some(a), Some(b)) = (c.colors.get(&id), c.colors.get(&nb)) {
+                if let (Some(a), Some(b)) = (c.colors[id], c.colors[nb]) {
                     assert_ne!(a, b, "interfering nodes share a color");
                 }
             }
@@ -132,8 +155,7 @@ mod tests {
     fn too_few_colors_spills() {
         let (f, _) = wide_function(8);
         let g = build(&f);
-        let costs = SpillCosts::compute(&f, &HashSet::new());
-        let c = color(&g, 3, 0, &costs);
+        let c = color(&g, 3, 0, &costs_for(&f, &g));
         assert!(!c.spilled.is_empty());
     }
 
@@ -147,11 +169,10 @@ mod tests {
         fb.ret(&[r]);
         let f = fb.finish();
         let g = build(&f);
-        let costs = SpillCosts::compute(&f, &HashSet::new());
-        let c = color(&g, 8, 4, &costs);
+        let c = color(&g, 8, 4, &costs_for(&f, &g));
         let ia = g.entities.id(a);
         assert!(
-            c.colors[&ia] >= 4,
+            c.colors[ia].unwrap() >= 4,
             "call-crossing value must avoid caller-saved colors"
         );
     }
@@ -160,23 +181,128 @@ mod tests {
     fn optimistic_coloring_beats_pessimistic() {
         // A 4-cycle is 2-colorable even though every node has degree 2;
         // Chaitin's original (pessimistic) rule with k=2 would spill.
-        let mut fb = FuncBuilder::new("f");
-        let r: Vec<_> = (0..4).map(|_| fb.loadi(0)).collect();
-        fb.ret(&[]);
-        let f = fb.finish();
-        let mut g = build(&f);
-        let ids: Vec<usize> = r.iter().map(|x| g.entities.id(*x)).collect();
-        // Clear incidental edges by construction: loads don't overlap here
-        // (each dies immediately), so add exactly the 4-cycle.
-        g.add_edge(ids[0], ids[1]);
-        g.add_edge(ids[1], ids[2]);
-        g.add_edge(ids[2], ids[3]);
-        g.add_edge(ids[3], ids[0]);
-        let costs = SpillCosts::compute(&f, &HashSet::new());
-        let c = color(&g, 2, 0, &costs);
+        let g = cycle_graph();
+        let c = color(&g, 2, 0, &SpillCosts::from_costs(vec![1.0; 4]));
         assert!(
             c.spilled.is_empty(),
             "optimistic coloring must 2-color a 4-cycle"
         );
+    }
+
+    /// The 4-cycle 0–1–2–3–0.
+    fn cycle_graph() -> InterferenceGraph {
+        let mut g = isolated_nodes(4);
+        for i in 0..4 {
+            g.add_edge(i, (i + 1) % 4);
+        }
+        g
+    }
+
+    /// Quadratic simplify/select, the reference for `color`: a linear
+    /// scan for the first node of degree < k, `Iterator::min_by` over
+    /// cost/degree for the spill candidate, colors in a map. `color`
+    /// must agree with it exactly.
+    fn reference_color(
+        g: &InterferenceGraph,
+        k: u32,
+        caller_saved: u32,
+        costs: &SpillCosts,
+    ) -> Coloring {
+        let n = g.len();
+        let mut degree: Vec<usize> = (0..n).map(|i| g.degree(i)).collect();
+        let mut removed = vec![false; n];
+        let mut stack: Vec<usize> = Vec::new();
+        for _ in 0..n {
+            let pick = (0..n)
+                .filter(|&i| !removed[i])
+                .find(|&i| degree[i] < k as usize)
+                .or_else(|| {
+                    (0..n).filter(|&i| !removed[i]).min_by(|&a, &b| {
+                        let ra = costs.cost(a) / (degree[a].max(1) as f64);
+                        let rb = costs.cost(b) / (degree[b].max(1) as f64);
+                        ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                })
+                .unwrap();
+            removed[pick] = true;
+            stack.push(pick);
+            for nb in g.neighbors(pick) {
+                if !removed[nb] {
+                    degree[nb] -= 1;
+                }
+            }
+        }
+        let mut colors: HashMap<usize, u32> = HashMap::new();
+        let mut spilled = Vec::new();
+        while let Some(i) = stack.pop() {
+            let mut used = vec![false; k as usize];
+            for nb in g.neighbors(i) {
+                if let Some(&c) = colors.get(&nb) {
+                    used[c as usize] = true;
+                }
+            }
+            let min_color = if g.crosses_call(i) { caller_saved } else { 0 };
+            match (min_color..k).find(|&c| !used[c as usize]) {
+                Some(c) => {
+                    colors.insert(i, c);
+                }
+                None => spilled.push(i),
+            }
+        }
+        Coloring {
+            colors: (0..n).map(|i| colors.get(&i).copied()).collect(),
+            spilled,
+        }
+    }
+
+    #[test]
+    fn matches_the_quadratic_reference_on_random_graphs() {
+        let mut rng = SplitMix64(0x00C0_FFEE);
+        let mut spilling = 0;
+        for case in 0..320 {
+            let n = rng.below(48);
+            let k = 1 + rng.below(8) as u32;
+            let caller_saved = rng.below(k as usize + 1) as u32;
+            let mut g = isolated_nodes(n);
+            let density = 1 + rng.below(100);
+            for a in 0..n {
+                for b in 0..a {
+                    if rng.below(100) < density {
+                        g.add_edge(a, b);
+                    }
+                }
+                if rng.below(4) == 0 {
+                    g.set_crosses_call(a);
+                }
+            }
+            // Coalesce a few non-interfering pairs, leaving isolated nodes.
+            if n > 1 {
+                for _ in 0..rng.below(4) {
+                    let (a, b) = (rng.below(n), rng.below(n));
+                    if a != b && !g.interferes(a, b) {
+                        g.merge(a, b);
+                    }
+                }
+            }
+            // Infinite, zero and small integral costs, so ratios tie.
+            let costs: Vec<f64> = (0..n)
+                .map(|_| match rng.below(8) {
+                    0 => INFINITE,
+                    1 => 0.0,
+                    2 => 0.5 * rng.below(40) as f64,
+                    _ => (1 + rng.below(3)) as f64,
+                })
+                .collect();
+            let costs = SpillCosts::from_costs(costs);
+            let got = color(&g, k, caller_saved, &costs);
+            let want = reference_color(&g, k, caller_saved, &costs);
+            assert_eq!(got.colors, want.colors, "case {case}: colors differ");
+            assert_eq!(
+                got.spilled, want.spilled,
+                "case {case}: spill order differs"
+            );
+            spilling += usize::from(!want.spilled.is_empty());
+        }
+        assert!(spilling > 32, "only {spilling} cases spilled");
     }
 }

@@ -1,78 +1,110 @@
 //! Chaitin-style spill-cost estimation.
+//!
+//! Costs live in a `Vec<f64>` indexed by dense entity id, the same
+//! numbering the interference graph and the coloring use. The per-block
+//! reference weights depend only on the control-flow graph, which spill
+//! code, rematerialization and coalescing never change, so the allocator
+//! computes them once per function ([`block_weights`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use analysis::{Dominators, LoopInfo};
 use iloc::{Function, Reg};
 
-/// Spill costs per register: the estimated dynamic cost of spilling the
+use crate::entity::EntityIndex;
+
+/// Spill costs per entity: the estimated dynamic cost of spilling the
 /// live range, `Σ 10^loopdepth` over its definitions and uses.
 #[derive(Clone, Debug)]
 pub struct SpillCosts {
-    costs: HashMap<Reg, f64>,
+    costs: Vec<f64>,
 }
 
 /// Cost value treated as unspillable (spill temporaries, tiny ranges).
 pub const INFINITE: f64 = f64::INFINITY;
 
+/// Chaitin's reference weight `10^loopdepth` of every block of `f`, by
+/// block index.
+pub fn block_weights(f: &Function) -> Vec<f64> {
+    let dom = Dominators::compute(f);
+    let loops = LoopInfo::compute(f, &dom);
+    f.block_ids().map(|b| loops.weight(b)).collect()
+}
+
+/// What the tiny-range rule needs of an entity's references: how many
+/// there are, and where its first definition and first use sit, as
+/// `(block, instruction)`.
+#[derive(Clone, Copy, Default)]
+struct Refs {
+    count: u32,
+    def: Option<(usize, usize)>,
+    use_: Option<(usize, usize)>,
+}
+
 impl SpillCosts {
-    /// Computes costs for every virtual register in `f`.
+    /// Computes costs for every entity of `entities` in `f`, weighting a
+    /// reference in block `b` by `weights[b]` (see [`block_weights`]).
     ///
     /// `unspillable` registers (the short-lived temporaries created by
     /// earlier spill insertion) get infinite cost, as do "tiny" ranges
     /// whose def and sole use are adjacent — respilling those would
     /// generate as much traffic as it removes. Registers in `remat` (cheap
     /// to recompute) get half cost, biasing the allocator toward spilling
-    /// them first, as in Briggs' allocator.
-    pub fn compute_with_remat(
+    /// them first, as in Briggs' allocator. An entity with no reference
+    /// costs 0.
+    pub fn compute(
         f: &Function,
+        weights: &[f64],
+        entities: &EntityIndex,
         unspillable: &HashSet<Reg>,
         remat: &HashSet<Reg>,
     ) -> SpillCosts {
-        let dom = Dominators::compute(f);
-        let loops = LoopInfo::compute(f, &dom);
-
-        let mut costs: HashMap<Reg, f64> = HashMap::new();
-        // (block, index) of single def / single use for tininess check.
-        let mut sites: HashMap<Reg, Vec<(usize, usize, bool)>> = HashMap::new();
+        debug_assert_eq!(
+            weights.len(),
+            f.blocks.len(),
+            "block weights are stale: the block count changed"
+        );
+        let n = entities.len();
+        let mut costs = vec![0.0; n];
+        let mut refs = vec![Refs::default(); n];
 
         for b in f.block_ids() {
-            let w = loops.weight(b);
+            let (bi, w) = (b.index(), weights[b.index()]);
             for (i, instr) in f.block(b).instrs.iter().enumerate() {
                 instr.op.visit_defs(|r| {
-                    if r.is_virtual() {
-                        *costs.entry(r).or_insert(0.0) += w;
-                        sites.entry(r).or_default().push((b.index(), i, true));
+                    if let Some(id) = entities.get(r) {
+                        costs[id] += w;
+                        refs[id].count += 1;
+                        refs[id].def.get_or_insert((bi, i));
                     }
                 });
                 instr.op.visit_uses(|r| {
-                    if r.is_virtual() {
-                        *costs.entry(r).or_insert(0.0) += w;
-                        sites.entry(r).or_default().push((b.index(), i, false));
+                    if let Some(id) = entities.get(r) {
+                        costs[id] += w;
+                        refs[id].count += 1;
+                        refs[id].use_.get_or_insert((bi, i));
                     }
                 });
             }
         }
 
-        for (r, s) in &sites {
-            if unspillable.contains(r) {
-                costs.insert(*r, INFINITE);
+        for (id, r) in entities.iter() {
+            let s = refs[id];
+            if s.count == 0 {
                 continue;
             }
-            if remat.contains(r) {
-                if let Some(c) = costs.get_mut(r) {
-                    *c *= 0.5;
-                }
+            if unspillable.contains(&r) {
+                costs[id] = INFINITE;
+                continue;
+            }
+            if remat.contains(&r) {
+                costs[id] *= 0.5;
                 continue; // never "tiny": remat spilling is always cheap
             }
             // Tiny range: one def at (b, i), one use at (b, i+1).
-            if s.len() == 2 {
-                let def = s.iter().find(|x| x.2);
-                let use_ = s.iter().find(|x| !x.2);
-                if let (Some(&(db, di, _)), Some(&(ub, ui, _))) = (def, use_) {
-                    if db == ub && ui == di + 1 {
-                        costs.insert(*r, INFINITE);
-                    }
+            if let (2, Some((db, di)), Some((ub, ui))) = (s.count, s.def, s.use_) {
+                if db == ub && ui == di + 1 {
+                    costs[id] = INFINITE;
                 }
             }
         }
@@ -80,14 +112,16 @@ impl SpillCosts {
         SpillCosts { costs }
     }
 
-    /// Computes costs with no rematerialization candidates.
-    pub fn compute(f: &Function, unspillable: &HashSet<Reg>) -> SpillCosts {
-        SpillCosts::compute_with_remat(f, unspillable, &HashSet::new())
+    /// Spill costs given directly, by entity id.
+    #[cfg(test)]
+    pub(crate) fn from_costs(costs: Vec<f64>) -> SpillCosts {
+        SpillCosts { costs }
     }
 
-    /// The cost of spilling `r` (0 if the register never appears).
-    pub fn cost(&self, r: Reg) -> f64 {
-        self.costs.get(&r).copied().unwrap_or(0.0)
+    /// The cost of spilling entity `id`.
+    #[inline]
+    pub fn cost(&self, id: usize) -> f64 {
+        self.costs[id]
     }
 }
 
@@ -96,6 +130,13 @@ mod tests {
     use super::*;
     use iloc::builder::FuncBuilder;
     use iloc::{Op, RegClass};
+
+    /// `f`'s GPR costs and the index that numbers them.
+    fn gpr_costs(f: &Function, unspillable: &HashSet<Reg>) -> (SpillCosts, EntityIndex) {
+        let idx = EntityIndex::build(f, RegClass::Gpr);
+        let costs = SpillCosts::compute(f, &block_weights(f), &idx, unspillable, &HashSet::new());
+        (costs, idx)
+    }
 
     #[test]
     fn loop_references_cost_ten_times_more() {
@@ -110,9 +151,9 @@ mod tests {
         });
         fb.ret(&[acc]);
         let f = fb.finish();
-        let costs = SpillCosts::compute(&f, &HashSet::new());
+        let (costs, idx) = gpr_costs(&f, &HashSet::new());
         // outside: def (w=1) + one use at depth 1 (w=10) = 11.
-        assert_eq!(costs.cost(outside), 11.0);
+        assert_eq!(costs.cost(idx.id(outside)), 11.0);
     }
 
     #[test]
@@ -127,11 +168,11 @@ mod tests {
         let f = fb.finish();
         let mut unspillable = HashSet::new();
         unspillable.insert(b);
-        let costs = SpillCosts::compute(&f, &unspillable);
-        assert_eq!(costs.cost(b), INFINITE);
+        let (costs, idx) = gpr_costs(&f, &unspillable);
+        assert_eq!(costs.cost(idx.id(b)), INFINITE);
         // Without the unspillable mark, b's cost would be finite.
-        let plain = SpillCosts::compute(&f, &HashSet::new());
-        assert!(plain.cost(b).is_finite());
+        let (plain, _) = gpr_costs(&f, &HashSet::new());
+        assert!(plain.cost(idx.id(b)).is_finite());
     }
 
     #[test]
@@ -146,8 +187,8 @@ mod tests {
         let d = fb.add(c, b); // b used again later → b is NOT tiny
         fb.ret(&[d]);
         let f = fb.finish();
-        let costs = SpillCosts::compute(&f, &HashSet::new());
-        assert_eq!(costs.cost(a), INFINITE);
-        assert!(costs.cost(b).is_finite());
+        let (costs, idx) = gpr_costs(&f, &HashSet::new());
+        assert_eq!(costs.cost(idx.id(a)), INFINITE);
+        assert!(costs.cost(idx.id(b)).is_finite());
     }
 }

@@ -1,19 +1,24 @@
 //! Allocation entities: the virtual registers of one class, numbered
 //! densely so the interference graph can index them.
 //!
-//! Spill placement, the CCM included, happens after allocation (the
-//! `ccm` crate's passes), so the graph holds registers only.
-
-use std::collections::HashMap;
+//! The map from register to id is a `Vec<u32>` indexed by
+//! [`Reg::index`], with `u32::MAX` for registers outside the index, so a
+//! lookup is one bounds check and one load. Spill placement, the CCM
+//! included, happens after allocation (the `ccm` crate's passes), so the
+//! graph holds registers only.
 
 use iloc::{Function, Op, Reg, RegClass};
+
+/// Marks a register index that has no entity id.
+const NONE: u32 = u32::MAX;
 
 /// Dense numbering of the virtual registers of one register class in a
 /// function: the node identities of its interference graph.
 #[derive(Clone, Debug)]
 pub struct EntityIndex {
     class: RegClass,
-    to_id: HashMap<Reg, usize>,
+    /// Entity id by register index, `NONE` where absent.
+    to_id: Vec<u32>,
     from_id: Vec<Reg>,
 }
 
@@ -22,7 +27,7 @@ impl EntityIndex {
     pub fn build(f: &Function, class: RegClass) -> EntityIndex {
         let mut idx = EntityIndex {
             class,
-            to_id: HashMap::new(),
+            to_id: Vec::new(),
             from_id: Vec::new(),
         };
         f.for_each_reg(|r| {
@@ -33,11 +38,15 @@ impl EntityIndex {
         idx
     }
 
-    fn intern(&mut self, r: Reg) -> usize {
-        *self.to_id.entry(r).or_insert_with(|| {
+    fn intern(&mut self, r: Reg) {
+        let ri = r.index() as usize;
+        if ri >= self.to_id.len() {
+            self.to_id.resize(ri + 1, NONE);
+        }
+        if self.to_id[ri] == NONE {
+            self.to_id[ri] = self.from_id.len() as u32;
             self.from_id.push(r);
-            self.from_id.len() - 1
-        })
+        }
     }
 
     /// The class this index covers.
@@ -56,8 +65,15 @@ impl EntityIndex {
     }
 
     /// Dense id of `r`, if present.
+    #[inline]
     pub fn get(&self, r: Reg) -> Option<usize> {
-        self.to_id.get(&r).copied()
+        if r.class() != self.class {
+            return None;
+        }
+        match self.to_id.get(r.index() as usize) {
+            Some(&id) if id != NONE => Some(id as usize),
+            _ => None,
+        }
     }
 
     /// Dense id of `r`.
@@ -80,22 +96,14 @@ impl EntityIndex {
         self.from_id.iter().copied().enumerate()
     }
 
-    /// The entity uses/defs of `op` relevant to this index, as
-    /// `(uses, defs)` id vectors.
-    pub fn uses_defs(&self, op: &Op) -> (Vec<usize>, Vec<usize>) {
-        let mut uses = Vec::new();
-        let mut defs = Vec::new();
-        op.visit_uses(|r| {
-            if let Some(id) = self.get(r) {
-                uses.push(id);
-            }
-        });
-        op.visit_defs(|r| {
-            if let Some(id) = self.get(r) {
-                defs.push(id);
-            }
-        });
-        (uses, defs)
+    /// Replaces the contents of `uses` and `defs` with the entity ids
+    /// `op` uses and defines, so a scan can reuse two buffers across
+    /// instructions.
+    pub fn uses_defs(&self, op: &Op, uses: &mut Vec<usize>, defs: &mut Vec<usize>) {
+        uses.clear();
+        defs.clear();
+        op.visit_uses(|r| uses.extend(self.get(r)));
+        op.visit_defs(|r| defs.extend(self.get(r)));
     }
 }
 
@@ -115,7 +123,11 @@ mod tests {
         let gi = EntityIndex::build(&f, RegClass::Gpr);
         assert_eq!(gi.len(), 1);
         assert_eq!(gi.reg(gi.id(a)), a);
-        assert!(gi.get(x).is_none()); // belongs to the FPR index
+        // Both classes number from the same base, so `x` shares `a`'s
+        // index, yet it belongs to the FPR index.
+        assert_eq!(a.index(), x.index());
+        assert!(gi.get(x).is_none());
+        assert!(gi.get(Reg::new(RegClass::Gpr, a.index() + 100)).is_none());
 
         let fi = EntityIndex::build(&f, RegClass::Fpr);
         assert_eq!(fi.len(), 1);

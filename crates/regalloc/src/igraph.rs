@@ -5,8 +5,12 @@
 //! at each instruction, every register defined there interferes with
 //! every register live after it (copies exempt their source, enabling
 //! coalescing).
-
-use std::collections::HashSet;
+//!
+//! It keeps the dual representation of Briggs' allocator (Cooper &
+//! Torczon, *Engineering a Compiler* §13.4): a lower-triangular bit
+//! matrix answers [`InterferenceGraph::interferes`] in constant time, and
+//! per-node adjacency vectors, free of duplicates, drive iteration and
+//! degrees.
 
 use analysis::BitSet;
 use iloc::{BlockId, Function, Op};
@@ -16,12 +20,22 @@ use crate::entity::EntityIndex;
 /// An interference graph over the virtual registers of one class.
 #[derive(Clone, Debug)]
 pub struct InterferenceGraph {
-    /// Adjacency sets, indexed by dense entity id.
-    adj: Vec<HashSet<usize>>,
+    /// Adjacency vectors, indexed by dense entity id.
+    adj: Vec<Vec<usize>>,
+    /// The lower triangle of the adjacency matrix: bit
+    /// `hi·(hi−1)/2 + lo` is set when `hi > lo` interfere.
+    matrix: BitSet,
     /// Entities that are live across at least one call site.
     crosses_call: Vec<bool>,
     /// The dense numbering.
     pub entities: EntityIndex,
+}
+
+/// The matrix bit of the pair `{a, b}`, `a != b`.
+#[inline]
+fn tri(a: usize, b: usize) -> usize {
+    let (hi, lo) = if a > b { (a, b) } else { (b, a) };
+    hi * (hi - 1) / 2 + lo
 }
 
 impl InterferenceGraph {
@@ -29,7 +43,8 @@ impl InterferenceGraph {
     pub fn build(f: &Function, entities: EntityIndex) -> InterferenceGraph {
         let n = entities.len();
         let mut g = InterferenceGraph {
-            adj: vec![HashSet::new(); n],
+            adj: vec![Vec::new(); n],
+            matrix: BitSet::new(n * n.saturating_sub(1) / 2),
             crosses_call: vec![false; n],
             entities,
         };
@@ -41,14 +56,16 @@ impl InterferenceGraph {
         let (live_in, _live_out) = entity_liveness(f, &g.entities);
 
         // Backward walk per block adding interference edges.
+        let (mut uses, mut defs) = (Vec::new(), Vec::new());
+        let mut live = BitSet::new(n);
         for b in f.block_ids() {
             // live := live-out(b) = ∪ live-in(succ)
-            let mut live = BitSet::new(n);
+            live.clear();
             for s in f.successors(b) {
                 live.union_with(&live_in[s.index()]);
             }
             for instr in f.block(b).instrs.iter().rev() {
-                let (uses, defs) = g.entities.uses_defs(&instr.op);
+                g.entities.uses_defs(&instr.op, &mut uses, &mut defs);
                 // Copy: the source does not interfere with the target.
                 let copy_src: Option<usize> = match &instr.op {
                     Op::I2I { src, .. } | Op::F2F { src, .. } => g.entities.get(*src),
@@ -63,12 +80,10 @@ impl InterferenceGraph {
                 }
                 // Values live across a call (live after it minus its defs).
                 if matches!(instr.op, Op::Call { .. }) {
-                    let mut across = live.clone();
-                    for &d in &defs {
-                        across.remove(d);
-                    }
-                    for l in across.iter() {
-                        g.crosses_call[l] = true;
+                    for l in live.iter() {
+                        if !defs.contains(&l) {
+                            g.crosses_call[l] = true;
+                        }
                     }
                 }
                 for &d in &defs {
@@ -93,17 +108,18 @@ impl InterferenceGraph {
     }
 
     /// Adds an undirected edge.
+    #[inline]
     pub fn add_edge(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
+        if a != b && self.matrix.insert(tri(a, b)) {
+            self.adj[a].push(b);
+            self.adj[b].push(a);
         }
-        self.adj[a].insert(b);
-        self.adj[b].insert(a);
     }
 
     /// Whether `a` and `b` interfere.
+    #[inline]
     pub fn interferes(&self, a: usize, b: usize) -> bool {
-        self.adj[a].contains(&b)
+        a != b && self.matrix.contains(tri(a, b))
     }
 
     /// Neighbors of `a`.
@@ -131,16 +147,26 @@ impl InterferenceGraph {
         self.crosses_call[a]
     }
 
+    /// Marks entity `a` as live across a call.
+    #[cfg(test)]
+    pub(crate) fn set_crosses_call(&mut self, a: usize) {
+        self.crosses_call[a] = true;
+    }
+
     /// Merges node `b` into node `a` (coalescing): `a` inherits `b`'s
     /// edges and call-crossing flag; `b` becomes isolated.
     pub fn merge(&mut self, a: usize, b: usize) {
+        debug_assert!(a != b, "cannot merge a node into itself");
         debug_assert!(!self.interferes(a, b), "cannot merge interfering nodes");
-        let bn: Vec<usize> = self.adj[b].iter().copied().collect();
-        for n in bn {
-            self.adj[n].remove(&b);
+        for n in std::mem::take(&mut self.adj[b]) {
+            let at = self.adj[n]
+                .iter()
+                .position(|&x| x == b)
+                .expect("adjacency is symmetric");
+            self.adj[n].swap_remove(at);
+            self.matrix.remove(tri(n, b));
             self.add_edge(a, n);
         }
-        self.adj[b].clear();
         if self.crosses_call[b] {
             self.crosses_call[a] = true;
         }
@@ -150,22 +176,23 @@ impl InterferenceGraph {
     /// `k` colors: the combined node must have fewer than `k` neighbors of
     /// significant degree (≥ k).
     pub fn briggs_safe(&self, a: usize, b: usize, k: usize) -> bool {
-        let mut significant = 0;
-        let mut seen: HashSet<usize> = HashSet::new();
-        for n in self.adj[a].iter().chain(self.adj[b].iter()) {
-            if *n == a || *n == b || !seen.insert(*n) {
-                continue;
-            }
+        let significant = |n: usize, common: bool| {
             // A common neighbor of both loses one edge after the merge.
-            let mut deg = self.degree(*n);
-            if self.adj[a].contains(n) && self.adj[b].contains(n) {
-                deg -= 1;
-            }
-            if deg >= k {
-                significant += 1;
+            self.degree(n) - usize::from(common) >= k
+        };
+        let mut count = 0;
+        for &n in &self.adj[a] {
+            if n != b && significant(n, self.interferes(n, b)) {
+                count += 1;
             }
         }
-        significant < k
+        for &n in &self.adj[b] {
+            // Common neighbors were counted with `a`'s.
+            if n != a && !self.interferes(n, a) && significant(n, false) {
+                count += 1;
+            }
+        }
+        count < k
     }
 }
 
@@ -176,16 +203,17 @@ pub fn entity_liveness(f: &Function, idx: &EntityIndex) -> (Vec<BitSet>, Vec<Bit
     // gen/kill per block.
     let mut gens = vec![BitSet::new(n); n_blocks];
     let mut kills = vec![BitSet::new(n); n_blocks];
+    let (mut uses, mut defs) = (Vec::new(), Vec::new());
     for b in f.block_ids() {
         let bi = b.index();
         for instr in &f.block(b).instrs {
-            let (uses, defs) = idx.uses_defs(&instr.op);
-            for u in uses {
+            idx.uses_defs(&instr.op, &mut uses, &mut defs);
+            for &u in &uses {
                 if !kills[bi].contains(u) {
                     gens[bi].insert(u);
                 }
             }
-            for d in defs {
+            for &d in &defs {
                 kills[bi].insert(d);
             }
         }
@@ -224,6 +252,9 @@ mod tests {
     use super::*;
     use iloc::builder::FuncBuilder;
     use iloc::RegClass;
+    use std::collections::HashSet;
+
+    use crate::testkit::{isolated_nodes, SplitMix64};
 
     fn graph_for(f: &Function, class: RegClass) -> InterferenceGraph {
         InterferenceGraph::build(f, EntityIndex::build(f, class))
@@ -305,6 +336,71 @@ mod tests {
         g.merge(ia, ib);
         assert!(g.interferes(ia, ix), "a inherits b's edge to x");
         assert_eq!(g.degree(ib), 0);
+    }
+
+    /// Briggs' test over plain adjacency sets.
+    fn model_briggs_safe(adj: &[HashSet<usize>], a: usize, b: usize, k: usize) -> bool {
+        let union: HashSet<usize> = adj[a].union(&adj[b]).copied().collect();
+        let significant = union
+            .iter()
+            .filter(|&&n| n != a && n != b)
+            .filter(|&&n| {
+                let common = adj[a].contains(&n) && adj[b].contains(&n);
+                adj[n].len() - usize::from(common) >= k
+            })
+            .count();
+        significant < k
+    }
+
+    #[test]
+    fn matches_a_hashset_model_under_random_edges_and_merges() {
+        let mut rng = SplitMix64(0x5EED);
+        let mut next = |n: usize| rng.below(n);
+        for case in 0..200 {
+            let n = 2 + next(70);
+            let mut g = isolated_nodes(n);
+            let mut model: Vec<HashSet<usize>> = vec![HashSet::new(); n];
+            for _ in 0..next(6 * n) {
+                let (a, b) = (next(n), next(n));
+                if next(8) == 0 {
+                    if a == b || model[a].contains(&b) {
+                        continue;
+                    }
+                    g.merge(a, b);
+                    for m in std::mem::take(&mut model[b]) {
+                        model[m].remove(&b);
+                        model[m].insert(a);
+                        model[a].insert(m);
+                    }
+                } else {
+                    g.add_edge(a, b);
+                    if a != b {
+                        model[a].insert(b);
+                        model[b].insert(a);
+                    }
+                }
+            }
+            for a in 0..n {
+                let listed: Vec<usize> = g.neighbors(a).collect();
+                let set: HashSet<usize> = listed.iter().copied().collect();
+                assert_eq!(
+                    listed.len(),
+                    set.len(),
+                    "case {case}: duplicate in adj[{a}]"
+                );
+                assert_eq!(set, model[a], "case {case}: neighbors of {a}");
+                assert_eq!(g.degree(a), model[a].len());
+                for b in 0..n {
+                    assert_eq!(g.interferes(a, b), model[a].contains(&b));
+                    let k = 1 + next(6);
+                    assert_eq!(
+                        g.briggs_safe(a, b, k),
+                        model_briggs_safe(&model, a, b, k),
+                        "case {case}: briggs_safe({a}, {b}, {k})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,8 @@ pub mod costs;
 pub mod entity;
 pub mod igraph;
 pub mod spill;
+#[cfg(test)]
+mod testkit;
 
 pub use allocator::{
     allocate_function, allocate_module, check_register_bounds, no_virtual_regs, AllocStats,
