@@ -16,6 +16,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== tier-1: cargo build --release"
 cargo build --release
 
+echo "== perfbench: cargo build --release --locked"
+# The benchmark helper is its own Cargo package outside the workspace and
+# calls the crates' public API (ccm::PostpassConfig,
+# allocate_module_integrated, checker::check_module, ...), so no other
+# stage compiles it. The separate target dir leaves perfbench/ untouched,
+# and --locked fails rather than rewrite its lockfile.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked \
+    --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1: cargo test -q"
 cargo test -q
 

@@ -19,6 +19,15 @@ impl BitSet {
         }
     }
 
+    /// Creates the full set `0..len`.
+    pub fn full(len: usize) -> BitSet {
+        let mut words = vec![!0u64; len.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            *last >>= (64 - len % 64) % 64;
+        }
+        BitSet { words, len }
+    }
+
     /// The universe size.
     #[inline]
     pub fn universe(&self) -> usize {
@@ -173,6 +182,19 @@ mod tests {
         let mut d = a.clone();
         d.subtract(&b);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![1]);
+    }
+
+    #[test]
+    fn full_holds_exactly_the_universe() {
+        for len in [0, 1, 63, 64, 65, 130] {
+            let s = BitSet::full(len);
+            assert_eq!(s.iter().collect::<Vec<_>>(), (0..len).collect::<Vec<_>>());
+            let mut t = BitSet::new(len);
+            for i in 0..len {
+                t.insert(i);
+            }
+            assert_eq!(s, t);
+        }
     }
 
     #[test]

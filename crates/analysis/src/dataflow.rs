@@ -1,56 +1,25 @@
-//! A generic iterative dataflow framework.
+//! The gen/kill dataflow core: [`live`] (backward, union) and [`must`]
+//! (forward, intersection).
 //!
-//! Problems implement [`DataflowProblem`]; [`solve`] runs a worklist
-//! iteration to the (unique, by monotonicity) fixed point. Block-level
-//! facts are [`BitSet`]s; the framework handles direction, the meet over
-//! CFG edges, and the worklist.
+//! Every bit-vector problem in the workspace is one of these two:
+//! register and spill-slot liveness are [`live`] problems, and
+//! must-be-defined registers and must-be-stored slots are [`must`]
+//! problems. A problem is given as one `(gen, kill)` pair of
+//! [`BitSet`]s per block, indexed by block id; a block's transfer function
+//! is `x ↦ gen ∪ (x − kill)`. Both solvers visit only the blocks reachable
+//! from the entry, in reverse postorder for [`must`] and its reverse for
+//! [`live`], until nothing changes: the transfer functions are monotone,
+//! so the result is the unique fixed point reached from the solver's
+//! initial facts.
 
 use iloc::{BlockId, Function};
 
 use crate::bitset::BitSet;
 
-/// Direction of propagation.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Direction {
-    /// Facts flow from predecessors to successors (e.g., reaching defs).
-    Forward,
-    /// Facts flow from successors to predecessors (e.g., liveness).
-    Backward,
-}
-
-/// The meet operator combining facts from multiple CFG edges.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Meet {
-    /// May-analysis: union of incoming facts.
-    Union,
-    /// Must-analysis: intersection of incoming facts.
-    Intersection,
-}
-
-/// A gen/kill dataflow problem over bit sets.
-pub trait DataflowProblem {
-    /// Size of the fact universe.
-    fn universe(&self) -> usize;
-    /// Propagation direction.
-    fn direction(&self) -> Direction;
-    /// Meet operator.
-    fn meet(&self) -> Meet;
-    /// The GEN set of a block: facts created within it (downward-exposed
-    /// for forward problems, upward-exposed for backward ones).
-    fn gen_set(&self, f: &Function, b: BlockId) -> BitSet;
-    /// The KILL set of a block: facts obliterated by it.
-    fn kill_set(&self, f: &Function, b: BlockId) -> BitSet;
-    /// The boundary fact (entry block for forward, exit blocks for
-    /// backward). Defaults to the empty set.
-    fn boundary(&self) -> BitSet {
-        BitSet::new(self.universe())
-    }
-}
-
 /// Per-block solution: the fact at block entry (`in_`) and exit (`out`).
 ///
-/// For backward problems, `in_` is still "at the top of the block" and
-/// `out` "at the bottom" — i.e., for liveness, `in_[b]` is LiveIn(b).
+/// For [`live`], `in_` is still "at the top of the block" and `out` "at
+/// the bottom" — for liveness, `in_[b]` is LiveIn(b).
 #[derive(Clone, Debug)]
 pub struct Solution {
     /// Fact at the top of each block.
@@ -59,95 +28,84 @@ pub struct Solution {
     pub out: Vec<BitSet>,
 }
 
-/// Runs the worklist algorithm for `problem` over `f` and returns the
-/// fixed point.
-pub fn solve(f: &Function, problem: &impl DataflowProblem) -> Solution {
-    let n = f.blocks.len();
-    let u = problem.universe();
-    let gens: Vec<BitSet> = f.block_ids().map(|b| problem.gen_set(f, b)).collect();
-    let kills: Vec<BitSet> = f.block_ids().map(|b| problem.kill_set(f, b)).collect();
-    let preds = f.predecessors();
-    let mut in_ = vec![BitSet::new(u); n];
-    let mut out = vec![BitSet::new(u); n];
-
-    // Initialize must-analyses to ⊤ (full set) everywhere except boundary.
-    if problem.meet() == Meet::Intersection {
-        let mut top = BitSet::new(u);
-        for i in 0..u {
-            top.insert(i);
+/// Solves a backward/union problem: `in[b] = gen ∪ (out[b] − kill)` with
+/// `out[b] = ⋃ in[s]` over the successors `s` of `b`.
+///
+/// Blocks unreachable from the entry keep an empty `in_`. Every block's
+/// `out`, unreachable ones included, is the union of its successors'
+/// `in_`, so a backward walk may start any block from `out[b]`.
+pub fn live(f: &Function, blocks: &[(BitSet, BitSet)]) -> Solution {
+    let u = blocks.first().map_or(0, |(gen, _)| gen.universe());
+    let succs: Vec<Vec<BlockId>> = f.block_ids().map(|b| f.successors(b)).collect();
+    let join = |in_: &[BitSet], b: usize, acc: &mut BitSet| {
+        acc.clear();
+        for s in &succs[b] {
+            acc.union_with(&in_[s.index()]);
         }
-        in_ = vec![top.clone(); n];
-        out = vec![top; n];
-    }
-
-    // Seed order: RPO for forward, reverse RPO for backward — converges in
-    // near-minimal passes for reducible CFGs.
+    };
     let mut order = f.reverse_postorder();
-    if problem.direction() == Direction::Backward {
-        order.reverse();
-    }
-
+    order.reverse();
+    let mut in_ = vec![BitSet::new(u); blocks.len()];
+    let mut new_in = BitSet::new(u);
     let mut changed = true;
     while changed {
         changed = false;
         for &b in &order {
             let bi = b.index();
-            match problem.direction() {
-                Direction::Forward => {
-                    // in[b] = meet over preds' out
-                    let mut new_in = if preds[bi].is_empty() {
-                        problem.boundary()
-                    } else {
-                        let mut acc = out[preds[bi][0].index()].clone();
-                        for p in &preds[bi][1..] {
-                            match problem.meet() {
-                                Meet::Union => {
-                                    acc.union_with(&out[p.index()]);
-                                }
-                                Meet::Intersection => {
-                                    acc.intersect_with(&out[p.index()]);
-                                }
-                            }
-                        }
-                        acc
-                    };
-                    std::mem::swap(&mut in_[bi], &mut new_in);
-                    // out[b] = gen ∪ (in − kill)
-                    let mut new_out = in_[bi].clone();
-                    new_out.subtract(&kills[bi]);
-                    new_out.union_with(&gens[bi]);
-                    if new_out != out[bi] {
-                        out[bi] = new_out;
-                        changed = true;
-                    }
-                }
-                Direction::Backward => {
-                    let succs = f.successors(b);
-                    let mut new_out = if succs.is_empty() {
-                        problem.boundary()
-                    } else {
-                        let mut acc = in_[succs[0].index()].clone();
-                        for s in &succs[1..] {
-                            match problem.meet() {
-                                Meet::Union => {
-                                    acc.union_with(&in_[s.index()]);
-                                }
-                                Meet::Intersection => {
-                                    acc.intersect_with(&in_[s.index()]);
-                                }
-                            }
-                        }
-                        acc
-                    };
-                    std::mem::swap(&mut out[bi], &mut new_out);
-                    let mut new_in = out[bi].clone();
-                    new_in.subtract(&kills[bi]);
-                    new_in.union_with(&gens[bi]);
-                    if new_in != in_[bi] {
-                        in_[bi] = new_in;
-                        changed = true;
-                    }
-                }
+            let (gen, kill) = &blocks[bi];
+            join(&in_, bi, &mut new_in);
+            new_in.subtract(kill);
+            new_in.union_with(gen);
+            if new_in != in_[bi] {
+                std::mem::swap(&mut in_[bi], &mut new_in);
+                changed = true;
+            }
+        }
+    }
+    let out = (0..blocks.len())
+        .map(|b| {
+            let mut acc = BitSet::new(u);
+            join(&in_, b, &mut acc);
+            acc
+        })
+        .collect();
+    Solution { in_, out }
+}
+
+/// Solves a forward/intersection problem: `out[b] = gen ∪ (in[b] − kill)`
+/// with `in[b] = ⋂ out[p]` over the predecessors `p` of `b`, and
+/// `in[entry] = entry ∩ ⋂ out[p]` — the boundary fact holds on entry
+/// even when back edges lead into the entry block.
+///
+/// Every fact starts full (⊤), so a predecessor unreachable from the
+/// entry never narrows a join, and unreachable blocks stay ⊤.
+pub fn must(f: &Function, blocks: &[(BitSet, BitSet)], entry: BitSet) -> Solution {
+    let top = BitSet::full(entry.universe());
+    let preds = f.predecessors();
+    let order = f.reverse_postorder();
+    let mut in_ = vec![top.clone(); blocks.len()];
+    let mut out = in_.clone();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in &order {
+            let bi = b.index();
+            let mut acc = if b == f.entry() {
+                entry.clone()
+            } else {
+                top.clone()
+            };
+            for p in &preds[bi] {
+                acc.intersect_with(&out[p.index()]);
+            }
+            let (gen, kill) = &blocks[bi];
+            let mut new_out = acc.clone();
+            new_out.subtract(kill);
+            new_out.union_with(gen);
+            in_[bi] = acc;
+            if new_out != out[bi] {
+                out[bi] = new_out;
+                changed = true;
             }
         }
     }
@@ -158,34 +116,9 @@ pub fn solve(f: &Function, problem: &impl DataflowProblem) -> Solution {
 mod tests {
     use super::*;
     use iloc::builder::FuncBuilder;
-    use iloc::RegClass;
 
-    /// A toy forward problem: "block ids seen on some path so far".
-    struct PathBlocks;
-
-    impl DataflowProblem for PathBlocks {
-        fn universe(&self) -> usize {
-            16
-        }
-        fn direction(&self) -> Direction {
-            Direction::Forward
-        }
-        fn meet(&self) -> Meet {
-            Meet::Union
-        }
-        fn gen_set(&self, _f: &Function, b: BlockId) -> BitSet {
-            let mut s = BitSet::new(16);
-            s.insert(b.index());
-            s
-        }
-        fn kill_set(&self, _f: &Function, _b: BlockId) -> BitSet {
-            BitSet::new(16)
-        }
-    }
-
-    #[test]
-    fn forward_union_accumulates_along_paths() {
-        // entry -> a -> join, entry -> b -> join
+    /// `entry -> {a, b} -> join`, blocks numbered 0..=3 in that order.
+    fn diamond() -> Function {
         let mut fb = FuncBuilder::new("f");
         let cond = fb.loadi(1);
         let a = fb.block("a");
@@ -198,70 +131,58 @@ mod tests {
         fb.jump(join);
         fb.switch_to(join);
         fb.ret(&[]);
-        let f = fb.finish();
-
-        let sol = solve(&f, &PathBlocks);
-        let join_in: Vec<usize> = sol.in_[join.index()].iter().collect();
-        // Blocks 0 (entry), 1 (a), 2 (b) all reach the join.
-        assert_eq!(join_in, vec![0, 1, 2]);
+        fb.finish()
     }
 
-    /// The same graph under intersection only keeps facts true on *all*
-    /// paths.
-    struct MustPathBlocks;
+    /// Each block generates its own id and kills nothing.
+    fn own_ids(f: &Function) -> Vec<(BitSet, BitSet)> {
+        let n = f.blocks.len();
+        (0..n)
+            .map(|b| {
+                let mut gen = BitSet::new(n);
+                gen.insert(b);
+                (gen, BitSet::new(n))
+            })
+            .collect()
+    }
 
-    impl DataflowProblem for MustPathBlocks {
-        fn universe(&self) -> usize {
-            16
-        }
-        fn direction(&self) -> Direction {
-            Direction::Forward
-        }
-        fn meet(&self) -> Meet {
-            Meet::Intersection
-        }
-        fn gen_set(&self, _f: &Function, b: BlockId) -> BitSet {
-            let mut s = BitSet::new(16);
-            s.insert(b.index());
-            s
-        }
-        fn kill_set(&self, _f: &Function, _b: BlockId) -> BitSet {
-            BitSet::new(16)
-        }
+    fn members(s: &BitSet) -> Vec<usize> {
+        s.iter().collect()
     }
 
     #[test]
     fn intersection_keeps_only_common_facts() {
-        let mut fb = FuncBuilder::new("f");
-        let cond = fb.loadi(1);
-        let a = fb.block("a");
-        let b = fb.block("b");
-        let join = fb.block("join");
-        fb.cbr(cond, a, b);
-        fb.switch_to(a);
-        fb.jump(join);
-        fb.switch_to(b);
-        fb.jump(join);
-        fb.switch_to(join);
-        fb.ret(&[]);
-        let f = fb.finish();
-
-        let sol = solve(&f, &MustPathBlocks);
-        let join_in: Vec<usize> = sol.in_[join.index()].iter().collect();
+        let f = diamond();
+        let sol = must(&f, &own_ids(&f), BitSet::new(4));
         // Only the entry block is on *every* path to the join.
-        assert_eq!(join_in, vec![0]);
+        assert_eq!(members(&sol.in_[3]), vec![0]);
+        assert_eq!(members(&sol.out[3]), vec![0, 3]);
+    }
+
+    #[test]
+    fn union_collects_facts_from_every_onward_path() {
+        let f = diamond();
+        let sol = live(&f, &own_ids(&f));
+        assert_eq!(members(&sol.in_[0]), vec![0, 1, 2, 3]);
+        assert_eq!(members(&sol.out[0]), vec![1, 2, 3]);
+        assert!(sol.out[3].is_empty());
     }
 
     #[test]
     fn loops_reach_fixed_point() {
         let mut fb = FuncBuilder::new("f");
-        let _ = fb.vreg(RegClass::Gpr);
         fb.counted_loop(0, 10, 1, |_, _| {});
         fb.ret(&[]);
         let f = fb.finish();
-        // Must terminate and include the loop blocks in facts at the exit.
-        let sol = solve(&f, &PathBlocks);
+        let blocks = own_ids(&f);
+        // Every block of the loop is still ahead of the loop header.
+        let sol = live(&f, &blocks);
         let exit = f.blocks.len() - 1;
-        assert!(sol.in_[exit].count() >= 3);
+        assert!(sol.in_[1].count() >= 3);
+        assert!(sol.in_[1].contains(exit));
+        // Only the blocks on every path reach the exit.
+        let sol = must(&f, &blocks, BitSet::new(f.blocks.len()));
+        assert!(sol.in_[exit].contains(0));
+        assert!(sol.in_[exit].count() < f.blocks.len());
     }
 }

@@ -1,29 +1,28 @@
-//! Must-be-defined registers: a forward/intersection instance of the
-//! dataflow framework.
+//! Must-be-defined registers: a [`must`] problem.
 //!
 //! A register is *definitely defined* at a point if every path from the
 //! function entry to that point writes it first. The post-allocation
 //! checker uses this to prove that allocated code never reads a physical
-//! register before giving it a value; the analysis is phrased over the
-//! generic [`DataflowProblem`] trait so it composes with the same solver
-//! as liveness.
+//! register before giving it a value: it solves the block-level problem
+//! with [`DefinedRegs::solve`], then replays each block from its `in_`
+//! fact with [`DefinedRegs::apply`].
 //!
 //! Transfer semantics: parameters and the activation-record pointer are
 //! defined on entry; an ordinary definition adds its target; a call first
 //! *kills* every caller-saved register (their contents are garbage after
 //! the call) and then defines the call's return registers.
 
-use iloc::{Function, Instr, Op, Reg};
+use iloc::{BlockId, Function, Instr, Op, Reg};
 
 use crate::bitset::BitSet;
-use crate::dataflow::{DataflowProblem, Direction, Meet};
+use crate::dataflow::{must, Solution};
 use crate::regindex::RegIndex;
 
-/// The must-be-defined-registers problem over a function's [`RegIndex`]
-/// universe.
+/// The must-be-defined-registers problem of a function over its
+/// [`RegIndex`] universe.
 pub struct DefinedRegs<'a> {
+    f: &'a Function,
     index: &'a RegIndex,
-    params: Vec<Reg>,
     call_kills: Vec<Reg>,
 }
 
@@ -31,12 +30,24 @@ impl<'a> DefinedRegs<'a> {
     /// Builds the problem for `f`. `call_kills` lists the registers whose
     /// contents do not survive a call (the caller-saved set; empty under
     /// the paper's default convention).
-    pub fn new(f: &Function, index: &'a RegIndex, call_kills: Vec<Reg>) -> DefinedRegs<'a> {
+    pub fn new(f: &'a Function, index: &'a RegIndex, call_kills: Vec<Reg>) -> DefinedRegs<'a> {
         DefinedRegs {
+            f,
             index,
-            params: f.params.clone(),
             call_kills,
         }
+    }
+
+    /// The registers defined at the top and bottom of every block.
+    pub fn solve(&self) -> Solution {
+        let blocks: Vec<_> = self.f.block_ids().map(|b| self.transfer(b)).collect();
+        let mut entry = BitSet::new(self.index.len());
+        for &r in std::iter::once(&Reg::RARP).chain(&self.f.params) {
+            if let Some(id) = self.index.get(r) {
+                entry.insert(id);
+            }
+        }
+        must(self.f, &blocks, entry)
     }
 
     /// Applies one instruction's effect to a defined set: call kills,
@@ -55,69 +66,20 @@ impl<'a> DefinedRegs<'a> {
             }
         });
     }
-}
 
-impl DataflowProblem for DefinedRegs<'_> {
-    fn universe(&self) -> usize {
-        self.index.len()
-    }
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn meet(&self) -> Meet {
-        Meet::Intersection
-    }
-
-    fn gen_set(&self, f: &Function, b: iloc::BlockId) -> BitSet {
-        // Simulate the block: `gen` holds registers defined since entry,
-        // `kill` those killed (by calls) and not since redefined. The
-        // block's transfer is then out = gen ∪ (in − kill).
-        let (gen, _) = self.block_transfer(f, b);
-        gen
-    }
-
-    fn kill_set(&self, f: &Function, b: iloc::BlockId) -> BitSet {
-        let (_, kill) = self.block_transfer(f, b);
-        kill
-    }
-
-    fn boundary(&self) -> BitSet {
-        let mut set = BitSet::new(self.index.len());
-        if let Some(id) = self.index.get(Reg::RARP) {
-            set.insert(id);
-        }
-        for &p in &self.params {
-            if let Some(id) = self.index.get(p) {
-                set.insert(id);
-            }
-        }
-        set
-    }
-}
-
-impl DefinedRegs<'_> {
-    fn block_transfer(&self, f: &Function, b: iloc::BlockId) -> (BitSet, BitSet) {
+    /// Block `b`'s `(gen, kill)`, from replaying it with [`Self::apply`]:
+    /// `gen` is what it defines starting from nothing, and `kill` what a
+    /// full set loses across it.
+    fn transfer(&self, b: BlockId) -> (BitSet, BitSet) {
         let n = self.index.len();
         let mut gen = BitSet::new(n);
-        let mut kill = BitSet::new(n);
-        for instr in &f.block(b).instrs {
-            if matches!(instr.op, Op::Call { .. }) {
-                for &r in &self.call_kills {
-                    if let Some(id) = self.index.get(r) {
-                        gen.remove(id);
-                        kill.insert(id);
-                    }
-                }
-            }
-            instr.op.visit_defs(|r| {
-                if let Some(id) = self.index.get(r) {
-                    kill.remove(id);
-                    gen.insert(id);
-                }
-            });
+        let mut kept = BitSet::full(n);
+        for instr in &self.f.block(b).instrs {
+            self.apply(instr, &mut gen);
+            self.apply(instr, &mut kept);
         }
+        let mut kill = BitSet::full(n);
+        kill.subtract(&kept);
         (gen, kill)
     }
 }
@@ -125,7 +87,6 @@ impl DefinedRegs<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataflow::solve;
     use iloc::builder::FuncBuilder;
     use iloc::RegClass;
 
@@ -139,7 +100,7 @@ mod tests {
         let f = fb.finish();
         let index = RegIndex::build(&f);
         let problem = DefinedRegs::new(&f, &index, Vec::new());
-        let sol = solve(&f, &problem);
+        let sol = problem.solve();
         let entry_in = &sol.in_[f.entry().index()];
         assert!(entry_in.contains(index.id(p)));
         assert!(!entry_in.contains(index.id(x)));
@@ -167,29 +128,33 @@ mod tests {
         let f = fb.finish();
         let index = RegIndex::build(&f);
         let problem = DefinedRegs::new(&f, &index, Vec::new());
-        let sol = solve(&f, &problem);
+        let sol = problem.solve();
         assert!(!sol.in_[join.index()].contains(index.id(x)));
         assert!(sol.in_[join.index()].contains(index.id(c)));
     }
 
     #[test]
     fn calls_kill_caller_saved() {
+        // entry: x, y defined; call g; jump next.
         let mut fb = FuncBuilder::new("f");
         let x = fb.loadi(1);
+        let y = fb.loadi(2);
         fb.call("g", &[], &[]);
+        let next = fb.block("next");
+        fb.jump(next);
+        fb.switch_to(next);
         fb.ret(&[]);
-        let mut f = fb.finish();
-        // Split so the call's effect crosses a block boundary: append a
-        // block after the call.
+        let f = fb.finish();
         let index = RegIndex::build(&f);
         let problem = DefinedRegs::new(&f, &index, vec![x]);
-        let sol = solve(&f, &problem);
-        // Within-block semantics: replay with `apply`.
+        let sol = problem.solve();
+        // Across the block boundary: the call killed x, y survives.
+        assert!(!sol.in_[next.index()].contains(index.id(x)));
+        assert!(sol.in_[next.index()].contains(index.id(y)));
+        // Within the block, `apply` replays the same effect.
         let mut defined = sol.in_[f.entry().index()].clone();
-        let e = f.entry();
-        let instrs = std::mem::take(&mut f.block_mut(e).instrs);
         let mut after_call = None;
-        for instr in &instrs {
+        for instr in &f.block(f.entry()).instrs {
             problem.apply(instr, &mut defined);
             if matches!(instr.op, Op::Call { .. }) {
                 after_call = Some(defined.contains(index.id(x)));

@@ -5,12 +5,15 @@
 //! the CCM passes are built on:
 //!
 //! * [`BitSet`] — dense bit sets for dataflow facts;
-//! * [`dataflow`] — a generic gen/kill worklist solver;
-//! * [`DefinedRegs`] — must-be-defined registers (a forward instance of
-//!   the solver, used by the post-allocation checker);
+//! * [`dataflow`] — the gen/kill core every bit-vector problem is solved
+//!   with: [`live`] (backward, union) and [`must`] (forward,
+//!   intersection);
+//! * [`DefinedRegs`] — must-be-defined registers (a [`must`] problem,
+//!   used by the post-allocation checker);
 //! * [`Dominators`] — Cooper–Harvey–Kennedy dominators, dominator tree,
 //!   and dominance frontiers;
-//! * [`Liveness`] — per-block and per-instruction register liveness;
+//! * [`Liveness`] — per-block and per-instruction register liveness (a
+//!   [`live`] problem);
 //! * [`LoopInfo`] — natural loops and nesting depth (spill-cost weights);
 //! * [`ssa`] — SSA construction (semi-pruned) and destruction (with
 //!   parallel-copy sequentialization);
@@ -56,7 +59,7 @@ pub mod ssa;
 
 pub use bitset::BitSet;
 pub use callgraph::CallGraph;
-pub use dataflow::{solve, DataflowProblem, Direction, Meet, Solution};
+pub use dataflow::{live, must, Solution};
 pub use defined::DefinedRegs;
 pub use defuse::{DefUse, InstrRef};
 pub use dom::Dominators;

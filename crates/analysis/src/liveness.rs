@@ -1,9 +1,10 @@
-//! Register liveness analysis.
+//! Register liveness analysis: a [`live`] problem over a function's
+//! [`RegIndex`] universe.
 
 use iloc::{BlockId, Function, Reg};
 
 use crate::bitset::BitSet;
-use crate::dataflow::{solve, DataflowProblem, Direction, Meet};
+use crate::dataflow::live;
 use crate::regindex::RegIndex;
 
 /// Per-block live-in / live-out register sets, with helpers to walk a
@@ -19,56 +20,34 @@ pub struct Liveness {
     pub live_out: Vec<BitSet>,
 }
 
-struct LiveProblem<'a> {
-    regs: &'a RegIndex,
-}
-
-impl DataflowProblem for LiveProblem<'_> {
-    fn universe(&self) -> usize {
-        self.regs.len()
-    }
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-    fn meet(&self) -> Meet {
-        Meet::Union
-    }
-    /// Upward-exposed uses: used before any def within the block.
-    fn gen_set(&self, f: &Function, b: BlockId) -> BitSet {
-        let mut gen = BitSet::new(self.regs.len());
-        let mut defined = BitSet::new(self.regs.len());
-        for instr in &f.block(b).instrs {
-            instr.op.visit_uses(|r| {
-                let id = self.regs.id(r);
-                if !defined.contains(id) {
-                    gen.insert(id);
-                }
-            });
-            instr.op.visit_defs(|r| {
-                defined.insert(self.regs.id(r));
-            });
-        }
-        gen
-    }
-    fn kill_set(&self, f: &Function, b: BlockId) -> BitSet {
-        let mut kill = BitSet::new(self.regs.len());
-        for instr in &f.block(b).instrs {
-            instr.op.visit_defs(|r| {
-                kill.insert(self.regs.id(r));
-            });
-        }
-        kill
-    }
-}
-
 impl Liveness {
-    /// Computes liveness for `f`.
+    /// Computes liveness for `f`: a [`live`] problem whose `gen` is a
+    /// block's upward-exposed uses and whose `kill` is its definitions.
     ///
     /// φ-nodes are treated as ordinary instructions (uses at the φ); run
     /// liveness on non-SSA code, or use the results with that caveat.
     pub fn compute(f: &Function) -> Liveness {
         let regs = RegIndex::build(f);
-        let sol = solve(f, &LiveProblem { regs: &regs });
+        let blocks: Vec<_> = f
+            .block_ids()
+            .map(|b| {
+                let mut gen = BitSet::new(regs.len());
+                let mut kill = BitSet::new(regs.len());
+                for instr in &f.block(b).instrs {
+                    instr.op.visit_uses(|r| {
+                        let id = regs.id(r);
+                        if !kill.contains(id) {
+                            gen.insert(id);
+                        }
+                    });
+                    instr.op.visit_defs(|r| {
+                        kill.insert(regs.id(r));
+                    });
+                }
+                (gen, kill)
+            })
+            .collect();
+        let sol = live(f, &blocks);
         Liveness {
             regs,
             live_in: sol.in_,

@@ -109,9 +109,9 @@ pub fn check_module(m: &Module, cfg: &CheckerConfig) -> Vec<Diagnostic> {
         diags.push(Diagnostic::error("structure", &e.function, e.message));
     }
     let analyses: Vec<SlotAnalysis> = m.functions.iter().map(SlotAnalysis::compute).collect();
-    for f in &m.functions {
+    for (f, sa) in m.functions.iter().zip(&analyses) {
         machine::check(f, cfg, &mut diags);
-        slots::check(f, cfg, &mut diags);
+        slots::check(f, sa, cfg, &mut diags);
     }
     ccm_safety::check(m, &analyses, cfg, &mut diags);
     diags

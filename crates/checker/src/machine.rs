@@ -1,7 +1,7 @@
 //! Machine-level checks: allocated code must mention only legal physical
 //! registers and never read one before it is written.
 
-use analysis::{solve, DefinedRegs, RegIndex};
+use analysis::{DefinedRegs, RegIndex};
 use iloc::{Function, Op, Reg, RegClass};
 
 use crate::{CheckerConfig, Diagnostic};
@@ -80,7 +80,7 @@ fn def_before_use(f: &Function, cfg: &CheckerConfig, diags: &mut Vec<Diagnostic>
     let mut kills = cfg.alloc.caller_saved_physical(RegClass::Gpr);
     kills.extend(cfg.alloc.caller_saved_physical(RegClass::Fpr));
     let problem = DefinedRegs::new(f, &index, kills);
-    let sol = solve(f, &problem);
+    let sol = problem.solve();
     for b in f.block_ids() {
         let label = &f.block(b).label;
         let mut defined = sol.in_[b.index()].clone();

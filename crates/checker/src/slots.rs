@@ -3,25 +3,28 @@
 //! frame/CCM addressing, and compaction overlap.
 
 use analysis::bitset::BitSet;
-use analysis::dataflow::{DataflowProblem, Direction, Meet};
-use analysis::solve;
 use ccm::SlotAnalysis;
-use iloc::{BlockId, Function, Op, Reg, RegClass, SpillKind, SpillSlot};
+use iloc::{Function, Op, Reg, RegClass, SpillKind, SpillSlot};
 
 use crate::{CheckerConfig, Diagnostic};
 
 /// Runs the `slot-frame`, `slot-undef-load`, `slot-dead-store`, and
-/// `slot-overlap` checks on one allocated function.
-pub(crate) fn check(f: &Function, cfg: &CheckerConfig, diags: &mut Vec<Diagnostic>) {
+/// `slot-overlap` checks on one allocated function; `sa` is its
+/// [`SlotAnalysis`].
+pub(crate) fn check(
+    f: &Function,
+    sa: &SlotAnalysis,
+    cfg: &CheckerConfig,
+    diags: &mut Vec<Diagnostic>,
+) {
     if f.frame.slots.is_empty() {
         return;
     }
     slot_records(f, cfg, diags);
     tagged_instructions(f, diags);
-    let sa = SlotAnalysis::compute(f);
     undefined_loads(f, diags);
-    dead_stores(f, &sa, diags);
-    compaction_overlap(f, &sa, diags);
+    dead_stores(f, sa, diags);
+    compaction_overlap(f, sa, diags);
 }
 
 /// `slot-frame` (records): every slot is naturally aligned and, when
@@ -153,48 +156,26 @@ fn tag_mismatch(op: &Op, slot: &SpillSlot, is_store: bool) -> Option<String> {
     None
 }
 
-/// Forward/intersection problem: slots that have definitely been stored
-/// on every path. Nothing un-stores a slot, so kill sets are empty.
-struct StoredSlots {
-    n: usize,
-}
-
-impl DataflowProblem for StoredSlots {
-    fn universe(&self) -> usize {
-        self.n
-    }
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn meet(&self) -> Meet {
-        Meet::Intersection
-    }
-
-    fn gen_set(&self, f: &Function, b: BlockId) -> BitSet {
-        let mut set = BitSet::new(self.n);
-        for instr in &f.block(b).instrs {
-            if let SpillKind::Store(s) = instr.spill {
-                if s.index() < self.n {
-                    set.insert(s.index());
-                }
-            }
-        }
-        set
-    }
-
-    fn kill_set(&self, _f: &Function, _b: BlockId) -> BitSet {
-        BitSet::new(self.n)
-    }
-}
-
 /// `slot-undef-load`: a spill restore must be preceded by a spill store
-/// of the same slot on every path from entry.
+/// of the same slot on every path from entry — a [`analysis::must`]
+/// problem over slots. Nothing un-stores a slot, so kill sets are empty.
 fn undefined_loads(f: &Function, diags: &mut Vec<Diagnostic>) {
     let n = f.frame.slots.len();
-    let problem = StoredSlots { n };
-    let sol = solve(f, &problem);
+    let blocks: Vec<_> = f
+        .block_ids()
+        .map(|b| {
+            let mut gen = BitSet::new(n);
+            for instr in &f.block(b).instrs {
+                if let SpillKind::Store(s) = instr.spill {
+                    if s.index() < n {
+                        gen.insert(s.index());
+                    }
+                }
+            }
+            (gen, BitSet::new(n))
+        })
+        .collect();
+    let sol = analysis::must(f, &blocks, BitSet::new(n));
     for b in f.block_ids() {
         let label = &f.block(b).label;
         let mut stored = sol.in_[b.index()].clone();
@@ -259,10 +240,7 @@ fn dead_stores(f: &Function, sa: &SlotAnalysis, diags: &mut Vec<Diagnostic>) {
 fn compaction_overlap(f: &Function, sa: &SlotAnalysis, diags: &mut Vec<Diagnostic>) {
     for i in 0..sa.n {
         let si = &f.frame.slots[i];
-        for &j in &sa.adj[i] {
-            if j <= i {
-                continue;
-            }
+        for j in sa.adj[i].iter().filter(|&j| j > i) {
             let sj = &f.frame.slots[j];
             if si.in_ccm != sj.in_ccm {
                 continue; // disjoint address spaces

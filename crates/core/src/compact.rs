@@ -60,7 +60,7 @@ pub fn compact_spill_memory(f: &mut Function) -> CompactStats {
         let mut off = align_up(base, size);
         loop {
             let candidate = (off, size);
-            let clash = analysis.adj[si].iter().any(|&other| {
+            let clash = analysis.adj[si].iter().any(|other| {
                 placed[other]
                     .map(|p| overlaps(candidate, p))
                     .unwrap_or(false)

@@ -78,11 +78,12 @@ fn place_function(f: &mut Function, ccm_size: u32) -> (IntegratedStats, Option<D
         // placements can clash.
         let clash = |off: u32| {
             let candidate = (off, size);
-            analysis.adj[si].iter().any(|&t| {
-                slots[t].in_ccm && overlaps(candidate, (slots[t].offset, slots[t].size()))
-            }) || used[1 - class.index()]
+            analysis.adj[si]
                 .iter()
-                .any(|&p| overlaps(candidate, p))
+                .any(|t| slots[t].in_ccm && overlaps(candidate, (slots[t].offset, slots[t].size())))
+                || used[1 - class.index()]
+                    .iter()
+                    .any(|&p| overlaps(candidate, p))
         };
         let placed = if analysis.crosses_call[si] {
             None

@@ -208,7 +208,7 @@ fn color_function_slots(
                 break None;
             }
             let candidate = (off, size);
-            let clash = analysis.adj[si].iter().any(|&other| {
+            let clash = analysis.adj[si].iter().any(|other| {
                 placements[other]
                     .map(|p| overlaps(candidate, p))
                     .unwrap_or(false)

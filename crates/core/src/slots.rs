@@ -4,12 +4,11 @@
 //! slots holding spilled values rather than on register live ranges.
 //! Their notion of liveness is the paper's: a spill location *m* is live
 //! at point *p* if some execution path from *p* reaches a load of *m* —
-//! it is *defined* by a spill store and *used* by a spill restore. From
-//! that liveness we build an interference graph over slots, reference
-//! counts, loop-weighted costs, and the per-call-site live sets the
-//! interprocedural allocator consults.
-
-use std::collections::HashSet;
+//! it is *defined* by a spill store and *used* by a spill restore, which
+//! makes it an [`analysis::live`] problem over slots. From that liveness
+//! we build an interference graph over slots (one [`BitSet`] row per
+//! slot), reference counts, loop-weighted costs, and the per-call-site
+//! live sets the interprocedural allocator consults.
 
 use analysis::bitset::BitSet;
 use analysis::{Dominators, LoopInfo};
@@ -31,8 +30,9 @@ pub struct SlotAnalysis {
     /// Number of slots (== `f.frame.slots.len()`).
     pub n: usize,
     /// Slot interference: `adj[i]` holds the slots that are live
-    /// simultaneously with slot `i` at some definition point.
-    pub adj: Vec<HashSet<usize>>,
+    /// simultaneously with slot `i` at some definition point (symmetric,
+    /// never `i` itself).
+    pub adj: Vec<BitSet>,
     /// Loop-weighted reference cost per slot (`Σ 10^depth` over its spill
     /// stores and restores) — the benefit of promoting it to the CCM.
     pub cost: Vec<f64>,
@@ -47,7 +47,8 @@ pub struct SlotAnalysis {
     /// post-allocation checker in particular) can replay liveness at
     /// instruction granularity without re-solving the dataflow.
     pub live_in: Vec<BitSet>,
-    /// Per-block slot live-out sets (union of successor live-ins).
+    /// Per-block slot live-out sets (union of successor live-ins, for
+    /// unreachable blocks too).
     pub live_out: Vec<BitSet>,
 }
 
@@ -58,7 +59,7 @@ impl SlotAnalysis {
         let n = f.frame.slots.len();
         let mut out = SlotAnalysis {
             n,
-            adj: vec![HashSet::new(); n],
+            adj: vec![BitSet::new(n); n],
             cost: vec![0.0; n],
             refs: vec![0; n],
             crosses_call: vec![false; n],
@@ -86,55 +87,31 @@ impl SlotAnalysis {
 
         // Block-level slot liveness: gen = upward-exposed restores,
         // kill = stores.
-        let n_blocks = f.blocks.len();
-        let mut gens = vec![BitSet::new(n); n_blocks];
-        let mut kills = vec![BitSet::new(n); n_blocks];
-        for b in f.block_ids() {
-            let bi = b.index();
-            for instr in &f.block(b).instrs {
-                match instr.spill {
-                    SpillKind::Restore(s) => {
-                        if !kills[bi].contains(s.index()) {
-                            gens[bi].insert(s.index());
+        let blocks: Vec<_> = f
+            .block_ids()
+            .map(|b| {
+                let mut gen = BitSet::new(n);
+                let mut kill = BitSet::new(n);
+                for instr in &f.block(b).instrs {
+                    match instr.spill {
+                        SpillKind::Restore(s) if !kill.contains(s.index()) => {
+                            gen.insert(s.index());
                         }
+                        SpillKind::Store(s) => {
+                            kill.insert(s.index());
+                        }
+                        _ => {}
                     }
-                    SpillKind::Store(s) => {
-                        kills[bi].insert(s.index());
-                    }
-                    SpillKind::None => {}
                 }
-            }
-        }
-        let mut live_in = vec![BitSet::new(n); n_blocks];
-        let mut order: Vec<BlockId> = f.reverse_postorder();
-        order.reverse();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &order {
-                let bi = b.index();
-                let mut out_set = BitSet::new(n);
-                for s in f.successors(b) {
-                    out_set.union_with(&live_in[s.index()]);
-                }
-                let mut inn = out_set;
-                inn.subtract(&kills[bi]);
-                inn.union_with(&gens[bi]);
-                if inn != live_in[bi] {
-                    live_in[bi] = inn;
-                    changed = true;
-                }
-            }
-        }
+                (gen, kill)
+            })
+            .collect();
+        let sol = analysis::live(f, &blocks);
 
         // Backward walk: interference edges at slot definitions, and
         // live-across sets at call sites.
         for b in f.block_ids() {
-            let mut live = BitSet::new(n);
-            for s in f.successors(b) {
-                live.union_with(&live_in[s.index()]);
-            }
-            out.live_out[b.index()] = live.clone();
+            let mut live = sol.out[b.index()].clone();
             for instr in f.block(b).instrs.iter().rev() {
                 if let Op::Call { callee, .. } = &instr.op {
                     let slots: Vec<usize> = live.iter().collect();
@@ -149,13 +126,11 @@ impl SlotAnalysis {
                 match instr.spill {
                     SpillKind::Store(s) => {
                         let si = s.index();
-                        for l in live.iter() {
-                            if l != si {
-                                out.adj[si].insert(l);
-                                out.adj[l].insert(si);
-                            }
-                        }
                         live.remove(si);
+                        out.adj[si].union_with(&live);
+                        for l in live.iter() {
+                            out.adj[l].insert(si);
+                        }
                     }
                     SpillKind::Restore(s) => {
                         live.insert(s.index());
@@ -164,14 +139,14 @@ impl SlotAnalysis {
                 }
             }
         }
-        out.live_in = live_in;
-
+        out.live_in = sol.in_;
+        out.live_out = sol.out;
         out
     }
 
     /// Whether slots `a` and `b` interfere (may not share storage).
     pub fn interferes(&self, a: SlotId, b: SlotId) -> bool {
-        self.adj[a.index()].contains(&b.index())
+        self.adj[a.index()].contains(b.index())
     }
 
     /// Slots live on entry to `b`.

@@ -2,9 +2,11 @@
 //! class.
 //!
 //! The graph is built per register class with the classic backward scan:
-//! at each instruction, every register defined there interferes with
-//! every register live after it (copies exempt their source, enabling
-//! coalescing).
+//! block liveness over the class's registers comes from
+//! [`analysis::live`], each block is walked backwards from its live-out
+//! set, and at each instruction every register defined there interferes
+//! with every register live after it (copies exempt their source,
+//! enabling coalescing).
 //!
 //! It keeps the dual representation of Briggs' allocator (Cooper &
 //! Torczon, *Engineering a Compiler* §13.4): a lower-triangular bit
@@ -12,8 +14,8 @@
 //! per-node adjacency vectors, free of duplicates, drive iteration and
 //! degrees.
 
-use analysis::BitSet;
-use iloc::{BlockId, Function, Op};
+use analysis::{BitSet, Solution};
+use iloc::{Function, Op};
 
 use crate::entity::EntityIndex;
 
@@ -52,18 +54,11 @@ impl InterferenceGraph {
             return g;
         }
 
-        // Block-level liveness over the entity universe.
-        let (live_in, _live_out) = entity_liveness(f, &g.entities);
-
-        // Backward walk per block adding interference edges.
+        // Backward walk per block, from its live-out set, adding
+        // interference edges.
+        let sol = entity_liveness(f, &g.entities);
         let (mut uses, mut defs) = (Vec::new(), Vec::new());
-        let mut live = BitSet::new(n);
-        for b in f.block_ids() {
-            // live := live-out(b) = ∪ live-in(succ)
-            live.clear();
-            for s in f.successors(b) {
-                live.union_with(&live_in[s.index()]);
-            }
+        for (b, mut live) in f.block_ids().zip(sol.out) {
             for instr in f.block(b).instrs.iter().rev() {
                 g.entities.uses_defs(&instr.op, &mut uses, &mut defs);
                 // Copy: the source does not interfere with the target.
@@ -196,55 +191,30 @@ impl InterferenceGraph {
     }
 }
 
-/// Block-level liveness (live-in, live-out) over the registers of `idx`.
-pub fn entity_liveness(f: &Function, idx: &EntityIndex) -> (Vec<BitSet>, Vec<BitSet>) {
-    let n_blocks = f.blocks.len();
+/// Block-level liveness over the registers of `idx`.
+fn entity_liveness(f: &Function, idx: &EntityIndex) -> Solution {
     let n = idx.len();
-    // gen/kill per block.
-    let mut gens = vec![BitSet::new(n); n_blocks];
-    let mut kills = vec![BitSet::new(n); n_blocks];
     let (mut uses, mut defs) = (Vec::new(), Vec::new());
-    for b in f.block_ids() {
-        let bi = b.index();
-        for instr in &f.block(b).instrs {
-            idx.uses_defs(&instr.op, &mut uses, &mut defs);
-            for &u in &uses {
-                if !kills[bi].contains(u) {
-                    gens[bi].insert(u);
+    let blocks: Vec<_> = f
+        .block_ids()
+        .map(|b| {
+            let mut gen = BitSet::new(n);
+            let mut kill = BitSet::new(n);
+            for instr in &f.block(b).instrs {
+                idx.uses_defs(&instr.op, &mut uses, &mut defs);
+                for &u in &uses {
+                    if !kill.contains(u) {
+                        gen.insert(u);
+                    }
+                }
+                for &d in &defs {
+                    kill.insert(d);
                 }
             }
-            for &d in &defs {
-                kills[bi].insert(d);
-            }
-        }
-    }
-    let mut live_in = vec![BitSet::new(n); n_blocks];
-    let mut live_out = vec![BitSet::new(n); n_blocks];
-    let mut order: Vec<BlockId> = f.reverse_postorder();
-    order.reverse();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let bi = b.index();
-            let mut out = BitSet::new(n);
-            for s in f.successors(b) {
-                out.union_with(&live_in[s.index()]);
-            }
-            let mut inn = out.clone();
-            inn.subtract(&kills[bi]);
-            inn.union_with(&gens[bi]);
-            if out != live_out[bi] {
-                live_out[bi] = out;
-                changed = true;
-            }
-            if inn != live_in[bi] {
-                live_in[bi] = inn;
-                changed = true;
-            }
-        }
-    }
-    (live_in, live_out)
+            (gen, kill)
+        })
+        .collect();
+    analysis::live(f, &blocks)
 }
 
 #[cfg(test)]

@@ -52,5 +52,5 @@ pub use color::{color, Coloring};
 pub use config::AllocConfig;
 pub use costs::{SpillCosts, INFINITE};
 pub use entity::EntityIndex;
-pub use igraph::{entity_liveness, InterferenceGraph};
+pub use igraph::InterferenceGraph;
 pub use spill::insert_spill_code;

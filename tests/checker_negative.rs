@@ -198,7 +198,7 @@ fn aliased_interfering_slots_are_caught() {
     // Find an interfering frame-resident pair and give them one offset.
     let sa = ccm::SlotAnalysis::compute(f);
     let (a, b) = (0..sa.n)
-        .flat_map(|i| sa.adj[i].iter().map(move |&j| (i, j)))
+        .flat_map(|i| sa.adj[i].iter().map(move |j| (i, j)))
         .find(|&(i, j)| i < j && !f.frame.slots[i].in_ccm && !f.frame.slots[j].in_ccm)
         .expect("fixture has interfering slots");
     let shared = f.frame.slots[a].offset;
@@ -340,6 +340,147 @@ fn inconsistent_spill_offset_is_caught() {
     let hits = find(&diags, "slot-frame");
     assert!(!hits.is_empty(), "{}", render_text(&diags));
     assert!(hits[0].message.contains("slot record says"));
+}
+
+// ---------------------------------------------------------------------------
+// Hand-built allocated code.
+// ---------------------------------------------------------------------------
+
+/// A module whose `main` starts with the instructions `body` returns, then
+/// branches back to its own entry block or on to a returning exit block.
+/// `body` may add frame slots to the function it is given.
+fn entry_loop_module(body: impl FnOnce(&mut Function) -> Vec<Instr>) -> Module {
+    let mut fb = FuncBuilder::new("main");
+    let entry = fb.entry();
+    let exit = fb.block("exit");
+    fb.emit(Op::LoadI {
+        imm: 0,
+        dst: Reg::gpr(3),
+    });
+    fb.cbr(Reg::gpr(3), entry, exit);
+    fb.switch_to(exit);
+    fb.ret(&[]);
+    let mut f = fb.finish();
+    let body = body(&mut f);
+    let e = f.entry();
+    f.block_mut(e).instrs.splice(0..0, body);
+    let mut m = Module::new();
+    m.push_function(f);
+    m
+}
+
+fn slot_store(s: SlotId, off: u32, val: Reg) -> Instr {
+    Instr::spill_store(
+        Op::StoreAI {
+            val,
+            addr: Reg::RARP,
+            off: off as i64,
+        },
+        s,
+    )
+}
+
+fn slot_restore(s: SlotId, off: u32, dst: Reg) -> Instr {
+    Instr::spill_restore(
+        Op::LoadAI {
+            addr: Reg::RARP,
+            off: off as i64,
+            dst,
+        },
+        s,
+    )
+}
+
+/// The entry block reads `%r1` before writing it. Its back edge carries
+/// the write to its top on later trips, but not on the first one.
+#[test]
+fn read_before_write_in_a_looping_entry_is_caught() {
+    let m = entry_loop_module(|_| {
+        vec![
+            Instr::new(Op::I2I {
+                src: Reg::gpr(1),
+                dst: Reg::gpr(2),
+            }),
+            Instr::new(Op::LoadI {
+                imm: 1,
+                dst: Reg::gpr(1),
+            }),
+        ]
+    });
+    let diags = check_module(&m, &cfg(AllocConfig::tiny(3)));
+    let hits = find(&diags, "machine-def-use");
+    assert_eq!(hits.len(), 1, "{}", render_text(&diags));
+    assert_eq!(hits[0].instr, Some(0));
+    assert!(hits[0].message.contains("%r1"));
+}
+
+/// The entry block restores a slot before storing it: only the back edge
+/// stores it first.
+#[test]
+fn restore_before_store_in_a_looping_entry_is_caught() {
+    let m = entry_loop_module(|f| {
+        let s = f.frame.new_slot(RegClass::Gpr);
+        let off = f.frame.slot(s).offset;
+        vec![
+            slot_restore(s, off, Reg::gpr(1)),
+            slot_store(s, off, Reg::gpr(1)),
+        ]
+    });
+    let diags = check_module(&m, &cfg(AllocConfig::tiny(3)));
+    let hits = find(&diags, "slot-undef-load");
+    assert_eq!(hits.len(), 1, "{}", render_text(&diags));
+    assert_eq!(hits[0].instr, Some(0));
+    assert!(hits[0].message.contains("slot 0"));
+}
+
+/// Slot 0 stays live while eight other slots are each stored and
+/// restored, and all nine share one offset: the eight `slot-overlap`
+/// errors name slot 0's partners in ascending order.
+#[test]
+fn overlap_partners_are_reported_in_ascending_order() {
+    let mut fb = FuncBuilder::new("main");
+    fb.emit(Op::LoadI {
+        imm: 1,
+        dst: Reg::gpr(1),
+    });
+    fb.ret(&[]);
+    let mut f = fb.finish();
+    let slots: Vec<SlotId> = (0..9).map(|_| f.frame.new_slot(RegClass::Gpr)).collect();
+    let off = f.frame.slot(slots[0]).offset;
+    for &s in &slots {
+        f.frame.slot_mut(s).offset = off;
+    }
+    let mut body = vec![slot_store(slots[0], off, Reg::gpr(1))];
+    for &s in &slots[1..] {
+        body.push(slot_store(s, off, Reg::gpr(1)));
+        body.push(slot_restore(s, off, Reg::gpr(2)));
+    }
+    body.push(slot_restore(slots[0], off, Reg::gpr(2)));
+    let e = f.entry();
+    f.block_mut(e).instrs.splice(1..1, body);
+    let mut m = Module::new();
+    m.push_function(f);
+
+    let diags = check_module(&m, &cfg(AllocConfig::tiny(3)));
+    let hits = find(&diags, "slot-overlap");
+    let partners: Vec<usize> = hits
+        .iter()
+        .map(|d| {
+            let rest = d
+                .message
+                .strip_prefix("interfering slots 0 (offset ")
+                .unwrap_or_else(|| panic!("not a slot-0 overlap: {}", d.message));
+            let partner = rest.split(" and ").nth(1).expect("names a partner");
+            partner.split(' ').next().unwrap().parse().unwrap()
+        })
+        .collect();
+    assert_eq!(
+        partners,
+        (1..9).collect::<Vec<_>>(),
+        "{}",
+        render_text(&diags)
+    );
+    assert_eq!(checker::errors(&diags).len(), 8, "{}", render_text(&diags));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 //! Property-based validation of the analyses against brute-force oracles
-//! on randomly generated CFGs, and of [`BitSet`] against a `HashSet`
-//! model.
+//! on randomly generated CFGs, of the dataflow core ([`analysis::live`]
+//! and [`analysis::must`]) against path oracles, and of [`BitSet`]
+//! against a `HashSet` model.
 
 mod common;
 
@@ -151,6 +152,169 @@ fn cbr_conditions_never_leak_liveness() {
         let live = analysis::Liveness::compute(&f);
         let entry_in = &live.live_in[f.entry().index()];
         assert_eq!(entry_in.count(), 0, "nothing should be live-in at entry");
+    }
+}
+
+/// A random subset of `0..u`.
+fn arb_set(rng: &mut Rng, u: usize) -> BitSet {
+    let mut s = BitSet::new(u);
+    for _ in 0..rng.below(u + 1) {
+        s.insert(rng.below(u));
+    }
+    s
+}
+
+/// Case `case`'s random gen/kill problem over `f`: a universe of
+/// `1..=80` facts (crossing a word boundary) and independent random
+/// `(gen, kill)` sets per block, so a block may generate and kill the
+/// same fact.
+fn arb_problem(case: usize, f: &Function) -> Vec<(BitSet, BitSet)> {
+    let mut rng = Rng::for_case(CASES + case);
+    let u = 1 + rng.below(80);
+    f.block_ids()
+        .map(|_| (arb_set(&mut rng, u), arb_set(&mut rng, u)))
+        .collect()
+}
+
+/// `f` followed by each block's gen and kill members.
+fn show_problem(f: &Function, blocks: &[(BitSet, BitSet)]) -> String {
+    let mut out = format!("{f}");
+    for (b, (gen, kill)) in blocks.iter().enumerate() {
+        let gen: Vec<usize> = gen.iter().collect();
+        let kill: Vec<usize> = kill.iter().collect();
+        out += &format!("block {b}: gen {gen:?} kill {kill:?}\n");
+    }
+    out
+}
+
+/// Oracle for [`analysis::must`]: fact `d` holds at the top of reachable
+/// block `b` iff every path from the entry (where `d` holds iff it is in
+/// `entry`) reaches `b` with `d` still true. Explores the states
+/// (block, value of `d` at its top) reachable from the entry.
+fn must_oracle(
+    f: &Function,
+    blocks: &[(BitSet, BitSet)],
+    entry: &BitSet,
+    b: BlockId,
+    d: usize,
+) -> bool {
+    let n = f.blocks.len();
+    let mut seen = vec![[false; 2]; n];
+    let start = (f.entry(), entry.contains(d));
+    seen[start.0.index()][usize::from(start.1)] = true;
+    let mut queue = vec![start];
+    while let Some((x, holds)) = queue.pop() {
+        let (gen, kill) = &blocks[x.index()];
+        let after = gen.contains(d) || (holds && !kill.contains(d));
+        for s in f.successors(x) {
+            if !seen[s.index()][usize::from(after)] {
+                seen[s.index()][usize::from(after)] = true;
+                queue.push((s, after));
+            }
+        }
+    }
+    !seen[b.index()][0]
+}
+
+/// Oracle for [`analysis::live`]: fact `d` is in `in[b]` iff some path
+/// onward from the top of `b` reaches a block that generates `d` without
+/// first passing through a block that kills it.
+fn live_oracle(f: &Function, blocks: &[(BitSet, BitSet)], b: BlockId, d: usize) -> bool {
+    let mut seen = vec![false; f.blocks.len()];
+    seen[b.index()] = true;
+    let mut queue = vec![b];
+    while let Some(x) = queue.pop() {
+        let (gen, kill) = &blocks[x.index()];
+        if gen.contains(d) {
+            return true;
+        }
+        if kill.contains(d) {
+            continue;
+        }
+        for s in f.successors(x) {
+            if !seen[s.index()] {
+                seen[s.index()] = true;
+                queue.push(s);
+            }
+        }
+    }
+    false
+}
+
+/// `must` equals the all-paths oracle on every reachable block — entry
+/// blocks with back edges included — and leaves unreachable blocks ⊤.
+#[test]
+fn must_matches_all_paths_oracle() {
+    for case in 0..CASES {
+        let f = arb_cfg(case, 10, 20);
+        let blocks = arb_problem(case, &f);
+        let shown = show_problem(&f, &blocks);
+        let _case = Case::new(case, &shown);
+        let u = blocks[0].0.universe();
+        let entry = arb_set(&mut Rng::for_case(2 * CASES + case), u);
+        let sol = analysis::must(&f, &blocks, entry.clone());
+        for b in f.block_ids() {
+            let (in_, out) = (&sol.in_[b.index()], &sol.out[b.index()]);
+            if !reachable(&f, b) {
+                assert_eq!(in_, &BitSet::full(u), "in[{b}] of an unreachable block");
+                assert_eq!(out, &BitSet::full(u), "out[{b}] of an unreachable block");
+                continue;
+            }
+            for d in 0..u {
+                let want = must_oracle(&f, &blocks, &entry, b, d);
+                assert_eq!(in_.contains(d), want, "fact {d} in in[{b}]");
+                let (gen, kill) = &blocks[b.index()];
+                let through = gen.contains(d) || (want && !kill.contains(d));
+                assert_eq!(out.contains(d), through, "fact {d} in out[{b}]");
+            }
+        }
+    }
+}
+
+/// `live` equals the some-path-onward oracle on every reachable block;
+/// unreachable blocks keep an empty `in`.
+#[test]
+fn live_matches_some_path_oracle() {
+    for case in 0..CASES {
+        let f = arb_cfg(case, 10, 20);
+        let blocks = arb_problem(case, &f);
+        let shown = show_problem(&f, &blocks);
+        let _case = Case::new(case, &shown);
+        let sol = analysis::live(&f, &blocks);
+        for b in f.block_ids() {
+            let in_ = &sol.in_[b.index()];
+            if !reachable(&f, b) {
+                assert!(in_.is_empty(), "in[{b}] of an unreachable block");
+                continue;
+            }
+            for d in 0..in_.universe() {
+                assert_eq!(
+                    in_.contains(d),
+                    live_oracle(&f, &blocks, b, d),
+                    "fact {d} in in[{b}]"
+                );
+            }
+        }
+    }
+}
+
+/// `live`'s `out[b]` is the union of its successors' `in` on every block,
+/// unreachable ones included.
+#[test]
+fn live_out_is_the_union_of_successor_ins() {
+    for case in 0..CASES {
+        let f = arb_cfg(case, 10, 20);
+        let blocks = arb_problem(case, &f);
+        let shown = show_problem(&f, &blocks);
+        let _case = Case::new(case, &shown);
+        let sol = analysis::live(&f, &blocks);
+        for b in f.block_ids() {
+            let mut want = BitSet::new(blocks[0].0.universe());
+            for s in f.successors(b) {
+                want.union_with(&sol.in_[s.index()]);
+            }
+            assert_eq!(sol.out[b.index()], want, "out[{b}]");
+        }
     }
 }
 
