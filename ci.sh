@@ -71,6 +71,13 @@ echo "== fuzz output: repro --fuzz 512 --seed 1 --jobs 2"
 cargo run --release -q -p harness --bin repro -- --fuzz 512 --seed 1 --jobs 2 \
     | diff - perfbench/expected/fuzz-seed1.out
 
+echo "== fuzz output: repro --fuzz 512 --seed 1 --jobs 1"
+# The same campaign on one worker: the oracle's per-case memo of
+# check+sim runs must leave the report independent of the job count at
+# full scale, not only on the 8-case unit test.
+cargo run --release -q -p harness --bin repro -- --fuzz 512 --seed 1 --jobs 1 \
+    | diff - perfbench/expected/fuzz-seed1.out
+
 echo "== fuzz smoke: repro --fuzz 64 --seed 1 --jobs 2"
 # Fixed-seed differential fuzzing campaign: every generated module must
 # produce bit-identical checksums under all allocation variants, pass

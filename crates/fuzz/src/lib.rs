@@ -11,7 +11,8 @@
 //! * [`oracle::run_oracle`] — a differential oracle running every
 //!   module through all allocation variants at several CCM sizes,
 //!   asserting bit-identical results, a clean checker, and
-//!   `cycles <= baseline`;
+//!   `cycles <= baseline`; every distinct allocated module is checked
+//!   and simulated once per CCM size it depends on;
 //! * [`min::minimize`] — a shrinker that reduces failures to minimal
 //!   reproducers printable as parseable ILOC (checked into
 //!   `tests/corpus/` as permanent regression tests).
@@ -121,12 +122,17 @@ pub fn campaign(n: usize, seed: u64, jobs: usize, cfg: &OracleConfig) -> Vec<Cas
     .collect()
 }
 
-/// A rendered campaign: the text for stdout plus the failure count.
+/// A rendered campaign: the text for stdout plus the failure count and
+/// the oracle's run count.
 pub struct CampaignReport {
     /// Human-readable report (deterministic for a given `(n, seed)`).
     pub text: String,
     /// Number of failing cases.
     pub failures: usize,
+    /// Check+sim pairs the passing cases executed ([`CaseStats::runs`]).
+    pub runs: usize,
+    /// (variant, CCM size) configurations the passing cases covered.
+    pub configurations: usize,
 }
 
 /// Runs a campaign and renders the deterministic report `repro --fuzz`
@@ -140,9 +146,13 @@ pub fn campaign_report(n: usize, seed: u64, jobs: usize, cfg: &OracleConfig) -> 
     let mut ccm_active = 0usize;
     let mut instrs = 0usize;
     let mut failures = 0usize;
+    let mut runs = 0usize;
+    let mut configurations = 0usize;
     for r in &results {
         match &r.outcome {
             Ok(st) => {
+                runs += st.runs;
+                configurations += cfg.configurations();
                 instrs += st.instrs;
                 spilling += usize::from(st.spilled_ranges > 0);
                 ccm_active += usize::from(st.ccm_ops > 0);
@@ -176,7 +186,12 @@ pub fn campaign_report(n: usize, seed: u64, jobs: usize, cfg: &OracleConfig) -> 
             mf.module
         );
     }
-    CampaignReport { text, failures }
+    CampaignReport {
+        text,
+        failures,
+        runs,
+        configurations,
+    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,12 @@
 //!    never slow a program down: promoted spills cost 1 cycle instead
 //!    of 2 and no other code changes).
 //!
+//! Every distinct allocated module is checked and simulated once per CCM
+//! size it depends on: a module that does not
+//! [`uses_ccm`](Module::uses_ccm) behaves the same at every size, and
+//! most derived variants equal the baseline allocation (the post-pass
+//! allocator only rewrites spill code), so their runs are reused.
+//!
 //! Failures carry the variant, CCM size, and a [`FailureKind`] the
 //! minimizer uses to preserve "the same bug" while shrinking. Allocator
 //! panics are caught and reported as [`FailureKind::Panicked`] rather
@@ -135,6 +141,19 @@ pub struct OracleConfig {
     pub max_steps: u64,
 }
 
+impl OracleConfig {
+    /// The (variant, CCM size) configurations one case covers: the
+    /// baseline and each other variant at every CCM size.
+    pub(crate) fn configurations(&self) -> usize {
+        let others = self
+            .variants
+            .iter()
+            .filter(|&&v| v != Variant::Baseline)
+            .count();
+        self.ccm_sizes.len() * (1 + others)
+    }
+}
+
 impl Default for OracleConfig {
     fn default() -> OracleConfig {
         OracleConfig {
@@ -197,18 +216,23 @@ impl Failure {
 }
 
 /// Aggregate statistics for a passing case.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CaseStats {
     /// Instructions in the generated module (pre-allocation).
     pub instrs: usize,
     /// Live ranges the baseline allocation spilled.
     pub spilled_ranges: usize,
-    /// CCM operations executed across all non-baseline runs.
+    /// CCM operations executed across all non-baseline (variant, CCM
+    /// size) configurations, reused runs included.
     pub ccm_ops: u64,
     /// Baseline cycles at the first CCM size.
     pub base_cycles: u64,
+    /// Check+sim pairs actually executed: one per distinct (module, CCM
+    /// size it depends on), at most one per (variant, CCM size).
+    pub runs: usize,
 }
 
+#[derive(Clone)]
 struct VariantRun {
     ints: Vec<i64>,
     float_bits: Vec<u64>,
@@ -276,14 +300,89 @@ fn check_and_run(
     }
 }
 
+/// Passing runs of one case, keyed by the allocated module and by the
+/// CCM size it depends on: its size when it
+/// [`uses_ccm`](Module::uses_ccm), `None` otherwise. Checking and
+/// simulating read the CCM size only through CCM ops and `in_ccm` slots,
+/// and ignore the virtual-register counter that module equality skips,
+/// so an equal module under an equal key passes with the same run.
+#[derive(Default)]
+struct Memo {
+    runs: Vec<(Option<u32>, Module, VariantRun)>,
+}
+
+impl Memo {
+    /// [`check_and_run`], unless an equal module already passed under
+    /// the same key. Failures are not kept: the oracle stops at the first.
+    fn check_and_run(
+        &mut self,
+        mm: &Module,
+        variant: Variant,
+        ccm: u32,
+        cfg: &OracleConfig,
+    ) -> Result<VariantRun, Failure> {
+        let key = mm.uses_ccm().then_some(ccm);
+        if let Some((_, _, r)) = self.runs.iter().find(|(k, m, _)| *k == key && m == mm) {
+            return Ok(r.clone());
+        }
+        let r = check_and_run(mm, variant, ccm, cfg)?;
+        self.runs.push((key, mm.clone(), r.clone()));
+        Ok(r)
+    }
+}
+
+/// Compares variant `v`'s run at `ccm` with the baseline's: bit-identical
+/// return values and no more cycles.
+fn compare(base: &VariantRun, r: &VariantRun, v: Variant, ccm: u32) -> Result<(), Failure> {
+    if r.ints != base.ints || r.float_bits != base.float_bits {
+        return Err(Failure {
+            kind: FailureKind::ChecksumMismatch,
+            variant: v,
+            ccm,
+            detail: format!(
+                "baseline ints {:?} floats {:x?}, {} ints {:?} floats {:x?}",
+                base.ints,
+                base.float_bits,
+                v.short(),
+                r.ints,
+                r.float_bits
+            ),
+        });
+    }
+    if r.cycles > base.cycles {
+        return Err(Failure {
+            kind: FailureKind::Slower,
+            variant: v,
+            ccm,
+            detail: format!("{} cycles vs baseline {}", r.cycles, base.cycles),
+        });
+    }
+    Ok(())
+}
+
+/// Allocates `m` with the baseline Chaitin-Briggs allocator and returns
+/// the allocated module and its spilled live-range count. A panic is
+/// reported as a baseline failure at `ccm`.
+fn allocate_baseline(m: &Module, ccm: u32, cfg: &OracleConfig) -> Result<(Module, usize), Failure> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut mm = m.clone();
+        let spilled = regalloc::allocate_module(&mut mm, &cfg.alloc).total_spilled();
+        (mm, spilled)
+    }))
+    .map_err(|p| panicked(Variant::Baseline, ccm, p.as_ref()))
+}
+
 /// Runs the full differential oracle on one module.
 ///
 /// The baseline Chaitin-Briggs allocation is computed once per module
 /// and serves every CCM size: it is the baseline at each size, and the
 /// CCM variants are derived from it with [`ccm::promote_allocated`],
 /// exactly as a fresh [`ccm::allocate_variant`] would produce them.
-/// Every (variant, CCM size) is still mutated when configured, checked
-/// and simulated.
+/// Every (variant, CCM size) is still derived, mutated when configured
+/// and compared with the baseline, but every distinct allocated module
+/// is checked and simulated once per CCM size it depends on (see
+/// [`CaseStats::runs`]): a configuration whose module equals one that
+/// already passed under the same CCM key reuses that run.
 ///
 /// # Errors
 ///
@@ -298,15 +397,11 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
     let Some(&first_ccm) = cfg.ccm_sizes.first() else {
         return Ok(stats);
     };
-    let (allocated, spilled) = catch_unwind(AssertUnwindSafe(|| {
-        let mut mm = m.clone();
-        let spilled = regalloc::allocate_module(&mut mm, &cfg.alloc).total_spilled();
-        (mm, spilled)
-    }))
-    .map_err(|p| panicked(Variant::Baseline, first_ccm, p.as_ref()))?;
+    let (allocated, spilled) = allocate_baseline(m, first_ccm, cfg)?;
     stats.spilled_ranges = spilled;
+    let mut memo = Memo::default();
     for (i, &ccm) in cfg.ccm_sizes.iter().enumerate() {
-        let base = check_and_run(&allocated, Variant::Baseline, ccm, cfg)?;
+        let base = memo.check_and_run(&allocated, Variant::Baseline, ccm, cfg)?;
         if i == 0 {
             stats.base_cycles = base.cycles;
         }
@@ -315,40 +410,163 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
                 continue;
             }
             let mm = derive_variant(&allocated, v, ccm, cfg.mutation)?;
-            let r = check_and_run(&mm, v, ccm, cfg)?;
+            let r = memo.check_and_run(&mm, v, ccm, cfg)?;
             stats.ccm_ops += r.ccm_ops;
-            if r.ints != base.ints || r.float_bits != base.float_bits {
-                return Err(Failure {
-                    kind: FailureKind::ChecksumMismatch,
-                    variant: v,
-                    ccm,
-                    detail: format!(
-                        "baseline ints {:?} floats {:x?}, {} ints {:?} floats {:x?}",
-                        base.ints,
-                        base.float_bits,
-                        v.short(),
-                        r.ints,
-                        r.float_bits
-                    ),
-                });
-            }
-            if r.cycles > base.cycles {
-                return Err(Failure {
-                    kind: FailureKind::Slower,
-                    variant: v,
-                    ccm,
-                    detail: format!("{} cycles vs baseline {}", r.cycles, base.cycles),
-                });
-            }
+            compare(&base, &r, v, ccm)?;
         }
     }
+    stats.runs = memo.runs.len();
     Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::case_seed;
     use crate::gen::gen_module;
+
+    /// The oracle without the memo: checks and simulates every (variant,
+    /// CCM size) configuration.
+    fn reference_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> {
+        let mut stats = CaseStats {
+            instrs: m.instr_count(),
+            ..CaseStats::default()
+        };
+        let Some(&first_ccm) = cfg.ccm_sizes.first() else {
+            return Ok(stats);
+        };
+        let (allocated, spilled) = allocate_baseline(m, first_ccm, cfg)?;
+        stats.spilled_ranges = spilled;
+        for (i, &ccm) in cfg.ccm_sizes.iter().enumerate() {
+            let base = check_and_run(&allocated, Variant::Baseline, ccm, cfg)?;
+            stats.runs += 1;
+            if i == 0 {
+                stats.base_cycles = base.cycles;
+            }
+            for &v in &cfg.variants {
+                if v == Variant::Baseline {
+                    continue;
+                }
+                let mm = derive_variant(&allocated, v, ccm, cfg.mutation)?;
+                let r = check_and_run(&mm, v, ccm, cfg)?;
+                stats.runs += 1;
+                stats.ccm_ops += r.ccm_ops;
+                compare(&base, &r, v, ccm)?;
+            }
+        }
+        Ok(stats)
+    }
+
+    /// Asserts that [`run_oracle`] and [`reference_oracle`] agree on `m`
+    /// and returns how many check+sim runs the memo saved.
+    fn assert_oracles_agree(m: &Module, cfg: &OracleConfig, ctx: &str) -> usize {
+        match (run_oracle(m, cfg), reference_oracle(m, cfg)) {
+            (Ok(got), Ok(want)) => {
+                assert!(got.runs <= want.runs, "{ctx}: {} runs", got.runs);
+                assert_eq!(
+                    CaseStats {
+                        runs: want.runs,
+                        ..got
+                    },
+                    want,
+                    "{ctx}"
+                );
+                want.runs - got.runs
+            }
+            (Err(got), Err(want)) => {
+                let fields = |f: Failure| (f.kind, f.variant, f.ccm, f.detail);
+                assert_eq!(fields(got), fields(want), "{ctx}");
+                0
+            }
+            (got, want) => panic!("{ctx}: memo {got:?}, reference {want:?}"),
+        }
+    }
+
+    #[test]
+    fn memo_matches_the_reference_oracle() {
+        let mutations = [
+            None,
+            Some(Mutation::SkipSpillStore),
+            Some(Mutation::BumpCcmOffset),
+            Some(Mutation::OverlapSlots),
+        ];
+        let mut cfgs = Vec::new();
+        for alloc in [
+            AllocConfig::default(),
+            AllocConfig::tiny(3),
+            AllocConfig::tiny(5),
+        ] {
+            for mutation in mutations {
+                cfgs.push(OracleConfig {
+                    alloc,
+                    mutation,
+                    ..OracleConfig::default()
+                });
+            }
+            // A 10-step budget traps the first simulation: the Trap path.
+            cfgs.push(OracleConfig {
+                alloc,
+                max_steps: 10,
+                ..OracleConfig::default()
+            });
+        }
+        let mut saved = 0;
+        for cfg in &cfgs {
+            for i in 0..64 {
+                let m = gen_module(case_seed(1, i));
+                let ctx = format!(
+                    "case {i} under {:?}",
+                    (cfg.alloc, cfg.mutation, cfg.max_steps)
+                );
+                saved += assert_oracles_agree(&m, cfg, &ctx);
+            }
+        }
+        assert!(saved > 0, "the memo never reused a run");
+
+        // In the cases above a CCM-using module that recurs at another
+        // CCM size gets the same verdict there, so they cannot show that
+        // the key needs the size. An input whose own code touches the CCM
+        // can: it passes at 1024 bytes and fails the bounds check at 32.
+        let ccm_input = iloc::parse_module(
+            "func main() rets gpr locals 0 {\n    slot 0: gpr @ 56 ccm\nentry:\n    \
+             loadI 7 => %r64\n    spill %r64 => ccm[56] !store(0)\n    \
+             restore ccm[56] => %r65 !restore(0)\n    ret %r65\n}\n",
+        )
+        .expect("parses");
+        // Only the baseline runs: the CCM variants expect a baseline
+        // allocation without CCM slots.
+        let cfg = OracleConfig {
+            ccm_sizes: vec![1024, 32],
+            variants: Vec::new(),
+            ..OracleConfig::default()
+        };
+        assert_oracles_agree(&ccm_input, &cfg, "CCM-using input");
+        let f = run_oracle(&ccm_input, &cfg).expect_err("ccm[56] is out of bounds at 32 bytes");
+        assert_eq!(
+            (f.kind, f.variant, f.ccm),
+            (FailureKind::CheckerRejected, Variant::Baseline, 32)
+        );
+    }
+
+    #[test]
+    fn runs_count_distinct_modules() {
+        let cfg = OracleConfig::default();
+        let configs = cfg.configurations();
+        let mut non_spilling = 0;
+        for i in 0..64 {
+            let st = run_oracle(&gen_module(case_seed(1, i)), &cfg).expect("honest case");
+            assert!(
+                (1..=configs).contains(&st.runs),
+                "case {i}: {} runs",
+                st.runs
+            );
+            if st.spilled_ranges == 0 {
+                non_spilling += 1;
+                assert_eq!(st.runs, 1, "non-spilling case {i} ran more than once");
+            }
+        }
+        assert!(non_spilling > 0, "no case of 64 was spill-free");
+    }
 
     #[test]
     fn honest_pipeline_passes() {

@@ -238,6 +238,10 @@ fn main() {
             fuzz::campaign_report(n, seed, jobs, &cfg)
         });
         print!("{}", rep.text);
+        eprintln!(
+            "fuzz: {}/{} configurations checked and simulated",
+            rep.runs, rep.configurations
+        );
         if rep.failures > 0 {
             deferred_failure = true;
         }

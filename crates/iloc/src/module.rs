@@ -134,6 +134,20 @@ impl Module {
     pub fn instr_count(&self) -> usize {
         self.functions.iter().map(|f| f.instr_count()).sum()
     }
+
+    /// Whether the module touches the CCM: an instruction that
+    /// [`is_ccm_op`](crate::Op::is_ccm_op) or a frame slot that is
+    /// `in_ccm`. Checking and simulating a module for which this is false
+    /// gives the same result at every CCM size.
+    pub fn uses_ccm(&self) -> bool {
+        self.functions.iter().any(|f| {
+            f.frame.slots.iter().any(|s| s.in_ccm)
+                || f.blocks
+                    .iter()
+                    .flat_map(|b| &b.instrs)
+                    .any(|i| i.op.is_ccm_op())
+        })
+    }
 }
 
 #[cfg(test)]
@@ -158,6 +172,29 @@ mod tests {
         assert!(m.function("a").is_some());
         assert!(m.function("c").is_none());
         assert_eq!(m.function_indices()["b"], 1);
+    }
+
+    #[test]
+    fn uses_ccm_sees_ccm_slots_and_ccm_ops() {
+        use crate::{Instr, Op, Reg, RegClass};
+
+        let mut m = Module::new();
+        m.push_function(Function::new("main"));
+        let slot = m.functions[0].frame.new_slot(RegClass::Gpr);
+        assert!(!m.uses_ccm(), "a frame slot and no CCM op");
+
+        let mut slot_only = m.clone();
+        slot_only.functions[0].frame.slot_mut(slot).in_ccm = true;
+        assert!(slot_only.uses_ccm(), "a CCM slot and no CCM op");
+
+        let mut op_only = m.clone();
+        op_only.functions[0].blocks[0]
+            .instrs
+            .push(Instr::new(Op::CcmStore {
+                val: Reg::gpr(1),
+                off: 0,
+            }));
+        assert!(op_only.uses_ccm(), "a CCM op and no CCM slot");
     }
 
     #[test]
