@@ -36,10 +36,18 @@ cargo test -q --workspace
 
 echo "== allocator: cargo test -q --release -p regalloc"
 # The allocator's unit tests again with optimizations on: overflow
-# checks and debug_assert! are off here, so the bit matrix's triangular
+# checks and debug_assert! are off here, so the bit matrix's row
 # indexing and the equivalence tests against the quadratic reference
-# coloring and the HashSet graph model must hold without them.
+# coloring, the per-edge reference build and the HashSet graph model
+# must hold without them.
 cargo test -q --release -p regalloc
+
+echo "== allocation golden: cargo test -q --release --test alloc_golden"
+# One digest per allocated unit (64 kernels and 128 fuzz modules, each
+# under the default configuration, tiny(3) and tiny(5)) over the module
+# text and its AllocStats: every coloring, spill choice and coalesce,
+# pinned in release mode, where the tables only pin aggregates.
+cargo test -q --release --test alloc_golden
 
 echo "== release smoke: repro --table1 --check --jobs 2"
 # Exercises the parallel engine end to end in release mode (the unit

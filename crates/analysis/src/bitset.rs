@@ -67,6 +67,14 @@ impl BitSet {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
+    /// The backing words: bit `i % 64` of word `i / 64` holds `i`, and
+    /// bits past the universe are zero. Lets a caller OR the set into a
+    /// row of its own bit matrix a word at a time.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Removes all elements.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -120,19 +128,26 @@ impl BitSet {
 
     /// Iterates over the members in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, w)| {
-            let mut w = *w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+        ones(&self.words)
     }
+}
+
+/// The set bits of `words` in increasing order, numbered as in a
+/// [`BitSet`]: bit `i % 64` of word `i / 64` is `i`. Iterates a bit set
+/// kept as a slice of a larger array, such as one row of a bit matrix.
+pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(move |(wi, w)| {
+        let mut w = *w;
+        std::iter::from_fn(move || {
+            if w == 0 {
+                None
+            } else {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                Some(wi * 64 + b)
+            }
+        })
+    })
 }
 
 impl FromIterator<usize> for BitSet {

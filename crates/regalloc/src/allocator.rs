@@ -4,6 +4,11 @@
 //! coalesce copies (Briggs), estimate spill costs, simplify/select with
 //! optimistic spilling, insert spill code for the losers, and repeat until
 //! everything colors; finally rewrite virtual registers to physical ones.
+//!
+//! Coalescing renames through a union-find over the graph's entity ids,
+//! so a pass hashes nothing. [`AllocStats`] counts what each class cost:
+//! rounds, graph builds and optimistic spill picks besides the spills,
+//! coalesces and rematerializations the tables report.
 
 use std::collections::{HashMap, HashSet};
 
@@ -31,6 +36,9 @@ pub struct AllocStats {
     /// Interference graphs built, per class: one per round, plus one
     /// more after every coalescing pass that merged something.
     pub graph_builds: [usize; 2],
+    /// Optimistic spill candidates taken by simplify, per class: the
+    /// times no node had degree < k.
+    pub spill_picks: [usize; 2],
 }
 
 impl AllocStats {
@@ -46,6 +54,7 @@ impl AllocStats {
             self.rounds[i] += other.rounds[i];
             self.rematerialized[i] += other.rematerialized[i];
             self.graph_builds[i] += other.graph_builds[i];
+            self.spill_picks[i] += other.spill_picks[i];
         }
     }
 }
@@ -116,6 +125,7 @@ fn allocate_class(
         let remat_set: HashSet<Reg> = remat_defs.keys().copied().collect();
         let costs = SpillCosts::compute(f, weights, &graph.entities, &unspillable, &remat_set);
         let coloring = color(&graph, k, cfg.caller_saved, &costs);
+        stats.spill_picks[ci] += coloring.spill_picks;
 
         if coloring.spilled.is_empty() {
             // Rewrite to physical registers.
@@ -157,58 +167,48 @@ fn allocate_class(
 /// One conservative-coalescing pass: merges every Briggs-safe copy it can,
 /// applying merges to the graph incrementally, then rewrites the code.
 /// Returns the number of copies coalesced.
+///
+/// Renames live in a union-find over entity ids: merging a copy's target
+/// into its source points the target's root at the source's, so every
+/// register resolves to the root it was last merged into.
 fn coalesce_pass(f: &mut Function, graph: &mut InterferenceGraph, k: u32) -> usize {
-    let mut rename: HashMap<Reg, Reg> = HashMap::new();
-    let resolve = |rename: &HashMap<Reg, Reg>, mut r: Reg| -> Reg {
-        while let Some(&n) = rename.get(&r) {
-            if n == r {
-                break;
-            }
-            r = n;
+    let mut parent: Vec<usize> = (0..graph.len()).collect();
+    fn find(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
         }
-        r
-    };
+        i
+    }
 
     let mut merged = 0;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        for i in 0..f.block(b).instrs.len() {
-            let (src, dst) = match &f.block(b).instrs[i].op {
+    for b in f.block_ids() {
+        for instr in &f.block(b).instrs {
+            let (src, dst) = match &instr.op {
                 Op::I2I { src, dst } if graph.entities.class() == RegClass::Gpr => (*src, *dst),
                 Op::F2F { src, dst } if graph.entities.class() == RegClass::Fpr => (*src, *dst),
                 _ => continue,
             };
-            let (src, dst) = (resolve(&rename, src), resolve(&rename, dst));
-            if src == dst {
-                continue;
-            }
-            if !src.is_virtual() || !dst.is_virtual() {
-                continue;
-            }
             let (is_, id_) = match (graph.entities.get(src), graph.entities.get(dst)) {
-                (Some(a), Some(b)) => (a, b),
+                (Some(a), Some(b)) => (find(&mut parent, a), find(&mut parent, b)),
                 _ => continue,
             };
-            if graph.interferes(is_, id_) || !graph.briggs_safe(is_, id_, k as usize) {
+            if is_ == id_ || graph.interferes(is_, id_) || !graph.briggs_safe(is_, id_, k as usize)
+            {
                 continue;
             }
             graph.merge(is_, id_);
-            rename.insert(dst, src);
+            parent[id_] = is_;
             merged += 1;
         }
     }
 
     if merged > 0 {
         // Rewrite registers and delete the now-trivial copies.
-        for b in f.block_ids().collect::<Vec<_>>() {
-            for i in 0..f.block(b).instrs.len() {
-                let op = &mut f.block_mut(b).instrs[i].op;
-                op.map_uses(|r| resolve(&rename, r));
-                op.map_defs(|r| resolve(&rename, r));
-            }
-        }
-        for p in &mut f.params {
-            *p = resolve(&rename, *p);
-        }
+        let root: Vec<Reg> = (0..parent.len())
+            .map(|i| graph.entities.reg(find(&mut parent, i)))
+            .collect();
+        rewrite_regs(f, |r| graph.entities.get(r).map_or(r, |id| root[id]));
         f.remove_instrs(|i| match &i.op {
             Op::I2I { src, dst } | Op::F2F { src, dst } => src == dst,
             _ => false,
@@ -359,6 +359,20 @@ mod tests {
         for c in 0..2 {
             assert!(stats.graph_builds[c] >= stats.rounds[c]);
         }
+    }
+
+    #[test]
+    fn spill_picks_count_optimistic_candidates_per_class() {
+        // Without caller-saved colors only an optimistic pick can spill.
+        let mut f = wide_int_function(12);
+        let stats = allocate_function(&mut f, &AllocConfig::tiny(4));
+        assert!(stats.spilled[0] > 0, "setup must spill");
+        assert!(stats.spill_picks[0] >= stats.spilled[0], "{stats:?}");
+        assert_eq!(stats.spill_picks[1], 0);
+        // Enough registers: simplify never runs out of low-degree nodes.
+        let mut f = wide_int_function(8);
+        let stats = allocate_function(&mut f, &AllocConfig::default());
+        assert_eq!(stats.spill_picks, [0, 0]);
     }
 
     #[test]

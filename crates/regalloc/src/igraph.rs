@@ -8,12 +8,17 @@
 //! with every register live after it (copies exempt their source,
 //! enabling coalescing).
 //!
-//! It keeps the dual representation of Briggs' allocator (Cooper &
-//! Torczon, *Engineering a Compiler* §13.4): a lower-triangular bit
-//! matrix answers [`InterferenceGraph::interferes`] in constant time, and
-//! per-node adjacency vectors, free of duplicates, drive iteration and
-//! degrees.
+//! The graph is one square bit matrix, row-major with a whole number of
+//! 64-bit words per row (the matrix half of Briggs' dual representation,
+//! Cooper & Torczon, *Engineering a Compiler* §13.4). The scan ORs the
+//! live set's words into each definition's row, masking the definition
+//! itself and, unless that bit was already set, the copy source; one
+//! symmetrize pass then mirrors every bit, and degrees are row
+//! popcounts. [`InterferenceGraph::interferes`] is one bit test, and
+//! [`InterferenceGraph::neighbors`] walks a row's set bits in increasing
+//! id order, so no per-node adjacency vector is built.
 
+use analysis::bitset::ones;
 use analysis::{BitSet, Solution};
 use iloc::{Function, Op};
 
@@ -22,31 +27,28 @@ use crate::entity::EntityIndex;
 /// An interference graph over the virtual registers of one class.
 #[derive(Clone, Debug)]
 pub struct InterferenceGraph {
-    /// Adjacency vectors, indexed by dense entity id.
-    adj: Vec<Vec<usize>>,
-    /// The lower triangle of the adjacency matrix: bit
-    /// `hi·(hi−1)/2 + lo` is set when `hi > lo` interfere.
-    matrix: BitSet,
+    /// The adjacency matrix: bit `b % 64` of word `a · words + b / 64`
+    /// is set when `a` and `b` interfere. Symmetric, zero diagonal.
+    bits: Vec<u64>,
+    /// Words per matrix row.
+    words: usize,
+    /// Set bits per row.
+    degree: Vec<usize>,
     /// Entities that are live across at least one call site.
     crosses_call: Vec<bool>,
     /// The dense numbering.
     pub entities: EntityIndex,
 }
 
-/// The matrix bit of the pair `{a, b}`, `a != b`.
-#[inline]
-fn tri(a: usize, b: usize) -> usize {
-    let (hi, lo) = if a > b { (a, b) } else { (b, a) };
-    hi * (hi - 1) / 2 + lo
-}
-
 impl InterferenceGraph {
     /// Builds the graph for the class covered by `entities`.
     pub fn build(f: &Function, entities: EntityIndex) -> InterferenceGraph {
         let n = entities.len();
+        let words = n.div_ceil(64);
         let mut g = InterferenceGraph {
-            adj: vec![Vec::new(); n],
-            matrix: BitSet::new(n * n.saturating_sub(1) / 2),
+            bits: vec![0; n * words],
+            words,
+            degree: vec![0; n],
             crosses_call: vec![false; n],
             entities,
         };
@@ -54,8 +56,8 @@ impl InterferenceGraph {
             return g;
         }
 
-        // Backward walk per block, from its live-out set, adding
-        // interference edges.
+        // Backward walk per block, from its live-out set: each
+        // definition's row takes the registers live after it.
         let sol = entity_liveness(f, &g.entities);
         let (mut uses, mut defs) = (Vec::new(), Vec::new());
         for (b, mut live) in f.block_ids().zip(sol.out) {
@@ -67,10 +69,15 @@ impl InterferenceGraph {
                     _ => None,
                 };
                 for &d in &defs {
-                    for l in live.iter() {
-                        if l != d && Some(l) != copy_src {
-                            g.add_edge(d, l);
-                        }
+                    let row = &mut g.bits[d * words..(d + 1) * words];
+                    // A source that already interferes with the target
+                    // (another definition of it) keeps its edge.
+                    let masked = copy_src.filter(|&s| row[s / 64] & (1 << (s % 64)) == 0);
+                    for (r, l) in row.iter_mut().zip(live.words()) {
+                        *r |= l;
+                    }
+                    for m in masked.into_iter().chain([d]) {
+                        row[m / 64] &= !(1 << (m % 64));
                     }
                 }
                 // Values live across a call (live after it minus its defs).
@@ -90,6 +97,24 @@ impl InterferenceGraph {
             }
         }
 
+        // Mirror every bit: an edge found from either end is an edge.
+        for a in 0..n {
+            for wi in 0..words {
+                let mut w = g.bits[a * words + wi];
+                while w != 0 {
+                    let b = wi * 64 + w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    g.bits[b * words + a / 64] |= 1 << (a % 64);
+                }
+            }
+        }
+        for (a, d) in g.degree.iter_mut().enumerate() {
+            *d = g.bits[a * words..(a + 1) * words]
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum();
+        }
+
         // Parameters are simultaneously defined at entry: make them
         // pairwise interfere so the call sequence can bind each to a
         // distinct register.
@@ -102,39 +127,55 @@ impl InterferenceGraph {
         g
     }
 
+    /// The matrix row of `a`.
+    #[inline]
+    fn row(&self, a: usize) -> &[u64] {
+        &self.bits[a * self.words..(a + 1) * self.words]
+    }
+
+    /// Sets bit `b` of row `a`; returns `true` if it was newly set.
+    #[inline]
+    fn set(&mut self, a: usize, b: usize) -> bool {
+        let w = &mut self.bits[a * self.words + b / 64];
+        let old = *w;
+        *w |= 1 << (b % 64);
+        old != *w
+    }
+
     /// Adds an undirected edge.
     #[inline]
     pub fn add_edge(&mut self, a: usize, b: usize) {
-        if a != b && self.matrix.insert(tri(a, b)) {
-            self.adj[a].push(b);
-            self.adj[b].push(a);
+        if a != b && self.set(a, b) {
+            self.set(b, a);
+            self.degree[a] += 1;
+            self.degree[b] += 1;
         }
     }
 
     /// Whether `a` and `b` interfere.
     #[inline]
     pub fn interferes(&self, a: usize, b: usize) -> bool {
-        a != b && self.matrix.contains(tri(a, b))
+        self.row(a)[b / 64] & (1 << (b % 64)) != 0
     }
 
-    /// Neighbors of `a`.
+    /// Neighbors of `a`, in increasing id order.
     pub fn neighbors(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
-        self.adj[a].iter().copied()
+        ones(self.row(a))
     }
 
     /// Degree of `a`.
     pub fn degree(&self, a: usize) -> usize {
-        self.adj[a].len()
+        self.degree[a]
     }
 
     /// Number of nodes (entities).
     pub fn len(&self) -> usize {
-        self.adj.len()
+        self.degree.len()
     }
 
     /// Whether the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.degree.is_empty()
     }
 
     /// Whether entity `a` is live across some call.
@@ -153,15 +194,23 @@ impl InterferenceGraph {
     pub fn merge(&mut self, a: usize, b: usize) {
         debug_assert!(a != b, "cannot merge a node into itself");
         debug_assert!(!self.interferes(a, b), "cannot merge interfering nodes");
-        for n in std::mem::take(&mut self.adj[b]) {
-            let at = self.adj[n]
-                .iter()
-                .position(|&x| x == b)
-                .expect("adjacency is symmetric");
-            self.adj[n].swap_remove(at);
-            self.matrix.remove(tri(n, b));
-            self.add_edge(a, n);
+        for wi in 0..self.words {
+            let mut w = std::mem::take(&mut self.bits[b * self.words + wi]);
+            while w != 0 {
+                let n = wi * 64 + w.trailing_zeros() as usize;
+                w &= w - 1;
+                // `n` trades its edge to `b` for one to `a`, unless it
+                // already had that.
+                self.bits[n * self.words + b / 64] &= !(1 << (b % 64));
+                if self.set(n, a) {
+                    self.set(a, n);
+                    self.degree[a] += 1;
+                } else {
+                    self.degree[n] -= 1;
+                }
+            }
         }
+        self.degree[b] = 0;
         if self.crosses_call[b] {
             self.crosses_call[a] = true;
         }
@@ -176,12 +225,12 @@ impl InterferenceGraph {
             self.degree(n) - usize::from(common) >= k
         };
         let mut count = 0;
-        for &n in &self.adj[a] {
+        for n in self.neighbors(a) {
             if n != b && significant(n, self.interferes(n, b)) {
                 count += 1;
             }
         }
-        for &n in &self.adj[b] {
+        for n in self.neighbors(b) {
             // Common neighbors were counted with `a`'s.
             if n != a && !self.interferes(n, a) && significant(n, false) {
                 count += 1;
@@ -222,9 +271,9 @@ mod tests {
     use super::*;
     use iloc::builder::FuncBuilder;
     use iloc::RegClass;
-    use std::collections::HashSet;
+    use std::collections::{BTreeSet, HashSet};
 
-    use crate::testkit::{isolated_nodes, SplitMix64};
+    use crate::testkit::{isolated_nodes, random_function, SplitMix64};
 
     fn graph_for(f: &Function, class: RegClass) -> InterferenceGraph {
         InterferenceGraph::build(f, EntityIndex::build(f, class))
@@ -306,6 +355,101 @@ mod tests {
         g.merge(ia, ib);
         assert!(g.interferes(ia, ix), "a inherits b's edge to x");
         assert_eq!(g.degree(ib), 0);
+    }
+
+    /// The per-edge build the row build replaced: at each definition,
+    /// one edge to every register live after it except the definition
+    /// and a copy's source. Returns the neighbor sets and the
+    /// call-crossing flags.
+    fn reference_build(f: &Function, idx: &EntityIndex) -> (Vec<BTreeSet<usize>>, Vec<bool>) {
+        let n = idx.len();
+        let mut adj = vec![BTreeSet::new(); n];
+        let mut add_edge = |a: usize, b: usize| {
+            if a != b {
+                adj[a].insert(b);
+                adj[b].insert(a);
+            }
+        };
+        let mut crosses_call = vec![false; n];
+        if n == 0 {
+            return (adj, crosses_call);
+        }
+        let sol = entity_liveness(f, idx);
+        let (mut uses, mut defs) = (Vec::new(), Vec::new());
+        for (b, mut live) in f.block_ids().zip(sol.out) {
+            for instr in f.block(b).instrs.iter().rev() {
+                idx.uses_defs(&instr.op, &mut uses, &mut defs);
+                let copy_src: Option<usize> = match &instr.op {
+                    Op::I2I { src, .. } | Op::F2F { src, .. } => idx.get(*src),
+                    _ => None,
+                };
+                for &d in &defs {
+                    for l in live.iter() {
+                        if l != d && Some(l) != copy_src {
+                            add_edge(d, l);
+                        }
+                    }
+                }
+                if matches!(instr.op, Op::Call { .. }) {
+                    for l in live.iter() {
+                        if !defs.contains(&l) {
+                            crosses_call[l] = true;
+                        }
+                    }
+                }
+                for &d in &defs {
+                    live.remove(d);
+                }
+                for &u in &uses {
+                    live.insert(u);
+                }
+            }
+        }
+        let params: Vec<usize> = f.params.iter().filter_map(|p| idx.get(*p)).collect();
+        for i in 0..params.len() {
+            for j in i + 1..params.len() {
+                add_edge(params[i], params[j]);
+            }
+        }
+        (adj, crosses_call)
+    }
+
+    #[test]
+    fn row_build_matches_the_per_edge_reference() {
+        let mut rng = SplitMix64(0xB17_0123);
+        let (mut wide, mut kept_copy_edges) = (0, 0);
+        for case in 0..240 {
+            let f = random_function(&mut rng);
+            for class in RegClass::ALL {
+                let g = graph_for(&f, class);
+                let (adj, crosses_call) = reference_build(&f, &g.entities);
+                let n = g.len();
+                wide += usize::from(n > 64);
+                for a in 0..n {
+                    let listed: Vec<usize> = g.neighbors(a).collect();
+                    let want: Vec<usize> = adj[a].iter().copied().collect();
+                    assert_eq!(listed, want, "case {case} {class:?}: neighbors of {a}");
+                    assert_eq!(g.degree(a), adj[a].len(), "case {case}: degree of {a}");
+                    assert_eq!(g.crosses_call(a), crosses_call[a], "case {case}: {a}");
+                    for b in 0..n {
+                        assert_eq!(g.interferes(a, b), adj[a].contains(&b), "case {case}");
+                    }
+                }
+                // Copies whose source already interferes with the target.
+                for instr in f.blocks.iter().flat_map(|b| &b.instrs) {
+                    if let Op::I2I { src, dst } | Op::F2F { src, dst } = &instr.op {
+                        if let (Some(s), Some(d)) = (g.entities.get(*src), g.entities.get(*dst)) {
+                            kept_copy_edges += usize::from(g.interferes(s, d));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(wide >= 40, "only {wide} graphs span more than one word");
+        assert!(
+            kept_copy_edges >= 1000,
+            "only {kept_copy_edges} copies interfere"
+        );
     }
 
     /// Briggs' test over plain adjacency sets.
