@@ -49,6 +49,16 @@ echo "== allocation golden: cargo test -q --release --test alloc_golden"
 # pinned in release mode, where the tables only pin aggregates.
 cargo test -q --release --test alloc_golden
 
+echo "== simulator budget equivalence: cargo test -q --release -p sim block_slices"
+# The block-slice interpreter against its per-instruction reference path
+# (`Machine::step_by_step`, compiled only into the sim crate's tests):
+# every kernel's baseline allocation and the fuzz modules
+# fuzz::case_seed(1, 0..128), raw and allocated, under step budgets that
+# end at, just past and inside block slices and inside callees, on the
+# default, pipelined-load and cache models. Returned values, full Metrics
+# and traps must be equal, here with overflow checks and debug_assert! off.
+cargo test -q --release -p sim block_slices_match_the_per_instruction_path
+
 echo "== release smoke: repro --table1 --check --jobs 2"
 # Exercises the parallel engine end to end in release mode (the unit
 # tests above run debug-mode): a table over the memoized build cache,

@@ -20,59 +20,57 @@ pub fn insert_spill_code(f: &mut Function, spilled: &[Reg]) -> HashSet<Reg> {
     let mut temps: HashSet<Reg> = HashSet::new();
     let spilled_set: HashSet<Reg> = spilled.iter().copied().collect();
 
+    let mut used: Vec<Reg> = Vec::new();
+    let mut defined: Vec<Reg> = Vec::new();
+    let mut use_map: HashMap<Reg, Reg> = HashMap::new();
+    let mut def_map: HashMap<Reg, Reg> = HashMap::new();
     for b in f.block_ids().collect::<Vec<_>>() {
-        let mut i = 0;
-        while i < f.block(b).instrs.len() {
-            let instr = f.block(b).instrs[i].clone();
-
+        // Rebuild the block in one pass, moving each instruction into
+        // place between its reloads and its stores.
+        let old = std::mem::take(&mut f.block_mut(b).instrs);
+        let mut out = Vec::with_capacity(old.len());
+        for mut instr in old {
             // Which spilled regs does it use / define?
-            let mut used: Vec<Reg> = Vec::new();
+            used.clear();
             instr.op.visit_uses(|r| {
                 if spilled_set.contains(&r) && !used.contains(&r) {
                     used.push(r);
                 }
             });
-            let mut defined: Vec<Reg> = Vec::new();
+            defined.clear();
             instr.op.visit_defs(|r| {
                 if spilled_set.contains(&r) && !defined.contains(&r) {
                     defined.push(r);
                 }
             });
             if used.is_empty() && defined.is_empty() {
-                i += 1;
+                out.push(instr);
                 continue;
             }
 
             // Loads before: one fresh temp per spilled reg used here.
-            let mut use_map: HashMap<Reg, Reg> = HashMap::new();
+            use_map.clear();
             for &v in &used {
                 let t = f.new_vreg(v.class());
                 temps.insert(t);
                 use_map.insert(v, t);
-                let load = load_instr(f, t, slots[&v]);
-                f.block_mut(b).instrs.insert(i, load);
-                i += 1;
+                out.push(load_instr(f, t, slots[&v]));
             }
             // Stores after: fresh temp per def.
-            let mut def_map: HashMap<Reg, Reg> = HashMap::new();
+            def_map.clear();
             for &v in &defined {
                 let t = f.new_vreg(v.class());
                 temps.insert(t);
                 def_map.insert(v, t);
             }
-            {
-                let instr = &mut f.block_mut(b).instrs[i];
-                instr.op.map_uses(|r| use_map.get(&r).copied().unwrap_or(r));
-                instr.op.map_defs(|r| def_map.get(&r).copied().unwrap_or(r));
-            }
-            let mut after = i + 1;
+            instr.op.map_uses(|r| use_map.get(&r).copied().unwrap_or(r));
+            instr.op.map_defs(|r| def_map.get(&r).copied().unwrap_or(r));
+            out.push(instr);
             for &v in &defined {
-                let store = store_instr(f, def_map[&v], slots[&v]);
-                f.block_mut(b).instrs.insert(after, store);
-                after += 1;
+                out.push(store_instr(f, def_map[&v], slots[&v]));
             }
-            i = after;
         }
+        f.block_mut(b).instrs = out;
     }
 
     // Spilled parameters: store their incoming value at the very top of
@@ -85,9 +83,7 @@ pub fn insert_spill_code(f: &mut Function, spilled: &[Reg]) -> HashSet<Reg> {
             entry_stores.push(store_instr(f, p, slot));
         }
     }
-    for (k, instr) in entry_stores.into_iter().enumerate() {
-        f.block_mut(entry).instrs.insert(k, instr);
-    }
+    f.block_mut(entry).instrs.splice(0..0, entry_stores);
 
     temps
 }

@@ -8,12 +8,32 @@
 //! registers) and allocated code (physical registers) — register files
 //! are sized per function — which lets tests compare observable behavior
 //! across every compilation configuration.
+//!
+//! # Cost of a run
+//!
+//! [`Machine::new`] resolves every `call` target and `loadSym` global
+//! to an index once, so executing either is an array read, not a name
+//! lookup. The interpreter then runs one block's instruction slice at a
+//! time, with the function, the block and the frame's registers held in
+//! locals. The step budget is charged once per slice, by where control
+//! left it: a slice is cut where the budget ends, so no instruction tests
+//! the budget and a run still traps at exactly the instruction the budget
+//! allows, with the same [`Metrics`]. Register files live on one stack
+//! per class, reused across calls and runs, so a call allocates nothing
+//! once the stacks have grown.
+//!
+//! A run leaves main memory dirty only where its stores wrote. Stores
+//! that start in the global region and stores above it (the stack, or a
+//! computed address in the gap) are tracked as two separate byte ranges,
+//! and a reset or a dropped machine zeroes exactly those ranges: the
+//! untouched gap between the globals at the bottom and the stack at the
+//! top is never cleared, and never made resident.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
-use iloc::{BlockId, FBinKind, Function, IBinKind, Module, Op, Reg, RegClass, SpillKind};
+use iloc::{FBinKind, IBinKind, Instr, Module, Op, Reg, RegClass, SpillKind};
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
@@ -79,28 +99,169 @@ pub struct RetValues {
     pub floats: Vec<f64>,
 }
 
+/// One activation's control state. Its registers are the top of the
+/// machine's register stacks, from `gpr_base` and `fpr_base` up.
 struct Frame<'m> {
     func: usize,
     block: usize,
     idx: usize,
-    gpr: Vec<i64>,
-    fpr: Vec<f64>,
-    /// Cycle at which each register's pending load completes (pipelined
-    /// model only; empty otherwise).
-    gpr_ready: Vec<u64>,
-    fpr_ready: Vec<u64>,
+    gpr_base: usize,
+    fpr_base: usize,
     /// Caller registers receiving this activation's return values —
     /// borrowed from the caller's `Op::Call`, never cloned.
     ret_dsts: &'m [Reg],
     saved_sp: i64,
 }
 
+/// The call stack and the register files of every live activation,
+/// kept by the machine between runs so calls reuse their storage.
+#[derive(Default)]
+struct Stack<'m> {
+    frames: Vec<Frame<'m>>,
+    gpr: Vec<i64>,
+    fpr: Vec<f64>,
+    /// Cycle at which each register's pending load completes (pipelined
+    /// model only; empty otherwise), parallel to `gpr` and `fpr`.
+    gpr_ready: Vec<u64>,
+    fpr_ready: Vec<u64>,
+}
+
+impl Stack<'_> {
+    /// Pops the register files of activations from `gpr_base` and
+    /// `fpr_base` up.
+    fn truncate(&mut self, gpr_base: usize, fpr_base: usize) {
+        self.gpr.truncate(gpr_base);
+        self.fpr.truncate(fpr_base);
+        self.gpr_ready.truncate(gpr_base);
+        self.fpr_ready.truncate(fpr_base);
+    }
+}
+
+/// The running activation's register files.
+struct Regs<'a> {
+    gpr: &'a mut [i64],
+    fpr: &'a mut [f64],
+    gpr_ready: &'a mut [u64],
+    fpr_ready: &'a mut [u64],
+}
+
+/// A function's layout, computed once per machine.
+struct FuncInfo {
+    /// Register-file lengths (highest index used + 1).
+    gprs: usize,
+    fprs: usize,
+    frame_size: i64,
+    /// Index of the function's entry block in [`Machine::block_names`].
+    first_block: usize,
+}
+
+/// A `names` entry for an instruction that names nothing, or a name the
+/// module does not declare.
+const NO_NAME: u32 = u32::MAX;
+
+/// Where control goes after one instruction.
+enum Flow<'m> {
+    /// The next instruction of the block.
+    Next,
+    /// The start of this block of the current function.
+    Jump(usize),
+    /// A new activation of function `callee`.
+    Call {
+        callee: usize,
+        args: &'m [Reg],
+        rets: &'m [Reg],
+    },
+    /// Back to the caller with these values.
+    Ret(&'m [Reg]),
+}
+
+/// A byte range written since the last reset: `[lo, hi)`, empty when
+/// `lo >= hi`.
+struct Written {
+    lo: usize,
+    hi: usize,
+}
+
+impl Written {
+    const NONE: Written = Written {
+        lo: usize::MAX,
+        hi: 0,
+    };
+
+    /// The range so far, leaving it empty.
+    fn take(&mut self) -> Range<usize> {
+        let r = if self.lo < self.hi {
+            self.lo..self.hi
+        } else {
+            0..0
+        };
+        *self = Written::NONE;
+        r
+    }
+}
+
+/// Main memory: the byte image, and what stores wrote to it since the
+/// last reset in each of its two regions.
+struct Memory {
+    bytes: Vec<u8>,
+    /// The global data region is `[0, globals_end)`; the stack grows
+    /// down from the top of `bytes` toward it.
+    globals_end: usize,
+    /// Stores that start in the global region.
+    globals: Written,
+    /// Stores that start above it: the stack, or a computed address in
+    /// the gap between the two.
+    above: Written,
+}
+
+impl Memory {
+    /// The byte index of an access of `size` bytes at `addr`, if it lies
+    /// inside memory. The bound test cannot overflow.
+    fn check(&self, addr: i64, size: i64) -> Result<usize, SimError> {
+        if addr < 0 || addr > self.bytes.len() as i64 - size {
+            Err(SimError::MemOutOfBounds { addr })
+        } else {
+            Ok(addr as usize)
+        }
+    }
+
+    fn read<const N: usize>(&self, addr: i64) -> Result<[u8; N], SimError> {
+        let a = self.check(addr, N as i64)?;
+        Ok(self.bytes[a..a + N].try_into().expect("N bytes"))
+    }
+
+    fn write<const N: usize>(&mut self, addr: i64, v: [u8; N]) -> Result<(), SimError> {
+        let a = self.check(addr, N as i64)?;
+        self.bytes[a..a + N].copy_from_slice(&v);
+        let region = if a < self.globals_end {
+            &mut self.globals
+        } else {
+            &mut self.above
+        };
+        region.lo = region.lo.min(a);
+        region.hi = region.hi.max(a + N);
+        Ok(())
+    }
+
+    /// Zeroes every byte a store wrote since the last reset and returns
+    /// the range zeroed in the global region.
+    fn clear_dirty(&mut self) -> Range<usize> {
+        let above = self.above.take();
+        self.bytes[above].fill(0);
+        let globals = self.globals.take();
+        self.bytes[globals.clone()].fill(0);
+        globals
+    }
+}
+
 thread_local! {
     /// An all-zero main-memory image kept for the thread's next
-    /// [`Machine`]. A dropped machine clears what it wrote and leaves its
-    /// image here, so a thread allocates one image instead of a fresh
-    /// `mem_size` buffer per simulation: short runs no longer pay for
-    /// zeroing megabytes, and the image's untouched pages stay unmapped.
+    /// [`Machine`]. A dropped machine zeroes the bytes its stores wrote
+    /// and its global data, and leaves its image here, so a thread
+    /// allocates one image instead of a fresh `mem_size` buffer per
+    /// simulation, and a run touches only the pages it writes: short
+    /// runs pay neither for zeroing megabytes nor for making them
+    /// resident.
     static SPARE_MEM: Cell<Option<Vec<u8>>> = const { Cell::new(None) };
 }
 
@@ -108,65 +269,101 @@ thread_local! {
 pub struct Machine<'m> {
     module: &'m Module,
     cfg: MachineConfig,
-    mem: Vec<u8>,
+    mem: Memory,
     ccm: Vec<u8>,
-    globals: HashMap<String, i64>,
-    globals_end: i64,
     cache: Option<Cache>,
     /// Execution counters, reset by [`Machine::run`].
     pub metrics: Metrics,
-    /// Per-function (max gpr index, max fpr index).
-    reg_limits: Vec<(u32, u32)>,
-    /// Dirty main-memory watermarks: the byte range `[dirty_lo,
-    /// dirty_hi)` written by stores since the last reset. [`Machine::run`]
-    /// clears only this range instead of re-zeroing all of `mem`.
-    dirty_lo: usize,
-    dirty_hi: usize,
+    /// Base address of each global, in `module.globals` order.
+    global_addrs: Vec<i64>,
+    funcs: Vec<FuncInfo>,
+    /// For every block of every function, in order: where its
+    /// instructions' entries start in `names`.
+    block_names: Vec<usize>,
+    /// One entry per instruction: the callee's function index for a
+    /// `call`, the global's index for a `loadSym`, else [`NO_NAME`].
+    names: Vec<u32>,
+    stack: Stack<'m>,
+    /// Test-only reference path: run one instruction per slice, so the
+    /// budget, depth and trap accounting happen at every instruction.
+    #[cfg(test)]
+    step_by_step: bool,
+    /// Test-only record of every slice start: `(metrics.instrs, call
+    /// depth, instructions left in the block)`.
+    #[cfg(test)]
+    slice_starts: Option<Vec<(u64, u64, usize)>>,
 }
 
 impl<'m> Machine<'m> {
-    /// Creates a machine and lays out the module's globals.
+    /// Creates a machine, lays out the module's globals and resolves
+    /// the names its instructions use.
     pub fn new(module: &'m Module, cfg: MachineConfig) -> Machine<'m> {
-        let mut mem = SPARE_MEM
+        let mut bytes = SPARE_MEM
             .with(Cell::take)
             .filter(|m| m.len() == cfg.mem_size)
             .unwrap_or_else(|| vec![0u8; cfg.mem_size]);
-        let mut globals = HashMap::new();
+        let mut global_addrs = Vec::with_capacity(module.globals.len());
         let mut next: i64 = 64; // keep address 0 unmapped
         for g in &module.globals {
             next = (next + 7) & !7;
-            globals.insert(g.name.clone(), next);
+            global_addrs.push(next);
             let base = next as usize;
-            mem[base..base + g.init.len()].copy_from_slice(&g.init);
+            bytes[base..base + g.init.len()].copy_from_slice(&g.init);
             next += g.size as i64;
         }
-        let reg_limits = module
-            .functions
-            .iter()
-            .map(|f| {
-                let mut maxg = 0;
-                let mut maxf = 0;
-                f.for_each_reg(|r| match r.class() {
-                    RegClass::Gpr => maxg = maxg.max(r.index()),
-                    RegClass::Fpr => maxf = maxf.max(r.index()),
-                });
-                (maxg, maxf)
-            })
-            .collect();
+        // A name declared twice resolves to its last declaration.
+        let function = |name: &str| module.functions.iter().rposition(|f| f.name == name);
+        let global = |name: &str| module.globals.iter().rposition(|g| g.name == name);
+        let mut funcs = Vec::with_capacity(module.functions.len());
+        let mut block_names = Vec::new();
+        let mut names = Vec::new();
+        for f in &module.functions {
+            let (mut maxg, mut maxf) = (0, 0);
+            f.for_each_reg(|r| match r.class() {
+                RegClass::Gpr => maxg = maxg.max(r.index()),
+                RegClass::Fpr => maxf = maxf.max(r.index()),
+            });
+            funcs.push(FuncInfo {
+                gprs: maxg as usize + 1,
+                fprs: maxf as usize + 1,
+                frame_size: f.frame.frame_size() as i64,
+                first_block: block_names.len(),
+            });
+            for b in &f.blocks {
+                block_names.push(names.len());
+                names.extend(b.instrs.iter().map(|i| {
+                    let index = match &i.op {
+                        Op::Call { callee, .. } => function(callee),
+                        Op::LoadSym { sym, .. } => global(sym),
+                        _ => None,
+                    };
+                    index.map_or(NO_NAME, |x| x as u32)
+                }));
+            }
+        }
         let cache = cfg.cache.clone().map(Cache::new);
         let ccm = vec![0u8; cfg.ccm_size as usize];
         Machine {
             module,
             cfg,
-            mem,
+            mem: Memory {
+                bytes,
+                globals_end: next as usize,
+                globals: Written::NONE,
+                above: Written::NONE,
+            },
             ccm,
-            globals,
-            globals_end: next,
             cache,
             metrics: Metrics::default(),
-            reg_limits,
-            dirty_lo: usize::MAX,
-            dirty_hi: 0,
+            global_addrs,
+            funcs,
+            block_names,
+            names,
+            stack: Stack::default(),
+            #[cfg(test)]
+            step_by_step: false,
+            #[cfg(test)]
+            slice_starts: None,
         }
     }
 
@@ -178,9 +375,11 @@ impl<'m> Machine<'m> {
     /// global — a structured trap, not a panic, so one bad module cannot
     /// abort a whole campaign.
     pub fn global_base(&self, name: &str) -> Result<i64, SimError> {
-        self.globals
-            .get(name)
-            .copied()
+        self.module
+            .globals
+            .iter()
+            .rposition(|g| g.name == name)
+            .map(|i| self.global_addrs[i])
             .ok_or_else(|| SimError::UnknownGlobal(name.to_string()))
     }
 
@@ -190,7 +389,7 @@ impl<'m> Machine<'m> {
     pub fn global_bytes(&self, name: &str) -> &[u8] {
         let base = self.global_base(name).expect("global exists") as usize;
         let size = self.module.global(name).expect("global exists").size as usize;
-        &self.mem[base..base + size]
+        &self.mem.bytes[base..base + size]
     }
 
     /// Reads the `index`-th f64 of global `name`.
@@ -215,424 +414,471 @@ impl<'m> Machine<'m> {
         if inject::faultpoint!("sim.unknown_global") {
             return Err(SimError::UnknownGlobal("__injected__".to_string()));
         }
-        self.interpret(entry)
+        let entry = self
+            .module
+            .functions
+            .iter()
+            .rposition(|f| f.name == entry)
+            .ok_or_else(|| SimError::UnknownFunction(entry.to_string()))?;
+        let mut stack = std::mem::take(&mut self.stack);
+        let result = self.interpret(&mut stack, entry);
+        stack.frames.clear();
+        stack.truncate(0, 0);
+        self.stack = stack;
+        result
     }
 
-    /// Per-run reset: metrics, the CCM, and only the *dirty* range of
-    /// main memory (tracked by the store helpers), then re-initialized
-    /// globals — repeated runs stay independent without an O(mem_size)
-    /// clear or a CCM reallocation.
+    /// Per-run reset: metrics, the CCM, and only the bytes of main
+    /// memory that stores wrote, then the initial bytes of any global
+    /// those stores overwrote — repeated runs stay independent without
+    /// an O(mem_size) clear or a CCM reallocation.
     fn reset_run(&mut self) {
         self.metrics = Metrics::default();
         self.ccm.fill(0);
-        self.clear_dirty();
+        let written = self.mem.clear_dirty();
+        for (g, &base) in self.module.globals.iter().zip(&self.global_addrs) {
+            let init = base as usize..base as usize + g.init.len();
+            if init.start < written.end && written.start < init.end {
+                self.mem.bytes[init].copy_from_slice(&g.init);
+            }
+        }
+    }
+
+    /// The interpreter: runs activations a block slice at a time until
+    /// the entry function returns or a trap.
+    fn interpret(&mut self, st: &mut Stack<'m>, entry: usize) -> Result<RetValues, SimError> {
         let module = self.module;
-        for g in &module.globals {
-            let base = self.globals[&g.name] as usize;
-            self.mem[base..base + g.init.len()].copy_from_slice(&g.init);
-        }
-    }
-
-    /// Zeroes the dirty range of main memory.
-    fn clear_dirty(&mut self) {
-        if self.dirty_hi > self.dirty_lo {
-            self.mem[self.dirty_lo..self.dirty_hi].fill(0);
-        }
-        self.dirty_lo = usize::MAX;
-        self.dirty_hi = 0;
-    }
-
-    /// The interpreter loop: walks the module's blocks directly.
-    fn interpret(&mut self, entry: &str) -> Result<RetValues, SimError> {
-        let findex = self.module.function_indices();
-        let entry_idx = *findex
-            .get(entry)
-            .ok_or_else(|| SimError::UnknownFunction(entry.to_string()))?;
-
         let mut sp: i64 = self.cfg.mem_size as i64;
-        let mut frames: Vec<Frame<'m>> = Vec::new();
-        let first = self.new_frame(entry_idx, &mut sp, &[])?;
-        frames.push(first);
-
+        self.push_frame(st, entry, &mut sp, &[])?;
         loop {
-            self.metrics.instrs += 1;
-            if self.metrics.instrs > self.cfg.max_steps || inject::faultpoint!("sim.budget") {
-                return Err(SimError::StepLimit);
-            }
-            self.metrics.max_depth = self.metrics.max_depth.max(frames.len() as u64);
-
-            let frame = frames.last_mut().expect("at least one frame");
-            let func = &self.module.functions[frame.func];
-            let block = &func.blocks[frame.block];
-            let instr = block
-                .instrs
-                .get(frame.idx)
-                .ok_or(SimError::MissingTerminator)?;
-            frame.idx += 1;
-
-            match instr.spill {
-                SpillKind::Store(_) => self.metrics.spill_stores += 1,
-                SpillKind::Restore(_) => self.metrics.spill_restores += 1,
-                SpillKind::None => {}
-            }
-
-            // Pipelined-load model: stall until every register this
-            // instruction touches is ready.
-            if self.cfg.load_delay.is_some() {
-                let mut ready = 0u64;
-                let scan = |r: Reg, ready: &mut u64, frame: &Frame| {
-                    let t = match r.class() {
-                        RegClass::Gpr => frame.gpr_ready[r.index() as usize],
-                        RegClass::Fpr => frame.fpr_ready[r.index() as usize],
-                    };
-                    *ready = (*ready).max(t);
-                };
-                instr.op.visit_uses(|r| scan(r, &mut ready, frame));
-                instr.op.visit_defs(|r| scan(r, &mut ready, frame));
-                if ready > self.metrics.cycles {
-                    self.metrics.stall_cycles += ready - self.metrics.cycles;
-                    self.metrics.cycles = ready;
+            // The running activation and its registers, the top of the
+            // stacks, stay in locals until it calls or returns.
+            let depth = st.frames.len() as u64;
+            let frame = st.frames.last_mut().expect("at least one frame");
+            let func = &module.functions[frame.func];
+            let first_block = self.funcs[frame.func].first_block;
+            let mut regs = Regs {
+                gpr: &mut st.gpr[frame.gpr_base..],
+                fpr: &mut st.fpr[frame.fpr_base..],
+                gpr_ready: st.gpr_ready.get_mut(frame.gpr_base..).unwrap_or_default(),
+                fpr_ready: st.fpr_ready.get_mut(frame.fpr_base..).unwrap_or_default(),
+            };
+            let exit = 'block: loop {
+                // The trap fires on the first instruction past the
+                // budget, counted but not executed. The fault point reads
+                // as an exhausted budget once per slice.
+                let left = self.cfg.max_steps - self.metrics.instrs;
+                if left == 0 || inject::faultpoint!("sim.budget") {
+                    self.metrics.instrs += 1;
+                    return Err(SimError::StepLimit);
                 }
-            }
-
-            // Default cost; memory ops override below.
-            let op = &instr.op;
-            match op {
-                // ---- constants / moves / arithmetic: 1 cycle -------------
-                Op::LoadI { imm, dst } => {
-                    self.metrics.cycles += 1;
-                    frame.gpr[dst.index() as usize] = *imm as i32 as i64;
+                self.metrics.max_depth = self.metrics.max_depth.max(depth);
+                let body = &func.blocks[frame.block].instrs[frame.idx..];
+                if body.is_empty() {
+                    self.metrics.instrs += 1;
+                    return Err(SimError::MissingTerminator);
                 }
-                Op::LoadF { imm, dst } => {
-                    self.metrics.cycles += 1;
-                    frame.fpr[dst.index() as usize] = *imm;
+                // The slice: the rest of the block, cut where the budget
+                // ends. Every instruction in it is within budget.
+                let len = body.len().min(usize::try_from(left).unwrap_or(usize::MAX));
+                #[cfg(test)]
+                let len = if self.step_by_step { 1 } else { len };
+                #[cfg(test)]
+                if let Some(starts) = &mut self.slice_starts {
+                    starts.push((self.metrics.instrs, depth, body.len()));
                 }
-                Op::LoadSym { sym, dst } => {
-                    self.metrics.cycles += 1;
-                    frame.gpr[dst.index() as usize] = match self.globals.get(sym) {
-                        Some(&base) => base,
-                        None => return Err(SimError::UnknownGlobal(sym.clone())),
-                    };
-                }
-                Op::IBin {
-                    kind,
-                    lhs,
-                    rhs,
-                    dst,
-                } => {
-                    self.metrics.cycles += 1;
-                    let a = frame.gpr[lhs.index() as usize];
-                    let b = frame.gpr[rhs.index() as usize];
-                    frame.gpr[dst.index() as usize] = ibin(*kind, a, b)?;
-                }
-                Op::IBinI {
-                    kind,
-                    lhs,
-                    imm,
-                    dst,
-                } => {
-                    self.metrics.cycles += 1;
-                    let a = frame.gpr[lhs.index() as usize];
-                    frame.gpr[dst.index() as usize] = ibin(*kind, a, *imm)?;
-                }
-                Op::FBin {
-                    kind,
-                    lhs,
-                    rhs,
-                    dst,
-                } => {
-                    self.metrics.cycles += 1;
-                    let a = frame.fpr[lhs.index() as usize];
-                    let b = frame.fpr[rhs.index() as usize];
-                    frame.fpr[dst.index() as usize] = match kind {
-                        FBinKind::Add => a + b,
-                        FBinKind::Sub => a - b,
-                        FBinKind::Mult => a * b,
-                        FBinKind::Div => a / b,
-                    };
-                }
-                Op::ICmp {
-                    kind,
-                    lhs,
-                    rhs,
-                    dst,
-                } => {
-                    self.metrics.cycles += 1;
-                    let a = frame.gpr[lhs.index() as usize];
-                    let b = frame.gpr[rhs.index() as usize];
-                    frame.gpr[dst.index() as usize] = cmp(*kind, &a, &b);
-                }
-                Op::FCmp {
-                    kind,
-                    lhs,
-                    rhs,
-                    dst,
-                } => {
-                    self.metrics.cycles += 1;
-                    let a = frame.fpr[lhs.index() as usize];
-                    let b = frame.fpr[rhs.index() as usize];
-                    frame.gpr[dst.index() as usize] = fcmp(*kind, a, b);
-                }
-                Op::I2I { src, dst } => {
-                    self.metrics.cycles += 1;
-                    frame.gpr[dst.index() as usize] = frame.gpr[src.index() as usize];
-                }
-                Op::F2F { src, dst } => {
-                    self.metrics.cycles += 1;
-                    frame.fpr[dst.index() as usize] = frame.fpr[src.index() as usize];
-                }
-                Op::I2F { src, dst } => {
-                    self.metrics.cycles += 1;
-                    frame.fpr[dst.index() as usize] = frame.gpr[src.index() as usize] as f64;
-                }
-                Op::F2I { src, dst } => {
-                    self.metrics.cycles += 1;
-                    frame.gpr[dst.index() as usize] = frame.fpr[src.index() as usize] as i32 as i64;
-                }
-
-                // ---- main memory: mem_latency (or cache) ----------------
-                Op::Load { addr, dst } | Op::LoadAI { addr, dst, .. } => {
-                    let off = match op {
-                        Op::LoadAI { off, .. } => *off,
-                        _ => 0,
-                    };
-                    let a = frame.gpr[addr.index() as usize] + off;
-                    let v = self.read_i32(a)?;
-                    let lat = self.mem_access(a, false);
-                    let delay = self.cfg.load_delay;
-                    let frame = frames.last_mut().expect("frame");
-                    frame.gpr[dst.index() as usize] = v as i64;
-                    let lat = match delay {
-                        Some(d) => {
-                            frame.gpr_ready[dst.index() as usize] = self.metrics.cycles + 1 + d;
-                            1
+                let names = self.block_names[first_block + frame.block] + frame.idx;
+                for (k, instr) in body[..len].iter().enumerate() {
+                    let flow = self.step(instr, names + k, &mut regs);
+                    if let Ok(Flow::Next) = flow {
+                        continue;
+                    }
+                    self.metrics.instrs += k as u64 + 1;
+                    match flow? {
+                        Flow::Jump(target) => {
+                            frame.block = target;
+                            frame.idx = 0;
+                            continue 'block;
                         }
-                        None => lat,
-                    };
-                    self.metrics.cycles += lat;
-                    self.metrics.mem_op_cycles += lat;
-                    self.metrics.main_mem_ops += 1;
-                }
-                Op::FLoad { addr, dst } | Op::FLoadAI { addr, dst, .. } => {
-                    let off = match op {
-                        Op::FLoadAI { off, .. } => *off,
-                        _ => 0,
-                    };
-                    let a = frame.gpr[addr.index() as usize] + off;
-                    let v = self.read_f64(a)?;
-                    let lat = self.mem_access(a, false);
-                    let delay = self.cfg.load_delay;
-                    let frame = frames.last_mut().expect("frame");
-                    frame.fpr[dst.index() as usize] = v;
-                    let lat = match delay {
-                        Some(d) => {
-                            frame.fpr_ready[dst.index() as usize] = self.metrics.cycles + 1 + d;
-                            1
-                        }
-                        None => lat,
-                    };
-                    self.metrics.cycles += lat;
-                    self.metrics.mem_op_cycles += lat;
-                    self.metrics.main_mem_ops += 1;
-                }
-                Op::Store { val, addr } | Op::StoreAI { val, addr, .. } => {
-                    let off = match op {
-                        Op::StoreAI { off, .. } => *off,
-                        _ => 0,
-                    };
-                    let a = frame.gpr[addr.index() as usize] + off;
-                    let v = frame.gpr[val.index() as usize] as i32;
-                    self.write_i32(a, v)?;
-                    let lat = match self.cfg.load_delay {
-                        Some(_) => 1,
-                        None => self.mem_access(a, true),
-                    };
-                    self.metrics.cycles += lat;
-                    self.metrics.mem_op_cycles += lat;
-                    self.metrics.main_mem_ops += 1;
-                }
-                Op::FStore { val, addr } | Op::FStoreAI { val, addr, .. } => {
-                    let off = match op {
-                        Op::FStoreAI { off, .. } => *off,
-                        _ => 0,
-                    };
-                    let a = frame.gpr[addr.index() as usize] + off;
-                    let v = frame.fpr[val.index() as usize];
-                    self.write_f64(a, v)?;
-                    let lat = match self.cfg.load_delay {
-                        Some(_) => 1,
-                        None => self.mem_access(a, true),
-                    };
-                    self.metrics.cycles += lat;
-                    self.metrics.mem_op_cycles += lat;
-                    self.metrics.main_mem_ops += 1;
-                }
-
-                // ---- CCM: ccm_latency, disjoint address space -----------
-                Op::CcmStore { val, off } => {
-                    let v = frame.gpr[val.index() as usize] as i32;
-                    self.ccm_check(*off, 4)?;
-                    self.ccm[*off as usize..*off as usize + 4].copy_from_slice(&v.to_le_bytes());
-                    self.metrics.cycles += self.cfg.ccm_latency;
-                    self.metrics.mem_op_cycles += self.cfg.ccm_latency;
-                    self.metrics.ccm_ops += 1;
-                }
-                Op::CcmLoad { off, dst } => {
-                    self.ccm_check(*off, 4)?;
-                    let v = i32::from_le_bytes(
-                        self.ccm[*off as usize..*off as usize + 4]
-                            .try_into()
-                            .expect("4 bytes"),
-                    );
-                    frame.gpr[dst.index() as usize] = v as i64;
-                    self.metrics.cycles += self.cfg.ccm_latency;
-                    self.metrics.mem_op_cycles += self.cfg.ccm_latency;
-                    self.metrics.ccm_ops += 1;
-                }
-                Op::CcmFStore { val, off } => {
-                    let v = frame.fpr[val.index() as usize];
-                    self.ccm_check(*off, 8)?;
-                    self.ccm[*off as usize..*off as usize + 8].copy_from_slice(&v.to_le_bytes());
-                    self.metrics.cycles += self.cfg.ccm_latency;
-                    self.metrics.mem_op_cycles += self.cfg.ccm_latency;
-                    self.metrics.ccm_ops += 1;
-                }
-                Op::CcmFLoad { off, dst } => {
-                    self.ccm_check(*off, 8)?;
-                    let v = f64::from_le_bytes(
-                        self.ccm[*off as usize..*off as usize + 8]
-                            .try_into()
-                            .expect("8 bytes"),
-                    );
-                    frame.fpr[dst.index() as usize] = v;
-                    self.metrics.cycles += self.cfg.ccm_latency;
-                    self.metrics.mem_op_cycles += self.cfg.ccm_latency;
-                    self.metrics.ccm_ops += 1;
-                }
-
-                // ---- control flow ---------------------------------------
-                Op::Jump { target } => {
-                    self.metrics.cycles += 1;
-                    frame.block = target.index();
-                    frame.idx = 0;
-                }
-                Op::Cbr {
-                    cond,
-                    taken,
-                    not_taken,
-                } => {
-                    self.metrics.cycles += 1;
-                    let c = frame.gpr[cond.index() as usize];
-                    let t: BlockId = if c != 0 { *taken } else { *not_taken };
-                    frame.block = t.index();
-                    frame.idx = 0;
-                }
-                Op::Call { callee, args, rets } => {
-                    self.metrics.cycles += 1;
-                    self.metrics.calls += 1;
-                    let callee_idx = *findex
-                        .get(callee.as_str())
-                        .ok_or_else(|| SimError::UnknownFunction(callee.clone()))?;
-                    // Evaluate arguments in the caller's frame.
-                    let mut int_args = Vec::new();
-                    let mut float_args = Vec::new();
-                    for a in args {
-                        match a.class() {
-                            RegClass::Gpr => int_args.push(frame.gpr[a.index() as usize]),
-                            RegClass::Fpr => float_args.push(frame.fpr[a.index() as usize]),
+                        exit => {
+                            frame.idx += k + 1;
+                            break 'block exit;
                         }
                     }
-                    let mut new = self.new_frame(callee_idx, &mut sp, rets)?;
-                    // Bind arguments to the callee's parameter registers.
-                    let callee_f = &self.module.functions[callee_idx];
-                    let (mut ii, mut fi) = (0, 0);
-                    for p in &callee_f.params {
+                }
+                self.metrics.instrs += len as u64;
+                frame.idx += len;
+            };
+            match exit {
+                Flow::Call { callee, args, rets } => {
+                    let caller = st.frames.last().expect("caller frame");
+                    let (gpr_base, fpr_base) = (caller.gpr_base, caller.fpr_base);
+                    self.push_frame(st, callee, &mut sp, rets)?;
+                    let new = st.frames.last().expect("callee frame");
+                    let (new_gpr, new_fpr) = (new.gpr_base, new.fpr_base);
+                    // The k-th parameter of a class takes the k-th
+                    // argument of that class.
+                    let mut ints = args.iter().filter(|a| a.class() == RegClass::Gpr);
+                    let mut floats = args.iter().filter(|a| a.class() == RegClass::Fpr);
+                    for p in &module.functions[callee].params {
+                        let p_at = p.index() as usize;
                         match p.class() {
                             RegClass::Gpr => {
-                                new.gpr[p.index() as usize] = int_args[ii];
-                                ii += 1;
+                                let a = ints.next().expect("an argument for every parameter");
+                                st.gpr[new_gpr + p_at] = st.gpr[gpr_base + a.index() as usize];
                             }
                             RegClass::Fpr => {
-                                new.fpr[p.index() as usize] = float_args[fi];
-                                fi += 1;
+                                let a = floats.next().expect("an argument for every parameter");
+                                st.fpr[new_fpr + p_at] = st.fpr[fpr_base + a.index() as usize];
                             }
                         }
                     }
-                    frames.push(new);
                 }
-                Op::Ret { vals } => {
-                    self.metrics.cycles += 1;
-                    let frame = frames.pop().expect("current frame");
-                    sp = frame.saved_sp;
-                    if let Some(caller) = frames.last_mut() {
-                        for (v, dst) in vals.iter().zip(frame.ret_dsts) {
-                            match v.class() {
-                                RegClass::Gpr => {
-                                    caller.gpr[dst.index() as usize] = frame.gpr[v.index() as usize]
-                                }
-                                RegClass::Fpr => {
-                                    caller.fpr[dst.index() as usize] = frame.fpr[v.index() as usize]
-                                }
-                            }
-                        }
-                    } else {
+                Flow::Ret(vals) => {
+                    let done = st.frames.pop().expect("current frame");
+                    sp = done.saved_sp;
+                    let Some(caller) = st.frames.last() else {
                         // Entry function returned: collect values.
                         let mut out = RetValues::default();
                         for v in vals {
+                            let at = v.index() as usize;
                             match v.class() {
-                                RegClass::Gpr => out.ints.push(frame.gpr[v.index() as usize]),
-                                RegClass::Fpr => out.floats.push(frame.fpr[v.index() as usize]),
+                                RegClass::Gpr => out.ints.push(st.gpr[done.gpr_base + at]),
+                                RegClass::Fpr => out.floats.push(st.fpr[done.fpr_base + at]),
                             }
                         }
                         if let Some(c) = &self.cache {
                             self.metrics.cache = c.stats;
                         }
                         return Ok(out);
+                    };
+                    for (v, dst) in vals.iter().zip(done.ret_dsts) {
+                        let (from, to) = (v.index() as usize, dst.index() as usize);
+                        match v.class() {
+                            RegClass::Gpr => {
+                                st.gpr[caller.gpr_base + to] = st.gpr[done.gpr_base + from]
+                            }
+                            RegClass::Fpr => {
+                                st.fpr[caller.fpr_base + to] = st.fpr[done.fpr_base + from]
+                            }
+                        }
                     }
+                    st.truncate(done.gpr_base, done.fpr_base);
                 }
-
-                Op::Phi { .. } => return Err(SimError::PhiEncountered),
-                Op::Nop => {
-                    self.metrics.cycles += 1;
-                }
+                Flow::Next | Flow::Jump(_) => unreachable!("handled inside the block"),
             }
         }
     }
 
-    fn new_frame(
+    /// Pushes an activation of `func` with zeroed registers, its frame
+    /// below `sp`.
+    fn push_frame(
         &self,
-        func_idx: usize,
+        st: &mut Stack<'m>,
+        func: usize,
         sp: &mut i64,
         ret_dsts: &'m [Reg],
-    ) -> Result<Frame<'m>, SimError> {
-        let f: &Function = &self.module.functions[func_idx];
-        let size = f.frame.frame_size() as i64;
+    ) -> Result<(), SimError> {
+        let info = &self.funcs[func];
         let saved_sp = *sp;
-        let new_sp = (*sp - size) & !7;
-        if new_sp < self.globals_end {
+        let new_sp = (*sp - info.frame_size) & !7;
+        if new_sp < self.mem.globals_end as i64 {
             return Err(SimError::StackOverflow);
         }
         *sp = new_sp;
-        let (maxg, maxf) = self.reg_limits[func_idx];
-        let mut gpr = vec![0i64; maxg as usize + 1];
-        let fpr = vec![0f64; maxf as usize + 1];
-        gpr[Reg::RARP.index() as usize] = new_sp;
-        let (gpr_ready, fpr_ready) = if self.cfg.load_delay.is_some() {
-            (vec![0u64; maxg as usize + 1], vec![0u64; maxf as usize + 1])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        Ok(Frame {
-            func: func_idx,
+        let (gpr_base, fpr_base) = (st.gpr.len(), st.fpr.len());
+        st.gpr.resize(gpr_base + info.gprs, 0);
+        st.fpr.resize(fpr_base + info.fprs, 0.0);
+        if self.cfg.load_delay.is_some() {
+            st.gpr_ready.resize(gpr_base + info.gprs, 0);
+            st.fpr_ready.resize(fpr_base + info.fprs, 0);
+        }
+        st.gpr[gpr_base + Reg::RARP.index() as usize] = new_sp;
+        st.frames.push(Frame {
+            func,
             block: 0,
             idx: 0,
-            gpr,
-            fpr,
-            gpr_ready,
-            fpr_ready,
+            gpr_base,
+            fpr_base,
             ret_dsts,
             saved_sp,
-        })
+        });
+        Ok(())
+    }
+
+    /// Executes one instruction of the running activation; `name` is its
+    /// entry in [`Machine::names`].
+    #[inline(always)]
+    fn step(
+        &mut self,
+        instr: &'m Instr,
+        name: usize,
+        r: &mut Regs<'_>,
+    ) -> Result<Flow<'m>, SimError> {
+        match instr.spill {
+            SpillKind::Store(_) => self.metrics.spill_stores += 1,
+            SpillKind::Restore(_) => self.metrics.spill_restores += 1,
+            SpillKind::None => {}
+        }
+
+        // Pipelined-load model: stall until every register this
+        // instruction touches is ready.
+        if self.cfg.load_delay.is_some() {
+            let mut ready = 0u64;
+            let mut scan = |reg: Reg| {
+                let t = match reg.class() {
+                    RegClass::Gpr => r.gpr_ready[reg.index() as usize],
+                    RegClass::Fpr => r.fpr_ready[reg.index() as usize],
+                };
+                ready = ready.max(t);
+            };
+            instr.op.visit_uses(&mut scan);
+            instr.op.visit_defs(&mut scan);
+            if ready > self.metrics.cycles {
+                self.metrics.stall_cycles += ready - self.metrics.cycles;
+                self.metrics.cycles = ready;
+            }
+        }
+
+        // Default cost; memory ops override below.
+        let op = &instr.op;
+        match op {
+            // ---- constants / moves / arithmetic: 1 cycle -------------
+            Op::LoadI { imm, dst } => {
+                self.metrics.cycles += 1;
+                r.gpr[dst.index() as usize] = *imm as i32 as i64;
+            }
+            Op::LoadF { imm, dst } => {
+                self.metrics.cycles += 1;
+                r.fpr[dst.index() as usize] = *imm;
+            }
+            Op::LoadSym { sym, dst } => {
+                self.metrics.cycles += 1;
+                r.gpr[dst.index() as usize] = match self.global_addrs.get(self.names[name] as usize)
+                {
+                    Some(&base) => base,
+                    None => return Err(SimError::UnknownGlobal(sym.clone())),
+                };
+            }
+            Op::IBin {
+                kind,
+                lhs,
+                rhs,
+                dst,
+            } => {
+                self.metrics.cycles += 1;
+                let a = r.gpr[lhs.index() as usize];
+                let b = r.gpr[rhs.index() as usize];
+                r.gpr[dst.index() as usize] = ibin(*kind, a, b)?;
+            }
+            Op::IBinI {
+                kind,
+                lhs,
+                imm,
+                dst,
+            } => {
+                self.metrics.cycles += 1;
+                let a = r.gpr[lhs.index() as usize];
+                r.gpr[dst.index() as usize] = ibin(*kind, a, *imm)?;
+            }
+            Op::FBin {
+                kind,
+                lhs,
+                rhs,
+                dst,
+            } => {
+                self.metrics.cycles += 1;
+                let a = r.fpr[lhs.index() as usize];
+                let b = r.fpr[rhs.index() as usize];
+                r.fpr[dst.index() as usize] = match kind {
+                    FBinKind::Add => a + b,
+                    FBinKind::Sub => a - b,
+                    FBinKind::Mult => a * b,
+                    FBinKind::Div => a / b,
+                };
+            }
+            Op::ICmp {
+                kind,
+                lhs,
+                rhs,
+                dst,
+            } => {
+                self.metrics.cycles += 1;
+                let a = r.gpr[lhs.index() as usize];
+                let b = r.gpr[rhs.index() as usize];
+                r.gpr[dst.index() as usize] = cmp(*kind, &a, &b);
+            }
+            Op::FCmp {
+                kind,
+                lhs,
+                rhs,
+                dst,
+            } => {
+                self.metrics.cycles += 1;
+                let a = r.fpr[lhs.index() as usize];
+                let b = r.fpr[rhs.index() as usize];
+                r.gpr[dst.index() as usize] = fcmp(*kind, a, b);
+            }
+            Op::I2I { src, dst } => {
+                self.metrics.cycles += 1;
+                r.gpr[dst.index() as usize] = r.gpr[src.index() as usize];
+            }
+            Op::F2F { src, dst } => {
+                self.metrics.cycles += 1;
+                r.fpr[dst.index() as usize] = r.fpr[src.index() as usize];
+            }
+            Op::I2F { src, dst } => {
+                self.metrics.cycles += 1;
+                r.fpr[dst.index() as usize] = r.gpr[src.index() as usize] as f64;
+            }
+            Op::F2I { src, dst } => {
+                self.metrics.cycles += 1;
+                r.gpr[dst.index() as usize] = r.fpr[src.index() as usize] as i32 as i64;
+            }
+
+            // ---- main memory: mem_latency (or cache) ----------------
+            // Effective addresses wrap: an offset far outside memory
+            // traps as out of bounds, never as an arithmetic overflow.
+            Op::Load { addr, dst } | Op::LoadAI { addr, dst, .. } => {
+                let off = match op {
+                    Op::LoadAI { off, .. } => *off,
+                    _ => 0,
+                };
+                let a = r.gpr[addr.index() as usize].wrapping_add(off);
+                let v = i32::from_le_bytes(self.mem.read(a)?);
+                let lat = self.mem_access(a, false);
+                r.gpr[dst.index() as usize] = v as i64;
+                let lat = match self.cfg.load_delay {
+                    Some(d) => {
+                        r.gpr_ready[dst.index() as usize] = self.metrics.cycles + 1 + d;
+                        1
+                    }
+                    None => lat,
+                };
+                self.metrics.cycles += lat;
+                self.metrics.mem_op_cycles += lat;
+                self.metrics.main_mem_ops += 1;
+            }
+            Op::FLoad { addr, dst } | Op::FLoadAI { addr, dst, .. } => {
+                let off = match op {
+                    Op::FLoadAI { off, .. } => *off,
+                    _ => 0,
+                };
+                let a = r.gpr[addr.index() as usize].wrapping_add(off);
+                let v = f64::from_le_bytes(self.mem.read(a)?);
+                let lat = self.mem_access(a, false);
+                r.fpr[dst.index() as usize] = v;
+                let lat = match self.cfg.load_delay {
+                    Some(d) => {
+                        r.fpr_ready[dst.index() as usize] = self.metrics.cycles + 1 + d;
+                        1
+                    }
+                    None => lat,
+                };
+                self.metrics.cycles += lat;
+                self.metrics.mem_op_cycles += lat;
+                self.metrics.main_mem_ops += 1;
+            }
+            Op::Store { val, addr } | Op::StoreAI { val, addr, .. } => {
+                let off = match op {
+                    Op::StoreAI { off, .. } => *off,
+                    _ => 0,
+                };
+                let a = r.gpr[addr.index() as usize].wrapping_add(off);
+                let v = r.gpr[val.index() as usize] as i32;
+                self.mem.write(a, v.to_le_bytes())?;
+                let lat = match self.cfg.load_delay {
+                    Some(_) => 1,
+                    None => self.mem_access(a, true),
+                };
+                self.metrics.cycles += lat;
+                self.metrics.mem_op_cycles += lat;
+                self.metrics.main_mem_ops += 1;
+            }
+            Op::FStore { val, addr } | Op::FStoreAI { val, addr, .. } => {
+                let off = match op {
+                    Op::FStoreAI { off, .. } => *off,
+                    _ => 0,
+                };
+                let a = r.gpr[addr.index() as usize].wrapping_add(off);
+                let v = r.fpr[val.index() as usize];
+                self.mem.write(a, v.to_le_bytes())?;
+                let lat = match self.cfg.load_delay {
+                    Some(_) => 1,
+                    None => self.mem_access(a, true),
+                };
+                self.metrics.cycles += lat;
+                self.metrics.mem_op_cycles += lat;
+                self.metrics.main_mem_ops += 1;
+            }
+
+            // ---- CCM: ccm_latency, disjoint address space -----------
+            Op::CcmStore { val, off } => {
+                let v = r.gpr[val.index() as usize] as i32;
+                let at = self.ccm_check(*off, 4)?;
+                self.ccm[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                self.charge_ccm();
+            }
+            Op::CcmLoad { off, dst } => {
+                let at = self.ccm_check(*off, 4)?;
+                let v = i32::from_le_bytes(self.ccm[at..at + 4].try_into().expect("4 bytes"));
+                r.gpr[dst.index() as usize] = v as i64;
+                self.charge_ccm();
+            }
+            Op::CcmFStore { val, off } => {
+                let v = r.fpr[val.index() as usize];
+                let at = self.ccm_check(*off, 8)?;
+                self.ccm[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                self.charge_ccm();
+            }
+            Op::CcmFLoad { off, dst } => {
+                let at = self.ccm_check(*off, 8)?;
+                let v = f64::from_le_bytes(self.ccm[at..at + 8].try_into().expect("8 bytes"));
+                r.fpr[dst.index() as usize] = v;
+                self.charge_ccm();
+            }
+
+            // ---- control flow ---------------------------------------
+            Op::Jump { target } => {
+                self.metrics.cycles += 1;
+                return Ok(Flow::Jump(target.index()));
+            }
+            Op::Cbr {
+                cond,
+                taken,
+                not_taken,
+            } => {
+                self.metrics.cycles += 1;
+                let t = if r.gpr[cond.index() as usize] != 0 {
+                    taken
+                } else {
+                    not_taken
+                };
+                return Ok(Flow::Jump(t.index()));
+            }
+            Op::Call { callee, args, rets } => {
+                self.metrics.cycles += 1;
+                self.metrics.calls += 1;
+                return match self.names[name] {
+                    NO_NAME => Err(SimError::UnknownFunction(callee.clone())),
+                    f => Ok(Flow::Call {
+                        callee: f as usize,
+                        args,
+                        rets,
+                    }),
+                };
+            }
+            Op::Ret { vals } => {
+                self.metrics.cycles += 1;
+                return Ok(Flow::Ret(vals));
+            }
+
+            Op::Phi { .. } => return Err(SimError::PhiEncountered),
+            Op::Nop => {
+                self.metrics.cycles += 1;
+            }
+        }
+        Ok(Flow::Next)
     }
 
     fn mem_access(&mut self, addr: i64, is_store: bool) -> u64 {
@@ -642,67 +888,35 @@ impl<'m> Machine<'m> {
         }
     }
 
-    fn check_addr(&self, addr: i64, size: i64) -> Result<usize, SimError> {
-        if addr < 0 || addr + size > self.cfg.mem_size as i64 {
-            Err(SimError::MemOutOfBounds { addr })
-        } else {
-            Ok(addr as usize)
-        }
-    }
-
-    fn ccm_check(&self, off: u32, size: u32) -> Result<(), SimError> {
-        if off + size > self.cfg.ccm_size {
+    /// The CCM index of an access of `size` bytes at `off`, if it lies
+    /// inside the CCM. The bound test cannot overflow.
+    fn ccm_check(&self, off: u32, size: u32) -> Result<usize, SimError> {
+        if u64::from(off) + u64::from(size) > u64::from(self.cfg.ccm_size) {
             Err(SimError::CcmOutOfBounds {
                 off,
                 size: self.cfg.ccm_size,
             })
         } else {
-            Ok(())
+            Ok(off as usize)
         }
     }
 
-    fn read_i32(&self, addr: i64) -> Result<i32, SimError> {
-        let a = self.check_addr(addr, 4)?;
-        Ok(i32::from_le_bytes(
-            self.mem[a..a + 4].try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn write_i32(&mut self, addr: i64, v: i32) -> Result<(), SimError> {
-        let a = self.check_addr(addr, 4)?;
-        self.mem[a..a + 4].copy_from_slice(&v.to_le_bytes());
-        self.dirty_lo = self.dirty_lo.min(a);
-        self.dirty_hi = self.dirty_hi.max(a + 4);
-        Ok(())
-    }
-
-    fn read_f64(&self, addr: i64) -> Result<f64, SimError> {
-        let a = self.check_addr(addr, 8)?;
-        Ok(f64::from_le_bytes(
-            self.mem[a..a + 8].try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn write_f64(&mut self, addr: i64, v: f64) -> Result<(), SimError> {
-        let a = self.check_addr(addr, 8)?;
-        self.mem[a..a + 8].copy_from_slice(&v.to_le_bytes());
-        self.dirty_lo = self.dirty_lo.min(a);
-        self.dirty_hi = self.dirty_hi.max(a + 8);
-        Ok(())
+    fn charge_ccm(&mut self) {
+        self.metrics.cycles += self.cfg.ccm_latency;
+        self.metrics.mem_op_cycles += self.cfg.ccm_latency;
+        self.metrics.ccm_ops += 1;
     }
 }
 
 impl Drop for Machine<'_> {
-    /// Returns the main-memory image to `SPARE_MEM` all-zero: stores
-    /// only ever touch the dirty range, and globals sit below
-    /// `globals_end`.
+    /// Returns the main-memory image to `SPARE_MEM` all-zero: it zeroes
+    /// what stores wrote and the global data below `globals_end`, which
+    /// [`Machine::new`] wrote without a store.
     fn drop(&mut self) {
-        self.clear_dirty();
-        let globals_end = usize::try_from(self.globals_end)
-            .unwrap_or(0)
-            .min(self.mem.len());
-        self.mem[..globals_end].fill(0);
-        let mem = std::mem::take(&mut self.mem);
+        self.mem.clear_dirty();
+        let globals_end = self.mem.globals_end.min(self.mem.bytes.len());
+        self.mem.bytes[..globals_end].fill(0);
+        let mem = std::mem::take(&mut self.mem.bytes);
         // During thread teardown the slot may already be gone; the image
         // is then simply freed.
         let _ = SPARE_MEM.try_with(|spare| spare.set(Some(mem)));
@@ -784,7 +998,7 @@ pub fn run_module(
 mod tests {
     use super::*;
     use iloc::builder::FuncBuilder;
-    use iloc::{Global, Module, RegClass};
+    use iloc::{Function, Global, Module, RegClass};
 
     fn module_of(fns: Vec<Function>, globals: Vec<Global>) -> Module {
         let mut m = Module::new();
@@ -1192,6 +1406,124 @@ mod tests {
     }
 
     #[test]
+    fn a_run_zeroes_exactly_what_its_stores_wrote() {
+        // Reads, then overwrites, four places: the first global byte, an
+        // f64 across `globals_end` (g's last word and the first padding
+        // word after it), a computed address in the gap between globals
+        // and stack, and the last 8 bytes of memory. Each run must read
+        // the initial values again, on one machine and on the next. The
+        // bytes just past the crossing store and just below the gap store
+        // hold canaries no store writes: a reset must leave them alone.
+        let mem_size = MachineConfig::default().mem_size as i64;
+        let mut fb = FuncBuilder::new("main");
+        fb.set_ret_classes(&[RegClass::Gpr, RegClass::Gpr, RegClass::Fpr, RegClass::Fpr]);
+        let g = fb.loadsym("g");
+        let gap = fb.loadi(mem_size / 2 + 12);
+        let top = fb.loadi(mem_size - 8);
+        let first = fb.loadai(g, 0);
+        let across = fb.floadai(g, 8);
+        let in_gap = fb.loadai(gap, 0);
+        let last = fb.floadai(top, 0);
+        let v = fb.loadi(-3);
+        let x = fb.loadf(6.5);
+        fb.storeai(v, g, 0);
+        fb.fstoreai(x, g, 8);
+        fb.storeai(v, gap, 0);
+        fb.fstoreai(x, top, 0);
+        fb.ret(&[first, in_gap, across, last]);
+        let m = module_of(vec![fb.finish()], vec![Global::from_i32s("g", &[7, 8, 9])]);
+        let mut seen = None;
+        for _ in 0..2 {
+            let mut machine = Machine::new(&m, MachineConfig::default());
+            assert_eq!(machine.mem.globals_end, 64 + 12, "g ends mid-f64");
+            let canaries = [64 + 16, mem_size as usize / 2 + 11];
+            for c in canaries {
+                machine.mem.bytes[c] = 0xa5;
+            }
+            for _ in 0..2 {
+                let v = machine.run("main").unwrap();
+                for c in canaries {
+                    assert_eq!(machine.mem.bytes[c], 0xa5, "reset zeroed byte {c}");
+                }
+                assert_eq!(v.ints, vec![7, 0]);
+                assert_eq!(v.floats[0].to_bits(), 9, "g's last word, then zeros");
+                assert_eq!(v.floats[1].to_bits(), 0);
+                let now = (v, machine.metrics);
+                assert_eq!(*seen.get_or_insert_with(|| now.clone()), now);
+            }
+            for c in canaries {
+                machine.mem.bytes[c] = 0;
+            }
+            drop(machine);
+            let mem = SPARE_MEM.with(Cell::take).expect("image returned");
+            assert!(mem.iter().all(|&b| b == 0), "image not cleared");
+            SPARE_MEM.with(|spare| spare.set(Some(mem)));
+        }
+    }
+
+    #[test]
+    fn huge_offsets_trap_at_the_wrapped_address() {
+        // `base + off` wraps rather than overflowing, so a debug build
+        // traps exactly where a release build does.
+        for off in [i64::MAX, i64::MIN] {
+            for class in [RegClass::Gpr, RegClass::Fpr] {
+                for store in [false, true] {
+                    let mut fb = FuncBuilder::new("main");
+                    let base = fb.loadsym("g");
+                    let v = fb.vreg(class);
+                    fb.emit(match (class, store) {
+                        (RegClass::Gpr, false) => Op::LoadAI {
+                            addr: base,
+                            off,
+                            dst: v,
+                        },
+                        (RegClass::Gpr, true) => Op::StoreAI {
+                            val: v,
+                            addr: base,
+                            off,
+                        },
+                        (RegClass::Fpr, false) => Op::FLoadAI {
+                            addr: base,
+                            off,
+                            dst: v,
+                        },
+                        (RegClass::Fpr, true) => Op::FStoreAI {
+                            val: v,
+                            addr: base,
+                            off,
+                        },
+                    });
+                    fb.ret(&[]);
+                    let m = module_of(vec![fb.finish()], vec![Global::zeroed("g", 8)]);
+                    assert_eq!(
+                        run_module(&m, MachineConfig::default(), "main").unwrap_err(),
+                        SimError::MemOutOfBounds {
+                            addr: 64i64.wrapping_add(off)
+                        },
+                        "{class:?} store={store} off={off}"
+                    );
+                }
+            }
+        }
+        // The CCM bound test cannot overflow either.
+        let mut fb = FuncBuilder::new("main");
+        let v = fb.loadi(1);
+        fb.emit(Op::CcmStore {
+            val: v,
+            off: u32::MAX,
+        });
+        fb.ret(&[]);
+        let m = module_of(vec![fb.finish()], vec![]);
+        assert_eq!(
+            run_module(&m, MachineConfig::default(), "main").unwrap_err(),
+            SimError::CcmOutOfBounds {
+                off: u32::MAX,
+                size: 1024
+            }
+        );
+    }
+
+    #[test]
     fn spill_tags_counted() {
         // Hand-write tagged spill code.
         let mut f = Function::new("main");
@@ -1536,5 +1868,95 @@ mod pipeline_tests {
         let (v, metrics) = run_module(&m, pipelined(4), "main").unwrap();
         assert_eq!(v.ints, vec![7]);
         assert!(metrics.stall_cycles > 0);
+    }
+}
+
+/// The block-slice engine against its per-instruction reference path
+/// (`Machine::step_by_step`: one instruction per slice, so the budget,
+/// call depth and traps are accounted at every instruction).
+#[cfg(test)]
+mod budget_tests {
+    use super::*;
+    use iloc::Module;
+    use regalloc::AllocConfig;
+
+    /// What a run shows: the returned values (floats by bit pattern) or
+    /// the trap, and the full metrics.
+    type Outcome = (Result<(Vec<i64>, Vec<u64>), SimError>, Metrics);
+
+    fn outcome(m: &Module, cfg: &MachineConfig, step_by_step: bool) -> Outcome {
+        let mut machine = Machine::new(m, cfg.clone());
+        machine.step_by_step = step_by_step;
+        let r = machine.run("main").map(|v| {
+            let floats = v.floats.iter().map(|f| f.to_bits()).collect();
+            (v.ints, floats)
+        });
+        (r, machine.metrics)
+    }
+
+    /// Step budgets that end at slice starts, one instruction and half a
+    /// block past them, inside callees, and around the end of the run.
+    fn budgets(m: &Module, cfg: &MachineConfig) -> Vec<u64> {
+        let mut machine = Machine::new(m, cfg.clone());
+        machine.slice_starts = Some(Vec::new());
+        machine.run("main").expect("an unbounded run completes");
+        let total = machine.metrics.instrs;
+        let starts = machine.slice_starts.take().expect("recorded");
+        let spread = |picked: Vec<&(u64, u64, usize)>| -> Vec<(u64, u64, usize)> {
+            let step = picked.len().div_ceil(6).max(1);
+            picked.into_iter().step_by(step).copied().collect()
+        };
+        let mut chosen: Vec<(u64, u64, usize)> = starts.iter().take(6).copied().collect();
+        chosen.extend(spread(starts.iter().collect()));
+        chosen.extend(spread(starts.iter().filter(|s| s.1 > 1).collect()));
+        let mut out = vec![total - 1, total, total + 1];
+        for (at, _, len) in chosen {
+            out.extend([at, at + 1, at + len as u64 / 2]);
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    fn check(unit: &str, m: &Module) {
+        let pipelined = MachineConfig {
+            load_delay: Some(2),
+            ..MachineConfig::default()
+        };
+        let cached = MachineConfig {
+            cache: Some(crate::cache::CacheConfig::small_direct_mapped()),
+            ..MachineConfig::default()
+        };
+        for cfg in [MachineConfig::default(), pipelined, cached] {
+            for max_steps in budgets(m, &cfg) {
+                let cfg = MachineConfig {
+                    max_steps,
+                    ..cfg.clone()
+                };
+                assert_eq!(
+                    outcome(m, &cfg, false),
+                    outcome(m, &cfg, true),
+                    "{unit} under {cfg:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_slices_match_the_per_instruction_path() {
+        let mut calls = 0;
+        for k in suite::kernels() {
+            let mut m = suite::build_optimized(&k);
+            regalloc::allocate_module(&mut m, &AllocConfig::default());
+            check(k.name, &m);
+            calls += usize::from(m.functions.len() > 1);
+        }
+        assert!(calls > 0, "some budgets end inside a callee");
+        for i in 0..128 {
+            let mut m = fuzz::gen_module(fuzz::case_seed(1, i));
+            check(&format!("fuzz:{i}"), &m);
+            regalloc::allocate_module(&mut m, &AllocConfig::default());
+            check(&format!("fuzz:{i} allocated"), &m);
+        }
     }
 }
