@@ -49,6 +49,14 @@ echo "== allocation golden: cargo test -q --release --test alloc_golden"
 # pinned in release mode, where the tables only pin aggregates.
 cargo test -q --release --test alloc_golden
 
+echo "== optimizer golden: cargo test -q --release --test opt_golden"
+# One digest per optimized unit (64 kernels under their suite options and
+# again with LICM, the 13 linked programs, and 128 fuzz modules through
+# opt::optimize_module) over the module text and every OptStats field:
+# every fold, redundancy and deletion of the scalar pipeline, pinned in
+# release mode, where the tables only show what reaches the allocator.
+cargo test -q --release --test opt_golden
+
 echo "== simulator budget equivalence: cargo test -q --release -p sim block_slices"
 # The block-slice interpreter against its per-instruction reference path
 # (`Machine::step_by_step`, compiled only into the sim crate's tests):

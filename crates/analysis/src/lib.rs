@@ -18,6 +18,9 @@
 //! * [`ssa`] — SSA construction (semi-pruned) and destruction (with
 //!   parallel-copy sequentialization);
 //! * [`DefUse`] — def-use chains;
+//! * [`RegMap`] — a dense per-register table: SSA construction,
+//!   [`DefUse`], the optimizer and [`RegIndex`] (a dense numbering of a
+//!   function's registers for bit sets) key per-register state by it;
 //! * [`CallGraph`] — call graph, Tarjan SCCs, bottom-up order for the
 //!   interprocedural CCM allocator.
 //!
@@ -55,6 +58,7 @@ pub mod dom;
 pub mod liveness;
 pub mod loops;
 pub mod regindex;
+pub mod regmap;
 pub mod ssa;
 
 pub use bitset::BitSet;
@@ -66,4 +70,5 @@ pub use dom::Dominators;
 pub use liveness::Liveness;
 pub use loops::{Loop, LoopInfo};
 pub use regindex::RegIndex;
+pub use regmap::RegMap;
 pub use ssa::{check_single_def, from_ssa, split_critical_edges, to_ssa};

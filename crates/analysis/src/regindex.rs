@@ -1,14 +1,20 @@
 //! Dense numbering of the registers appearing in a function.
-
-use std::collections::HashMap;
+//!
+//! The register → id direction is a [`RegMap`] slot per register index,
+//! so numbering a function and looking a register up hash nothing.
 
 use iloc::{Function, Reg};
+
+use crate::regmap::RegMap;
+
+/// `to_id` slot of a register the function does not mention.
+const NONE: u32 = u32::MAX;
 
 /// Maps every register mentioned in a function to a dense index
 /// `0..len()`, so register sets can be [`BitSet`](crate::BitSet)s.
 #[derive(Clone, Debug)]
 pub struct RegIndex {
-    to_id: HashMap<Reg, usize>,
+    to_id: RegMap<u32>,
     from_id: Vec<Reg>,
 }
 
@@ -16,13 +22,13 @@ impl RegIndex {
     /// Builds the numbering from every register in `f` (params, uses,
     /// defs), in first-appearance order.
     pub fn build(f: &Function) -> RegIndex {
-        let mut to_id = HashMap::new();
+        let mut to_id = RegMap::for_function(f, NONE);
         let mut from_id = Vec::new();
         f.for_each_reg(|r| {
-            to_id.entry(r).or_insert_with(|| {
+            if to_id[r] == NONE {
+                to_id[r] = from_id.len() as u32;
                 from_id.push(r);
-                from_id.len() - 1
-            });
+            }
         });
         RegIndex { to_id, from_id }
     }
@@ -44,15 +50,17 @@ impl RegIndex {
     /// Panics if `r` does not appear in the function the index was built
     /// from.
     pub fn id(&self, r: Reg) -> usize {
-        *self
-            .to_id
-            .get(&r)
+        self.get(r)
             .unwrap_or_else(|| panic!("register {r} not in index"))
     }
 
     /// The dense id of `r`, or `None` if unknown.
+    #[inline]
     pub fn get(&self, r: Reg) -> Option<usize> {
-        self.to_id.get(&r).copied()
+        self.to_id
+            .get(r)
+            .filter(|&&id| id != NONE)
+            .map(|&id| id as usize)
     }
 
     /// The register with dense id `id`.

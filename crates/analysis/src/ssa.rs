@@ -6,15 +6,22 @@
 //! their definition blocks, followed by a renaming walk over the
 //! dominator tree.
 //!
+//! Construction keys everything by dense tables: global names and
+//! definition blocks are [`RegMap`]s, the per-block kill set is a stamp
+//! per register, the φ-placed set a stamp per block, and the renaming
+//! stacks are one `RegMap` of current names plus an undo log that each
+//! block rolls back on exit.
+//!
 //! Destruction splits critical edges and lowers each block's φ-set as a
 //! *parallel* copy, sequentialized with a temporary when the copies form a
 //! cycle (the lost-copy and swap problems).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use iloc::{BlockId, Function, Instr, Op, Reg};
 
 use crate::dom::Dominators;
+use crate::regmap::RegMap;
 
 /// Converts `f` to semi-pruned SSA form. Returns the number of φ-nodes
 /// inserted.
@@ -23,130 +30,133 @@ pub fn to_ssa(f: &mut Function) -> usize {
     let df = dom.dominance_frontiers(f);
 
     // Find global names (used in some block without a prior def in that
-    // block) and the set of blocks defining each name. Physical registers
-    // (e.g. RARP) are never renamed.
-    let mut globals: HashSet<Reg> = HashSet::new();
-    let mut def_blocks: HashMap<Reg, Vec<BlockId>> = HashMap::new();
+    // block) and the blocks defining each name. Physical registers (e.g.
+    // RARP) are never renamed. `killed[r]` holds one past the last block
+    // that defined `r`, so the per-block kill set is a stamp compare.
+    let mut global = RegMap::for_function(f, false);
+    let mut killed = RegMap::for_function(f, 0u32);
+    let mut def_blocks: RegMap<Vec<BlockId>> = RegMap::for_function(f, Vec::new());
     for b in f.block_ids() {
-        let mut killed: HashSet<Reg> = HashSet::new();
+        let stamp = b.0 + 1;
         for instr in &f.block(b).instrs {
             instr.op.visit_uses(|r| {
-                if r.is_virtual() && !killed.contains(&r) {
-                    globals.insert(r);
+                if r.is_virtual() && killed[r] != stamp {
+                    global[r] = true;
                 }
             });
             instr.op.visit_defs(|r| {
                 if r.is_virtual() {
-                    killed.insert(r);
-                    def_blocks.entry(r).or_default().push(b);
+                    killed[r] = stamp;
+                    def_blocks[r].push(b);
                 }
             });
         }
     }
-    for p in f.params.clone() {
-        def_blocks.entry(p).or_default().push(f.entry());
+    for &p in &f.params {
+        def_blocks[p].push(f.entry());
     }
 
     // Place φ-nodes on the iterated dominance frontier of each global's
-    // definition blocks.
-    let mut phi_count = 0;
+    // definition blocks, names in ascending order. Each new φ goes to the
+    // head of its block, so a block's φs end up in descending name order;
+    // they are collected per block and spliced in once at the end.
     let preds = f.predecessors();
-    let mut names: Vec<Reg> = globals
+    let mut new_phis: Vec<Vec<Instr>> = vec![Vec::new(); f.blocks.len()];
+    // `has_phi[b]` is the sequence number (from 1) of the last name given
+    // a φ in `b`.
+    let mut has_phi = vec![0u32; f.blocks.len()];
+    let mut work: Vec<BlockId> = Vec::new();
+    let names = global
         .iter()
-        .copied()
-        .filter(|r| def_blocks.contains_key(r))
-        .collect();
-    names.sort();
-    for name in names {
-        let mut has_phi: HashSet<BlockId> = HashSet::new();
-        let mut work: Vec<BlockId> = def_blocks[&name].clone();
+        .filter(|&(r, &g)| g && !def_blocks[r].is_empty())
+        .map(|(r, _)| r);
+    for (seq, name) in (1..).zip(names) {
+        work.extend_from_slice(&def_blocks[name]);
         while let Some(d) = work.pop() {
             for &frontier in &df[d.index()] {
-                if has_phi.insert(frontier) {
+                if has_phi[frontier.index()] != seq {
+                    has_phi[frontier.index()] = seq;
                     let args = preds[frontier.index()].iter().map(|&p| (p, name)).collect();
-                    f.block_mut(frontier)
-                        .instrs
-                        .insert(0, Instr::new(Op::Phi { dst: name, args }));
-                    phi_count += 1;
+                    new_phis[frontier.index()].push(Instr::new(Op::Phi { dst: name, args }));
                     work.push(frontier);
                 }
             }
         }
     }
-
-    // Renaming walk over the dominator tree.
-    let mut stacks: HashMap<Reg, Vec<Reg>> = HashMap::new();
-    // Parameters are defined on entry as themselves.
-    for p in f.params.clone() {
-        stacks.entry(p).or_default().push(p);
+    let mut phi_count = 0;
+    for (blk, phis) in f.blocks.iter_mut().zip(new_phis) {
+        phi_count += phis.len();
+        blk.instrs.splice(0..0, phis.into_iter().rev());
     }
-    rename_block(f, &dom, f.entry(), &mut stacks);
+
+    // Renaming walk over the dominator tree. Parameters are defined on
+    // entry as themselves, which is what an unrenamed name reads as.
+    let mut renamer = Renamer {
+        current: RegMap::for_function(f, None),
+        undo: Vec::new(),
+        defs: Vec::new(),
+    };
+    renamer.rename_block(f, &dom, f.entry());
     f.reset_vreg_counter();
     phi_count
 }
 
-fn top_of(stacks: &HashMap<Reg, Vec<Reg>>, r: Reg) -> Reg {
-    if !r.is_virtual() {
-        return r;
-    }
-    stacks.get(&r).and_then(|s| s.last()).copied().unwrap_or(r)
+/// The renaming walk's state. `current[r]` is the name `r` reads as at
+/// this point of the walk (`None`: itself). Every redefinition is logged
+/// in `undo` with the name it shadowed, and leaving a block rolls the log
+/// back to its length on entry: one table and one log stand in for a
+/// stack of names per register.
+struct Renamer {
+    current: RegMap<Option<Reg>>,
+    undo: Vec<(Reg, Option<Reg>)>,
+    /// The virtual defs of the instruction being renamed.
+    defs: Vec<Reg>,
 }
 
-fn rename_block(
-    f: &mut Function,
-    dom: &Dominators,
-    b: BlockId,
-    stacks: &mut HashMap<Reg, Vec<Reg>>,
-) {
-    let mut pushed: Vec<Reg> = Vec::new();
-
-    // Rewrite instruction by instruction: uses first (except φ), then defs.
-    let num_instrs = f.block(b).instrs.len();
-    for i in 0..num_instrs {
-        let is_phi = matches!(f.block(b).instrs[i].op, Op::Phi { .. });
-        if !is_phi {
-            let snapshot: HashMap<Reg, Reg> = {
-                let mut m = HashMap::new();
-                f.block(b).instrs[i].op.visit_uses(|r| {
-                    m.insert(r, top_of(stacks, r));
-                });
-                m
-            };
-            f.block_mut(b).instrs[i].op.map_uses(|r| snapshot[&r]);
+impl Renamer {
+    /// The name `r` currently reads as. Physical registers, and registers
+    /// created by this walk, read as themselves.
+    fn top(&self, r: Reg) -> Reg {
+        if !r.is_virtual() {
+            return r;
         }
-        // New name for each def.
-        let defs: Vec<Reg> = f.block(b).instrs[i]
-            .op
-            .defs()
-            .into_iter()
-            .filter(|r| r.is_virtual())
-            .collect();
-        let mut renames = HashMap::new();
-        for d in defs {
-            let fresh = f.new_vreg(d.class());
-            stacks.entry(d).or_default().push(fresh);
-            pushed.push(d);
-            renames.insert(d, fresh);
-        }
-        f.block_mut(b).instrs[i]
-            .op
-            .map_defs(|r| renames.get(&r).copied().unwrap_or(r));
+        self.current.get(r).copied().flatten().unwrap_or(r)
     }
 
-    // Fill in φ arguments of successors for the edge b → s.
-    for s in f.successors(b) {
-        let phi_count = f.block(s).phi_count();
-        for i in 0..phi_count {
-            let mut snapshot: Option<Reg> = None;
-            if let Op::Phi { args, .. } = &f.block(s).instrs[i].op {
-                for (pb, r) in args {
-                    if *pb == b {
-                        snapshot = Some(top_of(stacks, *r));
-                    }
-                }
+    fn rename_block(&mut self, f: &mut Function, dom: &Dominators, b: BlockId) {
+        let mark = self.undo.len();
+
+        // Rewrite instruction by instruction: uses first (except φ), then
+        // defs, each to a fresh name.
+        for i in 0..f.block(b).instrs.len() {
+            let op = &mut f.block_mut(b).instrs[i].op;
+            if !matches!(op, Op::Phi { .. }) {
+                op.map_uses(|r| self.top(r));
             }
-            if let Some(new) = snapshot {
+            self.defs.clear();
+            op.visit_defs(|r| {
+                if r.is_virtual() {
+                    self.defs.push(r);
+                }
+            });
+            for k in 0..self.defs.len() {
+                let d = self.defs[k];
+                let fresh = f.new_vreg(d.class());
+                self.undo.push((d, self.current[d]));
+                self.current[d] = Some(fresh);
+            }
+            f.block_mut(b).instrs[i].op.map_defs(|r| self.top(r));
+        }
+
+        // Fill in φ arguments of successors for the edge b → s: every
+        // argument for b takes the current name of the last one.
+        for s in f.successors(b) {
+            for i in 0..f.block(s).phi_count() {
                 if let Op::Phi { args, .. } = &mut f.block_mut(s).instrs[i].op {
+                    let Some(&(_, last)) = args.iter().rev().find(|(pb, _)| *pb == b) else {
+                        continue;
+                    };
+                    let new = self.top(last);
                     for (pb, r) in args {
                         if *pb == b {
                             *r = new;
@@ -155,16 +165,17 @@ fn rename_block(
                 }
             }
         }
-    }
 
-    // Recurse into dominator-tree children.
-    for &c in dom.children(b).to_vec().iter() {
-        rename_block(f, dom, c, stacks);
-    }
+        // Recurse into dominator-tree children.
+        for &c in dom.children(b) {
+            self.rename_block(f, dom, c);
+        }
 
-    // Pop this block's definitions.
-    for d in pushed {
-        stacks.get_mut(&d).expect("pushed").pop();
+        // Pop this block's definitions.
+        while self.undo.len() > mark {
+            let (d, prev) = self.undo.pop().expect("above the mark");
+            self.current[d] = prev;
+        }
     }
 }
 
@@ -292,12 +303,12 @@ fn sequentialize_parallel_copy(f: &mut Function, mut copies: Vec<(Reg, Reg)>) ->
 /// Checks the defining property of strict SSA: every virtual register has
 /// at most one definition. Returns the offending register if violated.
 pub fn check_single_def(f: &Function) -> Result<(), Reg> {
-    let mut seen: HashSet<Reg> = HashSet::new();
+    let mut seen = RegMap::for_function(f, false);
     for b in &f.blocks {
         for i in &b.instrs {
             let mut bad = None;
             i.op.visit_defs(|r| {
-                if r.is_virtual() && !seen.insert(r) {
+                if r.is_virtual() && std::mem::replace(&mut seen[r], true) {
                     bad = Some(r);
                 }
             });

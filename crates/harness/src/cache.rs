@@ -9,6 +9,8 @@
 //!
 //! * **builds** — [`optimized`]/[`program`] memoize
 //!   [`suite::build_optimized`]/[`suite::build_program`] per unit name;
+//!   a program links the cached builds of members the kernel tables
+//!   already made, so `repro --all` optimizes each kernel once;
 //! * **the baseline allocation** — [`baseline_allocation`] memoizes the
 //!   Chaitin-Briggs allocation once per unit. No CCM method changes the
 //!   register assignment: the post-pass allocator runs after a
@@ -105,14 +107,36 @@ pub fn optimized(k: &Kernel) -> Result<Arc<Module>, PipelineError> {
     memoized(kernel_cache(), k.name, move || suite::build_optimized(&k))
 }
 
-/// [`suite::build_program`], memoized per program name.
+/// [`suite::build_program`], memoized per program name. A member kernel
+/// already in the [`optimized`] cache (`repro --all` builds every kernel
+/// for the tables first) is linked from there rather than built and
+/// optimized again; a missing one is built for this program only and not
+/// cached, so a figures-only run holds no kernel modules beyond the
+/// programs' own copies.
 ///
 /// # Errors
 ///
 /// A build/optimize panic is contained as a `stage=opt` error.
 pub fn program(p: &Program) -> Result<Arc<Module>, PipelineError> {
     let p = p.clone();
-    memoized(program_cache(), p.name, move || suite::build_program(&p))
+    memoized(program_cache(), p.name, move || {
+        let members = p
+            .members
+            .iter()
+            .map(|&name| {
+                // Not matched on directly: the lock must not be held
+                // while a missing member builds.
+                let cached = lock(kernel_cache()).get(name).cloned();
+                match cached {
+                    Some(m) => Module::clone(&m),
+                    None => suite::build_optimized(
+                        &suite::kernel(name).unwrap_or_else(|| panic!("unknown kernel {name}")),
+                    ),
+                }
+            })
+            .collect();
+        suite::build_program_from(&p, members)
+    })
 }
 
 type BaseMap = Mutex<HashMap<String, (Arc<Module>, usize)>>;
@@ -330,6 +354,29 @@ mod tests {
         assert!(Arc::ptr_eq(&cached, &again), "second lookup must hit");
         let fresh = suite::build_optimized(&k);
         assert_eq!(format!("{fresh}"), format!("{cached}"));
+    }
+
+    #[test]
+    fn programs_linked_from_cached_members_match_fresh_builds() {
+        for p in suite::programs() {
+            let members = p
+                .members
+                .iter()
+                .map(|name| Module::clone(&optimized(&suite::kernel(name).unwrap()).unwrap()))
+                .collect();
+            assert_eq!(
+                suite::build_program_from(&p, members).to_string(),
+                suite::build_program(&p).to_string(),
+                "program {}",
+                p.name
+            );
+            assert_eq!(
+                program(&p).unwrap().to_string(),
+                suite::build_program(&p).to_string(),
+                "program {}",
+                p.name
+            );
+        }
     }
 
     #[test]

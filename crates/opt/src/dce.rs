@@ -3,56 +3,65 @@
 //! Marks side-effecting instructions (stores, calls, terminators) live and
 //! propagates liveness backwards through SSA use-def edges; everything
 //! unmarked is deleted.
+//!
+//! Def sites are an [`analysis::RegMap`] and liveness one flat flag per
+//! instruction, indexed through per-block offsets.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-
-use iloc::{Function, Op, Reg};
+use analysis::RegMap;
+use iloc::{Function, Op};
 
 /// Removes dead instructions from `f` (must be in SSA form for precise
 /// results; sound on any single-assignment-per-name code). Returns the
 /// number of instructions removed.
 pub fn dce(f: &mut Function) -> usize {
-    // Map each register to its defining site.
-    let mut def_site: HashMap<Reg, (usize, usize)> = HashMap::new();
+    // Instruction `ii` of block `bi` is flag `start[bi] + ii` of `live`.
+    let mut start = Vec::with_capacity(f.blocks.len());
+    let mut total = 0;
+    for b in &f.blocks {
+        start.push(total);
+        total += b.instrs.len();
+    }
+    // Map each register to its defining site (the last, if several).
+    let mut def_site: RegMap<Option<(u32, u32)>> = RegMap::for_function(f, None);
     for (bi, b) in f.blocks.iter().enumerate() {
         for (ii, instr) in b.instrs.iter().enumerate() {
-            instr.op.visit_defs(|r| {
-                def_site.insert(r, (bi, ii));
-            });
+            instr
+                .op
+                .visit_defs(|r| def_site[r] = Some((bi as u32, ii as u32)));
         }
     }
 
-    let mut live: HashSet<(usize, usize)> = HashSet::new();
-    let mut work: VecDeque<(usize, usize)> = VecDeque::new();
-
+    // Side-effecting instructions are live; liveness flows back along
+    // use-def edges.
+    let mut live = vec![false; total];
+    let mut work: Vec<(u32, u32)> = Vec::new();
     for (bi, b) in f.blocks.iter().enumerate() {
         for (ii, instr) in b.instrs.iter().enumerate() {
             if instr.op.has_side_effects() {
-                live.insert((bi, ii));
-                work.push_back((bi, ii));
+                live[start[bi] + ii] = true;
+                work.push((bi as u32, ii as u32));
             }
         }
     }
-
-    while let Some((bi, ii)) = work.pop_front() {
-        f.blocks[bi].instrs[ii].op.visit_uses(|r| {
-            if let Some(&site) = def_site.get(&r) {
-                if live.insert(site) {
-                    work.push_back(site);
+    while let Some((bi, ii)) = work.pop() {
+        f.blocks[bi as usize].instrs[ii as usize]
+            .op
+            .visit_uses(|r| {
+                if let Some((db, di)) = def_site[r] {
+                    let flag = &mut live[start[db as usize] + di as usize];
+                    if !std::mem::replace(flag, true) {
+                        work.push((db, di));
+                    }
                 }
-            }
-        });
+            });
     }
 
     let mut removed = 0;
-    for (bi, b) in f.blocks.iter_mut().enumerate() {
+    for (b, &at) in f.blocks.iter_mut().zip(&start) {
         let before = b.instrs.len();
-        let mut ii = 0;
-        b.instrs.retain(|_| {
-            let keep = live.contains(&(bi, ii));
-            ii += 1;
-            keep
-        });
+        let mut flags = live[at..at + before].iter();
+        b.instrs
+            .retain(|_| *flags.next().expect("one flag per instruction"));
         removed += before - b.instrs.len();
     }
     removed
@@ -62,16 +71,20 @@ pub fn dce(f: &mut Function) -> usize {
 /// targets and φ-nodes. Also drops φ-arguments from removed predecessors.
 /// Returns the number of blocks removed.
 pub fn remove_unreachable_blocks(f: &mut Function) -> usize {
-    let reachable: HashSet<usize> = f.reverse_postorder().iter().map(|b| b.index()).collect();
     let n = f.blocks.len();
-    if reachable.len() == n {
+    let order = f.reverse_postorder();
+    if order.len() == n {
         return 0;
+    }
+    let mut reachable = vec![false; n];
+    for b in order {
+        reachable[b.index()] = true;
     }
     // Build old→new id map.
     let mut remap: Vec<Option<u32>> = vec![None; n];
     let mut next = 0u32;
     for (i, slot) in remap.iter_mut().enumerate() {
-        if reachable.contains(&i) {
+        if reachable[i] {
             *slot = Some(next);
             next += 1;
         }
@@ -79,7 +92,7 @@ pub fn remove_unreachable_blocks(f: &mut Function) -> usize {
     // Drop unreachable blocks.
     let mut kept = Vec::with_capacity(next as usize);
     for (i, b) in std::mem::take(&mut f.blocks).into_iter().enumerate() {
-        if reachable.contains(&i) {
+        if reachable[i] {
             kept.push(b);
         }
     }

@@ -6,10 +6,18 @@
 //! Commutative operations are canonicalized by sorting operands so
 //! `a + b` and `b + a` share a value number. Copies and φs with identical
 //! arguments are folded into their source.
+//!
+//! Forwarded names live in an [`analysis::RegMap`]. The expression table
+//! stays a hash map — an expression key is an opcode with operand
+//! registers or an immediate, which has no dense numbering — hashed with
+//! a small multiply-rotate hasher. An expression is entered only when no
+//! representative is available, so each key holds one representative,
+//! and leaving the block that entered it removes it again.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use analysis::Dominators;
+use analysis::{Dominators, RegMap};
 use iloc::{BlockId, Function, Op, Reg};
 
 /// An expression key: opcode discriminator plus canonicalized operands.
@@ -27,109 +35,142 @@ enum Key {
     F2I(Reg),
 }
 
-/// Runs GVN over `f` (must be in SSA form). Returns the number of
-/// redundant instructions removed.
-pub fn gvn(f: &mut Function) -> usize {
-    let dom = Dominators::compute(f);
-    // replacement[r] = canonical value for r (path-compressed on lookup).
-    let mut replacement: HashMap<Reg, Reg> = HashMap::new();
-    // Scoped available-expression table: stack of (key, rep) frames.
-    let mut table: HashMap<Key, Vec<Reg>> = HashMap::new();
-    let mut removed = 0;
+/// FxHash-style multiply-rotate hashing: an expression key is a few
+/// small integers, which need neither SipHash's flood resistance nor its
+/// cost.
+#[derive(Default)]
+struct KeyHasher(u64);
 
-    fn resolve(replacement: &HashMap<Reg, Reg>, mut r: Reg) -> Reg {
-        while let Some(&n) = replacement.get(&r) {
-            if n == r {
-                break;
-            }
-            r = n;
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x517c_c1b7_2722_0a95);
         }
-        r
     }
 
-    fn walk(
-        f: &mut Function,
-        dom: &Dominators,
-        b: BlockId,
-        replacement: &mut HashMap<Reg, Reg>,
-        table: &mut HashMap<Key, Vec<Reg>>,
-        removed: &mut usize,
-    ) {
-        let mut pushed: Vec<Key> = Vec::new();
-        let n = f.block(b).instrs.len();
-        for i in 0..n {
-            // Rewrite uses through the replacement map first.
-            {
-                let repl = &*replacement;
-                f.block_mut(b).instrs[i].op.map_uses(|r| resolve(repl, r));
-            }
-            let op = f.block(b).instrs[i].op.clone();
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
-            // Copies: dst is just an alias of src.
-            match &op {
-                Op::I2I { src, dst } | Op::F2F { src, dst } => {
-                    replacement.insert(*dst, *src);
-                    f.block_mut(b).instrs[i].op = Op::Nop;
-                    *removed += 1;
-                    continue;
-                }
+/// The walk's state: `replacement[r]` is the name `r` was forwarded to,
+/// `table` each available expression with its one representative.
+struct Numbering {
+    replacement: RegMap<Option<Reg>>,
+    table: HashMap<Key, Reg, BuildHasherDefault<KeyHasher>>,
+    removed: usize,
+    /// Reused buffer: the distinct resolved arguments of the φ at hand.
+    distinct: Vec<Reg>,
+}
+
+/// The canonical name of `r`: follows forwarded names to the end.
+fn resolve(replacement: &RegMap<Option<Reg>>, mut r: Reg) -> Reg {
+    while let Some(n) = replacement.get(r).copied().flatten() {
+        if n == r {
+            break;
+        }
+        r = n;
+    }
+    r
+}
+
+/// The expression key of a value-numbered op and its destination.
+/// Commutative operands are sorted. Loads, stores, calls and control flow
+/// are not value-numbered (memory is not tracked).
+fn key_of(op: &Op) -> Option<(Key, Reg)> {
+    let commuted = |commutative: bool, lhs: Reg, rhs: Reg| {
+        if commutative && rhs < lhs {
+            (rhs, lhs)
+        } else {
+            (lhs, rhs)
+        }
+    };
+    Some(match op {
+        Op::LoadI { imm, dst } => (Key::Int(*imm), *dst),
+        Op::LoadF { imm, dst } => (Key::Float(imm.to_bits()), *dst),
+        Op::LoadSym { sym, dst } => (Key::Sym(sym.clone()), *dst),
+        Op::IBin {
+            kind,
+            lhs,
+            rhs,
+            dst,
+        } => {
+            let (a, b) = commuted(kind.is_commutative(), *lhs, *rhs);
+            (Key::IBin(*kind, a, b), *dst)
+        }
+        Op::IBinI {
+            kind,
+            lhs,
+            imm,
+            dst,
+        } => (Key::IBinI(*kind, *lhs, *imm), *dst),
+        Op::FBin {
+            kind,
+            lhs,
+            rhs,
+            dst,
+        } => {
+            let (a, b) = commuted(kind.is_commutative(), *lhs, *rhs);
+            (Key::FBin(*kind, a, b), *dst)
+        }
+        Op::ICmp {
+            kind,
+            lhs,
+            rhs,
+            dst,
+        } => (Key::ICmp(*kind, *lhs, *rhs), *dst),
+        Op::FCmp {
+            kind,
+            lhs,
+            rhs,
+            dst,
+        } => (Key::FCmp(*kind, *lhs, *rhs), *dst),
+        Op::I2F { src, dst } => (Key::I2F(*src), *dst),
+        Op::F2I { src, dst } => (Key::F2I(*src), *dst),
+        _ => return None,
+    })
+}
+
+impl Numbering {
+    fn walk(&mut self, f: &mut Function, dom: &Dominators, b: BlockId) {
+        let mut pushed: Vec<Key> = Vec::new();
+        for instr in &mut f.block_mut(b).instrs {
+            // Rewrite uses through the replacement map first.
+            instr.op.map_uses(|r| resolve(&self.replacement, r));
+            // `(dst, src)`: the instruction's value is already in `src`.
+            let forward = match &instr.op {
+                // Copies: dst is just an alias of src.
+                Op::I2I { src, dst } | Op::F2F { src, dst } => Some((*dst, *src)),
                 Op::Phi { dst, args } => {
                     // φ with all-identical arguments (ignoring self) folds.
-                    let mut distinct: Vec<Reg> = Vec::new();
+                    self.distinct.clear();
                     for (_, r) in args {
-                        let r = resolve(replacement, *r);
-                        if r != *dst && !distinct.contains(&r) {
-                            distinct.push(r);
+                        let r = resolve(&self.replacement, *r);
+                        if r != *dst && !self.distinct.contains(&r) {
+                            self.distinct.push(r);
                         }
                     }
-                    if distinct.len() == 1 {
-                        replacement.insert(*dst, distinct[0]);
-                        f.block_mut(b).instrs[i].op = Op::Nop;
-                        *removed += 1;
+                    match self.distinct[..] {
+                        [only] => Some((*dst, only)),
+                        _ => None,
                     }
-                    continue;
                 }
-                _ => {}
-            }
-
-            let key = match &op {
-                Op::LoadI { imm, .. } => Some(Key::Int(*imm)),
-                Op::LoadF { imm, .. } => Some(Key::Float(imm.to_bits())),
-                Op::LoadSym { sym, .. } => Some(Key::Sym(sym.clone())),
-                Op::IBin { kind, lhs, rhs, .. } => {
-                    let (mut a, mut b2) = (*lhs, *rhs);
-                    if kind.is_commutative() && b2 < a {
-                        std::mem::swap(&mut a, &mut b2);
+                op => key_of(op).and_then(|(key, dst)| match self.table.get(&key) {
+                    Some(&rep) => Some((dst, rep)),
+                    None => {
+                        self.table.insert(key.clone(), dst);
+                        pushed.push(key);
+                        None
                     }
-                    Some(Key::IBin(*kind, a, b2))
-                }
-                Op::IBinI { kind, lhs, imm, .. } => Some(Key::IBinI(*kind, *lhs, *imm)),
-                Op::FBin { kind, lhs, rhs, .. } => {
-                    let (mut a, mut b2) = (*lhs, *rhs);
-                    if kind.is_commutative() && b2 < a {
-                        std::mem::swap(&mut a, &mut b2);
-                    }
-                    Some(Key::FBin(*kind, a, b2))
-                }
-                Op::ICmp { kind, lhs, rhs, .. } => Some(Key::ICmp(*kind, *lhs, *rhs)),
-                Op::FCmp { kind, lhs, rhs, .. } => Some(Key::FCmp(*kind, *lhs, *rhs)),
-                Op::I2F { src, .. } => Some(Key::I2F(*src)),
-                Op::F2I { src, .. } => Some(Key::F2I(*src)),
-                // Loads, stores, calls, control flow: not value-numbered
-                // (memory is not tracked).
-                _ => None,
+                }),
             };
-
-            if let Some(key) = key {
-                let dst = op.defs()[0];
-                if let Some(rep) = table.get(&key).and_then(|v| v.last()).copied() {
-                    replacement.insert(dst, rep);
-                    f.block_mut(b).instrs[i].op = Op::Nop;
-                    *removed += 1;
-                } else {
-                    table.entry(key.clone()).or_default().push(dst);
-                    pushed.push(key);
-                }
+            if let Some((dst, src)) = forward {
+                self.replacement[dst] = Some(src);
+                instr.op = Op::Nop;
+                self.removed += 1;
             }
         }
 
@@ -137,47 +178,48 @@ pub fn gvn(f: &mut Function) -> usize {
         // of this block, so everything available here applies).
         for s in f.successors(b) {
             let phis = f.block(s).phi_count();
-            for i in 0..phis {
-                let repl = &*replacement;
-                if let Op::Phi { args, .. } = &mut f.block_mut(s).instrs[i].op {
+            for instr in &mut f.block_mut(s).instrs[..phis] {
+                if let Op::Phi { args, .. } = &mut instr.op {
                     for (p, r) in args {
                         if *p == b {
-                            *r = resolve(repl, *r);
+                            *r = resolve(&self.replacement, *r);
                         }
                     }
                 }
             }
         }
 
-        for c in dom.children(b).to_vec() {
-            walk(f, dom, c, replacement, table, removed);
+        for &c in dom.children(b) {
+            self.walk(f, dom, c);
         }
 
         for key in pushed {
-            table.get_mut(&key).expect("pushed").pop();
+            self.table.remove(&key);
         }
     }
+}
 
-    walk(
-        f,
-        &dom,
-        f.entry(),
-        &mut replacement,
-        &mut table,
-        &mut removed,
-    );
+/// Runs GVN over `f` (must be in SSA form). Returns the number of
+/// redundant instructions removed.
+pub fn gvn(f: &mut Function) -> usize {
+    let dom = Dominators::compute(f);
+    let mut gvn = Numbering {
+        replacement: RegMap::for_function(f, None),
+        table: HashMap::default(),
+        removed: 0,
+        distinct: Vec::new(),
+    };
+    gvn.walk(f, &dom, f.entry());
 
     // Final sweep: resolve any uses recorded before their replacement, and
     // drop the Nops.
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let n = f.block(b).instrs.len();
-        for i in 0..n {
-            let repl = &replacement;
-            f.block_mut(b).instrs[i].op.map_uses(|r| resolve(repl, r));
+    for blk in &mut f.blocks {
+        for instr in &mut blk.instrs {
+            instr.op.map_uses(|r| resolve(&gvn.replacement, r));
         }
     }
     f.remove_instrs(|i| matches!(i.op, Op::Nop));
-    removed
+    gvn.removed
 }
 
 #[cfg(test)]

@@ -6,6 +6,9 @@
 //! elimination, and peephole optimization". [`optimize_function`] applies
 //! the analogous pipeline here so the spills measured downstream are
 //! allocator-induced rather than artifacts of naive code generation.
+//!
+//! Every pass keys its per-register state by a dense
+//! [`analysis::RegMap`]; the final dead-def sweep counts uses in one.
 
 use iloc::{Function, Module};
 
@@ -94,19 +97,22 @@ pub fn optimize_function(f: &mut Function, opts: &OptOptions) -> OptStats {
     // original constant may be unused); a final sweep is cheap. The code
     // is out of SSA, so run a conservative local cleanup: remove register
     // defs with no uses anywhere and no side effects.
-    let du = analysis::DefUse::build(f);
-    let mut dead_regs = std::collections::HashSet::new();
-    for r in du.registers() {
-        if du.is_dead(r) {
-            dead_regs.insert(r);
+    let mut uses = analysis::RegMap::for_function(f, 0u32);
+    for b in &f.blocks {
+        for i in &b.instrs {
+            i.op.visit_uses(|r| uses[r] += 1);
         }
     }
     stats.dead_removed += f.remove_instrs(|i| {
         if i.op.has_side_effects() {
             return false;
         }
-        let defs = i.op.defs();
-        !defs.is_empty() && defs.iter().all(|d| dead_regs.contains(d))
+        let (mut defs, mut used) = (0, false);
+        i.op.visit_defs(|d| {
+            defs += 1;
+            used |= uses[d] > 0;
+        });
+        defs > 0 && !used
     });
 
     stats

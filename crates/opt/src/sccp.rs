@@ -5,9 +5,19 @@
 //! constants propagate through φ-nodes only along executable edges.
 //! Afterwards, constant-valued instructions are rewritten to `loadI` /
 //! `loadF` and conditional branches on known conditions become jumps.
+//!
+//! All state is dense: the lattice is an [`analysis::RegMap`], use sites
+//! come from the compressed rows of [`analysis::DefUse`], executable
+//! edges are two flags per block (one per successor slot of its
+//! terminator) and executable blocks one flag each. Evaluating an
+//! instruction writes its def values and newly executable edges into
+//! buffers the propagation reuses, and the rewrite pass decides each
+//! instruction's fate from a borrow of it, so nothing is cloned or
+//! hashed per instruction.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
+use analysis::RegMap;
 use iloc::{BlockId, CmpKind, FBinKind, Function, IBinKind, Op, Reg};
 
 /// A lattice value.
@@ -99,43 +109,68 @@ fn eval_fcmp(kind: CmpKind, a: f64, b: f64) -> i64 {
     r as i64
 }
 
-/// Runs SCCP over `f` (which must be in SSA form) and rewrites what it
-/// proves constant. Returns the number of instructions rewritten.
-pub fn sccp(f: &mut Function) -> usize {
-    let mut value: HashMap<Reg, Lattice> = HashMap::new();
-    // Parameters and anything not otherwise defined are varying.
-    for &p in &f.params {
-        value.insert(p, Lattice::Bottom);
-    }
-
-    // Map from each register to the (block, index) of its single SSA def
-    // and to its use sites.
-    let du = analysis::DefUse::build(f);
-
-    let mut exec_edge: HashSet<(BlockId, BlockId)> = HashSet::new();
-    let mut exec_block: HashSet<BlockId> = HashSet::new();
-    let mut cfg_work: VecDeque<(Option<BlockId>, BlockId)> = VecDeque::new();
-    let mut ssa_work: VecDeque<Reg> = VecDeque::new();
-    cfg_work.push_back((None, f.entry()));
-
-    let lat = |value: &HashMap<Reg, Lattice>, r: Reg| -> Lattice {
-        if !r.is_virtual() {
-            return Lattice::Bottom;
+/// Which successor slot of `from`'s terminator (0 or 1) is the edge to
+/// `to`: the first that names it, so a `cbr` with both arms on one block
+/// has one edge. `None` if `to` is not a successor of `from` (a φ can
+/// still name a predecessor whose branch an earlier round folded away).
+fn edge_slot(f: &Function, from: BlockId, to: BlockId) -> Option<usize> {
+    match f.blocks.get(from.index())?.terminator()? {
+        Op::Jump { target } if *target == to => Some(0),
+        Op::Cbr {
+            taken, not_taken, ..
+        } => {
+            if *taken == to {
+                Some(0)
+            } else if *not_taken == to {
+                Some(1)
+            } else {
+                None
+            }
         }
-        value.get(&r).copied().unwrap_or(Lattice::Top)
-    };
+        _ => None,
+    }
+}
 
-    // Evaluates one instruction, returning the new lattice values of its
-    // defs and (for terminators) which successor edges become executable.
-    let eval = |f: &Function,
-                value: &HashMap<Reg, Lattice>,
-                exec_edge: &HashSet<(BlockId, BlockId)>,
-                b: BlockId,
-                i: usize|
-     -> (Vec<(Reg, Lattice)>, Vec<BlockId>) {
+/// The propagation state: the lattice and the executable edges and
+/// blocks, all dense, plus the two worklists and the buffers one
+/// instruction's evaluation writes.
+struct Propagation<'f> {
+    f: &'f Function,
+    value: RegMap<Lattice>,
+    /// `exec_edge[2 * from + slot]`, slots as [`edge_slot`] numbers them.
+    exec_edge: Vec<bool>,
+    exec_block: Vec<bool>,
+    cfg_work: VecDeque<(Option<BlockId>, BlockId)>,
+    ssa_work: VecDeque<Reg>,
+    /// New lattice values of the evaluated instruction's defs.
+    defs: Vec<(Reg, Lattice)>,
+    /// Successor edges the evaluated terminator makes executable.
+    succs: Vec<BlockId>,
+}
+
+/// The lattice value of `r`: physical registers always vary.
+fn lat(value: &RegMap<Lattice>, r: Reg) -> Lattice {
+    if !r.is_virtual() {
+        return Lattice::Bottom;
+    }
+    value[r]
+}
+
+impl Propagation<'_> {
+    /// Evaluates instruction `i` of block `b` into `defs` and `succs`.
+    fn eval(&mut self, b: BlockId, i: usize) {
+        let Propagation {
+            f,
+            value,
+            exec_edge,
+            defs,
+            succs,
+            ..
+        } = self;
+        defs.clear();
+        succs.clear();
+        let lat = |r: Reg| lat(value, r);
         let op = &f.block(b).instrs[i].op;
-        let mut defs = Vec::new();
-        let mut succs = Vec::new();
         match op {
             Op::LoadI { imm, dst } => defs.push((*dst, Lattice::Int(*imm as i32 as i64))),
             Op::LoadF { imm, dst } => defs.push((*dst, Lattice::Float(*imm))),
@@ -145,7 +180,7 @@ pub fn sccp(f: &mut Function) -> usize {
                 rhs,
                 dst,
             } => {
-                let v = match (lat(value, *lhs), lat(value, *rhs)) {
+                let v = match (lat(*lhs), lat(*rhs)) {
                     (Lattice::Int(a), Lattice::Int(b)) => {
                         eval_ibin(*kind, a, b).map_or(Lattice::Bottom, Lattice::Int)
                     }
@@ -160,7 +195,7 @@ pub fn sccp(f: &mut Function) -> usize {
                 imm,
                 dst,
             } => {
-                let v = match lat(value, *lhs) {
+                let v = match lat(*lhs) {
                     Lattice::Int(a) => {
                         eval_ibin(*kind, a, *imm).map_or(Lattice::Bottom, Lattice::Int)
                     }
@@ -175,7 +210,7 @@ pub fn sccp(f: &mut Function) -> usize {
                 rhs,
                 dst,
             } => {
-                let v = match (lat(value, *lhs), lat(value, *rhs)) {
+                let v = match (lat(*lhs), lat(*rhs)) {
                     (Lattice::Float(a), Lattice::Float(b)) => {
                         Lattice::Float(eval_fbin(*kind, a, b))
                     }
@@ -190,7 +225,7 @@ pub fn sccp(f: &mut Function) -> usize {
                 rhs,
                 dst,
             } => {
-                let v = match (lat(value, *lhs), lat(value, *rhs)) {
+                let v = match (lat(*lhs), lat(*rhs)) {
                     (Lattice::Int(a), Lattice::Int(b)) => Lattice::Int(eval_icmp(*kind, a, b)),
                     (Lattice::Top, _) | (_, Lattice::Top) => Lattice::Top,
                     _ => Lattice::Bottom,
@@ -203,7 +238,7 @@ pub fn sccp(f: &mut Function) -> usize {
                 rhs,
                 dst,
             } => {
-                let v = match (lat(value, *lhs), lat(value, *rhs)) {
+                let v = match (lat(*lhs), lat(*rhs)) {
                     (Lattice::Float(a), Lattice::Float(b)) => Lattice::Int(eval_fcmp(*kind, a, b)),
                     (Lattice::Top, _) | (_, Lattice::Top) => Lattice::Top,
                     _ => Lattice::Bottom,
@@ -211,10 +246,10 @@ pub fn sccp(f: &mut Function) -> usize {
                 defs.push((*dst, v));
             }
             Op::I2I { src, dst } | Op::F2F { src, dst } => {
-                defs.push((*dst, lat(value, *src)));
+                defs.push((*dst, lat(*src)));
             }
             Op::I2F { src, dst } => {
-                let v = match lat(value, *src) {
+                let v = match lat(*src) {
                     Lattice::Int(a) => Lattice::Float(a as f64),
                     Lattice::Top => Lattice::Top,
                     _ => Lattice::Bottom,
@@ -222,7 +257,7 @@ pub fn sccp(f: &mut Function) -> usize {
                 defs.push((*dst, v));
             }
             Op::F2I { src, dst } => {
-                let v = match lat(value, *src) {
+                let v = match lat(*src) {
                     Lattice::Float(a) => Lattice::Int(a as i32 as i64),
                     Lattice::Top => Lattice::Top,
                     _ => Lattice::Bottom,
@@ -232,8 +267,8 @@ pub fn sccp(f: &mut Function) -> usize {
             Op::Phi { dst, args } => {
                 let mut acc = Lattice::Top;
                 for (p, r) in args {
-                    if exec_edge.contains(&(*p, b)) {
-                        acc = acc.meet(lat(value, *r));
+                    if edge_slot(f, *p, b).is_some_and(|k| exec_edge[2 * p.index() + k]) {
+                        acc = acc.meet(lat(*r));
                     }
                 }
                 defs.push((*dst, acc));
@@ -243,7 +278,7 @@ pub fn sccp(f: &mut Function) -> usize {
                 cond,
                 taken,
                 not_taken,
-            } => match lat(value, *cond) {
+            } => match lat(*cond) {
                 Lattice::Int(0) => succs.push(*not_taken),
                 Lattice::Int(_) => succs.push(*taken),
                 Lattice::Top => {}
@@ -257,115 +292,124 @@ pub fn sccp(f: &mut Function) -> usize {
                 other.visit_defs(|r| defs.push((r, Lattice::Bottom)));
             }
         }
-        (defs, succs)
+    }
+
+    /// Evaluates instruction `i` of block `b` and lowers its defs by the
+    /// result, queueing every def that changed and every edge the
+    /// instruction makes executable.
+    fn visit(&mut self, b: BlockId, i: usize) {
+        self.eval(b, i);
+        for &(r, v) in &self.defs {
+            let old = lat(&self.value, r);
+            let new = old.meet(v);
+            if new != old {
+                self.value[r] = new;
+                self.ssa_work.push_back(r);
+            }
+        }
+        for &s in &self.succs {
+            self.cfg_work.push_back((Some(b), s));
+        }
+    }
+}
+
+/// Runs SCCP over `f` (which must be in SSA form) and rewrites what it
+/// proves constant. Returns the number of instructions rewritten.
+pub fn sccp(f: &mut Function) -> usize {
+    // Everything starts optimistic (⊤) except the parameters, which vary.
+    let mut value = RegMap::for_function(f, Lattice::Top);
+    for &p in &f.params {
+        value[p] = Lattice::Bottom;
+    }
+    let du = analysis::DefUse::build(f);
+    let mut prop = Propagation {
+        f,
+        value,
+        exec_edge: vec![false; 2 * f.blocks.len()],
+        exec_block: vec![false; f.blocks.len()],
+        cfg_work: VecDeque::from([(None, f.entry())]),
+        ssa_work: VecDeque::new(),
+        defs: Vec::new(),
+        succs: Vec::new(),
     };
 
     // Main propagation loop.
-    while !cfg_work.is_empty() || !ssa_work.is_empty() {
-        while let Some((from, to)) = cfg_work.pop_front() {
+    while !prop.cfg_work.is_empty() || !prop.ssa_work.is_empty() {
+        while let Some((from, to)) = prop.cfg_work.pop_front() {
             if let Some(fr) = from {
-                if !exec_edge.insert((fr, to)) {
+                let k = edge_slot(f, fr, to).expect("a queued edge is a CFG edge");
+                let seen = &mut prop.exec_edge[2 * fr.index() + k];
+                if std::mem::replace(seen, true) {
                     continue;
                 }
             }
-            let first_visit = exec_block.insert(to);
+            let first_visit = !std::mem::replace(&mut prop.exec_block[to.index()], true);
             // (Re)evaluate φs always; the rest of the block on first visit.
-            let n = f.block(to).instrs.len();
-            for i in 0..n {
-                let is_phi = matches!(f.block(to).instrs[i].op, Op::Phi { .. });
-                if !first_visit && !is_phi {
-                    continue;
-                }
-                let (defs, succs) = eval(f, &value, &exec_edge, to, i);
-                for (r, v) in defs {
-                    let old = lat(&value, r);
-                    let new = old.meet(v);
-                    if new != old {
-                        value.insert(r, new);
-                        ssa_work.push_back(r);
-                    }
-                }
-                for s in succs {
-                    cfg_work.push_back((Some(to), s));
+            for (i, instr) in f.block(to).instrs.iter().enumerate() {
+                if first_visit || matches!(instr.op, Op::Phi { .. }) {
+                    prop.visit(to, i);
                 }
             }
         }
-        while let Some(r) = ssa_work.pop_front() {
-            for site in du.uses(r).to_vec() {
-                if !exec_block.contains(&site.block) {
-                    continue;
-                }
-                let (defs, succs) = eval(f, &value, &exec_edge, site.block, site.index);
-                for (d, v) in defs {
-                    let old = lat(&value, d);
-                    let new = old.meet(v);
-                    if new != old {
-                        value.insert(d, new);
-                        ssa_work.push_back(d);
-                    }
-                }
-                for s in succs {
-                    cfg_work.push_back((Some(site.block), s));
+        while let Some(r) = prop.ssa_work.pop_front() {
+            for site in du.uses(r) {
+                if prop.exec_block[site.block.index()] {
+                    prop.visit(site.block, site.index);
                 }
             }
         }
     }
+    let value = prop.value;
 
     // Rewrite pass: materialize constants, fold known branches.
     let mut rewritten = 0;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let n = f.block(b).instrs.len();
-        for i in 0..n {
-            let op = f.block(b).instrs[i].op.clone();
+    for blk in &mut f.blocks {
+        for instr in &mut blk.instrs {
+            let op = &instr.op;
             if op.has_side_effects() && !matches!(op, Op::Cbr { .. }) {
                 continue;
             }
-            match &op {
+            let folded = match op {
                 Op::Cbr {
                     cond,
                     taken,
                     not_taken,
-                } => {
-                    if let Lattice::Int(c) = lat(&value, *cond) {
-                        let target = if c != 0 { *taken } else { *not_taken };
-                        f.block_mut(b).instrs[i].op = Op::Jump { target };
-                        rewritten += 1;
-                    }
-                }
-                Op::LoadI { .. } | Op::LoadF { .. } => {}
+                } => match lat(&value, *cond) {
+                    Lattice::Int(c) => Some(Op::Jump {
+                        target: if c != 0 { *taken } else { *not_taken },
+                    }),
+                    _ => None,
+                },
+                Op::LoadI { .. } | Op::LoadF { .. } => None,
                 other => {
-                    let defs = other.defs();
-                    if defs.len() != 1 {
-                        continue;
-                    }
-                    let dst = defs[0];
-                    match lat(&value, dst) {
-                        Lattice::Int(c) => {
-                            f.block_mut(b).instrs[i].op = Op::LoadI { imm: c, dst };
-                            rewritten += 1;
-                        }
-                        Lattice::Float(c) => {
-                            f.block_mut(b).instrs[i].op = Op::LoadF { imm: c, dst };
-                            rewritten += 1;
-                        }
-                        _ => {}
+                    let (mut defs, mut dst) = (0, Reg::RARP);
+                    other.visit_defs(|d| {
+                        defs += 1;
+                        dst = d;
+                    });
+                    match (defs, lat(&value, dst)) {
+                        (1, Lattice::Int(imm)) => Some(Op::LoadI { imm, dst }),
+                        (1, Lattice::Float(imm)) => Some(Op::LoadF { imm, dst }),
+                        _ => None,
                     }
                 }
+            };
+            if let Some(op) = folded {
+                instr.op = op;
+                rewritten += 1;
             }
         }
         // A φ rewritten into a constant load may now sit between other
         // φ-nodes, violating the φs-lead-the-block invariant. The
         // materialized constants read no registers, so stably moving the
         // remaining φs back to the head is safe.
-        let instrs = &mut f.block_mut(b).instrs;
-        if instrs
+        let instrs = &mut blk.instrs;
+        let lead = instrs
             .iter()
-            .skip(
-                instrs
-                    .iter()
-                    .take_while(|i| matches!(i.op, Op::Phi { .. }))
-                    .count(),
-            )
+            .take_while(|i| matches!(i.op, Op::Phi { .. }))
+            .count();
+        if instrs[lead..]
+            .iter()
             .any(|i| matches!(i.op, Op::Phi { .. }))
         {
             let (phis, rest): (Vec<_>, Vec<_>) = std::mem::take(instrs)

@@ -96,18 +96,25 @@ pub fn insert_spill_code(f: &mut Function, spilled: &[Reg]) -> HashSet<Reg> {
 pub fn rematerialize_spills(f: &mut Function, spilled: &[(Reg, Op)]) -> HashSet<Reg> {
     let mut temps = HashSet::new();
     let map: HashMap<Reg, Op> = spilled.iter().cloned().collect();
+    let mut used: Vec<Reg> = Vec::new();
     for b in f.block_ids().collect::<Vec<_>>() {
-        let mut i = 0;
-        while i < f.block(b).instrs.len() {
+        // Rebuild the block in one pass, moving each surviving
+        // instruction into place after its re-issued constants.
+        let old = std::mem::take(&mut f.block_mut(b).instrs);
+        let mut out = Vec::with_capacity(old.len());
+        for mut instr in old {
             // Delete original definitions of remat values.
-            let defs = f.block(b).instrs[i].op.defs();
-            if defs.len() == 1 && map.contains_key(&defs[0]) {
-                f.block_mut(b).instrs.remove(i);
+            let (mut defs, mut dst) = (0, None);
+            instr.op.visit_defs(|d| {
+                defs += 1;
+                dst = Some(d);
+            });
+            if defs == 1 && dst.is_some_and(|d| map.contains_key(&d)) {
                 continue;
             }
             // Re-issue the constant before each use.
-            let mut used: Vec<Reg> = Vec::new();
-            f.block(b).instrs[i].op.visit_uses(|r| {
+            used.clear();
+            instr.op.visit_uses(|r| {
                 if map.contains_key(&r) && !used.contains(&r) {
                     used.push(r);
                 }
@@ -117,14 +124,12 @@ pub fn rematerialize_spills(f: &mut Function, spilled: &[(Reg, Op)]) -> HashSet<
                 temps.insert(t);
                 let mut def = map[&v].clone();
                 def.map_defs(|_| t);
-                f.block_mut(b).instrs.insert(i, Instr::new(def));
-                i += 1;
-                f.block_mut(b).instrs[i]
-                    .op
-                    .map_uses(|r| if r == v { t } else { r });
+                out.push(Instr::new(def));
+                instr.op.map_uses(|r| if r == v { t } else { r });
             }
-            i += 1;
+            out.push(instr);
         }
+        f.block_mut(b).instrs = out;
     }
     temps
 }

@@ -16,7 +16,7 @@ pub mod programs;
 
 pub use gen::{checksum_and_ret, f64_global, float_net, i32_global, BuilderExt, Lcg};
 pub use kernels::{kernel, kernels, Kernel};
-pub use programs::{build_program, program, programs, Program};
+pub use programs::{build_program, build_program_from, program, programs, Program};
 
 use iloc::Module;
 

@@ -101,9 +101,9 @@ fn rename_module(m: &mut Module, prefix: &str) {
     }
 }
 
-/// Builds a program module: each member kernel is built, optimized with
-/// its own unroll setting, renamed apart, and merged; a fresh `main` calls
-/// every member's entry in order and returns the combined checksum.
+/// Builds a program module: each member kernel is built and optimized
+/// with its own unroll setting ([`crate::build_optimized`]), then linked
+/// by [`build_program_from`].
 ///
 /// The returned module is already scalar-optimized — run register
 /// allocation (and CCM passes) on it directly.
@@ -112,11 +112,38 @@ fn rename_module(m: &mut Module, prefix: &str) {
 ///
 /// Panics if a member name is unknown.
 pub fn build_program(p: &Program) -> Module {
+    let members = p
+        .members
+        .iter()
+        .map(|name| {
+            let k: Kernel = kernel(name).unwrap_or_else(|| panic!("unknown kernel {name}"));
+            crate::build_optimized(&k)
+        })
+        .collect();
+    build_program_from(p, members)
+}
+
+/// Links already-optimized member modules into `p`'s program:
+/// `members[i]` is [`crate::build_optimized`] of `p.members[i]`. Each
+/// member is renamed apart and merged; a fresh `main` calls every
+/// member's entry in order and returns the combined checksum. Callers
+/// that already hold the optimized kernels (the harness's build cache)
+/// link them without optimizing any member again.
+///
+/// # Panics
+///
+/// Panics if `members` does not have one module per member name, or if
+/// the linked module fails verification.
+pub fn build_program_from(p: &Program, members: Vec<Module>) -> Module {
+    assert_eq!(
+        members.len(),
+        p.members.len(),
+        "program {}: one module per member",
+        p.name
+    );
     let mut merged = Module::new();
     let mut entries = Vec::new();
-    for (i, name) in p.members.iter().enumerate() {
-        let k: Kernel = kernel(name).unwrap_or_else(|| panic!("unknown kernel {name}"));
-        let mut m = crate::build_optimized(&k);
+    for (i, (name, mut m)) in p.members.iter().zip(members).enumerate() {
         let prefix = format!("{}{}_", name, i);
         rename_module(&mut m, &prefix);
         entries.push(format!("{prefix}main"));
