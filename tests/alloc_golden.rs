@@ -3,23 +3,38 @@
 //! One FNV-1a digest per (unit, configuration), taken over the allocated
 //! module's text and its `AllocStats`. The units are the 64 suite
 //! kernels and the fuzz modules `fuzz::case_seed(1, 0..128)`, each
-//! allocated under the default configuration, `tiny(3)` and `tiny(5)`.
-//! The tables and figures only pin aggregates; this test pins every
-//! coloring, spill choice and coalesce, so a change that only makes the
-//! allocator faster must leave it passing as recorded.
+//! allocated under the default configuration, `tiny(3)`, `tiny(5)` and
+//! the default with rematerialization on. Each kernel's default
+//! allocation also gets one digest per CCM derivation the tables print:
+//! `ccm::promote_allocated` for the three CCM methods at 512 and 1024 B
+//! (module text plus degradations) and `ccm::compact_module` (module
+//! text plus compaction stats). The tables and figures only pin
+//! aggregates; this test pins every coloring, spill choice, coalesce and
+//! CCM or compacted offset, so a change that only makes the allocator or
+//! the placement faster must leave it passing as recorded.
 //!
 //! Re-record only for an intended change of decisions:
 //! `GOLDEN_UPDATE=1 cargo test --release --test alloc_golden`.
 
+use ccm::Variant;
 use iloc::Module;
 use regalloc::{AllocConfig, AllocStats};
 
 const GOLDEN: &str = "tests/alloc_golden.txt";
 
+/// FNV-1a over `bytes`.
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
 /// FNV-1a over the allocated module's text and the decision counters of
 /// its `AllocStats`.
 fn digest(m: &Module, s: &AllocStats) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let counters = [
         s.spilled,
         s.coalesced,
@@ -31,11 +46,38 @@ fn digest(m: &Module, s: &AllocStats) -> u64 {
         .iter()
         .flatten()
         .flat_map(|&x| (x as u64).to_le_bytes());
-    for b in m.to_string().bytes().chain(stats) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+    fnv(m.to_string().bytes().chain(stats))
+}
+
+/// One `unit ccm:DERIVATION digest` line per CCM derivation of a
+/// kernel's default allocation `allocated`.
+fn ccm_lines(name: &str, allocated: &Module) -> String {
+    let mut out = String::new();
+    for v in [
+        Variant::PostPass,
+        Variant::PostPassCallGraph,
+        Variant::Integrated,
+    ] {
+        for size in [512, 1024] {
+            let mut m = allocated.clone();
+            let degraded = ccm::promote_allocated(&mut m, v, size);
+            let reasons = degraded
+                .iter()
+                .flat_map(|d| d.function.bytes().chain(d.reason.bytes()));
+            let h = fnv(m.to_string().bytes().chain(reasons));
+            out += &format!("{name} ccm:{}@{size} {h:016x}\n", v.short());
+        }
     }
-    h
+    let mut m = allocated.clone();
+    let stats = ccm::compact_module(&mut m);
+    let stats = stats.iter().flat_map(|(f, s)| {
+        f.bytes()
+            .chain(s.before.to_le_bytes())
+            .chain(s.after.to_le_bytes())
+    });
+    let h = fnv(m.to_string().bytes().chain(stats));
+    out += &format!("{name} ccm:compact {h:016x}\n");
+    out
 }
 
 /// The units: suite kernels, then fuzz modules.
@@ -48,12 +90,20 @@ fn units() -> Vec<(String, Module)> {
     out
 }
 
-/// One `unit config digest` line per allocation, in unit order.
+/// One `unit config digest` line per allocation, then a kernel's CCM
+/// derivation lines, in unit order.
 fn digest_lines() -> String {
     let configs = [
         ("default", AllocConfig::default()),
         ("tiny3", AllocConfig::tiny(3)),
         ("tiny5", AllocConfig::tiny(5)),
+        (
+            "remat",
+            AllocConfig {
+                rematerialize: true,
+                ..AllocConfig::default()
+            },
+        ),
     ];
     let units = units();
     let per_unit = exec::par_map_contained(
@@ -61,14 +111,18 @@ fn digest_lines() -> String {
         &units,
         |(name, _)| name.clone(),
         |(name, m)| {
-            configs
-                .iter()
-                .map(|(label, cfg)| {
-                    let mut mm = m.clone();
-                    let stats = regalloc::allocate_module(&mut mm, cfg);
-                    format!("{name} {label} {:016x}\n", digest(&mm, &stats))
-                })
-                .collect::<String>()
+            let mut out = String::new();
+            let mut default = None;
+            for (label, cfg) in &configs {
+                let mut mm = m.clone();
+                let stats = regalloc::allocate_module(&mut mm, cfg);
+                out += &format!("{name} {label} {:016x}\n", digest(&mm, &stats));
+                default.get_or_insert(mm);
+            }
+            if name.starts_with("kernel:") {
+                out += &ccm_lines(name, &default.expect("the default configuration"));
+            }
+            out
         },
     );
     per_unit
@@ -80,7 +134,7 @@ fn digest_lines() -> String {
 #[test]
 fn allocations_match_the_recorded_digests() {
     let got = digest_lines();
-    assert_eq!(got.lines().count(), (64 + 128) * 3);
+    assert_eq!(got.lines().count(), (64 + 128) * 4 + 64 * 7);
     if std::env::var_os("GOLDEN_UPDATE").is_some() {
         std::fs::write(GOLDEN, &got).expect("write the golden file");
         return;
