@@ -44,10 +44,21 @@ cargo test -q --release -p regalloc
 
 echo "== allocation golden: cargo test -q --release --test alloc_golden"
 # One digest per allocated unit (64 kernels and 128 fuzz modules, each
-# under the default configuration, tiny(3) and tiny(5)) over the module
-# text and its AllocStats: every coloring, spill choice and coalesce,
-# pinned in release mode, where the tables only pin aggregates.
+# under the default configuration, tiny(3), tiny(5) and the default with
+# rematerialization) over the module text and its AllocStats, plus one
+# per CCM derivation of each kernel's default allocation (post-pass,
+# post-pass with call graph and integrated at 512 and 1024 B, and
+# spill-memory compaction): every coloring, spill choice, coalesce and
+# CCM or compacted offset, pinned in release mode, where the tables only
+# pin aggregates.
 cargo test -q --release --test alloc_golden
+
+echo "== engine determinism: cargo test -q --release --test parallel_engine"
+# Table 2 and Figure 3 rows at jobs=1 and jobs=4, each side in its own
+# harness::Run, so the parallel side computes every build, allocation
+# and measurement itself rather than reading the serial side's memo;
+# here with optimizations on, as repro runs.
+cargo test -q --release --test parallel_engine
 
 echo "== optimizer golden: cargo test -q --release --test opt_golden"
 # One digest per optimized unit (64 kernels under their suite options and
@@ -69,9 +80,11 @@ cargo test -q --release -p sim block_slices_match_the_per_instruction_path
 
 echo "== release smoke: repro --table1 --check --jobs 2"
 # Exercises the parallel engine end to end in release mode (the unit
-# tests above run debug-mode): a table over the memoized build cache,
-# the full 616-config checker sweep through par_map_contained, and the
-# strict argument parser, all under a small worker count.
+# tests above run debug-mode): a table that fills the run's memo with
+# every kernel's build and baseline allocation, the full 616-config
+# checker sweep deriving its configurations from that memo through
+# Run::par_contained, and the strict argument parser, all under a small
+# worker count.
 cargo run --release -q -p harness --bin repro -- --table1 --check --jobs 2 > /dev/null
 
 echo "== kernels output: repro --table1 --table2 --table3 --table4 --jobs 2"

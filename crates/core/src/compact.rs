@@ -8,7 +8,7 @@
 
 use iloc::{Function, Module, SlotId};
 
-use crate::postpass::{align_up, overlaps, retarget_spill_ops};
+use crate::postpass::{first_fit, overlaps, retarget_spill_ops};
 use crate::slots::SlotAnalysis;
 
 /// Result of compacting one function's spill memory.
@@ -55,21 +55,13 @@ pub fn compact_spill_memory(f: &mut Function) -> CompactStats {
         }
         let size = slot.size();
         // Lowest aligned offset whose byte range avoids every interfering
-        // already-placed slot — the paper's "try successive locations"
-        // search.
-        let mut off = align_up(base, size);
-        loop {
-            let candidate = (off, size);
-            let clash = analysis.adj[si].iter().any(|other| {
-                placed[other]
-                    .map(|p| overlaps(candidate, p))
-                    .unwrap_or(false)
-            });
-            if !clash {
-                break;
-            }
-            off = align_up(off + 1, size);
-        }
+        // already-placed slot; frame memory has no capacity to run out of.
+        let off = first_fit(base, size, u32::MAX, |candidate| {
+            analysis.adj[si]
+                .iter()
+                .any(|other| placed[other].is_some_and(|p| overlaps(candidate, p)))
+        })
+        .expect("finitely many placed slots leave a gap");
         placed[si] = Some((off, size));
     }
 

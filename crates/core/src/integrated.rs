@@ -25,7 +25,7 @@
 //! The result is byte-identical to running the allocator with the CCM
 //! placement built into spill-code insertion, at a fraction of the cost.
 
-use crate::postpass::{align_up, overlaps, retarget_spill_ops};
+use crate::postpass::{align_up, first_fit, overlaps, retarget_spill_ops};
 use crate::slots::SlotAnalysis;
 use crate::Degradation;
 use iloc::{Function, Module};
@@ -76,8 +76,7 @@ fn place_function(f: &mut Function, ccm_size: u32) -> (IntegratedStats, Option<D
         let (class, size) = (slots[si].class, slots[si].size());
         // Slots after `si` are still in the frame, so only earlier CCM
         // placements can clash.
-        let clash = |off: u32| {
-            let candidate = (off, size);
+        let clash = |candidate| {
             analysis.adj[si]
                 .iter()
                 .any(|t| slots[t].in_ccm && overlaps(candidate, (slots[t].offset, slots[t].size())))
@@ -88,11 +87,7 @@ fn place_function(f: &mut Function, ccm_size: u32) -> (IntegratedStats, Option<D
         let placed = if analysis.crosses_call[si] {
             None
         } else {
-            let mut off = 0;
-            while off + size <= ccm_size && clash(off) {
-                off = align_up(off + 1, size);
-            }
-            (off + size <= ccm_size).then_some(off)
+            first_fit(0, size, ccm_size, clash)
         };
         let slot = &mut f.frame.slots[si];
         match placed {

@@ -201,23 +201,11 @@ fn color_function_slots(
             continue;
         }
         let size = slot.size();
-        // Successive-location search from the slot's base.
-        let mut off = align_up(base[si], size);
-        let found = loop {
-            if off + size > cfg.ccm_size {
-                break None;
-            }
-            let candidate = (off, size);
-            let clash = analysis.adj[si].iter().any(|other| {
-                placements[other]
-                    .map(|p| overlaps(candidate, p))
-                    .unwrap_or(false)
-            });
-            if !clash {
-                break Some(off);
-            }
-            off = align_up(off + 1, size);
-        };
+        let found = first_fit(base[si], size, cfg.ccm_size, |candidate| {
+            analysis.adj[si]
+                .iter()
+                .any(|other| placements[other].is_some_and(|p| overlaps(candidate, p)))
+        });
         match found {
             Some(ccm_off) => {
                 placements[si] = Some((ccm_off, size));
@@ -242,6 +230,25 @@ pub(crate) fn align_up(x: u32, align: u32) -> u32 {
 
 pub(crate) fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
     a.0 < b.0 + b.1 && b.0 < a.0 + a.1
+}
+
+/// The paper's successive-location search: the lowest `size`-aligned
+/// offset at or above `start` whose `(offset, size)` byte interval does
+/// not `clash`, or `None` when no such interval ends at or below `limit`.
+pub(crate) fn first_fit(
+    start: u32,
+    size: u32,
+    limit: u32,
+    clash: impl Fn((u32, u32)) -> bool,
+) -> Option<u32> {
+    let mut off = align_up(start, size);
+    while off + size <= limit {
+        if !clash((off, size)) {
+            return Some(off);
+        }
+        off = align_up(off + 1, size);
+    }
+    None
 }
 
 /// Points every tagged spill instruction of `f` at its slot's current

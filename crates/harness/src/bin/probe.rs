@@ -44,6 +44,7 @@ fn main() {
     }
 
     const CCM: u32 = 512;
+    let run = harness::Run::new(jobs, sim::DEFAULT_MAX_STEPS);
     let kernels = suite::kernels();
     let stage = exec::Stage::start("probe", jobs);
     let reports = exec::par_map_contained(
@@ -52,7 +53,7 @@ fn main() {
         |k| format!("probe {}", k.name),
         |k| {
             use std::fmt::Write as _;
-            let m = match harness::cache::optimized(k) {
+            let m = match run.optimized(k) {
                 Ok(m) => (*m).clone(),
                 Err(e) => return format!("{:<10} FAILED: {e}\n", k.name),
             };
@@ -106,7 +107,6 @@ fn main() {
         }
     }
     eprintln!("probe: {}", stage.line());
-    if failures > 0 {
-        std::process::exit(1);
-    }
+    // Exiting here skips dropping the run's memo.
+    std::process::exit(i32::from(failures > 0))
 }

@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 use crate::experiments::{CompactionRow, ProgramRow, SpeedupRow};
 use crate::extensions::SweepPoint;
-use crate::pipeline::RunConfig;
+use crate::pipeline::Run;
 
 /// Table 1 as CSV (`routine,before,after,ratio`).
 pub fn table1_csv(rows: &[CompactionRow]) -> String {
@@ -70,7 +70,7 @@ pub fn sweep_csv(points: &[SweepPoint]) -> String {
 /// # Errors
 ///
 /// Propagates I/O errors from directory creation or file writes.
-pub fn export_all(dir: &std::path::Path, run: &RunConfig) -> std::io::Result<Vec<String>> {
+pub fn export_all(dir: &std::path::Path, run: &Run) -> std::io::Result<Vec<String>> {
     std::fs::create_dir_all(dir)?;
     let mut written = Vec::new();
     let mut put = |name: &str, contents: String| -> std::io::Result<()> {

@@ -4,21 +4,22 @@
 //! rejection, a simulator trap, a corrupt cache entry, a contained
 //! worker panic — becomes a [`PipelineError`] carrying its stage
 //! provenance and the (unit, variant, CCM) coordinates of the
-//! measurement that failed. Experiment drivers *record* errors into the
-//! process-wide [`record`] sink and keep going: the failing row is
-//! dropped from the table, every remaining experiment still runs, and
-//! `repro` drains the sink at the end of the run into an aggregated
-//! report (text on stderr, JSON with `--errors-json`), exiting nonzero
-//! only then.
+//! measurement that failed. Experiment drivers *record* errors into
+//! their [`Run`]'s failure sink ([`Run::record`]) and keep going: the
+//! failing row is dropped from the table, every remaining experiment
+//! still runs, and `repro` drains the sink at the end of the run into an
+//! aggregated report (text on stderr, JSON with `--errors-json`),
+//! exiting nonzero only then.
 //!
-//! The sink is drained in sorted order ([`drain`]), so the end-of-run
-//! report is byte-identical at any `--jobs` count even though workers
-//! record concurrently.
+//! The sink is drained in sorted order ([`Run::drain`]), so the
+//! end-of-run report is byte-identical at any `--jobs` count even though
+//! workers record concurrently.
 
 use std::fmt;
-use std::sync::Mutex;
 
 use ccm::Variant;
+
+use crate::pipeline::Run;
 
 /// Which pipeline stage a failure came from.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -103,29 +104,59 @@ impl fmt::Display for PipelineError {
     }
 }
 
-fn sink() -> &'static Mutex<Vec<PipelineError>> {
-    static SINK: Mutex<Vec<PipelineError>> = Mutex::new(Vec::new());
-    &SINK
-}
+impl Run {
+    /// Records a failure into this run's end-of-run report.
+    pub fn record(&self, e: PipelineError) {
+        self.failures
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(e);
+    }
 
-/// Records a failure into the end-of-run report and returns it back (so
-/// `record(e)` composes with `.map_err(record)` chains).
-pub fn record(e: PipelineError) -> PipelineError {
-    sink()
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .push(e.clone());
-    e
-}
+    /// Drains every recorded failure, sorted (unit, variant, ccm, stage,
+    /// detail) so the report is independent of worker scheduling.
+    /// Duplicate records (the same failure hit via several experiments)
+    /// are collapsed.
+    pub fn drain(&self) -> Vec<PipelineError> {
+        let mut v = std::mem::take(&mut *self.failures.lock().unwrap_or_else(|p| p.into_inner()));
+        v.sort();
+        v.dedup();
+        v
+    }
 
-/// Drains every recorded failure, sorted (unit, variant, ccm, stage,
-/// detail) so the report is independent of worker scheduling. Duplicate
-/// records (the same failure hit via several experiments) are collapsed.
-pub fn drain() -> Vec<PipelineError> {
-    let mut v = std::mem::take(&mut *sink().lock().unwrap_or_else(|p| p.into_inner()));
-    v.sort();
-    v.dedup();
-    v
+    /// Fans `items` out over the parallel engine on this run's `jobs`
+    /// workers with full containment: an item whose closure returns
+    /// `Err` has its [`PipelineError`] [recorded](Run::record), and an
+    /// item whose worker *panics* past the closure's own containment is
+    /// recorded as a `stage=exec` failure. Either way the item's slot is
+    /// `None` and every other item still completes, in index order,
+    /// independent of `jobs`.
+    pub fn par_contained<T, U, L, F>(&self, items: &[U], label: L, f: F) -> Vec<Option<T>>
+    where
+        T: Send,
+        U: Sync,
+        L: Fn(&U) -> String + Sync,
+        F: Fn(&U) -> Result<T, PipelineError> + Sync,
+    {
+        exec::par_map_contained(self.jobs, items, label, f)
+            .into_iter()
+            .map(|r| match r {
+                Ok(Ok(v)) => Some(v),
+                Ok(Err(e)) => {
+                    self.record(e);
+                    None
+                }
+                Err(fail) => {
+                    self.record(PipelineError::new(
+                        Stage::Exec,
+                        fail.label.clone(),
+                        format!("worker panic: {}", fail.message),
+                    ));
+                    None
+                }
+            })
+            .collect()
+    }
 }
 
 /// Renders the end-of-run failure report as text.
@@ -169,39 +200,6 @@ pub fn render_json(errors: &[PipelineError]) -> String {
     s
 }
 
-/// Fans `items` out over the parallel engine with full containment:
-/// an item whose closure returns `Err` has its [`PipelineError`]
-/// [`record`]ed, and an item whose worker *panics* past the closure's
-/// own containment is recorded as a `stage=exec` failure. Either way
-/// the item's slot is `None` and every other item still completes, in
-/// index order, independent of `jobs`.
-pub fn par_contained<T, U, L, F>(jobs: usize, items: &[U], label: L, f: F) -> Vec<Option<T>>
-where
-    T: Send,
-    U: Sync,
-    L: Fn(&U) -> String + Sync,
-    F: Fn(&U) -> Result<T, PipelineError> + Sync,
-{
-    exec::par_map_contained(jobs, items, label, f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(Ok(v)) => Some(v),
-            Ok(Err(e)) => {
-                record(e);
-                None
-            }
-            Err(fail) => {
-                record(PipelineError::new(
-                    Stage::Exec,
-                    fail.label.clone(),
-                    format!("worker panic: {}", fail.message),
-                ));
-                None
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,15 +215,14 @@ mod tests {
 
     #[test]
     fn sink_drains_sorted_and_deduped() {
-        // The sink is process-global; drain whatever other tests left.
-        drain();
-        record(PipelineError::new(Stage::Sim, "zzz", "b"));
-        record(PipelineError::new(Stage::Sim, "aaa", "a"));
-        record(PipelineError::new(Stage::Sim, "aaa", "a"));
-        let got = drain();
+        let run = Run::default();
+        run.record(PipelineError::new(Stage::Sim, "zzz", "b"));
+        run.record(PipelineError::new(Stage::Sim, "aaa", "a"));
+        run.record(PipelineError::new(Stage::Sim, "aaa", "a"));
+        let got = run.drain();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].unit, "aaa");
-        assert!(drain().is_empty());
+        assert!(run.drain().is_empty());
     }
 
     #[test]

@@ -7,8 +7,8 @@ use ccm::Variant;
 use regalloc::AllocConfig;
 use sim::MachineConfig;
 
-use crate::error::{self, PipelineError, Stage};
-use crate::pipeline::RunConfig;
+use crate::error::{PipelineError, Stage};
+use crate::pipeline::Run;
 
 /// One point on the CCM sizing curve.
 #[derive(Clone, Copy, Debug)]
@@ -26,17 +26,16 @@ pub struct SweepPoint {
 
 /// Sweeps the CCM size over the spilling kernels, answering the paper's
 /// sizing question: most of the benefit arrives by a few hundred bytes.
-pub fn ccm_sweep(sizes: &[u32], run: &RunConfig) -> Vec<SweepPoint> {
+pub fn ccm_sweep(sizes: &[u32], run: &Run) -> Vec<SweepPoint> {
     // Measure the baseline once, in parallel over the (cached) builds.
     let kernels = suite::kernels();
     let machine0 = run.machine(16);
-    let baselines = error::par_contained(
-        run.jobs,
+    let baselines = run.par_contained(
         &kernels,
         |k| format!("sweep baseline {}", k.name),
         |k| {
-            let m = crate::cache::optimized(k)?;
-            crate::cache::measure_unit(k.name, &m, Variant::Baseline, &machine0)
+            let m = run.optimized(k)?;
+            run.measure_unit(k.name, &m, Variant::Baseline, &machine0)
         },
     );
     // A kernel whose baseline failed is recorded and excluded from the
@@ -56,15 +55,14 @@ pub fn ccm_sweep(sizes: &[u32], run: &RunConfig) -> Vec<SweepPoint> {
             items.push((si, size, ki));
         }
     }
-    let cells = error::par_contained(
-        run.jobs,
+    let cells = run.par_contained(
         &items,
         |(_, size, ki)| format!("sweep {} @ {size} B", kernels[*ki].name),
         |(si, size, ki)| {
             let machine = run.machine(*size);
             let k = &kernels[*ki];
-            let m = crate::cache::optimized(k)?;
-            let r = crate::cache::measure_unit(k.name, &m, Variant::PostPassCallGraph, &machine)?;
+            let m = run.optimized(k)?;
+            let r = run.measure_unit(k.name, &m, Variant::PostPassCallGraph, &machine)?;
             Ok((
                 *si,
                 r.cycles,
@@ -119,7 +117,7 @@ type DesignConfig = (&'static str, opt::OptOptions, AllocConfig, bool);
 fn run_cell(
     (_, opts, alloc, promote): &DesignConfig,
     name: &'static str,
-    run: &RunConfig,
+    run: &Run,
 ) -> Result<(usize, u32, u64), PipelineError> {
     let k = suite::kernel(name)
         .ok_or_else(|| PipelineError::new(Stage::Parse, name, "unknown suite kernel"))?;
@@ -149,7 +147,7 @@ fn run_cell(
 /// Ablates the design choices: scalar optimization on/off, LICM on/off,
 /// coalescing on/off, and caller-saved conventions — each measured by
 /// spills produced and cycles executed on a spill-heavy subset.
-pub fn design_ablation(run: &RunConfig) -> Vec<DesignRow> {
+pub fn design_ablation(run: &Run) -> Vec<DesignRow> {
     let opts = opt::OptOptions::default();
     let alloc = AllocConfig::default();
     let remat = AllocConfig {
@@ -210,8 +208,7 @@ pub fn design_ablation(run: &RunConfig) -> Vec<DesignRow> {
     let items: Vec<(usize, &'static str)> = (0..configs.len())
         .flat_map(|ci| ABLATION_KERNELS.map(|name| (ci, name)))
         .collect();
-    let cells = error::par_contained(
-        run.jobs,
+    let cells = run.par_contained(
         &items,
         |(ci, name)| format!("design ablation {name} ({})", configs[*ci].0),
         |(ci, name)| Ok(run_cell(&configs[*ci], name, run)),
@@ -234,7 +231,7 @@ pub fn design_ablation(run: &RunConfig) -> Vec<DesignRow> {
                 cycles: sums.iter().map(|s| s.2).sum(),
             }),
             Some(Err(e)) => {
-                error::record(PipelineError {
+                run.record(PipelineError {
                     unit: format!("design ablation `{label}` ({})", e.unit),
                     ..e.clone()
                 });
@@ -297,7 +294,7 @@ mod tests {
 
     #[test]
     fn sweep_is_monotone_and_saturates() {
-        let pts = ccm_sweep(&[32, 128, 512, 2048], &RunConfig::default());
+        let pts = ccm_sweep(&[32, 128, 512, 2048], &Run::default());
         for w in pts.windows(2) {
             assert!(
                 w[1].total_pct >= w[0].total_pct - 1e-9,
@@ -315,7 +312,7 @@ mod tests {
 
     #[test]
     fn design_ablation_directions() {
-        let rows = design_ablation(&RunConfig::default());
+        let rows = design_ablation(&Run::default());
         let get = |label: &str| {
             rows.iter()
                 .find(|r| r.config.starts_with(label))
@@ -362,7 +359,7 @@ pub struct SchedRow {
 /// raising spill counts, and (c) CCM spilling removing the need to hide
 /// spill reloads at all ("let the scheduler place the load for a spilled
 /// value next to its use", §1).
-pub fn scheduling_study(run: &RunConfig) -> Vec<SchedRow> {
+pub fn scheduling_study(run: &Run) -> Vec<SchedRow> {
     let machine = MachineConfig {
         load_delay: Some(2),
         ..run.machine(512)
@@ -376,15 +373,14 @@ pub fn scheduling_study(run: &RunConfig) -> Vec<SchedRow> {
     let mut rows = Vec::new();
 
     let mut study = |label: &str, pre_sched: bool, post_sched: bool, variant: Variant| {
-        let cells = error::par_contained(
-            run.jobs,
+        let cells = run.par_contained(
             &kernels,
             |name| format!("sched study {name} ({label})"),
             |name| {
                 let k = suite::kernel(name).ok_or_else(|| {
                     PipelineError::new(Stage::Parse, *name, "unknown suite kernel")
                 })?;
-                let mut m = (*crate::cache::optimized(&k)?).clone();
+                let mut m = (*run.optimized(&k)?).clone();
                 if pre_sched {
                     sched::schedule_module(&mut m, 3);
                 }
@@ -463,7 +459,7 @@ mod sched_tests {
 
     #[test]
     fn scheduling_study_directions() {
-        let rows = scheduling_study(&RunConfig::default());
+        let rows = scheduling_study(&Run::default());
         let get = |label: &str| {
             rows.iter()
                 .find(|r| r.config == label)
@@ -516,7 +512,7 @@ pub const MULTITASK_QUANTA: [u64; 3] = [10_000, 100_000, 1_000_000];
 /// carve it up with a base register? Benefits come from the measured
 /// sizing curve; copy cost is `2 × size/8` memory operations at two
 /// cycles each (save + restore of 8-byte words).
-pub fn multitask_study(run: &RunConfig) -> Vec<MultitaskRow> {
+pub fn multitask_study(run: &Run) -> Vec<MultitaskRow> {
     let processes = 4u32;
     let sizes = [1024u32, 4096, 16 * 1024, 32 * 1024];
     // Measure the sizing curve at every size we need (full + quarter).
@@ -594,7 +590,7 @@ mod multitask_tests {
 
     #[test]
     fn partitioning_beats_copying_at_short_quanta() {
-        let rows = multitask_study(&RunConfig::default());
+        let rows = multitask_study(&Run::default());
         // The paper's recommendation: with a base register, a 16-32 KB CCM
         // gives every process the full single-process benefit.
         let big = rows.iter().find(|r| r.ccm_size == 32 * 1024).unwrap();

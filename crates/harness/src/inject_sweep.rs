@@ -11,22 +11,19 @@
 //! abort.
 //!
 //! The sweep runs points strictly one at a time (arming is process-
-//! global) and measures through [`pipeline::measure`] directly rather
-//! than the memoization layer, so an injected failure can never poison a
-//! cached entry that a later experiment would reuse. The one exception
-//! is `cache.corrupt_measurement`, whose whole purpose is the cache — it
-//! uses a machine configuration no real experiment measures, so the
-//! poisoned key is private to the sweep.
+//! global), and every armed measurement runs in a fresh [`Run`], so an
+//! armed point always reaches the stage it targets and nothing it leaves
+//! in a memo is read by another measurement.
 
 use std::panic;
+use std::sync::Arc;
 
 use ccm::Variant;
 use iloc::Module;
 use sim::MachineConfig;
 
-use crate::cache;
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::{self, Measurement};
+use crate::pipeline::{Measurement, Run};
 
 /// The verdict for one fault point.
 #[derive(Clone, Debug)]
@@ -44,17 +41,18 @@ pub struct SweepOutcome {
 const KERNEL: &str = "radf5";
 const CCM: u32 = 512;
 
-fn workload_module() -> Result<Module, String> {
+fn workload_module() -> Result<Arc<Module>, String> {
     let k = suite::kernel(KERNEL).ok_or_else(|| format!("suite kernel `{KERNEL}` missing"))?;
-    Ok(suite::build_optimized(&k))
+    Ok(Arc::new(suite::build_optimized(&k)))
 }
 
 fn machine() -> MachineConfig {
     MachineConfig::with_ccm(CCM)
 }
 
-fn measure(m: &Module, variant: Variant) -> Result<Measurement, PipelineError> {
-    pipeline::measure_named(KERNEL, m.clone(), variant, &machine())
+/// Measures the workload under `variant` in a fresh [`Run`].
+fn measure(m: &Arc<Module>, variant: Variant) -> Result<Measurement, PipelineError> {
+    Run::default().measure_unit(KERNEL, m, variant, &machine())
 }
 
 /// Asserts an `Err` with the given stage whose detail mentions `needle`.
@@ -79,7 +77,7 @@ fn expect_err(
 /// function (heavyweight spills, a recorded [`ccm::Degradation`]) while
 /// program outputs stay byte-identical to the clean run — for the
 /// post-pass and the integrated allocator.
-fn point_ccm_coloring(m: &Module) -> Result<String, String> {
+fn point_ccm_coloring(m: &Arc<Module>) -> Result<String, String> {
     let mut lines = Vec::new();
     for variant in [Variant::PostPassCallGraph, Variant::Integrated] {
         let clean = measure(m, variant).map_err(|e| format!("clean run failed: {e}"))?;
@@ -114,7 +112,7 @@ fn point_ccm_coloring(m: &Module) -> Result<String, String> {
 }
 
 /// `alloc.panic`: an allocator panic is contained as `stage=alloc`.
-fn point_alloc_panic(m: &Module) -> Result<String, String> {
+fn point_alloc_panic(m: &Arc<Module>) -> Result<String, String> {
     inject::arm("alloc.panic").map_err(|e| e.to_string())?;
     let r = measure(m, Variant::PostPassCallGraph);
     inject::disarm();
@@ -123,7 +121,7 @@ fn point_alloc_panic(m: &Module) -> Result<String, String> {
 
 /// `checker.forced_error`: a checker rejection gates simulation as
 /// `stage=checker`.
-fn point_checker(m: &Module) -> Result<String, String> {
+fn point_checker(m: &Arc<Module>) -> Result<String, String> {
     inject::arm("checker.forced_error").map_err(|e| e.to_string())?;
     let r = measure(m, Variant::PostPassCallGraph);
     inject::disarm();
@@ -131,7 +129,7 @@ fn point_checker(m: &Module) -> Result<String, String> {
 }
 
 /// `sim.budget`: an exhausted instruction budget is `stage=sim`.
-fn point_sim_budget(m: &Module) -> Result<String, String> {
+fn point_sim_budget(m: &Arc<Module>) -> Result<String, String> {
     inject::arm("sim.budget").map_err(|e| e.to_string())?;
     let r = measure(m, Variant::Baseline);
     inject::disarm();
@@ -139,7 +137,7 @@ fn point_sim_budget(m: &Module) -> Result<String, String> {
 }
 
 /// `sim.unknown_global`: a bad global resolution is `stage=sim`.
-fn point_sim_unknown_global(m: &Module) -> Result<String, String> {
+fn point_sim_unknown_global(m: &Arc<Module>) -> Result<String, String> {
     inject::arm("sim.unknown_global").map_err(|e| e.to_string())?;
     let r = measure(m, Variant::Baseline);
     inject::disarm();
@@ -150,21 +148,16 @@ fn point_sim_unknown_global(m: &Module) -> Result<String, String> {
 /// (while returning the clean value); the next hit must detect the
 /// digest mismatch as `stage=cache` and evict, and the call after that
 /// recomputes the clean value.
-fn point_cache_corruption(m: &Module) -> Result<String, String> {
-    let base = std::sync::Arc::new(m.clone());
-    // A max_steps value nothing else uses keeps this key sweep-private.
-    let machine = MachineConfig {
-        max_steps: 1_999_999_999,
-        ..machine()
-    };
+fn point_cache_corruption(m: &Arc<Module>) -> Result<String, String> {
+    let run = Run::default();
     inject::arm("cache.corrupt_measurement").map_err(|e| e.to_string())?;
-    let first = cache::measure_unit(KERNEL, &base, Variant::PostPass, &machine);
+    let first = run.measure_unit(KERNEL, m, Variant::PostPass, &machine());
     let fires = inject::disarm();
     let first = first.map_err(|e| format!("seeding call failed: {e}"))?;
     if fires == 0 {
-        return Err("point never fired (was the entry already cached?)".to_string());
+        return Err("point never fired".to_string());
     }
-    let hit = cache::measure_unit(KERNEL, &base, Variant::PostPass, &machine);
+    let hit = run.measure_unit(KERNEL, m, Variant::PostPass, &machine());
     let detail = match hit {
         Err(e) if e.stage == Stage::Cache && e.detail.contains("corrupt") => format!("{e}"),
         Err(e) => {
@@ -174,7 +167,8 @@ fn point_cache_corruption(m: &Module) -> Result<String, String> {
         }
         Ok(_) => return Err("corrupt entry went undetected".to_string()),
     };
-    let recomputed = cache::measure_unit(KERNEL, &base, Variant::PostPass, &machine)
+    let recomputed = run
+        .measure_unit(KERNEL, m, Variant::PostPass, &machine())
         .map_err(|e| format!("post-eviction recompute failed: {e}"))?;
     if recomputed.cycles != first.cycles {
         return Err("post-eviction recompute diverged from the clean value".to_string());

@@ -15,14 +15,15 @@
 //!
 //! The `repro` binary prints them: `cargo run --release -p harness -- --all`.
 //!
-//! Every experiment takes the run's settings as a [`RunConfig`]: the
-//! worker count (`--jobs N`, default: available parallelism) and the
-//! simulator's step budget (`--sim-budget N`). Sweep-shaped experiments
-//! fan out over the parallel engine in the `exec` crate and share the
-//! memoized suite builds in [`cache`], so `repro --all` builds each
-//! module once instead of once per table. Results are collected by work
-//! item index, never by completion order: any `--jobs` value produces
-//! byte-identical output to `--jobs 1`.
+//! Every experiment takes the run as a [`Run`]: the worker count
+//! (`--jobs N`, default: available parallelism), the simulator's step
+//! budget (`--sim-budget N`), the run's memo ([`cache`]) and its failure
+//! sink ([`error`]). Sweep-shaped experiments fan out over the parallel
+//! engine in the `exec` crate and read every build, allocation and
+//! measurement through the memo, so `repro --all` builds and allocates
+//! each unit once instead of once per table. Results are collected by
+//! work item index, never by completion order: any `--jobs` value
+//! produces byte-identical output to `--jobs 1`.
 
 pub mod cache;
 pub mod csv;
@@ -44,4 +45,4 @@ pub use extensions::{
     ccm_sweep, design_ablation, multitask_study, render_design, render_multitask, render_sched,
     render_sweep, scheduling_study, DesignRow, MultitaskRow, SchedRow, SweepPoint,
 };
-pub use pipeline::{check_allocated, measure, Measurement, RunConfig};
+pub use pipeline::{check_allocated, Measurement, Run};

@@ -16,7 +16,7 @@
 //! `--inject-sweep` fires each registered fault point one at a time and
 //! asserts the pipeline survives with the expected structured failure.
 
-use harness::{error, inject_sweep, report, RunConfig};
+use harness::{error, inject_sweep, report, Run};
 
 const USAGE: &str = "usage: repro [--table1] [--table2] [--table3] [--table4] \
      [--figure3] [--figure4] [--ablation] [--sweep] [--design] [--sched] [--multitask] \
@@ -35,7 +35,7 @@ fn die(msg: &str) -> ! {
 
 #[derive(Default)]
 struct Opts {
-    run: RunConfig,
+    run: Run,
     table1: bool,
     table2: bool,
     table3: bool,
@@ -267,14 +267,14 @@ fn main() {
 
     // End-of-run aggregation: every structured failure the experiments
     // recorded, sorted (job-count-independent), then the one exit code.
-    let errors = error::drain();
+    let errors = run.drain();
     if !errors.is_empty() {
         eprint!("{}", error::render_text(&errors));
     }
     if o.errors_json {
         print!("{}", error::render_json(&errors));
     }
-    if deferred_failure || !errors.is_empty() {
-        std::process::exit(1);
-    }
+    // Exiting here skips dropping the run's memo: freeing it buys
+    // nothing at the end of the process.
+    std::process::exit(i32::from(deferred_failure || !errors.is_empty()))
 }

@@ -2,9 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::experiments::{
-    table4_from, AblationRow, CompactionRow, ProgramRow, SpeedupRow, Table4Cell,
-};
+use crate::experiments::{table4_from, AblationRow, CompactionRow, ProgramRow, SpeedupRow};
 
 /// Renders Table 1 (spill-memory compaction).
 pub fn render_table1(rows: &[CompactionRow]) -> String {
@@ -138,21 +136,6 @@ pub fn render_table4(r512: &[SpeedupRow], r1024: &[SpeedupRow]) -> String {
             s,
             "{:<26} {:>12.1}% {:>12.1}%   {:>12.1}% {:>12.1}%",
             names[i], c512[i].total_pct, c1024[i].total_pct, c512[i].mem_pct, c1024[i].mem_pct
-        );
-    }
-    s
-}
-
-/// Renders a Table 4 computed from one row set (used by tests).
-pub fn render_table4_single(cells: &[Table4Cell; 3], ccm: u32) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "Weighted-average reduction, {ccm}-byte CCM");
-    let names = ["Post-pass", "Post-pass w/ Call Graph", "Integrated"];
-    for (n, c) in names.iter().zip(cells) {
-        let _ = writeln!(
-            s,
-            "{:<26} total {:>5.1}%  memory {:>5.1}%",
-            n, c.total_pct, c.mem_pct
         );
     }
     s

@@ -102,11 +102,6 @@ impl Module {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Mutable lookup of a function by name.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
-    }
-
     /// Looks up a global by name.
     pub fn global(&self, name: &str) -> Option<&Global> {
         self.globals.iter().find(|g| g.name == name)

@@ -2,7 +2,7 @@
 
 use crate::block::BlockId;
 use crate::func::{SlotId, SpillKind};
-use crate::reg::{Reg, RegClass};
+use crate::reg::Reg;
 
 /// Integer binary operation kinds.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -559,32 +559,6 @@ impl Op {
                 }
             }
             _ => {}
-        }
-    }
-
-    /// The register class a destination of this op must have, if the op has
-    /// exactly one destination with a fixed class. Used by the verifier.
-    pub fn fixed_dst_class(&self) -> Option<RegClass> {
-        match self {
-            Op::LoadI { .. }
-            | Op::LoadSym { .. }
-            | Op::IBin { .. }
-            | Op::IBinI { .. }
-            | Op::ICmp { .. }
-            | Op::FCmp { .. }
-            | Op::I2I { .. }
-            | Op::F2I { .. }
-            | Op::Load { .. }
-            | Op::LoadAI { .. }
-            | Op::CcmLoad { .. } => Some(RegClass::Gpr),
-            Op::LoadF { .. }
-            | Op::FBin { .. }
-            | Op::F2F { .. }
-            | Op::I2F { .. }
-            | Op::FLoad { .. }
-            | Op::FLoadAI { .. }
-            | Op::CcmFLoad { .. } => Some(RegClass::Fpr),
-            _ => None,
         }
     }
 }

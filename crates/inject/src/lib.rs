@@ -95,7 +95,7 @@ pub const REGISTRY: &[FaultPoint] = &[
     },
     FaultPoint {
         name: "cache.corrupt_measurement",
-        site: "harness::cache::measure_unit insert",
+        site: "harness::Run::measure_unit insert",
         effect: "the stored measurement's bytes are flipped after fingerprinting",
         expect: "PipelineError stage=cache containing `corrupt` on the next hit",
     },

@@ -398,12 +398,6 @@ impl<'m> Machine<'m> {
         f64::from_le_bytes(b[index * 8..index * 8 + 8].try_into().expect("in bounds"))
     }
 
-    /// Reads the `index`-th i32 of global `name`.
-    pub fn read_global_i32(&self, name: &str, index: usize) -> i32 {
-        let b = self.global_bytes(name);
-        i32::from_le_bytes(b[index * 4..index * 4 + 4].try_into().expect("in bounds"))
-    }
-
     /// Runs `entry` (which must take no parameters) to completion.
     ///
     /// # Errors

@@ -4,11 +4,6 @@
 use regalloc::AllocConfig;
 use sim::MachineConfig;
 
-/// Unwraps a pipeline measurement, printing the structured error.
-fn must(r: Result<harness::Measurement, harness::PipelineError>) -> harness::Measurement {
-    r.unwrap_or_else(|e| panic!("measurement failed: {e}"))
-}
-
 /// An irreducible CFG (two distinct entries into a cycle) survives the
 /// whole pipeline: SSA in/out, optimization, allocation, promotion.
 #[test]
@@ -137,15 +132,14 @@ fn compaction_is_idempotent() {
 #[test]
 fn scheduler_composes_with_ccm_pipeline() {
     let k = suite::kernel("colbur").expect("kernel exists");
-    let m0 = suite::build_optimized(&k);
+    let run = harness::Run::default();
+    let m0 = run.optimized(&k).unwrap();
     let machine = MachineConfig::with_ccm(512);
-    let base = must(harness::measure(
-        m0.clone(),
-        harness::Variant::Baseline,
-        &machine,
-    ));
+    let base = run
+        .measure_unit(k.name, &m0, harness::Variant::Baseline, &machine)
+        .unwrap_or_else(|e| panic!("measurement failed: {e}"));
 
-    let mut m = m0.clone();
+    let mut m = (*m0).clone();
     sched::schedule_module(&mut m, 2);
     regalloc::allocate_module(&mut m, &AllocConfig::default());
     ccm::postpass_promote(

@@ -2,28 +2,40 @@
 //! observable checksum is bit-identical under every allocation strategy
 //! and every CCM size — the master safety property of the reproduction.
 
-use harness::{measure, Variant};
+use std::sync::Arc;
+
+use harness::{Measurement, Run, Variant};
+use iloc::Module;
 use sim::MachineConfig;
 
-/// Unwraps a pipeline measurement, printing the structured error.
-fn must(r: Result<harness::Measurement, harness::PipelineError>) -> harness::Measurement {
-    r.unwrap_or_else(|e| panic!("measurement failed: {e}"))
+/// Measures suite unit `name` (its build `m` in `run`) through the run's
+/// memo, printing the structured error on failure.
+fn measure(
+    run: &Run,
+    name: &str,
+    m: &Arc<Module>,
+    v: Variant,
+    machine: &MachineConfig,
+) -> Measurement {
+    run.measure_unit(name, m, v, machine)
+        .unwrap_or_else(|e| panic!("measurement failed: {e}"))
 }
 
 /// Every kernel, every variant, 512-byte CCM.
 #[test]
 fn all_kernels_all_variants_agree_at_512() {
+    let run = Run::default();
     let machine = MachineConfig::with_ccm(512);
     for k in suite::kernels() {
-        let m = suite::build_optimized(&k);
-        let base = must(measure(m.clone(), Variant::Baseline, &machine));
+        let m = run.optimized(&k).unwrap();
+        let base = measure(&run, k.name, &m, Variant::Baseline, &machine);
         assert!(base.checksum.is_finite(), "{}: non-finite checksum", k.name);
         for v in [
             Variant::PostPass,
             Variant::PostPassCallGraph,
             Variant::Integrated,
         ] {
-            let r = must(measure(m.clone(), v, &machine));
+            let r = measure(&run, k.name, &m, v, &machine);
             assert_eq!(
                 r.checksum.to_bits(),
                 base.checksum.to_bits(),
@@ -45,19 +57,22 @@ fn all_kernels_all_variants_agree_at_512() {
 /// to force the heavyweight-spill path.
 #[test]
 fn kernel_sample_agrees_across_ccm_sizes() {
+    let run = Run::default();
     let names = ["fpppp", "radf5", "deseco", "zeroin", "urand", "vslv1xX"];
     for name in names {
         let k = suite::kernel(name).expect("kernel exists");
-        let m = suite::build_optimized(&k);
-        let base = must(measure(
-            m.clone(),
+        let m = run.optimized(&k).unwrap();
+        let base = measure(
+            &run,
+            name,
+            &m,
             Variant::Baseline,
             &MachineConfig::with_ccm(1024),
-        ));
+        );
         for ccm_size in [16, 128, 1024] {
             let machine = MachineConfig::with_ccm(ccm_size);
             for v in [Variant::PostPassCallGraph, Variant::Integrated] {
-                let r = must(measure(m.clone(), v, &machine));
+                let r = measure(&run, name, &m, v, &machine);
                 assert_eq!(
                     r.checksum.to_bits(),
                     base.checksum.to_bits(),
@@ -72,14 +87,17 @@ fn kernel_sample_agrees_across_ccm_sizes() {
 /// interprocedural allocator at both paper CCM sizes.
 #[test]
 fn programs_sample_agrees() {
+    let run = Run::default();
     for pname in ["turb3d", "forsythe", "applu", "fftpackX"] {
         let p = suite::program(pname).expect("program exists");
-        let m = suite::build_program(&p);
-        let base = must(measure(
-            m.clone(),
+        let m = run.program(&p).unwrap();
+        let base = measure(
+            &run,
+            pname,
+            &m,
             Variant::Baseline,
             &MachineConfig::with_ccm(512),
-        ));
+        );
         for ccm_size in [512u32, 1024] {
             let machine = MachineConfig::with_ccm(ccm_size);
             for v in [
@@ -87,7 +105,7 @@ fn programs_sample_agrees() {
                 Variant::PostPassCallGraph,
                 Variant::Integrated,
             ] {
-                let r = must(measure(m.clone(), v, &machine));
+                let r = measure(&run, pname, &m, v, &machine);
                 assert_eq!(
                     r.checksum.to_bits(),
                     base.checksum.to_bits(),
@@ -104,13 +122,15 @@ fn programs_sample_agrees() {
 /// exact configured size — any overflow would trap).
 #[test]
 fn promotion_respects_ccm_capacity() {
+    let run = Run::default();
     for name in ["fpppp", "twldrv", "jacld"] {
         let k = suite::kernel(name).expect("kernel exists");
-        let m = suite::build_optimized(&k);
+        let m = run.optimized(&k).unwrap();
         for ccm_size in [64u32, 512] {
-            // measure() panics on any trap, including CcmOutOfBounds.
+            // measure() panics on any failure, including a trap such as
+            // CcmOutOfBounds.
             let machine = MachineConfig::with_ccm(ccm_size);
-            let r = must(measure(m.clone(), Variant::PostPassCallGraph, &machine));
+            let r = measure(&run, name, &m, Variant::PostPassCallGraph, &machine);
             assert!(r.checksum.is_finite());
         }
     }

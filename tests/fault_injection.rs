@@ -5,11 +5,15 @@
 //! the shared guard so two armed tests never interleave, and no other
 //! binary's tests share the process. The simulator's step budget is
 //! not global: it travels in each `MachineConfig` (see
-//! `sim_budget_override_acts_as_watchdog` below).
+//! `sim_budget_override_acts_as_watchdog` below). Every armed
+//! measurement runs in a fresh `harness::Run`, so the memo of one run
+//! never hands a clean result to an armed measurement or an injected
+//! one to a clean measurement.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use harness::{inject_sweep, Variant};
+use harness::{inject_sweep, Measurement, PipelineError, Run, Variant};
+use iloc::Module;
 use sim::MachineConfig;
 
 /// Serializes tests that touch process-global state (arming and the
@@ -19,8 +23,17 @@ fn guard() -> MutexGuard<'static, ()> {
     G.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn must(r: Result<harness::Measurement, harness::PipelineError>) -> harness::Measurement {
+fn must(r: Result<Measurement, PipelineError>) -> Measurement {
     r.unwrap_or_else(|e| panic!("measurement failed: {e}"))
+}
+
+/// Measures radf5's build `m` under `v` on `machine` in a fresh run.
+fn measure(
+    m: &Arc<Module>,
+    v: Variant,
+    machine: &MachineConfig,
+) -> Result<Measurement, PipelineError> {
+    Run::default().measure_unit("radf5", m, v, machine)
 }
 
 /// The sweep is the master assertion: every point in the registry
@@ -50,12 +63,12 @@ fn forced_coloring_failure_degrades_without_changing_any_golden_output() {
     let _g = guard();
     inject::disarm();
     let k = suite::kernel("radf5").expect("kernel exists");
-    let m = suite::build_optimized(&k);
+    let m = Arc::new(suite::build_optimized(&k));
     let machine = MachineConfig::with_ccm(512);
 
     let clean: Vec<_> = Variant::ALL
         .iter()
-        .map(|&v| must(harness::measure(m.clone(), v, &machine)))
+        .map(|&v| must(measure(&m, v, &machine)))
         .collect();
     let golden = clean[0].checksum.to_bits();
     for (v, c) in Variant::ALL.iter().zip(&clean) {
@@ -65,7 +78,7 @@ fn forced_coloring_failure_degrades_without_changing_any_golden_output() {
 
     // Degrade exactly one function of the post-pass allocation.
     inject::arm_once("alloc.ccm_coloring", 0).expect("registered point");
-    let degraded = harness::measure(m.clone(), Variant::PostPassCallGraph, &machine);
+    let degraded = measure(&m, Variant::PostPassCallGraph, &machine);
     let fires = inject::disarm();
     let degraded = must(degraded);
     assert_eq!(fires, 1, "the point must fire exactly once");
@@ -83,7 +96,7 @@ fn forced_coloring_failure_degrades_without_changing_any_golden_output() {
     // After disarming, every variant reproduces its clean measurement
     // bit for bit — the injection poisoned nothing.
     for (v, c) in Variant::ALL.iter().zip(&clean) {
-        let again = must(harness::measure(m.clone(), *v, &machine));
+        let again = must(measure(&m, *v, &machine));
         assert_eq!(again.cycles, c.cycles, "{v:?} cycles changed after sweep");
         assert_eq!(again.checksum.to_bits(), c.checksum.to_bits());
         assert!(again.degraded.is_empty());
@@ -184,17 +197,17 @@ fn exec_panic_containment_reports_are_job_count_invariant() {
 fn sim_budget_override_acts_as_watchdog() {
     let _g = guard();
     let k = suite::kernel("radf5").expect("kernel exists");
-    let m = suite::build_optimized(&k);
+    let m = Arc::new(suite::build_optimized(&k));
     let machine = MachineConfig {
         max_steps: 100,
         ..MachineConfig::with_ccm(512)
     };
-    let err = harness::measure(m.clone(), Variant::Baseline, &machine).unwrap_err();
+    let err = measure(&m, Variant::Baseline, &machine).unwrap_err();
     assert_eq!(err.stage, harness::Stage::Sim);
     assert!(err.detail.contains("step limit"), "{err}");
     // The default config was never touched, and at its budget the kernel completes.
-    let ok = must(harness::measure(
-        m,
+    let ok = must(measure(
+        &m,
         Variant::Baseline,
         &MachineConfig::with_ccm(512),
     ));

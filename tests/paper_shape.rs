@@ -3,12 +3,23 @@
 //! assert the qualitative structure the paper reports, so a regression
 //! that silently flips a conclusion fails the build.
 
-use harness::{measure, Variant};
+use std::sync::Arc;
+
+use harness::{Measurement, Run, Variant};
+use iloc::Module;
 use sim::MachineConfig;
 
-/// Unwraps a pipeline measurement, printing the structured error.
-fn must(r: Result<harness::Measurement, harness::PipelineError>) -> harness::Measurement {
-    r.unwrap_or_else(|e| panic!("measurement failed: {e}"))
+/// Measures suite unit `name` (its build `m` in `run`) through the run's
+/// memo, printing the structured error on failure.
+fn measure(
+    run: &Run,
+    name: &str,
+    m: &Arc<Module>,
+    v: Variant,
+    machine: &MachineConfig,
+) -> Measurement {
+    run.measure_unit(name, m, v, machine)
+        .unwrap_or_else(|e| panic!("measurement failed: {e}"))
 }
 
 /// Table 1 shape: the four monolithic routines the paper names as
@@ -16,7 +27,7 @@ fn must(r: Result<harness::Measurement, harness::PipelineError>) -> harness::Mea
 /// exactly that way here, and every other ratio is sane.
 #[test]
 fn table1_shape_monoliths_do_not_compact() {
-    let rows = harness::table1(&harness::RunConfig::default());
+    let rows = harness::table1(&Run::default());
     let monoliths = ["paroi", "inisla", "energyx", "pdiagX"];
     for name in monoliths {
         let r = rows
@@ -53,15 +64,13 @@ fn table1_shape_monoliths_do_not_compact() {
 /// and call-heavy programs separate the variants.
 #[test]
 fn figure_shape_interprocedural_dominates() {
+    let run = Run::default();
     let machine = MachineConfig::with_ccm(512);
     let mut any_separation = false;
     for pname in ["turb3d", "forsythe", "spice"] {
         let p = suite::program(pname).expect("program exists");
-        let m = suite::build_program(&p);
-        let base = must(measure(m.clone(), Variant::Baseline, &machine));
-        let pp = must(measure(m.clone(), Variant::PostPass, &machine));
-        let cg = must(measure(m.clone(), Variant::PostPassCallGraph, &machine));
-        let ig = must(measure(m, Variant::Integrated, &machine));
+        let m = run.program(&p).unwrap();
+        let [base, pp, cg, ig] = Variant::ALL.map(|v| measure(&run, pname, &m, v, &machine));
         assert!(cg.cycles <= pp.cycles, "{pname}: call-graph version worse");
         assert!(cg.cycles <= ig.cycles, "{pname}: call-graph version worse");
         assert!(cg.cycles < base.cycles, "{pname}: must improve");
@@ -79,16 +88,19 @@ fn figure_shape_interprocedural_dominates() {
 /// monotonicity).
 #[test]
 fn bigger_ccm_is_monotone() {
+    let run = Run::default();
     for name in ["fpppp", "deseco", "radf5"] {
         let k = suite::kernel(name).expect("kernel exists");
-        let m = suite::build_optimized(&k);
+        let m = run.optimized(&k).unwrap();
         let mut prev = u64::MAX;
         for ccm in [64u32, 256, 1024] {
-            let r = must(measure(
-                m.clone(),
+            let r = measure(
+                &run,
+                name,
+                &m,
                 Variant::PostPassCallGraph,
                 &MachineConfig::with_ccm(ccm),
-            ));
+            );
             assert!(
                 r.cycles <= prev,
                 "{name}: cycles increased when CCM grew to {ccm}"

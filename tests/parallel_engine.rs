@@ -2,13 +2,12 @@
 //! `--jobs` value, name-joined Table 3 pairing, and NaN-free CSV output.
 
 use harness::csv::{figure_csv, speedups_csv};
-use harness::{improved_names, Measurement, RunConfig, SpeedupRow};
+use harness::{improved_names, Measurement, Run, SpeedupRow};
 
-fn jobs(jobs: usize) -> RunConfig {
-    RunConfig {
-        jobs,
-        ..RunConfig::default()
-    }
+/// A fresh run on `jobs` workers: its memo starts empty, so each side of
+/// a jobs comparison computes every measurement itself.
+fn jobs(jobs: usize) -> Run {
+    Run::new(jobs, sim::DEFAULT_MAX_STEPS)
 }
 
 fn meas(cycles: u64, mem_cycles: u64) -> Measurement {
