@@ -60,6 +60,14 @@ echo "== engine determinism: cargo test -q --release --test parallel_engine"
 # here with optimizations on, as repro runs.
 cargo test -q --release --test parallel_engine
 
+echo "== check-and-simulate memo: cargo test -q --release --test memo_reference"
+# harness::Run checks and simulates each distinct (module, CCM key) of a
+# unit once; this compares every Measurement field and check_suite
+# diagnostic of the 64 kernels and 13 programs (four variants, 512 and
+# 1024 B) with a reference that checks and simulates every
+# configuration itself, with optimizations on, as repro runs.
+cargo test -q --release --test memo_reference
+
 echo "== optimizer golden: cargo test -q --release --test opt_golden"
 # One digest per optimized unit (64 kernels under their suite options and
 # again with LICM, the 13 linked programs, and 128 fuzz modules through

@@ -13,10 +13,11 @@
 //!    of 2 and no other code changes).
 //!
 //! Every distinct allocated module is checked and simulated once per CCM
-//! size it depends on: a module that does not
-//! [`uses_ccm`](Module::uses_ccm) behaves the same at every size, and
-//! most derived variants equal the baseline allocation (the post-pass
-//! allocator only rewrites spill code), so their runs are reused.
+//! size it depends on, through the key rule of [`ModuleMemo`]: a module
+//! that does not [`uses_ccm`](Module::uses_ccm) behaves the same at
+//! every size, and most derived variants equal the baseline allocation
+//! (the post-pass allocator only rewrites spill code), so their runs are
+//! reused.
 //!
 //! Failures carry the variant, CCM size, and a [`FailureKind`] the
 //! minimizer uses to preserve "the same bug" while shrinking. Allocator
@@ -29,9 +30,10 @@
 //! oracle actually catches allocator bugs rather than vacuously passing.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use ccm::Variant;
-use iloc::{Module, Op, SpillKind};
+use iloc::{Module, ModuleMemo, Op, SpillKind};
 use regalloc::AllocConfig;
 use sim::MachineConfig;
 
@@ -300,35 +302,22 @@ fn check_and_run(
     }
 }
 
-/// Passing runs of one case, keyed by the allocated module and by the
-/// CCM size it depends on: its size when it
-/// [`uses_ccm`](Module::uses_ccm), `None` otherwise. Checking and
-/// simulating read the CCM size only through CCM ops and `in_ccm` slots,
-/// and ignore the virtual-register counter that module equality skips,
-/// so an equal module under an equal key passes with the same run.
-#[derive(Default)]
-struct Memo {
-    runs: Vec<(Option<u32>, Module, VariantRun)>,
-}
-
-impl Memo {
-    /// [`check_and_run`], unless an equal module already passed under
-    /// the same key. Failures are not kept: the oracle stops at the first.
-    fn check_and_run(
-        &mut self,
-        mm: &Module,
-        variant: Variant,
-        ccm: u32,
-        cfg: &OracleConfig,
-    ) -> Result<VariantRun, Failure> {
-        let key = mm.uses_ccm().then_some(ccm);
-        if let Some((_, _, r)) = self.runs.iter().find(|(k, m, _)| *k == key && m == mm) {
-            return Ok(r.clone());
-        }
-        let r = check_and_run(mm, variant, ccm, cfg)?;
-        self.runs.push((key, mm.clone(), r.clone()));
-        Ok(r)
+/// [`check_and_run`], unless an equal module already passed under the
+/// same CCM key in `memo` (see [`ModuleMemo`]). Failures are not kept:
+/// the oracle stops at the first.
+fn memoized_check_and_run(
+    memo: &mut ModuleMemo<VariantRun>,
+    mm: Arc<Module>,
+    variant: Variant,
+    ccm: u32,
+    cfg: &OracleConfig,
+) -> Result<VariantRun, Failure> {
+    if let Some((_, r)) = memo.get(&mm, ccm) {
+        return Ok(r.clone());
     }
+    let r = check_and_run(&mm, variant, ccm, cfg)?;
+    memo.insert(mm, ccm, r.clone());
+    Ok(r)
 }
 
 /// Compares variant `v`'s run at `ccm` with the baseline's: bit-identical
@@ -398,10 +387,17 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
         return Ok(stats);
     };
     let (allocated, spilled) = allocate_baseline(m, first_ccm, cfg)?;
+    let allocated = Arc::new(allocated);
     stats.spilled_ranges = spilled;
-    let mut memo = Memo::default();
+    let mut memo = ModuleMemo::default();
     for (i, &ccm) in cfg.ccm_sizes.iter().enumerate() {
-        let base = memo.check_and_run(&allocated, Variant::Baseline, ccm, cfg)?;
+        let base = memoized_check_and_run(
+            &mut memo,
+            Arc::clone(&allocated),
+            Variant::Baseline,
+            ccm,
+            cfg,
+        )?;
         if i == 0 {
             stats.base_cycles = base.cycles;
         }
@@ -410,12 +406,12 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
                 continue;
             }
             let mm = derive_variant(&allocated, v, ccm, cfg.mutation)?;
-            let r = memo.check_and_run(&mm, v, ccm, cfg)?;
+            let r = memoized_check_and_run(&mut memo, Arc::new(mm), v, ccm, cfg)?;
             stats.ccm_ops += r.ccm_ops;
             compare(&base, &r, v, ccm)?;
         }
     }
-    stats.runs = memo.runs.len();
+    stats.runs = memo.len();
     Ok(stats)
 }
 

@@ -3,7 +3,8 @@
 //!
 //! For every suite kernel: spill counts and register pressure under the
 //! default allocator, then the post-allocation checker's verdict on the
-//! post-pass-with-call-graph CCM variant (512-byte scratchpad).
+//! post-pass-with-call-graph CCM variant (512-byte scratchpad). Both read
+//! one `harness::Run`, so each kernel is allocated once.
 //!
 //! Kernels are probed in parallel (`--jobs N`, default: available
 //! parallelism); the report is assembled in suite order regardless of
@@ -53,13 +54,15 @@ fn main() {
         |k| format!("probe {}", k.name),
         |k| {
             use std::fmt::Write as _;
+            let failed = |e: harness::PipelineError| format!("{:<10} FAILED: {e}\n", k.name);
             let m = match run.optimized(k) {
-                Ok(m) => (*m).clone(),
-                Err(e) => return format!("{:<10} FAILED: {e}\n", k.name),
+                Ok(m) => m,
+                Err(e) => return failed(e),
             };
-            let mut am = m.clone();
-            let alloc = regalloc::AllocConfig::default();
-            let stats = regalloc::allocate_module(&mut am, &alloc);
+            let (am, spilled) = match run.baseline_allocation(k.name, &m) {
+                Ok(a) => a,
+                Err(e) => return failed(e),
+            };
             let bytes: u32 = am.functions.iter().map(|f| f.frame.spill_bytes()).sum();
             // pressure of the biggest routine
             let mut maxg = 0;
@@ -70,9 +73,10 @@ fn main() {
                 maxf = maxf.max(lv.max_pressure(f, iloc::RegClass::Fpr));
             }
             // Checker verdict on the CCM-promoted allocation.
-            let mut cm = m.clone();
-            ccm::allocate_variant(&mut cm, ccm::Variant::PostPassCallGraph, CCM, &alloc);
-            let diags = harness::check_allocated(&cm, CCM);
+            let diags = match run.allocated(k.name, &m, ccm::Variant::PostPassCallGraph, CCM) {
+                Ok(a) => a.diags,
+                Err(e) => return failed(e),
+            };
             let errors = checker::errors(&diags).len();
             let verdict = if diags.is_empty() {
                 "clean".to_string()
@@ -83,14 +87,9 @@ fn main() {
             let _ = writeln!(
                 out,
                 "{:<10} spills={:<4} bytes={:<6} pressure g={} f={} | checker: {}",
-                k.name,
-                stats.total_spilled(),
-                bytes,
-                maxg,
-                maxf,
-                verdict
+                k.name, spilled, bytes, maxg, maxf, verdict
             );
-            for d in &diags {
+            for d in diags.iter() {
                 let _ = writeln!(out, "           {d}");
             }
             out

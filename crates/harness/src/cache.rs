@@ -20,31 +20,38 @@
 //!   where a spill lands (§3.2). So that allocation depends on neither
 //!   the variant nor the CCM size: all four variants at every size share
 //!   it, and Table 1 compacts it;
-//! * **allocations** — [`Run::allocated`] memoizes derive-then-check per
-//!   (unit, variant, CCM size). `Baseline` shares the unit's allocated
-//!   module without a copy; every CCM variant promotes a clone of it
-//!   ([`ccm::promote_allocated`], a few percent of the allocation's
-//!   cost), which gives exactly what a fresh [`ccm::allocate_variant`]
-//!   would. `--table3 --check` stops re-allocating the 616 configurations
-//!   the tables already produced;
-//! * **measurements** — [`Run::measure_unit`] memoizes the simulation
-//!   result per (unit, variant, machine configuration); Table 2's rows
-//!   are a subset of Table 3's, and the sweep/multitask studies revisit
-//!   the same CCM sizes.
+//! * **checks and simulations** — [`Run::allocated`] derives a
+//!   configuration from that allocation: `Baseline` shares the unit's
+//!   allocated module without a copy, and every CCM variant promotes a
+//!   clone of it ([`ccm::promote_allocated`], a few percent of the
+//!   allocation's cost), which gives exactly what a fresh
+//!   [`ccm::allocate_variant`] would. The checker's diagnostics are kept
+//!   in one [`ModuleMemo`] per unit, and [`Run::measure_unit`]'s sealed
+//!   simulation results in one per (unit, `MachineConfig` with its CCM
+//!   size cleared). A [`ModuleMemo`] is keyed by the module's content and
+//!   by the CCM size only when the module uses the CCM, so Baseline at
+//!   512 and 1024 B, and every CCM variant of a unit whose spills stay in
+//!   the frame, are checked and simulated once. The derived module's
+//!   `spilled_ranges` and degradations, and the variant label, stay per
+//!   configuration: no key names a variant. `repro`'s kernel tables check
+//!   and simulate 264 of their 422 configurations, the figures 66 of
+//!   104 ([`Run::measured`]).
 //!
 //! Failure is structured end to end: build panics become `stage=opt`
 //! errors, allocation and promotion panics `stage=alloc` (a failed
 //! baseline allocation is reported at each configuration that needed
 //! it), checker rejections `stage=checker`, simulator traps
-//! `stage=sim` — and every cached measurement is **sealed** with a
+//! `stage=sim` — and every stored simulation is **sealed** with a
 //! digest at insert time, so a corrupted entry (bit rot, or the
 //! `cache.corrupt_measurement` fault point) is detected on its next hit
 //! as a `stage=cache` error and evicted instead of silently poisoning a
 //! table. Failures are never cached: a later call recomputes.
 //!
-//! Expensive work happens outside the map locks — two workers racing on
-//! the same key may both compute it (identical results, first insert
-//! wins), but workers never serialize on each other's computation. That
+//! Expensive work happens outside the map locks (only the module
+//! comparisons of a [`ModuleMemo`] lookup run under one) — two workers
+//! racing on the same key may both compute it (identical results, first
+//! insert wins), but workers never serialize on each other's
+//! computation. That
 //! is also why caching cannot break the engine's byte-identical
 //! guarantee: a cache hit returns exactly the value a recomputation
 //! would.
@@ -54,9 +61,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ccm::Variant;
-use iloc::Module;
+use iloc::{Module, ModuleMemo};
 use regalloc::AllocConfig;
-use sim::MachineConfig;
+use sim::{MachineConfig, Metrics};
 use suite::{Kernel, Program};
 
 use crate::error::{PipelineError, Stage};
@@ -69,8 +76,24 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 type Map = Mutex<HashMap<&'static str, Arc<Module>>>;
-type AllocKey = (String, Variant, u32);
-type MeasKey = (String, Variant, MachineConfig);
+
+/// The simulations of one (unit, machine with its CCM size cleared).
+#[derive(Default)]
+struct Sims {
+    runs: ModuleMemo<Sealed>,
+    /// The (variant, CCM size) configurations these runs served, for the
+    /// count [`Run::measured`] reports.
+    served: Vec<(Variant, u32)>,
+}
+
+impl Sims {
+    /// Counts `(variant, ccm_size)` as served, once.
+    fn serve(&mut self, variant: Variant, ccm_size: u32) {
+        if !self.served.contains(&(variant, ccm_size)) {
+            self.served.push((variant, ccm_size));
+        }
+    }
+}
 
 /// One map per memoized stage, each behind its own lock.
 #[derive(Default)]
@@ -78,8 +101,8 @@ pub(crate) struct Memo {
     kernels: Map,
     programs: Map,
     baselines: Mutex<HashMap<String, (Arc<Module>, usize)>>,
-    allocations: Mutex<HashMap<AllocKey, Allocated>>,
-    measurements: Mutex<HashMap<MeasKey, Sealed>>,
+    checks: Mutex<HashMap<String, ModuleMemo<Arc<Vec<checker::Diagnostic>>>>>,
+    sims: Mutex<HashMap<(String, MachineConfig), Sims>>,
 }
 
 fn memoized(
@@ -119,40 +142,44 @@ pub struct Allocated {
     /// Live ranges spilled during allocation.
     pub spilled_ranges: usize,
     /// Per-function CCM→heavyweight degradation events.
-    pub degraded: Arc<Vec<ccm::Degradation>>,
+    pub degraded: Vec<ccm::Degradation>,
 }
 
-/// A cached measurement sealed with the digest computed at insert time.
+/// A simulation result sealed with the digest computed at insert time.
+#[derive(Clone, Copy)]
 struct Sealed {
-    m: Measurement,
+    metrics: Metrics,
+    checksum: f64,
     digest: u64,
 }
 
-/// FNV-1a over the measurement's observable fields. Detects any
+/// FNV-1a over a simulation's metrics and checksum. Detects any
 /// corruption of the numbers the tables are built from.
-fn digest(m: &Measurement) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(m.cycles);
-    mix(m.mem_cycles);
-    mix(m.metrics.instrs);
-    mix(m.metrics.ccm_ops);
-    mix(m.checksum.to_bits());
-    mix(u64::from(m.spill_bytes));
-    mix(m.spilled_ranges as u64);
-    mix(m.degraded.len() as u64);
-    for d in &m.degraded {
-        for b in d.function.bytes().chain(d.reason.bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
+fn digest(metrics: &Metrics, checksum: f64) -> u64 {
+    let c = &metrics.cache;
+    [
+        metrics.cycles,
+        metrics.mem_op_cycles,
+        metrics.instrs,
+        metrics.main_mem_ops,
+        metrics.ccm_ops,
+        metrics.spill_stores,
+        metrics.spill_restores,
+        metrics.calls,
+        metrics.max_depth,
+        metrics.stall_cycles,
+        c.hits,
+        c.misses,
+        c.victim_hits,
+        c.buffered_stores,
+        c.evictions,
+        checksum.to_bits(),
+    ]
+    .iter()
+    .flat_map(|x| x.to_le_bytes())
+    .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
 }
 
 impl Run {
@@ -229,15 +256,14 @@ impl Run {
         Ok((Arc::clone(m), *spilled))
     }
 
-    /// Allocates `base` under `variant` at `ccm_size` and runs the
-    /// post-allocation checker, memoized per (unit name, variant, CCM
-    /// size). Kernel and program names are globally unique in the suite,
-    /// so the flat name key cannot collide; `base` must be this run's
-    /// build for `name`.
-    ///
-    /// Every variant starts from the unit's [`Run::baseline_allocation`]:
-    /// `Baseline` shares its module as is, and the CCM variants promote a
-    /// clone of it with [`ccm::promote_allocated`].
+    /// Derives `variant` at `ccm_size` from the unit's
+    /// [`Run::baseline_allocation`] and checks it. `Baseline` shares the
+    /// allocated module as is; the CCM variants promote a clone of it
+    /// with [`ccm::promote_allocated`]. The checker runs once per module
+    /// the unit's [`ModuleMemo`] tells apart, and the module returned is
+    /// the one stored there. Kernel and program names are globally unique
+    /// in the suite, so the flat name key cannot collide; `base` must be
+    /// this run's build for `name`.
     ///
     /// Checker diagnostics are data here, not failure: `--check` reports
     /// error rows rather than skipping them. [`Run::measure_unit`]
@@ -254,10 +280,6 @@ impl Run {
         variant: Variant,
         ccm_size: u32,
     ) -> Result<Allocated, PipelineError> {
-        let key = (name.to_string(), variant, ccm_size);
-        if let Some(a) = lock(&self.memo.allocations).get(&key) {
-            return Ok(a.clone());
-        }
         let at = |e: PipelineError| e.at(variant, ccm_size);
         let (allocated, spilled_ranges) = self.baseline_allocation(name, base).map_err(at)?;
         let (module, degraded) = if variant == Variant::Baseline {
@@ -271,36 +293,44 @@ impl Run {
             .map_err(at)?;
             (Arc::new(m), degraded)
         };
-        let diags = pipeline::check_allocated(&module, ccm_size);
-        let built = Allocated {
+        let stored = lock(&self.memo.checks)
+            .get(name)
+            .and_then(|checks| checks.get(&module, ccm_size))
+            .map(|(m, d)| (Arc::clone(m), Arc::clone(d)));
+        let (module, diags) = stored.unwrap_or_else(|| {
+            let diags = Arc::new(pipeline::check_allocated(&module, ccm_size));
+            let mut map = lock(&self.memo.checks);
+            let checks = map.entry(name.to_string()).or_default();
+            let (m, d) = checks.insert(module, ccm_size, diags);
+            (Arc::clone(m), Arc::clone(d))
+        });
+        Ok(Allocated {
             module,
-            diags: Arc::new(diags),
+            diags,
             spilled_ranges,
-            degraded: Arc::new(degraded),
-        };
-        Ok(lock(&self.memo.allocations)
-            .entry(key)
-            .or_insert(built)
-            .clone())
+            degraded,
+        })
     }
 
     /// Measures suite unit `name` (`base` is this run's build of it)
-    /// under `variant` on `machine`, memoized per (unit name, variant,
-    /// machine): the allocation from [`Run::allocated`], refused if the
-    /// checker found errors, then simulated. The machine key is the whole
-    /// `MachineConfig` compared by value, so distinct cache models,
-    /// latencies, CCM sizes or step budgets never share an entry.
+    /// under `variant` on `machine`: the allocation from
+    /// [`Run::allocated`], refused if the checker found errors, then
+    /// simulated. The simulation is kept in a [`ModuleMemo`] per (unit
+    /// name, `machine` with its CCM size cleared), so distinct cache
+    /// models, latencies or step budgets never share an entry, and an
+    /// equal module under an equal CCM key is simulated once.
     ///
     /// # Errors
     ///
     /// Every stage failure is structured: an allocator panic is
     /// `stage=alloc`, a checker rejection `stage=checker`, and a
     /// simulator trap (unknown global, out-of-bounds access, exhausted
-    /// `--sim-budget`) `stage=sim`. A cached entry whose seal no longer
-    /// matches its contents is evicted and reported as a `stage=cache`
-    /// error (the next call recomputes it). CCM coloring failures are
-    /// *not* errors: the affected function degrades to heavyweight spills
-    /// and the event is recorded in [`Measurement::degraded`].
+    /// `--sim-budget`) `stage=sim`. A stored simulation whose seal no
+    /// longer matches its contents is evicted and reported as a
+    /// `stage=cache` error (the next call recomputes it). CCM coloring
+    /// failures are *not* errors: the affected function degrades to
+    /// heavyweight spills and the event is recorded in
+    /// [`Measurement::degraded`].
     pub fn measure_unit(
         &self,
         name: &str,
@@ -308,36 +338,72 @@ impl Run {
         variant: Variant,
         machine: &MachineConfig,
     ) -> Result<Measurement, PipelineError> {
-        let key = (name.to_string(), variant, machine.clone());
-        {
-            let mut map = lock(&self.memo.measurements);
-            if let Some(sealed) = map.get(&key) {
-                if digest(&sealed.m) == sealed.digest {
-                    return Ok(sealed.m.clone());
-                }
-                // Corrupt entry: evict so the next call recomputes, and
-                // surface the detection as a structured failure.
-                map.remove(&key);
-                return Err(PipelineError::new(
-                    Stage::Cache,
-                    name,
-                    "corrupt cache entry: measurement digest mismatch (entry evicted)",
-                )
-                .at(variant, machine.ccm_size));
-            }
-        }
-        let a = self.allocated(name, base, variant, machine.ccm_size)?;
-        let at = |e: PipelineError| e.at(variant, machine.ccm_size);
+        let ccm_size = machine.ccm_size;
+        let a = self.allocated(name, base, variant, ccm_size)?;
+        let at = |e: PipelineError| e.at(variant, ccm_size);
         if let Some(detail) = checker::error_summary(&a.diags) {
             return Err(at(PipelineError::new(Stage::Checker, name, detail)));
         }
-        let (vals, metrics) = sim::run_module(&a.module, machine.clone(), "main")
-            .map_err(|e| at(PipelineError::new(Stage::Sim, name, e.to_string())))?;
-        let built = Measurement {
+        let key = (
+            name.to_string(),
+            MachineConfig {
+                ccm_size: 0,
+                ..machine.clone()
+            },
+        );
+        let stored = {
+            let mut map = lock(&self.memo.sims);
+            let sims = map.entry(key.clone()).or_default();
+            match sims.runs.get(&a.module, ccm_size).map(|(_, s)| *s) {
+                Some(s) if digest(&s.metrics, s.checksum) == s.digest => {
+                    sims.serve(variant, ccm_size);
+                    Some(s)
+                }
+                Some(_) => {
+                    // Corrupt entry: evict so the next call recomputes,
+                    // and surface the detection as a structured failure.
+                    sims.runs.remove(&a.module, ccm_size);
+                    return Err(at(PipelineError::new(
+                        Stage::Cache,
+                        name,
+                        "corrupt cache entry: measurement digest mismatch (entry evicted)",
+                    )));
+                }
+                None => None,
+            }
+        };
+        let Sealed {
+            metrics, checksum, ..
+        } = match stored {
+            Some(s) => s,
+            None => {
+                let (vals, metrics) = sim::run_module(&a.module, machine.clone(), "main")
+                    .map_err(|e| at(PipelineError::new(Stage::Sim, name, e.to_string())))?;
+                let checksum = vals.floats.first().copied().unwrap_or(f64::NAN);
+                let sealed = Sealed {
+                    metrics,
+                    checksum,
+                    digest: digest(&metrics, checksum),
+                };
+                let mut stored = sealed;
+                if inject::faultpoint!("cache.corrupt_measurement") {
+                    // Flip the stored copy *after* sealing: the caller's
+                    // value is clean, but the next hit must detect the
+                    // mismatch.
+                    stored.metrics.cycles ^= 0xdead_beef;
+                }
+                let mut map = lock(&self.memo.sims);
+                let sims = map.entry(key).or_default();
+                sims.runs.insert(Arc::clone(&a.module), ccm_size, stored);
+                sims.serve(variant, ccm_size);
+                sealed
+            }
+        };
+        Ok(Measurement {
             cycles: metrics.cycles,
             mem_cycles: metrics.mem_op_cycles,
             metrics,
-            checksum: vals.floats.first().copied().unwrap_or(f64::NAN),
+            checksum,
             spill_bytes: a
                 .module
                 .functions
@@ -345,19 +411,18 @@ impl Run {
                 .map(|f| f.frame.spill_bytes())
                 .sum(),
             spilled_ranges: a.spilled_ranges,
-            degraded: (*a.degraded).clone(),
-        };
-        let mut sealed = Sealed {
-            digest: digest(&built),
-            m: built.clone(),
-        };
-        if inject::faultpoint!("cache.corrupt_measurement") {
-            // Flip the stored copy *after* sealing: the caller's value is
-            // clean, but the next hit must detect the mismatch.
-            sealed.m.cycles ^= 0xdead_beef;
-        }
-        lock(&self.memo.measurements).entry(key).or_insert(sealed);
-        Ok(built)
+            degraded: a.degraded,
+        })
+    }
+
+    /// How much simulation [`Run::measure_unit`] has done: the modules it
+    /// checked and simulated, and the distinct (unit, variant, machine)
+    /// configurations they served.
+    pub fn measured(&self) -> (usize, usize) {
+        let map = lock(&self.memo.sims);
+        let runs = map.values().map(|s| s.runs.len()).sum();
+        let configurations = map.values().map(|s| s.served.len()).sum();
+        (runs, configurations)
     }
 }
 
@@ -430,7 +495,7 @@ mod tests {
                     "{v:?} @ {size} B"
                 );
                 assert_eq!(out.spilled_ranges, derived.spilled_ranges);
-                assert_eq!(out.degraded, *derived.degraded);
+                assert_eq!(out.degraded, derived.degraded);
             }
         }
     }
@@ -479,12 +544,25 @@ mod tests {
             .measure_unit(k.name, &base, Variant::PostPass, &machine)
             .unwrap();
         // Corrupt the sealed entry behind the memo's back.
-        let key = (k.name.to_string(), Variant::PostPass, machine.clone());
-        lock(&run.memo.measurements)
-            .get_mut(&key)
-            .expect("entry present")
-            .m
-            .cycles ^= 1;
+        let module = run
+            .allocated(k.name, &base, Variant::PostPass, machine.ccm_size)
+            .unwrap()
+            .module;
+        let key = (
+            k.name.to_string(),
+            MachineConfig {
+                ccm_size: 0,
+                ..machine.clone()
+            },
+        );
+        let mut map = lock(&run.memo.sims);
+        let runs = &mut map.get_mut(&key).expect("entry present").runs;
+        let mut sealed = runs
+            .remove(&module, machine.ccm_size)
+            .expect("entry present");
+        sealed.metrics.cycles ^= 1;
+        runs.insert(module, machine.ccm_size, sealed);
+        drop(map);
         let err = run
             .measure_unit(k.name, &base, Variant::PostPass, &machine)
             .unwrap_err();

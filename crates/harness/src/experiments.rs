@@ -6,7 +6,7 @@
 //! and collects results **by item index** so the output is
 //! byte-identical whatever `--jobs` value ran it. Each takes the
 //! [`Run`]: the worker count, the machine every simulation runs on, the
-//! memo every build, allocation and measurement is read through, and the
+//! memo every build, check and simulation is read through, and the
 //! sink its failures are recorded into.
 
 use std::collections::HashMap;
@@ -17,7 +17,7 @@ use iloc::Module;
 use sim::{CacheConfig, MachineConfig};
 
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::{Measurement, Run};
+use crate::pipeline::{check_allocated, Measurement, Run};
 
 /// Table 1 row: spill-memory compaction for one routine.
 #[derive(Clone, Debug)]
@@ -50,7 +50,8 @@ pub fn table1(run: &Run) -> Vec<CompactionRow> {
         &kernels,
         |k| format!("table1 {}", k.name),
         |k| {
-            let (allocated, _) = run.baseline_allocation(k.name, &run.optimized(k)?)?;
+            let base = run.optimized(k)?;
+            let (allocated, _) = run.baseline_allocation(k.name, &base)?;
             let before: u32 = allocated
                 .functions
                 .iter()
@@ -62,17 +63,32 @@ pub fn table1(run: &Run) -> Vec<CompactionRow> {
             let mut m = (*allocated).clone();
             ccm::compact_module(&mut m);
             let after: u32 = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
-            // Correctness guard: compaction must not change results. The
-            // compacted code makes no CCM accesses; 1024 B is the
-            // default machine's CCM size.
-            let (v, _) = sim::run_module(&m, run.machine(1024), "main").map_err(|e| {
+            // Correctness guard: the compacted module must stay
+            // checker-clean (its `compaction overlap` check included) and
+            // return the baseline's checksum. The compacted code makes no
+            // CCM accesses; 1024 B is the default machine's CCM size.
+            if let Some(detail) = checker::error_summary(&check_allocated(&m, 1024)) {
+                return Err(PipelineError::new(
+                    Stage::Checker,
+                    k.name,
+                    format!("after compaction: {detail}"),
+                ));
+            }
+            let machine = run.machine(1024);
+            let (v, _) = sim::run_module(&m, machine.clone(), "main").map_err(|e| {
                 PipelineError::new(Stage::Sim, k.name, format!("trapped after compaction: {e}"))
             })?;
-            if !v.floats.first().is_some_and(|f| f.is_finite()) {
+            let checksum = v.floats.first().copied().unwrap_or(f64::NAN);
+            let baseline = run.measure_unit(k.name, &base, Variant::Baseline, &machine)?;
+            if checksum.to_bits() != baseline.checksum.to_bits() {
                 return Err(PipelineError::new(
                     Stage::Sim,
                     k.name,
-                    "non-finite checksum after compaction",
+                    format!(
+                        "changed program output after compaction: checksum {checksum} vs \
+                         baseline {}",
+                        baseline.checksum
+                    ),
                 ));
             }
             Ok(Some(CompactionRow {

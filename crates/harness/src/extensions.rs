@@ -8,7 +8,7 @@ use regalloc::AllocConfig;
 use sim::MachineConfig;
 
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::Run;
+use crate::pipeline::{check_allocated, Run};
 
 /// One point on the CCM sizing curve.
 #[derive(Clone, Copy, Debug)]
@@ -112,8 +112,14 @@ const ABLATION_KERNELS: [&str; 5] = ["fpppp", "radf5", "deseco", "urand", "erhs"
 /// allocator (plus compaction) runs after allocation.
 type DesignConfig = (&'static str, opt::OptOptions, AllocConfig, bool);
 
-/// Builds, optimizes, allocates and simulates one ablation kernel under
-/// one configuration. Returns (spilled ranges, spill bytes, cycles).
+/// Builds, optimizes, allocates, checks and simulates one ablation
+/// kernel under one configuration. Returns (spilled ranges, spill bytes,
+/// cycles).
+///
+/// # Errors
+///
+/// A checker rejection (under the configuration's register supply) is a
+/// `stage=checker` error, a simulator trap `stage=sim`.
 fn run_cell(
     (_, opts, alloc, promote): &DesignConfig,
     name: &'static str,
@@ -137,6 +143,10 @@ fn run_cell(
         // Paper, footnote 3: repack the remaining heavyweight slots
         // so the reported spill space is honest.
         ccm::compact_module(&mut m);
+    }
+    let diags = checker::check_module(&m, &checker::CheckerConfig::with_alloc(512, *alloc));
+    if let Some(detail) = checker::error_summary(&diags) {
+        return Err(PipelineError::new(Stage::Checker, name, detail));
     }
     let spill_bytes = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
     let (_, metrics) = sim::run_module(&m, run.machine(512), "main")
@@ -389,9 +399,15 @@ pub fn scheduling_study(run: &Run) -> Vec<SchedRow> {
                 if post_sched {
                     sched::schedule_module(&mut m, 3);
                 }
-                m.verify().map_err(|e| {
-                    PipelineError::new(Stage::Checker, *name, format!("({label}): {e}"))
-                })?;
+                // The checker's default configuration is the study's
+                // register supply.
+                if let Some(detail) = checker::error_summary(&check_allocated(&m, 512)) {
+                    return Err(PipelineError::new(
+                        Stage::Checker,
+                        *name,
+                        format!("({label}): {detail}"),
+                    ));
+                }
                 let (_, metrics) = sim::run_module(&m, machine.clone(), "main").map_err(|e| {
                     PipelineError::new(Stage::Sim, *name, format!("({label}): {e}"))
                 })?;

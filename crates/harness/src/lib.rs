@@ -19,9 +19,10 @@
 //! (`--jobs N`, default: available parallelism), the simulator's step
 //! budget (`--sim-budget N`), the run's memo ([`cache`]) and its failure
 //! sink ([`error`]). Sweep-shaped experiments fan out over the parallel
-//! engine in the `exec` crate and read every build, allocation and
-//! measurement through the memo, so `repro --all` builds and allocates
-//! each unit once instead of once per table. Results are collected by
+//! engine in the `exec` crate and read every build, allocation, check
+//! and simulation through the memo, so `repro --all` builds and
+//! allocates each unit once instead of once per table, and checks and
+//! simulates each distinct module once. Results are collected by
 //! work item index, never by completion order: any `--jobs` value
 //! produces byte-identical output to `--jobs 1`.
 

@@ -265,6 +265,10 @@ fn main() {
         }
     }
 
+    let (runs, configurations) = run.measured();
+    if configurations > 0 {
+        eprintln!("repro: {runs}/{configurations} configurations checked and simulated");
+    }
     // End-of-run aggregation: every structured failure the experiments
     // recorded, sorted (job-count-independent), then the one exit code.
     let errors = run.drain();

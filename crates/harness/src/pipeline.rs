@@ -1,12 +1,13 @@
 //! The run's context and the measurement it produces.
 //!
 //! A [`Run`] is one run of the compile-and-measure pipeline: its two
-//! settings, the memo of builds, allocations and measurements
-//! ([`crate::cache`]) and the failure sink ([`crate::error`]). Every
-//! experiment takes it by reference and reads each measurement of a
-//! suite unit through [`Run::measure_unit`]: one baseline allocation per
-//! unit, [`ccm::promote_allocated`] per variant, the checker, then the
-//! simulator. `repro`, `probe`, each inject-sweep point and each test
+//! settings, the memo of builds, baseline allocations, checks and
+//! simulations ([`crate::cache`]) and the failure sink
+//! ([`crate::error`]). Every experiment takes it by reference and reads
+//! each measurement of a suite unit through [`Run::measure_unit`]: one
+//! baseline allocation per unit, [`ccm::promote_allocated`] per variant,
+//! the checker, then the simulator, each distinct module checked and
+//! simulated once. `repro`, `probe`, each inject-sweep point and each test
 //! build their own, so nothing one of them memoizes or records is seen
 //! by another.
 //!

@@ -48,7 +48,7 @@ pub mod verify;
 
 pub use block::{Block, BlockId};
 pub use func::{FrameInfo, Function, SlotId, SpillKind, SpillSlot};
-pub use module::{Global, Module};
+pub use module::{Global, Module, ModuleMemo};
 pub use op::{CmpKind, FBinKind, IBinKind, Instr, Op};
 pub use parse::{parse_module, ParseError};
 pub use reg::{Reg, RegClass, FIRST_VREG};

@@ -1,6 +1,7 @@
 //! Modules: a set of functions plus global data.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::func::Function;
 use crate::verify::{verify_module, VerifyError};
@@ -145,6 +146,79 @@ impl Module {
     }
 }
 
+/// Values kept per module and the CCM size it depends on: the one rule
+/// for when a check or a simulation of an allocated module can be reused.
+///
+/// Two lookups share an entry when their modules are equal and their CCM
+/// keys are equal. The CCM key is the CCM size if the module
+/// [`uses_ccm`](Module::uses_ccm), and one "no CCM" key otherwise.
+/// Checking and simulating read the CCM size only through CCM ops and
+/// `in_ccm` slots, and ignore the virtual-register counter that module
+/// equality skips, so an equal module under an equal key gets the same
+/// diagnostics and the same run. Modules are held by [`Arc`], never
+/// copied. A lookup scans the entries, which suits the few distinct
+/// modules one unit or one fuzz case derives.
+#[derive(Debug)]
+pub struct ModuleMemo<V> {
+    entries: Vec<(Option<u32>, Arc<Module>, V)>,
+}
+
+impl<V> Default for ModuleMemo<V> {
+    fn default() -> ModuleMemo<V> {
+        ModuleMemo {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<V> ModuleMemo<V> {
+    /// The index of the entry for `m` at a `ccm_size`-byte CCM or, when
+    /// there is none, the CCM key to store `m` under.
+    fn position(&self, m: &Module, ccm_size: u32) -> Result<usize, Option<u32>> {
+        let key = m.uses_ccm().then_some(ccm_size);
+        self.entries
+            .iter()
+            .position(|(k, e, _)| *k == key && (std::ptr::eq(&**e, m) || **e == *m))
+            .ok_or(key)
+    }
+
+    /// The stored module equal to `m` and its value, if one was stored
+    /// under `m`'s key at a `ccm_size`-byte CCM.
+    pub fn get(&self, m: &Module, ccm_size: u32) -> Option<(&Arc<Module>, &V)> {
+        let (_, e, v) = &self.entries[self.position(m, ccm_size).ok()?];
+        Some((e, v))
+    }
+
+    /// Stores `v` for `m` at a `ccm_size`-byte CCM unless an equal module
+    /// is already stored under the same key, and returns the stored
+    /// module and value either way: the first insert wins.
+    pub fn insert(&mut self, m: Arc<Module>, ccm_size: u32, v: V) -> (&Arc<Module>, &V) {
+        let i = self.position(&m, ccm_size).unwrap_or_else(|key| {
+            self.entries.push((key, m, v));
+            self.entries.len() - 1
+        });
+        let (_, e, v) = &self.entries[i];
+        (e, v)
+    }
+
+    /// Removes and returns the value stored for `m` at a `ccm_size`-byte
+    /// CCM.
+    pub fn remove(&mut self, m: &Module, ccm_size: u32) -> Option<V> {
+        let i = self.position(m, ccm_size).ok()?;
+        Some(self.entries.remove(i).2)
+    }
+
+    /// Number of stored entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing is stored.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,6 +264,34 @@ mod tests {
                 off: 0,
             }));
         assert!(op_only.uses_ccm(), "a CCM op and no CCM slot");
+    }
+
+    #[test]
+    fn module_memo_keys_on_equality_and_the_ccm_size_a_module_uses() {
+        let mut plain = Module::new();
+        plain.push_function(Function::new("main"));
+        let mut ccm = plain.clone();
+        let slot = ccm.functions[0].frame.new_slot(crate::RegClass::Gpr);
+        ccm.functions[0].frame.slot_mut(slot).in_ccm = true;
+
+        let mut memo = ModuleMemo::default();
+        let (stored, _) = memo.insert(Arc::new(plain.clone()), 512, "plain");
+        let stored = Arc::clone(stored);
+        // A module without CCM use shares its entry at every size, and an
+        // equal copy finds the stored `Arc`.
+        let (hit, v) = memo.get(&plain, 1024).expect("no CCM key");
+        assert!(Arc::ptr_eq(hit, &stored));
+        assert_eq!(*v, "plain");
+        // The first insert wins.
+        assert_eq!(*memo.insert(Arc::new(plain), 64, "again").1, "plain");
+        // A module that uses the CCM is keyed by its size.
+        memo.insert(Arc::new(ccm.clone()), 512, "ccm@512");
+        assert_eq!(memo.get(&ccm, 512).map(|(_, v)| *v), Some("ccm@512"));
+        assert!(memo.get(&ccm, 1024).is_none());
+        assert_eq!(memo.len(), 2);
+        assert_eq!(memo.remove(&ccm, 512), Some("ccm@512"));
+        assert!(memo.get(&ccm, 512).is_none());
+        assert_eq!(memo.len(), 1);
     }
 
     #[test]
