@@ -76,6 +76,16 @@ echo "== optimizer golden: cargo test -q --release --test opt_golden"
 # release mode, where the tables only show what reaches the allocator.
 cargo test -q --release --test opt_golden
 
+echo "== ALU semantics: cargo test -q --release --test alu_semantics"
+# Every integer, float, compare and conversion op on an edge-case grid
+# (32-bit bounds, shift counts around 32, immediates past 32 bits, NaN,
+# signed zeros, infinities), built so SCCP folds it, peephole rewrites
+# it, and LICM may hoist it out of a guarded loop path: the raw and the
+# optimized module (default options and LICM) must return the same
+# values or trap alike, here with the host's float and integer code
+# compiled as repro runs it.
+cargo test -q --release --test alu_semantics
+
 echo "== simulator budget equivalence: cargo test -q --release -p sim block_slices"
 # The block-slice interpreter against its per-instruction reference path
 # (`Machine::step_by_step`, compiled only into the sim crate's tests):

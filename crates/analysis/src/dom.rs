@@ -122,19 +122,6 @@ impl Dominators {
         &self.rpo
     }
 
-    /// Preorder walk of the dominator tree from the entry block.
-    pub fn dom_tree_preorder(&self, entry: BlockId) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        let mut stack = vec![entry];
-        while let Some(b) = stack.pop() {
-            out.push(b);
-            for &c in self.children(b).iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
-    }
-
     /// Computes the dominance frontier of every block (Cytron's
     /// definition), used for φ-placement in SSA construction.
     pub fn dominance_frontiers(&self, f: &Function) -> Vec<Vec<BlockId>> {
@@ -275,14 +262,5 @@ mod tests {
         assert_eq!(dom.idom(dead), None);
         assert!(!dom.is_reachable(dead));
         assert!(!dom.dominates(f.entry(), dead));
-    }
-
-    #[test]
-    fn dom_tree_preorder_starts_at_entry() {
-        let (f, [entry, ..]) = diamond();
-        let dom = Dominators::compute(&f);
-        let pre = dom.dom_tree_preorder(entry);
-        assert_eq!(pre[0], entry);
-        assert_eq!(pre.len(), 5);
     }
 }

@@ -196,19 +196,11 @@ fn measure_row(
     })
 }
 
-/// Runs the Table 2 experiment at the given CCM size over every kernel
-/// that spills: absolute baseline cycles plus relative cycle counts for
-/// the three CCM allocation methods.
-pub fn speedup_rows(ccm_size: u32, run: &Run) -> Vec<SpeedupRow> {
-    speedup_rows_multi(&[ccm_size], run)
-        .pop()
-        .expect("one size requested")
-}
-
-/// Runs [`speedup_rows`] for several CCM sizes as one flat work-item pool
-/// (kernel × size), returning one row vector per requested size with
-/// kernels in suite order. This is how `table3` and the CSV export get
-/// both sizes measured concurrently instead of as two serial sweeps.
+/// Runs the Tables 2–4 experiment at each of `sizes` (CCM bytes) over
+/// every kernel that spills: absolute baseline cycles plus relative cycle
+/// counts for the three CCM allocation methods. One flat work-item pool
+/// (kernel × size) serves every size, and the result holds one row vector
+/// per requested size, kernels in suite order.
 pub fn speedup_rows_multi(sizes: &[u32], run: &Run) -> Vec<Vec<SpeedupRow>> {
     let kernels = suite::kernels();
     let mut items: Vec<(usize, u32, suite::Kernel)> = Vec::new();
@@ -277,14 +269,11 @@ pub fn improved_names(r512: &[SpeedupRow], r1024: &[SpeedupRow]) -> Result<Vec<S
     Ok(improved)
 }
 
-/// Table 3: kernels whose best CCM-variant cycle count improves when the
-/// CCM grows from 512 to 1024 bytes. Returns `(rows512, rows1024,
-/// improved_names)`.
-pub fn table3(run: &Run) -> (Vec<SpeedupRow>, Vec<SpeedupRow>, Vec<String>) {
-    let mut sized = speedup_rows_multi(&[512, 1024], run);
-    let r1024 = sized.pop().expect("two sizes");
-    let r512 = sized.pop().expect("two sizes");
-    let improved = improved_names(&r512, &r1024).unwrap_or_else(|e| {
+/// Table 3: the kernels whose best CCM-variant cycle count improves when
+/// the CCM grows from 512 to 1024 bytes ([`improved_names`]). A pairing
+/// ambiguity is recorded in `run` and names no kernel.
+pub fn table3(r512: &[SpeedupRow], r1024: &[SpeedupRow], run: &Run) -> Vec<String> {
+    improved_names(r512, r1024).unwrap_or_else(|e| {
         // A pairing ambiguity poisons only the "improved" summary; the
         // per-size row sets are still reported.
         run.record(PipelineError::new(
@@ -293,8 +282,7 @@ pub fn table3(run: &Run) -> (Vec<SpeedupRow>, Vec<SpeedupRow>, Vec<String>) {
             format!("row pairing: {e}"),
         ));
         Vec::new()
-    });
-    (r512, r1024, improved)
+    })
 }
 
 /// Table 4 cell: weighted-average percentage reductions for one
@@ -598,7 +586,7 @@ mod tests {
 
     #[test]
     fn speedups_have_paper_shape_at_512() {
-        let rows = speedup_rows(512, &Run::default());
+        let rows = speedup_rows_multi(&[512], &Run::default()).remove(0);
         assert!(rows.len() >= 10);
         // No CCM variant may ever be slower than baseline.
         for r in &rows {

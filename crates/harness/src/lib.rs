@@ -4,7 +4,7 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! * [`experiments::table1`] — spill-memory compaction (Table 1);
-//! * [`experiments::speedup_rows`] — per-routine speedups (Tables 2/3);
+//! * [`experiments::speedup_rows_multi`] — per-routine speedups (Tables 2/3);
 //! * [`experiments::table4_from`] — weighted averages (Table 4);
 //! * [`experiments::figure`] — whole-program results (Figures 3/4);
 //! * [`experiments::ablation`] — §4.3 memory-hierarchy ablation;
@@ -39,8 +39,8 @@ pub use ccm::Variant;
 pub use csv::export_all;
 pub use error::{PipelineError, Stage};
 pub use experiments::{
-    ablation, check_suite, figure, improved_names, speedup_rows, speedup_rows_multi, table1,
-    table3, table4_from, AblationRow, CheckRow, CompactionRow, ProgramRow, SpeedupRow, Table4Cell,
+    ablation, check_suite, figure, improved_names, speedup_rows_multi, table1, table3, table4_from,
+    AblationRow, CheckRow, CompactionRow, ProgramRow, SpeedupRow, Table4Cell,
 };
 pub use extensions::{
     ccm_sweep, design_ablation, multitask_study, render_design, render_multitask, render_sched,

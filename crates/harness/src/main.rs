@@ -173,17 +173,26 @@ fn main() {
         let rows = exec::timed("repro", "table1", jobs, || harness::table1(run));
         println!("{}", report::render_table1(&rows));
     }
-    if o.table2 {
-        let rows = exec::timed("repro", "table2", jobs, || harness::speedup_rows(512, run));
-        println!("{}", report::render_table2(&rows, 512));
-    }
-    if o.table3 || o.table4 {
-        let (r512, r1024, improved) = exec::timed("repro", "table3", jobs, || harness::table3(run));
+    if o.table2 || o.table3 || o.table4 {
+        // One sweep serves Tables 2–4: 512 B, plus 1024 B for Tables 3/4.
+        let sizes: &[u32] = if o.table3 || o.table4 {
+            &[512, 1024]
+        } else {
+            &[512]
+        };
+        let rows = exec::timed("repro", "speedups", jobs, || {
+            harness::speedup_rows_multi(sizes, run)
+        });
+        let r512 = &rows[0];
+        if o.table2 {
+            println!("{}", report::render_table2(r512, 512));
+        }
         if o.table3 {
-            println!("{}", report::render_table3(&r512, &r1024, &improved));
+            let improved = harness::table3(r512, &rows[1], run);
+            println!("{}", report::render_table3(r512, &rows[1], &improved));
         }
         if o.table4 {
-            println!("{}", report::render_table4(&r512, &r1024));
+            println!("{}", report::render_table4(r512, &rows[1]));
         }
     }
     if o.figure3 {

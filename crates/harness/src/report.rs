@@ -49,6 +49,31 @@ pub fn render_table1(rows: &[CompactionRow]) -> String {
     s
 }
 
+/// Writes the column header of Tables 2 and 3.
+fn speedup_header(s: &mut String) {
+    let _ = writeln!(
+        s,
+        "{:<12} {:>24} {:>13} {:>13} {:>13}",
+        "Routine", "Without CCM", "Post-Pass", "PP w/ CG", "Integrated"
+    );
+}
+
+/// Writes one row of Table 2 or 3: absolute baseline cycles, then each
+/// CCM variant's cycles relative to it.
+fn speedup_line(s: &mut String, r: &SpeedupRow) {
+    let base = format!("{}({})", r.baseline.cycles, r.baseline.mem_cycles);
+    let cell = |m: &crate::pipeline::Measurement| format!("{:.2}({:.2})", r.rel(m), r.rel_mem(m));
+    let _ = writeln!(
+        s,
+        "{:<12} {:>24} {:>13} {:>13} {:>13}",
+        r.name,
+        base,
+        cell(&r.postpass),
+        cell(&r.postpass_cg),
+        cell(&r.integrated)
+    );
+}
+
 /// Renders Table 2 (speedups at one CCM size).
 pub fn render_table2(rows: &[SpeedupRow], ccm: u32) -> String {
     let mut s = String::new();
@@ -56,56 +81,24 @@ pub fn render_table2(rows: &[SpeedupRow], ccm: u32) -> String {
         s,
         "Table 2: Speedups in dynamic cycle counts with {ccm}-byte CCM"
     );
-    let _ = writeln!(
-        s,
-        "{:<12} {:>24} {:>13} {:>13} {:>13}",
-        "Routine", "Without CCM", "Post-Pass", "PP w/ CG", "Integrated"
-    );
+    speedup_header(&mut s);
     for r in rows {
-        let base = format!("{}({})", r.baseline.cycles, r.baseline.mem_cycles);
-        let cell =
-            |m: &crate::pipeline::Measurement| format!("{:.2}({:.2})", r.rel(m), r.rel_mem(m));
-        let _ = writeln!(
-            s,
-            "{:<12} {:>24} {:>13} {:>13} {:>13}",
-            r.name,
-            base,
-            cell(&r.postpass),
-            cell(&r.postpass_cg),
-            cell(&r.integrated)
-        );
+        speedup_line(&mut s, r);
     }
     s
 }
 
-/// Renders Table 3 (routines that improve when the CCM doubles).
+/// Renders Table 3 (routines that improve when the CCM doubles): the
+/// 1024-byte rows of the routines named in `improved`.
 pub fn render_table3(r512: &[SpeedupRow], r1024: &[SpeedupRow], improved: &[String]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
         "Table 3: Changes in speedups with a 1024-byte CCM (vs 512-byte)"
     );
-    let _ = writeln!(
-        s,
-        "{:<12} {:>24} {:>13} {:>13} {:>13}",
-        "Routine", "Without CCM", "Post-Pass", "PP w/ CG", "Integrated"
-    );
-    for (a, b) in r512.iter().zip(r1024) {
-        if !improved.contains(&a.name) {
-            continue;
-        }
-        let base = format!("{}({})", b.baseline.cycles, b.baseline.mem_cycles);
-        let cell =
-            |m: &crate::pipeline::Measurement| format!("{:.2}({:.2})", b.rel(m), b.rel_mem(m));
-        let _ = writeln!(
-            s,
-            "{:<12} {:>24} {:>13} {:>13} {:>13}",
-            b.name,
-            base,
-            cell(&b.postpass),
-            cell(&b.postpass_cg),
-            cell(&b.integrated)
-        );
+    speedup_header(&mut s);
+    for r in r1024.iter().filter(|r| improved.contains(&r.name)) {
+        speedup_line(&mut s, r);
     }
     let _ = writeln!(
         s,

@@ -13,6 +13,11 @@
 //!   comparisons, main-memory loads/stores, **compiler-controlled-memory
 //!   (CCM) `spill`/`restore` operations in a disjoint address space**,
 //!   control flow, calls, and SSA φ-nodes;
+//! * the machine's ALU rule, next to the op kinds it defines
+//!   ([`IBinKind::eval`], [`FBinKind::eval`], [`CmpKind::eval`],
+//!   [`read_imm`], [`f2i`]): the one definition of what an arithmetic,
+//!   compare or conversion op computes, which the simulator executes and
+//!   the optimizer folds through;
 //! * functions as explicit control-flow graphs ([`Function`], [`Block`]);
 //! * a fluent [`builder::FuncBuilder`] for constructing programs, a textual
 //!   [`parse`]r and printer that round-trip, and a [`verify`]er.
@@ -49,7 +54,7 @@ pub mod verify;
 pub use block::{Block, BlockId};
 pub use func::{FrameInfo, Function, SlotId, SpillKind, SpillSlot};
 pub use module::{Global, Module, ModuleMemo};
-pub use op::{CmpKind, FBinKind, IBinKind, Instr, Op};
+pub use op::{f2i, read_imm, CmpKind, FBinKind, IBinKind, Instr, Op};
 pub use parse::{parse_module, ParseError};
 pub use reg::{Reg, RegClass, FIRST_VREG};
 pub use verify::{verify_function, verify_module, VerifyError};

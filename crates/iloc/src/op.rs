@@ -1,4 +1,10 @@
-//! Instructions and opcodes.
+//! Instructions and opcodes, and the machine's ALU rule.
+//!
+//! The ALU rule is what an arithmetic, compare or conversion instruction
+//! computes: [`IBinKind::eval`], [`FBinKind::eval`], [`CmpKind::eval`],
+//! [`read_imm`] and [`f2i`]. The simulator executes through these
+//! functions and the optimizer folds through them, so an optimized
+//! program computes what the machine computes by construction.
 
 use crate::block::BlockId;
 use crate::func::{SlotId, SpillKind};
@@ -54,6 +60,31 @@ impl IBinKind {
         )
     }
 
+    /// The machine's `a KIND b`, or `None` where it traps (a `div` or
+    /// `rem` by zero). General-purpose registers hold 32-bit signed values
+    /// (Fortran `INTEGER`), kept sign-extended in 64 bits: both operands
+    /// are read as their low 32 bits, the result wraps to 32 bits and is
+    /// sign-extended, and shift counts are taken mod 32. An immediate
+    /// operand is read the same way ([`read_imm`]).
+    #[inline]
+    pub fn eval(self, a: i64, b: i64) -> Option<i64> {
+        let (a, b) = (a as i32, b as i32);
+        let r = match self {
+            IBinKind::Add => a.wrapping_add(b),
+            IBinKind::Sub => a.wrapping_sub(b),
+            IBinKind::Mult => a.wrapping_mul(b),
+            IBinKind::Div | IBinKind::Rem if b == 0 => return None,
+            IBinKind::Div => a.wrapping_div(b),
+            IBinKind::Rem => a.wrapping_rem(b),
+            IBinKind::And => a & b,
+            IBinKind::Or => a | b,
+            IBinKind::Xor => a ^ b,
+            IBinKind::Shl => a.wrapping_shl(b as u32),
+            IBinKind::Shr => a.wrapping_shr(b as u32),
+        };
+        Some(i64::from(r))
+    }
+
     /// All kinds, for exhaustive testing.
     pub const ALL: [IBinKind; 10] = [
         IBinKind::Add,
@@ -96,6 +127,17 @@ impl FBinKind {
     /// Whether the operation is commutative.
     pub fn is_commutative(self) -> bool {
         matches!(self, FBinKind::Add | FBinKind::Mult)
+    }
+
+    /// The machine's `a KIND b`: IEEE-754 double precision, never a trap.
+    #[inline]
+    pub fn eval(self, a: f64, b: f64) -> f64 {
+        match self {
+            FBinKind::Add => a + b,
+            FBinKind::Sub => a - b,
+            FBinKind::Mult => a * b,
+            FBinKind::Div => a / b,
+        }
     }
 
     /// All kinds, for exhaustive testing.
@@ -144,16 +186,19 @@ impl CmpKind {
         }
     }
 
-    /// The logically negated comparison (`!(a < b)` ⇔ `a >= b`).
-    pub fn negated(self) -> CmpKind {
-        match self {
-            CmpKind::Lt => CmpKind::Ge,
-            CmpKind::Le => CmpKind::Gt,
-            CmpKind::Gt => CmpKind::Le,
-            CmpKind::Ge => CmpKind::Lt,
-            CmpKind::Eq => CmpKind::Ne,
-            CmpKind::Ne => CmpKind::Eq,
-        }
+    /// The 0/1 the machine writes for `a KIND b`, for either register
+    /// class: integers compare as the signed values they hold, floats by
+    /// IEEE-754 (every compare with a NaN is false except `ne`).
+    #[inline]
+    pub fn eval<T: PartialOrd>(self, a: T, b: T) -> i64 {
+        i64::from(match self {
+            CmpKind::Lt => a < b,
+            CmpKind::Le => a <= b,
+            CmpKind::Gt => a > b,
+            CmpKind::Ge => a >= b,
+            CmpKind::Eq => a == b,
+            CmpKind::Ne => a != b,
+        })
     }
 
     /// All kinds, for exhaustive testing.
@@ -165,6 +210,20 @@ impl CmpKind {
         CmpKind::Eq,
         CmpKind::Ne,
     ];
+}
+
+/// The value the machine reads from an integer immediate (`loadI` and
+/// every `…I` form): its low 32 bits, sign-extended.
+#[inline]
+pub fn read_imm(imm: i64) -> i64 {
+    i64::from(imm as i32)
+}
+
+/// The machine's `f2i`: truncation toward zero, saturating at the 32-bit
+/// range, with NaN converting to 0.
+#[inline]
+pub fn f2i(x: f64) -> i64 {
+    i64::from(x as i32)
 }
 
 /// An ILOC operation.
@@ -312,22 +371,15 @@ impl Op {
         )
     }
 
-    /// Whether this is a register-to-register copy of either class.
-    pub fn is_copy(&self) -> bool {
-        matches!(self, Op::I2I { .. } | Op::F2F { .. })
-    }
-
-    /// Whether this is a memory *read* (main memory or CCM).
-    pub fn is_load(&self) -> bool {
-        matches!(
-            self,
-            Op::Load { .. }
-                | Op::LoadAI { .. }
-                | Op::FLoad { .. }
-                | Op::FLoadAI { .. }
-                | Op::CcmLoad { .. }
-                | Op::CcmFLoad { .. }
-        )
+    /// Whether this is an arithmetic op that traps for some register
+    /// values under [`IBinKind::eval`]: a register `div`/`rem`, or one
+    /// whose immediate reads as 0.
+    pub fn alu_may_trap(&self) -> bool {
+        match *self {
+            Op::IBin { kind, .. } => kind.eval(1, 0).is_none(),
+            Op::IBinI { kind, imm, .. } => kind.eval(1, imm).is_none(),
+            _ => false,
+        }
     }
 
     /// Whether this is a memory *write* (main memory or CCM).
@@ -657,7 +709,7 @@ mod tests {
         assert!(!s.is_main_memory_op());
         assert!(!l.is_main_memory_op());
         assert!(s.is_ccm_op() && l.is_ccm_op());
-        assert!(s.is_store() && l.is_load());
+        assert!(s.is_store() && !l.is_store());
     }
 
     #[test]
@@ -668,7 +720,6 @@ mod tests {
             dst: Reg::fpr(64),
         };
         assert!(op.is_main_memory_op());
-        assert!(op.is_load());
         assert!(!op.is_store());
     }
 
@@ -686,14 +737,96 @@ mod tests {
     }
 
     #[test]
-    fn cmp_swapped_negated() {
+    fn cmp_swapped() {
         for k in CmpKind::ALL {
-            // Swapping twice and negating twice are identities.
             assert_eq!(k.swapped().swapped(), k);
-            assert_eq!(k.negated().negated(), k);
+            for (a, b) in [(1, 2), (2, 1), (3, 3)] {
+                assert_eq!(k.swapped().eval(b, a), k.eval(a, b));
+            }
         }
         assert_eq!(CmpKind::Lt.swapped(), CmpKind::Gt);
-        assert_eq!(CmpKind::Lt.negated(), CmpKind::Ge);
+    }
+
+    #[test]
+    fn alu_rule_edge_cases() {
+        use IBinKind::*;
+        let min = i64::from(i32::MIN);
+        // Operands are read as their low 32 bits; results wrap to 32.
+        assert_eq!(Add.eval(i64::from(i32::MAX), 1), Some(min));
+        assert_eq!(Sub.eval(min, 1), Some(i64::from(i32::MAX)));
+        assert_eq!(Mult.eval(3, 1 << 32), Some(0));
+        assert_eq!(Mult.eval(3, (1 << 32) + 3), Some(9));
+        assert_eq!(Mult.eval(1 << 16, 1 << 16), Some(0));
+        assert_eq!(Add.eval(-(1 << 33), 5), Some(5));
+        // Division truncates, wraps on MIN / -1, and traps on a zero
+        // divisor, including one that only reads as zero.
+        assert_eq!(Div.eval(-7, 2), Some(-3));
+        assert_eq!(Rem.eval(-7, 2), Some(-1));
+        assert_eq!(Div.eval(min, -1), Some(min));
+        assert_eq!(Rem.eval(min, -1), Some(0));
+        assert_eq!(Div.eval(1, 0), None);
+        assert_eq!(Rem.eval(1, 1 << 32), None);
+        // Shift counts are taken mod 32; right shifts are arithmetic.
+        assert_eq!(Shl.eval(3, 32), Some(3));
+        assert_eq!(Shl.eval(3, 33), Some(6));
+        assert_eq!(Shl.eval(1, 31), Some(min));
+        assert_eq!(Shr.eval(min, 31), Some(-1));
+        assert_eq!(Shr.eval(-8, -1), Some(-1));
+        assert_eq!(And.eval(-1, 0xff), Some(0xff));
+        assert_eq!(Or.eval(0, min), Some(min));
+        assert_eq!(Xor.eval(-1, 0), Some(-1));
+        // Immediates and f2i.
+        assert_eq!(read_imm(1 << 31), min);
+        assert_eq!(read_imm((1 << 32) + 3), 3);
+        assert_eq!(read_imm(-1), -1);
+        assert_eq!(f2i(-2.9), -2);
+        assert_eq!(f2i(1e10), i64::from(i32::MAX));
+        assert_eq!(f2i(f64::NEG_INFINITY), min);
+        assert_eq!(f2i(f64::NAN), 0);
+        // Floats: IEEE-754, no trap.
+        assert_eq!(FBinKind::Div.eval(1.0, -0.0), f64::NEG_INFINITY);
+        assert!(FBinKind::Sub.eval(f64::INFINITY, f64::INFINITY).is_nan());
+        assert_eq!(
+            FBinKind::Mult.eval(-0.0, 5.0).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        // Compares: every NaN compare is false except `ne`; -0.0 == 0.0.
+        for k in CmpKind::ALL {
+            assert_eq!(k.eval(f64::NAN, f64::NAN), i64::from(k == CmpKind::Ne));
+        }
+        assert_eq!(CmpKind::Eq.eval(-0.0, 0.0), 1);
+        assert_eq!(CmpKind::Lt.eval(min, 0), 1);
+        assert_eq!(CmpKind::Ge.eval(-1, 1), 0);
+    }
+
+    #[test]
+    fn only_a_zero_divisor_traps() {
+        let (lhs, dst) = (r(64), r(65));
+        for kind in IBinKind::ALL {
+            let divides = matches!(kind, IBinKind::Div | IBinKind::Rem);
+            let reg = Op::IBin {
+                kind,
+                lhs,
+                rhs: r(66),
+                dst,
+            };
+            assert_eq!(reg.alu_may_trap(), divides);
+            for (imm, zero) in [
+                (0, true),
+                (1 << 32, true),
+                (1, false),
+                ((1 << 32) + 1, false),
+            ] {
+                let op = Op::IBinI {
+                    kind,
+                    lhs,
+                    imm,
+                    dst,
+                };
+                assert_eq!(op.alu_may_trap(), divides && zero, "{op:?}");
+            }
+        }
+        assert!(!Op::F2I { src: r(64), dst }.alu_may_trap());
     }
 
     #[test]
@@ -710,20 +843,6 @@ mod tests {
         let ret = Op::Ret { vals: vec![] };
         assert!(ret.is_terminator());
         assert!(ret.successors().is_empty());
-    }
-
-    #[test]
-    fn copies_are_recognized() {
-        assert!(Op::I2I {
-            src: r(64),
-            dst: r(65)
-        }
-        .is_copy());
-        assert!(!Op::I2F {
-            src: r(64),
-            dst: Reg::fpr(64)
-        }
-        .is_copy());
     }
 
     #[test]

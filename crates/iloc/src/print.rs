@@ -247,54 +247,3 @@ mod tests {
         assert_eq!(g.to_string(), "global g 4 = 01000000");
     }
 }
-
-/// Renders the function's control-flow graph in Graphviz DOT format, one
-/// node per basic block (label plus instruction count), for debugging and
-/// documentation.
-pub fn to_dot(f: &Function) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "digraph \"{}\" {{", f.name);
-    let _ = writeln!(s, "  node [shape=box, fontname=\"monospace\"];");
-    for (i, b) in f.blocks.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "  B{} [label=\"{}\\n{} instrs\"];",
-            i,
-            b.label,
-            b.instrs.len()
-        );
-    }
-    for id in f.block_ids() {
-        for t in f.successors(id) {
-            let _ = writeln!(s, "  B{} -> B{};", id.index(), t.index());
-        }
-    }
-    let _ = writeln!(s, "}}");
-    s
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use crate::builder::FuncBuilder;
-
-    #[test]
-    fn dot_contains_nodes_and_edges() {
-        let mut fb = FuncBuilder::new("f");
-        let cond = fb.loadi(1);
-        let a = fb.block("then_side");
-        let b = fb.block("else_side");
-        fb.cbr(cond, a, b);
-        fb.switch_to(a);
-        fb.ret(&[]);
-        fb.switch_to(b);
-        fb.ret(&[]);
-        let f = fb.finish();
-        let dot = super::to_dot(&f);
-        assert!(dot.starts_with("digraph \"f\""));
-        assert!(dot.contains("then_side"));
-        assert!(dot.contains("B0 -> B1;"));
-        assert!(dot.contains("B0 -> B2;"));
-        assert!(dot.ends_with("}\n"));
-    }
-}

@@ -51,7 +51,9 @@ pub fn licm(f: &mut Function) -> usize {
 }
 
 /// Whether an op may be hoisted: pure (no side effects, no memory reads —
-/// loads are unsafe to hoist without alias analysis) and not control flow.
+/// loads are unsafe to hoist without alias analysis), not control flow,
+/// and unable to trap ([`Op::alu_may_trap`]): a division guarded inside
+/// the loop must not run unguarded in the preheader.
 fn hoistable(op: &Op) -> bool {
     matches!(
         op,
@@ -67,7 +69,7 @@ fn hoistable(op: &Op) -> bool {
             | Op::F2F { .. }
             | Op::I2F { .. }
             | Op::F2I { .. }
-    ) && !matches!(op, Op::IBin { kind, .. } if matches!(kind, iloc::IBinKind::Div | iloc::IBinKind::Rem))
+    ) && !op.alu_may_trap()
 }
 
 fn hoist_one_loop(

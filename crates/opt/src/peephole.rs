@@ -3,7 +3,9 @@
 //! Block-local rewrites: algebraic identities (`x+0`, `x*1`, `x*0`),
 //! strength reduction (`x * 2ᵏ` → shift), and conversion of
 //! register-register arithmetic to immediate forms when one operand is a
-//! block-local constant.
+//! block-local constant. Constants and immediates are read as the machine
+//! reads them ([`iloc::read_imm`]), so `multI x, 4294967296` multiplies
+//! by 0, not by 2³².
 
 use std::collections::HashMap;
 
@@ -22,7 +24,7 @@ pub fn peephole(f: &mut Function) -> usize {
 
             match &op {
                 Op::LoadI { imm, dst } => {
-                    consts.insert(*dst, *imm);
+                    consts.insert(*dst, iloc::read_imm(*imm));
                 }
                 Op::IBin {
                     kind,
@@ -57,18 +59,6 @@ pub fn peephole(f: &mut Function) -> usize {
                     dst,
                 } => {
                     new_op = simplify_ibini(*kind, *lhs, *imm, *dst);
-                }
-                Op::FBin {
-                    kind: iloc::FBinKind::Mult,
-                    lhs,
-                    rhs,
-                    dst,
-                } => {
-                    // x * 1.0 → copy (exact for all finite and NaN inputs).
-                    // We cannot see float constants here without tracking
-                    // them; handled in the match arm below via consts? No:
-                    // float constants are tracked separately.
-                    let _ = (lhs, rhs, dst);
                 }
                 _ => {}
             }
@@ -109,9 +99,11 @@ pub fn peephole(f: &mut Function) -> usize {
     changed
 }
 
-/// Simplifies `lhs KIND imm => dst`, or returns `None` to keep it.
+/// Simplifies `lhs KIND imm => dst`, or returns `None` to keep it. The
+/// identities hold for the value the machine reads from `imm`
+/// ([`iloc::read_imm`]), not for its raw 64 bits.
 fn simplify_ibini(kind: IBinKind, lhs: Reg, imm: i64, dst: Reg) -> Option<Op> {
-    match (kind, imm) {
+    match (kind, iloc::read_imm(imm)) {
         (IBinKind::Add, 0)
         | (IBinKind::Sub, 0)
         | (IBinKind::Mult, 1)

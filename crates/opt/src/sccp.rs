@@ -6,6 +6,12 @@
 //! Afterwards, constant-valued instructions are rewritten to `loadI` /
 //! `loadF` and conditional branches on known conditions become jumps.
 //!
+//! Constants are folded by the machine's own ALU rule
+//! ([`iloc::IBinKind::eval`] and its siblings in [`iloc::op`]), the
+//! functions the simulator executes: a folded value is the value the
+//! unoptimized program computes, and an op that would trap (a division
+//! by zero) is left varying.
+//!
 //! All state is dense: the lattice is an [`analysis::RegMap`], use sites
 //! come from the compressed rows of [`analysis::DefUse`], executable
 //! edges are two flags per block (one per successor slot of its
@@ -18,7 +24,7 @@
 use std::collections::VecDeque;
 
 use analysis::RegMap;
-use iloc::{BlockId, CmpKind, FBinKind, Function, IBinKind, Op, Reg};
+use iloc::{BlockId, Function, Op, Reg};
 
 /// A lattice value.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -43,70 +49,6 @@ impl Lattice {
             _ => Bottom,
         }
     }
-}
-
-/// Evaluates an integer binary op on constants; `None` means the result
-/// must be treated as varying (e.g., division by zero traps at run time).
-fn eval_ibin(kind: IBinKind, a: i64, b: i64) -> Option<i64> {
-    // Mirror the machine's 32-bit integer semantics exactly (see
-    // `sim::machine`): results wrap to 32 bits, kept sign-extended.
-    let (a, b) = (a as i32, b as i32);
-    let r: i32 = match kind {
-        IBinKind::Add => a.wrapping_add(b),
-        IBinKind::Sub => a.wrapping_sub(b),
-        IBinKind::Mult => a.wrapping_mul(b),
-        IBinKind::Div => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        IBinKind::Rem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        IBinKind::And => a & b,
-        IBinKind::Or => a | b,
-        IBinKind::Xor => a ^ b,
-        IBinKind::Shl => a.wrapping_shl(b as u32),
-        IBinKind::Shr => a.wrapping_shr(b as u32),
-    };
-    Some(r as i64)
-}
-
-fn eval_fbin(kind: FBinKind, a: f64, b: f64) -> f64 {
-    match kind {
-        FBinKind::Add => a + b,
-        FBinKind::Sub => a - b,
-        FBinKind::Mult => a * b,
-        FBinKind::Div => a / b,
-    }
-}
-
-fn eval_icmp(kind: CmpKind, a: i64, b: i64) -> i64 {
-    let r = match kind {
-        CmpKind::Lt => a < b,
-        CmpKind::Le => a <= b,
-        CmpKind::Gt => a > b,
-        CmpKind::Ge => a >= b,
-        CmpKind::Eq => a == b,
-        CmpKind::Ne => a != b,
-    };
-    r as i64
-}
-
-fn eval_fcmp(kind: CmpKind, a: f64, b: f64) -> i64 {
-    let r = match kind {
-        CmpKind::Lt => a < b,
-        CmpKind::Le => a <= b,
-        CmpKind::Gt => a > b,
-        CmpKind::Ge => a >= b,
-        CmpKind::Eq => a == b,
-        CmpKind::Ne => a != b,
-    };
-    r as i64
 }
 
 /// Which successor slot of `from`'s terminator (0 or 1) is the edge to
@@ -172,7 +114,7 @@ impl Propagation<'_> {
         let lat = |r: Reg| lat(value, r);
         let op = &f.block(b).instrs[i].op;
         match op {
-            Op::LoadI { imm, dst } => defs.push((*dst, Lattice::Int(*imm as i32 as i64))),
+            Op::LoadI { imm, dst } => defs.push((*dst, Lattice::Int(iloc::read_imm(*imm)))),
             Op::LoadF { imm, dst } => defs.push((*dst, Lattice::Float(*imm))),
             Op::IBin {
                 kind,
@@ -182,7 +124,7 @@ impl Propagation<'_> {
             } => {
                 let v = match (lat(*lhs), lat(*rhs)) {
                     (Lattice::Int(a), Lattice::Int(b)) => {
-                        eval_ibin(*kind, a, b).map_or(Lattice::Bottom, Lattice::Int)
+                        kind.eval(a, b).map_or(Lattice::Bottom, Lattice::Int)
                     }
                     (Lattice::Top, _) | (_, Lattice::Top) => Lattice::Top,
                     _ => Lattice::Bottom,
@@ -196,9 +138,7 @@ impl Propagation<'_> {
                 dst,
             } => {
                 let v = match lat(*lhs) {
-                    Lattice::Int(a) => {
-                        eval_ibin(*kind, a, *imm).map_or(Lattice::Bottom, Lattice::Int)
-                    }
+                    Lattice::Int(a) => kind.eval(a, *imm).map_or(Lattice::Bottom, Lattice::Int),
                     Lattice::Top => Lattice::Top,
                     _ => Lattice::Bottom,
                 };
@@ -211,9 +151,7 @@ impl Propagation<'_> {
                 dst,
             } => {
                 let v = match (lat(*lhs), lat(*rhs)) {
-                    (Lattice::Float(a), Lattice::Float(b)) => {
-                        Lattice::Float(eval_fbin(*kind, a, b))
-                    }
+                    (Lattice::Float(a), Lattice::Float(b)) => Lattice::Float(kind.eval(a, b)),
                     (Lattice::Top, _) | (_, Lattice::Top) => Lattice::Top,
                     _ => Lattice::Bottom,
                 };
@@ -226,7 +164,7 @@ impl Propagation<'_> {
                 dst,
             } => {
                 let v = match (lat(*lhs), lat(*rhs)) {
-                    (Lattice::Int(a), Lattice::Int(b)) => Lattice::Int(eval_icmp(*kind, a, b)),
+                    (Lattice::Int(a), Lattice::Int(b)) => Lattice::Int(kind.eval(a, b)),
                     (Lattice::Top, _) | (_, Lattice::Top) => Lattice::Top,
                     _ => Lattice::Bottom,
                 };
@@ -239,7 +177,7 @@ impl Propagation<'_> {
                 dst,
             } => {
                 let v = match (lat(*lhs), lat(*rhs)) {
-                    (Lattice::Float(a), Lattice::Float(b)) => Lattice::Int(eval_fcmp(*kind, a, b)),
+                    (Lattice::Float(a), Lattice::Float(b)) => Lattice::Int(kind.eval(a, b)),
                     (Lattice::Top, _) | (_, Lattice::Top) => Lattice::Top,
                     _ => Lattice::Bottom,
                 };
@@ -258,7 +196,7 @@ impl Propagation<'_> {
             }
             Op::F2I { src, dst } => {
                 let v = match lat(*src) {
-                    Lattice::Float(a) => Lattice::Int(a as i32 as i64),
+                    Lattice::Float(a) => Lattice::Int(iloc::f2i(a)),
                     Lattice::Top => Lattice::Top,
                     _ => Lattice::Bottom,
                 };
@@ -426,7 +364,7 @@ mod tests {
     use super::*;
     use analysis::to_ssa;
     use iloc::builder::FuncBuilder;
-    use iloc::RegClass;
+    use iloc::{CmpKind, IBinKind, RegClass};
 
     #[test]
     fn folds_straightline_arithmetic() {

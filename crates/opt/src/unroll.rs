@@ -87,7 +87,7 @@ fn recognize(
         return None;
     }
     let (bound, bound_reg) = match &h.instrs[0].op {
-        Op::LoadI { imm, dst } => (*imm, *dst),
+        Op::LoadI { imm, dst } => (iloc::read_imm(*imm), *dst),
         _ => return None,
     };
     let (cmp_kind, iv) = match &h.instrs[1].op {
@@ -116,7 +116,7 @@ fn recognize(
             lhs,
             imm,
             dst,
-        } if *lhs == iv => (*imm, *dst),
+        } if *lhs == iv => (iloc::read_imm(*imm), *dst),
         _ => return None,
     };
     match &bb.instrs[n - 2].op {
@@ -172,7 +172,7 @@ fn last_def_as_const(f: &Function, b: BlockId, reg: Reg) -> Option<i64> {
         });
         if defines {
             result = match &i.op {
-                Op::LoadI { imm, .. } => Some(*imm),
+                Op::LoadI { imm, .. } => Some(iloc::read_imm(*imm)),
                 _ => None,
             };
         }
@@ -214,6 +214,15 @@ mod tests {
     fn non_divisible_trip_skipped() {
         let mut f = sum_loop(10);
         assert_eq!(unroll_loops(&mut f, 4), 0);
+    }
+
+    #[test]
+    fn bounds_are_read_as_the_machine_reads_them() {
+        // `loadI 4294967298` reads as 2: two trips, not divisible by 3.
+        let mut f = sum_loop((1 << 32) + 2);
+        assert_eq!(unroll_loops(&mut f, 3), 0);
+        let mut f = sum_loop((1 << 32) + 2);
+        assert_eq!(unroll_loops(&mut f, 2), 1);
     }
 
     #[test]

@@ -7,25 +7,27 @@
 //! FIFO write buffer that absorbs store latency, and an optional victim
 //! cache that catches conflict evictions.
 
-/// Cache geometry and timing.
+/// Line size of every modeled cache, in bytes.
+pub const CACHE_LINE: u32 = 32;
+/// Latency of a cache hit, in cycles.
+pub const CACHE_HIT_LATENCY: u64 = 1;
+/// Latency of a cache miss (fill from main memory), in cycles.
+pub const CACHE_MISS_LATENCY: u64 = 10;
+
+/// Cache geometry. Line size and timing are fixed: [`CACHE_LINE`],
+/// [`CACHE_HIT_LATENCY`] and [`CACHE_MISS_LATENCY`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size: u32,
-    /// Line size in bytes (power of two).
-    pub line: u32,
     /// Associativity (ways per set).
     pub assoc: u32,
-    /// Latency of a hit, in cycles.
-    pub hit_latency: u64,
-    /// Latency of a miss (fill from main memory), in cycles.
-    pub miss_latency: u64,
     /// Entries in the write buffer (0 = none). A store that hits the
-    /// buffer costs `hit_latency`; the buffer drains one entry per
-    /// non-memory cycle; a store finding it full pays `miss_latency`.
+    /// buffer costs a hit; the buffer drains one entry per non-memory
+    /// cycle; a store finding it full pays a miss.
     pub write_buffer: u32,
     /// Lines in the fully associative victim cache (0 = none). A miss
-    /// that hits the victim cache costs `hit_latency + 1`.
+    /// that hits the victim cache costs one cycle more than a hit.
     pub victim_lines: u32,
 }
 
@@ -35,10 +37,7 @@ impl CacheConfig {
     pub fn small_direct_mapped() -> CacheConfig {
         CacheConfig {
             size: 8 * 1024,
-            line: 32,
             assoc: 1,
-            hit_latency: 1,
-            miss_latency: 10,
             write_buffer: 0,
             victim_lines: 0,
         }
@@ -98,14 +97,10 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (size not divisible by
-    /// `line * assoc`, or non-power-of-two line size).
+    /// `CACHE_LINE * assoc`).
     pub fn new(cfg: CacheConfig) -> Cache {
-        assert!(
-            cfg.line.is_power_of_two(),
-            "line size must be a power of two"
-        );
         assert!(cfg.assoc >= 1, "associativity must be at least 1");
-        let lines_total = cfg.size / cfg.line;
+        let lines_total = cfg.size / CACHE_LINE;
         assert!(
             lines_total.is_multiple_of(cfg.assoc) && lines_total > 0,
             "size must be divisible by line * assoc"
@@ -141,7 +136,7 @@ impl Cache {
     }
 
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line_addr = addr / self.cfg.line as u64;
+        let line_addr = addr / u64::from(CACHE_LINE);
         let set = (line_addr % self.sets.len() as u64) as usize;
         (set, line_addr)
     }
@@ -159,7 +154,7 @@ impl Cache {
         if let Some(way) = self.sets[set].iter().position(|l| l.valid && l.tag == tag) {
             self.sets[set][way].lru = self.tick;
             self.stats.hits += 1;
-            return self.cfg.hit_latency;
+            return CACHE_HIT_LATENCY;
         }
 
         // Probe the victim cache.
@@ -176,7 +171,7 @@ impl Cache {
             } else {
                 self.victims[v].valid = false;
             }
-            return self.cfg.hit_latency + 1;
+            return CACHE_HIT_LATENCY + 1;
         }
 
         // Full miss. Stores may be absorbed by the write buffer.
@@ -185,10 +180,10 @@ impl Cache {
             self.buffer_occupancy += 1;
             self.stats.buffered_stores += 1;
             self.install_with_victim(set, tag);
-            return self.cfg.hit_latency;
+            return CACHE_HIT_LATENCY;
         }
         self.install_with_victim(set, tag);
-        self.cfg.miss_latency
+        CACHE_MISS_LATENCY
     }
 
     /// Installs `tag` into `set`, returning the evicted tag if any.
@@ -247,10 +242,7 @@ mod tests {
     fn tiny(assoc: u32, victim: u32, wb: u32) -> Cache {
         Cache::new(CacheConfig {
             size: 128,
-            line: 32,
             assoc,
-            hit_latency: 1,
-            miss_latency: 10,
             write_buffer: wb,
             victim_lines: victim,
         })

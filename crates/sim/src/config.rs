@@ -7,27 +7,30 @@ use crate::cache::CacheConfig;
 /// bounded time instead of hanging a campaign forever.
 pub const DEFAULT_MAX_STEPS: u64 = 2_000_000_000;
 
+/// Cycles per main-memory operation when no cache model is active: the
+/// paper's two-cycle memory (§4).
+pub const MEM_LATENCY: u64 = 2;
+/// Cycles per CCM operation (`spill`/`restore`), the same as any other
+/// non-memory instruction.
+pub const CCM_LATENCY: u64 = 1;
+/// Main-memory size in bytes (globals at the bottom, stack at the top).
+pub const MEM_SIZE: usize = 8 << 20;
+
 /// Simulator parameters.
 ///
 /// Defaults reproduce the paper's model (§4): single issue, memory
-/// operations cost two cycles, all other instructions — *including CCM
-/// accesses* — cost one cycle.
+/// operations cost [`MEM_LATENCY`] cycles, all other instructions —
+/// *including CCM accesses* — cost one cycle.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct MachineConfig {
-    /// Cycles per main-memory operation when no cache model is active.
-    pub mem_latency: u64,
-    /// Cycles per CCM operation (`spill`/`restore`).
-    pub ccm_latency: u64,
     /// Size of the compiler-controlled memory in bytes. Accesses beyond
     /// this trap, modeling the fixed-size on-chip resource.
     pub ccm_size: u32,
-    /// Main-memory size in bytes (globals at the bottom, stack at the top).
-    pub mem_size: usize,
     /// Abort execution after this many instructions (runaway guard).
     pub max_steps: u64,
     /// Optional cache model for main memory (§4.3 ablations). When
     /// present, main-memory latency comes from the cache instead of
-    /// `mem_latency`.
+    /// [`MEM_LATENCY`].
     pub cache: Option<CacheConfig>,
     /// Pipelined-load model (the scheduling study): when `Some(d)`, a
     /// main-memory load issues in one cycle and its destination register
@@ -40,10 +43,7 @@ pub struct MachineConfig {
 impl Default for MachineConfig {
     fn default() -> MachineConfig {
         MachineConfig {
-            mem_latency: 2,
-            ccm_latency: 1,
             ccm_size: 1024,
-            mem_size: 8 << 20,
             max_steps: DEFAULT_MAX_STEPS,
             cache: None,
             load_delay: None,
@@ -69,8 +69,7 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = MachineConfig::default();
-        assert_eq!(c.mem_latency, 2);
-        assert_eq!(c.ccm_latency, 1);
-        assert!(c.cache.is_none());
+        assert_eq!((MEM_LATENCY, CCM_LATENCY), (2, 1));
+        assert!(c.cache.is_none() && c.load_delay.is_none());
     }
 }

@@ -2,8 +2,13 @@
 //! A cycle-accurate simulator for the ILOC-like IR.
 //!
 //! Implements the paper's evaluation machine (§4): single issue, 64
-//! registers, two-cycle main-memory operations, one-cycle everything else
-//! including CCM `spill`/`restore`. The CCM is a disjoint address space.
+//! registers, two-cycle main-memory operations ([`MEM_LATENCY`]),
+//! one-cycle everything else including CCM `spill`/`restore`
+//! ([`CCM_LATENCY`]). The CCM is a disjoint address space. Arithmetic,
+//! compares and conversions compute by the ALU rule in [`iloc::op`]
+//! ([`iloc::IBinKind::eval`] and its siblings), the same functions the
+//! optimizer folds constants with; a zero divisor traps as
+//! [`SimError::DivideByZero`].
 //! Optional cache / write-buffer / victim-cache models support the §4.3
 //! "more complex execution models" ablations, and an optional
 //! pipelined-load model supports the scheduling study.
@@ -34,7 +39,9 @@ pub mod config;
 pub mod machine;
 pub mod metrics;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
-pub use config::{MachineConfig, DEFAULT_MAX_STEPS};
+pub use cache::{
+    Cache, CacheConfig, CacheStats, CACHE_HIT_LATENCY, CACHE_LINE, CACHE_MISS_LATENCY,
+};
+pub use config::{MachineConfig, CCM_LATENCY, DEFAULT_MAX_STEPS, MEM_LATENCY, MEM_SIZE};
 pub use machine::{run_module, Machine, RetValues, SimError};
 pub use metrics::Metrics;

@@ -7,7 +7,9 @@
 //! prescribes. The simulator runs both pre-allocation code (virtual
 //! registers) and allocated code (physical registers) — register files
 //! are sized per function — which lets tests compare observable behavior
-//! across every compilation configuration.
+//! across every compilation configuration. What an ALU op computes is
+//! not defined here: the interpreter calls `iloc::op`'s rule
+//! ([`iloc::IBinKind::eval`], [`iloc::read_imm`], ...).
 //!
 //! # Cost of a run
 //!
@@ -33,10 +35,10 @@ use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
 
-use iloc::{FBinKind, IBinKind, Instr, Module, Op, Reg, RegClass, SpillKind};
+use iloc::{Instr, Module, Op, Reg, RegClass, SpillKind};
 
 use crate::cache::Cache;
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, CCM_LATENCY, MEM_LATENCY, MEM_SIZE};
 use crate::metrics::Metrics;
 
 /// A simulator trap.
@@ -46,7 +48,7 @@ pub enum SimError {
     UnknownFunction(String),
     /// A `loadSym` referenced a global the module does not declare.
     UnknownGlobal(String),
-    /// Main-memory access outside `[0, mem_size)`.
+    /// Main-memory access outside `[0, MEM_SIZE)`.
     MemOutOfBounds {
         /// The faulting byte address.
         addr: i64,
@@ -258,7 +260,7 @@ thread_local! {
     /// An all-zero main-memory image kept for the thread's next
     /// [`Machine`]. A dropped machine zeroes the bytes its stores wrote
     /// and its global data, and leaves its image here, so a thread
-    /// allocates one image instead of a fresh `mem_size` buffer per
+    /// allocates one image instead of a fresh `MEM_SIZE` buffer per
     /// simulation, and a run touches only the pages it writes: short
     /// runs pay neither for zeroing megabytes nor for making them
     /// resident.
@@ -300,8 +302,7 @@ impl<'m> Machine<'m> {
     pub fn new(module: &'m Module, cfg: MachineConfig) -> Machine<'m> {
         let mut bytes = SPARE_MEM
             .with(Cell::take)
-            .filter(|m| m.len() == cfg.mem_size)
-            .unwrap_or_else(|| vec![0u8; cfg.mem_size]);
+            .unwrap_or_else(|| vec![0u8; MEM_SIZE]);
         let mut global_addrs = Vec::with_capacity(module.globals.len());
         let mut next: i64 = 64; // keep address 0 unmapped
         for g in &module.globals {
@@ -367,37 +368,6 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// The base address of global `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownGlobal`] if the module declares no such
-    /// global — a structured trap, not a panic, so one bad module cannot
-    /// abort a whole campaign.
-    pub fn global_base(&self, name: &str) -> Result<i64, SimError> {
-        self.module
-            .globals
-            .iter()
-            .rposition(|g| g.name == name)
-            .map(|i| self.global_addrs[i])
-            .ok_or_else(|| SimError::UnknownGlobal(name.to_string()))
-    }
-
-    /// Raw bytes of global `name` (after execution, reflects stores).
-    /// Host-side inspection API: panics on an unknown name (runtime code
-    /// goes through [`Machine::global_base`] instead).
-    pub fn global_bytes(&self, name: &str) -> &[u8] {
-        let base = self.global_base(name).expect("global exists") as usize;
-        let size = self.module.global(name).expect("global exists").size as usize;
-        &self.mem.bytes[base..base + size]
-    }
-
-    /// Reads the `index`-th f64 of global `name`.
-    pub fn read_global_f64(&self, name: &str, index: usize) -> f64 {
-        let b = self.global_bytes(name);
-        f64::from_le_bytes(b[index * 8..index * 8 + 8].try_into().expect("in bounds"))
-    }
-
     /// Runs `entry` (which must take no parameters) to completion.
     ///
     /// # Errors
@@ -425,7 +395,7 @@ impl<'m> Machine<'m> {
     /// Per-run reset: metrics, the CCM, and only the bytes of main
     /// memory that stores wrote, then the initial bytes of any global
     /// those stores overwrote — repeated runs stay independent without
-    /// an O(mem_size) clear or a CCM reallocation.
+    /// an O(MEM_SIZE) clear or a CCM reallocation.
     fn reset_run(&mut self) {
         self.metrics = Metrics::default();
         self.ccm.fill(0);
@@ -442,7 +412,7 @@ impl<'m> Machine<'m> {
     /// the entry function returns or a trap.
     fn interpret(&mut self, st: &mut Stack<'m>, entry: usize) -> Result<RetValues, SimError> {
         let module = self.module;
-        let mut sp: i64 = self.cfg.mem_size as i64;
+        let mut sp: i64 = MEM_SIZE as i64;
         self.push_frame(st, entry, &mut sp, &[])?;
         loop {
             // The running activation and its registers, the top of the
@@ -640,7 +610,7 @@ impl<'m> Machine<'m> {
             // ---- constants / moves / arithmetic: 1 cycle -------------
             Op::LoadI { imm, dst } => {
                 self.metrics.cycles += 1;
-                r.gpr[dst.index() as usize] = *imm as i32 as i64;
+                r.gpr[dst.index() as usize] = iloc::read_imm(*imm);
             }
             Op::LoadF { imm, dst } => {
                 self.metrics.cycles += 1;
@@ -663,7 +633,7 @@ impl<'m> Machine<'m> {
                 self.metrics.cycles += 1;
                 let a = r.gpr[lhs.index() as usize];
                 let b = r.gpr[rhs.index() as usize];
-                r.gpr[dst.index() as usize] = ibin(*kind, a, b)?;
+                r.gpr[dst.index() as usize] = kind.eval(a, b).ok_or(SimError::DivideByZero)?;
             }
             Op::IBinI {
                 kind,
@@ -673,7 +643,7 @@ impl<'m> Machine<'m> {
             } => {
                 self.metrics.cycles += 1;
                 let a = r.gpr[lhs.index() as usize];
-                r.gpr[dst.index() as usize] = ibin(*kind, a, *imm)?;
+                r.gpr[dst.index() as usize] = kind.eval(a, *imm).ok_or(SimError::DivideByZero)?;
             }
             Op::FBin {
                 kind,
@@ -684,12 +654,7 @@ impl<'m> Machine<'m> {
                 self.metrics.cycles += 1;
                 let a = r.fpr[lhs.index() as usize];
                 let b = r.fpr[rhs.index() as usize];
-                r.fpr[dst.index() as usize] = match kind {
-                    FBinKind::Add => a + b,
-                    FBinKind::Sub => a - b,
-                    FBinKind::Mult => a * b,
-                    FBinKind::Div => a / b,
-                };
+                r.fpr[dst.index() as usize] = kind.eval(a, b);
             }
             Op::ICmp {
                 kind,
@@ -700,7 +665,7 @@ impl<'m> Machine<'m> {
                 self.metrics.cycles += 1;
                 let a = r.gpr[lhs.index() as usize];
                 let b = r.gpr[rhs.index() as usize];
-                r.gpr[dst.index() as usize] = cmp(*kind, &a, &b);
+                r.gpr[dst.index() as usize] = kind.eval(a, b);
             }
             Op::FCmp {
                 kind,
@@ -711,7 +676,7 @@ impl<'m> Machine<'m> {
                 self.metrics.cycles += 1;
                 let a = r.fpr[lhs.index() as usize];
                 let b = r.fpr[rhs.index() as usize];
-                r.gpr[dst.index() as usize] = fcmp(*kind, a, b);
+                r.gpr[dst.index() as usize] = kind.eval(a, b);
             }
             Op::I2I { src, dst } => {
                 self.metrics.cycles += 1;
@@ -727,10 +692,10 @@ impl<'m> Machine<'m> {
             }
             Op::F2I { src, dst } => {
                 self.metrics.cycles += 1;
-                r.gpr[dst.index() as usize] = r.fpr[src.index() as usize] as i32 as i64;
+                r.gpr[dst.index() as usize] = iloc::f2i(r.fpr[src.index() as usize]);
             }
 
-            // ---- main memory: mem_latency (or cache) ----------------
+            // ---- main memory: MEM_LATENCY (or cache) ----------------
             // Effective addresses wrap: an offset far outside memory
             // traps as out of bounds, never as an arithmetic overflow.
             Op::Load { addr, dst } | Op::LoadAI { addr, dst, .. } => {
@@ -806,7 +771,7 @@ impl<'m> Machine<'m> {
                 self.metrics.main_mem_ops += 1;
             }
 
-            // ---- CCM: ccm_latency, disjoint address space -----------
+            // ---- CCM: CCM_LATENCY, disjoint address space -----------
             Op::CcmStore { val, off } => {
                 let v = r.gpr[val.index() as usize] as i32;
                 let at = self.ccm_check(*off, 4)?;
@@ -878,7 +843,7 @@ impl<'m> Machine<'m> {
     fn mem_access(&mut self, addr: i64, is_store: bool) -> u64 {
         match &mut self.cache {
             Some(c) => c.access(addr as u64, is_store),
-            None => self.cfg.mem_latency,
+            None => MEM_LATENCY,
         }
     }
 
@@ -896,8 +861,8 @@ impl<'m> Machine<'m> {
     }
 
     fn charge_ccm(&mut self) {
-        self.metrics.cycles += self.cfg.ccm_latency;
-        self.metrics.mem_op_cycles += self.cfg.ccm_latency;
+        self.metrics.cycles += CCM_LATENCY;
+        self.metrics.mem_op_cycles += CCM_LATENCY;
         self.metrics.ccm_ops += 1;
     }
 }
@@ -915,61 +880,6 @@ impl Drop for Machine<'_> {
         // is then simply freed.
         let _ = SPARE_MEM.try_with(|spare| spare.set(Some(mem)));
     }
-}
-
-/// Integer ALU semantics: the machine's general-purpose registers hold
-/// 32-bit signed values (Fortran `INTEGER`), kept sign-extended in the
-/// interpreter's 64-bit register file. Every result wraps to 32 bits, so
-/// a value spilled through a 4-byte slot reloads bit-identically.
-fn ibin(kind: IBinKind, a: i64, b: i64) -> Result<i64, SimError> {
-    let (a, b) = (a as i32, b as i32);
-    let r: i32 = match kind {
-        IBinKind::Add => a.wrapping_add(b),
-        IBinKind::Sub => a.wrapping_sub(b),
-        IBinKind::Mult => a.wrapping_mul(b),
-        IBinKind::Div => {
-            if b == 0 {
-                return Err(SimError::DivideByZero);
-            }
-            a.wrapping_div(b)
-        }
-        IBinKind::Rem => {
-            if b == 0 {
-                return Err(SimError::DivideByZero);
-            }
-            a.wrapping_rem(b)
-        }
-        IBinKind::And => a & b,
-        IBinKind::Or => a | b,
-        IBinKind::Xor => a ^ b,
-        IBinKind::Shl => a.wrapping_shl(b as u32),
-        IBinKind::Shr => a.wrapping_shr(b as u32),
-    };
-    Ok(r as i64)
-}
-
-fn cmp(kind: iloc::CmpKind, a: &i64, b: &i64) -> i64 {
-    use iloc::CmpKind::*;
-    (match kind {
-        Lt => a < b,
-        Le => a <= b,
-        Gt => a > b,
-        Ge => a >= b,
-        Eq => a == b,
-        Ne => a != b,
-    }) as i64
-}
-
-fn fcmp(kind: iloc::CmpKind, a: f64, b: f64) -> i64 {
-    use iloc::CmpKind::*;
-    (match kind {
-        Lt => a < b,
-        Le => a <= b,
-        Gt => a > b,
-        Ge => a >= b,
-        Eq => a == b,
-        Ne => a != b,
-    }) as i64
 }
 
 /// Convenience: build a machine, run `entry`, and return `(values,
@@ -1393,7 +1303,7 @@ mod tests {
             let (v, _) = run_module(&m, MachineConfig::default(), "main").unwrap();
             assert_eq!(v.ints, vec![-1, -1]);
             let mem = SPARE_MEM.with(Cell::take).expect("image returned");
-            assert_eq!(mem.len(), MachineConfig::default().mem_size);
+            assert_eq!(mem.len(), MEM_SIZE);
             assert!(mem.iter().all(|&b| b == 0), "image not cleared");
             SPARE_MEM.with(|spare| spare.set(Some(mem)));
         }
@@ -1408,7 +1318,7 @@ mod tests {
         // the initial values again, on one machine and on the next. The
         // bytes just past the crossing store and just below the gap store
         // hold canaries no store writes: a reset must leave them alone.
-        let mem_size = MachineConfig::default().mem_size as i64;
+        let mem_size = MEM_SIZE as i64;
         let mut fb = FuncBuilder::new("main");
         fb.set_ret_classes(&[RegClass::Gpr, RegClass::Gpr, RegClass::Fpr, RegClass::Fpr]);
         let g = fb.loadsym("g");
@@ -1612,17 +1522,26 @@ mod tests {
 
     #[test]
     fn read_global_helpers() {
+        // `main` stores into the global; a separate function reads it
+        // back through its own `loadSym`.
+        let mut peek = FuncBuilder::new("peek");
+        peek.set_ret_classes(&[RegClass::Fpr]);
+        let base = peek.loadsym("out");
+        let v = peek.floadai(base, 8);
+        peek.ret(&[v]);
         let mut fb = FuncBuilder::new("main");
+        fb.set_ret_classes(&[RegClass::Fpr]);
         let base = fb.loadsym("out");
         let v = fb.loadf(9.25);
-        fb.fstoreai(v, base, 0);
-        fb.ret(&[]);
+        fb.fstoreai(v, base, 8);
+        let r = fb.call("peek", &[], &[RegClass::Fpr]);
+        fb.ret(&r);
         let mut m = Module::new();
-        m.push_global(Global::zeroed("out", 8));
+        m.push_global(Global::zeroed("out", 16));
         m.push_function(fb.finish());
+        m.push_function(peek.finish());
         let mut machine = Machine::new(&m, MachineConfig::default());
-        machine.run("main").unwrap();
-        assert_eq!(machine.read_global_f64("out", 0), 9.25);
+        assert_eq!(machine.run("main").unwrap().floats, vec![9.25]);
     }
 }
 

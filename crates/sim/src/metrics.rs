@@ -29,30 +29,3 @@ pub struct Metrics {
     /// Cache statistics (all zero when no cache model is configured).
     pub cache: CacheStats,
 }
-
-impl Metrics {
-    /// Fraction of all cycles spent in memory operations.
-    pub fn memory_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.mem_op_cycles as f64 / self.cycles as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn memory_fraction_handles_zero() {
-        assert_eq!(Metrics::default().memory_fraction(), 0.0);
-        let m = Metrics {
-            cycles: 10,
-            mem_op_cycles: 4,
-            ..Metrics::default()
-        };
-        assert!((m.memory_fraction() - 0.4).abs() < 1e-12);
-    }
-}

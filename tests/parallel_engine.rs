@@ -2,6 +2,7 @@
 //! `--jobs` value, name-joined Table 3 pairing, and NaN-free CSV output.
 
 use harness::csv::{figure_csv, speedups_csv};
+use harness::report::render_table3;
 use harness::{improved_names, Measurement, Run, SpeedupRow};
 
 /// A fresh run on `jobs` workers: its memo starts empty, so each side of
@@ -32,12 +33,10 @@ fn row(name: &str, base: u64, pp: u64, cg: u64, integrated: u64) -> SpeedupRow {
     }
 }
 
-/// The bug the positional zip had: when the spilling set differs between
-/// CCM sizes, rows must be joined by routine name, not by index.
-#[test]
-fn table3_pairing_survives_differing_spill_sets() {
-    // At 512 B three routines spill; at 1024 B `beta` stops spilling, so
-    // a positional zip would have compared gamma@1024 against beta@512.
+/// Table 3 rows whose spilling sets differ: at 512 B three routines
+/// spill; at 1024 B `beta` stops spilling, so a positional zip would
+/// compare gamma@1024 against beta@512.
+fn differing_spill_sets() -> (Vec<SpeedupRow>, Vec<SpeedupRow>) {
     let r512 = vec![
         row("alpha", 1000, 900, 880, 890),
         row("beta", 2000, 1800, 1750, 1760),
@@ -47,6 +46,14 @@ fn table3_pairing_survives_differing_spill_sets() {
         row("alpha", 1000, 900, 880, 890),    // unchanged: not improved
         row("gamma", 3000, 2500, 2400, 2450), // faster best variant
     ];
+    (r512, r1024)
+}
+
+/// The bug the positional zip had: when the spilling set differs between
+/// CCM sizes, rows must be joined by routine name, not by index.
+#[test]
+fn table3_pairing_survives_differing_spill_sets() {
+    let (r512, r1024) = differing_spill_sets();
     let improved = improved_names(&r512, &r1024).expect("pairing succeeds");
     assert_eq!(improved, vec!["gamma".to_string()]);
 
@@ -54,6 +61,26 @@ fn table3_pairing_survives_differing_spill_sets() {
     // vector is longer; name-joining is symmetric.
     let improved = improved_names(&r1024, &r512).expect("pairing succeeds");
     assert_eq!(improved, Vec::<String>::new());
+}
+
+/// Table 3 prints the improved routine's 1024 B row, whatever its
+/// position in either row set.
+#[test]
+fn table3_renders_the_improved_rows_by_name() {
+    let (r512, r1024) = differing_spill_sets();
+    let improved = improved_names(&r512, &r1024).expect("pairing succeeds");
+    let table = render_table3(&r512, &r1024, &improved);
+    let rows: Vec<&str> = table.lines().skip(2).collect();
+    assert_eq!(rows.len(), 2, "{table}");
+    assert!(rows[0].starts_with("gamma "), "{table}");
+    assert!(
+        rows[0].contains("3000(1500)") && rows[0].contains("0.80(0.80)"),
+        "{table}"
+    );
+    assert_eq!(
+        rows[1],
+        "(1 of 3 spilling routines speed up with the larger CCM)"
+    );
 }
 
 #[test]
@@ -107,8 +134,8 @@ fn speedups_csv_is_nan_free_even_with_zero_baseline() {
 /// ordering included. Also doubles as a NaN-free check on live output.
 #[test]
 fn speedup_rows_are_identical_at_any_job_count() {
-    let serial = harness::speedup_rows(512, &jobs(1));
-    let parallel = harness::speedup_rows(512, &jobs(4));
+    let serial = harness::speedup_rows_multi(&[512], &jobs(1)).remove(0);
+    let parallel = harness::speedup_rows_multi(&[512], &jobs(4)).remove(0);
     let a = speedups_csv(&serial);
     let b = speedups_csv(&parallel);
     assert_eq!(a, b, "parallel speedup rows diverged from serial");
