@@ -322,23 +322,18 @@ impl Function {
     }
 
     /// Deletes every block not reachable from the entry, compacting block
-    /// ids and retargeting the surviving terminators. Returns the number
+    /// ids and retargeting the surviving terminators and φ-nodes; a φ
+    /// drops its arguments from deleted predecessors. Returns the number
     /// of blocks removed.
     ///
-    /// Simplification passes (and the fuzzer's minimizer) turn `cbr`s into
-    /// `jump`s; this sweeps out the half of the CFG those edits orphan.
+    /// Simplification passes (SCCP's branch folding, and the fuzzer's
+    /// minimizer) turn `cbr`s into `jump`s; this sweeps out the half of
+    /// the CFG those edits orphan.
     pub fn prune_unreachable(&mut self) -> usize {
         let n = self.blocks.len();
         let mut reachable = vec![false; n];
-        let mut stack = vec![self.entry()];
-        reachable[self.entry().index()] = true;
-        while let Some(b) = stack.pop() {
-            for s in self.successors(b) {
-                if !reachable[s.index()] {
-                    reachable[s.index()] = true;
-                    stack.push(s);
-                }
-            }
+        for b in self.reverse_postorder() {
+            reachable[b.index()] = true;
         }
         if reachable.iter().all(|&r| r) {
             return 0;
@@ -354,10 +349,11 @@ impl Function {
         }
         let mut keep = reachable.iter().copied();
         self.blocks.retain(|_| keep.next().unwrap());
-        for b in &mut self.blocks {
-            if let Some(t) = b.terminator_mut() {
-                t.map_successors(|s| remap[s.index()]);
+        for instr in self.blocks.iter_mut().flat_map(|b| &mut b.instrs) {
+            if let Op::Phi { args, .. } = &mut instr.op {
+                args.retain(|(p, _)| reachable[p.index()]);
             }
+            instr.op.map_successors(|s| remap[s.index()]);
         }
         n - next as usize
     }

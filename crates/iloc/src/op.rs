@@ -5,6 +5,14 @@
 //! [`read_imm`] and [`f2i`]. The simulator executes through these
 //! functions and the optimizer folds through them, so an optimized
 //! program computes what the machine computes by construction.
+//!
+//! The operand table is which registers each op reads and writes: one
+//! `match` for uses and one for defs, written once as local macros whose
+//! arms bind operands by reference. [`Op::visit_uses`]/[`Op::map_uses`]
+//! and [`Op::visit_defs`]/[`Op::map_defs`] are their expansions over
+//! `&Op` and `&mut Op`, so liveness, interference, SSA renaming and
+//! spill-code rewriting all read the same table, and a new op fails to
+//! compile until both say what it touches.
 
 use crate::block::BlockId;
 use crate::func::{SlotId, SpillKind};
@@ -341,6 +349,106 @@ pub enum Op {
     Nop,
 }
 
+/// The one table of the registers each op reads, in operand order:
+/// calls `$each` with a reference to every use. The arms bind operands by
+/// reference, so the same text expands over `&Op` ([`Op::visit_uses`])
+/// and `&mut Op` ([`Op::map_uses`]); no arm is a wildcard, so a new op
+/// does not compile until it says what it reads.
+macro_rules! for_each_use {
+    ($op:expr, $each:expr) => {{
+        let mut each = $each;
+        match $op {
+            Op::LoadI { .. }
+            | Op::LoadF { .. }
+            | Op::LoadSym { .. }
+            | Op::CcmLoad { .. }
+            | Op::CcmFLoad { .. }
+            | Op::Jump { .. }
+            | Op::Nop => {}
+            Op::IBin { lhs, rhs, .. }
+            | Op::FBin { lhs, rhs, .. }
+            | Op::ICmp { lhs, rhs, .. }
+            | Op::FCmp { lhs, rhs, .. } => {
+                each(lhs);
+                each(rhs);
+            }
+            Op::IBinI { lhs: src, .. }
+            | Op::I2I { src, .. }
+            | Op::F2F { src, .. }
+            | Op::I2F { src, .. }
+            | Op::F2I { src, .. }
+            | Op::Load { addr: src, .. }
+            | Op::LoadAI { addr: src, .. }
+            | Op::FLoad { addr: src, .. }
+            | Op::FLoadAI { addr: src, .. }
+            | Op::CcmStore { val: src, .. }
+            | Op::CcmFStore { val: src, .. }
+            | Op::Cbr { cond: src, .. } => each(src),
+            Op::Store { val, addr }
+            | Op::StoreAI { val, addr, .. }
+            | Op::FStore { val, addr }
+            | Op::FStoreAI { val, addr, .. } => {
+                each(val);
+                each(addr);
+            }
+            Op::Call { args: regs, .. } | Op::Ret { vals: regs } => {
+                for r in regs {
+                    each(r);
+                }
+            }
+            Op::Phi { args, .. } => {
+                for (_, r) in args {
+                    each(r);
+                }
+            }
+        }
+    }};
+}
+
+/// The one table of the registers each op writes, expanded by
+/// [`Op::visit_defs`] and [`Op::map_defs`] as `for_each_use!` is.
+macro_rules! for_each_def {
+    ($op:expr, $each:expr) => {{
+        let mut each = $each;
+        match $op {
+            Op::LoadI { dst, .. }
+            | Op::LoadF { dst, .. }
+            | Op::LoadSym { dst, .. }
+            | Op::IBin { dst, .. }
+            | Op::IBinI { dst, .. }
+            | Op::FBin { dst, .. }
+            | Op::ICmp { dst, .. }
+            | Op::FCmp { dst, .. }
+            | Op::I2I { dst, .. }
+            | Op::F2F { dst, .. }
+            | Op::I2F { dst, .. }
+            | Op::F2I { dst, .. }
+            | Op::Load { dst, .. }
+            | Op::LoadAI { dst, .. }
+            | Op::FLoad { dst, .. }
+            | Op::FLoadAI { dst, .. }
+            | Op::CcmLoad { dst, .. }
+            | Op::CcmFLoad { dst, .. }
+            | Op::Phi { dst, .. } => each(dst),
+            Op::Call { rets, .. } => {
+                for r in rets {
+                    each(r);
+                }
+            }
+            Op::Store { .. }
+            | Op::StoreAI { .. }
+            | Op::FStore { .. }
+            | Op::FStoreAI { .. }
+            | Op::CcmStore { .. }
+            | Op::CcmFStore { .. }
+            | Op::Jump { .. }
+            | Op::Cbr { .. }
+            | Op::Ret { .. }
+            | Op::Nop => {}
+        }
+    }};
+}
+
 impl Op {
     /// Whether this operation ends a basic block.
     pub fn is_terminator(&self) -> bool {
@@ -396,98 +504,28 @@ impl Op {
     }
 
     /// Whether the operation has side effects beyond its register defs
-    /// (stores, calls, control flow) and therefore may not be removed by
-    /// dead-code elimination even if its results are unused.
+    /// (stores, calls, control flow).
     pub fn has_side_effects(&self) -> bool {
         self.is_store() || matches!(self, Op::Call { .. }) || self.is_terminator()
     }
 
-    /// Visits every register *used* (read) by this operation.
+    /// Whether dead-code elimination may delete this operation once no
+    /// register it defines is read: it has no side effects and cannot
+    /// trap ([`Op::alu_may_trap`]), since an unused `divI x, 0` still
+    /// stops the machine. Loads count as removable.
+    pub fn removable_if_unused(&self) -> bool {
+        !self.has_side_effects() && !self.alu_may_trap()
+    }
+
+    /// Visits every register *used* (read) by this operation, in operand
+    /// order.
     pub fn visit_uses(&self, mut f: impl FnMut(Reg)) {
-        match self {
-            Op::LoadI { .. } | Op::LoadF { .. } | Op::LoadSym { .. } | Op::Nop => {}
-            Op::IBin { lhs, rhs, .. }
-            | Op::FBin { lhs, rhs, .. }
-            | Op::ICmp { lhs, rhs, .. }
-            | Op::FCmp { lhs, rhs, .. } => {
-                f(*lhs);
-                f(*rhs);
-            }
-            Op::IBinI { lhs, .. } => f(*lhs),
-            Op::I2I { src, .. }
-            | Op::F2F { src, .. }
-            | Op::I2F { src, .. }
-            | Op::F2I { src, .. } => f(*src),
-            Op::Load { addr, .. } | Op::FLoad { addr, .. } => f(*addr),
-            Op::LoadAI { addr, .. } | Op::FLoadAI { addr, .. } => f(*addr),
-            Op::Store { val, addr } | Op::FStore { val, addr } => {
-                f(*val);
-                f(*addr);
-            }
-            Op::StoreAI { val, addr, .. } | Op::FStoreAI { val, addr, .. } => {
-                f(*val);
-                f(*addr);
-            }
-            Op::CcmStore { val, .. } | Op::CcmFStore { val, .. } => f(*val),
-            Op::CcmLoad { .. } | Op::CcmFLoad { .. } => {}
-            Op::Jump { .. } => {}
-            Op::Cbr { cond, .. } => f(*cond),
-            Op::Call { args, .. } => {
-                for a in args {
-                    f(*a);
-                }
-            }
-            Op::Ret { vals } => {
-                for v in vals {
-                    f(*v);
-                }
-            }
-            Op::Phi { args, .. } => {
-                for (_, r) in args {
-                    f(*r);
-                }
-            }
-        }
+        for_each_use!(self, |r: &Reg| f(*r));
     }
 
     /// Visits every register *defined* (written) by this operation.
     pub fn visit_defs(&self, mut f: impl FnMut(Reg)) {
-        match self {
-            Op::LoadI { dst, .. }
-            | Op::LoadF { dst, .. }
-            | Op::LoadSym { dst, .. }
-            | Op::IBin { dst, .. }
-            | Op::IBinI { dst, .. }
-            | Op::FBin { dst, .. }
-            | Op::ICmp { dst, .. }
-            | Op::FCmp { dst, .. }
-            | Op::I2I { dst, .. }
-            | Op::F2F { dst, .. }
-            | Op::I2F { dst, .. }
-            | Op::F2I { dst, .. }
-            | Op::Load { dst, .. }
-            | Op::LoadAI { dst, .. }
-            | Op::FLoad { dst, .. }
-            | Op::FLoadAI { dst, .. }
-            | Op::CcmLoad { dst, .. }
-            | Op::CcmFLoad { dst, .. }
-            | Op::Phi { dst, .. } => f(*dst),
-            Op::Call { rets, .. } => {
-                for r in rets {
-                    f(*r);
-                }
-            }
-            Op::Store { .. }
-            | Op::StoreAI { .. }
-            | Op::FStore { .. }
-            | Op::FStoreAI { .. }
-            | Op::CcmStore { .. }
-            | Op::CcmFStore { .. }
-            | Op::Jump { .. }
-            | Op::Cbr { .. }
-            | Op::Ret { .. }
-            | Op::Nop => {}
-        }
+        for_each_def!(self, |r: &Reg| f(*r));
     }
 
     /// Collects the used registers into a vector (convenience wrapper
@@ -507,81 +545,12 @@ impl Op {
 
     /// Rewrites every *use* through `f` (register renaming).
     pub fn map_uses(&mut self, mut f: impl FnMut(Reg) -> Reg) {
-        match self {
-            Op::LoadI { .. } | Op::LoadF { .. } | Op::LoadSym { .. } | Op::Nop => {}
-            Op::IBin { lhs, rhs, .. }
-            | Op::FBin { lhs, rhs, .. }
-            | Op::ICmp { lhs, rhs, .. }
-            | Op::FCmp { lhs, rhs, .. } => {
-                *lhs = f(*lhs);
-                *rhs = f(*rhs);
-            }
-            Op::IBinI { lhs, .. } => *lhs = f(*lhs),
-            Op::I2I { src, .. }
-            | Op::F2F { src, .. }
-            | Op::I2F { src, .. }
-            | Op::F2I { src, .. } => *src = f(*src),
-            Op::Load { addr, .. } | Op::FLoad { addr, .. } => *addr = f(*addr),
-            Op::LoadAI { addr, .. } | Op::FLoadAI { addr, .. } => *addr = f(*addr),
-            Op::Store { val, addr } | Op::FStore { val, addr } => {
-                *val = f(*val);
-                *addr = f(*addr);
-            }
-            Op::StoreAI { val, addr, .. } | Op::FStoreAI { val, addr, .. } => {
-                *val = f(*val);
-                *addr = f(*addr);
-            }
-            Op::CcmStore { val, .. } | Op::CcmFStore { val, .. } => *val = f(*val),
-            Op::CcmLoad { .. } | Op::CcmFLoad { .. } => {}
-            Op::Jump { .. } => {}
-            Op::Cbr { cond, .. } => *cond = f(*cond),
-            Op::Call { args, .. } => {
-                for a in args {
-                    *a = f(*a);
-                }
-            }
-            Op::Ret { vals } => {
-                for v in vals {
-                    *v = f(*v);
-                }
-            }
-            Op::Phi { args, .. } => {
-                for (_, r) in args {
-                    *r = f(*r);
-                }
-            }
-        }
+        for_each_use!(self, |r: &mut Reg| *r = f(*r));
     }
 
     /// Rewrites every *def* through `f` (register renaming).
     pub fn map_defs(&mut self, mut f: impl FnMut(Reg) -> Reg) {
-        match self {
-            Op::LoadI { dst, .. }
-            | Op::LoadF { dst, .. }
-            | Op::LoadSym { dst, .. }
-            | Op::IBin { dst, .. }
-            | Op::IBinI { dst, .. }
-            | Op::FBin { dst, .. }
-            | Op::ICmp { dst, .. }
-            | Op::FCmp { dst, .. }
-            | Op::I2I { dst, .. }
-            | Op::F2F { dst, .. }
-            | Op::I2F { dst, .. }
-            | Op::F2I { dst, .. }
-            | Op::Load { dst, .. }
-            | Op::LoadAI { dst, .. }
-            | Op::FLoad { dst, .. }
-            | Op::FLoadAI { dst, .. }
-            | Op::CcmLoad { dst, .. }
-            | Op::CcmFLoad { dst, .. }
-            | Op::Phi { dst, .. } => *dst = f(*dst),
-            Op::Call { rets, .. } => {
-                for r in rets {
-                    *r = f(*r);
-                }
-            }
-            _ => {}
-        }
+        for_each_def!(self, |r: &mut Reg| *r = f(*r));
     }
 
     /// Successor blocks named by this operation (empty unless terminator).
@@ -700,6 +669,210 @@ mod tests {
         assert!(op.defs().is_empty());
         assert_eq!(op.uses(), vec![r(64), Reg::RARP]);
         assert!(op.has_side_effects());
+    }
+
+    /// One op of each variant, every register operand distinct.
+    fn one_of_each_variant() -> Vec<Op> {
+        let (g, f, b) = (Reg::gpr, Reg::fpr, BlockId);
+        let samples = vec![
+            Op::LoadI { imm: 7, dst: g(64) },
+            Op::LoadF {
+                imm: 1.5,
+                dst: f(64),
+            },
+            Op::LoadSym {
+                sym: "g".into(),
+                dst: g(64),
+            },
+            Op::IBin {
+                kind: IBinKind::Sub,
+                lhs: g(64),
+                rhs: g(65),
+                dst: g(66),
+            },
+            Op::IBinI {
+                kind: IBinKind::Shl,
+                lhs: g(64),
+                imm: 3,
+                dst: g(65),
+            },
+            Op::FBin {
+                kind: FBinKind::Div,
+                lhs: f(64),
+                rhs: f(65),
+                dst: f(66),
+            },
+            Op::ICmp {
+                kind: CmpKind::Lt,
+                lhs: g(64),
+                rhs: g(65),
+                dst: g(66),
+            },
+            Op::FCmp {
+                kind: CmpKind::Ge,
+                lhs: f(64),
+                rhs: f(65),
+                dst: g(66),
+            },
+            Op::I2I {
+                src: g(64),
+                dst: g(65),
+            },
+            Op::F2F {
+                src: f(64),
+                dst: f(65),
+            },
+            Op::I2F {
+                src: g(64),
+                dst: f(65),
+            },
+            Op::F2I {
+                src: f(64),
+                dst: g(65),
+            },
+            Op::Load {
+                addr: g(64),
+                dst: g(65),
+            },
+            Op::LoadAI {
+                addr: Reg::RARP,
+                off: 8,
+                dst: g(65),
+            },
+            Op::Store {
+                val: g(64),
+                addr: g(65),
+            },
+            Op::StoreAI {
+                val: g(64),
+                addr: g(65),
+                off: 4,
+            },
+            Op::FLoad {
+                addr: g(64),
+                dst: f(65),
+            },
+            Op::FLoadAI {
+                addr: g(64),
+                off: 8,
+                dst: f(65),
+            },
+            Op::FStore {
+                val: f(64),
+                addr: g(65),
+            },
+            Op::FStoreAI {
+                val: f(64),
+                addr: g(65),
+                off: 16,
+            },
+            Op::CcmStore { val: g(64), off: 4 },
+            Op::CcmLoad { off: 4, dst: g(64) },
+            Op::CcmFStore { val: f(64), off: 8 },
+            Op::CcmFLoad { off: 8, dst: f(64) },
+            Op::Jump { target: b(1) },
+            Op::Cbr {
+                cond: g(64),
+                taken: b(1),
+                not_taken: b(2),
+            },
+            Op::Call {
+                callee: "h".into(),
+                args: vec![g(64), f(65), g(66)],
+                rets: vec![f(67), g(68)],
+            },
+            Op::Ret {
+                vals: vec![g(64), f(65)],
+            },
+            Op::Phi {
+                dst: g(66),
+                args: vec![(b(1), g(64)), (b(2), g(65))],
+            },
+            Op::Nop,
+        ];
+        // No wildcard arm: a new variant does not compile until it has a
+        // number here, and then fails until it has a sample above.
+        let variant = |op: &Op| match op {
+            Op::LoadI { .. } => 0,
+            Op::LoadF { .. } => 1,
+            Op::LoadSym { .. } => 2,
+            Op::IBin { .. } => 3,
+            Op::IBinI { .. } => 4,
+            Op::FBin { .. } => 5,
+            Op::ICmp { .. } => 6,
+            Op::FCmp { .. } => 7,
+            Op::I2I { .. } => 8,
+            Op::F2F { .. } => 9,
+            Op::I2F { .. } => 10,
+            Op::F2I { .. } => 11,
+            Op::Load { .. } => 12,
+            Op::LoadAI { .. } => 13,
+            Op::Store { .. } => 14,
+            Op::StoreAI { .. } => 15,
+            Op::FLoad { .. } => 16,
+            Op::FLoadAI { .. } => 17,
+            Op::FStore { .. } => 18,
+            Op::FStoreAI { .. } => 19,
+            Op::CcmStore { .. } => 20,
+            Op::CcmLoad { .. } => 21,
+            Op::CcmFStore { .. } => 22,
+            Op::CcmFLoad { .. } => 23,
+            Op::Jump { .. } => 24,
+            Op::Cbr { .. } => 25,
+            Op::Call { .. } => 26,
+            Op::Ret { .. } => 27,
+            Op::Phi { .. } => 28,
+            Op::Nop => 29,
+        };
+        let numbers: Vec<usize> = samples.iter().map(variant).collect();
+        assert_eq!(numbers, (0..=29).collect::<Vec<_>>(), "one sample each");
+        samples
+    }
+
+    /// The registers in an op's printed form, in order.
+    fn printed_regs(op: &Op) -> Vec<Reg> {
+        let mut func = crate::Function::new("t");
+        func.add_block("a");
+        func.add_block("b");
+        let text = crate::print::format_instr(&func, &Instr::new(op.clone()));
+        text.split(|c: char| c != '%' && !c.is_ascii_alphanumeric())
+            .filter_map(|t| {
+                let n = t.get(2..)?.parse().ok()?;
+                match t.get(..2)? {
+                    "%r" => Some(Reg::gpr(n)),
+                    "%f" => Some(Reg::fpr(n)),
+                    _ => None,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn operand_table_matches_the_printed_form_and_renames_exactly() {
+        let rename = |r: Reg| Reg::new(r.class(), r.index() + 100);
+        for op in one_of_each_variant() {
+            let (uses, defs) = (op.uses(), op.defs());
+            let all: Vec<Reg> = uses.iter().chain(&defs).copied().collect();
+            assert_eq!(printed_regs(&op), all, "{op:?}");
+
+            let mut renamed = op.clone();
+            renamed.map_uses(rename);
+            let want = uses.iter().map(|&r| rename(r)).chain(defs.iter().copied());
+            assert_eq!(
+                printed_regs(&renamed),
+                want.collect::<Vec<_>>(),
+                "uses of {op:?}"
+            );
+
+            let mut renamed = op.clone();
+            renamed.map_defs(rename);
+            let want = uses.iter().copied().chain(defs.iter().map(|&r| rename(r)));
+            assert_eq!(
+                printed_regs(&renamed),
+                want.collect::<Vec<_>>(),
+                "defs of {op:?}"
+            );
+        }
     }
 
     #[test]
@@ -824,6 +997,7 @@ mod tests {
                     dst,
                 };
                 assert_eq!(op.alu_may_trap(), divides && zero, "{op:?}");
+                assert_eq!(op.removable_if_unused(), !(divides && zero), "{op:?}");
             }
         }
         assert!(!Op::F2I { src: r(64), dst }.alu_may_trap());

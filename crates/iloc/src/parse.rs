@@ -303,42 +303,9 @@ fn lookup_label(ln: usize, labels: &HashMap<String, BlockId>, l: &str) -> PResul
         .ok_or_else(|| perr(ln, format!("unknown label `{l}`")))
 }
 
-fn ibin_kind(m: &str) -> Option<IBinKind> {
-    Some(match m {
-        "add" => IBinKind::Add,
-        "sub" => IBinKind::Sub,
-        "mult" => IBinKind::Mult,
-        "div" => IBinKind::Div,
-        "rem" => IBinKind::Rem,
-        "and" => IBinKind::And,
-        "or" => IBinKind::Or,
-        "xor" => IBinKind::Xor,
-        "lshift" => IBinKind::Shl,
-        "rshift" => IBinKind::Shr,
-        _ => return None,
-    })
-}
-
-fn fbin_kind(m: &str) -> Option<FBinKind> {
-    Some(match m {
-        "fadd" => FBinKind::Add,
-        "fsub" => FBinKind::Sub,
-        "fmult" => FBinKind::Mult,
-        "fdiv" => FBinKind::Div,
-        _ => return None,
-    })
-}
-
-fn cmp_kind(m: &str) -> Option<CmpKind> {
-    Some(match m {
-        "lt" => CmpKind::Lt,
-        "le" => CmpKind::Le,
-        "gt" => CmpKind::Gt,
-        "ge" => CmpKind::Ge,
-        "eq" => CmpKind::Eq,
-        "ne" => CmpKind::Ne,
-        _ => return None,
-    })
+/// The kind in `all` whose mnemonic is `m`.
+fn by_mnemonic<K: Copy>(all: &[K], mnemonic: fn(K) -> &'static str, m: Option<&str>) -> Option<K> {
+    all.iter().copied().find(|&k| Some(mnemonic(k)) == m)
 }
 
 /// Splits `a, b, c` into trimmed pieces (empty input → empty vec).
@@ -561,67 +528,64 @@ fn parse_op(ln: usize, line: &str, labels: &HashMap<String, BlockId>) -> PResult
             })
         }
         _ => {
-            // cmp_XX / fcmp_XX, IBin[I] / FBin mnemonics.
-            if let Some(k) = mn.strip_prefix("cmp_").and_then(cmp_kind) {
-                let a = commas(&args_s);
-                if a.len() != 2 {
-                    return Err(perr(ln, "cmp needs two operands"));
-                }
+            // The ALU forms `MNEMONIC lhs, rhs => dst` (an immediate `rhs`
+            // after an `I` suffix), each named by its kind's `mnemonic()`.
+            let a = commas(&args_s);
+            let operands = |msg: &str| match a[..] {
+                [lhs, rhs] => Ok((parse_reg(ln, lhs)?, rhs)),
+                _ => Err(perr(ln, msg)),
+            };
+            let regs = |msg: &str| -> PResult<(Reg, Reg, Reg)> {
+                let (lhs, rhs) = operands(msg)?;
+                Ok((lhs, parse_reg(ln, rhs)?, parse_reg(ln, &need_dst()?)?))
+            };
+            let cmp =
+                |prefix| by_mnemonic(&CmpKind::ALL, CmpKind::mnemonic, mn.strip_prefix(prefix));
+            let ibin = |m| by_mnemonic(&IBinKind::ALL, IBinKind::mnemonic, m);
+            if let Some(kind) = cmp("cmp_") {
+                let (lhs, rhs, dst) = regs("cmp needs two operands")?;
                 return Ok(Op::ICmp {
-                    kind: k,
-                    lhs: parse_reg(ln, a[0])?,
-                    rhs: parse_reg(ln, a[1])?,
-                    dst: parse_reg(ln, &need_dst()?)?,
+                    kind,
+                    lhs,
+                    rhs,
+                    dst,
                 });
             }
-            if let Some(k) = mn.strip_prefix("fcmp_").and_then(cmp_kind) {
-                let a = commas(&args_s);
-                if a.len() != 2 {
-                    return Err(perr(ln, "fcmp needs two operands"));
-                }
+            if let Some(kind) = cmp("fcmp_") {
+                let (lhs, rhs, dst) = regs("fcmp needs two operands")?;
                 return Ok(Op::FCmp {
-                    kind: k,
-                    lhs: parse_reg(ln, a[0])?,
-                    rhs: parse_reg(ln, a[1])?,
-                    dst: parse_reg(ln, &need_dst()?)?,
+                    kind,
+                    lhs,
+                    rhs,
+                    dst,
                 });
             }
-            if let Some(base) = mn.strip_suffix('I') {
-                if let Some(k) = ibin_kind(base) {
-                    let a = commas(&args_s);
-                    if a.len() != 2 {
-                        return Err(perr(ln, "immediate op needs reg, imm"));
-                    }
-                    return Ok(Op::IBinI {
-                        kind: k,
-                        lhs: parse_reg(ln, a[0])?,
-                        imm: parse_imm(ln, a[1])?,
-                        dst: parse_reg(ln, &need_dst()?)?,
-                    });
-                }
+            if let Some(kind) = ibin(mn.strip_suffix('I')) {
+                let (lhs, imm) = operands("immediate op needs reg, imm")?;
+                let (imm, dst) = (parse_imm(ln, imm)?, parse_reg(ln, &need_dst()?)?);
+                return Ok(Op::IBinI {
+                    kind,
+                    lhs,
+                    imm,
+                    dst,
+                });
             }
-            if let Some(k) = ibin_kind(mn) {
-                let a = commas(&args_s);
-                if a.len() != 2 {
-                    return Err(perr(ln, "binary op needs two operands"));
-                }
+            if let Some(kind) = ibin(Some(mn)) {
+                let (lhs, rhs, dst) = regs("binary op needs two operands")?;
                 return Ok(Op::IBin {
-                    kind: k,
-                    lhs: parse_reg(ln, a[0])?,
-                    rhs: parse_reg(ln, a[1])?,
-                    dst: parse_reg(ln, &need_dst()?)?,
+                    kind,
+                    lhs,
+                    rhs,
+                    dst,
                 });
             }
-            if let Some(k) = fbin_kind(mn) {
-                let a = commas(&args_s);
-                if a.len() != 2 {
-                    return Err(perr(ln, "binary op needs two operands"));
-                }
+            if let Some(kind) = by_mnemonic(&FBinKind::ALL, FBinKind::mnemonic, Some(mn)) {
+                let (lhs, rhs, dst) = regs("binary op needs two operands")?;
                 return Ok(Op::FBin {
-                    kind: k,
-                    lhs: parse_reg(ln, a[0])?,
-                    rhs: parse_reg(ln, a[1])?,
-                    dst: parse_reg(ln, &need_dst()?)?,
+                    kind,
+                    lhs,
+                    rhs,
+                    dst,
                 });
             }
             Err(perr(ln, format!("unknown mnemonic `{mn}`")))

@@ -1,14 +1,20 @@
 //! Dead-code elimination (SSA mark-sweep).
 //!
-//! Marks side-effecting instructions (stores, calls, terminators) live and
-//! propagates liveness backwards through SSA use-def edges; everything
-//! unmarked is deleted.
+//! Marks every instruction that [`Op::removable_if_unused`] refuses as
+//! live (stores, calls, terminators, and a `div`/`rem` that may trap,
+//! which must still trap when its result is unused) and propagates
+//! liveness backwards through SSA use-def edges; everything unmarked is
+//! deleted. The pipeline's final dead-def sweep
+//! ([`crate::optimize_function`]) deletes by the same predicate, and
+//! unreachable blocks are pruned by [`Function::prune_unreachable`].
 //!
 //! Def sites are an [`analysis::RegMap`] and liveness one flat flag per
 //! instruction, indexed through per-block offsets.
+//!
+//! [`Op::removable_if_unused`]: iloc::Op::removable_if_unused
 
 use analysis::RegMap;
-use iloc::{Function, Op};
+use iloc::Function;
 
 /// Removes dead instructions from `f` (must be in SSA form for precise
 /// results; sound on any single-assignment-per-name code). Returns the
@@ -31,13 +37,13 @@ pub fn dce(f: &mut Function) -> usize {
         }
     }
 
-    // Side-effecting instructions are live; liveness flows back along
-    // use-def edges.
+    // Instructions with side effects or a possible trap are live;
+    // liveness flows back along use-def edges.
     let mut live = vec![false; total];
     let mut work: Vec<(u32, u32)> = Vec::new();
     for (bi, b) in f.blocks.iter().enumerate() {
         for (ii, instr) in b.instrs.iter().enumerate() {
-            if instr.op.has_side_effects() {
+            if !instr.op.removable_if_unused() {
                 live[start[bi] + ii] = true;
                 work.push((bi as u32, ii as u32));
             }
@@ -67,56 +73,12 @@ pub fn dce(f: &mut Function) -> usize {
     removed
 }
 
-/// Removes blocks unreachable from entry, remapping block ids in branch
-/// targets and φ-nodes. Also drops φ-arguments from removed predecessors.
-/// Returns the number of blocks removed.
-pub fn remove_unreachable_blocks(f: &mut Function) -> usize {
-    let n = f.blocks.len();
-    let order = f.reverse_postorder();
-    if order.len() == n {
-        return 0;
-    }
-    let mut reachable = vec![false; n];
-    for b in order {
-        reachable[b.index()] = true;
-    }
-    // Build old→new id map.
-    let mut remap: Vec<Option<u32>> = vec![None; n];
-    let mut next = 0u32;
-    for (i, slot) in remap.iter_mut().enumerate() {
-        if reachable[i] {
-            *slot = Some(next);
-            next += 1;
-        }
-    }
-    // Drop unreachable blocks.
-    let mut kept = Vec::with_capacity(next as usize);
-    for (i, b) in std::mem::take(&mut f.blocks).into_iter().enumerate() {
-        if reachable[i] {
-            kept.push(b);
-        }
-    }
-    f.blocks = kept;
-    // Rewrite targets and φs.
-    for b in &mut f.blocks {
-        for instr in &mut b.instrs {
-            if let Op::Phi { args, .. } = &mut instr.op {
-                args.retain(|(p, _)| remap[p.index()].is_some());
-            }
-            instr
-                .op
-                .map_successors(|t| iloc::BlockId(remap[t.index()].expect("reachable target")));
-        }
-    }
-    n - f.blocks.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use analysis::to_ssa;
     use iloc::builder::FuncBuilder;
-    use iloc::RegClass;
+    use iloc::{Op, RegClass};
 
     #[test]
     fn removes_unused_computation() {
@@ -181,7 +143,7 @@ mod tests {
         fb.switch_to(live);
         fb.ret(&[]);
         let mut f = fb.finish();
-        assert_eq!(remove_unreachable_blocks(&mut f), 1);
+        assert_eq!(f.prune_unreachable(), 1);
         iloc::verify_function(&f).unwrap();
         assert_eq!(f.blocks.len(), 2);
         assert_eq!(f.block(f.successors(f.entry())[0]).label, "live");
@@ -209,7 +171,7 @@ mod tests {
         let mut f = fb.finish();
         to_ssa(&mut f);
         crate::sccp::sccp(&mut f); // folds the branch, making `e` dead
-        remove_unreachable_blocks(&mut f);
+        f.prune_unreachable();
         iloc::verify_function(&f).unwrap();
         for b in &f.blocks {
             for i in &b.instrs {

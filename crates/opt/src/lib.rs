@@ -40,7 +40,7 @@ pub mod pipeline;
 pub mod sccp;
 pub mod unroll;
 
-pub use dce::{dce, remove_unreachable_blocks};
+pub use dce::dce;
 pub use gvn::gvn;
 pub use licm::licm;
 pub use peephole::peephole;

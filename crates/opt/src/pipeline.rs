@@ -12,7 +12,7 @@
 
 use iloc::{Function, Module};
 
-use crate::dce::{dce, remove_unreachable_blocks};
+use crate::dce::dce;
 use crate::gvn::gvn;
 use crate::peephole::peephole;
 use crate::sccp::sccp;
@@ -82,7 +82,7 @@ pub fn optimize_function(f: &mut Function, opts: &OptOptions) -> OptStats {
         stats.constants_folded += folded;
         stats.redundancies_removed += redundant;
         stats.dead_removed += dead;
-        stats.blocks_removed += remove_unreachable_blocks(f);
+        stats.blocks_removed += f.prune_unreachable();
         if folded + redundant + dead == 0 {
             break;
         }
@@ -96,7 +96,7 @@ pub fn optimize_function(f: &mut Function, opts: &OptOptions) -> OptStats {
     // Peephole may create dead `loadI`s (e.g. after strength reduction the
     // original constant may be unused); a final sweep is cheap. The code
     // is out of SSA, so run a conservative local cleanup: remove register
-    // defs with no uses anywhere and no side effects.
+    // defs with no uses anywhere that DCE could remove too.
     let mut uses = analysis::RegMap::for_function(f, 0u32);
     for b in &f.blocks {
         for i in &b.instrs {
@@ -104,7 +104,7 @@ pub fn optimize_function(f: &mut Function, opts: &OptOptions) -> OptStats {
         }
     }
     stats.dead_removed += f.remove_instrs(|i| {
-        if i.op.has_side_effects() {
+        if !i.op.removable_if_unused() {
             return false;
         }
         let (mut defs, mut used) = (0, false);

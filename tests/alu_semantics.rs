@@ -414,3 +414,32 @@ done:
         }
     }
 }
+
+/// A `divI` by 0 whose result nothing reads still traps: dead-code
+/// elimination and the pipeline's final dead-def sweep keep an op that
+/// may trap, so the optimized module traps as the raw one does rather
+/// than returning 1.
+#[test]
+fn an_unused_divide_by_zero_still_traps() {
+    let text = "global g 4 = 07000000
+func main() rets gpr locals 0 {
+entry:
+    loadSym @g => %r64
+    load %r64 => %r65
+    divI %r65, 0 => %r66
+    loadI 1 => %r67
+    ret %r67
+}
+";
+    let raw = iloc::parse_module(text).expect("reproducer parses");
+    assert_eq!(outcome(&raw), Err(SimError::DivideByZero));
+    for (name, opts) in option_sets() {
+        let mut optimized = raw.clone();
+        opt::optimize_module(&mut optimized, &opts);
+        assert_eq!(
+            outcome(&optimized),
+            Err(SimError::DivideByZero),
+            "under {name}:\n{optimized}"
+        );
+    }
+}
