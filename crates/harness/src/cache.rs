@@ -20,22 +20,24 @@
 //!   where a spill lands (§3.2). So that allocation depends on neither
 //!   the variant nor the CCM size: all four variants at every size share
 //!   it, and Table 1 compacts it;
-//! * **checks and simulations** — [`Run::allocated`] derives a
-//!   configuration from that allocation: `Baseline` shares the unit's
-//!   allocated module without a copy, and every CCM variant promotes a
-//!   clone of it ([`ccm::promote_allocated`], a few percent of the
-//!   allocation's cost), which gives exactly what a fresh
-//!   [`ccm::allocate_variant`] would. The checker's diagnostics are kept
-//!   in one [`ModuleMemo`] per unit, and [`Run::measure_unit`]'s sealed
-//!   simulation results in one per (unit, `MachineConfig` with its CCM
-//!   size cleared). A [`ModuleMemo`] is keyed by the module's content and
-//!   by the CCM size only when the module uses the CCM, so Baseline at
-//!   512 and 1024 B, and every CCM variant of a unit whose spills stay in
-//!   the frame, are checked and simulated once. The derived module's
-//!   `spilled_ranges` and degradations, and the variant label, stay per
-//!   configuration: no key names a variant. `repro`'s kernel tables check
-//!   and simulate 264 of their 422 configurations, the figures 66 of
-//!   104 ([`Run::measured`]).
+//! * **derivations, checks and simulations** — [`Run::allocated`]
+//!   derives a configuration from that allocation: `Baseline` shares the
+//!   unit's allocated module without a copy, and every CCM variant
+//!   promotes a clone of it ([`ccm::promote_allocated`]), which gives
+//!   exactly what a fresh [`ccm::allocate_variant`] would. Each derived
+//!   configuration is kept per (unit, variant, CCM size), so `--check`,
+//!   the sweep, the multitask study and the ablation read the tables'
+//!   derivations instead of promoting again; its module is the one the
+//!   unit's checker memo stores, so this keeps no extra module alive.
+//!   The checker's diagnostics are kept in one [`ModuleMemo`] per unit,
+//!   and [`Run::measure_unit`]'s sealed simulation results in one per
+//!   (unit, `MachineConfig` with its CCM size cleared). A [`ModuleMemo`]
+//!   is keyed by the module's content and by the CCM size only when the
+//!   module uses the CCM, so Baseline at 512 and 1024 B, and every CCM
+//!   variant of a unit whose spills stay in the frame, are checked and
+//!   simulated once: no check or simulation key names a variant.
+//!   `repro`'s kernel tables check and simulate 264 of their 422
+//!   configurations, the figures 66 of 104 ([`Run::measured`]).
 //!
 //! Failure is structured end to end: build panics become `stage=opt`
 //! errors, allocation and promotion panics `stage=alloc` (a failed
@@ -101,6 +103,7 @@ pub(crate) struct Memo {
     kernels: Map,
     programs: Map,
     baselines: Mutex<HashMap<String, (Arc<Module>, usize)>>,
+    derived: Mutex<HashMap<(String, Variant, u32), Allocated>>,
     checks: Mutex<HashMap<String, ModuleMemo<Arc<Vec<checker::Diagnostic>>>>>,
     sims: Mutex<HashMap<(String, MachineConfig), Sims>>,
 }
@@ -257,7 +260,8 @@ impl Run {
     }
 
     /// Derives `variant` at `ccm_size` from the unit's
-    /// [`Run::baseline_allocation`] and checks it. `Baseline` shares the
+    /// [`Run::baseline_allocation`] and checks it, once per (unit,
+    /// variant, CCM size) and run. `Baseline` shares the
     /// allocated module as is; the CCM variants promote a clone of it
     /// with [`ccm::promote_allocated`]. The checker runs once per module
     /// the unit's [`ModuleMemo`] tells apart, and the module returned is
@@ -280,6 +284,10 @@ impl Run {
         variant: Variant,
         ccm_size: u32,
     ) -> Result<Allocated, PipelineError> {
+        let key = (name.to_string(), variant, ccm_size);
+        if let Some(a) = lock(&self.memo.derived).get(&key) {
+            return Ok(a.clone());
+        }
         let at = |e: PipelineError| e.at(variant, ccm_size);
         let (allocated, spilled_ranges) = self.baseline_allocation(name, base).map_err(at)?;
         let (module, degraded) = if variant == Variant::Baseline {
@@ -304,12 +312,13 @@ impl Run {
             let (m, d) = checks.insert(module, ccm_size, diags);
             (Arc::clone(m), Arc::clone(d))
         });
-        Ok(Allocated {
+        let a = Allocated {
             module,
             diags,
             spilled_ranges,
             degraded,
-        })
+        };
+        Ok(lock(&self.memo.derived).entry(key).or_insert(a).clone())
     }
 
     /// Measures suite unit `name` (`base` is this run's build of it)
@@ -498,6 +507,8 @@ mod tests {
                 assert_eq!(out.degraded, derived.degraded);
             }
         }
+        // The run keeps one derivation per (variant, size): eight.
+        assert_eq!(lock(&run.memo.derived).len(), 8);
     }
 
     #[test]
