@@ -74,6 +74,8 @@ echo "== optimizer golden: cargo test -q --release --test opt_golden"
 # opt::optimize_module) over the module text and every OptStats field:
 # every fold, redundancy and deletion of the scalar pipeline, pinned in
 # release mode, where the tables only show what reaches the allocator.
+# Each unit is also simulated before and after optimization and must
+# return the same values (floats by bits) or trap alike.
 cargo test -q --release --test opt_golden
 
 echo "== ALU semantics: cargo test -q --release --test alu_semantics"
@@ -100,7 +102,8 @@ echo "== release smoke: repro --table1 --check --jobs 2"
 # Exercises the parallel engine end to end in release mode (the unit
 # tests above run debug-mode): a table that fills the run's memo with
 # every kernel's build and baseline allocation, the full 616-config
-# checker sweep deriving its configurations from that memo through
+# checker sweep deriving each configuration from that allocation once
+# (Run::allocated keeps it per unit, variant and CCM size) through
 # Run::par_contained, and the strict argument parser, all under a small
 # worker count.
 cargo run --release -q -p harness --bin repro -- --table1 --check --jobs 2 > /dev/null
@@ -134,6 +137,15 @@ echo "== fuzz output: repro --fuzz 512 --seed 1 --jobs 1"
 # full scale, not only on the 8-case unit test.
 cargo run --release -q -p harness --bin repro -- --fuzz 512 --seed 1 --jobs 1 \
     | diff - perfbench/expected/fuzz-seed1.out
+
+echo "== every stage: repro --all at --jobs 1 and --jobs 2"
+# No expected file pins the ablation, sweep, design, scheduling,
+# multitask or check output, and racing workers fill the run's memos of
+# derived configurations, checks and simulations in any order: the full
+# run's stdout must still be byte-identical on one worker and on two.
+cargo run --release -q -p harness --bin repro -- --all --jobs 1 > target/repro-all-jobs1.out
+cargo run --release -q -p harness --bin repro -- --all --jobs 2 \
+    | diff target/repro-all-jobs1.out -
 
 echo "== fuzz smoke: repro --fuzz 64 --seed 1 --jobs 2"
 # Fixed-seed differential fuzzing campaign: every generated module must
