@@ -147,6 +147,25 @@ cargo run --release -q -p harness --bin repro -- --all --jobs 1 > target/repro-a
 cargo run --release -q -p harness --bin repro -- --all --jobs 2 \
     | diff target/repro-all-jobs1.out -
 
+echo "== failure report: repro --all --sim-budget 20000 --errors-json at --jobs 1 and --jobs 2"
+# A step budget that many simulations exceed: every stage still runs,
+# the failing rows are recorded, and the run exits 1 only at the end,
+# after appending the sorted failure report to stdout as JSON. Workers
+# record failures in any order, so the whole stdout must still be
+# byte-identical on one worker and on two.
+for jobs in 1 2; do
+    status=0
+    cargo run --release -q -p harness --bin repro -- --all --sim-budget 20000 --errors-json \
+        --jobs "$jobs" > "target/repro-errors-jobs$jobs.out" \
+        2> "target/repro-errors-jobs$jobs.err" || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "repro --sim-budget 20000 --jobs $jobs: expected exit 1, got $status" \
+            "(stderr in target/repro-errors-jobs$jobs.err)" >&2
+        exit 1
+    fi
+done
+diff target/repro-errors-jobs1.out target/repro-errors-jobs2.out
+
 echo "== fuzz smoke: repro --fuzz 64 --seed 1 --jobs 2"
 # Fixed-seed differential fuzzing campaign: every generated module must
 # produce bit-identical checksums under all allocation variants, pass
@@ -156,11 +175,11 @@ echo "== fuzz smoke: repro --fuzz 64 --seed 1 --jobs 2"
 cargo run --release -q -p harness --bin repro -- --fuzz 64 --seed 1 --jobs 2
 
 echo "== inject smoke: repro --inject-sweep --jobs 2"
-# Fault-injection sweep in release mode: arm each registered fault
-# point in turn and assert the pipeline survives with the expected
-# structured failure (degradation with identical output, contained
-# panics, detected-and-evicted cache corruption, ...). Exit 1 means a
-# failure path regressed.
+# Fault-injection sweep in release mode: arm each of the six registered
+# fault points in turn and assert the pipeline survives with the
+# expected structured failure (degradation with identical output,
+# contained allocator and worker panics, checker and simulator errors).
+# Exit 1 means a failure path regressed.
 cargo run --release -q -p harness --bin repro -- --inject-sweep --jobs 2
 
 echo "== panic containment: fault_injection tests (release)"

@@ -30,7 +30,7 @@
 //!   derivations instead of promoting again; its module is the one the
 //!   unit's checker memo stores, so this keeps no extra module alive.
 //!   The checker's diagnostics are kept in one [`ModuleMemo`] per unit,
-//!   and [`Run::measure_unit`]'s sealed simulation results in one per
+//!   and [`Run::measure_unit`]'s simulation results in one per
 //!   (unit, `MachineConfig` with its CCM size cleared). A [`ModuleMemo`]
 //!   is keyed by the module's content and by the CCM size only when the
 //!   module uses the CCM, so Baseline at 512 and 1024 B, and every CCM
@@ -43,11 +43,8 @@
 //! errors, allocation and promotion panics `stage=alloc` (a failed
 //! baseline allocation is reported at each configuration that needed
 //! it), checker rejections `stage=checker`, simulator traps
-//! `stage=sim` — and every stored simulation is **sealed** with a
-//! digest at insert time, so a corrupted entry (bit rot, or the
-//! `cache.corrupt_measurement` fault point) is detected on its next hit
-//! as a `stage=cache` error and evicted instead of silently poisoning a
-//! table. Failures are never cached: a later call recomputes.
+//! `stage=sim`. Failures are never cached: a later call recomputes
+//! (`tests/fault_injection.rs`, `failures_are_never_memoized`).
 //!
 //! Expensive work happens outside the map locks (only the module
 //! comparisons of a [`ModuleMemo`] lookup run under one) — two workers
@@ -82,7 +79,7 @@ type Map = Mutex<HashMap<&'static str, Arc<Module>>>;
 /// The simulations of one (unit, machine with its CCM size cleared).
 #[derive(Default)]
 struct Sims {
-    runs: ModuleMemo<Sealed>,
+    runs: ModuleMemo<(Metrics, f64)>,
     /// The (variant, CCM size) configurations these runs served, for the
     /// count [`Run::measured`] reports.
     served: Vec<(Variant, u32)>,
@@ -146,43 +143,6 @@ pub struct Allocated {
     pub spilled_ranges: usize,
     /// Per-function CCM→heavyweight degradation events.
     pub degraded: Vec<ccm::Degradation>,
-}
-
-/// A simulation result sealed with the digest computed at insert time.
-#[derive(Clone, Copy)]
-struct Sealed {
-    metrics: Metrics,
-    checksum: f64,
-    digest: u64,
-}
-
-/// FNV-1a over a simulation's metrics and checksum. Detects any
-/// corruption of the numbers the tables are built from.
-fn digest(metrics: &Metrics, checksum: f64) -> u64 {
-    let c = &metrics.cache;
-    [
-        metrics.cycles,
-        metrics.mem_op_cycles,
-        metrics.instrs,
-        metrics.main_mem_ops,
-        metrics.ccm_ops,
-        metrics.spill_stores,
-        metrics.spill_restores,
-        metrics.calls,
-        metrics.max_depth,
-        metrics.stall_cycles,
-        c.hits,
-        c.misses,
-        c.victim_hits,
-        c.buffered_stores,
-        c.evictions,
-        checksum.to_bits(),
-    ]
-    .iter()
-    .flat_map(|x| x.to_le_bytes())
-    .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-    })
 }
 
 impl Run {
@@ -334,12 +294,9 @@ impl Run {
     /// Every stage failure is structured: an allocator panic is
     /// `stage=alloc`, a checker rejection `stage=checker`, and a
     /// simulator trap (unknown global, out-of-bounds access, exhausted
-    /// `--sim-budget`) `stage=sim`. A stored simulation whose seal no
-    /// longer matches its contents is evicted and reported as a
-    /// `stage=cache` error (the next call recomputes it). CCM coloring
-    /// failures are *not* errors: the affected function degrades to
-    /// heavyweight spills and the event is recorded in
-    /// [`Measurement::degraded`].
+    /// `--sim-budget`) `stage=sim`. CCM coloring failures are *not*
+    /// errors: the affected function degrades to heavyweight spills and
+    /// the event is recorded in [`Measurement::degraded`].
     pub fn measure_unit(
         &self,
         name: &str,
@@ -363,49 +320,24 @@ impl Run {
         let stored = {
             let mut map = lock(&self.memo.sims);
             let sims = map.entry(key.clone()).or_default();
-            match sims.runs.get(&a.module, ccm_size).map(|(_, s)| *s) {
-                Some(s) if digest(&s.metrics, s.checksum) == s.digest => {
-                    sims.serve(variant, ccm_size);
-                    Some(s)
-                }
-                Some(_) => {
-                    // Corrupt entry: evict so the next call recomputes,
-                    // and surface the detection as a structured failure.
-                    sims.runs.remove(&a.module, ccm_size);
-                    return Err(at(PipelineError::new(
-                        Stage::Cache,
-                        name,
-                        "corrupt cache entry: measurement digest mismatch (entry evicted)",
-                    )));
-                }
-                None => None,
+            let hit = sims.runs.get(&a.module, ccm_size).map(|(_, s)| *s);
+            if hit.is_some() {
+                sims.serve(variant, ccm_size);
             }
+            hit
         };
-        let Sealed {
-            metrics, checksum, ..
-        } = match stored {
+        let (metrics, checksum) = match stored {
             Some(s) => s,
             None => {
                 let (vals, metrics) = sim::run_module(&a.module, machine.clone(), "main")
                     .map_err(|e| at(PipelineError::new(Stage::Sim, name, e.to_string())))?;
                 let checksum = vals.floats.first().copied().unwrap_or(f64::NAN);
-                let sealed = Sealed {
-                    metrics,
-                    checksum,
-                    digest: digest(&metrics, checksum),
-                };
-                let mut stored = sealed;
-                if inject::faultpoint!("cache.corrupt_measurement") {
-                    // Flip the stored copy *after* sealing: the caller's
-                    // value is clean, but the next hit must detect the
-                    // mismatch.
-                    stored.metrics.cycles ^= 0xdead_beef;
-                }
                 let mut map = lock(&self.memo.sims);
                 let sims = map.entry(key).or_default();
-                sims.runs.insert(Arc::clone(&a.module), ccm_size, stored);
+                sims.runs
+                    .insert(Arc::clone(&a.module), ccm_size, (metrics, checksum));
                 sims.serve(variant, ccm_size);
-                sealed
+                (metrics, checksum)
             }
         };
         Ok(Measurement {
@@ -543,46 +475,5 @@ mod tests {
             .measure_unit(k.name, &base, v, &MachineConfig::with_ccm(1024))
             .unwrap();
         assert!(wider.cycles <= cached.cycles, "bigger CCM can't be slower");
-    }
-
-    #[test]
-    fn corrupted_entry_is_detected_evicted_and_recomputed() {
-        let run = Run::default();
-        let k = suite::kernel("radf5").unwrap();
-        let base = run.optimized(&k).unwrap();
-        let machine = MachineConfig::with_ccm(512);
-        let clean = run
-            .measure_unit(k.name, &base, Variant::PostPass, &machine)
-            .unwrap();
-        // Corrupt the sealed entry behind the memo's back.
-        let module = run
-            .allocated(k.name, &base, Variant::PostPass, machine.ccm_size)
-            .unwrap()
-            .module;
-        let key = (
-            k.name.to_string(),
-            MachineConfig {
-                ccm_size: 0,
-                ..machine.clone()
-            },
-        );
-        let mut map = lock(&run.memo.sims);
-        let runs = &mut map.get_mut(&key).expect("entry present").runs;
-        let mut sealed = runs
-            .remove(&module, machine.ccm_size)
-            .expect("entry present");
-        sealed.metrics.cycles ^= 1;
-        runs.insert(module, machine.ccm_size, sealed);
-        drop(map);
-        let err = run
-            .measure_unit(k.name, &base, Variant::PostPass, &machine)
-            .unwrap_err();
-        assert_eq!(err.stage, Stage::Cache);
-        assert!(err.detail.contains("corrupt"), "{err}");
-        // Eviction means the next call recomputes the clean value.
-        let again = run
-            .measure_unit(k.name, &base, Variant::PostPass, &machine)
-            .unwrap();
-        assert_eq!(again.cycles, clean.cycles);
     }
 }

@@ -88,10 +88,7 @@ pub fn export_all(dir: &std::path::Path, run: &Run) -> std::io::Result<Vec<Strin
     put("figure4.csv", figure_csv(&crate::figure(1024, run)))?;
     put(
         "sweep.csv",
-        sweep_csv(&crate::ccm_sweep(
-            &[64, 128, 256, 512, 1024, 2048, 4096],
-            run,
-        )),
+        sweep_csv(&crate::ccm_sweep(&crate::SWEEP_SIZES, run)),
     )?;
     Ok(written)
 }

@@ -1,10 +1,9 @@
 //! The structured error spine of the compile-and-measure pipeline.
 //!
 //! Every stage failure — a parse error, an allocator panic, a checker
-//! rejection, a simulator trap, a corrupt cache entry, a contained
-//! worker panic — becomes a [`PipelineError`] carrying its stage
-//! provenance and the (unit, variant, CCM) coordinates of the
-//! measurement that failed. Experiment drivers *record* errors into
+//! rejection, a simulator trap, a contained worker panic — becomes a
+//! [`PipelineError`] carrying its stage provenance and the (unit,
+//! variant, CCM) coordinates of the measurement that failed. Experiment drivers *record* errors into
 //! their [`Run`]'s failure sink ([`Run::record`]) and keep going: the
 //! failing row is dropped from the table, every remaining experiment
 //! still runs, and `repro` drains the sink at the end of the run into an
@@ -34,8 +33,6 @@ pub enum Stage {
     Checker,
     /// The simulator trapped (unknown global, bounds, step limit, …).
     Sim,
-    /// The memoization layer detected a corrupt entry.
-    Cache,
     /// The parallel engine contained a worker panic.
     Exec,
 }
@@ -49,7 +46,6 @@ impl Stage {
             Stage::Alloc => "alloc",
             Stage::Checker => "checker",
             Stage::Sim => "sim",
-            Stage::Cache => "cache",
             Stage::Exec => "exec",
         }
     }

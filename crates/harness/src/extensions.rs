@@ -523,6 +523,10 @@ pub struct MultitaskRow {
 /// Context-switch quanta (cycles) evaluated by [`multitask_study`].
 pub const MULTITASK_QUANTA: [u64; 3] = [10_000, 100_000, 1_000_000];
 
+/// CCM sizes (bytes) of the sizing curve: `repro --sweep` prints
+/// [`ccm_sweep`] over these, and `sweep.csv` exports the same points.
+pub const SWEEP_SIZES: [u32; 7] = [64, 128, 256, 512, 1024, 2048, 4096];
+
 /// The §2.1 multitasking question: with several processes sharing the
 /// chip, should the OS copy the CCM in and out on context switches, or
 /// carve it up with a base register? Benefits come from the measured

@@ -5,10 +5,9 @@
 //! asserts that the run **survives** with exactly the expected
 //! structured outcome — a `stage=alloc` error for an allocator panic, a
 //! degradation event (not an error) for a CCM coloring failure, a
-//! detected-and-evicted `stage=cache` error for a corrupted cache entry,
-//! and so on. A point that does not fire, fires with the wrong shape, or
-//! escapes containment fails the sweep; the process itself must never
-//! abort.
+//! `stage=sim` error for an exhausted step budget, and so on. A point
+//! that does not fire, fires with the wrong shape, or escapes
+//! containment fails the sweep; the process itself must never abort.
 //!
 //! The sweep runs points strictly one at a time (arming is process-
 //! global), and every armed measurement runs in a fresh [`Run`], so an
@@ -46,13 +45,9 @@ fn workload_module() -> Result<Arc<Module>, String> {
     Ok(Arc::new(suite::build_optimized(&k)))
 }
 
-fn machine() -> MachineConfig {
-    MachineConfig::with_ccm(CCM)
-}
-
 /// Measures the workload under `variant` in a fresh [`Run`].
 fn measure(m: &Arc<Module>, variant: Variant) -> Result<Measurement, PipelineError> {
-    Run::default().measure_unit(KERNEL, m, variant, &machine())
+    Run::default().measure_unit(KERNEL, m, variant, &MachineConfig::with_ccm(CCM))
 }
 
 /// Asserts an `Err` with the given stage whose detail mentions `needle`.
@@ -81,7 +76,7 @@ fn point_ccm_coloring(m: &Arc<Module>) -> Result<String, String> {
     let mut lines = Vec::new();
     for variant in [Variant::PostPassCallGraph, Variant::Integrated] {
         let clean = measure(m, variant).map_err(|e| format!("clean run failed: {e}"))?;
-        inject::arm_once("alloc.ccm_coloring", 0).map_err(|e| e.to_string())?;
+        inject::arm_once("alloc.ccm_coloring").map_err(|e| e.to_string())?;
         let degraded = measure(m, variant);
         let fires = inject::disarm();
         let degraded = degraded.map_err(|e| format!("degraded run errored: {e}"))?;
@@ -144,38 +139,6 @@ fn point_sim_unknown_global(m: &Arc<Module>) -> Result<String, String> {
     expect_err(r, Stage::Sim, "unknown global")
 }
 
-/// `cache.corrupt_measurement`: the first call seals a corrupted entry
-/// (while returning the clean value); the next hit must detect the
-/// digest mismatch as `stage=cache` and evict, and the call after that
-/// recomputes the clean value.
-fn point_cache_corruption(m: &Arc<Module>) -> Result<String, String> {
-    let run = Run::default();
-    inject::arm("cache.corrupt_measurement").map_err(|e| e.to_string())?;
-    let first = run.measure_unit(KERNEL, m, Variant::PostPass, &machine());
-    let fires = inject::disarm();
-    let first = first.map_err(|e| format!("seeding call failed: {e}"))?;
-    if fires == 0 {
-        return Err("point never fired".to_string());
-    }
-    let hit = run.measure_unit(KERNEL, m, Variant::PostPass, &machine());
-    let detail = match hit {
-        Err(e) if e.stage == Stage::Cache && e.detail.contains("corrupt") => format!("{e}"),
-        Err(e) => {
-            return Err(format!(
-                "expected stage=cache containing `corrupt`, got `{e}`"
-            ))
-        }
-        Ok(_) => return Err("corrupt entry went undetected".to_string()),
-    };
-    let recomputed = run
-        .measure_unit(KERNEL, m, Variant::PostPass, &machine())
-        .map_err(|e| format!("post-eviction recompute failed: {e}"))?;
-    if recomputed.cycles != first.cycles {
-        return Err("post-eviction recompute diverged from the clean value".to_string());
-    }
-    Ok(format!("detected and evicted: {detail}"))
-}
-
 /// `exec.worker_panic`: every item's worker panic is contained in its
 /// own slot, and the failure report is byte-identical at any job count.
 fn point_exec_worker_panic(jobs: usize) -> Result<String, String> {
@@ -223,7 +186,6 @@ pub fn run_sweep(jobs: usize) -> Vec<SweepOutcome> {
             (Ok(m), "checker.forced_error") => point_checker(m),
             (Ok(m), "sim.budget") => point_sim_budget(m),
             (Ok(m), "sim.unknown_global") => point_sim_unknown_global(m),
-            (Ok(m), "cache.corrupt_measurement") => point_cache_corruption(m),
             (Ok(_), "exec.worker_panic") => point_exec_worker_panic(jobs),
             (Ok(_), other) => Err(format!(
                 "no sweep workload drives `{other}` — register one in inject_sweep.rs"

@@ -208,8 +208,9 @@ fn main() {
         println!("{}", report::render_ablation(&rows));
     }
     if o.sweep {
-        let sizes = [64, 128, 256, 512, 1024, 2048, 4096];
-        let pts = exec::timed("repro", "sweep", jobs, || harness::ccm_sweep(&sizes, run));
+        let pts = exec::timed("repro", "sweep", jobs, || {
+            harness::ccm_sweep(&harness::SWEEP_SIZES, run)
+        });
         println!("{}", harness::render_sweep(&pts));
     }
     if o.design {

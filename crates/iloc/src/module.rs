@@ -201,13 +201,6 @@ impl<V> ModuleMemo<V> {
         (e, v)
     }
 
-    /// Removes and returns the value stored for `m` at a `ccm_size`-byte
-    /// CCM.
-    pub fn remove(&mut self, m: &Module, ccm_size: u32) -> Option<V> {
-        let i = self.position(m, ccm_size).ok()?;
-        Some(self.entries.remove(i).2)
-    }
-
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -289,9 +282,6 @@ mod tests {
         assert_eq!(memo.get(&ccm, 512).map(|(_, v)| *v), Some("ccm@512"));
         assert!(memo.get(&ccm, 1024).is_none());
         assert_eq!(memo.len(), 2);
-        assert_eq!(memo.remove(&ccm, 512), Some("ccm@512"));
-        assert!(memo.get(&ccm, 512).is_none());
-        assert_eq!(memo.len(), 1);
     }
 
     #[test]

@@ -3,24 +3,24 @@
 //!
 //! Error-handling code that is never executed is broken code waiting to
 //! be discovered in production. This crate turns the pipeline's failure
-//! paths into a *tested surface*: pipeline, allocator, simulator, cache,
-//! and engine code compile in named **fault points** (via
+//! paths into a *tested surface*: pipeline, allocator, checker,
+//! simulator and engine code compile in named **fault points** (via
 //! [`faultpoint!`]), all of which are inert until a test or
 //! `repro --inject-sweep` **arms** exactly one of them. An armed point
 //! makes its site fail in a site-specific way — return its structured
-//! error, panic, exhaust the simulation budget, corrupt a cache entry —
-//! and the caller then asserts that the run *survives* with exactly the
-//! expected structured failure.
+//! error, panic, exhaust the simulation budget — and the caller then
+//! asserts that the run *survives* with exactly the expected structured
+//! failure.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Zero cost disarmed.** [`should_fire`] is a single relaxed atomic
 //!    load on the fast path; the suite and benchmarks pay one branch.
 //! 2. **Deterministic.** Arming is explicit and global; a point either
-//!    fires on every hit ([`arm`]) or on exactly one hit ([`arm_once`],
-//!    serialized through a mutex so concurrent hitters cannot both
-//!    fire). No randomness, no time dependence — a seeded sweep
-//!    chooses *which* point and *which* hit, never a coin flip.
+//!    fires on every hit ([`arm`]) or on its first hit only
+//!    ([`arm_once`], serialized through a mutex so concurrent hitters
+//!    cannot both fire). No randomness, no time dependence — a sweep
+//!    chooses *which* point, never a coin flip.
 //! 3. **Closed registry.** Every legal name is listed in [`REGISTRY`]
 //!    with its site and expected failure; arming an unknown name is an
 //!    error. The sweep walks the registry, so a registered point whose
@@ -34,16 +34,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// How an armed point decides whether a given hit fires.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Mode {
+#[derive(PartialEq, Eq)]
+enum Mode {
     /// Fire on every hit while armed.
     Always,
-    /// Skip the first `skip` hits, fire on the next one, then go dormant
-    /// (exactly one fire per arming).
-    Once {
-        /// Hits to let pass unharmed before the single fire.
-        skip: u64,
-    },
+    /// Fire on the first hit, then go dormant (exactly one fire per
+    /// arming).
+    Once,
 }
 
 /// One entry of the fault-point registry.
@@ -94,12 +91,6 @@ pub const REGISTRY: &[FaultPoint] = &[
         expect: "PipelineError stage=sim containing `unknown global`",
     },
     FaultPoint {
-        name: "cache.corrupt_measurement",
-        site: "harness::Run::measure_unit insert",
-        effect: "the stored measurement's bytes are flipped after fingerprinting",
-        expect: "PipelineError stage=cache containing `corrupt` on the next hit",
-    },
-    FaultPoint {
         name: "exec.worker_panic",
         site: "exec::queue item execution",
         effect: "the worker panics before running its item",
@@ -115,7 +106,6 @@ pub fn point(name: &str) -> Option<&'static FaultPoint> {
 struct Arming {
     name: &'static str,
     mode: Mode,
-    hits: u64,
     fires: u64,
 }
 
@@ -147,7 +137,6 @@ fn arm_with(name: &str, mode: Mode) -> Result<(), String> {
     *lock_state() = Some(Arming {
         name: p.name,
         mode,
-        hits: 0,
         fires: 0,
     });
     ACTIVE.store(true, Ordering::SeqCst);
@@ -164,15 +153,14 @@ pub fn arm(name: &str) -> Result<(), String> {
     arm_with(name, Mode::Always)
 }
 
-/// Arms `name` to fire exactly once, after letting `skip` hits pass.
-/// The deterministic way to target "the (skip+1)-th function" or "the
-/// (skip+1)-th measurement" in a serial run.
+/// Arms `name` to fire on its first hit only: in a serial run, the
+/// first function or measurement that reaches the site.
 ///
 /// # Errors
 ///
 /// Same as [`arm`].
-pub fn arm_once(name: &str, skip: u64) -> Result<(), String> {
-    arm_with(name, Mode::Once { skip })
+pub fn arm_once(name: &str) -> Result<(), String> {
+    arm_with(name, Mode::Once)
 }
 
 /// Disarms whatever is armed and returns how often it fired.
@@ -180,22 +168,6 @@ pub fn disarm() -> u64 {
     let mut g = lock_state();
     ACTIVE.store(false, Ordering::SeqCst);
     g.take().map(|a| a.fires).unwrap_or(0)
-}
-
-/// The armed point's name, if any.
-pub fn armed() -> Option<&'static str> {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return None;
-    }
-    lock_state().as_ref().map(|a| a.name)
-}
-
-/// How often the armed point has fired so far (0 when disarmed).
-pub fn fire_count() -> u64 {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return 0;
-    }
-    lock_state().as_ref().map(|a| a.fires).unwrap_or(0)
 }
 
 /// Called by [`faultpoint!`] at every site hit: true when the site must
@@ -209,12 +181,7 @@ pub fn should_fire(name: &str) -> bool {
     if a.name != name {
         return false;
     }
-    let hit = a.hits;
-    a.hits += 1;
-    let fire = match a.mode {
-        Mode::Always => true,
-        Mode::Once { skip } => hit == skip,
-    };
+    let fire = a.mode == Mode::Always || a.fires == 0;
     if fire {
         a.fires += 1;
     }
@@ -255,8 +222,7 @@ mod tests {
         let _g = guard();
         disarm();
         assert!(!should_fire("sim.budget"));
-        assert_eq!(fire_count(), 0);
-        assert_eq!(armed(), None);
+        assert_eq!(disarm(), 0);
     }
 
     #[test]
@@ -266,18 +232,17 @@ mod tests {
         assert!(should_fire("sim.budget"));
         assert!(should_fire("sim.budget"));
         assert!(!should_fire("alloc.panic"), "other names stay inert");
-        assert_eq!(fire_count(), 2);
-        assert_eq!(armed(), Some("sim.budget"));
         assert_eq!(disarm(), 2);
         assert!(!should_fire("sim.budget"), "disarm is immediate");
     }
 
     #[test]
-    fn once_mode_skips_then_fires_exactly_once() {
+    fn once_mode_fires_on_the_first_hit_only() {
         let _g = guard();
-        arm_once("alloc.ccm_coloring", 2).unwrap();
-        let fired: Vec<bool> = (0..6).map(|_| should_fire("alloc.ccm_coloring")).collect();
-        assert_eq!(fired, [false, false, true, false, false, false]);
+        arm_once("alloc.ccm_coloring").unwrap();
+        assert!(!should_fire("sim.budget"), "other names stay inert");
+        let fired: Vec<bool> = (0..4).map(|_| should_fire("alloc.ccm_coloring")).collect();
+        assert_eq!(fired, [true, false, false, false]);
         assert_eq!(disarm(), 1);
     }
 
@@ -286,7 +251,8 @@ mod tests {
         let _g = guard();
         let err = arm("no.such.point").unwrap_err();
         assert!(err.contains("no.such.point") && err.contains("sim.budget"));
-        assert_eq!(armed(), None);
+        assert!(!should_fire("no.such.point"));
+        assert_eq!(disarm(), 0, "a rejected name arms nothing");
     }
 
     #[test]

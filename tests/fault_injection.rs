@@ -8,7 +8,9 @@
 //! `sim_budget_override_acts_as_watchdog` below). Every armed
 //! measurement runs in a fresh `harness::Run`, so the memo of one run
 //! never hands a clean result to an armed measurement or an injected
-//! one to a clean measurement.
+//! one to a clean measurement. The one exception is
+//! `failures_are_never_memoized`, which arms points that only fail
+//! inside one run and then measures again in it.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -77,7 +79,7 @@ fn forced_coloring_failure_degrades_without_changing_any_golden_output() {
     }
 
     // Degrade exactly one function of the post-pass allocation.
-    inject::arm_once("alloc.ccm_coloring", 0).expect("registered point");
+    inject::arm_once("alloc.ccm_coloring").expect("registered point");
     let degraded = measure(&m, Variant::PostPassCallGraph, &machine);
     let fires = inject::disarm();
     let degraded = must(degraded);
@@ -101,6 +103,48 @@ fn forced_coloring_failure_degrades_without_changing_any_golden_output() {
         assert_eq!(again.checksum.to_bits(), c.checksum.to_bits());
         assert!(again.degraded.is_empty());
     }
+}
+
+/// Failures are never memoized: inside one run, an armed allocator
+/// panic fails a CCM configuration and an armed step budget fails the
+/// baseline, and once disarmed the same run measures both exactly as a
+/// fresh run does, and counts the same simulations.
+#[test]
+fn failures_are_never_memoized() {
+    let _g = guard();
+    inject::disarm();
+    let k = suite::kernel("radf5").expect("kernel exists");
+    let m = Arc::new(suite::build_optimized(&k));
+    let machine = MachineConfig::with_ccm(512);
+    let run = Run::default();
+    let measure_in = |run: &Run, v| run.measure_unit("radf5", &m, v, &machine);
+
+    // Panic-type point: silence the default hook for the duration.
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    inject::arm("alloc.panic").expect("registered point");
+    let alloc = measure_in(&run, Variant::PostPassCallGraph);
+    inject::disarm();
+    std::panic::set_hook(prev);
+    inject::arm("sim.budget").expect("registered point");
+    let sim = measure_in(&run, Variant::Baseline);
+    inject::disarm();
+
+    let alloc = alloc.expect_err("armed allocator panic");
+    assert_eq!(alloc.stage, harness::Stage::Alloc, "{alloc}");
+    assert!(alloc.detail.contains("injected allocator panic"), "{alloc}");
+    let sim = sim.expect_err("armed step budget");
+    assert_eq!(sim.stage, harness::Stage::Sim, "{sim}");
+    assert!(sim.detail.contains("step limit"), "{sim}");
+
+    let fresh = Run::default();
+    for v in [Variant::PostPassCallGraph, Variant::Baseline] {
+        let again = must(measure_in(&run, v));
+        let clean = must(measure_in(&fresh, v));
+        assert_eq!(again.cycles, clean.cycles, "{v:?}");
+        assert_eq!(again.checksum.to_bits(), clean.checksum.to_bits(), "{v:?}");
+    }
+    assert_eq!(run.measured(), fresh.measured());
 }
 
 /// A fuzz campaign in which every non-baseline variant panics in the
