@@ -1,6 +1,7 @@
 //! Golden-snapshot tests for `repro`'s report output: the rendered
-//! tables and figures, and a fixed-seed fuzz campaign report, are
-//! compared byte-for-byte against committed expected files. The whole pipeline — suite build, optimization,
+//! tables and figures, the extension studies and a fixed-seed fuzz
+//! campaign report are compared byte-for-byte against committed
+//! expected files. The whole pipeline — suite build, optimization,
 //! allocation, CCM promotion, simulation — is deterministic, so any
 //! diff here is a real behavior change and must be reviewed, not
 //! blindly re-recorded.
@@ -57,6 +58,20 @@ fn table3_matches_golden() {
 #[test]
 fn figure3_matches_golden() {
     check_golden(&["--figure3"], "figure3.txt");
+}
+
+#[test]
+fn extension_studies_match_golden() {
+    check_golden(
+        &[
+            "--ablation",
+            "--sweep",
+            "--design",
+            "--sched",
+            "--multitask",
+        ],
+        "extensions.txt",
+    );
 }
 
 #[test]
