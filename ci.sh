@@ -149,10 +149,12 @@ cargo run --release -q -p harness --bin repro -- --all --jobs 2 \
 
 echo "== failure report: repro --all --sim-budget 20000 --errors-json at --jobs 1 and --jobs 2"
 # A step budget that many simulations exceed: every stage still runs,
-# the failing rows are recorded, and the run exits 1 only at the end,
-# after appending the sorted failure report to stdout as JSON. Workers
-# record failures in any order, so the whole stdout must still be
-# byte-identical on one worker and on two.
+# every failed measurement is recorded, a failed unit drops its table
+# row, and a summed study (ablation, sweep, design, scheduling) drops
+# each row with a failed cell instead of printing a partial sum. The
+# run exits 1 only at the end, after appending the sorted failure report
+# to stdout as JSON. Workers record failures in any order, so the whole
+# stdout must still be byte-identical on one worker and on two.
 for jobs in 1 2; do
     status=0
     cargo run --release -q -p harness --bin repro -- --all --sim-budget 20000 --errors-json \

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::experiments::{CompactionRow, ProgramRow, SpeedupRow};
+use crate::experiments::{CompactionRow, SpeedupRow};
 use crate::extensions::SweepPoint;
 use crate::pipeline::Run;
 
@@ -40,12 +40,13 @@ pub fn speedups_csv(rows: &[SpeedupRow]) -> String {
 }
 
 /// Figures 3/4 as CSV: one row per (program, method).
-pub fn figure_csv(rows: &[ProgramRow]) -> String {
+pub fn figure_csv(rows: &[SpeedupRow]) -> String {
     let mut s = String::from("program,method,rel_time,rel_mem_time,base_cycles\n");
     let methods = ["postpass", "postpass_cg", "integrated"];
     for r in rows {
-        for (m, (t, mem)) in methods.iter().zip(r.rel.iter()) {
-            let _ = writeln!(s, "{},{},{:.4},{:.4},{}", r.name, m, t, mem, r.baseline.0);
+        for (method, m) in methods.iter().zip(r.ccm_variants()) {
+            let (t, mem, base) = (r.rel(m), r.rel_mem(m), r.baseline.cycles);
+            let _ = writeln!(s, "{},{method},{t:.4},{mem:.4},{base}", r.name);
         }
     }
     s
@@ -102,8 +103,10 @@ mod tests {
     fn table1_csv_has_header_and_rows() {
         let rows = vec![CompactionRow {
             name: "x".into(),
-            before: 10,
-            after: 5,
+            stats: ccm::CompactStats {
+                before: 10,
+                after: 5,
+            },
         }];
         let s = table1_csv(&rows);
         let mut lines = s.lines();
@@ -116,10 +119,20 @@ mod tests {
 
     #[test]
     fn figure_csv_one_row_per_method() {
-        let rows = vec![crate::experiments::ProgramRow {
+        let [baseline, postpass, postpass_cg, integrated] =
+            [(100, 40), (90, 32), (85, 30), (95, 36)].map(|(cycles, mem_cycles)| {
+                crate::Measurement {
+                    cycles,
+                    mem_cycles,
+                    ..Default::default()
+                }
+            });
+        let rows = vec![SpeedupRow {
             name: "p".into(),
-            baseline: (100, 40),
-            rel: [(0.9, 0.8), (0.85, 0.75), (0.95, 0.9)],
+            baseline,
+            postpass,
+            postpass_cg,
+            integrated,
         }];
         let s = figure_csv(&rows);
         assert_eq!(s.lines().count(), 4); // header + 3 methods

@@ -3,12 +3,14 @@
 //! Every stage failure — a parse error, an allocator panic, a checker
 //! rejection, a simulator trap, a contained worker panic — becomes a
 //! [`PipelineError`] carrying its stage provenance and the (unit,
-//! variant, CCM) coordinates of the measurement that failed. Experiment drivers *record* errors into
-//! their [`Run`]'s failure sink ([`Run::record`]) and keep going: the
-//! failing row is dropped from the table, every remaining experiment
-//! still runs, and `repro` drains the sink at the end of the run into an
-//! aggregated report (text on stderr, JSON with `--errors-json`),
-//! exiting nonzero only then.
+//! variant, CCM) coordinates of the measurement that failed. Experiment
+//! drivers *record* errors into their [`Run`]'s failure sink
+//! ([`Run::record`]) and keep going: a row is reported only when every
+//! measurement it is built from succeeded ([`Run::par_rows`] for a row
+//! summed over cells), every remaining experiment still runs, and
+//! `repro` drains the sink at the end of the run into an aggregated
+//! report (text on stderr, JSON with `--errors-json`), exiting nonzero
+//! only then.
 //!
 //! The sink is drained in sorted order ([`Run::drain`]), so the
 //! end-of-run report is byte-identical at any `--jobs` count even though
@@ -153,6 +155,37 @@ impl Run {
             })
             .collect()
     }
+
+    /// Fans every cell of a `rows` × `cols` grid out through
+    /// [`Run::par_contained`], so each failed cell is recorded once. A
+    /// row is `Some`, its cells in column order, only when every cell in
+    /// it succeeded: a study that sums a row never sums part of it.
+    pub fn par_rows<R, C, T, L, F>(
+        &self,
+        rows: &[R],
+        cols: &[C],
+        label: L,
+        cell: F,
+    ) -> Vec<Option<Vec<T>>>
+    where
+        R: Sync,
+        C: Sync,
+        T: Send,
+        L: Fn(&R, &C) -> String + Sync,
+        F: Fn(&R, &C) -> Result<T, PipelineError> + Sync,
+    {
+        let items: Vec<(&R, &C)> = rows
+            .iter()
+            .flat_map(|r| cols.iter().map(move |c| (r, c)))
+            .collect();
+        let mut cells = self
+            .par_contained(&items, |(r, c)| label(r, c), |(r, c)| cell(r, c))
+            .into_iter();
+        // Take each whole row before folding it: collecting into `Option`
+        // stops at the first failed cell.
+        let mut row = || cells.by_ref().take(cols.len()).collect::<Vec<_>>();
+        rows.iter().map(|_| row().into_iter().collect()).collect()
+    }
 }
 
 /// Renders the end-of-run failure report as text.
@@ -219,6 +252,34 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].unit, "aaa");
         assert!(run.drain().is_empty());
+    }
+
+    #[test]
+    fn par_rows_drops_exactly_the_rows_with_a_failed_cell() {
+        for jobs in [1, 2] {
+            let run = Run::new(jobs, sim::DEFAULT_MAX_STEPS);
+            let rows = run.par_rows(
+                &[0u32, 1, 2],
+                &[10u32, 20, 30],
+                |r, c| format!("cell {r}/{c}"),
+                |&r, &c| {
+                    if (r, c) == (1, 20) {
+                        Err(PipelineError::new(Stage::Sim, "cell 1/20", "failed"))
+                    } else {
+                        Ok(r + c)
+                    }
+                },
+            );
+            assert_eq!(
+                rows,
+                [Some(vec![10, 20, 30]), None, Some(vec![12, 22, 32])],
+                "jobs={jobs}"
+            );
+            // The raw sink, not `drain`, which would hide a duplicate.
+            let failures = run.failures.lock().unwrap();
+            assert_eq!(failures.len(), 1, "jobs={jobs}: {failures:?}");
+            assert_eq!(failures[0].unit, "cell 1/20");
+        }
     }
 
     #[test]

@@ -4,40 +4,40 @@
 //! ([`Run::par_contained`] on [`exec::par_map_contained`]) with one
 //! work item per independent (unit, variant set, CCM size) measurement,
 //! and collects results **by item index** so the output is
-//! byte-identical whatever `--jobs` value ran it. Each takes the
-//! [`Run`]: the worker count, the machine every simulation runs on, the
-//! memo every build, check and simulation is read through, and the
-//! sink its failures are recorded into.
+//! byte-identical whatever `--jobs` value ran it. A failed unit drops
+//! its own row; the §4.3 ablation, which sums each configuration's row
+//! over five kernels, folds its grid through [`Run::par_rows`] and drops
+//! every row with a failed cell. Each takes the [`Run`]: the worker
+//! count, the machine every simulation runs on, the memo every build,
+//! check and simulation is read through, and the sink its failures are
+//! recorded into.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ccm::Variant;
+use ccm::{CompactStats, Variant};
 use iloc::Module;
 use sim::{CacheConfig, MachineConfig};
 
 use crate::error::{PipelineError, Stage};
 use crate::pipeline::{check_allocated, Measurement, Run};
 
-/// Table 1 row: spill-memory compaction for one routine.
+/// Table 1 row: spill-memory compaction for one routine. It derefs to
+/// its [`ccm::CompactStats`], so `before`, `after` and `ratio()` read as
+/// on the stats.
 #[derive(Clone, Debug)]
 pub struct CompactionRow {
     /// Routine name.
     pub name: String,
-    /// Bytes of spill memory before compaction.
-    pub before: u32,
-    /// Bytes after compaction.
-    pub after: u32,
+    /// Spill-memory bytes summed over the routine's functions.
+    pub stats: CompactStats,
 }
 
-impl CompactionRow {
-    /// The paper's `after/before` ratio.
-    pub fn ratio(&self) -> f64 {
-        if self.before == 0 {
-            1.0
-        } else {
-            self.after as f64 / self.before as f64
-        }
+impl std::ops::Deref for CompactionRow {
+    type Target = CompactStats;
+
+    fn deref(&self) -> &CompactStats {
+        &self.stats
     }
 }
 
@@ -52,17 +52,17 @@ pub fn table1(run: &Run) -> Vec<CompactionRow> {
         |k| {
             let base = run.optimized(k)?;
             let (allocated, _) = run.baseline_allocation(k.name, &base)?;
-            let before: u32 = allocated
-                .functions
-                .iter()
-                .map(|f| f.frame.spill_bytes())
-                .sum();
-            if before == 0 {
+            let mut m = (*allocated).clone();
+            let stats = ccm::compact_module(&mut m).into_iter().fold(
+                CompactStats::default(),
+                |t, (_, s)| CompactStats {
+                    before: t.before + s.before,
+                    after: t.after + s.after,
+                },
+            );
+            if stats.before == 0 {
                 return Ok(None);
             }
-            let mut m = (*allocated).clone();
-            ccm::compact_module(&mut m);
-            let after: u32 = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
             // Correctness guard: the compacted module must stay
             // checker-clean (its `compaction overlap` check included) and
             // return the baseline's checksum. The compacted code makes no
@@ -93,8 +93,7 @@ pub fn table1(run: &Run) -> Vec<CompactionRow> {
             }
             Ok(Some(CompactionRow {
                 name: k.name.to_string(),
-                before,
-                after,
+                stats,
             }))
         },
     );
@@ -136,6 +135,11 @@ impl SpeedupRow {
     /// The three CCM measurements, in the paper's column order.
     pub fn ccm_variants(&self) -> [&Measurement; 3] {
         [&self.postpass, &self.postpass_cg, &self.integrated]
+    }
+
+    /// Whether any CCM variant improved running time by ≥ 0.5 %.
+    pub fn improved(&self) -> bool {
+        self.ccm_variants().iter().any(|m| self.rel(m) < 0.995)
     }
 
     /// Cycle count of the best (fastest) CCM variant.
@@ -318,41 +322,15 @@ pub fn table4_from(rows: &[SpeedupRow]) -> [Table4Cell; 3] {
     out
 }
 
-/// Figure 3/4 row: whole-program relative times for the three methods.
-#[derive(Clone, Debug)]
-pub struct ProgramRow {
-    /// Program name.
-    pub name: String,
-    /// Baseline cycles / memory-op cycles.
-    pub baseline: (u64, u64),
-    /// Relative (running time, memory-op time) for post-pass,
-    /// post-pass w/ call graph, and integrated, in that order.
-    pub rel: [(f64, f64); 3],
-}
-
-impl ProgramRow {
-    /// Whether any method improved whole-program running time by ≥ 0.5 %.
-    pub fn improved(&self) -> bool {
-        self.rel.iter().any(|(t, _)| *t < 0.995)
-    }
-}
-
 /// Runs the Figure 3 (512 B) or Figure 4 (1024 B) experiment over the 13
 /// programs.
-pub fn figure(ccm_size: u32, run: &Run) -> Vec<ProgramRow> {
+pub fn figure(ccm_size: u32, run: &Run) -> Vec<SpeedupRow> {
     let machine = run.machine(ccm_size);
     let programs = suite::programs();
     run.par_contained(
         &programs,
         |p| format!("figure {} @ {ccm_size} B", p.name),
-        |p| {
-            let row = measure_row(run, p.name, &run.program(p)?, &machine)?;
-            Ok(ProgramRow {
-                name: p.name.to_string(),
-                baseline: (row.baseline.cycles, row.baseline.mem_cycles),
-                rel: row.ccm_variants().map(|m| (row.rel(m), row.rel_mem(m))),
-            })
-        },
+        |p| measure_row(run, p.name, &run.program(p)?, &machine),
     )
     .into_iter()
     .flatten()
@@ -380,51 +358,39 @@ pub struct AblationRow {
 /// spilling through the hierarchy against spilling to the CCM.
 pub fn ablation(run: &Run) -> Vec<AblationRow> {
     let kernels = ["fpppp", "twldrv", "jacld", "radf5", "deseco"];
-    let mut configs: Vec<(String, CacheConfig)> = Vec::new();
     let base = CacheConfig::small_direct_mapped();
-    configs.push(("8K direct-mapped".into(), base.clone()));
-    configs.push((
-        "32K 2-way (better cache)".into(),
-        CacheConfig {
-            size: 32 * 1024,
-            assoc: 2,
-            ..base.clone()
-        },
-    ));
-    configs.push((
-        "8K DM + 8-entry write buffer".into(),
-        CacheConfig {
-            write_buffer: 8,
-            ..base.clone()
-        },
-    ));
-    configs.push((
-        "8K DM + 4-line victim cache".into(),
-        CacheConfig {
-            victim_lines: 4,
-            ..base
-        },
-    ));
-
-    // One work item per (configuration, kernel); per-config sums are
-    // folded afterward in item order.
-    let mut items: Vec<(usize, CacheConfig, &'static str)> = Vec::new();
-    for (ci, (_, ccfg)) in configs.iter().enumerate() {
-        for name in kernels {
-            items.push((ci, ccfg.clone(), name));
-        }
-    }
-    struct Cell {
-        config: usize,
-        base_cycles: u64,
-        ccm_cycles: u64,
-        base_hits: (u64, u64),
-        ccm_hits: (u64, u64),
-    }
-    let cells = run.par_contained(
-        &items,
-        |(ci, _, name)| format!("ablation {} on {}", name, configs[*ci].0),
-        |(ci, ccfg, name)| {
+    let configs = [
+        ("8K direct-mapped", base.clone()),
+        (
+            "32K 2-way (better cache)",
+            CacheConfig {
+                size: 32 * 1024,
+                assoc: 2,
+                ..base.clone()
+            },
+        ),
+        (
+            "8K DM + 8-entry write buffer",
+            CacheConfig {
+                write_buffer: 8,
+                ..base.clone()
+            },
+        ),
+        (
+            "8K DM + 4-line victim cache",
+            CacheConfig {
+                victim_lines: 4,
+                ..base
+            },
+        ),
+    ];
+    // One row per configuration, one cell per kernel; a configuration
+    // with a failed cell reports no row.
+    let rows = run.par_rows(
+        &configs,
+        &kernels,
+        |(label, _), name| format!("ablation {name} on {label}"),
+        |(_, ccfg), name| {
             let machine = MachineConfig {
                 cache: Some(ccfg.clone()),
                 ..run.machine(512)
@@ -434,45 +400,36 @@ pub fn ablation(run: &Run) -> Vec<AblationRow> {
             let m = run.optimized(&k)?;
             let b = run.measure_unit(k.name, &m, Variant::Baseline, &machine)?;
             let c = run.measure_unit(k.name, &m, Variant::PostPassCallGraph, &machine)?;
-            let hits = |r: &Measurement| {
-                let h = r.metrics.cache.hits + r.metrics.cache.victim_hits;
-                (h, h + r.metrics.cache.misses)
-            };
-            Ok(Cell {
-                config: *ci,
-                base_cycles: b.cycles,
-                ccm_cycles: c.cycles,
-                base_hits: hits(&b),
-                ccm_hits: hits(&c),
-            })
+            Ok([b, c])
         },
     );
-
-    let mut rows: Vec<AblationRow> = configs
-        .into_iter()
-        .map(|(label, _)| AblationRow {
-            config: label,
-            base_cycles: 0,
-            base_hit_rate: 0.0,
-            ccm_cycles: 0,
-            ccm_hit_rate: 0.0,
+    configs
+        .iter()
+        .zip(rows)
+        .filter_map(|((config, _), cells)| {
+            let cells = cells?;
+            // Summed cycles and cache hit rate of one variant.
+            let sum = |v: usize| {
+                let (mut cycles, mut hits, mut accesses) = (0, 0, 0u64);
+                for r in cells.iter().map(|c| &c[v]) {
+                    let h = r.metrics.cache.hits + r.metrics.cache.victim_hits;
+                    cycles += r.cycles;
+                    hits += h;
+                    accesses += h + r.metrics.cache.misses;
+                }
+                (cycles, hits as f64 / accesses.max(1) as f64)
+            };
+            let (base_cycles, base_hit_rate) = sum(0);
+            let (ccm_cycles, ccm_hit_rate) = sum(1);
+            Some(AblationRow {
+                config: config.to_string(),
+                base_cycles,
+                base_hit_rate,
+                ccm_cycles,
+                ccm_hit_rate,
+            })
         })
-        .collect();
-    let mut base_hits = vec![(0u64, 0u64); rows.len()];
-    let mut ccm_hits = vec![(0u64, 0u64); rows.len()];
-    for c in cells.into_iter().flatten() {
-        rows[c.config].base_cycles += c.base_cycles;
-        rows[c.config].ccm_cycles += c.ccm_cycles;
-        base_hits[c.config].0 += c.base_hits.0;
-        base_hits[c.config].1 += c.base_hits.1;
-        ccm_hits[c.config].0 += c.ccm_hits.0;
-        ccm_hits[c.config].1 += c.ccm_hits.1;
-    }
-    for (i, r) in rows.iter_mut().enumerate() {
-        r.base_hit_rate = base_hits[i].0 as f64 / base_hits[i].1.max(1) as f64;
-        r.ccm_hit_rate = ccm_hits[i].0 as f64 / ccm_hits[i].1.max(1) as f64;
-    }
-    rows
+        .collect()
 }
 
 /// Checker results for one allocated suite module at one configuration.

@@ -50,12 +50,32 @@ fn measure(m: &Arc<Module>, variant: Variant) -> Result<Measurement, PipelineErr
     Run::default().measure_unit(KERNEL, m, variant, &MachineConfig::with_ccm(CCM))
 }
 
-/// Asserts an `Err` with the given stage whose detail mentions `needle`.
-fn expect_err(
-    r: Result<Measurement, PipelineError>,
+/// The points a measurement contains as a structured error: (name,
+/// variant measured, stage, a phrase of the detail). An allocator panic
+/// is `stage=alloc`, a checker rejection gates simulation as
+/// `stage=checker`, and an exhausted step budget or a bad global
+/// resolution is `stage=sim`.
+#[rustfmt::skip]
+const CONTAINED: [(&str, Variant, Stage, &str); 4] = [
+    ("alloc.panic", Variant::PostPassCallGraph, Stage::Alloc, "injected allocator panic"),
+    ("checker.forced_error", Variant::PostPassCallGraph, Stage::Checker, "injected checker error"),
+    ("sim.budget", Variant::Baseline, Stage::Sim, "step limit"),
+    ("sim.unknown_global", Variant::Baseline, Stage::Sim, "unknown global"),
+];
+
+/// Arms fault point `name`, measures the workload under `variant`, and
+/// asserts the measurement fails with `stage` and a detail mentioning
+/// `needle`: the point's failure is contained as a structured error.
+fn point_contained(
+    m: &Arc<Module>,
+    name: &str,
+    variant: Variant,
     stage: Stage,
     needle: &str,
 ) -> Result<String, String> {
+    inject::arm(name).map_err(|e| e.to_string())?;
+    let r = measure(m, variant);
+    inject::disarm();
     match r {
         Ok(_) => Err(format!("expected a stage={} error, got Ok", stage.name())),
         Err(e) if e.stage == stage && e.detail.contains(needle) => {
@@ -106,39 +126,6 @@ fn point_ccm_coloring(m: &Arc<Module>) -> Result<String, String> {
     Ok(lines.join("; "))
 }
 
-/// `alloc.panic`: an allocator panic is contained as `stage=alloc`.
-fn point_alloc_panic(m: &Arc<Module>) -> Result<String, String> {
-    inject::arm("alloc.panic").map_err(|e| e.to_string())?;
-    let r = measure(m, Variant::PostPassCallGraph);
-    inject::disarm();
-    expect_err(r, Stage::Alloc, "injected allocator panic")
-}
-
-/// `checker.forced_error`: a checker rejection gates simulation as
-/// `stage=checker`.
-fn point_checker(m: &Arc<Module>) -> Result<String, String> {
-    inject::arm("checker.forced_error").map_err(|e| e.to_string())?;
-    let r = measure(m, Variant::PostPassCallGraph);
-    inject::disarm();
-    expect_err(r, Stage::Checker, "injected checker error")
-}
-
-/// `sim.budget`: an exhausted instruction budget is `stage=sim`.
-fn point_sim_budget(m: &Arc<Module>) -> Result<String, String> {
-    inject::arm("sim.budget").map_err(|e| e.to_string())?;
-    let r = measure(m, Variant::Baseline);
-    inject::disarm();
-    expect_err(r, Stage::Sim, "step limit")
-}
-
-/// `sim.unknown_global`: a bad global resolution is `stage=sim`.
-fn point_sim_unknown_global(m: &Arc<Module>) -> Result<String, String> {
-    inject::arm("sim.unknown_global").map_err(|e| e.to_string())?;
-    let r = measure(m, Variant::Baseline);
-    inject::disarm();
-    expect_err(r, Stage::Sim, "unknown global")
-}
-
 /// `exec.worker_panic`: every item's worker panic is contained in its
 /// own slot, and the failure report is byte-identical at any job count.
 fn point_exec_worker_panic(jobs: usize) -> Result<String, String> {
@@ -182,14 +169,15 @@ pub fn run_sweep(jobs: usize) -> Vec<SweepOutcome> {
         let verdict = match (&module, p.name) {
             (Err(e), _) => Err(format!("workload unavailable: {e}")),
             (Ok(m), "alloc.ccm_coloring") => point_ccm_coloring(m),
-            (Ok(m), "alloc.panic") => point_alloc_panic(m),
-            (Ok(m), "checker.forced_error") => point_checker(m),
-            (Ok(m), "sim.budget") => point_sim_budget(m),
-            (Ok(m), "sim.unknown_global") => point_sim_unknown_global(m),
             (Ok(_), "exec.worker_panic") => point_exec_worker_panic(jobs),
-            (Ok(_), other) => Err(format!(
-                "no sweep workload drives `{other}` — register one in inject_sweep.rs"
-            )),
+            (Ok(m), name) => match CONTAINED.iter().find(|c| c.0 == name) {
+                Some(&(_, variant, stage, needle)) => {
+                    point_contained(m, name, variant, stage, needle)
+                }
+                None => Err(format!(
+                    "no sweep workload drives `{name}` — register one in inject_sweep.rs"
+                )),
+            },
         };
         // Never let one point's arming leak into the next.
         inject::disarm();

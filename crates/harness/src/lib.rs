@@ -40,7 +40,7 @@ pub use csv::export_all;
 pub use error::{PipelineError, Stage};
 pub use experiments::{
     ablation, check_suite, figure, improved_names, speedup_rows_multi, table1, table3, table4_from,
-    AblationRow, CheckRow, CompactionRow, ProgramRow, SpeedupRow, Table4Cell,
+    AblationRow, CheckRow, CompactionRow, SpeedupRow, Table4Cell,
 };
 pub use extensions::{
     ccm_sweep, design_ablation, multitask_study, render_design, render_multitask, render_sched,

@@ -67,7 +67,7 @@ impl Run {
 }
 
 /// One measured configuration of one module.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Measurement {
     /// Dynamic cycle count.
     pub cycles: u64,

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::experiments::{table4_from, AblationRow, CompactionRow, ProgramRow, SpeedupRow};
+use crate::experiments::{table4_from, AblationRow, CompactionRow, SpeedupRow};
 
 /// Renders Table 1 (spill-memory compaction).
 pub fn render_table1(rows: &[CompactionRow]) -> String {
@@ -32,11 +32,7 @@ pub fn render_table1(rows: &[CompactionRow]) -> String {
         "TOTAL",
         before,
         after,
-        if before == 0 {
-            1.0
-        } else {
-            after as f64 / before as f64
-        }
+        ccm::CompactStats { before, after }.ratio()
     );
     let uncompacted = rows.len() - compacted.len();
     let _ = writeln!(
@@ -136,7 +132,7 @@ pub fn render_table4(r512: &[SpeedupRow], r1024: &[SpeedupRow]) -> String {
 
 /// Renders Figure 3/4 as a text bar chart of relative whole-program
 /// times.
-pub fn render_figure(rows: &[ProgramRow], ccm: u32) -> String {
+pub fn render_figure(rows: &[SpeedupRow], ccm: u32) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -147,12 +143,13 @@ pub fn render_figure(rows: &[ProgramRow], ccm: u32) -> String {
         s,
         "(relative to no-CCM baseline; left: running time, right: memory-op time)"
     );
-    let improved: Vec<&ProgramRow> = rows.iter().filter(|r| r.improved()).collect();
+    let improved: Vec<&SpeedupRow> = rows.iter().filter(|r| r.improved()).collect();
     let _ = writeln!(s, "{} of {} programs improved:", improved.len(), rows.len());
     let labels = ["post-pass ", "pp w/ cg  ", "integrated"];
     for r in &improved {
-        let _ = writeln!(s, "{} (baseline {} cycles)", r.name, r.baseline.0);
-        for (i, (t, m)) in r.rel.iter().enumerate() {
+        let _ = writeln!(s, "{} (baseline {} cycles)", r.name, r.baseline.cycles);
+        for (label, v) in labels.iter().zip(r.ccm_variants()) {
+            let (t, m) = (r.rel(v), r.rel_mem(v));
             let bar = |x: f64| {
                 let n = ((x - 0.70).max(0.0) / 0.30 * 40.0).round() as usize;
                 "#".repeat(n.min(40))
@@ -160,11 +157,11 @@ pub fn render_figure(rows: &[ProgramRow], ccm: u32) -> String {
             let _ = writeln!(
                 s,
                 "  {} {:5.3} |{:<40}| {:5.3} |{:<40}|",
-                labels[i],
+                label,
                 t,
-                bar(*t),
+                bar(t),
                 m,
-                bar(*m)
+                bar(m)
             );
         }
     }
@@ -270,13 +267,17 @@ mod tests {
         let rows = vec![
             CompactionRow {
                 name: "alpha".into(),
-                before: 100,
-                after: 40,
+                stats: ccm::CompactStats {
+                    before: 100,
+                    after: 40,
+                },
             },
             CompactionRow {
                 name: "beta".into(),
-                before: 50,
-                after: 50,
+                stats: ccm::CompactStats {
+                    before: 50,
+                    after: 50,
+                },
             },
         ];
         let s = render_table1(&rows);
@@ -290,19 +291,29 @@ mod tests {
         assert!(s.contains("0.40"));
     }
 
+    /// A row with (cycles, memory cycles) for baseline, post-pass,
+    /// post-pass w/ call graph and integrated, in that order.
+    fn row(name: &str, cycles: [(u64, u64); 4]) -> SpeedupRow {
+        let [baseline, postpass, postpass_cg, integrated] =
+            cycles.map(|(cycles, mem_cycles)| crate::Measurement {
+                cycles,
+                mem_cycles,
+                ..Default::default()
+            });
+        SpeedupRow {
+            name: name.into(),
+            baseline,
+            postpass,
+            postpass_cg,
+            integrated,
+        }
+    }
+
     #[test]
     fn figure_marks_improved_programs_only() {
         let rows = vec![
-            crate::experiments::ProgramRow {
-                name: "fast".into(),
-                baseline: (1000, 400),
-                rel: [(0.9, 0.8), (0.85, 0.7), (0.9, 0.8)],
-            },
-            crate::experiments::ProgramRow {
-                name: "flat".into(),
-                baseline: (1000, 400),
-                rel: [(1.0, 1.0); 3],
-            },
+            row("fast", [(1000, 400), (900, 320), (850, 280), (900, 320)]),
+            row("flat", [(1000, 400); 4]),
         ];
         let s = render_figure(&rows, 512);
         assert!(s.contains("1 of 2 programs improved"));

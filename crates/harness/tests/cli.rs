@@ -122,3 +122,39 @@ fn repro_rejects_seed_without_fuzz() {
         );
     }
 }
+
+/// A step budget no simulation meets fails every cell of the summed
+/// studies. Each study then prints its title and column header (and the
+/// multitask legend) and no row: nothing summed from failed cells, so no
+/// `NaN` speedup, no 100% reduction against an empty baseline and no
+/// all-zero row. The run still exits 1.
+#[test]
+fn summed_studies_print_no_row_from_failed_cells() {
+    let (code, out, err) = run(
+        env!("CARGO_BIN_EXE_repro"),
+        &[
+            "--ablation",
+            "--sweep",
+            "--design",
+            "--sched",
+            "--multitask",
+            "--sim-budget",
+            "10",
+            "--jobs",
+            "2",
+        ],
+    );
+    assert_eq!(code, 1, "stderr: {err}");
+    assert!(!out.contains("NaN") && !out.contains("100.0%"), "{out}");
+    let headers: String = [
+        harness::report::render_ablation(&[]),
+        harness::render_sweep(&[]),
+        harness::render_design(&[]),
+        harness::render_sched(&[]),
+        harness::render_multitask(&[]),
+    ]
+    .iter()
+    .map(|s| format!("{s}\n"))
+    .collect();
+    assert_eq!(out, headers);
+}
