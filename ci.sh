@@ -21,7 +21,11 @@ echo "== perfbench: cargo build --release --locked"
 # calls the crates' public API (ccm::PostpassConfig,
 # allocate_module_integrated, checker::check_module, ...), so no other
 # stage compiles it. The separate target dir leaves perfbench/ untouched,
-# and --locked fails rather than rewrite its lockfile.
+# and --locked fails rather than rewrite its lockfile. That lockfile also
+# records each workspace crate's own dependency list (exec = [inject],
+# ...), so any [dependencies] edit to a crate perfbench reaches, directly
+# or through another crate, fails this stage until perfbench/Cargo.lock
+# is regenerated.
 CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked \
     --manifest-path perfbench/Cargo.toml
 

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-//! Parallel experiment engine: a dependency-free scoped thread pool.
+//! Parallel experiment engine: a scoped thread pool on the standard library.
 //!
 //! The container this repo builds in has no network, so there is no
 //! `rayon`; this crate hand-rolls the 10% of it the harness needs on
@@ -7,20 +7,25 @@
 //! that matters is [`par_map_contained`]: map a function over a slice on
 //! N worker threads with three guarantees the experiments rely on —
 //!
-//! 1. **Determinism**: results are collected *by item index*, never by
-//!    completion order, so `par_map_contained(n, ..)` is byte-identical
-//!    to `par_map_contained(1, ..)` for any pure `f`.
+//! 1. **Determinism**: work items are claimed by index from a shared
+//!    atomic counter and results land in a slot vector keyed by the same
+//!    index, never by completion order, so `par_map_contained(n, ..)` is
+//!    byte-identical to `par_map_contained(1, ..)` for any pure `f`.
 //! 2. **Panic containment**: a panicking item poisons only its own
-//!    result slot — it comes back as a structured [`ItemFailure`]
-//!    carrying the item's label and the captured payload, and every
-//!    other item still runs. The serial path contains panics
-//!    identically, so failure reports are byte-equal at any job count.
+//!    result slot — the worker catches it and stores a structured
+//!    [`ItemFailure`] carrying the item's label and the captured
+//!    payload, and every other item still runs. The serial path contains
+//!    panics identically, so failure reports are byte-equal at any job
+//!    count.
 //! 3. **No oversubscription surprises**: `jobs` is clamped to the item
 //!    count, and `jobs <= 1` runs inline with no threads at all.
+//!
+//! The only dependency is `inject`, for the `exec.worker_panic` fault
+//! point.
 
-mod queue;
-
-pub use queue::render_payload;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The number of hardware threads, with a fallback of 1 when the OS
 /// cannot say.
@@ -61,6 +66,18 @@ impl std::fmt::Display for ItemFailure {
     }
 }
 
+/// Renders an unwind payload as text, the way [`ItemFailure`] stores it
+/// (`&str` or `String` payloads verbatim).
+pub fn render_payload(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
 /// Maps `f` over `items` on up to `jobs` scoped worker threads with the
 /// containment policy: a panicking item becomes `Err(ItemFailure)` in
 /// its own result slot and every other item still runs. Results are in
@@ -77,15 +94,56 @@ where
     F: Fn(&I) -> T + Sync,
     L: Fn(&I) -> String + Sync,
 {
-    queue::run(jobs, items.len(), |i| f(&items[i]))
-        .into_iter()
-        .map(|r| {
-            r.map_err(|p| ItemFailure {
-                label: label(&items[p.index]),
-                index: p.index,
-                message: p.message,
-            })
+    let run_one = |i: usize| -> Result<T, ItemFailure> {
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            if inject::faultpoint!("exec.worker_panic") {
+                panic!("injected worker panic");
+            }
+            f(&items[i])
+        }))
+        .map_err(|payload| ItemFailure {
+            index: i,
+            label: label(&items[i]),
+            message: render_payload(payload.as_ref()),
         })
+    };
+
+    let n = items.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let jobs = jobs.clamp(1, n);
+    if jobs == 1 {
+        // Serial fast path: no threads, but the same per-item
+        // containment — the reference behavior the parallel path must
+        // be identical to, including which slots fail.
+        return (0..n).map(run_one).collect();
+    }
+
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<Result<T, ItemFailure>>>> =
+        Mutex::new((0..n).map(|_| None).collect());
+    std::thread::scope(|s| {
+        for _ in 0..jobs {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return;
+                }
+                let out = run_one(i);
+                // A panic while a lock was held cannot happen here (the
+                // item closure runs outside all locks), but recover from
+                // poisoning anyway rather than double-panicking.
+                let mut slots = slots.lock().unwrap_or_else(|p| p.into_inner());
+                slots[i] = Some(out);
+            });
+        }
+    });
+    slots
+        .into_inner()
+        .unwrap_or_else(|p| p.into_inner())
+        .into_iter()
+        .map(|v| v.expect("every index claimed exactly once"))
         .collect()
 }
 
@@ -164,6 +222,64 @@ mod tests {
             } else {
                 assert_eq!(*r.as_ref().unwrap(), (i as u64) * 2);
             }
+        }
+    }
+
+    #[test]
+    fn results_are_index_ordered() {
+        let items: Vec<usize> = (0..100).collect();
+        let out: Vec<usize> = par_map_contained(4, &items, |i| i.to_string(), |&i| i * i)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn zero_items_is_empty() {
+        let out: Vec<Result<u32, _>> =
+            par_map_contained(8, &[] as &[usize], |_| unreachable!(), |_| unreachable!());
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn panics_poison_only_their_own_slot() {
+        let items: Vec<usize> = (0..50).collect();
+        let out = par_map_contained(
+            4,
+            &items,
+            |i| i.to_string(),
+            |&i| {
+                if i % 10 == 3 {
+                    panic!("boom at {i}");
+                }
+                i
+            },
+        );
+        for (i, r) in out.iter().enumerate() {
+            if i % 10 == 3 {
+                let e = r.as_ref().unwrap_err();
+                assert_eq!(e.index, i);
+                assert_eq!(e.message, format!("boom at {i}"));
+            } else {
+                assert_eq!(*r.as_ref().unwrap(), i, "healthy item lost");
+            }
+        }
+    }
+
+    #[test]
+    fn serial_and_parallel_failures_are_identical() {
+        let items: Vec<usize> = (0..30).collect();
+        let work = |&i: &usize| {
+            if i % 7 == 2 {
+                panic!("deterministic failure {i}");
+            }
+            i * 3
+        };
+        let serial = par_map_contained(1, &items, |i| i.to_string(), work);
+        for jobs in [2, 4, 8] {
+            let par = par_map_contained(jobs, &items, |i| i.to_string(), work);
+            assert_eq!(par, serial, "jobs={jobs} diverged");
         }
     }
 

@@ -147,7 +147,7 @@ fn main() {
 
     if let Some(format) = o.check {
         let s = exec::Stage::start("check", 1);
-        let diags = harness::check_allocated(&m, o.ccm_size);
+        let diags = checker::check_module(&m, &checker::CheckerConfig::new(o.ccm_size));
         stage_lines.push(s.line());
         match format {
             CheckFormat::Text => {

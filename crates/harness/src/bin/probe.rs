@@ -59,7 +59,7 @@ fn main() {
                 Ok(m) => m,
                 Err(e) => return failed(e),
             };
-            let (am, spilled) = match run.baseline_allocation(k.name, &m) {
+            let (am, spilled) = match run.baseline_allocation(k.name) {
                 Ok(a) => a,
                 Err(e) => return failed(e),
             };
@@ -73,7 +73,7 @@ fn main() {
                 maxf = maxf.max(lv.max_pressure(f, iloc::RegClass::Fpr));
             }
             // Checker verdict on the CCM-promoted allocation.
-            let diags = match run.allocated(k.name, &m, ccm::Variant::PostPassCallGraph, CCM) {
+            let diags = match run.allocated(k.name, ccm::Variant::PostPassCallGraph, CCM) {
                 Ok(a) => a.diags,
                 Err(e) => return failed(e),
             };

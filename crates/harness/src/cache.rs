@@ -11,7 +11,9 @@
 //! * **builds** — [`Run::optimized`]/[`Run::program`] memoize
 //!   [`suite::build_optimized`]/[`suite::build_program`] per unit name;
 //!   a program links the cached builds of members the kernel tables
-//!   already made, so `repro --all` optimizes each kernel once;
+//!   already made, so `repro --all` optimizes each kernel once.
+//!   [`Run::unit`] finds either by name, so every later stage takes a
+//!   unit's name alone and fetches its build only on a memo miss;
 //! * **the baseline allocation** — [`Run::baseline_allocation`] memoizes
 //!   the Chaitin-Briggs allocation once per unit. No CCM method changes
 //!   the register assignment: the post-pass allocator runs after a
@@ -39,8 +41,9 @@
 //!   `repro`'s kernel tables check and simulate 264 of their 422
 //!   configurations, the figures 66 of 104 ([`Run::measured`]).
 //!
-//! Failure is structured end to end: build panics become `stage=opt`
-//! errors, allocation and promotion panics `stage=alloc` (a failed
+//! Failure is structured end to end: an unknown unit name is a
+//! `stage=parse` error, build panics become `stage=opt` errors,
+//! allocation and promotion panics `stage=alloc` (a failed build or
 //! baseline allocation is reported at each configuration that needed
 //! it), checker rejections `stage=checker`, simulator traps
 //! `stage=sim`. Failures are never cached: a later call recomputes
@@ -66,7 +69,7 @@ use sim::{MachineConfig, Metrics};
 use suite::{Kernel, Program};
 
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::{self, Measurement, Run};
+use crate::pipeline::{Measurement, Run};
 
 /// Locks a cache map, recovering from poisoning: a panic caught by the
 /// containment layer must not wedge every later measurement.
@@ -137,7 +140,7 @@ fn contain_alloc<T>(unit: &str, f: impl FnOnce() -> T) -> Result<T, PipelineErro
 pub struct Allocated {
     /// The baseline allocation, promoted for the variant.
     pub module: Arc<Module>,
-    /// Every diagnostic from [`pipeline::check_allocated`].
+    /// Every diagnostic from [`checker::check_module`].
     pub diags: Arc<Vec<checker::Diagnostic>>,
     /// Live ranges spilled during allocation.
     pub spilled_ranges: usize,
@@ -186,28 +189,42 @@ impl Run {
         })
     }
 
-    /// The Chaitin-Briggs allocation of `base` under the default register
-    /// supply, memoized per unit name: the allocated module and the
-    /// number of live ranges it spilled. It depends on neither the
-    /// variant nor the CCM size, so every configuration in
-    /// [`Run::allocated`] and Table 1's compaction start from this one
-    /// allocation. `base` must be this run's build for `name`.
+    /// This run's build of suite unit `name`: [`Run::optimized`] for a
+    /// kernel, [`Run::program`] for a program.
     ///
     /// # Errors
     ///
-    /// An allocation panic is contained as a `stage=alloc` error with no
-    /// variant or CCM coordinates. Nothing is cached, so a later call
-    /// retries.
-    pub fn baseline_allocation(
-        &self,
-        name: &str,
-        base: &Arc<Module>,
-    ) -> Result<(Arc<Module>, usize), PipelineError> {
+    /// A name the suite does not know is a `stage=parse` error; a build
+    /// panic is `stage=opt`.
+    pub fn unit(&self, name: &str) -> Result<Arc<Module>, PipelineError> {
+        if let Some(k) = suite::kernel(name) {
+            self.optimized(&k)
+        } else if let Some(p) = suite::program(name) {
+            self.program(&p)
+        } else {
+            Err(PipelineError::new(Stage::Parse, name, "unknown suite unit"))
+        }
+    }
+
+    /// The Chaitin-Briggs allocation of [`Run::unit`]`(name)` under the
+    /// default register supply, memoized per unit name: the allocated
+    /// module and the number of live ranges it spilled. It depends on
+    /// neither the variant nor the CCM size, so every configuration in
+    /// [`Run::allocated`] and Table 1's compaction start from this one
+    /// allocation. The build is fetched only on a memo miss.
+    ///
+    /// # Errors
+    ///
+    /// A [`Run::unit`] failure, or an allocation panic contained as a
+    /// `stage=alloc` error, with no variant or CCM coordinates. Nothing
+    /// is cached, so a later call retries.
+    pub fn baseline_allocation(&self, name: &str) -> Result<(Arc<Module>, usize), PipelineError> {
         if let Some((m, spilled)) = lock(&self.memo.baselines).get(name) {
             return Ok((Arc::clone(m), *spilled));
         }
+        let base = self.unit(name)?;
         let (m, spilled) = contain_alloc(name, || {
-            let mut m = (**base).clone();
+            let mut m = (*base).clone();
             let spilled =
                 regalloc::allocate_module(&mut m, &AllocConfig::default()).total_spilled();
             (m, spilled)
@@ -226,8 +243,7 @@ impl Run {
     /// with [`ccm::promote_allocated`]. The checker runs once per module
     /// the unit's [`ModuleMemo`] tells apart, and the module returned is
     /// the one stored there. Kernel and program names are globally unique
-    /// in the suite, so the flat name key cannot collide; `base` must be
-    /// this run's build for `name`.
+    /// in the suite, so the flat name key cannot collide.
     ///
     /// Checker diagnostics are data here, not failure: `--check` reports
     /// error rows rather than skipping them. [`Run::measure_unit`]
@@ -235,12 +251,11 @@ impl Run {
     ///
     /// # Errors
     ///
-    /// An allocation or promotion panic is contained as a `stage=alloc`
-    /// error.
+    /// A [`Run::baseline_allocation`] failure, or a promotion panic
+    /// contained as a `stage=alloc` error, at (`variant`, `ccm_size`).
     pub fn allocated(
         &self,
         name: &str,
-        base: &Arc<Module>,
         variant: Variant,
         ccm_size: u32,
     ) -> Result<Allocated, PipelineError> {
@@ -249,7 +264,7 @@ impl Run {
             return Ok(a.clone());
         }
         let at = |e: PipelineError| e.at(variant, ccm_size);
-        let (allocated, spilled_ranges) = self.baseline_allocation(name, base).map_err(at)?;
+        let (allocated, spilled_ranges) = self.baseline_allocation(name).map_err(at)?;
         let (module, degraded) = if variant == Variant::Baseline {
             (allocated, Vec::new())
         } else {
@@ -266,7 +281,10 @@ impl Run {
             .and_then(|checks| checks.get(&module, ccm_size))
             .map(|(m, d)| (Arc::clone(m), Arc::clone(d)));
         let (module, diags) = stored.unwrap_or_else(|| {
-            let diags = Arc::new(pipeline::check_allocated(&module, ccm_size));
+            let diags = Arc::new(checker::check_module(
+                &module,
+                &checker::CheckerConfig::new(ccm_size),
+            ));
             let mut map = lock(&self.memo.checks);
             let checks = map.entry(name.to_string()).or_default();
             let (m, d) = checks.insert(module, ccm_size, diags);
@@ -281,8 +299,8 @@ impl Run {
         Ok(lock(&self.memo.derived).entry(key).or_insert(a).clone())
     }
 
-    /// Measures suite unit `name` (`base` is this run's build of it)
-    /// under `variant` on `machine`: the allocation from
+    /// Measures suite unit `name` under `variant` on `machine`: the
+    /// allocation from
     /// [`Run::allocated`], refused if the checker found errors, then
     /// simulated. The simulation is kept in a [`ModuleMemo`] per (unit
     /// name, `machine` with its CCM size cleared), so distinct cache
@@ -291,7 +309,8 @@ impl Run {
     ///
     /// # Errors
     ///
-    /// Every stage failure is structured: an allocator panic is
+    /// Every stage failure is structured: an unknown name is
+    /// `stage=parse`, a build panic `stage=opt`, an allocator panic
     /// `stage=alloc`, a checker rejection `stage=checker`, and a
     /// simulator trap (unknown global, out-of-bounds access, exhausted
     /// `--sim-budget`) `stage=sim`. CCM coloring failures are *not*
@@ -300,12 +319,11 @@ impl Run {
     pub fn measure_unit(
         &self,
         name: &str,
-        base: &Arc<Module>,
         variant: Variant,
         machine: &MachineConfig,
     ) -> Result<Measurement, PipelineError> {
         let ccm_size = machine.ccm_size;
-        let a = self.allocated(name, base, variant, ccm_size)?;
+        let a = self.allocated(name, variant, ccm_size)?;
         let at = |e: PipelineError| e.at(variant, ccm_size);
         if let Some(detail) = checker::error_summary(&a.diags) {
             return Err(at(PipelineError::new(Stage::Checker, name, detail)));
@@ -407,12 +425,31 @@ mod tests {
     }
 
     #[test]
+    fn unit_finds_the_runs_own_build_by_name() {
+        let run = Run::default();
+        let k = suite::kernel("radf5").unwrap();
+        let p = suite::program("turb3d").unwrap();
+        assert!(Arc::ptr_eq(
+            &run.unit("radf5").unwrap(),
+            &run.optimized(&k).unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            &run.unit("turb3d").unwrap(),
+            &run.program(&p).unwrap()
+        ));
+        let err = run.unit("no-such-unit").unwrap_err();
+        assert_eq!(err.stage, Stage::Parse);
+        assert_eq!(err.unit, "no-such-unit");
+        assert_eq!(err.detail, "unknown suite unit");
+    }
+
+    #[test]
     fn one_baseline_allocation_serves_every_config() {
         let run = Run::default();
         let k = suite::kernel("fpppp").unwrap();
         let base = run.optimized(&k).unwrap();
-        let at = |v, size| run.allocated(k.name, &base, v, size).unwrap();
-        let (shared, spilled) = run.baseline_allocation(k.name, &base).unwrap();
+        let at = |v, size| run.allocated(k.name, v, size).unwrap();
+        let (shared, spilled) = run.baseline_allocation(k.name).unwrap();
         assert!(spilled > 0, "fpppp must spill");
         // Baseline at both sizes is the memoized module itself, not a copy.
         for size in [512, 1024] {
@@ -450,8 +487,8 @@ mod tests {
         let base = run.optimized(&k).unwrap();
         let machine = MachineConfig::with_ccm(512);
         let v = Variant::PostPassCallGraph;
-        let cached = run.measure_unit(k.name, &base, v, &machine).unwrap();
-        let hit = run.measure_unit(k.name, &base, v, &machine).unwrap();
+        let cached = run.measure_unit(k.name, v, &machine).unwrap();
+        let hit = run.measure_unit(k.name, v, &machine).unwrap();
         let mut fresh = (*base).clone();
         let out = ccm::allocate_variant(&mut fresh, v, 512, &AllocConfig::default());
         let (vals, metrics) = sim::run_module(&fresh, machine, "main").unwrap();
@@ -472,7 +509,7 @@ mod tests {
         // Distinct machines must not share an entry: a different CCM size
         // changes the key even at the same variant.
         let wider = run
-            .measure_unit(k.name, &base, v, &MachineConfig::with_ccm(1024))
+            .measure_unit(k.name, v, &MachineConfig::with_ccm(1024))
             .unwrap();
         assert!(wider.cycles <= cached.cycles, "bigger CCM can't be slower");
     }

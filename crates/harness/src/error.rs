@@ -283,6 +283,50 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_panic_is_recorded_once_as_stage_exec() {
+        for jobs in [1, 2] {
+            let run = Run::new(jobs, sim::DEFAULT_MAX_STEPS);
+            let cell = |&r: &u32, &c: &u32| {
+                if (r, c) == (1, 20) {
+                    panic!("cell {r}/{c} blew up");
+                }
+                Ok(r + c)
+            };
+            let flat = run.par_contained(
+                &[0u32, 1, 2],
+                |r| format!("item {r}"),
+                |r| cell(r, if *r == 1 { &20 } else { &10 }),
+            );
+            assert_eq!(flat, [Some(10), None, Some(12)], "jobs={jobs}");
+            let rows = run.par_rows(
+                &[0u32, 1, 2],
+                &[10u32, 20, 30],
+                |r, c| format!("cell {r}/{c}"),
+                cell,
+            );
+            assert_eq!(
+                rows,
+                [Some(vec![10, 20, 30]), None, Some(vec![12, 22, 32])],
+                "jobs={jobs}"
+            );
+            // The raw sink, not `drain`, which would hide a duplicate.
+            let failures = run.failures.lock().unwrap();
+            let got: Vec<(Stage, &str, &str)> = failures
+                .iter()
+                .map(|e| (e.stage, e.unit.as_str(), e.detail.as_str()))
+                .collect();
+            assert_eq!(
+                got,
+                [
+                    (Stage::Exec, "item 1", "worker panic: cell 1/20 blew up"),
+                    (Stage::Exec, "cell 1/20", "worker panic: cell 1/20 blew up"),
+                ],
+                "jobs={jobs}"
+            );
+        }
+    }
+
+    #[test]
     fn json_escapes_and_renders_nulls() {
         let e = PipelineError::new(Stage::Checker, "k\"1", "line1\nline2");
         let json = render_json(&[e]);

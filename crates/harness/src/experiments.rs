@@ -10,17 +10,17 @@
 //! every row with a failed cell. Each takes the [`Run`]: the worker
 //! count, the machine every simulation runs on, the memo every build,
 //! check and simulation is read through, and the sink its failures are
-//! recorded into.
+//! recorded into. An experiment names each suite unit it measures and
+//! passes no module: the run fetches the unit's build ([`Run::unit`])
+//! when its memo misses.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use ccm::{CompactStats, Variant};
-use iloc::Module;
 use sim::{CacheConfig, MachineConfig};
 
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::{check_allocated, Measurement, Run};
+use crate::pipeline::{Measurement, Run};
 
 /// Table 1 row: spill-memory compaction for one routine. It derefs to
 /// its [`ccm::CompactStats`], so `before`, `after` and `ratio()` read as
@@ -50,8 +50,7 @@ pub fn table1(run: &Run) -> Vec<CompactionRow> {
         &kernels,
         |k| format!("table1 {}", k.name),
         |k| {
-            let base = run.optimized(k)?;
-            let (allocated, _) = run.baseline_allocation(k.name, &base)?;
+            let (allocated, _) = run.baseline_allocation(k.name)?;
             let mut m = (*allocated).clone();
             let stats = ccm::compact_module(&mut m).into_iter().fold(
                 CompactStats::default(),
@@ -67,7 +66,8 @@ pub fn table1(run: &Run) -> Vec<CompactionRow> {
             // checker-clean (its `compaction overlap` check included) and
             // return the baseline's checksum. The compacted code makes no
             // CCM accesses; 1024 B is the default machine's CCM size.
-            if let Some(detail) = checker::error_summary(&check_allocated(&m, 1024)) {
+            let diags = checker::check_module(&m, &checker::CheckerConfig::new(1024));
+            if let Some(detail) = checker::error_summary(&diags) {
                 return Err(PipelineError::new(
                     Stage::Checker,
                     k.name,
@@ -79,7 +79,7 @@ pub fn table1(run: &Run) -> Vec<CompactionRow> {
                 PipelineError::new(Stage::Sim, k.name, format!("trapped after compaction: {e}"))
             })?;
             let checksum = v.floats.first().copied().unwrap_or(f64::NAN);
-            let baseline = run.measure_unit(k.name, &base, Variant::Baseline, &machine)?;
+            let baseline = run.measure_unit(k.name, Variant::Baseline, &machine)?;
             if checksum.to_bits() != baseline.checksum.to_bits() {
                 return Err(PipelineError::new(
                     Stage::Sim,
@@ -152,8 +152,7 @@ impl SpeedupRow {
     }
 }
 
-/// Measures suite unit `name` (`base` is the run's build of it) on
-/// `machine` under all four variants.
+/// Measures suite unit `name` on `machine` under all four variants.
 ///
 /// # Errors
 ///
@@ -165,17 +164,16 @@ impl SpeedupRow {
 fn measure_row(
     run: &Run,
     name: &str,
-    base: &Arc<Module>,
     machine: &MachineConfig,
 ) -> Result<SpeedupRow, PipelineError> {
-    let baseline = run.measure_unit(name, base, Variant::Baseline, machine)?;
+    let baseline = run.measure_unit(name, Variant::Baseline, machine)?;
     let mut ccm = Vec::with_capacity(3);
     for v in [
         Variant::PostPass,
         Variant::PostPassCallGraph,
         Variant::Integrated,
     ] {
-        let r = run.measure_unit(name, base, v, machine)?;
+        let r = run.measure_unit(name, v, machine)?;
         if r.checksum.to_bits() != baseline.checksum.to_bits() {
             return Err(PipelineError::new(
                 Stage::Sim,
@@ -220,12 +218,12 @@ pub fn speedup_rows_multi(sizes: &[u32], run: &Run) -> Vec<Vec<SpeedupRow>> {
             // The paper reports only routines that spill. The baseline
             // measurement is memoized, so `measure_row` reads it again
             // for free.
-            let (base, machine) = (run.optimized(k)?, run.machine(*size));
-            let baseline = run.measure_unit(k.name, &base, Variant::Baseline, &machine)?;
+            let machine = run.machine(*size);
+            let baseline = run.measure_unit(k.name, Variant::Baseline, &machine)?;
             if baseline.spilled_ranges == 0 {
                 return Ok(None);
             }
-            measure_row(run, k.name, &base, &machine).map(Some)
+            measure_row(run, k.name, &machine).map(Some)
         },
     );
     let mut out: Vec<Vec<SpeedupRow>> = sizes.iter().map(|_| Vec::new()).collect();
@@ -302,7 +300,11 @@ pub struct Table4Cell {
 /// Computes the Table 4 weighted averages from a set of speedup rows.
 /// Weighting follows the paper: total cycles across the suite (big
 /// routines dominate), i.e. `100·(1 − Σ cycles_v / Σ cycles_base)`.
-pub fn table4_from(rows: &[SpeedupRow]) -> [Table4Cell; 3] {
+/// With no rows there is nothing to average: `None`.
+pub fn table4_from(rows: &[SpeedupRow]) -> Option<[Table4Cell; 3]> {
+    if rows.is_empty() {
+        return None;
+    }
     let base_total: u64 = rows.iter().map(|r| r.baseline.cycles).sum();
     let base_mem: u64 = rows.iter().map(|r| r.baseline.mem_cycles).sum();
     let mut out = [Table4Cell {
@@ -319,7 +321,7 @@ pub fn table4_from(rows: &[SpeedupRow]) -> [Table4Cell; 3] {
             mem_pct: 100.0 * (1.0 - v_mem as f64 / base_mem.max(1) as f64),
         };
     }
-    out
+    Some(out)
 }
 
 /// Runs the Figure 3 (512 B) or Figure 4 (1024 B) experiment over the 13
@@ -330,7 +332,7 @@ pub fn figure(ccm_size: u32, run: &Run) -> Vec<SpeedupRow> {
     run.par_contained(
         &programs,
         |p| format!("figure {} @ {ccm_size} B", p.name),
-        |p| measure_row(run, p.name, &run.program(p)?, &machine),
+        |p| measure_row(run, p.name, &machine),
     )
     .into_iter()
     .flatten()
@@ -395,11 +397,8 @@ pub fn ablation(run: &Run) -> Vec<AblationRow> {
                 cache: Some(ccfg.clone()),
                 ..run.machine(512)
             };
-            let k = suite::kernel(name)
-                .ok_or_else(|| PipelineError::new(Stage::Parse, *name, "unknown suite kernel"))?;
-            let m = run.optimized(&k)?;
-            let b = run.measure_unit(k.name, &m, Variant::Baseline, &machine)?;
-            let c = run.measure_unit(k.name, &m, Variant::PostPassCallGraph, &machine)?;
+            let b = run.measure_unit(name, Variant::Baseline, &machine)?;
+            let c = run.measure_unit(name, Variant::PostPassCallGraph, &machine)?;
             Ok([b, c])
         },
     );
@@ -461,55 +460,36 @@ impl CheckRow {
 /// and every program) under each variant at each CCM size.
 pub fn check_suite(sizes: &[u32], run: &Run) -> Vec<CheckRow> {
     // Warm the build cache in parallel, one item per unit…
-    let kernels = suite::kernels();
-    let programs = suite::programs();
-    enum Unit {
-        Kernel(suite::Kernel),
-        Program(suite::Program),
-    }
-    let units: Vec<Unit> = kernels
-        .into_iter()
-        .map(Unit::Kernel)
-        .chain(programs.into_iter().map(Unit::Program))
+    let units: Vec<&str> = (suite::kernels().iter().map(|k| k.name))
+        .chain(suite::programs().iter().map(|p| p.name))
         .collect();
     // A unit whose build fails is recorded and dropped here; every later
-    // item indexes into the surviving builds only.
+    // item reads the surviving builds only.
     let built = run.par_contained(
         &units,
-        |u| {
-            let name = match u {
-                Unit::Kernel(k) => k.name,
-                Unit::Program(p) => p.name,
-            };
-            format!("build {name}")
-        },
-        |u| match u {
-            Unit::Kernel(k) => Ok((k.name.to_string(), run.optimized(k)?)),
-            Unit::Program(p) => Ok((p.name.to_string(), run.program(p)?)),
-        },
+        |name| format!("build {name}"),
+        |name| run.unit(name).map(|_| *name),
     );
-    let built: Vec<(String, Arc<Module>)> = built.into_iter().flatten().collect();
     // …then one work item per (unit, CCM size, variant), enumerated in
     // the same nesting order as the old serial loop so the row order (and
     // every rendering of it) is unchanged.
-    let mut items: Vec<(usize, u32, Variant)> = Vec::new();
-    for ui in 0..built.len() {
+    let mut items: Vec<(&str, u32, Variant)> = Vec::new();
+    for name in built.into_iter().flatten() {
         for &ccm in sizes {
             for v in Variant::ALL {
-                items.push((ui, ccm, v));
+                items.push((name, ccm, v));
             }
         }
     }
     run.par_contained(
         &items,
-        |(ui, ccm, v)| format!("check {} {v:?} @ {ccm} B", built[*ui].0),
-        |(ui, ccm, v)| {
-            let (name, module) = &built[*ui];
-            let a = run.allocated(name, module, *v, *ccm)?;
+        |(name, ccm, v)| format!("check {name} {v:?} @ {ccm} B"),
+        |&(name, ccm, v)| {
+            let a = run.allocated(name, v, ccm)?;
             Ok(CheckRow {
-                name: name.clone(),
-                variant: *v,
-                ccm: *ccm,
+                name: name.to_string(),
+                variant: v,
+                ccm,
                 diags: (*a.diags).clone(),
             })
         },
@@ -567,7 +547,7 @@ mod tests {
             "only {improved}/{} improved",
             rows.len()
         );
-        let t4 = table4_from(&rows);
+        let t4 = table4_from(&rows).expect("rows to average");
         // Paper: 3-6 % total-cycle reduction, 10-17 % memory-cycle
         // reduction. Accept a generous band around that shape.
         assert!(
@@ -584,5 +564,10 @@ mod tests {
         for c in t4 {
             assert!(c.mem_pct >= c.total_pct);
         }
+    }
+
+    #[test]
+    fn table4_has_no_averages_without_rows() {
+        assert_eq!(table4_from(&[]), None);
     }
 }

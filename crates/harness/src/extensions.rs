@@ -13,7 +13,7 @@ use regalloc::AllocConfig;
 use sim::MachineConfig;
 
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::{check_allocated, Measurement, Run};
+use crate::pipeline::{Measurement, Run};
 
 /// One point on the CCM sizing curve.
 #[derive(Clone, Copy, Debug)]
@@ -42,10 +42,7 @@ pub fn ccm_sweep(sizes: &[u32], run: &Run) -> Vec<SweepPoint> {
     let baselines = run.par_contained(
         &kernels,
         |k| format!("sweep baseline {}", k.name),
-        |k| {
-            let m = run.optimized(k)?;
-            run.measure_unit(k.name, &m, Variant::Baseline, &machine0)
-        },
+        |k| run.measure_unit(k.name, Variant::Baseline, &machine0),
     );
     let spilling: Vec<(&suite::Kernel, Measurement)> = kernels
         .iter()
@@ -57,10 +54,7 @@ pub fn ccm_sweep(sizes: &[u32], run: &Run) -> Vec<SweepPoint> {
         &spilling,
         sizes,
         |(k, _), size| format!("sweep {} @ {size} B", k.name),
-        |(k, _), size| {
-            let m = run.optimized(k)?;
-            run.measure_unit(k.name, &m, Variant::PostPassCallGraph, &run.machine(*size))
-        },
+        |(k, _), size| run.measure_unit(k.name, Variant::PostPassCallGraph, &run.machine(*size)),
     );
     let counted: Vec<(&Measurement, Vec<Measurement>)> = spilling
         .iter()
@@ -388,9 +382,7 @@ pub fn scheduling_study(run: &Run) -> Vec<SchedRow> {
         &kernels,
         |(label, ..), name| format!("sched study {name} ({label})"),
         |&(label, pre_sched, post_sched, variant), name| {
-            let k = suite::kernel(name)
-                .ok_or_else(|| PipelineError::new(Stage::Parse, *name, "unknown suite kernel"))?;
-            let mut m = (*run.optimized(&k)?).clone();
+            let mut m = (*run.unit(name)?).clone();
             if pre_sched {
                 sched::schedule_module(&mut m, 3);
             }
@@ -401,7 +393,8 @@ pub fn scheduling_study(run: &Run) -> Vec<SchedRow> {
             }
             // The checker's default configuration is the study's
             // register supply.
-            if let Some(detail) = checker::error_summary(&check_allocated(&m, 512)) {
+            let diags = checker::check_module(&m, &checker::CheckerConfig::new(512));
+            if let Some(detail) = checker::error_summary(&diags) {
                 return Err(PipelineError::new(
                     Stage::Checker,
                     *name,

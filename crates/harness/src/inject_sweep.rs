@@ -10,15 +10,14 @@
 //! containment fails the sweep; the process itself must never abort.
 //!
 //! The sweep runs points strictly one at a time (arming is process-
-//! global), and every armed measurement runs in a fresh [`Run`], so an
-//! armed point always reaches the stage it targets and nothing it leaves
-//! in a memo is read by another measurement.
+//! global), and every armed measurement runs in a fresh [`Run`] that
+//! builds the workload kernel itself, so an armed point always reaches
+//! the stage it targets and nothing it leaves in a memo is read by
+//! another measurement.
 
 use std::panic;
-use std::sync::Arc;
 
 use ccm::Variant;
-use iloc::Module;
 use sim::MachineConfig;
 
 use crate::error::{PipelineError, Stage};
@@ -40,14 +39,9 @@ pub struct SweepOutcome {
 const KERNEL: &str = "radf5";
 const CCM: u32 = 512;
 
-fn workload_module() -> Result<Arc<Module>, String> {
-    let k = suite::kernel(KERNEL).ok_or_else(|| format!("suite kernel `{KERNEL}` missing"))?;
-    Ok(Arc::new(suite::build_optimized(&k)))
-}
-
 /// Measures the workload under `variant` in a fresh [`Run`].
-fn measure(m: &Arc<Module>, variant: Variant) -> Result<Measurement, PipelineError> {
-    Run::default().measure_unit(KERNEL, m, variant, &MachineConfig::with_ccm(CCM))
+fn measure(variant: Variant) -> Result<Measurement, PipelineError> {
+    Run::default().measure_unit(KERNEL, variant, &MachineConfig::with_ccm(CCM))
 }
 
 /// The points a measurement contains as a structured error: (name,
@@ -67,14 +61,13 @@ const CONTAINED: [(&str, Variant, Stage, &str); 4] = [
 /// asserts the measurement fails with `stage` and a detail mentioning
 /// `needle`: the point's failure is contained as a structured error.
 fn point_contained(
-    m: &Arc<Module>,
     name: &str,
     variant: Variant,
     stage: Stage,
     needle: &str,
 ) -> Result<String, String> {
     inject::arm(name).map_err(|e| e.to_string())?;
-    let r = measure(m, variant);
+    let r = measure(variant);
     inject::disarm();
     match r {
         Ok(_) => Err(format!("expected a stage={} error, got Ok", stage.name())),
@@ -92,12 +85,12 @@ fn point_contained(
 /// function (heavyweight spills, a recorded [`ccm::Degradation`]) while
 /// program outputs stay byte-identical to the clean run — for the
 /// post-pass and the integrated allocator.
-fn point_ccm_coloring(m: &Arc<Module>) -> Result<String, String> {
+fn point_ccm_coloring() -> Result<String, String> {
     let mut lines = Vec::new();
     for variant in [Variant::PostPassCallGraph, Variant::Integrated] {
-        let clean = measure(m, variant).map_err(|e| format!("clean run failed: {e}"))?;
+        let clean = measure(variant).map_err(|e| format!("clean run failed: {e}"))?;
         inject::arm_once("alloc.ccm_coloring").map_err(|e| e.to_string())?;
-        let degraded = measure(m, variant);
+        let degraded = measure(variant);
         let fires = inject::disarm();
         let degraded = degraded.map_err(|e| format!("degraded run errored: {e}"))?;
         if fires == 0 {
@@ -161,19 +154,15 @@ fn point_exec_worker_panic(jobs: usize) -> Result<String, String> {
 /// duration (the *structured* reports are what the sweep asserts on).
 pub fn run_sweep(jobs: usize) -> Vec<SweepOutcome> {
     inject::disarm();
-    let module = workload_module();
     let prev_hook = panic::take_hook();
     panic::set_hook(Box::new(|_| {}));
     let mut out = Vec::new();
     for p in inject::REGISTRY {
-        let verdict = match (&module, p.name) {
-            (Err(e), _) => Err(format!("workload unavailable: {e}")),
-            (Ok(m), "alloc.ccm_coloring") => point_ccm_coloring(m),
-            (Ok(_), "exec.worker_panic") => point_exec_worker_panic(jobs),
-            (Ok(m), name) => match CONTAINED.iter().find(|c| c.0 == name) {
-                Some(&(_, variant, stage, needle)) => {
-                    point_contained(m, name, variant, stage, needle)
-                }
+        let verdict = match p.name {
+            "alloc.ccm_coloring" => point_ccm_coloring(),
+            "exec.worker_panic" => point_exec_worker_panic(jobs),
+            name => match CONTAINED.iter().find(|c| c.0 == name) {
+                Some(&(_, variant, stage, needle)) => point_contained(name, variant, stage, needle),
                 None => Err(format!(
                     "no sweep workload drives `{name}` — register one in inject_sweep.rs"
                 )),

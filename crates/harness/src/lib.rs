@@ -46,4 +46,4 @@ pub use extensions::{
     ccm_sweep, design_ablation, multitask_study, render_design, render_multitask, render_sched,
     render_sweep, scheduling_study, DesignRow, MultitaskRow, SchedRow, SweepPoint, SWEEP_SIZES,
 };
-pub use pipeline::{check_allocated, Measurement, Run};
+pub use pipeline::{Measurement, Run};

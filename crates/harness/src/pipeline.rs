@@ -4,8 +4,9 @@
 //! settings, the memo of builds, baseline allocations, checks and
 //! simulations ([`crate::cache`]) and the failure sink
 //! ([`crate::error`]). Every experiment takes it by reference and reads
-//! each measurement of a suite unit through [`Run::measure_unit`]: one
-//! baseline allocation per unit, [`ccm::promote_allocated`] per variant,
+//! each measurement of a suite unit through [`Run::measure_unit`], by
+//! the unit's name alone (the run finds its own build, [`Run::unit`]):
+//! one baseline allocation per unit, [`ccm::promote_allocated`] per variant,
 //! the checker, then the simulator, each distinct module checked and
 //! simulated once. `repro`, `probe`, each inject-sweep point and each test
 //! build their own, so nothing one of them memoizes or records is seen
@@ -20,7 +21,6 @@
 
 use std::sync::Mutex;
 
-use iloc::Module;
 use sim::{MachineConfig, Metrics};
 
 use crate::cache::Memo;
@@ -86,13 +86,6 @@ pub struct Measurement {
     pub degraded: Vec<ccm::Degradation>,
 }
 
-/// Runs the post-allocation static checker on an allocated module,
-/// returning every diagnostic (the structural verifier is one of its
-/// passes, so this subsumes `m.verify()`).
-pub fn check_allocated(m: &Module, ccm_size: u32) -> Vec<checker::Diagnostic> {
-    checker::check_module(m, &checker::CheckerConfig::new(ccm_size))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,9 +100,8 @@ mod tests {
     fn variants_agree_on_checksum_and_ccm_wins() {
         let run = Run::default();
         let k = suite::kernel("radf5").unwrap();
-        let m = run.optimized(&k).unwrap();
         let machine = MachineConfig::with_ccm(512);
-        let base = must(run.measure_unit(k.name, &m, Variant::Baseline, &machine));
+        let base = must(run.measure_unit(k.name, Variant::Baseline, &machine));
         assert!(base.spilled_ranges > 0, "radf5 must spill");
         assert!(base.degraded.is_empty(), "nothing degrades unprovoked");
         for v in [
@@ -117,7 +109,7 @@ mod tests {
             Variant::PostPassCallGraph,
             Variant::Integrated,
         ] {
-            let r = must(run.measure_unit(k.name, &m, v, &machine));
+            let r = must(run.measure_unit(k.name, v, &machine));
             assert_eq!(
                 r.checksum.to_bits(),
                 base.checksum.to_bits(),
@@ -136,11 +128,10 @@ mod tests {
     fn non_spilling_kernel_unaffected() {
         let run = Run::default();
         let k = suite::kernel("efill").unwrap();
-        let m = run.optimized(&k).unwrap();
         let machine = MachineConfig::with_ccm(512);
-        let base = must(run.measure_unit(k.name, &m, Variant::Baseline, &machine));
+        let base = must(run.measure_unit(k.name, Variant::Baseline, &machine));
         assert_eq!(base.spilled_ranges, 0);
-        let pp = must(run.measure_unit(k.name, &m, Variant::PostPassCallGraph, &machine));
+        let pp = must(run.measure_unit(k.name, Variant::PostPassCallGraph, &machine));
         assert_eq!(pp.cycles, base.cycles);
         assert_eq!(pp.metrics.ccm_ops, 0);
     }
@@ -149,9 +140,8 @@ mod tests {
     fn step_limit_surfaces_as_sim_stage_error() {
         let run = Run::new(1, 10);
         let k = suite::kernel("radf5").unwrap();
-        let m = run.optimized(&k).unwrap();
         let err = run
-            .measure_unit(k.name, &m, Variant::Baseline, &run.machine(512))
+            .measure_unit(k.name, Variant::Baseline, &run.machine(512))
             .unwrap_err();
         assert_eq!(err.stage, Stage::Sim);
         assert!(err.detail.contains("step limit"), "{err}");

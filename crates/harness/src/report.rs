@@ -105,10 +105,10 @@ pub fn render_table3(r512: &[SpeedupRow], r1024: &[SpeedupRow], improved: &[Stri
     s
 }
 
-/// Renders Table 4 (weighted-average reductions) from both CCM sizes.
+/// Renders Table 4 (weighted-average reductions) from both CCM sizes:
+/// its method rows only when both sizes have rows to average, otherwise
+/// the title and header alone.
 pub fn render_table4(r512: &[SpeedupRow], r1024: &[SpeedupRow]) -> String {
-    let c512 = table4_from(r512);
-    let c1024 = table4_from(r1024);
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -119,6 +119,9 @@ pub fn render_table4(r512: &[SpeedupRow], r1024: &[SpeedupRow]) -> String {
         "{:<26} {:>13} {:>13}   {:>13} {:>13}",
         "", "Total 512B", "Total 1024B", "Mem 512B", "Mem 1024B"
     );
+    let (Some(c512), Some(c1024)) = (table4_from(r512), table4_from(r1024)) else {
+        return s;
+    };
     let names = ["Post-pass", "Post-pass w/ Call Graph", "Integrated"];
     for i in 0..3 {
         let _ = writeln!(

@@ -158,3 +158,18 @@ fn summed_studies_print_no_row_from_failed_cells() {
     .collect();
     assert_eq!(out, headers);
 }
+
+/// With every simulation over budget no kernel row survives, so Table 4
+/// has nothing to average: it prints its title and header and no `%`
+/// cell, never a 100.0% reduction against an empty baseline.
+#[test]
+fn table4_prints_no_average_without_rows() {
+    let (code, out, err) = run(
+        env!("CARGO_BIN_EXE_repro"),
+        &["--table4", "--figure3", "--sim-budget", "10", "--jobs", "1"],
+    );
+    assert_eq!(code, 1, "stderr: {err}");
+    assert!(out.starts_with("Table 4: "), "{out}");
+    assert!(out.contains("0 of 0 programs improved"), "{out}");
+    assert!(!out.contains('%'), "{out}");
+}

@@ -92,7 +92,7 @@ pub const REGISTRY: &[FaultPoint] = &[
     },
     FaultPoint {
         name: "exec.worker_panic",
-        site: "exec::queue item execution",
+        site: "exec::par_map_contained item execution",
         effect: "the worker panics before running its item",
         expect: "ItemFailure / PipelineError stage=exec containing `injected worker panic`",
     },

@@ -136,7 +136,7 @@ fn scheduler_composes_with_ccm_pipeline() {
     let m0 = run.optimized(&k).unwrap();
     let machine = MachineConfig::with_ccm(512);
     let base = run
-        .measure_unit(k.name, &m0, harness::Variant::Baseline, &machine)
+        .measure_unit(k.name, harness::Variant::Baseline, &machine)
         .unwrap_or_else(|e| panic!("measurement failed: {e}"));
 
     let mut m = (*m0).clone();

@@ -2,22 +2,13 @@
 //! observable checksum is bit-identical under every allocation strategy
 //! and every CCM size — the master safety property of the reproduction.
 
-use std::sync::Arc;
-
 use harness::{Measurement, Run, Variant};
-use iloc::Module;
 use sim::MachineConfig;
 
-/// Measures suite unit `name` (its build `m` in `run`) through the run's
-/// memo, printing the structured error on failure.
-fn measure(
-    run: &Run,
-    name: &str,
-    m: &Arc<Module>,
-    v: Variant,
-    machine: &MachineConfig,
-) -> Measurement {
-    run.measure_unit(name, m, v, machine)
+/// Measures suite unit `name` through the run's memo, printing the
+/// structured error on failure.
+fn measure(run: &Run, name: &str, v: Variant, machine: &MachineConfig) -> Measurement {
+    run.measure_unit(name, v, machine)
         .unwrap_or_else(|e| panic!("measurement failed: {e}"))
 }
 
@@ -27,15 +18,14 @@ fn all_kernels_all_variants_agree_at_512() {
     let run = Run::default();
     let machine = MachineConfig::with_ccm(512);
     for k in suite::kernels() {
-        let m = run.optimized(&k).unwrap();
-        let base = measure(&run, k.name, &m, Variant::Baseline, &machine);
+        let base = measure(&run, k.name, Variant::Baseline, &machine);
         assert!(base.checksum.is_finite(), "{}: non-finite checksum", k.name);
         for v in [
             Variant::PostPass,
             Variant::PostPassCallGraph,
             Variant::Integrated,
         ] {
-            let r = measure(&run, k.name, &m, v, &machine);
+            let r = measure(&run, k.name, v, &machine);
             assert_eq!(
                 r.checksum.to_bits(),
                 base.checksum.to_bits(),
@@ -60,19 +50,16 @@ fn kernel_sample_agrees_across_ccm_sizes() {
     let run = Run::default();
     let names = ["fpppp", "radf5", "deseco", "zeroin", "urand", "vslv1xX"];
     for name in names {
-        let k = suite::kernel(name).expect("kernel exists");
-        let m = run.optimized(&k).unwrap();
         let base = measure(
             &run,
             name,
-            &m,
             Variant::Baseline,
             &MachineConfig::with_ccm(1024),
         );
         for ccm_size in [16, 128, 1024] {
             let machine = MachineConfig::with_ccm(ccm_size);
             for v in [Variant::PostPassCallGraph, Variant::Integrated] {
-                let r = measure(&run, name, &m, v, &machine);
+                let r = measure(&run, name, v, &machine);
                 assert_eq!(
                     r.checksum.to_bits(),
                     base.checksum.to_bits(),
@@ -89,12 +76,9 @@ fn kernel_sample_agrees_across_ccm_sizes() {
 fn programs_sample_agrees() {
     let run = Run::default();
     for pname in ["turb3d", "forsythe", "applu", "fftpackX"] {
-        let p = suite::program(pname).expect("program exists");
-        let m = run.program(&p).unwrap();
         let base = measure(
             &run,
             pname,
-            &m,
             Variant::Baseline,
             &MachineConfig::with_ccm(512),
         );
@@ -105,7 +89,7 @@ fn programs_sample_agrees() {
                 Variant::PostPassCallGraph,
                 Variant::Integrated,
             ] {
-                let r = measure(&run, pname, &m, v, &machine);
+                let r = measure(&run, pname, v, &machine);
                 assert_eq!(
                     r.checksum.to_bits(),
                     base.checksum.to_bits(),
@@ -124,13 +108,11 @@ fn programs_sample_agrees() {
 fn promotion_respects_ccm_capacity() {
     let run = Run::default();
     for name in ["fpppp", "twldrv", "jacld"] {
-        let k = suite::kernel(name).expect("kernel exists");
-        let m = run.optimized(&k).unwrap();
         for ccm_size in [64u32, 512] {
             // measure() panics on any failure, including a trap such as
             // CcmOutOfBounds.
             let machine = MachineConfig::with_ccm(ccm_size);
-            let r = measure(&run, name, &m, Variant::PostPassCallGraph, &machine);
+            let r = measure(&run, name, Variant::PostPassCallGraph, &machine);
             assert!(r.checksum.is_finite());
         }
     }

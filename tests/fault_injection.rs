@@ -12,10 +12,9 @@
 //! `failures_are_never_memoized`, which arms points that only fail
 //! inside one run and then measures again in it.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use harness::{inject_sweep, Measurement, PipelineError, Run, Variant};
-use iloc::Module;
 use sim::MachineConfig;
 
 /// Serializes tests that touch process-global state (arming and the
@@ -29,13 +28,9 @@ fn must(r: Result<Measurement, PipelineError>) -> Measurement {
     r.unwrap_or_else(|e| panic!("measurement failed: {e}"))
 }
 
-/// Measures radf5's build `m` under `v` on `machine` in a fresh run.
-fn measure(
-    m: &Arc<Module>,
-    v: Variant,
-    machine: &MachineConfig,
-) -> Result<Measurement, PipelineError> {
-    Run::default().measure_unit("radf5", m, v, machine)
+/// Measures radf5 under `v` on `machine` in a fresh run.
+fn measure(v: Variant, machine: &MachineConfig) -> Result<Measurement, PipelineError> {
+    Run::default().measure_unit("radf5", v, machine)
 }
 
 /// The sweep is the master assertion: every point in the registry
@@ -64,13 +59,11 @@ fn every_registered_point_survives_with_expected_failure() {
 fn forced_coloring_failure_degrades_without_changing_any_golden_output() {
     let _g = guard();
     inject::disarm();
-    let k = suite::kernel("radf5").expect("kernel exists");
-    let m = Arc::new(suite::build_optimized(&k));
     let machine = MachineConfig::with_ccm(512);
 
     let clean: Vec<_> = Variant::ALL
         .iter()
-        .map(|&v| must(measure(&m, v, &machine)))
+        .map(|&v| must(measure(v, &machine)))
         .collect();
     let golden = clean[0].checksum.to_bits();
     for (v, c) in Variant::ALL.iter().zip(&clean) {
@@ -80,7 +73,7 @@ fn forced_coloring_failure_degrades_without_changing_any_golden_output() {
 
     // Degrade exactly one function of the post-pass allocation.
     inject::arm_once("alloc.ccm_coloring").expect("registered point");
-    let degraded = measure(&m, Variant::PostPassCallGraph, &machine);
+    let degraded = measure(Variant::PostPassCallGraph, &machine);
     let fires = inject::disarm();
     let degraded = must(degraded);
     assert_eq!(fires, 1, "the point must fire exactly once");
@@ -98,7 +91,7 @@ fn forced_coloring_failure_degrades_without_changing_any_golden_output() {
     // After disarming, every variant reproduces its clean measurement
     // bit for bit — the injection poisoned nothing.
     for (v, c) in Variant::ALL.iter().zip(&clean) {
-        let again = must(measure(&m, *v, &machine));
+        let again = must(measure(*v, &machine));
         assert_eq!(again.cycles, c.cycles, "{v:?} cycles changed after sweep");
         assert_eq!(again.checksum.to_bits(), c.checksum.to_bits());
         assert!(again.degraded.is_empty());
@@ -113,11 +106,9 @@ fn forced_coloring_failure_degrades_without_changing_any_golden_output() {
 fn failures_are_never_memoized() {
     let _g = guard();
     inject::disarm();
-    let k = suite::kernel("radf5").expect("kernel exists");
-    let m = Arc::new(suite::build_optimized(&k));
     let machine = MachineConfig::with_ccm(512);
     let run = Run::default();
-    let measure_in = |run: &Run, v| run.measure_unit("radf5", &m, v, &machine);
+    let measure_in = |run: &Run, v| run.measure_unit("radf5", v, &machine);
 
     // Panic-type point: silence the default hook for the duration.
     let prev = std::panic::take_hook();
@@ -240,21 +231,15 @@ fn exec_panic_containment_reports_are_job_count_invariant() {
 #[test]
 fn sim_budget_override_acts_as_watchdog() {
     let _g = guard();
-    let k = suite::kernel("radf5").expect("kernel exists");
-    let m = Arc::new(suite::build_optimized(&k));
     let machine = MachineConfig {
         max_steps: 100,
         ..MachineConfig::with_ccm(512)
     };
-    let err = measure(&m, Variant::Baseline, &machine).unwrap_err();
+    let err = measure(Variant::Baseline, &machine).unwrap_err();
     assert_eq!(err.stage, harness::Stage::Sim);
     assert!(err.detail.contains("step limit"), "{err}");
     // The default config was never touched, and at its budget the kernel completes.
-    let ok = must(measure(
-        &m,
-        Variant::Baseline,
-        &MachineConfig::with_ccm(512),
-    ));
+    let ok = must(measure(Variant::Baseline, &MachineConfig::with_ccm(512)));
     assert_eq!(
         MachineConfig::with_ccm(512).max_steps,
         sim::DEFAULT_MAX_STEPS

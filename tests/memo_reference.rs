@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use ccm::Variant;
-use harness::{check_allocated, Measurement, Run, Stage};
+use harness::{Measurement, Run, Stage};
 use iloc::Module;
 use regalloc::AllocConfig;
 
@@ -38,7 +38,7 @@ fn reference(run: &Run, base: &Module) -> Vec<Config> {
         for variant in Variant::ALL {
             let mut m = allocated.clone();
             let degraded = ccm::promote_allocated(&mut m, variant, ccm);
-            let diags = check_allocated(&m, ccm);
+            let diags = checker::check_module(&m, &checker::CheckerConfig::new(ccm));
             let measured = checker::error_summary(&diags).is_none().then(|| {
                 let (vals, metrics) =
                     sim::run_module(&m, run.machine(ccm), "main").expect("honest suite run");
@@ -95,9 +95,7 @@ fn memo_matches_a_reference_that_runs_every_configuration() {
     let rows = harness::check_suite(&SIZES, &run);
     let total = units.len() * SIZES.len() * Variant::ALL.len();
     assert_eq!(rows.len(), total);
-    let measure = |name: &str, base: &Arc<Module>, c: &Config| {
-        run.measure_unit(name, base, c.variant, &run.machine(c.ccm))
-    };
+    let measure = |name: &str, c: &Config| run.measure_unit(name, c.variant, &run.machine(c.ccm));
     let references = exec::par_map_contained(
         2,
         &units,
@@ -105,7 +103,7 @@ fn memo_matches_a_reference_that_runs_every_configuration() {
         |(_, base)| reference(&run, base),
     );
     let mut rows = rows.iter();
-    for ((name, base), configs) in units.iter().zip(references) {
+    for ((name, _), configs) in units.iter().zip(references) {
         let configs = configs.expect("reference run");
         for c in &configs {
             let ctx = format!("{name} {:?} @ {} B", c.variant, c.ccm);
@@ -116,7 +114,7 @@ fn memo_matches_a_reference_that_runs_every_configuration() {
                 "{ctx}: row order"
             );
             assert_eq!(row.diags, c.diags, "{ctx}: diagnostics");
-            let got = measure(name, base, c);
+            let got = measure(name, c);
             match &c.measured {
                 Some(want) => assert_same(&got.expect("measures"), want, &ctx),
                 None => assert_eq!(got.map(|_| ()).unwrap_err().stage, Stage::Checker, "{ctx}"),
@@ -125,7 +123,7 @@ fn memo_matches_a_reference_that_runs_every_configuration() {
         for c in &configs {
             let ctx = format!("{name} {:?} @ {} B, stored", c.variant, c.ccm);
             if let Some(want) = &c.measured {
-                assert_same(&measure(name, base, c).expect("measures"), want, &ctx);
+                assert_same(&measure(name, c).expect("measures"), want, &ctx);
             }
         }
     }

@@ -3,22 +3,13 @@
 //! assert the qualitative structure the paper reports, so a regression
 //! that silently flips a conclusion fails the build.
 
-use std::sync::Arc;
-
 use harness::{Measurement, Run, Variant};
-use iloc::Module;
 use sim::MachineConfig;
 
-/// Measures suite unit `name` (its build `m` in `run`) through the run's
-/// memo, printing the structured error on failure.
-fn measure(
-    run: &Run,
-    name: &str,
-    m: &Arc<Module>,
-    v: Variant,
-    machine: &MachineConfig,
-) -> Measurement {
-    run.measure_unit(name, m, v, machine)
+/// Measures suite unit `name` through the run's memo, printing the
+/// structured error on failure.
+fn measure(run: &Run, name: &str, v: Variant, machine: &MachineConfig) -> Measurement {
+    run.measure_unit(name, v, machine)
         .unwrap_or_else(|e| panic!("measurement failed: {e}"))
 }
 
@@ -68,9 +59,7 @@ fn figure_shape_interprocedural_dominates() {
     let machine = MachineConfig::with_ccm(512);
     let mut any_separation = false;
     for pname in ["turb3d", "forsythe", "spice"] {
-        let p = suite::program(pname).expect("program exists");
-        let m = run.program(&p).unwrap();
-        let [base, pp, cg, ig] = Variant::ALL.map(|v| measure(&run, pname, &m, v, &machine));
+        let [base, pp, cg, ig] = Variant::ALL.map(|v| measure(&run, pname, v, &machine));
         assert!(cg.cycles <= pp.cycles, "{pname}: call-graph version worse");
         assert!(cg.cycles <= ig.cycles, "{pname}: call-graph version worse");
         assert!(cg.cycles < base.cycles, "{pname}: must improve");
@@ -90,14 +79,11 @@ fn figure_shape_interprocedural_dominates() {
 fn bigger_ccm_is_monotone() {
     let run = Run::default();
     for name in ["fpppp", "deseco", "radf5"] {
-        let k = suite::kernel(name).expect("kernel exists");
-        let m = run.optimized(&k).unwrap();
         let mut prev = u64::MAX;
         for ccm in [64u32, 256, 1024] {
             let r = measure(
                 &run,
                 name,
-                &m,
                 Variant::PostPassCallGraph,
                 &MachineConfig::with_ccm(ccm),
             );
