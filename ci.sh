@@ -38,13 +38,14 @@ echo "== workspace: cargo test -q --workspace"
 # the exec, checker and sim unit tests.
 cargo test -q --workspace
 
-echo "== allocator: cargo test -q --release -p regalloc"
-# The allocator's unit tests again with optimizations on: overflow
-# checks and debug_assert! are off here, so the bit matrix's row
-# indexing and the equivalence tests against the quadratic reference
-# coloring, the per-edge reference build and the HashSet graph model
-# must hold without them.
-cargo test -q --release -p regalloc
+echo "== allocators: cargo test -q --release -p regalloc -p ccm"
+# The register and CCM allocators' unit tests again with optimizations
+# on: overflow checks and debug_assert! are off here, so the bit
+# matrix's row indexing and block transpose, the equivalence tests
+# against the quadratic reference coloring, the per-edge reference
+# build and the HashSet graph model, and the sorted first-fit slot
+# search against its offset-by-offset reference must hold without them.
+cargo test -q --release -p regalloc -p ccm
 
 echo "== allocation golden: cargo test -q --release --test alloc_golden"
 # One digest per allocated unit (64 kernels and 128 fuzz modules, each

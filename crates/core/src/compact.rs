@@ -8,7 +8,7 @@
 
 use iloc::{Function, Module, SlotId};
 
-use crate::postpass::{first_fit, overlaps, retarget_spill_ops};
+use crate::postpass::{first_fit, retarget_spill_ops};
 use crate::slots::SlotAnalysis;
 
 /// Result of compacting one function's spill memory.
@@ -47,6 +47,7 @@ pub fn compact_spill_memory(f: &mut Function) -> CompactStats {
     // (harmless for correctness; keeps placement deterministic).
     let base = f.frame.locals_size;
     let mut placed: Vec<Option<(u32, u32)>> = vec![None; analysis.n]; // (off, size)
+    let mut taken = Vec::new(); // The placed neighbors' intervals.
     for slot_id in analysis.by_descending_cost() {
         let si = slot_id.index();
         let slot = *f.frame.slot(slot_id);
@@ -56,12 +57,10 @@ pub fn compact_spill_memory(f: &mut Function) -> CompactStats {
         let size = slot.size();
         // Lowest aligned offset whose byte range avoids every interfering
         // already-placed slot; frame memory has no capacity to run out of.
-        let off = first_fit(base, size, u32::MAX, |candidate| {
-            analysis.adj[si]
-                .iter()
-                .any(|other| placed[other].is_some_and(|p| overlaps(candidate, p)))
-        })
-        .expect("finitely many placed slots leave a gap");
+        taken.clear();
+        taken.extend(analysis.adj[si].iter().filter_map(|other| placed[other]));
+        let off = first_fit(base, size, u32::MAX, &mut taken)
+            .expect("finitely many placed slots leave a gap");
         placed[si] = Some((off, size));
     }
 

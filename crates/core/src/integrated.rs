@@ -25,7 +25,7 @@
 //! The result is byte-identical to running the allocator with the CCM
 //! placement built into spill-code insertion, at a fraction of the cost.
 
-use crate::postpass::{align_up, first_fit, overlaps, retarget_spill_ops};
+use crate::postpass::{align_up, first_fit, retarget_spill_ops};
 use crate::slots::SlotAnalysis;
 use crate::Degradation;
 use iloc::{Function, Module};
@@ -67,6 +67,8 @@ fn place_function(f: &mut Function, ccm_size: u32) -> (IntegratedStats, Option<D
     // class's bytes.
     let mut used: [Vec<(u32, u32)>; 2] = [Vec::new(), Vec::new()];
     let mut frame_end = f.frame.locals_size;
+    // The intervals a slot must avoid, gathered once per slot.
+    let mut taken = Vec::new();
     for si in 0..analysis.n {
         let slots = &f.frame.slots;
         debug_assert!(
@@ -74,20 +76,20 @@ fn place_function(f: &mut Function, ccm_size: u32) -> (IntegratedStats, Option<D
             "integrated placement runs on a baseline allocation"
         );
         let (class, size) = (slots[si].class, slots[si].size());
-        // Slots after `si` are still in the frame, so only earlier CCM
-        // placements can clash.
-        let clash = |candidate| {
-            analysis.adj[si]
-                .iter()
-                .any(|t| slots[t].in_ccm && overlaps(candidate, (slots[t].offset, slots[t].size())))
-                || used[1 - class.index()]
-                    .iter()
-                    .any(|&p| overlaps(candidate, p))
-        };
         let placed = if analysis.crosses_call[si] {
             None
         } else {
-            first_fit(0, size, ccm_size, clash)
+            // Slots after `si` are still in the frame, so only earlier
+            // CCM placements can clash.
+            taken.clear();
+            taken.extend(
+                analysis.adj[si]
+                    .iter()
+                    .filter(|&t| slots[t].in_ccm)
+                    .map(|t| (slots[t].offset, slots[t].size())),
+            );
+            taken.extend_from_slice(&used[1 - class.index()]);
+            first_fit(0, size, ccm_size, &mut taken)
         };
         let slot = &mut f.frame.slots[si];
         match placed {
@@ -149,6 +151,7 @@ pub fn allocate_module_integrated(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postpass::overlaps;
     use iloc::builder::FuncBuilder;
     use iloc::{Module, RegClass, SpillKind};
 

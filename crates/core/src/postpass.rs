@@ -193,6 +193,8 @@ fn color_function_slots(
     let mut promoted = 0;
     let mut heavyweight = 0;
     let mut high_water = 0u32;
+    // The placed neighbors' intervals, gathered once per slot.
+    let mut taken = Vec::new();
 
     for slot_id in analysis.by_descending_cost() {
         let si = slot_id.index();
@@ -201,11 +203,13 @@ fn color_function_slots(
             continue;
         }
         let size = slot.size();
-        let found = first_fit(base[si], size, cfg.ccm_size, |candidate| {
+        taken.clear();
+        taken.extend(
             analysis.adj[si]
                 .iter()
-                .any(|other| placements[other].is_some_and(|p| overlaps(candidate, p)))
-        });
+                .filter_map(|other| placements[other]),
+        );
+        let found = first_fit(base[si], size, cfg.ccm_size, &mut taken);
         match found {
             Some(ccm_off) => {
                 placements[si] = Some((ccm_off, size));
@@ -228,27 +232,47 @@ pub(crate) fn align_up(x: u32, align: u32) -> u32 {
     (x + align - 1) & !(align - 1)
 }
 
+#[cfg(test)]
 pub(crate) fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
     a.0 < b.0 + b.1 && b.0 < a.0 + a.1
 }
 
 /// The paper's successive-location search: the lowest `size`-aligned
-/// offset at or above `start` whose `(offset, size)` byte interval does
-/// not `clash`, or `None` when no such interval ends at or below `limit`.
+/// offset at or above `start` whose `(offset, size)` byte interval
+/// overlaps none of the `taken` intervals, or `None` when no such
+/// interval ends at or below `limit`. `size` is a power of two.
+///
+/// `taken` is sorted by start and swept once: each interval that
+/// overlaps the candidate moves it to the next aligned offset past that
+/// interval's end, and the first interval that starts at or after the
+/// candidate's end ends the search, as every later one does too. The
+/// cost is the sort, whatever `limit` is (`ccmc` accepts any `u32` CCM
+/// size).
+///
+/// All three slot placers call it once per slot, with the intervals of
+/// that slot's already-placed interfering slots gathered into one reused
+/// `Vec`: the post-pass colouring (`color_function_slots`), the
+/// integrated placement (`place_function`, which adds every interval
+/// the other register class holds) and spill-memory compaction
+/// ([`compact_spill_memory`](crate::compact_spill_memory), with no
+/// limit).
 pub(crate) fn first_fit(
     start: u32,
     size: u32,
     limit: u32,
-    clash: impl Fn((u32, u32)) -> bool,
+    taken: &mut [(u32, u32)],
 ) -> Option<u32> {
+    taken.sort_unstable();
     let mut off = align_up(start, size);
-    while off + size <= limit {
-        if !clash((off, size)) {
-            return Some(off);
+    for &(t_off, t_size) in taken.iter() {
+        if off.checked_add(size)? > limit || t_off >= off + size {
+            break;
         }
-        off = align_up(off + 1, size);
+        if t_off + t_size > off {
+            off = align_up(t_off + t_size, size);
+        }
     }
-    None
+    (off.checked_add(size)? <= limit).then_some(off)
 }
 
 /// Points every tagged spill instruction of `f` at its slot's current
@@ -291,6 +315,64 @@ mod tests {
     use iloc::builder::FuncBuilder;
     use iloc::{RegClass, SpillKind};
     use regalloc::{allocate_module, AllocConfig};
+
+    /// The closure search `first_fit` replaced: try each aligned offset
+    /// in turn against every taken interval.
+    fn reference_first_fit(start: u32, size: u32, limit: u32, taken: &[(u32, u32)]) -> Option<u32> {
+        let mut off = align_up(start, size);
+        while off + size <= limit {
+            if !taken.iter().any(|&p| overlaps((off, size), p)) {
+                return Some(off);
+            }
+            off = align_up(off + 1, size);
+        }
+        None
+    }
+
+    /// Seeded random taken sets, unsorted and with overlapping, duplicate
+    /// and equal-start intervals of sizes 4 and 8, against unaligned
+    /// starts and limits that are 0, an exact fit, tight or `u32::MAX`.
+    #[test]
+    fn first_fit_matches_the_offset_by_offset_search() {
+        let mut rng: u64 = 0xF1257;
+        let mut below = |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        let (mut none, mut exact) = (0, 0);
+        for case in 0..4000 {
+            let size = [4, 8][below(2) as usize];
+            let start = below(96) as u32;
+            let mut taken: Vec<(u32, u32)> = (0..below(24))
+                .map(|_| (below(160) as u32, [4, 8][below(2) as usize]))
+                .collect();
+            if let Some(&t) = taken.first() {
+                // Duplicates and equal starts with the other size.
+                taken.push(t);
+                taken.push((t.0, 12 - t.1));
+            }
+            let want_unbounded = reference_first_fit(start, size, u32::MAX, &taken).unwrap();
+            let limit = match below(5) {
+                0 => 0,
+                1 => want_unbounded + size,
+                2 => want_unbounded + size - 1,
+                3 => below(256) as u32,
+                _ => u32::MAX,
+            };
+            let want = reference_first_fit(start, size, limit, &taken);
+            let got = first_fit(start, size, limit, &mut taken.clone());
+            assert_eq!(
+                got, want,
+                "case {case}: start {start} size {size} limit {limit} {taken:?}"
+            );
+            none += usize::from(want.is_none());
+            exact += usize::from(want.is_some_and(|o| o + size == limit));
+        }
+        assert!(none > 800, "only {none} searches found no room");
+        assert!(exact > 600, "only {exact} searches fit exactly");
+    }
 
     /// Builds a module whose single function spills under a tiny register
     /// budget, then allocates it.

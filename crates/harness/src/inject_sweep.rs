@@ -120,26 +120,39 @@ fn point_ccm_coloring() -> Result<String, String> {
 }
 
 /// `exec.worker_panic`: every item's worker panic is contained in its
-/// own slot, and the failure report is byte-identical at any job count.
+/// own slot and recorded by [`Run::par_contained`] as a `stage=exec`
+/// failure of a fresh [`Run`], and the records are identical at any job
+/// count.
 fn point_exec_worker_panic(jobs: usize) -> Result<String, String> {
     let items: Vec<u32> = (0..8).collect();
-    let run =
-        |j: usize| exec::par_map_contained(j, &items, |i| format!("sweep item {i}"), |&i| i * 2);
+    let label = |i: &u32| format!("sweep item {i}");
+    let records = |j: usize| {
+        let run = Run::new(j, sim::DEFAULT_MAX_STEPS);
+        run.par_contained(&items, label, |&i| Ok(i * 2));
+        run.drain()
+    };
     inject::arm("exec.worker_panic").map_err(|e| e.to_string())?;
-    let serial = run(1);
-    let par = run(jobs.max(2));
+    let serial = records(1);
+    let par = records(jobs.max(2));
     inject::disarm();
     if serial != par {
         return Err("jobs=1 and parallel failure reports diverged".to_string());
     }
+    // `drain` sorts by unit, and the labels sort in item order.
     let contained = serial
         .iter()
-        .filter(|r| matches!(r, Err(e) if e.message.contains("injected worker panic")))
+        .zip(&items)
+        .filter(|&(e, i)| {
+            e.stage == Stage::Exec
+                && e.unit == label(i)
+                && e.detail.contains("injected worker panic")
+        })
         .count();
-    if contained != items.len() {
+    if contained != items.len() || serial.len() != items.len() {
         return Err(format!(
-            "{contained}/{} items contained the injected panic",
-            items.len()
+            "{contained}/{} items recorded the injected panic as stage=exec ({} records)",
+            items.len(),
+            serial.len()
         ));
     }
     Ok(format!(

@@ -1,15 +1,22 @@
 //! Simplify/select graph coloring with optimistic spilling (Briggs).
 //!
-//! Simplify keeps the non-removed nodes of degree < k in a [`BitSet`] and
-//! removes its lowest member; when it is empty, the optimistic spill
-//! candidate is the first node of least cost/degree in id order. That
-//! candidate comes from a lazy min-heap keyed by (cost/degree, id),
-//! filled on the first pick: a popped entry whose ratio went stale is
-//! pushed again with the current one. Degrees only fall while simplify
-//! runs and costs are non-negative, so a node's ratio only rises and its
-//! entry's key never exceeds it; the first fresh entry popped is the
-//! minimum a scan over the [`SpillCosts`] would find. Those two rules fix
-//! the stack, and the stack fixes the order of [`Coloring::spilled`].
+//! Simplify keeps the non-removed nodes of degree < k as a word set and
+//! removes its lowest member, found from a word cursor that only an
+//! insert lowers; when the set is empty, the optimistic spill candidate
+//! is the first node of least cost/degree in id order. That candidate
+//! comes from a lazy min-heap keyed by (cost/degree, id), filled on the
+//! first pick: a popped entry whose ratio went stale is pushed again with
+//! the current one. Degrees only fall while simplify runs and costs are
+//! non-negative, so a node's ratio only rises and its entry's key never
+//! exceeds it; the first fresh entry popped is the minimum a scan over
+//! the [`SpillCosts`] would find. Those two rules fix the stack, and the
+//! stack fixes the order of [`Coloring::spilled`].
+//!
+//! Each edge is walked once per phase, from the end that can change the
+//! answer. Simplify walks a removed node's matrix row masked by the nodes
+//! still alive, the only ones whose degree still counts; select walks a
+//! node's row masked by the nodes already colored, the only ones that
+//! rule a color out.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -54,15 +61,19 @@ pub fn color(g: &InterferenceGraph, k: u32, caller_saved: u32, costs: &SpillCost
     );
     let k_nodes = k as usize;
     let mut degree: Vec<usize> = (0..n).map(|i| g.degree(i)).collect();
-    let mut removed = vec![false; n];
+    // Nodes not yet removed: simplify walks only `row & alive`, so each
+    // edge is visited once, from the end removed first.
+    let mut alive = BitSet::full(n);
     // Non-removed nodes of degree < k. Degrees only fall, so a node
-    // enters once and leaves when it is removed.
+    // enters once and leaves when it is removed. Every word below
+    // `cursor` is empty; an insert lowers it.
     let mut low = BitSet::new(n);
     for (i, &d) in degree.iter().enumerate() {
         if d < k_nodes {
             low.insert(i);
         }
     }
+    let mut cursor = 0;
     // Spill candidates by (ratio key, id), built on the first pick. Each
     // non-removed node has exactly one entry, whose key is at most its
     // current ratio's.
@@ -71,21 +82,26 @@ pub fn color(g: &InterferenceGraph, k: u32, caller_saved: u32, costs: &SpillCost
 
     let mut stack: Vec<usize> = Vec::with_capacity(n);
     for _ in 0..n {
+        while low.words().get(cursor) == Some(&0) {
+            cursor += 1;
+        }
         // Prefer the lowest node with degree < k.
-        let pick = low.iter().next().unwrap_or_else(|| {
+        let pick = if let Some(&w) = low.words().get(cursor) {
+            cursor * 64 + w.trailing_zeros() as usize
+        } else {
             // Optimistic spill candidate: the first node of minimum
             // cost/degree. Infinite-cost nodes are only chosen as a last
             // resort.
             spill_picks += 1;
             let heap = heap.get_or_insert_with(|| {
-                (0..n)
-                    .filter(|&i| !removed[i])
+                alive
+                    .iter()
                     .map(|i| Reverse((ratio_key(costs, degree[i], i), i)))
                     .collect()
             });
             loop {
                 let Reverse((key, i)) = heap.pop().expect("an unremoved node remains");
-                if removed[i] {
+                if !alive.contains(i) {
                     continue;
                 }
                 let now = ratio_key(costs, degree[i], i);
@@ -94,43 +110,59 @@ pub fn color(g: &InterferenceGraph, k: u32, caller_saved: u32, costs: &SpillCost
                 }
                 heap.push(Reverse((now, i)));
             }
-        });
+        };
 
         low.remove(pick);
-        removed[pick] = true;
+        alive.remove(pick);
         stack.push(pick);
-        for nb in g.neighbors(pick) {
-            if !removed[nb] {
-                degree[nb] -= 1;
-                // Just dropped below k.
-                if degree[nb] + 1 == k_nodes {
-                    low.insert(nb);
-                }
+        for_each_masked(g.row(pick), alive.words(), |nb| {
+            degree[nb] -= 1;
+            // Just dropped below k.
+            if degree[nb] + 1 == k_nodes {
+                low.insert(nb);
+                cursor = cursor.min(nb / 64);
             }
-        }
+        });
     }
 
-    // Select: pop and assign the lowest legal color.
+    // Select: pop and assign the lowest legal color. Only colored
+    // neighbors constrain a node, so select walks `row & colored`.
     let mut out = Coloring {
         colors: vec![None; n],
         spilled: Vec::new(),
         spill_picks,
     };
+    let mut colored = BitSet::new(n);
     let mut used = vec![false; k_nodes];
     while let Some(i) = stack.pop() {
         used.fill(false);
-        for nb in g.neighbors(i) {
+        for_each_masked(g.row(i), colored.words(), |nb| {
             if let Some(c) = out.colors[nb] {
                 used[c as usize] = true;
             }
-        }
+        });
         let min_color = if g.crosses_call(i) { caller_saved } else { 0 };
         match (min_color..k).find(|&c| !used[c as usize]) {
-            Some(c) => out.colors[i] = Some(c),
+            Some(c) => {
+                out.colors[i] = Some(c);
+                colored.insert(i);
+            }
             None => out.spilled.push(i),
         }
     }
     out
+}
+
+/// Calls `f` on each set bit of `row & mask`, in increasing order.
+#[inline]
+fn for_each_masked(row: &[u64], mask: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, (&r, &m)) in row.iter().zip(mask).enumerate() {
+        let mut w = r & m;
+        while w != 0 {
+            f(wi * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -354,6 +386,63 @@ mod tests {
             spilling += usize::from(!want.spilled.is_empty());
         }
         assert!(spilling > 32, "only {spilling} cases spilled");
+    }
+
+    /// Graphs of 65 to 260 nodes, so the `alive` and `colored` masks and
+    /// the low-degree cursor cross word boundaries (the other reference
+    /// tests stay under 64 nodes).
+    #[test]
+    fn matches_the_reference_on_graphs_wider_than_a_word() {
+        let mut rng = SplitMix64(0x3D_A7A5);
+        let (mut spilling, mut picks) = (0, 0);
+        for case in 0..96 {
+            let n = match case {
+                0..=3 => [65, 128, 129, 260][case],
+                _ => 65 + rng.below(196),
+            };
+            let k = 1 + rng.below(24) as u32;
+            let caller_saved = rng.below(k as usize + 1) as u32;
+            let mut g = isolated_nodes(n);
+            let density = 1 + rng.below(60);
+            for a in 0..n {
+                for b in 0..a {
+                    if rng.below(100) < density {
+                        g.add_edge(a, b);
+                    }
+                }
+                if rng.below(4) == 0 {
+                    g.set_crosses_call(a);
+                }
+            }
+            for _ in 0..rng.below(12) {
+                let (a, b) = (rng.below(n), rng.below(n));
+                if a != b && !g.interferes(a, b) {
+                    g.merge(a, b);
+                }
+            }
+            let costs: Vec<f64> = (0..n)
+                .map(|_| match rng.below(6) {
+                    0 => INFINITE,
+                    1 => 0.0,
+                    _ => (1 + rng.below(3)) as f64,
+                })
+                .collect();
+            let costs = SpillCosts::from_costs(costs);
+            let got = color(&g, k, caller_saved, &costs);
+            let want = reference_color(&g, k, caller_saved, &costs);
+            assert_eq!(
+                got.colors, want.colors,
+                "case {case} (n = {n}): colors differ"
+            );
+            assert_eq!(
+                got.spilled, want.spilled,
+                "case {case} (n = {n}): spill order differs"
+            );
+            spilling += usize::from(!want.spilled.is_empty());
+            picks += got.spill_picks;
+        }
+        assert!(spilling > 24, "only {spilling} cases spilled");
+        assert!(picks > 500, "only {picks} optimistic picks");
     }
 
     /// Dense graphs with at most three colors and tied costs: nearly every

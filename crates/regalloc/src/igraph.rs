@@ -12,11 +12,14 @@
 //! 64-bit words per row (the matrix half of Briggs' dual representation,
 //! Cooper & Torczon, *Engineering a Compiler* §13.4). The scan ORs the
 //! live set's words into each definition's row, masking the definition
-//! itself and, unless that bit was already set, the copy source; one
-//! symmetrize pass then mirrors every bit, and degrees are row
-//! popcounts. [`InterferenceGraph::interferes`] is one bit test, and
-//! [`InterferenceGraph::neighbors`] walks a row's set bits in increasing
-//! id order, so no per-node adjacency vector is built.
+//! itself and, unless that bit was already set, the copy source. One
+//! symmetrize pass then ORs each 64×64 block with the transpose of its
+//! mirror block (`transpose64`), never transposing an all-zero block,
+//! and degrees are row popcounts. [`InterferenceGraph::interferes`] is
+//! one bit test, and [`InterferenceGraph::neighbors`] walks a row's set
+//! bits in increasing id order, so no per-node adjacency vector is
+//! built; [`color`](crate::color()) walks a row masked by the nodes that
+//! can still matter.
 
 use analysis::bitset::ones;
 use analysis::{BitSet, Solution};
@@ -98,13 +101,27 @@ impl InterferenceGraph {
         }
 
         // Mirror every bit: an edge found from either end is an edge.
-        for a in 0..n {
-            for wi in 0..words {
-                let mut w = g.bits[a * words + wi];
-                while w != 0 {
-                    let b = wi * 64 + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    g.bits[b * words + a / 64] |= 1 << (a % 64);
+        // Block (I, J) of the matrix (rows 64·I.., word J) and its mirror
+        // block (J, I) each OR in the other's transpose; a diagonal block
+        // is its own mirror. An all-zero block adds nothing and is not
+        // transposed.
+        let rows = |b: usize| b * 64..n.min(b * 64 + 64);
+        let mut blocks = [[0u64; 64]; 2];
+        for bi in 0..words {
+            for bj in bi..words {
+                for (block, (from, at)) in blocks.iter_mut().zip([(bi, bj), (bj, bi)]) {
+                    for (r, a) in rows(from).enumerate() {
+                        block[r] = g.bits[a * words + at];
+                    }
+                }
+                for (block, (to, at)) in blocks.iter_mut().zip([(bj, bi), (bi, bj)]) {
+                    if block.iter().any(|&w| w != 0) {
+                        transpose64(block);
+                        for (r, a) in rows(to).enumerate() {
+                            g.bits[a * words + at] |= block[r];
+                        }
+                        block.fill(0);
+                    }
                 }
             }
         }
@@ -127,9 +144,10 @@ impl InterferenceGraph {
         g
     }
 
-    /// The matrix row of `a`.
+    /// The matrix row of `a`: bit `b % 64` of word `b / 64` is set when
+    /// `a` and `b` interfere.
     #[inline]
-    fn row(&self, a: usize) -> &[u64] {
+    pub(crate) fn row(&self, a: usize) -> &[u64] {
         &self.bits[a * self.words..(a + 1) * self.words]
     }
 
@@ -237,6 +255,28 @@ impl InterferenceGraph {
             }
         }
         count < k
+    }
+}
+
+/// Transposes a 64×64 bit block in place: bit `c` of word `r` trades
+/// places with bit `r` of word `c`. Each of the six rounds swaps the
+/// off-diagonal quadrants of every 2j×2j sub-block (Warren, *Hacker's
+/// Delight* §7–3).
+pub(crate) fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        // Row `k` of each 2j-row group trades with row `k + j`.
+        for group in m.chunks_exact_mut(2 * j) {
+            let (lo, hi) = group.split_at_mut(j);
+            for (a, b) in lo.iter_mut().zip(hi) {
+                let t = ((*a >> j) ^ *b) & mask;
+                *a ^= t << j;
+                *b ^= t;
+            }
+        }
+        j >>= 1;
+        mask ^= mask << j;
     }
 }
 
@@ -450,6 +490,33 @@ mod tests {
             kept_copy_edges >= 1000,
             "only {kept_copy_edges} copies interfere"
         );
+    }
+
+    #[test]
+    fn transpose64_matches_a_bit_by_bit_transpose() {
+        let mut rng = SplitMix64(0x7A5);
+        for case in 0..64 {
+            // Single-bit, sparse, half-full and dense blocks.
+            let density = [0, 1, 50, 99][case % 4];
+            let mut m = [0u64; 64];
+            m[rng.below(64)] |= 1 << rng.below(64);
+            for w in m.iter_mut() {
+                for c in 0..64 {
+                    if rng.below(100) < density {
+                        *w |= 1 << c;
+                    }
+                }
+            }
+            let mut t = m;
+            transpose64(&mut t);
+            for (r, row) in t.iter().enumerate() {
+                for (c, col) in m.iter().enumerate() {
+                    assert_eq!(row >> c & 1, col >> r & 1, "case {case}: ({r}, {c})");
+                }
+            }
+            transpose64(&mut t);
+            assert_eq!(t, m, "case {case}: transposing twice is the identity");
+        }
     }
 
     /// Briggs' test over plain adjacency sets.
