@@ -108,7 +108,7 @@ echo "== release smoke: repro --table1 --check --jobs 2"
 # tests above run debug-mode): a table that fills the run's memo with
 # every kernel's build and baseline allocation, the full 616-config
 # checker sweep deriving each configuration from that allocation once
-# (Run::allocated keeps it per unit, variant and CCM size) through
+# (Run::allocated keeps it per unit, setup, variant and CCM size) through
 # Run::par_contained, and the strict argument parser, all under a small
 # worker count.
 cargo run --release -q -p harness --bin repro -- --table1 --check --jobs 2 > /dev/null
@@ -144,10 +144,12 @@ cargo run --release -q -p harness --bin repro -- --fuzz 512 --seed 1 --jobs 1 \
     | diff - perfbench/expected/fuzz-seed1.out
 
 echo "== every stage: repro --all at --jobs 1 and --jobs 2"
-# No expected file pins the ablation, sweep, design, scheduling,
-# multitask or check output, and racing workers fill the run's memos of
-# derived configurations, checks and simulations in any order: the full
-# run's stdout must still be byte-identical on one worker and on two.
+# crates/harness/tests/golden/extensions.txt pins the ablation, sweep,
+# design, scheduling and multitask output (golden_output.rs, debug
+# build); no file pins the check output. Racing workers fill the run's
+# memos of builds, allocations, derived configurations, checks and
+# simulations in any order: the full run's stdout must still be
+# byte-identical on one worker and on two.
 cargo run --release -q -p harness --bin repro -- --all --jobs 1 > target/repro-all-jobs1.out
 cargo run --release -q -p harness --bin repro -- --all --jobs 2 \
     | diff target/repro-all-jobs1.out -

@@ -55,11 +55,12 @@ fn main() {
         |k| {
             use std::fmt::Write as _;
             let failed = |e: harness::PipelineError| format!("{:<10} FAILED: {e}\n", k.name);
-            let m = match run.optimized(k) {
+            let setup = harness::Setup::default();
+            let m = match run.unit(k.name, &setup) {
                 Ok(m) => m,
                 Err(e) => return failed(e),
             };
-            let (am, spilled) = match run.baseline_allocation(k.name) {
+            let (am, spilled) = match run.baseline_allocation(k.name, &setup) {
                 Ok(a) => a,
                 Err(e) => return failed(e),
             };
@@ -73,7 +74,7 @@ fn main() {
                 maxf = maxf.max(lv.max_pressure(f, iloc::RegClass::Fpr));
             }
             // Checker verdict on the CCM-promoted allocation.
-            let diags = match run.allocated(k.name, ccm::Variant::PostPassCallGraph, CCM) {
+            let diags = match run.allocated(k.name, &setup, ccm::Variant::PostPassCallGraph, CCM) {
                 Ok(a) => a.diags,
                 Err(e) => return failed(e),
             };

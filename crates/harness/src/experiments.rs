@@ -10,9 +10,10 @@
 //! every row with a failed cell. Each takes the [`Run`]: the worker
 //! count, the machine every simulation runs on, the memo every build,
 //! check and simulation is read through, and the sink its failures are
-//! recorded into. An experiment names each suite unit it measures and
-//! passes no module: the run fetches the unit's build ([`Run::unit`])
-//! when its memo misses.
+//! recorded into. An experiment names each suite unit it measures, and
+//! the tables' [`Setup`] (the default), and passes no module: the run
+//! fetches the unit's build ([`Run::unit`]) and allocation, memoized per
+//! (unit, setup), when its memo misses.
 
 use std::collections::HashMap;
 
@@ -20,7 +21,7 @@ use ccm::{CompactStats, Variant};
 use sim::{CacheConfig, MachineConfig};
 
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::{Measurement, Run};
+use crate::pipeline::{Measurement, Run, Setup};
 
 /// Table 1 row: spill-memory compaction for one routine. It derefs to
 /// its [`ccm::CompactStats`], so `before`, `after` and `ratio()` read as
@@ -42,56 +43,21 @@ impl std::ops::Deref for CompactionRow {
 }
 
 /// Runs the Table 1 experiment: Chaitin-Briggs allocation followed by
-/// coloring-based spill-memory compaction, reporting bytes before/after
-/// per spilling routine, sorted by descending `before`.
+/// coloring-based spill-memory compaction ([`Run::compacted`]),
+/// reporting bytes before/after per spilling routine, sorted by
+/// descending `before`. Each compacted module must stay checker-clean
+/// and return the baseline's checksum; it makes no CCM accesses, and
+/// 1024 B is the default machine's CCM size.
 pub fn table1(run: &Run) -> Vec<CompactionRow> {
     let kernels = suite::kernels();
+    let machine = run.machine(1024);
     let rows = run.par_contained(
         &kernels,
         |k| format!("table1 {}", k.name),
         |k| {
-            let (allocated, _) = run.baseline_allocation(k.name)?;
-            let mut m = (*allocated).clone();
-            let stats = ccm::compact_module(&mut m).into_iter().fold(
-                CompactStats::default(),
-                |t, (_, s)| CompactStats {
-                    before: t.before + s.before,
-                    after: t.after + s.after,
-                },
-            );
-            if stats.before == 0 {
-                return Ok(None);
-            }
-            // Correctness guard: the compacted module must stay
-            // checker-clean (its `compaction overlap` check included) and
-            // return the baseline's checksum. The compacted code makes no
-            // CCM accesses; 1024 B is the default machine's CCM size.
-            let diags = checker::check_module(&m, &checker::CheckerConfig::new(1024));
-            if let Some(detail) = checker::error_summary(&diags) {
-                return Err(PipelineError::new(
-                    Stage::Checker,
-                    k.name,
-                    format!("after compaction: {detail}"),
-                ));
-            }
-            let machine = run.machine(1024);
-            let (v, _) = sim::run_module(&m, machine.clone(), "main").map_err(|e| {
-                PipelineError::new(Stage::Sim, k.name, format!("trapped after compaction: {e}"))
-            })?;
-            let checksum = v.floats.first().copied().unwrap_or(f64::NAN);
-            let baseline = run.measure_unit(k.name, Variant::Baseline, &machine)?;
-            if checksum.to_bits() != baseline.checksum.to_bits() {
-                return Err(PipelineError::new(
-                    Stage::Sim,
-                    k.name,
-                    format!(
-                        "changed program output after compaction: checksum {checksum} vs \
-                         baseline {}",
-                        baseline.checksum
-                    ),
-                ));
-            }
-            Ok(Some(CompactionRow {
+            let compacted =
+                run.compacted(k.name, &Setup::default(), Variant::Baseline, &machine)?;
+            Ok(compacted.map(|(stats, _)| CompactionRow {
                 name: k.name.to_string(),
                 stats,
             }))
@@ -166,35 +132,20 @@ fn measure_row(
     name: &str,
     machine: &MachineConfig,
 ) -> Result<SpeedupRow, PipelineError> {
-    let baseline = run.measure_unit(name, Variant::Baseline, machine)?;
-    let mut ccm = Vec::with_capacity(3);
-    for v in [
-        Variant::PostPass,
-        Variant::PostPassCallGraph,
-        Variant::Integrated,
-    ] {
-        let r = run.measure_unit(name, v, machine)?;
-        if r.checksum.to_bits() != baseline.checksum.to_bits() {
-            return Err(PipelineError::new(
-                Stage::Sim,
-                name,
-                format!(
-                    "changed program output: checksum {} vs baseline {}",
-                    r.checksum, baseline.checksum
-                ),
-            )
-            .at(v, machine.ccm_size));
-        }
-        ccm.push(r);
-    }
-    let [postpass, postpass_cg, integrated]: [Measurement; 3] =
-        ccm.try_into().expect("three variants");
+    let tables = Setup::default();
+    let baseline = run.measure_unit(name, &tables, Variant::Baseline, machine)?;
+    let measure = |v| {
+        let r = run.measure_unit(name, &tables, v, machine)?;
+        r.same_output(&baseline, name, "")
+            .map_err(|e| e.at(v, machine.ccm_size))?;
+        Ok::<_, PipelineError>(r)
+    };
     Ok(SpeedupRow {
         name: name.to_string(),
+        postpass: measure(Variant::PostPass)?,
+        postpass_cg: measure(Variant::PostPassCallGraph)?,
+        integrated: measure(Variant::Integrated)?,
         baseline,
-        postpass,
-        postpass_cg,
-        integrated,
     })
 }
 
@@ -219,7 +170,8 @@ pub fn speedup_rows_multi(sizes: &[u32], run: &Run) -> Vec<Vec<SpeedupRow>> {
             // measurement is memoized, so `measure_row` reads it again
             // for free.
             let machine = run.machine(*size);
-            let baseline = run.measure_unit(k.name, Variant::Baseline, &machine)?;
+            let baseline =
+                run.measure_unit(k.name, &Setup::default(), Variant::Baseline, &machine)?;
             if baseline.spilled_ranges == 0 {
                 return Ok(None);
             }
@@ -397,8 +349,9 @@ pub fn ablation(run: &Run) -> Vec<AblationRow> {
                 cache: Some(ccfg.clone()),
                 ..run.machine(512)
             };
-            let b = run.measure_unit(name, Variant::Baseline, &machine)?;
-            let c = run.measure_unit(name, Variant::PostPassCallGraph, &machine)?;
+            let tables = Setup::default();
+            let b = run.measure_unit(name, &tables, Variant::Baseline, &machine)?;
+            let c = run.measure_unit(name, &tables, Variant::PostPassCallGraph, &machine)?;
             Ok([b, c])
         },
     );
@@ -468,7 +421,7 @@ pub fn check_suite(sizes: &[u32], run: &Run) -> Vec<CheckRow> {
     let built = run.par_contained(
         &units,
         |name| format!("build {name}"),
-        |name| run.unit(name).map(|_| *name),
+        |name| run.unit(name, &Setup::default()).map(|_| *name),
     );
     // …then one work item per (unit, CCM size, variant), enumerated in
     // the same nesting order as the old serial loop so the row order (and
@@ -485,7 +438,7 @@ pub fn check_suite(sizes: &[u32], run: &Run) -> Vec<CheckRow> {
         &items,
         |(name, ccm, v)| format!("check {name} {v:?} @ {ccm} B"),
         |&(name, ccm, v)| {
-            let a = run.allocated(name, v, ccm)?;
+            let a = run.allocated(name, &Setup::default(), v, ccm)?;
             Ok(CheckRow {
                 name: name.to_string(),
                 variant: v,

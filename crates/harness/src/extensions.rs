@@ -6,14 +6,17 @@
 //!
 //! Each study sums a row over a grid of cells through [`Run::par_rows`],
 //! so a row with a failed cell is dropped, never summed from the cells
-//! that succeeded.
+//! that succeeded. The design ablation's configurations are
+//! [`Setup`]s, so each of its cells is a lookup in the run's memo,
+//! which builds and allocates per (unit, setup); only the scheduling
+//! study, which reorders code around allocation, runs its own pipeline.
 
 use ccm::Variant;
 use regalloc::AllocConfig;
 use sim::MachineConfig;
 
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::{Measurement, Run};
+use crate::pipeline::{Measurement, Run, Setup};
 
 /// One point on the CCM sizing curve.
 #[derive(Clone, Copy, Debug)]
@@ -39,10 +42,11 @@ pub fn ccm_sweep(sizes: &[u32], run: &Run) -> Vec<SweepPoint> {
     // Measure the baseline once, in parallel over the (cached) builds.
     let kernels = suite::kernels();
     let machine0 = run.machine(16);
+    let tables = Setup::default();
     let baselines = run.par_contained(
         &kernels,
         |k| format!("sweep baseline {}", k.name),
-        |k| run.measure_unit(k.name, Variant::Baseline, &machine0),
+        |k| run.measure_unit(k.name, &tables, Variant::Baseline, &machine0),
     );
     let spilling: Vec<(&suite::Kernel, Measurement)> = kernels
         .iter()
@@ -54,7 +58,14 @@ pub fn ccm_sweep(sizes: &[u32], run: &Run) -> Vec<SweepPoint> {
         &spilling,
         sizes,
         |(k, _), size| format!("sweep {} @ {size} B", k.name),
-        |(k, _), size| run.measure_unit(k.name, Variant::PostPassCallGraph, &run.machine(*size)),
+        |(k, _), size| {
+            run.measure_unit(
+                k.name,
+                &tables,
+                Variant::PostPassCallGraph,
+                &run.machine(*size),
+            )
+        },
     );
     let counted: Vec<(&Measurement, Vec<Measurement>)> = spilling
         .iter()
@@ -100,118 +111,78 @@ pub struct DesignRow {
 
 const ABLATION_KERNELS: [&str; 5] = ["fpppp", "radf5", "deseco", "urand", "erhs"];
 
-/// One design-ablation configuration: its row label, the optimizer
-/// options, the register supply, and whether the post-pass CCM
-/// allocator (plus compaction) runs after allocation.
-type DesignConfig = (&'static str, opt::OptOptions, AllocConfig, bool);
+/// The design ablation's configurations: the row label, the setup, and
+/// whether the post-pass CCM allocator (with call graph) and footnote
+/// 3's compaction run after allocation.
+pub(crate) fn design_configs() -> [(&'static str, Setup, bool); 9] {
+    type Change = fn(&mut Setup);
+    let configs: [(&str, bool, Change); 9] = [
+        ("baseline (opt, coalesce, no CCM)", false, |_| {}),
+        ("+ CCM post-pass", true, |_| {}),
+        ("no scalar optimization", false, |s| s.opt.max_rounds = 0),
+        ("with LICM (more pressure)", false, |s| s.opt.licm = true),
+        ("with rematerialization", false, |s| {
+            s.alloc.rematerialize = true
+        }),
+        ("remat + CCM post-pass", true, |s| {
+            s.alloc.rematerialize = true
+        }),
+        ("no coalescing", false, |s| s.alloc.coalesce = false),
+        ("caller-saved = 8", false, |s| s.alloc.caller_saved = 8),
+        ("caller-saved = 16", false, |s| s.alloc.caller_saved = 16),
+    ];
+    configs.map(|(label, promote, change)| {
+        let mut setup = Setup::default();
+        change(&mut setup);
+        (label, setup, promote)
+    })
+}
 
-/// Builds, optimizes, allocates, checks and simulates one ablation
-/// kernel under one configuration. Returns (spilled ranges, spill bytes,
-/// cycles).
+/// One design-ablation cell on the 512 B machine: kernel `name` under
+/// `setup`, as allocated or, with `promote`, promoted and compacted
+/// ([`Run::compacted`]; with nothing to compact, as promoted). Every cell
+/// runs the same program, so it must return the kernel's "baseline"
+/// cell's checksum.
 ///
 /// # Errors
 ///
-/// A checker rejection (under the configuration's register supply) is a
-/// `stage=checker` error, a simulator trap `stage=sim`.
-fn run_cell(
-    (_, opts, alloc, promote): &DesignConfig,
-    name: &'static str,
+/// A failure of the cell's or the baseline cell's measurement, or a
+/// `stage=sim` error for a changed checksum.
+pub(crate) fn design_cell(
     run: &Run,
-) -> Result<(usize, u32, u64), PipelineError> {
-    let k = suite::kernel(name)
-        .ok_or_else(|| PipelineError::new(Stage::Parse, name, "unknown suite kernel"))?;
-    let mut m = (k.build)();
-    let o = opt::OptOptions {
-        unroll: k.unroll,
-        ..*opts
-    };
-    opt::optimize_module(&mut m, &o);
-    let variant = if *promote {
-        Variant::PostPassCallGraph
+    name: &str,
+    setup: &Setup,
+    promote: bool,
+) -> Result<Measurement, PipelineError> {
+    let machine = run.machine(512);
+    let cell = if promote {
+        let v = Variant::PostPassCallGraph;
+        match run.compacted(name, setup, v, &machine)? {
+            Some((_, compacted)) => compacted,
+            None => run.measure_unit(name, setup, v, &machine)?,
+        }
     } else {
-        Variant::Baseline
+        run.measure_unit(name, setup, Variant::Baseline, &machine)?
     };
-    let spilled = ccm::allocate_variant(&mut m, variant, 512, alloc).spilled_ranges;
-    if *promote {
-        // Paper, footnote 3: repack the remaining heavyweight slots
-        // so the reported spill space is honest.
-        ccm::compact_module(&mut m);
-    }
-    let diags = checker::check_module(&m, &checker::CheckerConfig::with_alloc(512, *alloc));
-    if let Some(detail) = checker::error_summary(&diags) {
-        return Err(PipelineError::new(Stage::Checker, name, detail));
-    }
-    let spill_bytes = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
-    let (_, metrics) = sim::run_module(&m, run.machine(512), "main")
-        .map_err(|e| PipelineError::new(Stage::Sim, name, e.to_string()))?;
-    Ok((spilled, spill_bytes, metrics.cycles))
+    let baseline = run.measure_unit(name, &Setup::default(), Variant::Baseline, &machine)?;
+    cell.same_output(&baseline, name, "")?;
+    Ok(cell)
 }
 
 /// Ablates the design choices: scalar optimization on/off, LICM on/off,
-/// coalescing on/off, and caller-saved conventions — each measured by
-/// spills produced and cycles executed on a spill-heavy subset.
+/// coalescing on/off, rematerialization and caller-saved conventions —
+/// each measured by spills produced and cycles executed on a
+/// spill-heavy subset, every cell a lookup in the run's memo
+/// ([`Run::measure_unit`] under the configuration's [`Setup`]).
 pub fn design_ablation(run: &Run) -> Vec<DesignRow> {
-    let opts = opt::OptOptions::default();
-    let alloc = AllocConfig::default();
-    let remat = AllocConfig {
-        rematerialize: true,
-        ..alloc
-    };
-    let configs: [DesignConfig; 9] = [
-        ("baseline (opt, coalesce, no CCM)", opts, alloc, false),
-        ("+ CCM post-pass", opts, alloc, true),
-        (
-            "no scalar optimization",
-            opt::OptOptions {
-                max_rounds: 0,
-                ..opts
-            },
-            alloc,
-            false,
-        ),
-        (
-            "with LICM (more pressure)",
-            opt::OptOptions { licm: true, ..opts },
-            alloc,
-            false,
-        ),
-        ("with rematerialization", opts, remat, false),
-        ("remat + CCM post-pass", opts, remat, true),
-        (
-            "no coalescing",
-            opts,
-            AllocConfig {
-                coalesce: false,
-                ..alloc
-            },
-            false,
-        ),
-        (
-            "caller-saved = 8",
-            opts,
-            AllocConfig {
-                caller_saved: 8,
-                ..alloc
-            },
-            false,
-        ),
-        (
-            "caller-saved = 16",
-            opts,
-            AllocConfig {
-                caller_saved: 16,
-                ..alloc
-            },
-            false,
-        ),
-    ];
+    let configs = design_configs();
     let rows = run.par_rows(
         &configs,
         &ABLATION_KERNELS,
         |(label, ..), name| format!("design ablation {name} ({label})"),
-        |config, name| {
-            run_cell(config, name, run).map_err(|e| PipelineError {
-                unit: format!("design ablation `{}` ({})", config.0, e.unit),
+        |(label, setup, promote), name| {
+            design_cell(run, name, setup, *promote).map_err(|e| PipelineError {
+                unit: format!("design ablation `{label}` ({})", e.unit),
                 ..e
             })
         },
@@ -223,9 +194,9 @@ pub fn design_ablation(run: &Run) -> Vec<DesignRow> {
             let cells = cells?;
             Some(DesignRow {
                 config: label.to_string(),
-                spilled: cells.iter().map(|c| c.0).sum(),
-                spill_bytes: cells.iter().map(|c| c.1).sum(),
-                cycles: cells.iter().map(|c| c.2).sum(),
+                spilled: cells.iter().map(|c| c.spilled_ranges).sum(),
+                spill_bytes: cells.iter().map(|c| c.spill_bytes).sum(),
+                cycles: cells.iter().map(|c| c.cycles).sum(),
             })
         })
         .collect()
@@ -382,7 +353,7 @@ pub fn scheduling_study(run: &Run) -> Vec<SchedRow> {
         &kernels,
         |(label, ..), name| format!("sched study {name} ({label})"),
         |&(label, pre_sched, post_sched, variant), name| {
-            let mut m = (*run.unit(name)?).clone();
+            let mut m = (*run.unit(name, &Setup::default())?).clone();
             if pre_sched {
                 sched::schedule_module(&mut m, 3);
             }

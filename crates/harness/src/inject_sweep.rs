@@ -18,10 +18,9 @@
 use std::panic;
 
 use ccm::Variant;
-use sim::MachineConfig;
 
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::{Measurement, Run};
+use crate::pipeline::{Measurement, Run, Setup};
 
 /// The verdict for one fault point.
 #[derive(Clone, Debug)]
@@ -41,7 +40,8 @@ const CCM: u32 = 512;
 
 /// Measures the workload under `variant` in a fresh [`Run`].
 fn measure(variant: Variant) -> Result<Measurement, PipelineError> {
-    Run::default().measure_unit(KERNEL, variant, &MachineConfig::with_ccm(CCM))
+    let run = Run::default();
+    run.measure_unit(KERNEL, &Setup::default(), variant, &run.machine(CCM))
 }
 
 /// The points a measurement contains as a structured error: (name,

@@ -20,9 +20,10 @@
 //! budget (`--sim-budget N`), the run's memo ([`cache`]) and its failure
 //! sink ([`error`]). Sweep-shaped experiments fan out over the parallel
 //! engine in the `exec` crate and read every build, allocation, check
-//! and simulation through the memo, so `repro --all` builds and
-//! allocates each unit once instead of once per table, and checks and
-//! simulates each distinct module once. Results are collected by
+//! and simulation through the memo, which keeps builds and allocations
+//! per (unit, [`Setup`]): `repro --all` builds and allocates each unit
+//! once per setup instead of once per table, and checks and simulates
+//! each distinct module once. Results are collected by
 //! work item index, never by completion order: any `--jobs` value
 //! produces byte-identical output to `--jobs 1`.
 
@@ -46,4 +47,4 @@ pub use extensions::{
     ccm_sweep, design_ablation, multitask_study, render_design, render_multitask, render_sched,
     render_sweep, scheduling_study, DesignRow, MultitaskRow, SchedRow, SweepPoint, SWEEP_SIZES,
 };
-pub use pipeline::{Measurement, Run};
+pub use pipeline::{Measurement, Run, Setup};

@@ -1,16 +1,17 @@
 //! The run's context and the measurement it produces.
 //!
 //! A [`Run`] is one run of the compile-and-measure pipeline: its two
-//! settings, the memo of builds, baseline allocations, checks and
-//! simulations ([`crate::cache`]) and the failure sink
-//! ([`crate::error`]). Every experiment takes it by reference and reads
-//! each measurement of a suite unit through [`Run::measure_unit`], by
-//! the unit's name alone (the run finds its own build, [`Run::unit`]):
-//! one baseline allocation per unit, [`ccm::promote_allocated`] per variant,
-//! the checker, then the simulator, each distinct module checked and
-//! simulated once. `repro`, `probe`, each inject-sweep point and each test
-//! build their own, so nothing one of them memoizes or records is seen
-//! by another.
+//! settings, the memo of builds and baseline allocations per (unit,
+//! [`Setup`]), derived configurations, checks and simulations
+//! ([`crate::cache`]) and the failure sink ([`crate::error`]). Every
+//! experiment takes it by reference and reads each measurement of a
+//! suite unit through [`Run::measure_unit`], by the unit's name and
+//! setup alone (the run finds its own build, [`Run::unit`]): one
+//! baseline allocation per (unit, setup), [`ccm::promote_allocated`] per
+//! variant, the checker, then the simulator, each distinct module
+//! checked and simulated once. `repro`, `probe`, each inject-sweep point
+//! and each test build their own, so nothing one of them memoizes or
+//! records is seen by another.
 //!
 //! Failure is structured, not fatal: a measurement returns a
 //! [`PipelineError`] with stage provenance (alloc / checker / sim)
@@ -24,7 +25,7 @@ use std::sync::Mutex;
 use sim::{MachineConfig, Metrics};
 
 use crate::cache::Memo;
-use crate::error::PipelineError;
+use crate::error::{PipelineError, Stage};
 
 /// One run: the parallel engine's worker count (`--jobs`), the
 /// simulator's instruction budget (`--sim-budget`), and the state the
@@ -66,6 +67,18 @@ impl Run {
     }
 }
 
+/// The optimizer and allocator setup a suite unit is built and allocated
+/// under; its default is the tables'. A kernel's own unroll factor
+/// replaces `opt.unroll`.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub struct Setup {
+    /// The scalar optimizer's options.
+    pub opt: opt::OptOptions,
+    /// The register supply and allocator switches; the checker gates
+    /// under them too.
+    pub alloc: regalloc::AllocConfig,
+}
+
 /// One measured configuration of one module.
 #[derive(Clone, Debug, Default)]
 pub struct Measurement {
@@ -86,10 +99,28 @@ pub struct Measurement {
     pub degraded: Vec<ccm::Degradation>,
 }
 
+impl Measurement {
+    /// Refuses a measurement whose program returned other than `base`'s
+    /// checksum, bit for bit: a `stage=sim` "changed program output"
+    /// error for `unit`, with `after` naming the transform.
+    pub(crate) fn same_output(
+        &self,
+        base: &Self,
+        unit: &str,
+        after: &str,
+    ) -> Result<(), PipelineError> {
+        let (got, want) = (self.checksum, base.checksum);
+        if got.to_bits() == want.to_bits() {
+            return Ok(());
+        }
+        let detail = format!("changed program output{after}: checksum {got} vs baseline {want}");
+        Err(PipelineError::new(Stage::Sim, unit, detail))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::Stage;
     use ccm::Variant;
 
     fn must(m: Result<Measurement, PipelineError>) -> Measurement {
@@ -101,7 +132,7 @@ mod tests {
         let run = Run::default();
         let k = suite::kernel("radf5").unwrap();
         let machine = MachineConfig::with_ccm(512);
-        let base = must(run.measure_unit(k.name, Variant::Baseline, &machine));
+        let base = must(run.measure_unit(k.name, &Setup::default(), Variant::Baseline, &machine));
         assert!(base.spilled_ranges > 0, "radf5 must spill");
         assert!(base.degraded.is_empty(), "nothing degrades unprovoked");
         for v in [
@@ -109,7 +140,7 @@ mod tests {
             Variant::PostPassCallGraph,
             Variant::Integrated,
         ] {
-            let r = must(run.measure_unit(k.name, v, &machine));
+            let r = must(run.measure_unit(k.name, &Setup::default(), v, &machine));
             assert_eq!(
                 r.checksum.to_bits(),
                 base.checksum.to_bits(),
@@ -129,9 +160,14 @@ mod tests {
         let run = Run::default();
         let k = suite::kernel("efill").unwrap();
         let machine = MachineConfig::with_ccm(512);
-        let base = must(run.measure_unit(k.name, Variant::Baseline, &machine));
+        let base = must(run.measure_unit(k.name, &Setup::default(), Variant::Baseline, &machine));
         assert_eq!(base.spilled_ranges, 0);
-        let pp = must(run.measure_unit(k.name, Variant::PostPassCallGraph, &machine));
+        let pp = must(run.measure_unit(
+            k.name,
+            &Setup::default(),
+            Variant::PostPassCallGraph,
+            &machine,
+        ));
         assert_eq!(pp.cycles, base.cycles);
         assert_eq!(pp.metrics.ccm_ops, 0);
     }
@@ -141,7 +177,12 @@ mod tests {
         let run = Run::new(1, 10);
         let k = suite::kernel("radf5").unwrap();
         let err = run
-            .measure_unit(k.name, Variant::Baseline, &run.machine(512))
+            .measure_unit(
+                k.name,
+                &Setup::default(),
+                Variant::Baseline,
+                &run.machine(512),
+            )
             .unwrap_err();
         assert_eq!(err.stage, Stage::Sim);
         assert!(err.detail.contains("step limit"), "{err}");

@@ -19,7 +19,7 @@ use crate::sccp::sccp;
 use crate::unroll::unroll_loops;
 
 /// Options controlling the pipeline.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct OptOptions {
     /// Unroll factor applied to canonical counted loops before the scalar
     /// passes; `None` disables unrolling. This is the register-pressure

@@ -8,7 +8,7 @@ use iloc::{Reg, RegClass};
 /// 32 floating-point. One general-purpose register (`%r0`) is reserved as
 /// the activation-record pointer, leaving 31 allocatable GPRs — the
 /// standard ILOC convention.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AllocConfig {
     /// Allocatable general-purpose registers (colors). Default 31.
     pub gpr_k: u32,

@@ -20,21 +20,28 @@ pub use programs::{build_program, build_program_from, program, programs, Program
 
 use iloc::Module;
 
-/// Builds a kernel's module and runs the standard scalar-optimization
-/// pipeline on it, applying the kernel's unroll transformation if it is an
-/// `X` variant. This is the "input code" every experiment starts from.
-pub fn build_optimized(k: &Kernel) -> Module {
+/// Builds a kernel's module and runs the scalar-optimization pipeline on
+/// it under `opts`, with the kernel's own unroll factor in place of
+/// `opts.unroll` (an `X` variant unrolls). Every build of a kernel goes
+/// through here.
+pub fn build_with(k: &Kernel, opts: &opt::OptOptions) -> Module {
     let mut m = (k.build)();
     m.verify()
         .unwrap_or_else(|e| panic!("kernel {} fails verification before opt: {e}", k.name));
     let opts = opt::OptOptions {
         unroll: k.unroll,
-        ..opt::OptOptions::default()
+        ..*opts
     };
     opt::optimize_module(&mut m, &opts);
     m.verify()
         .unwrap_or_else(|e| panic!("kernel {} fails verification after opt: {e}", k.name));
     m
+}
+
+/// [`build_with`] at the default options: the "input code" every
+/// experiment starts from.
+pub fn build_optimized(k: &Kernel) -> Module {
+    build_with(k, &opt::OptOptions::default())
 }
 
 #[cfg(test)]

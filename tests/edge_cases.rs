@@ -133,10 +133,11 @@ fn compaction_is_idempotent() {
 fn scheduler_composes_with_ccm_pipeline() {
     let k = suite::kernel("colbur").expect("kernel exists");
     let run = harness::Run::default();
-    let m0 = run.optimized(&k).unwrap();
+    let tables = harness::Setup::default();
+    let m0 = run.unit(k.name, &tables).unwrap();
     let machine = MachineConfig::with_ccm(512);
     let base = run
-        .measure_unit(k.name, harness::Variant::Baseline, &machine)
+        .measure_unit(k.name, &tables, harness::Variant::Baseline, &machine)
         .unwrap_or_else(|e| panic!("measurement failed: {e}"));
 
     let mut m = (*m0).clone();

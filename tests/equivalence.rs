@@ -2,13 +2,13 @@
 //! observable checksum is bit-identical under every allocation strategy
 //! and every CCM size — the master safety property of the reproduction.
 
-use harness::{Measurement, Run, Variant};
+use harness::{Measurement, Run, Setup, Variant};
 use sim::MachineConfig;
 
 /// Measures suite unit `name` through the run's memo, printing the
 /// structured error on failure.
 fn measure(run: &Run, name: &str, v: Variant, machine: &MachineConfig) -> Measurement {
-    run.measure_unit(name, v, machine)
+    run.measure_unit(name, &Setup::default(), v, machine)
         .unwrap_or_else(|e| panic!("measurement failed: {e}"))
 }
 

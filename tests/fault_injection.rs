@@ -14,7 +14,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use harness::{inject_sweep, Measurement, PipelineError, Run, Variant};
+use harness::{inject_sweep, Measurement, PipelineError, Run, Setup, Variant};
 use sim::MachineConfig;
 
 /// Serializes tests that touch process-global state (arming and the
@@ -30,7 +30,7 @@ fn must(r: Result<Measurement, PipelineError>) -> Measurement {
 
 /// Measures radf5 under `v` on `machine` in a fresh run.
 fn measure(v: Variant, machine: &MachineConfig) -> Result<Measurement, PipelineError> {
-    Run::default().measure_unit("radf5", v, machine)
+    Run::default().measure_unit("radf5", &Setup::default(), v, machine)
 }
 
 /// The sweep is the master assertion: every point in the registry
@@ -108,7 +108,7 @@ fn failures_are_never_memoized() {
     inject::disarm();
     let machine = MachineConfig::with_ccm(512);
     let run = Run::default();
-    let measure_in = |run: &Run, v| run.measure_unit("radf5", v, &machine);
+    let measure_in = |run: &Run, v| run.measure_unit("radf5", &Setup::default(), v, &machine);
 
     // Panic-type point: silence the default hook for the duration.
     let prev = std::panic::take_hook();

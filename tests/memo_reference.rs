@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use ccm::Variant;
-use harness::{Measurement, Run, Stage};
+use harness::{Measurement, Run, Setup, Stage};
 use iloc::Module;
 use regalloc::AllocConfig;
 
@@ -83,19 +83,21 @@ fn assert_same(got: &Measurement, want: &Measurement, ctx: &str) {
 #[test]
 fn memo_matches_a_reference_that_runs_every_configuration() {
     let run = Run::new(2, sim::DEFAULT_MAX_STEPS);
+    let tables = Setup::default();
     let mut units: Vec<(&'static str, Arc<Module>)> = Vec::new();
     for k in suite::kernels() {
-        units.push((k.name, run.optimized(&k).expect("kernel builds")));
+        units.push((k.name, run.unit(k.name, &tables).expect("kernel builds")));
     }
     for p in suite::programs() {
-        units.push((p.name, run.program(&p).expect("program builds")));
+        units.push((p.name, run.unit(p.name, &tables).expect("program builds")));
     }
     // The checker first, as `repro --check` would after the tables, then
     // every measurement twice: the second pass reads only stored runs.
     let rows = harness::check_suite(&SIZES, &run);
     let total = units.len() * SIZES.len() * Variant::ALL.len();
     assert_eq!(rows.len(), total);
-    let measure = |name: &str, c: &Config| run.measure_unit(name, c.variant, &run.machine(c.ccm));
+    let measure =
+        |name: &str, c: &Config| run.measure_unit(name, &tables, c.variant, &run.machine(c.ccm));
     let references = exec::par_map_contained(
         2,
         &units,

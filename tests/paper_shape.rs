@@ -3,13 +3,13 @@
 //! assert the qualitative structure the paper reports, so a regression
 //! that silently flips a conclusion fails the build.
 
-use harness::{Measurement, Run, Variant};
+use harness::{Measurement, Run, Setup, Variant};
 use sim::MachineConfig;
 
 /// Measures suite unit `name` through the run's memo, printing the
 /// structured error on failure.
 fn measure(run: &Run, name: &str, v: Variant, machine: &MachineConfig) -> Measurement {
-    run.measure_unit(name, v, machine)
+    run.measure_unit(name, &Setup::default(), v, machine)
         .unwrap_or_else(|e| panic!("measurement failed: {e}"))
 }
 
