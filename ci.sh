@@ -38,14 +38,20 @@ echo "== workspace: cargo test -q --workspace"
 # the exec, checker and sim unit tests.
 cargo test -q --workspace
 
-echo "== allocators: cargo test -q --release -p regalloc -p ccm"
-# The register and CCM allocators' unit tests again with optimizations
-# on: overflow checks and debug_assert! are off here, so the bit
-# matrix's row indexing and block transpose, the equivalence tests
-# against the quadratic reference coloring, the per-edge reference
-# build and the HashSet graph model, and the sorted first-fit slot
-# search against its offset-by-offset reference must hold without them.
-cargo test -q --release -p regalloc -p ccm
+echo "== allocators and IR: cargo test -q --release -p regalloc -p ccm -p iloc -p checker"
+# The register and CCM allocators', the IR's and the checker's unit
+# tests again with optimizations on: overflow checks and debug_assert!
+# are off here, so the bit matrix's row indexing and block transpose, a
+# reused matrix against the per-edge reference build (large, small,
+# large on one thread), the equivalence tests against the quadratic
+# reference coloring and the HashSet graph model, the sorted first-fit
+# slot search against its offset-by-offset reference, the packed
+# register's class and index bits and order, and the parser's
+# out-of-range register error must hold without them. The checker's
+# negative tests (one report per bad register and instruction among
+# them) are the root package's, so they run here by name.
+cargo test -q --release -p regalloc -p ccm -p iloc -p checker
+cargo test -q --release --test checker_negative
 
 echo "== allocation golden: cargo test -q --release --test alloc_golden"
 # One digest per allocated unit (64 kernels and 128 fuzz modules, each

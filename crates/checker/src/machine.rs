@@ -22,9 +22,12 @@ fn registers_are_physical(f: &Function, cfg: &CheckerConfig, diags: &mut Vec<Dia
     for b in f.block_ids() {
         let label = &f.block(b).label;
         for (i, instr) in f.block(b).instrs.iter().enumerate() {
+            // Reports each bad register once per instruction; a valid one
+            // never reaches `seen`, so a clean instruction allocates nothing.
             let mut seen: Vec<Reg> = Vec::new();
             let mut visit = |r: Reg| {
-                if !seen.contains(&r) {
+                let valid = r.is_physical() && cfg.alloc.is_valid_physical(r);
+                if !valid && !seen.contains(&r) {
                     seen.push(r);
                     check_reg(r, f, Some((label, i)), cfg, diags);
                 }

@@ -113,13 +113,13 @@ impl SlotAnalysis {
         for b in f.block_ids() {
             let mut live = sol.out[b.index()].clone();
             for instr in f.block(b).instrs.iter().rev() {
-                if let Op::Call { callee, .. } = &instr.op {
+                if let Op::Call(call) = &instr.op {
                     let slots: Vec<usize> = live.iter().collect();
                     for &s in &slots {
                         out.crosses_call[s] = true;
                     }
                     out.call_sites.push(CallSite {
-                        callee: callee.clone(),
+                        callee: call.callee.clone(),
                         live_slots: slots,
                     });
                 }

@@ -96,8 +96,8 @@ fn stub_calls(m: &mut Module, name: &str) {
             let mut out = Vec::with_capacity(b.instrs.len());
             for i in b.instrs.drain(..) {
                 match &i.op {
-                    Op::Call { callee, rets, .. } if callee == name => {
-                        for &r in rets {
+                    Op::Call(call) if call.callee == name => {
+                        for &r in &call.rets {
                             out.push(Instr::new(match r.class() {
                                 iloc::RegClass::Gpr => Op::LoadI { imm: 0, dst: r },
                                 iloc::RegClass::Fpr => Op::LoadF { imm: 0.0, dst: r },
@@ -318,7 +318,7 @@ fn shrink_globals(
 ) -> bool {
     let mut progress = false;
     // Drop globals no loadSym mentions.
-    let mut referenced: Vec<String> = Vec::new();
+    let mut referenced: Vec<Box<str>> = Vec::new();
     for f in &cur.functions {
         for b in &f.blocks {
             for i in &b.instrs {
@@ -331,7 +331,8 @@ fn shrink_globals(
         }
     }
     let mut cand = cur.clone();
-    cand.globals.retain(|g| referenced.contains(&g.name));
+    cand.globals
+        .retain(|g| referenced.iter().any(|r| **r == g.name));
     if cand.globals.len() != cur.globals.len() && try_accept(cur, fail, cand, still_fails) {
         progress = true;
     }

@@ -104,7 +104,7 @@ mod tests {
             dst: Reg::gpr(64),
         }));
         assert!(b.terminator().is_none());
-        b.instrs.push(Instr::new(Op::Ret { vals: vec![] }));
+        b.instrs.push(Instr::new(Op::Ret { vals: [].into() }));
         assert!(b.terminator().is_some());
         assert!(b.successors().is_empty());
     }
@@ -127,13 +127,13 @@ mod tests {
         let mut b = Block::new("L0");
         b.instrs.push(Instr::new(Op::Phi {
             dst: Reg::gpr(70),
-            args: vec![],
+            args: [].into(),
         }));
         b.instrs.push(Instr::new(Op::LoadI {
             imm: 0,
             dst: Reg::gpr(71),
         }));
-        b.instrs.push(Instr::new(Op::Ret { vals: vec![] }));
+        b.instrs.push(Instr::new(Op::Ret { vals: [].into() }));
         assert_eq!(b.phi_count(), 1);
     }
 }

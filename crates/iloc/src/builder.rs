@@ -7,7 +7,7 @@
 
 use crate::block::BlockId;
 use crate::func::Function;
-use crate::op::{CmpKind, FBinKind, IBinKind, Instr, Op};
+use crate::op::{Call, CmpKind, FBinKind, IBinKind, Instr, Op};
 use crate::reg::{Reg, RegClass};
 
 /// Builds a [`Function`] incrementally.
@@ -96,7 +96,7 @@ impl FuncBuilder {
     }
 
     /// `loadSym @name => fresh` — address of a global.
-    pub fn loadsym(&mut self, sym: impl Into<String>) -> Reg {
+    pub fn loadsym(&mut self, sym: impl Into<Box<str>>) -> Reg {
         let dst = self.vreg(RegClass::Gpr);
         self.emit(Op::LoadSym {
             sym: sym.into(),
@@ -332,19 +332,17 @@ impl FuncBuilder {
         ret_classes: &[RegClass],
     ) -> Vec<Reg> {
         let rets: Vec<Reg> = ret_classes.iter().map(|c| self.vreg(*c)).collect();
-        self.emit(Op::Call {
+        self.emit(Op::Call(Box::new(Call {
             callee: callee.into(),
             args: args.to_vec(),
             rets: rets.clone(),
-        });
+        })));
         rets
     }
 
     /// `ret vals...`.
     pub fn ret(&mut self, vals: &[Reg]) {
-        self.emit(Op::Ret {
-            vals: vals.to_vec(),
-        });
+        self.emit(Op::Ret { vals: vals.into() });
     }
 
     /// Finishes and returns the function.

@@ -301,8 +301,8 @@ impl Function {
         let mut out = Vec::new();
         for b in &self.blocks {
             for i in &b.instrs {
-                if let Op::Call { callee, .. } = &i.op {
-                    out.push(callee.as_str());
+                if let Op::Call(call) = &i.op {
+                    out.push(call.callee.as_str());
                 }
             }
         }
@@ -351,7 +351,8 @@ impl Function {
         self.blocks.retain(|_| keep.next().unwrap());
         for instr in self.blocks.iter_mut().flat_map(|b| &mut b.instrs) {
             if let Op::Phi { args, .. } = &mut instr.op {
-                args.retain(|(p, _)| reachable[p.index()]);
+                let kept = args.iter().filter(|(p, _)| reachable[p.index()]);
+                *args = kept.copied().collect();
             }
             instr.op.map_successors(|s| remap[s.index()]);
         }
@@ -377,7 +378,7 @@ mod tests {
             .push(Instr::new(Op::Jump { target: live }));
         f.block_mut(live)
             .instrs
-            .push(Instr::new(Op::Ret { vals: vec![r] }));
+            .push(Instr::new(Op::Ret { vals: [r].into() }));
         assert_eq!(f.prune_unreachable(), 1);
         assert_eq!(f.blocks.len(), 2);
         // The surviving jump must now target the compacted id of "live".
@@ -437,7 +438,7 @@ mod tests {
             .push(Instr::new(Op::Jump { target: b2 }));
         f.block_mut(b2)
             .instrs
-            .push(Instr::new(Op::Ret { vals: vec![] }));
+            .push(Instr::new(Op::Ret { vals: [].into() }));
         let rpo = f.reverse_postorder();
         assert_eq!(rpo, vec![e, b1, b2]);
     }
@@ -449,10 +450,10 @@ mod tests {
         let dead = f.add_block("dead");
         f.block_mut(e)
             .instrs
-            .push(Instr::new(Op::Ret { vals: vec![] }));
+            .push(Instr::new(Op::Ret { vals: [].into() }));
         f.block_mut(dead)
             .instrs
-            .push(Instr::new(Op::Ret { vals: vec![] }));
+            .push(Instr::new(Op::Ret { vals: [].into() }));
         let rpo = f.reverse_postorder();
         assert_eq!(rpo, vec![e]);
     }
@@ -470,7 +471,7 @@ mod tests {
         }));
         f.block_mut(b1)
             .instrs
-            .push(Instr::new(Op::Ret { vals: vec![] }));
+            .push(Instr::new(Op::Ret { vals: [].into() }));
         let preds = f.predecessors();
         assert_eq!(preds[b1.index()], vec![e, e]);
     }
@@ -484,7 +485,7 @@ mod tests {
         }));
         f.block_mut(BlockId(0))
             .instrs
-            .push(Instr::new(Op::Ret { vals: vec![] }));
+            .push(Instr::new(Op::Ret { vals: [].into() }));
         f.reset_vreg_counter();
         let next = f.new_vreg(RegClass::Gpr);
         assert_eq!(next.index(), 201);

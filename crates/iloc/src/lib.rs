@@ -54,7 +54,7 @@ pub mod verify;
 pub use block::{Block, BlockId};
 pub use func::{FrameInfo, Function, SlotId, SpillKind, SpillSlot};
 pub use module::{Global, Module, ModuleMemo};
-pub use op::{f2i, read_imm, CmpKind, FBinKind, IBinKind, Instr, Op};
+pub use op::{f2i, read_imm, Call, CmpKind, FBinKind, IBinKind, Instr, Op};
 pub use parse::{parse_module, ParseError};
 pub use reg::{Reg, RegClass, FIRST_VREG};
 pub use verify::{verify_function, verify_module, VerifyError};

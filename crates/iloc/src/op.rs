@@ -251,7 +251,7 @@ pub enum Op {
     /// `loadF imm => dst` — floating-point constant.
     LoadF { imm: f64, dst: Reg },
     /// `loadSym @name => dst` — address of a module global.
-    LoadSym { sym: String, dst: Reg },
+    LoadSym { sym: Box<str>, dst: Reg },
 
     /// Integer three-address arithmetic: `kind lhs, rhs => dst`.
     IBin {
@@ -333,29 +333,41 @@ pub enum Op {
         not_taken: BlockId,
     },
     /// `call name(args...) => rets...` — direct call.
-    Call {
-        callee: String,
-        args: Vec<Reg>,
-        rets: Vec<Reg>,
-    },
+    Call(Box<Call>),
     /// `ret vals...`.
-    Ret { vals: Vec<Reg> },
+    Ret { vals: Box<[Reg]> },
 
     /// SSA φ-node: `dst = φ(block₁: reg₁, …)`. Only present while the
     /// function is in SSA form.
-    Phi { dst: Reg, args: Vec<(BlockId, Reg)> },
+    Phi {
+        dst: Reg,
+        args: Box<[(BlockId, Reg)]>,
+    },
 
     /// No operation (used transiently by rewriting passes).
     Nop,
 }
 
+/// The operands of a direct call, kept out of line ([`Op::Call`]) so
+/// that an [`Op`] stays 24 bytes.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Call {
+    /// The called function's name.
+    pub callee: String,
+    /// Argument registers, in parameter order.
+    pub args: Vec<Reg>,
+    /// Result registers, in return-value order.
+    pub rets: Vec<Reg>,
+}
+
 /// The one table of the registers each op reads, in operand order:
 /// calls `$each` with a reference to every use. The arms bind operands by
 /// reference, so the same text expands over `&Op` ([`Op::visit_uses`])
-/// and `&mut Op` ([`Op::map_uses`]); no arm is a wildcard, so a new op
-/// does not compile until it says what it reads.
+/// and `&mut Op` ([`Op::map_uses`]), with `$iter` (`iter` or
+/// `iter_mut`) walking a boxed [`Call`]'s lists; no arm is a wildcard, so
+/// a new op does not compile until it says what it reads.
 macro_rules! for_each_use {
-    ($op:expr, $each:expr) => {{
+    ($op:expr, $iter:ident, $each:expr) => {{
         let mut each = $each;
         match $op {
             Op::LoadI { .. }
@@ -391,8 +403,13 @@ macro_rules! for_each_use {
                 each(val);
                 each(addr);
             }
-            Op::Call { args: regs, .. } | Op::Ret { vals: regs } => {
-                for r in regs {
+            Op::Call(call) => {
+                for r in call.args.$iter() {
+                    each(r);
+                }
+            }
+            Op::Ret { vals } => {
+                for r in vals {
                     each(r);
                 }
             }
@@ -408,7 +425,7 @@ macro_rules! for_each_use {
 /// The one table of the registers each op writes, expanded by
 /// [`Op::visit_defs`] and [`Op::map_defs`] as `for_each_use!` is.
 macro_rules! for_each_def {
-    ($op:expr, $each:expr) => {{
+    ($op:expr, $iter:ident, $each:expr) => {{
         let mut each = $each;
         match $op {
             Op::LoadI { dst, .. }
@@ -430,8 +447,8 @@ macro_rules! for_each_def {
             | Op::CcmLoad { dst, .. }
             | Op::CcmFLoad { dst, .. }
             | Op::Phi { dst, .. } => each(dst),
-            Op::Call { rets, .. } => {
-                for r in rets {
+            Op::Call(call) => {
+                for r in call.rets.$iter() {
                     each(r);
                 }
             }
@@ -520,12 +537,12 @@ impl Op {
     /// Visits every register *used* (read) by this operation, in operand
     /// order.
     pub fn visit_uses(&self, mut f: impl FnMut(Reg)) {
-        for_each_use!(self, |r: &Reg| f(*r));
+        for_each_use!(self, iter, |r: &Reg| f(*r));
     }
 
     /// Visits every register *defined* (written) by this operation.
     pub fn visit_defs(&self, mut f: impl FnMut(Reg)) {
-        for_each_def!(self, |r: &Reg| f(*r));
+        for_each_def!(self, iter, |r: &Reg| f(*r));
     }
 
     /// Collects the used registers into a vector (convenience wrapper
@@ -545,12 +562,12 @@ impl Op {
 
     /// Rewrites every *use* through `f` (register renaming).
     pub fn map_uses(&mut self, mut f: impl FnMut(Reg) -> Reg) {
-        for_each_use!(self, |r: &mut Reg| *r = f(*r));
+        for_each_use!(self, iter_mut, |r: &mut Reg| *r = f(*r));
     }
 
     /// Rewrites every *def* through `f` (register renaming).
     pub fn map_defs(&mut self, mut f: impl FnMut(Reg) -> Reg) {
-        for_each_def!(self, |r: &mut Reg| *r = f(*r));
+        for_each_def!(self, iter_mut, |r: &mut Reg| *r = f(*r));
     }
 
     /// Successor blocks named by this operation (empty unless terminator).
@@ -632,6 +649,11 @@ impl Instr {
         }
     }
 }
+
+// The layout rule: a packed `Reg` and out-of-line call, return, φ and
+// symbol operands keep every instruction at 32 bytes.
+const _: () = assert!(std::mem::size_of::<Op>() == 24);
+const _: () = assert!(std::mem::size_of::<Instr>() == 32);
 
 impl From<Op> for Instr {
     fn from(op: Op) -> Instr {
@@ -776,17 +798,17 @@ mod tests {
                 taken: b(1),
                 not_taken: b(2),
             },
-            Op::Call {
+            Op::Call(Box::new(Call {
                 callee: "h".into(),
                 args: vec![g(64), f(65), g(66)],
                 rets: vec![f(67), g(68)],
-            },
+            })),
             Op::Ret {
-                vals: vec![g(64), f(65)],
+                vals: [g(64), f(65)].into(),
             },
             Op::Phi {
                 dst: g(66),
-                args: vec![(b(1), g(64)), (b(2), g(65))],
+                args: [(b(1), g(64)), (b(2), g(65))].into(),
             },
             Op::Nop,
         ];
@@ -1014,7 +1036,7 @@ mod tests {
         };
         assert_eq!(c.successors(), vec![BlockId(1), BlockId(2)]);
         assert!(c.is_terminator());
-        let ret = Op::Ret { vals: vec![] };
+        let ret = Op::Ret { vals: [].into() };
         assert!(ret.is_terminator());
         assert!(ret.successors().is_empty());
     }
@@ -1023,7 +1045,7 @@ mod tests {
     fn phi_uses_and_successor_mapping() {
         let mut op = Op::Phi {
             dst: r(70),
-            args: vec![(BlockId(0), r(64)), (BlockId(1), r(65))],
+            args: [(BlockId(0), r(64)), (BlockId(1), r(65))].into(),
         };
         assert_eq!(op.uses(), vec![r(64), r(65)]);
         op.map_successors(|b| BlockId(b.0 + 10));

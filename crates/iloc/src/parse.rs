@@ -10,7 +10,7 @@ use std::fmt;
 use crate::block::BlockId;
 use crate::func::{Function, SlotId, SpillKind, SpillSlot};
 use crate::module::{Global, Module};
-use crate::op::{CmpKind, FBinKind, IBinKind, Instr, Op};
+use crate::op::{Call, CmpKind, FBinKind, IBinKind, Instr, Op};
 use crate::reg::{Reg, RegClass};
 
 /// An error produced while parsing IR text.
@@ -273,16 +273,16 @@ fn parse_slot_decl(ln: usize, rest: &str) -> PResult<SpillSlot> {
 }
 
 fn parse_reg(ln: usize, s: &str) -> PResult<Reg> {
-    if let Some(n) = s.strip_prefix("%r") {
-        n.parse()
-            .map(Reg::gpr)
-            .map_err(|_| perr(ln, format!("bad register `{s}`")))
+    let (class, n) = if let Some(n) = s.strip_prefix("%r") {
+        (RegClass::Gpr, n)
     } else if let Some(n) = s.strip_prefix("%f") {
-        n.parse()
-            .map(Reg::fpr)
-            .map_err(|_| perr(ln, format!("bad register `{s}`")))
+        (RegClass::Fpr, n)
     } else {
-        Err(perr(ln, format!("expected register, found `{s}`")))
+        return Err(perr(ln, format!("expected register, found `{s}`")));
+    };
+    match n.parse() {
+        Ok(index) if index <= Reg::MAX_INDEX => Ok(Reg::new(class, index)),
+        _ => Err(perr(ln, format!("bad register `{s}`"))),
     }
 }
 
@@ -379,7 +379,7 @@ fn parse_op(ln: usize, line: &str, labels: &HashMap<String, BlockId>) -> PResult
                 .strip_prefix('@')
                 .ok_or_else(|| perr(ln, "loadSym needs @name"))?;
             Ok(Op::LoadSym {
-                sym: sym.to_string(),
+                sym: sym.into(),
                 dst: parse_reg(ln, &need_dst()?)?,
             })
         }
@@ -495,14 +495,14 @@ fn parse_op(ln: usize, line: &str, labels: &HashMap<String, BlockId>) -> PResult
                     rets.push(parse_reg(ln, r)?);
                 }
             }
-            Ok(Op::Call { callee, args, rets })
+            Ok(Op::Call(Box::new(Call { callee, args, rets })))
         }
         "ret" => {
             let mut vals = Vec::new();
             for v in commas(rest) {
                 vals.push(parse_reg(ln, v)?);
             }
-            Ok(Op::Ret { vals })
+            Ok(Op::Ret { vals: vals.into() })
         }
         "phi" => {
             // phi [L0: %r1, L1: %r2] => %r3
@@ -524,7 +524,7 @@ fn parse_op(ln: usize, line: &str, labels: &HashMap<String, BlockId>) -> PResult
                 .trim();
             Ok(Op::Phi {
                 dst: parse_reg(ln, d)?,
-                args,
+                args: args.into(),
             })
         }
         _ => {
@@ -775,6 +775,19 @@ mod error_tests {
             "func f() locals 0 {\nentry:\n    add %q1, %r2 => %r3\n    ret\n}\n",
             "register",
         );
+    }
+
+    #[test]
+    fn rejects_a_register_index_past_the_packed_range() {
+        let module = |op: &str| format!("func f() locals 0 {{\nentry:\n    {op}\n    ret\n}}\n");
+        assert!(parse_module(&module("i2i %r2147483647 => %r64")).is_ok());
+        for (op, reg) in [
+            ("i2i %r2147483648 => %r64", "%r2147483648"),
+            ("f2f %f4294967295 => %f64", "%f4294967295"),
+        ] {
+            let e = parse_module(&module(op)).expect_err(reg);
+            assert_eq!((e.line, e.message), (3, format!("bad register `{reg}`")));
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::fmt;
 use crate::block::BlockId;
 use crate::func::{Function, SpillKind};
 use crate::module::{Global, Module};
-use crate::op::{Instr, Op};
+use crate::op::{Call, Instr, Op};
 
 struct OpPrinter<'a> {
     op: &'a Op,
@@ -94,7 +94,8 @@ impl fmt::Display for OpPrinter<'_> {
                 label(fun, *taken),
                 label(fun, *not_taken)
             ),
-            Op::Call { callee, args, rets } => {
+            Op::Call(call) => {
+                let Call { callee, args, rets } = &**call;
                 write!(w, "call {}(", callee)?;
                 for (i, a) in args.iter().enumerate() {
                     if i > 0 {

@@ -54,66 +54,78 @@ impl fmt::Display for RegClass {
     }
 }
 
-/// A register: a class plus an index.
+/// A register: a class plus an index, packed into one `u32`.
 ///
-/// Indices `< FIRST_VREG` are physical; `>= FIRST_VREG` are virtual. The
-/// distinguished register [`Reg::RARP`] (`%r0`) is the activation-record
-/// pointer and is never allocated.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct Reg {
-    class: RegClass,
-    index: u32,
-}
+/// Bit 31 holds the class (clear for [`RegClass::Gpr`], set for
+/// [`RegClass::Fpr`]) and the low 31 bits the index, so the derived
+/// `Ord` orders by (class, index) and a register costs four bytes in
+/// every instruction. Indices `< FIRST_VREG` are physical; `>= FIRST_VREG`
+/// are virtual. The distinguished register [`Reg::RARP`] (`%r0`) is the
+/// activation-record pointer and is never allocated.
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Reg(u32);
+
+/// The class bit of a packed [`Reg`].
+const FPR_BIT: u32 = 1 << 31;
 
 impl Reg {
+    /// The largest register index a [`Reg`] can hold, `2³¹ - 1`.
+    pub(crate) const MAX_INDEX: u32 = FPR_BIT - 1;
+
     /// The activation-record pointer (frame pointer), `%r0`. Reserved: the
     /// allocator never assigns it, and spill code addresses the frame
     /// through it.
-    pub const RARP: Reg = Reg {
-        class: RegClass::Gpr,
-        index: 0,
-    };
+    pub const RARP: Reg = Reg(0);
 
     /// Creates a general-purpose register with the given index.
     #[inline]
     pub fn gpr(index: u32) -> Reg {
-        Reg {
-            class: RegClass::Gpr,
-            index,
-        }
+        Reg::new(RegClass::Gpr, index)
     }
 
     /// Creates a floating-point register with the given index.
     #[inline]
     pub fn fpr(index: u32) -> Reg {
-        Reg {
-            class: RegClass::Fpr,
-            index,
-        }
+        Reg::new(RegClass::Fpr, index)
     }
 
     /// Creates a register of `class` with the given index.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is 2³¹ or more: bit 31 holds the class.
     #[inline]
     pub fn new(class: RegClass, index: u32) -> Reg {
-        Reg { class, index }
+        assert!(
+            index <= Reg::MAX_INDEX,
+            "register index {index} out of range"
+        );
+        match class {
+            RegClass::Gpr => Reg(index),
+            RegClass::Fpr => Reg(index | FPR_BIT),
+        }
     }
 
     /// This register's class.
     #[inline]
     pub fn class(self) -> RegClass {
-        self.class
+        if self.0 & FPR_BIT == 0 {
+            RegClass::Gpr
+        } else {
+            RegClass::Fpr
+        }
     }
 
     /// This register's index within its class.
     #[inline]
     pub fn index(self) -> u32 {
-        self.index
+        self.0 & Reg::MAX_INDEX
     }
 
     /// Whether this is a virtual register (index `>= FIRST_VREG`).
     #[inline]
     pub fn is_virtual(self) -> bool {
-        self.index >= FIRST_VREG
+        self.index() >= FIRST_VREG
     }
 
     /// Whether this is a physical register (including [`Reg::RARP`]).
@@ -123,11 +135,24 @@ impl Reg {
     }
 }
 
+const _: () = assert!(std::mem::size_of::<Reg>() == 4);
+
+/// Prints `Reg { class: Gpr, index: 5 }`, the form the verifier's
+/// messages embed.
+impl fmt::Debug for Reg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Reg")
+            .field("class", &self.class())
+            .field("index", &self.index())
+            .finish()
+    }
+}
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.class {
-            RegClass::Gpr => write!(f, "%r{}", self.index),
-            RegClass::Fpr => write!(f, "%f{}", self.index),
+        match self.class() {
+            RegClass::Gpr => write!(f, "%r{}", self.index()),
+            RegClass::Fpr => write!(f, "%f{}", self.index()),
         }
     }
 }
@@ -169,5 +194,75 @@ mod tests {
     fn ordering_is_class_then_index() {
         assert!(Reg::gpr(5) < Reg::fpr(0));
         assert!(Reg::gpr(1) < Reg::gpr(2));
+    }
+
+    #[test]
+    fn packing_round_trips_class_and_index() {
+        let indices = [
+            0,
+            Reg::RARP.index(),
+            FIRST_VREG - 1,
+            FIRST_VREG,
+            (1 << 31) - 1,
+        ];
+        for class in RegClass::ALL {
+            for index in indices {
+                let r = Reg::new(class, index);
+                assert_eq!((r.class(), r.index()), (class, index));
+                assert_eq!(r.is_virtual(), index >= FIRST_VREG);
+            }
+        }
+        assert_eq!(Reg::MAX_INDEX, (1 << 31) - 1);
+    }
+
+    #[test]
+    fn packed_order_is_class_then_index_on_a_seeded_sample() {
+        // SplitMix64; indices drawn from a few widths so equal and
+        // neighbouring indices occur.
+        let mut state = 0x5EED_0123_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let regs: Vec<Reg> = (0..2000)
+            .map(|_| {
+                let bits = next();
+                let class = RegClass::ALL[(bits & 1) as usize];
+                let width = [3, 7, 31][(bits >> 1) as usize % 3];
+                Reg::new(class, (bits >> 32) as u32 & ((1 << width) - 1))
+            })
+            .collect();
+        for a in &regs {
+            for b in &regs[..50] {
+                let key = |r: &Reg| (r.class(), r.index());
+                assert_eq!(a.cmp(b), key(a).cmp(&key(b)), "{a:?} vs {b:?}");
+                assert_eq!(a == b, key(a) == key(b));
+            }
+        }
+    }
+
+    #[test]
+    fn display_and_debug_forms_are_unchanged() {
+        assert_eq!(Reg::gpr(5).to_string(), "%r5");
+        assert_eq!(Reg::fpr(0).to_string(), "%f0");
+        assert_eq!(Reg::fpr((1 << 31) - 1).to_string(), "%f2147483647");
+        assert_eq!(format!("{:?}", Reg::gpr(5)), "Reg { class: Gpr, index: 5 }");
+        assert_eq!(
+            format!("{:?}", Reg::fpr(64)),
+            "Reg { class: Fpr, index: 64 }"
+        );
+        assert_eq!(
+            format!("{:#?}", Reg::RARP),
+            "Reg {\n    class: Gpr,\n    index: 0,\n}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "register index 2147483648 out of range")]
+    fn an_index_past_31_bits_panics() {
+        Reg::new(RegClass::Fpr, 1 << 31);
     }
 }

@@ -12,7 +12,7 @@ use std::fmt;
 use crate::block::BlockId;
 use crate::func::Function;
 use crate::module::Module;
-use crate::op::Op;
+use crate::op::{Call, Op};
 use crate::reg::RegClass;
 
 /// A verification failure.
@@ -283,7 +283,8 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
         for b in &f.blocks {
             for i in &b.instrs {
                 match &i.op {
-                    Op::Call { callee, args, rets } => {
+                    Op::Call(call) => {
+                        let Call { callee, args, rets } = &**call;
                         let target = m.function(callee).ok_or_else(|| {
                             err(&f.name, format!("call to unknown function `{callee}`"))
                         })?;
@@ -359,10 +360,10 @@ mod tests {
         let mut f = Function::new("f");
         f.block_mut(BlockId(0))
             .instrs
-            .push(Instr::new(Op::Ret { vals: vec![] }));
+            .push(Instr::new(Op::Ret { vals: [].into() }));
         f.block_mut(BlockId(0))
             .instrs
-            .push(Instr::new(Op::Ret { vals: vec![] }));
+            .push(Instr::new(Op::Ret { vals: [].into() }));
         assert!(verify_function(&f).is_err());
     }
 
@@ -375,7 +376,7 @@ mod tests {
         }));
         f.block_mut(BlockId(0))
             .instrs
-            .push(Instr::new(Op::Ret { vals: vec![] }));
+            .push(Instr::new(Op::Ret { vals: [].into() }));
         assert!(verify_function(&f).is_err());
     }
 
@@ -386,11 +387,11 @@ mod tests {
         callee.ret(&[]);
 
         let mut caller = FuncBuilder::new("caller");
-        caller.emit(Op::Call {
+        caller.emit(Op::Call(Box::new(Call {
             callee: "callee".into(),
             args: vec![], // wrong arity
             rets: vec![],
-        });
+        })));
         caller.ret(&[]);
 
         let mut m = Module::new();
@@ -434,14 +435,14 @@ mod tests {
             .push(Instr::new(Op::Jump { target: j }));
         f.block_mut(j).instrs.push(Instr::new(Op::Phi {
             dst: Reg::gpr(70),
-            args: vec![(other, Reg::gpr(64))], // `other` is not a pred of join
+            args: [(other, Reg::gpr(64))].into(), // `other` is not a pred of join
         }));
         f.block_mut(j)
             .instrs
-            .push(Instr::new(Op::Ret { vals: vec![] }));
+            .push(Instr::new(Op::Ret { vals: [].into() }));
         f.block_mut(other)
             .instrs
-            .push(Instr::new(Op::Ret { vals: vec![] }));
+            .push(Instr::new(Op::Ret { vals: [].into() }));
         let err = verify_function(&f).unwrap_err();
         assert!(err.message.contains("non-predecessor"));
     }

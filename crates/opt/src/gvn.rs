@@ -25,7 +25,7 @@ use iloc::{BlockId, Function, Op, Reg};
 enum Key {
     Int(i64),
     Float(u64),
-    Sym(String),
+    Sym(Box<str>),
     IBin(iloc::IBinKind, Reg, Reg),
     IBinI(iloc::IBinKind, Reg, i64),
     FBin(iloc::FBinKind, Reg, Reg),

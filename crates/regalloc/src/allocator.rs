@@ -96,21 +96,21 @@ fn allocate_class(
     loop {
         stats.rounds[ci] += 1;
 
-        // Build + coalesce to fixpoint.
-        let mut graph;
-        loop {
+        // Build + coalesce to fixpoint. Each stale graph is dropped before
+        // the next build, which reuses its matrix.
+        let graph = loop {
             let idx = EntityIndex::build(f, class);
-            graph = InterferenceGraph::build(f, idx);
+            let mut graph = InterferenceGraph::build(f, idx);
             stats.graph_builds[ci] += 1;
             if !cfg.coalesce {
-                break;
+                break graph;
             }
             let merged = coalesce_pass(f, &mut graph, k);
             stats.coalesced[ci] += merged;
             if merged == 0 {
-                break;
+                break graph;
             }
-        }
+        };
 
         if graph.entities.is_empty() {
             return;

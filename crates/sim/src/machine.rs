@@ -334,7 +334,7 @@ impl<'m> Machine<'m> {
                 block_names.push(names.len());
                 names.extend(b.instrs.iter().map(|i| {
                     let index = match &i.op {
-                        Op::Call { callee, .. } => function(callee),
+                        Op::Call(call) => function(&call.callee),
                         Op::LoadSym { sym, .. } => global(sym),
                         _ => None,
                     };
@@ -621,7 +621,7 @@ impl<'m> Machine<'m> {
                 r.gpr[dst.index() as usize] = match self.global_addrs.get(self.names[name] as usize)
                 {
                     Some(&base) => base,
-                    None => return Err(SimError::UnknownGlobal(sym.clone())),
+                    None => return Err(SimError::UnknownGlobal(sym.to_string())),
                 };
             }
             Op::IBin {
@@ -815,15 +815,15 @@ impl<'m> Machine<'m> {
                 };
                 return Ok(Flow::Jump(t.index()));
             }
-            Op::Call { callee, args, rets } => {
+            Op::Call(call) => {
                 self.metrics.cycles += 1;
                 self.metrics.calls += 1;
                 return match self.names[name] {
-                    NO_NAME => Err(SimError::UnknownFunction(callee.clone())),
+                    NO_NAME => Err(SimError::UnknownFunction(call.callee.clone())),
                     f => Ok(Flow::Call {
                         callee: f as usize,
-                        args,
-                        rets,
+                        args: &call.args,
+                        rets: &call.rets,
                     }),
                 };
             }
@@ -1151,7 +1151,7 @@ mod tests {
         let mut fb = FuncBuilder::new("main");
         let d = fb.vreg(RegClass::Gpr);
         fb.emit(Op::LoadSym {
-            sym: "nope".to_string(),
+            sym: "nope".into(),
             dst: d,
         });
         fb.ret(&[]);
@@ -1174,7 +1174,7 @@ mod tests {
         fb.switch_to(cold);
         let d = fb.vreg(RegClass::Gpr);
         fb.emit(Op::LoadSym {
-            sym: "nope".to_string(),
+            sym: "nope".into(),
             dst: d,
         });
         fb.ret(&[d]);
@@ -1291,7 +1291,9 @@ mod tests {
                 off: 4,
                 dst: x,
             },
-            Op::Ret { vals: vec![w, x] },
+            Op::Ret {
+                vals: [w, x].into(),
+            },
         ]
         .into_iter()
         .map(iloc::Instr::new)
@@ -1458,7 +1460,7 @@ mod tests {
         ));
         f.block_mut(e)
             .instrs
-            .push(iloc::Instr::new(Op::Ret { vals: vec![w] }));
+            .push(iloc::Instr::new(Op::Ret { vals: [w].into() }));
         let m = module_of(vec![f], vec![]);
         let (v, metrics) = run_module(&m, MachineConfig::default(), "main").unwrap();
         assert_eq!(v.ints, vec![3]);
@@ -1495,11 +1497,11 @@ mod tests {
         let d = f.new_vreg(RegClass::Gpr);
         f.block_mut(e).instrs.push(iloc::Instr::new(Op::Phi {
             dst: d,
-            args: vec![],
+            args: [].into(),
         }));
         f.block_mut(e)
             .instrs
-            .push(iloc::Instr::new(Op::Ret { vals: vec![] }));
+            .push(iloc::Instr::new(Op::Ret { vals: [].into() }));
         let mut m = Module::new();
         m.push_function(f);
         assert_eq!(

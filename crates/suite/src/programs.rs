@@ -92,8 +92,8 @@ fn rename_module(m: &mut Module, prefix: &str) {
         for b in 0..f.blocks.len() {
             for i in 0..f.blocks[b].instrs.len() {
                 match &mut f.blocks[b].instrs[i].op {
-                    Op::LoadSym { sym, .. } => *sym = format!("{prefix}{sym}"),
-                    Op::Call { callee, .. } => *callee = format!("{prefix}{callee}"),
+                    Op::LoadSym { sym, .. } => *sym = format!("{prefix}{sym}").into(),
+                    Op::Call(call) => call.callee = format!("{prefix}{}", call.callee),
                     _ => {}
                 }
             }

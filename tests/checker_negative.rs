@@ -170,6 +170,29 @@ fn out_of_bounds_register_is_caught() {
 }
 
 #[test]
+fn a_bad_register_is_reported_once_per_instruction() {
+    let (mut m, alloc) = spilled_module();
+    let f = &mut m.functions[0];
+    let e = f.entry();
+    // `add %r9, %r9 => %r9` under tiny(3): three operands, one register.
+    let r9 = Reg::gpr(9);
+    f.block_mut(e).instrs.insert(
+        0,
+        Instr::new(Op::IBin {
+            kind: iloc::IBinKind::Add,
+            lhs: r9,
+            rhs: r9,
+            dst: r9,
+        }),
+    );
+    let diags = check_module(&m, &cfg(alloc));
+    let hits = find(&diags, "machine-reg-bounds");
+    assert_eq!(hits.len(), 1, "{}", render_text(&diags));
+    assert_eq!(hits[0].instr, Some(0));
+    assert!(hits[0].message.contains("%r9"));
+}
+
+#[test]
 fn read_before_write_is_caught() {
     let (mut m, alloc) = spilled_module();
     let f = &mut m.functions[0];
