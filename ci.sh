@@ -99,15 +99,18 @@ echo "== ALU semantics: cargo test -q --release --test alu_semantics"
 # compiled as repro runs it.
 cargo test -q --release --test alu_semantics
 
-echo "== simulator budget equivalence: cargo test -q --release -p sim block_slices"
-# The block-slice interpreter against its per-instruction reference path
-# (`Machine::step_by_step`, compiled only into the sim crate's tests):
-# every kernel's baseline allocation and the fuzz modules
-# fuzz::case_seed(1, 0..128), raw and allocated, under step budgets that
-# end at, just past and inside block slices and inside callees, on the
-# default, pipelined-load and cache models. Returned values, full Metrics
-# and traps must be equal, here with overflow checks and debug_assert! off.
-cargo test -q --release -p sim block_slices_match_the_per_instruction_path
+echo "== simulator: cargo test -q --release -p sim"
+# Every simulator unit test again with overflow checks and debug_assert!
+# off. Among them, the block-slice interpreter against its
+# per-instruction reference path (`Machine::step_by_step`, compiled only
+# into the sim crate's tests): every kernel's baseline allocation and the
+# fuzz modules fuzz::case_seed(1, 0..128), raw and allocated, under step
+# budgets that end at, just past and inside block slices and inside
+# callees, on the default, pipelined-load and cache models, must return
+# equal values, full Metrics and traps. The traps, wrapped addresses and
+# the main-memory image a dropped machine returns (all zero, the untouched
+# gap never cleared) must hold here too.
+cargo test -q --release -p sim
 
 echo "== release smoke: repro --table1 --check --jobs 2"
 # Exercises the parallel engine end to end in release mode (the unit

@@ -286,9 +286,9 @@ impl Gen {
                 let lhs = *self.lcg.pick(&cx.ints);
                 let mut rhs = *self.lcg.pick(&cx.ints);
                 if matches!(kind, IBinKind::Div | IBinKind::Rem) {
-                    rhs = fb.ibini_raw(IBinKind::Or, rhs, 1);
+                    rhs = fb.ibini(IBinKind::Or, rhs, 1);
                 }
-                let t = fb.ibin_raw(kind, lhs, rhs);
+                let t = fb.ibin(kind, lhs, rhs);
                 let dst = *self.lcg.pick(&cx.ints);
                 fb.emit(Op::I2I { src: t, dst });
             }
@@ -305,7 +305,7 @@ impl Gen {
                 let kind = *self.lcg.pick(&kinds);
                 let lhs = *self.lcg.pick(&cx.ints);
                 let imm = self.lcg.next_range(128) as i64 - 64;
-                let t = fb.ibini_raw(kind, lhs, imm);
+                let t = fb.ibini(kind, lhs, imm);
                 let dst = *self.lcg.pick(&cx.ints);
                 fb.emit(Op::I2I { src: t, dst });
             }
@@ -544,7 +544,7 @@ impl Gen {
             iacc = if self.lcg.chance(50) {
                 fb.add(iacc, r)
             } else {
-                fb.ibin_raw(IBinKind::Xor, iacc, r)
+                fb.ibin(IBinKind::Xor, iacc, r)
             };
         }
         let mut facc = cx.floats[0];
@@ -569,37 +569,6 @@ impl Gen {
             });
         }
         fb.ret(&vals);
-    }
-}
-
-/// Raw-emit extensions the generator needs beyond the named builder
-/// helpers: three-address / immediate integer ops of *any* kind.
-trait RawEmit {
-    fn ibin_raw(&mut self, kind: IBinKind, lhs: Reg, rhs: Reg) -> Reg;
-    fn ibini_raw(&mut self, kind: IBinKind, lhs: Reg, imm: i64) -> Reg;
-}
-
-impl RawEmit for FuncBuilder {
-    fn ibin_raw(&mut self, kind: IBinKind, lhs: Reg, rhs: Reg) -> Reg {
-        let dst = self.vreg(RegClass::Gpr);
-        self.emit(Op::IBin {
-            kind,
-            lhs,
-            rhs,
-            dst,
-        });
-        dst
-    }
-
-    fn ibini_raw(&mut self, kind: IBinKind, lhs: Reg, imm: i64) -> Reg {
-        let dst = self.vreg(RegClass::Gpr);
-        self.emit(Op::IBinI {
-            kind,
-            lhs,
-            imm,
-            dst,
-        });
-        dst
     }
 }
 

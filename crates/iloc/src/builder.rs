@@ -107,7 +107,8 @@ impl FuncBuilder {
 
     // ---- integer arithmetic ---------------------------------------------
 
-    fn ibin(&mut self, kind: IBinKind, lhs: Reg, rhs: Reg) -> Reg {
+    /// `kind lhs, rhs => fresh` — an integer op of any kind.
+    pub fn ibin(&mut self, kind: IBinKind, lhs: Reg, rhs: Reg) -> Reg {
         let dst = self.vreg(RegClass::Gpr);
         self.emit(Op::IBin {
             kind,
@@ -118,7 +119,9 @@ impl FuncBuilder {
         dst
     }
 
-    fn ibini(&mut self, kind: IBinKind, lhs: Reg, imm: i64) -> Reg {
+    /// `kindI lhs, imm => fresh` — an integer op of any kind with an
+    /// immediate right operand.
+    pub fn ibini(&mut self, kind: IBinKind, lhs: Reg, imm: i64) -> Reg {
         let dst = self.vreg(RegClass::Gpr);
         self.emit(Op::IBinI {
             kind,

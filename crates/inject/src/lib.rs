@@ -80,13 +80,13 @@ pub const REGISTRY: &[FaultPoint] = &[
     },
     FaultPoint {
         name: "sim.budget",
-        site: "sim::Machine::run step loop",
+        site: "sim::run_module interpreter, budget check once per block slice",
         effect: "the instruction budget reads as exhausted",
         expect: "PipelineError stage=sim containing `step limit`",
     },
     FaultPoint {
         name: "sim.unknown_global",
-        site: "sim::Machine::run entry",
+        site: "sim::run_module entry, before the entry function lookup",
         effect: "the entry function resolves a global that does not exist",
         expect: "PipelineError stage=sim containing `unknown global`",
     },

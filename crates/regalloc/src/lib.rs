@@ -45,9 +45,7 @@ pub mod spill;
 #[cfg(test)]
 mod testkit;
 
-pub use allocator::{
-    allocate_function, allocate_module, check_register_bounds, no_virtual_regs, AllocStats,
-};
+pub use allocator::{allocate_function, allocate_module, no_virtual_regs, AllocStats};
 pub use color::{color, Coloring};
 pub use config::AllocConfig;
 pub use costs::{SpillCosts, INFINITE};

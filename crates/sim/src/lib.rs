@@ -43,5 +43,5 @@ pub use cache::{
     Cache, CacheConfig, CacheStats, CACHE_HIT_LATENCY, CACHE_LINE, CACHE_MISS_LATENCY,
 };
 pub use config::{MachineConfig, CCM_LATENCY, DEFAULT_MAX_STEPS, MEM_LATENCY, MEM_SIZE};
-pub use machine::{run_module, Machine, RetValues, SimError};
+pub use machine::{run_module, RetValues, SimError};
 pub use metrics::Metrics;

