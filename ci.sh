@@ -38,20 +38,24 @@ echo "== workspace: cargo test -q --workspace"
 # the exec, checker and sim unit tests.
 cargo test -q --workspace
 
-echo "== allocators and IR: cargo test -q --release -p regalloc -p ccm -p iloc -p checker"
-# The register and CCM allocators', the IR's and the checker's unit
-# tests again with optimizations on: overflow checks and debug_assert!
-# are off here, so the bit matrix's row indexing and block transpose, a
-# reused matrix against the per-edge reference build (large, small,
-# large on one thread), the equivalence tests against the quadratic
-# reference coloring and the HashSet graph model, the sorted first-fit
-# slot search against its offset-by-offset reference, the packed
-# register's class and index bits and order, and the parser's
-# out-of-range register error must hold without them. The checker's
-# negative tests (one report per bad register and instruction among
-# them) are the root package's, so they run here by name.
-cargo test -q --release -p regalloc -p ccm -p iloc -p checker
+echo "== allocators, dataflow and IR: cargo test -q --release -p regalloc -p ccm -p iloc -p checker -p analysis"
+# The register and CCM allocators', the dataflow core's, the IR's and
+# the checker's unit tests again with optimizations on: overflow checks
+# and debug_assert! are off here, so the bit matrix's row indexing and
+# block transpose, a reused matrix against the per-edge reference build
+# (large, small, large on one thread), the flat gen/kill rows of `live`
+# and `must` against their per-block reference solvers, the equivalence
+# tests against the quadratic reference coloring and the HashSet graph
+# model, the sorted first-fit slot search against its offset-by-offset
+# reference, the packed register's class and index bits and order, and
+# the parser's out-of-range register error must hold without them. The
+# checker's negative tests (one report per bad register and instruction
+# among them) and the dataflow core's allocation bound (a fixed number
+# of heap allocations per solve at 8, 64 and 512 blocks) are the root
+# package's, so they run here by name.
+cargo test -q --release -p regalloc -p ccm -p iloc -p checker -p analysis
 cargo test -q --release --test checker_negative
+cargo test -q --release --test dataflow_allocs
 
 echo "== allocation golden: cargo test -q --release --test alloc_golden"
 # One digest per allocated unit (64 kernels and 128 fuzz modules, each

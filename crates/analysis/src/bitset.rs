@@ -1,4 +1,5 @@
-//! A dense fixed-capacity bit set used by the dataflow analyses.
+//! Dense fixed-capacity bit sets used by the dataflow analyses: one set
+//! ([`BitSet`]) and one set per row of a flat table ([`BitRows`]).
 
 /// A fixed-universe bit set over `0..len`.
 ///
@@ -75,6 +76,18 @@ impl BitSet {
         &self.words
     }
 
+    /// Makes the set equal to `row`, a set over the same universe in the
+    /// layout of [`Self::words`] (one row of a [`BitRows`], say), without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` does not have this set's number of words.
+    #[inline]
+    pub fn copy_from_row(&mut self, row: &[u64]) {
+        self.words.copy_from_slice(row);
+    }
+
     /// Removes all elements.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -129,6 +142,97 @@ impl BitSet {
     /// Iterates over the members in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         ones(&self.words)
+    }
+}
+
+/// One bit set per row, over one universe, in one row-major buffer: row
+/// `r` is the `words()` words from `r · words()`, laid out as
+/// [`BitSet::words`]. The dataflow core takes gen/kill sets and returns
+/// its facts in this form, so a problem over `b` blocks is a fixed number
+/// of allocations whatever `b` is.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct BitRows {
+    bits: Vec<u64>,
+    words: usize,
+    rows: usize,
+    universe: usize,
+}
+
+impl BitRows {
+    /// `rows` empty sets over `0..universe`.
+    pub fn new(rows: usize, universe: usize) -> BitRows {
+        let words = universe.div_ceil(64);
+        BitRows {
+            bits: vec![0; rows * words],
+            words,
+            rows,
+            universe,
+        }
+    }
+
+    /// `rows` full sets `0..universe` (bits past the universe stay zero).
+    pub(crate) fn full(rows: usize, universe: usize) -> BitRows {
+        let mut t = BitRows::new(rows, universe);
+        t.bits.fill(!0);
+        if t.words > 0 {
+            let last = !0u64 >> ((64 - universe % 64) % 64);
+            for row in t.bits.chunks_exact_mut(t.words) {
+                row[t.words - 1] = last;
+            }
+        }
+        t
+    }
+
+    /// The number of rows.
+    #[inline]
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The universe size of every row.
+    #[inline]
+    pub fn universe(&self) -> usize {
+        self.universe
+    }
+
+    /// Words per row.
+    #[inline]
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Row `r`'s words.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[u64] {
+        &self.bits[r * self.words..(r + 1) * self.words]
+    }
+
+    /// Row `r`'s words, mutably. Crate-private, so bits past the universe
+    /// stay zero.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.bits[r * self.words..(r + 1) * self.words]
+    }
+
+    /// Whether row `r` holds `i`.
+    #[inline]
+    pub fn contains(&self, r: usize, i: usize) -> bool {
+        i < self.universe && self.row(r)[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Adds `i` to row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is outside the universe.
+    #[inline]
+    pub fn insert(&mut self, r: usize, i: usize) {
+        assert!(
+            i < self.universe,
+            "bit {i} out of universe {}",
+            self.universe
+        );
+        self.row_mut(r)[i / 64] |= 1 << (i % 64);
     }
 }
 
@@ -222,6 +326,29 @@ mod tests {
     #[should_panic(expected = "out of universe")]
     fn oob_insert_panics() {
         BitSet::new(10).insert(10);
+    }
+
+    #[test]
+    fn rows_match_bitsets_across_word_boundaries() {
+        for u in [0, 1, 63, 64, 65, 130] {
+            let full = BitRows::full(3, u);
+            let mut rows = BitRows::new(3, u);
+            for r in 0..3 {
+                assert_eq!(full.row(r), BitSet::full(u).words());
+                assert_eq!(rows.row(r), BitSet::new(u).words());
+            }
+            let mut want = BitSet::new(u);
+            for i in (0..u).step_by(7) {
+                rows.insert(1, i);
+                want.insert(i);
+            }
+            assert_eq!(rows.row(1), want.words());
+            assert!(rows.row(0).iter().chain(rows.row(2)).all(|w| *w == 0));
+            let mut set = BitSet::full(u);
+            set.copy_from_row(rows.row(1));
+            assert_eq!(set, want);
+            assert!(!rows.contains(1, u), "past the universe");
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! *kills* every caller-saved register (their contents are garbage after
 //! the call) and then defines the call's return registers.
 
-use iloc::{BlockId, Function, Instr, Op, Reg};
+use iloc::{Function, Instr, Op, Reg};
 
-use crate::bitset::BitSet;
+use crate::bitset::{BitRows, BitSet};
 use crate::dataflow::{must, Solution};
 use crate::regindex::RegIndex;
 
@@ -39,48 +39,70 @@ impl<'a> DefinedRegs<'a> {
     }
 
     /// The registers defined at the top and bottom of every block.
+    ///
+    /// Block `b`'s `(gen, kill)` come from one pass over its effects, the
+    /// ones [`Self::apply`] replays: `gen` holds the registers whose last
+    /// effect in the block defines them, and `kill` those whose last
+    /// effect is a call's kill.
     pub fn solve(&self) -> Solution {
-        let blocks: Vec<_> = self.f.block_ids().map(|b| self.transfer(b)).collect();
-        let mut entry = BitSet::new(self.index.len());
+        let (n, u) = (self.f.blocks.len(), self.index.len());
+        let mut gen = BitRows::new(n, u);
+        let mut kill = BitRows::new(n, u);
+        let (mut defined, mut killed) = (BitSet::new(u), BitSet::new(u));
+        for b in self.f.block_ids() {
+            defined.clear();
+            killed.clear();
+            for instr in &self.f.block(b).instrs {
+                self.effects(instr, |id, defines| {
+                    let (add, drop) = if defines {
+                        (&mut defined, &mut killed)
+                    } else {
+                        (&mut killed, &mut defined)
+                    };
+                    add.insert(id);
+                    drop.remove(id);
+                });
+            }
+            gen.row_mut(b.index()).copy_from_slice(defined.words());
+            kill.row_mut(b.index()).copy_from_slice(killed.words());
+        }
+        let mut entry = BitSet::new(u);
         for &r in std::iter::once(&Reg::RARP).chain(&self.f.params) {
             if let Some(id) = self.index.get(r) {
                 entry.insert(id);
             }
         }
-        must(self.f, &blocks, entry)
+        must(self.f, &gen, &kill, &entry)
     }
 
     /// Applies one instruction's effect to a defined set: call kills,
     /// then definitions. Registers outside the index are ignored.
     pub fn apply(&self, instr: &Instr, defined: &mut BitSet) {
+        self.effects(instr, |id, defines| {
+            if defines {
+                defined.insert(id);
+            } else {
+                defined.remove(id);
+            }
+        });
+    }
+
+    /// Calls `effect(id, defines)` for each indexed register `instr`
+    /// changes, in order: `false` for each register a call kills, then
+    /// `true` for each definition.
+    fn effects(&self, instr: &Instr, mut effect: impl FnMut(usize, bool)) {
         if matches!(instr.op, Op::Call { .. }) {
             for &r in &self.call_kills {
                 if let Some(id) = self.index.get(r) {
-                    defined.remove(id);
+                    effect(id, false);
                 }
             }
         }
         instr.op.visit_defs(|r| {
             if let Some(id) = self.index.get(r) {
-                defined.insert(id);
+                effect(id, true);
             }
         });
-    }
-
-    /// Block `b`'s `(gen, kill)`, from replaying it with [`Self::apply`]:
-    /// `gen` is what it defines starting from nothing, and `kill` what a
-    /// full set loses across it.
-    fn transfer(&self, b: BlockId) -> (BitSet, BitSet) {
-        let n = self.index.len();
-        let mut gen = BitSet::new(n);
-        let mut kept = BitSet::full(n);
-        for instr in &self.f.block(b).instrs {
-            self.apply(instr, &mut gen);
-            self.apply(instr, &mut kept);
-        }
-        let mut kill = BitSet::full(n);
-        kill.subtract(&kept);
-        (gen, kill)
     }
 }
 
@@ -101,9 +123,9 @@ mod tests {
         let index = RegIndex::build(&f);
         let problem = DefinedRegs::new(&f, &index, Vec::new());
         let sol = problem.solve();
-        let entry_in = &sol.in_[f.entry().index()];
-        assert!(entry_in.contains(index.id(p)));
-        assert!(!entry_in.contains(index.id(x)));
+        let entry = f.entry().index();
+        assert!(sol.in_.contains(entry, index.id(p)));
+        assert!(!sol.in_.contains(entry, index.id(x)));
         let _ = y;
     }
 
@@ -129,8 +151,8 @@ mod tests {
         let index = RegIndex::build(&f);
         let problem = DefinedRegs::new(&f, &index, Vec::new());
         let sol = problem.solve();
-        assert!(!sol.in_[join.index()].contains(index.id(x)));
-        assert!(sol.in_[join.index()].contains(index.id(c)));
+        assert!(!sol.in_.contains(join.index(), index.id(x)));
+        assert!(sol.in_.contains(join.index(), index.id(c)));
     }
 
     #[test]
@@ -149,10 +171,11 @@ mod tests {
         let problem = DefinedRegs::new(&f, &index, vec![x]);
         let sol = problem.solve();
         // Across the block boundary: the call killed x, y survives.
-        assert!(!sol.in_[next.index()].contains(index.id(x)));
-        assert!(sol.in_[next.index()].contains(index.id(y)));
+        assert!(!sol.in_.contains(next.index(), index.id(x)));
+        assert!(sol.in_.contains(next.index(), index.id(y)));
         // Within the block, `apply` replays the same effect.
-        let mut defined = sol.in_[f.entry().index()].clone();
+        let mut defined = BitSet::new(index.len());
+        defined.copy_from_row(sol.in_.row(f.entry().index()));
         let mut after_call = None;
         for instr in &f.block(f.entry()).instrs {
             problem.apply(instr, &mut defined);
@@ -161,5 +184,34 @@ mod tests {
             }
         }
         assert_eq!(after_call, Some(false));
+    }
+
+    #[test]
+    fn each_block_replays_from_its_in_row_to_its_out_row() {
+        // A loop whose body calls `g`, kills a value the loop defined
+        // before the call and redefines one after it, so every block's
+        // gen/kill mixes definitions and kills.
+        let mut fb = FuncBuilder::new("f");
+        let a = fb.loadi(1);
+        let b = fb.vreg(RegClass::Gpr);
+        fb.emit(Op::LoadI { imm: 2, dst: b });
+        fb.counted_loop(0, 4, 1, |fb, _| {
+            let t = fb.add(a, b);
+            fb.call("g", &[], &[]);
+            fb.emit(Op::I2I { src: t, dst: b });
+        });
+        fb.ret(&[]);
+        let f = fb.finish();
+        let index = RegIndex::build(&f);
+        let problem = DefinedRegs::new(&f, &index, vec![a, b]);
+        let sol = problem.solve();
+        let mut defined = BitSet::new(index.len());
+        for blk in f.reverse_postorder() {
+            defined.copy_from_row(sol.in_.row(blk.index()));
+            for instr in &f.block(blk).instrs {
+                problem.apply(instr, &mut defined);
+            }
+            assert_eq!(defined.words(), sol.out.row(blk.index()), "{blk}");
+        }
     }
 }

@@ -4,10 +4,12 @@
 //! This crate supplies the analysis substrate the register allocator and
 //! the CCM passes are built on:
 //!
-//! * [`BitSet`] — dense bit sets for dataflow facts;
+//! * [`BitSet`] and [`BitRows`] — dense bit sets for dataflow facts, one
+//!   set or one set per row of a flat table;
 //! * [`dataflow`] — the gen/kill core every bit-vector problem is solved
 //!   with: [`live`] (backward, union) and [`must`] (forward,
-//!   intersection);
+//!   intersection), over gen/kill rows and without a heap allocation per
+//!   block;
 //! * [`DefinedRegs`] — must-be-defined registers (a [`must`] problem,
 //!   used by the post-allocation checker);
 //! * [`Dominators`] — Cooper–Harvey–Kennedy dominators, dominator tree,
@@ -61,7 +63,7 @@ pub mod regindex;
 pub mod regmap;
 pub mod ssa;
 
-pub use bitset::BitSet;
+pub use bitset::{BitRows, BitSet};
 pub use callgraph::CallGraph;
 pub use dataflow::{live, must, Solution};
 pub use defined::DefinedRegs;

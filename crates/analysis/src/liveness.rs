@@ -3,7 +3,7 @@
 
 use iloc::{BlockId, Function, Reg};
 
-use crate::bitset::BitSet;
+use crate::bitset::{BitRows, BitSet};
 use crate::dataflow::live;
 use crate::regindex::RegIndex;
 
@@ -14,10 +14,10 @@ use crate::regindex::RegIndex;
 pub struct Liveness {
     /// Dense register numbering the bit sets are expressed in.
     pub regs: RegIndex,
-    /// `live_in[b]` — registers live at the top of block `b`.
-    pub live_in: Vec<BitSet>,
-    /// `live_out[b]` — registers live at the bottom of block `b`.
-    pub live_out: Vec<BitSet>,
+    /// `live_in.row(b)` — registers live at the top of block `b`.
+    pub live_in: BitRows,
+    /// `live_out.row(b)` — registers live at the bottom of block `b`.
+    pub live_out: BitRows,
 }
 
 impl Liveness {
@@ -28,26 +28,21 @@ impl Liveness {
     /// liveness on non-SSA code, or use the results with that caveat.
     pub fn compute(f: &Function) -> Liveness {
         let regs = RegIndex::build(f);
-        let blocks: Vec<_> = f
-            .block_ids()
-            .map(|b| {
-                let mut gen = BitSet::new(regs.len());
-                let mut kill = BitSet::new(regs.len());
-                for instr in &f.block(b).instrs {
-                    instr.op.visit_uses(|r| {
-                        let id = regs.id(r);
-                        if !kill.contains(id) {
-                            gen.insert(id);
-                        }
-                    });
-                    instr.op.visit_defs(|r| {
-                        kill.insert(regs.id(r));
-                    });
-                }
-                (gen, kill)
-            })
-            .collect();
-        let sol = live(f, &blocks);
+        let mut gen = BitRows::new(f.blocks.len(), regs.len());
+        let mut kill = gen.clone();
+        for b in f.block_ids() {
+            let bi = b.index();
+            for instr in &f.block(b).instrs {
+                instr.op.visit_uses(|r| {
+                    let id = regs.id(r);
+                    if !kill.contains(bi, id) {
+                        gen.insert(bi, id);
+                    }
+                });
+                instr.op.visit_defs(|r| kill.insert(bi, regs.id(r)));
+            }
+        }
+        let sol = live(f, &gen, &kill);
         Liveness {
             regs,
             live_in: sol.in_,
@@ -59,29 +54,32 @@ impl Liveness {
     pub fn is_live_in(&self, b: BlockId, r: Reg) -> bool {
         self.regs
             .get(r)
-            .is_some_and(|id| self.live_in[b.index()].contains(id))
+            .is_some_and(|id| self.live_in.contains(b.index(), id))
     }
 
     /// Whether `r` is live at the bottom of `b`.
     pub fn is_live_out(&self, b: BlockId, r: Reg) -> bool {
         self.regs
             .get(r)
-            .is_some_and(|id| self.live_out[b.index()].contains(id))
+            .is_some_and(|id| self.live_out.contains(b.index(), id))
     }
 
     /// Walks block `b` backwards, calling `visit(instr_index, live)` with
     /// the live set *after* each instruction (i.e., live-out of that
-    /// instruction), then updating the set across it.
+    /// instruction), then updating the set across it. `live` is the
+    /// caller's set over [`Self::regs`]; the walk first overwrites it with
+    /// `b`'s live-out row, so one set serves every block.
     pub fn for_each_instr_reverse(
         &self,
         f: &Function,
         b: BlockId,
+        live: &mut BitSet,
         mut visit: impl FnMut(usize, &BitSet),
     ) {
-        let mut live = self.live_out[b.index()].clone();
+        live.copy_from_row(self.live_out.row(b.index()));
         let instrs = &f.block(b).instrs;
         for i in (0..instrs.len()).rev() {
-            visit(i, &live);
+            visit(i, live);
             instrs[i].op.visit_defs(|r| {
                 live.remove(self.regs.id(r));
             });
@@ -95,8 +93,9 @@ impl Liveness {
     /// class anywhere in the function (register pressure).
     pub fn max_pressure(&self, f: &Function, class: iloc::RegClass) -> usize {
         let mut max = 0;
+        let mut live = BitSet::new(self.regs.len());
         for b in f.block_ids() {
-            self.for_each_instr_reverse(f, b, |_, live| {
+            self.for_each_instr_reverse(f, b, &mut live, |_, live| {
                 let count = live
                     .iter()
                     .filter(|&id| self.regs.reg(id).class() == class)
@@ -172,7 +171,8 @@ mod tests {
         let f = fb.finish();
         let lv = Liveness::compute(&f);
         let mut snapshots = Vec::new();
-        lv.for_each_instr_reverse(&f, f.entry(), |i, live| {
+        let mut live = BitSet::new(lv.regs.len());
+        lv.for_each_instr_reverse(&f, f.entry(), &mut live, |i, live| {
             snapshots.push((i, live.count()));
         });
         // Visit order is reverse; after `ret` nothing is live; after `add`

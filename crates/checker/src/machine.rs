@@ -1,7 +1,7 @@
 //! Machine-level checks: allocated code must mention only legal physical
 //! registers and never read one before it is written.
 
-use analysis::{DefinedRegs, RegIndex};
+use analysis::{BitSet, DefinedRegs, RegIndex};
 use iloc::{Function, Op, Reg, RegClass};
 
 use crate::{CheckerConfig, Diagnostic};
@@ -84,9 +84,10 @@ fn def_before_use(f: &Function, cfg: &CheckerConfig, diags: &mut Vec<Diagnostic>
     kills.extend(cfg.alloc.caller_saved_physical(RegClass::Fpr));
     let problem = DefinedRegs::new(f, &index, kills);
     let sol = problem.solve();
+    let mut defined = BitSet::new(index.len());
     for b in f.block_ids() {
         let label = &f.block(b).label;
-        let mut defined = sol.in_[b.index()].clone();
+        defined.copy_from_row(sol.in_.row(b.index()));
         for (i, instr) in f.block(b).instrs.iter().enumerate() {
             // φs read along predecessor edges, not at their own site;
             // allocated code should not contain them anyway (SSA is

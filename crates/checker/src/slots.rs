@@ -2,7 +2,7 @@
 //! allocated code and flag undefined loads, dead stores, malformed
 //! frame/CCM addressing, and compaction overlap.
 
-use analysis::bitset::BitSet;
+use analysis::{BitRows, BitSet};
 use ccm::SlotAnalysis;
 use iloc::{Function, Op, Reg, RegClass, SpillKind, SpillSlot};
 
@@ -161,24 +161,22 @@ fn tag_mismatch(op: &Op, slot: &SpillSlot, is_store: bool) -> Option<String> {
 /// problem over slots. Nothing un-stores a slot, so kill sets are empty.
 fn undefined_loads(f: &Function, diags: &mut Vec<Diagnostic>) {
     let n = f.frame.slots.len();
-    let blocks: Vec<_> = f
-        .block_ids()
-        .map(|b| {
-            let mut gen = BitSet::new(n);
-            for instr in &f.block(b).instrs {
-                if let SpillKind::Store(s) = instr.spill {
-                    if s.index() < n {
-                        gen.insert(s.index());
-                    }
+    let mut gen = BitRows::new(f.blocks.len(), n);
+    for b in f.block_ids() {
+        for instr in &f.block(b).instrs {
+            if let SpillKind::Store(s) = instr.spill {
+                if s.index() < n {
+                    gen.insert(b.index(), s.index());
                 }
             }
-            (gen, BitSet::new(n))
-        })
-        .collect();
-    let sol = analysis::must(f, &blocks, BitSet::new(n));
+        }
+    }
+    let kill = BitRows::new(f.blocks.len(), n);
+    let sol = analysis::must(f, &gen, &kill, &BitSet::new(n));
+    let mut stored = BitSet::new(n);
     for b in f.block_ids() {
         let label = &f.block(b).label;
-        let mut stored = sol.in_[b.index()].clone();
+        stored.copy_from_row(sol.in_.row(b.index()));
         for (i, instr) in f.block(b).instrs.iter().enumerate() {
             match instr.spill {
                 SpillKind::Restore(s) if s.index() < n && !stored.contains(s.index()) => {
@@ -207,9 +205,10 @@ fn undefined_loads(f: &Function, diags: &mut Vec<Diagnostic>) {
 /// path from the store reaches a restore of it. Legal but wasted memory
 /// traffic, so it is reported without failing the check.
 fn dead_stores(f: &Function, sa: &SlotAnalysis, diags: &mut Vec<Diagnostic>) {
+    let mut live = BitSet::new(sa.n);
     for b in f.block_ids() {
         let label = &f.block(b).label;
-        let mut live = sa.live_out(b).clone();
+        live.copy_from_row(sa.live_out(b));
         for (i, instr) in f.block(b).instrs.iter().enumerate().rev() {
             match instr.spill {
                 SpillKind::Store(s) if s.index() < sa.n => {

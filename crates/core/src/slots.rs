@@ -10,7 +10,7 @@
 //! slot), reference counts, loop-weighted costs, and the per-call-site
 //! live sets the interprocedural allocator consults.
 
-use analysis::bitset::BitSet;
+use analysis::bitset::{BitRows, BitSet};
 use analysis::{Dominators, LoopInfo};
 use iloc::{BlockId, Function, Op, SlotId, SpillKind};
 
@@ -42,14 +42,15 @@ pub struct SlotAnalysis {
     pub crosses_call: Vec<bool>,
     /// Every call site with its live-across slot set.
     pub call_sites: Vec<CallSite>,
-    /// Per-block slot live-in sets (dense slot indices), the fixpoint of
-    /// the §3.1 location-liveness equations. Retained so clients (the
-    /// post-allocation checker in particular) can replay liveness at
-    /// instruction granularity without re-solving the dataflow.
-    pub live_in: Vec<BitSet>,
+    /// Per-block slot live-in sets (dense slot indices, one row per
+    /// block), the fixpoint of the §3.1 location-liveness equations.
+    /// Retained so clients (the post-allocation checker in particular) can
+    /// replay liveness at instruction granularity without re-solving the
+    /// dataflow.
+    pub live_in: BitRows,
     /// Per-block slot live-out sets (union of successor live-ins, for
     /// unreachable blocks too).
-    pub live_out: Vec<BitSet>,
+    pub live_out: BitRows,
 }
 
 impl SlotAnalysis {
@@ -64,8 +65,8 @@ impl SlotAnalysis {
             refs: vec![0; n],
             crosses_call: vec![false; n],
             call_sites: Vec::new(),
-            live_in: vec![BitSet::new(n); f.blocks.len()],
-            live_out: vec![BitSet::new(n); f.blocks.len()],
+            live_in: BitRows::new(f.blocks.len(), n),
+            live_out: BitRows::new(f.blocks.len(), n),
         };
         if n == 0 {
             return out;
@@ -87,31 +88,27 @@ impl SlotAnalysis {
 
         // Block-level slot liveness: gen = upward-exposed restores,
         // kill = stores.
-        let blocks: Vec<_> = f
-            .block_ids()
-            .map(|b| {
-                let mut gen = BitSet::new(n);
-                let mut kill = BitSet::new(n);
-                for instr in &f.block(b).instrs {
-                    match instr.spill {
-                        SpillKind::Restore(s) if !kill.contains(s.index()) => {
-                            gen.insert(s.index());
-                        }
-                        SpillKind::Store(s) => {
-                            kill.insert(s.index());
-                        }
-                        _ => {}
+        let mut gen = BitRows::new(f.blocks.len(), n);
+        let mut kill = gen.clone();
+        for b in f.block_ids() {
+            let bi = b.index();
+            for instr in &f.block(b).instrs {
+                match instr.spill {
+                    SpillKind::Restore(s) if !kill.contains(bi, s.index()) => {
+                        gen.insert(bi, s.index());
                     }
+                    SpillKind::Store(s) => kill.insert(bi, s.index()),
+                    _ => {}
                 }
-                (gen, kill)
-            })
-            .collect();
-        let sol = analysis::live(f, &blocks);
+            }
+        }
+        let sol = analysis::live(f, &gen, &kill);
 
         // Backward walk: interference edges at slot definitions, and
         // live-across sets at call sites.
+        let mut live = BitSet::new(n);
         for b in f.block_ids() {
-            let mut live = sol.out[b.index()].clone();
+            live.copy_from_row(sol.out.row(b.index()));
             for instr in f.block(b).instrs.iter().rev() {
                 if let Op::Call(call) = &instr.op {
                     let slots: Vec<usize> = live.iter().collect();
@@ -149,14 +146,14 @@ impl SlotAnalysis {
         self.adj[a.index()].contains(b.index())
     }
 
-    /// Slots live on entry to `b`.
-    pub fn live_in(&self, b: BlockId) -> &BitSet {
-        &self.live_in[b.index()]
+    /// Slots live on entry to `b`, as a row of [`Self::live_in`].
+    pub fn live_in(&self, b: BlockId) -> &[u64] {
+        self.live_in.row(b.index())
     }
 
-    /// Slots live on exit from `b`.
-    pub fn live_out(&self, b: BlockId) -> &BitSet {
-        &self.live_out[b.index()]
+    /// Slots live on exit from `b`, as a row of [`Self::live_out`].
+    pub fn live_out(&self, b: BlockId) -> &[u64] {
+        self.live_out.row(b.index())
     }
 
     /// Slots ordered by descending promotion benefit (cost, then index for
@@ -390,8 +387,8 @@ mod tests {
         // Single-block function: everything is defined and consumed
         // inside the entry block, so nothing is live at its edges.
         let e = f.entry();
-        assert_eq!(sa.live_in(e).count(), 0);
-        assert_eq!(sa.live_out(e).count(), 0);
+        assert!(sa.live_in(e).iter().all(|w| *w == 0));
+        assert!(sa.live_out(e).iter().all(|w| *w == 0));
         let _ = (s0, s1, s2);
     }
 
@@ -438,8 +435,8 @@ mod tests {
             ),
         );
         let sa = SlotAnalysis::compute(&f);
-        assert!(sa.live_in(body).contains(s.index()));
-        assert!(sa.live_out(e).contains(s.index()));
+        assert!(sa.live_in.contains(body.index(), s.index()));
+        assert!(sa.live_out.contains(e.index(), s.index()));
     }
 
     #[test]

@@ -22,6 +22,59 @@ impl fmt::Display for BlockId {
     }
 }
 
+/// The successors a terminator names: none, one (`jump`) or two (`cbr`,
+/// taken first). A `Copy` value that derefs to `[BlockId]`, so asking for
+/// a block's successors allocates nothing and borrows nothing. A `cbr`
+/// whose two targets are equal still has two entries: the target has
+/// one predecessor entry (and one φ argument) per edge.
+#[derive(Copy, Clone, Debug)]
+pub struct Succs {
+    ids: [BlockId; 2],
+    len: u8,
+}
+
+impl Succs {
+    /// No successors (a `ret`, or a block without a terminator).
+    pub(crate) const NONE: Succs = Succs {
+        ids: [BlockId(0); 2],
+        len: 0,
+    };
+
+    /// One successor.
+    pub(crate) fn one(target: BlockId) -> Succs {
+        Succs {
+            ids: [target, BlockId(0)],
+            len: 1,
+        }
+    }
+
+    /// Two successors, in this order.
+    pub(crate) fn two(first: BlockId, second: BlockId) -> Succs {
+        Succs {
+            ids: [first, second],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for Succs {
+    type Target = [BlockId];
+
+    #[inline]
+    fn deref(&self) -> &[BlockId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Succs {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(usize::from(self.len))
+    }
+}
+
 /// A basic block: a label plus a straight-line instruction sequence ending
 /// in a terminator ([`Op::Jump`], [`Op::Cbr`], or [`Op::Ret`]).
 #[derive(Clone, PartialEq, Debug)]
@@ -59,10 +112,8 @@ impl Block {
     }
 
     /// Successor block ids, taken from the terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        self.terminator()
-            .map(|t| t.successors())
-            .unwrap_or_default()
+    pub fn successors(&self) -> Succs {
+        self.terminator().map_or(Succs::NONE, Op::successors)
     }
 
     /// Number of φ-nodes at the head of the block.

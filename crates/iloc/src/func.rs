@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::block::{Block, BlockId};
+use crate::block::{Block, BlockId, Succs};
 use crate::op::{Instr, Op};
 use crate::reg::{Reg, RegClass, FIRST_VREG};
 
@@ -241,7 +241,7 @@ impl Function {
     }
 
     /// Successors of `id` (from the terminator).
-    pub fn successors(&self, id: BlockId) -> Vec<BlockId> {
+    pub fn successors(&self, id: BlockId) -> Succs {
         self.block(id).successors()
     }
 
@@ -261,8 +261,10 @@ impl Function {
         let n = self.blocks.len();
         let mut state = vec![0u8; n]; // 0 = unseen, 1 = on stack, 2 = done
         let mut post = Vec::with_capacity(n);
-        // Iterative DFS computing postorder.
-        let mut stack: Vec<(BlockId, usize)> = vec![(self.entry(), 0)];
+        // Iterative DFS computing postorder. The stack holds one path from
+        // the entry, so it never outgrows `n` (and never reallocates).
+        let mut stack: Vec<(BlockId, usize)> = Vec::with_capacity(n);
+        stack.push((self.entry(), 0));
         state[self.entry().index()] = 1;
         while let Some((b, child)) = stack.pop() {
             let succs = self.successors(b);
@@ -382,7 +384,7 @@ mod tests {
         assert_eq!(f.prune_unreachable(), 1);
         assert_eq!(f.blocks.len(), 2);
         // The surviving jump must now target the compacted id of "live".
-        assert_eq!(f.successors(f.entry()), vec![BlockId(1)]);
+        assert_eq!(*f.successors(f.entry()), [BlockId(1)]);
         assert_eq!(f.block(BlockId(1)).label, "live");
         assert_eq!(f.prune_unreachable(), 0, "second prune is a no-op");
     }

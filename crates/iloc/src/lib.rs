@@ -51,7 +51,7 @@ pub mod print;
 pub mod reg;
 pub mod verify;
 
-pub use block::{Block, BlockId};
+pub use block::{Block, BlockId, Succs};
 pub use func::{FrameInfo, Function, SlotId, SpillKind, SpillSlot};
 pub use module::{Global, Module, ModuleMemo};
 pub use op::{f2i, read_imm, Call, CmpKind, FBinKind, IBinKind, Instr, Op};

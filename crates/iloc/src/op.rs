@@ -14,7 +14,7 @@
 //! spill-code rewriting all read the same table, and a new op fails to
 //! compile until both say what it touches.
 
-use crate::block::BlockId;
+use crate::block::{BlockId, Succs};
 use crate::func::{SlotId, SpillKind};
 use crate::reg::Reg;
 
@@ -571,13 +571,13 @@ impl Op {
     }
 
     /// Successor blocks named by this operation (empty unless terminator).
-    pub fn successors(&self) -> Vec<BlockId> {
+    pub fn successors(&self) -> Succs {
         match self {
-            Op::Jump { target } => vec![*target],
+            Op::Jump { target } => Succs::one(*target),
             Op::Cbr {
                 taken, not_taken, ..
-            } => vec![*taken, *not_taken],
-            _ => Vec::new(),
+            } => Succs::two(*taken, *not_taken),
+            _ => Succs::NONE,
         }
     }
 
@@ -1028,17 +1028,38 @@ mod tests {
     #[test]
     fn terminator_successors() {
         let j = Op::Jump { target: BlockId(3) };
-        assert_eq!(j.successors(), vec![BlockId(3)]);
+        assert_eq!(*j.successors(), [BlockId(3)]);
         let c = Op::Cbr {
             cond: r(64),
             taken: BlockId(1),
             not_taken: BlockId(2),
         };
-        assert_eq!(c.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(*c.successors(), [BlockId(1), BlockId(2)]);
+        assert_eq!(
+            c.successors().into_iter().collect::<Vec<_>>(),
+            [BlockId(1), BlockId(2)]
+        );
         assert!(c.is_terminator());
         let ret = Op::Ret { vals: [].into() };
         assert!(ret.is_terminator());
         assert!(ret.successors().is_empty());
+        assert_eq!(ret.successors().into_iter().count(), 0);
+        assert!(Op::LoadI { imm: 0, dst: r(64) }.successors().is_empty());
+    }
+
+    #[test]
+    fn a_cbr_with_equal_targets_has_two_successor_entries() {
+        let c = Op::Cbr {
+            cond: r(64),
+            taken: BlockId(4),
+            not_taken: BlockId(4),
+        };
+        let succs = c.successors();
+        // `Succs` is `Copy`: iterating one copy leaves the other intact.
+        let walked: Vec<BlockId> = succs.into_iter().collect();
+        assert_eq!(walked, [BlockId(4), BlockId(4)]);
+        assert_eq!(succs.len(), 2);
+        assert_eq!(*succs, [BlockId(4), BlockId(4)]);
     }
 
     #[test]

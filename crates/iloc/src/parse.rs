@@ -656,7 +656,7 @@ mod tests {
             parse_module("func f() locals 0 {\nentry:\n    jump -> later\nlater:\n    ret\n}\n")
                 .unwrap();
         let f = &m.functions[0];
-        assert_eq!(f.successors(f.entry()), vec![BlockId(1)]);
+        assert_eq!(*f.successors(f.entry()), [BlockId(1)]);
     }
 
     #[test]

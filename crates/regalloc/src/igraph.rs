@@ -3,8 +3,9 @@
 //!
 //! The graph is built per register class with the classic backward scan:
 //! block liveness over the class's registers comes from
-//! [`analysis::live`], each block is walked backwards from its live-out
-//! set, and at each instruction every register defined there interferes
+//! [`analysis::live`] (gen/kill written straight into its rows), each
+//! block is walked backwards from its live-out row (copied into one
+//! reused set), and at each instruction every register defined there interferes
 //! with every register live after it (copies exempt their source,
 //! enabling coalescing).
 //!
@@ -27,13 +28,17 @@
 //! needs. A rebuild after a coalesce pass or a spill round, and the next
 //! function or module on the same worker, thus reuse one buffer instead
 //! of allocating and faulting in a fresh one (6.8 MB at n = 7364).
-//! `exec`'s scoped workers end with their stage, and the buffer with
-//! them.
+//! With two or more jobs, `exec`'s scoped workers end with their stage,
+//! and the buffer with them. With one job, `exec` runs every item inline
+//! on the calling thread, so the main thread's spare (the largest matrix
+//! the run built) lives until the process exits: `repro --figure3
+//! --figure4` peaks at 29.8 MiB at `--jobs 1` against 23.8–26.6 MiB at
+//! `--jobs 2`.
 
 use std::cell::Cell;
 
 use analysis::bitset::ones;
-use analysis::{BitSet, Solution};
+use analysis::{BitRows, BitSet, Solution};
 use iloc::{Function, Op};
 
 use crate::entity::EntityIndex;
@@ -78,7 +83,9 @@ impl InterferenceGraph {
         // definition's row takes the registers live after it.
         let sol = entity_liveness(f, &g.entities);
         let (mut uses, mut defs) = (Vec::new(), Vec::new());
-        for (b, mut live) in f.block_ids().zip(sol.out) {
+        let mut live = BitSet::new(n);
+        for b in f.block_ids() {
+            live.copy_from_row(sol.out.row(b.index()));
             for instr in f.block(b).instrs.iter().rev() {
                 g.entities.uses_defs(&instr.op, &mut uses, &mut defs);
                 // Copy: the source does not interfere with the target.
@@ -311,30 +318,27 @@ pub(crate) fn transpose64(m: &mut [u64; 64]) {
     }
 }
 
-/// Block-level liveness over the registers of `idx`.
+/// Block-level liveness over the registers of `idx`: `gen` is a block's
+/// upward-exposed uses and `kill` its definitions.
 fn entity_liveness(f: &Function, idx: &EntityIndex) -> Solution {
-    let n = idx.len();
+    let mut gen = BitRows::new(f.blocks.len(), idx.len());
+    let mut kill = gen.clone();
     let (mut uses, mut defs) = (Vec::new(), Vec::new());
-    let blocks: Vec<_> = f
-        .block_ids()
-        .map(|b| {
-            let mut gen = BitSet::new(n);
-            let mut kill = BitSet::new(n);
-            for instr in &f.block(b).instrs {
-                idx.uses_defs(&instr.op, &mut uses, &mut defs);
-                for &u in &uses {
-                    if !kill.contains(u) {
-                        gen.insert(u);
-                    }
-                }
-                for &d in &defs {
-                    kill.insert(d);
+    for b in f.block_ids() {
+        let bi = b.index();
+        for instr in &f.block(b).instrs {
+            idx.uses_defs(&instr.op, &mut uses, &mut defs);
+            for &u in &uses {
+                if !kill.contains(bi, u) {
+                    gen.insert(bi, u);
                 }
             }
-            (gen, kill)
-        })
-        .collect();
-    analysis::live(f, &blocks)
+            for &d in &defs {
+                kill.insert(bi, d);
+            }
+        }
+    }
+    analysis::live(f, &gen, &kill)
 }
 
 #[cfg(test)]
@@ -447,7 +451,9 @@ mod tests {
         }
         let sol = entity_liveness(f, idx);
         let (mut uses, mut defs) = (Vec::new(), Vec::new());
-        for (b, mut live) in f.block_ids().zip(sol.out) {
+        let mut live = BitSet::new(n);
+        for b in f.block_ids() {
+            live.copy_from_row(sol.out.row(b.index()));
             for instr in f.block(b).instrs.iter().rev() {
                 idx.uses_defs(&instr.op, &mut uses, &mut defs);
                 let copy_src: Option<usize> = match &instr.op {

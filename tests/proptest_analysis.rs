@@ -7,7 +7,7 @@ mod common;
 
 use std::collections::HashSet;
 
-use analysis::{BitSet, Dominators};
+use analysis::{BitRows, BitSet, Dominators};
 use common::{Case, Rng};
 use iloc::builder::FuncBuilder;
 use iloc::{BlockId, Function, Op};
@@ -150,8 +150,11 @@ fn cbr_conditions_never_leak_liveness() {
         let f = arb_cfg(case, 8, 16);
         let _case = Case::new(case, &f);
         let live = analysis::Liveness::compute(&f);
-        let entry_in = &live.live_in[f.entry().index()];
-        assert_eq!(entry_in.count(), 0, "nothing should be live-in at entry");
+        let entry_in = live.live_in.row(f.entry().index());
+        assert!(
+            entry_in.iter().all(|w| *w == 0),
+            "nothing should be live-in at entry"
+        );
     }
 }
 
@@ -174,6 +177,25 @@ fn arb_problem(case: usize, f: &Function) -> Vec<(BitSet, BitSet)> {
     f.block_ids()
         .map(|_| (arb_set(&mut rng, u), arb_set(&mut rng, u)))
         .collect()
+}
+
+/// The problem as the solvers take it: one `gen` row and one `kill` row
+/// per block.
+fn rows(blocks: &[(BitSet, BitSet)]) -> (BitRows, BitRows) {
+    let u = blocks[0].0.universe();
+    let (mut gen, mut kill) = (BitRows::new(blocks.len(), u), BitRows::new(blocks.len(), u));
+    for (b, (g, k)) in blocks.iter().enumerate() {
+        g.iter().for_each(|i| gen.insert(b, i));
+        k.iter().for_each(|i| kill.insert(b, i));
+    }
+    (gen, kill)
+}
+
+/// Row `b` of `rows` as a set.
+fn set(rows: &BitRows, b: BlockId) -> BitSet {
+    let mut s = BitSet::new(rows.universe());
+    s.copy_from_row(rows.row(b.index()));
+    s
 }
 
 /// `f` followed by each block's gen and kill members.
@@ -252,9 +274,10 @@ fn must_matches_all_paths_oracle() {
         let _case = Case::new(case, &shown);
         let u = blocks[0].0.universe();
         let entry = arb_set(&mut Rng::for_case(2 * CASES + case), u);
-        let sol = analysis::must(&f, &blocks, entry.clone());
+        let (gen, kill) = rows(&blocks);
+        let sol = analysis::must(&f, &gen, &kill, &entry);
         for b in f.block_ids() {
-            let (in_, out) = (&sol.in_[b.index()], &sol.out[b.index()]);
+            let (in_, out) = (&set(&sol.in_, b), &set(&sol.out, b));
             if !reachable(&f, b) {
                 assert_eq!(in_, &BitSet::full(u), "in[{b}] of an unreachable block");
                 assert_eq!(out, &BitSet::full(u), "out[{b}] of an unreachable block");
@@ -280,9 +303,10 @@ fn live_matches_some_path_oracle() {
         let blocks = arb_problem(case, &f);
         let shown = show_problem(&f, &blocks);
         let _case = Case::new(case, &shown);
-        let sol = analysis::live(&f, &blocks);
+        let (gen, kill) = rows(&blocks);
+        let sol = analysis::live(&f, &gen, &kill);
         for b in f.block_ids() {
-            let in_ = &sol.in_[b.index()];
+            let in_ = &set(&sol.in_, b);
             if !reachable(&f, b) {
                 assert!(in_.is_empty(), "in[{b}] of an unreachable block");
                 continue;
@@ -307,13 +331,14 @@ fn live_out_is_the_union_of_successor_ins() {
         let blocks = arb_problem(case, &f);
         let shown = show_problem(&f, &blocks);
         let _case = Case::new(case, &shown);
-        let sol = analysis::live(&f, &blocks);
+        let (gen, kill) = rows(&blocks);
+        let sol = analysis::live(&f, &gen, &kill);
         for b in f.block_ids() {
             let mut want = BitSet::new(blocks[0].0.universe());
             for s in f.successors(b) {
-                want.union_with(&sol.in_[s.index()]);
+                want.union_with(&set(&sol.in_, s));
             }
-            assert_eq!(sol.out[b.index()], want, "out[{b}]");
+            assert_eq!(set(&sol.out, b), want, "out[{b}]");
         }
     }
 }
