@@ -1,7 +1,13 @@
 #!/usr/bin/env bash
 # Local CI: formatting, lints, then the tier-1 build-and-test gate.
+# `./ci.sh lines` runs no gate: it prints the non-test Rust line count
+# (scripts/lines.sh) that changes report, parent against change.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+if [ "${1:-}" = lines ]; then
+    exec scripts/lines.sh
+fi
 
 echo "== cargo fmt --check"
 cargo fmt --check

@@ -14,9 +14,15 @@
 //!   used by the post-allocation checker);
 //! * [`Dominators`] — Cooper–Harvey–Kennedy dominators, dominator tree,
 //!   and dominance frontiers;
-//! * [`Liveness`] — per-block and per-instruction register liveness (a
-//!   [`live`] problem);
-//! * [`LoopInfo`] — natural loops and nesting depth (spill-cost weights);
+//! * [`Liveness`] — the one liveness core: gen/kill rows from an
+//!   operand visitor over a dense universe, solved with [`live`], and a
+//!   backward walk showing the set live after each instruction. Three
+//!   numberings use it: all registers ([`RegIndex::build`]), one class's
+//!   virtual registers ([`RegIndex::build_where`], the register
+//!   allocator's interference graph) and spill slots (the `ccm` crate's
+//!   slot analysis);
+//! * [`LoopInfo`] — natural loops and nesting depth, and the `10^depth`
+//!   block weights of spill and slot costs ([`LoopInfo::block_weights`]);
 //! * [`ssa`] — SSA construction (semi-pruned) and destruction (with
 //!   parallel-copy sequentialization);
 //! * [`DefUse`] — def-use chains;
@@ -46,9 +52,8 @@
 //!
 //! let dom = Dominators::compute(&f);
 //! let loops = LoopInfo::compute(&f, &dom);
-//! let live = Liveness::compute(&f);
 //! assert_eq!(loops.loops.len(), 1);
-//! assert!(live.max_pressure(&f, RegClass::Gpr) >= 2);
+//! assert!(Liveness::max_pressure(&f, RegClass::Gpr) >= 2);
 //! ```
 
 pub mod bitset;

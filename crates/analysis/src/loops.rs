@@ -103,6 +103,14 @@ impl LoopInfo {
     pub fn weight(&self, b: BlockId) -> f64 {
         10f64.powi(self.depth(b) as i32)
     }
+
+    /// [`Self::weight`] of every block of `f`, by block index: the
+    /// reference weights of the register allocator's spill costs and of
+    /// the CCM passes' slot costs.
+    pub fn block_weights(f: &Function) -> Vec<f64> {
+        let loops = LoopInfo::compute(f, &Dominators::compute(f));
+        f.block_ids().map(|b| loops.weight(b)).collect()
+    }
 }
 
 #[cfg(test)]

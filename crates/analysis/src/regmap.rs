@@ -35,6 +35,25 @@ impl<T: Clone> RegMap<T> {
             per_class: [vec![fill.clone(); len[0]], vec![fill; len[1]]],
         }
     }
+
+    /// An empty table: every [`RegMap::get`] returns `None` until
+    /// [`RegMap::grow`] covers the register.
+    pub(crate) fn empty() -> RegMap<T> {
+        RegMap {
+            per_class: [Vec::new(), Vec::new()],
+        }
+    }
+
+    /// The slot of `r`, first growing `r`'s class with `fill` slots up to
+    /// its index if the table does not reach it yet.
+    pub(crate) fn grow(&mut self, r: Reg, fill: T) -> &mut T {
+        let slots = &mut self.per_class[r.class().index()];
+        let i = r.index() as usize;
+        if i >= slots.len() {
+            slots.resize(i + 1, fill);
+        }
+        &mut slots[i]
+    }
 }
 
 impl<T> RegMap<T> {

@@ -4,15 +4,20 @@
 //! slots holding spilled values rather than on register live ranges.
 //! Their notion of liveness is the paper's: a spill location *m* is live
 //! at point *p* if some execution path from *p* reaches a load of *m* —
-//! it is *defined* by a spill store and *used* by a spill restore, which
-//! makes it an [`analysis::live`] problem over slots. From that liveness
-//! we build an interference graph over slots (one [`BitSet`] row per
-//! slot), reference counts, loop-weighted costs, and the per-call-site
-//! live sets the interprocedural allocator consults.
+//! it is *defined* by a spill store and *used* by a spill restore. That
+//! is the register rule over another universe, so the slots go through
+//! the same liveness core ([`Liveness`]) with a slot operand visitor: a
+//! `Store(s)` tag defines `s`, a `Restore(s)` tag uses it, and a tag
+//! naming no slot of the frame is ignored (the structural verifier
+//! reports it). From that liveness we build an interference graph over
+//! slots (one [`BitSet`] row per slot), reference counts, loop-weighted
+//! costs ([`LoopInfo::block_weights`], the register allocator's rule),
+//! and the per-call-site live sets the interprocedural allocator
+//! consults.
 
 use analysis::bitset::{BitRows, BitSet};
-use analysis::{Dominators, LoopInfo};
-use iloc::{BlockId, Function, Op, SlotId, SpillKind};
+use analysis::{Liveness, LoopInfo};
+use iloc::{BlockId, Function, Instr, Op, SlotId, SpillKind};
 
 /// A call site together with the spill slots live across it.
 #[derive(Clone, Debug)]
@@ -72,72 +77,49 @@ impl SlotAnalysis {
             return out;
         }
 
-        let dom = Dominators::compute(f);
-        let loops = LoopInfo::compute(f, &dom);
-
         // Costs and reference counts.
+        let weights = LoopInfo::block_weights(f);
         for b in f.block_ids() {
-            let w = loops.weight(b);
             for instr in &f.block(b).instrs {
-                if let Some(s) = instr.spill_slot() {
-                    out.cost[s.index()] += w;
+                if let Some(s) = instr.spill_slot().filter(|s| s.index() < n) {
+                    out.cost[s.index()] += weights[b.index()];
                     out.refs[s.index()] += 1;
                 }
             }
         }
 
-        // Block-level slot liveness: gen = upward-exposed restores,
-        // kill = stores.
-        let mut gen = BitRows::new(f.blocks.len(), n);
-        let mut kill = gen.clone();
-        for b in f.block_ids() {
-            let bi = b.index();
-            for instr in &f.block(b).instrs {
-                match instr.spill {
-                    SpillKind::Restore(s) if !kill.contains(bi, s.index()) => {
-                        gen.insert(bi, s.index());
-                    }
-                    SpillKind::Store(s) => kill.insert(bi, s.index()),
-                    _ => {}
+        // A store defines its slot and a restore uses it; a tag naming no
+        // slot of the frame is skipped.
+        let operands =
+            |instr: &Instr, uses: &mut Vec<usize>, defs: &mut Vec<usize>| match instr.spill {
+                SpillKind::Store(s) if s.index() < n => defs.push(s.index()),
+                SpillKind::Restore(s) if s.index() < n => uses.push(s.index()),
+                _ => {}
+            };
+        let liveness = Liveness::solve(f, n, operands);
+        // Interference edges at slot definitions, and live-across sets at
+        // call sites.
+        liveness.walk(f, operands, |b, i, defs, live| {
+            if let Op::Call(call) = &f.block(b).instrs[i].op {
+                let slots: Vec<usize> = live.iter().collect();
+                for &s in &slots {
+                    out.crosses_call[s] = true;
+                }
+                out.call_sites.push(CallSite {
+                    callee: call.callee.clone(),
+                    live_slots: slots,
+                });
+            }
+            for &s in defs {
+                out.adj[s].union_with(live);
+                out.adj[s].remove(s);
+                for l in live.iter().filter(|&l| l != s) {
+                    out.adj[l].insert(s);
                 }
             }
-        }
-        let sol = analysis::live(f, &gen, &kill);
-
-        // Backward walk: interference edges at slot definitions, and
-        // live-across sets at call sites.
-        let mut live = BitSet::new(n);
-        for b in f.block_ids() {
-            live.copy_from_row(sol.out.row(b.index()));
-            for instr in f.block(b).instrs.iter().rev() {
-                if let Op::Call(call) = &instr.op {
-                    let slots: Vec<usize> = live.iter().collect();
-                    for &s in &slots {
-                        out.crosses_call[s] = true;
-                    }
-                    out.call_sites.push(CallSite {
-                        callee: call.callee.clone(),
-                        live_slots: slots,
-                    });
-                }
-                match instr.spill {
-                    SpillKind::Store(s) => {
-                        let si = s.index();
-                        live.remove(si);
-                        out.adj[si].union_with(&live);
-                        for l in live.iter() {
-                            out.adj[l].insert(si);
-                        }
-                    }
-                    SpillKind::Restore(s) => {
-                        live.insert(s.index());
-                    }
-                    SpillKind::None => {}
-                }
-            }
-        }
-        out.live_in = sol.in_;
-        out.live_out = sol.out;
+        });
+        out.live_in = liveness.live_in;
+        out.live_out = liveness.live_out;
         out
     }
 

@@ -69,9 +69,9 @@ fn main() {
             let mut maxg = 0;
             let mut maxf = 0;
             for f in &m.functions {
-                let lv = analysis::Liveness::compute(f);
-                maxg = maxg.max(lv.max_pressure(f, iloc::RegClass::Gpr));
-                maxf = maxf.max(lv.max_pressure(f, iloc::RegClass::Fpr));
+                let pressure = |c| analysis::Liveness::max_pressure(f, c);
+                maxg = maxg.max(pressure(iloc::RegClass::Gpr));
+                maxf = maxf.max(pressure(iloc::RegClass::Fpr));
             }
             // Checker verdict on the CCM-promoted allocation.
             let diags = match run.allocated(k.name, &setup, ccm::Variant::PostPassCallGraph, CCM) {

@@ -5,19 +5,19 @@
 //! optimistic spilling, insert spill code for the losers, and repeat until
 //! everything colors; finally rewrite virtual registers to physical ones.
 //!
-//! Coalescing renames through a union-find over the graph's entity ids,
+//! Coalescing renames through a union-find over the graph's node ids,
 //! so a pass hashes nothing. [`AllocStats`] counts what each class cost:
 //! rounds, graph builds and optimistic spill picks besides the spills,
 //! coalesces and rematerializations the tables report.
 
 use std::collections::{HashMap, HashSet};
 
+use analysis::LoopInfo;
 use iloc::{Function, Module, Op, Reg, RegClass};
 
 use crate::color::color;
 use crate::config::AllocConfig;
-use crate::costs::{block_weights, SpillCosts};
-use crate::entity::EntityIndex;
+use crate::costs::SpillCosts;
 use crate::igraph::InterferenceGraph;
 use crate::spill::{insert_spill_code, rematerialize_spills};
 
@@ -64,7 +64,7 @@ impl AllocStats {
 /// crate may move those slots afterwards.
 pub fn allocate_function(f: &mut Function, cfg: &AllocConfig) -> AllocStats {
     let mut stats = AllocStats::default();
-    let weights = block_weights(f);
+    let weights = LoopInfo::block_weights(f);
     for class in RegClass::ALL {
         allocate_class(f, cfg, class, &weights, &mut stats);
     }
@@ -99,20 +99,19 @@ fn allocate_class(
         // Build + coalesce to fixpoint. Each stale graph is dropped before
         // the next build, which reuses its matrix.
         let graph = loop {
-            let idx = EntityIndex::build(f, class);
-            let mut graph = InterferenceGraph::build(f, idx);
+            let mut graph = InterferenceGraph::build(f, class);
             stats.graph_builds[ci] += 1;
             if !cfg.coalesce {
                 break graph;
             }
-            let merged = coalesce_pass(f, &mut graph, k);
+            let merged = coalesce_pass(f, &mut graph, class, k);
             stats.coalesced[ci] += merged;
             if merged == 0 {
                 break graph;
             }
         };
 
-        if graph.entities.is_empty() {
+        if graph.regs.is_empty() {
             return;
         }
 
@@ -123,13 +122,13 @@ fn allocate_class(
             HashMap::new()
         };
         let remat_set: HashSet<Reg> = remat_defs.keys().copied().collect();
-        let costs = SpillCosts::compute(f, weights, &graph.entities, &unspillable, &remat_set);
+        let costs = SpillCosts::compute(f, weights, &graph.regs, &unspillable, &remat_set);
         let coloring = color(&graph, k, cfg.caller_saved, &costs);
         stats.spill_picks[ci] += coloring.spill_picks;
 
         if coloring.spilled.is_empty() {
             // Rewrite to physical registers.
-            let physical = |r: Reg| match graph.entities.get(r) {
+            let physical = |r: Reg| match graph.regs.get(r) {
                 Some(id) => {
                     let c = coloring.colors[id].expect("nothing spilled, so all colored");
                     Reg::new(class, cfg.physical_index(class, c))
@@ -143,7 +142,7 @@ fn allocate_class(
         let spilled: Vec<Reg> = coloring
             .spilled
             .iter()
-            .map(|&id| graph.entities.reg(id))
+            .map(|&id| graph.regs.reg(id))
             .collect();
         stats.spilled[ci] += spilled.len();
         let (remat, heavy): (Vec<Reg>, Vec<Reg>) = spilled
@@ -168,10 +167,15 @@ fn allocate_class(
 /// applying merges to the graph incrementally, then rewrites the code.
 /// Returns the number of copies coalesced.
 ///
-/// Renames live in a union-find over entity ids: merging a copy's target
+/// Renames live in a union-find over node ids: merging a copy's target
 /// into its source points the target's root at the source's, so every
 /// register resolves to the root it was last merged into.
-fn coalesce_pass(f: &mut Function, graph: &mut InterferenceGraph, k: u32) -> usize {
+fn coalesce_pass(
+    f: &mut Function,
+    graph: &mut InterferenceGraph,
+    class: RegClass,
+    k: u32,
+) -> usize {
     let mut parent: Vec<usize> = (0..graph.len()).collect();
     fn find(parent: &mut [usize], mut i: usize) -> usize {
         while parent[i] != i {
@@ -185,11 +189,11 @@ fn coalesce_pass(f: &mut Function, graph: &mut InterferenceGraph, k: u32) -> usi
     for b in f.block_ids() {
         for instr in &f.block(b).instrs {
             let (src, dst) = match &instr.op {
-                Op::I2I { src, dst } if graph.entities.class() == RegClass::Gpr => (*src, *dst),
-                Op::F2F { src, dst } if graph.entities.class() == RegClass::Fpr => (*src, *dst),
+                Op::I2I { src, dst } if class == RegClass::Gpr => (*src, *dst),
+                Op::F2F { src, dst } if class == RegClass::Fpr => (*src, *dst),
                 _ => continue,
             };
-            let (is_, id_) = match (graph.entities.get(src), graph.entities.get(dst)) {
+            let (is_, id_) = match (graph.regs.get(src), graph.regs.get(dst)) {
                 (Some(a), Some(b)) => (find(&mut parent, a), find(&mut parent, b)),
                 _ => continue,
             };
@@ -206,9 +210,9 @@ fn coalesce_pass(f: &mut Function, graph: &mut InterferenceGraph, k: u32) -> usi
     if merged > 0 {
         // Rewrite registers and delete the now-trivial copies.
         let root: Vec<Reg> = (0..parent.len())
-            .map(|i| graph.entities.reg(find(&mut parent, i)))
+            .map(|i| graph.regs.reg(find(&mut parent, i)))
             .collect();
-        rewrite_regs(f, |r| graph.entities.get(r).map_or(r, |id| root[id]));
+        rewrite_regs(f, |r| graph.regs.get(r).map_or(r, |id| root[id]));
         f.remove_instrs(|i| match &i.op {
             Op::I2I { src, dst } | Op::F2F { src, dst } => src == dst,
             _ => false,

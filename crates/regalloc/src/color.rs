@@ -29,9 +29,9 @@ use crate::igraph::InterferenceGraph;
 /// Result of one coloring attempt.
 #[derive(Clone, Debug, Default)]
 pub struct Coloring {
-    /// Assigned colors, by dense entity id (`None` for spilled entities).
+    /// Assigned colors, by dense node id (`None` for spilled nodes).
     pub colors: Vec<Option<u32>>,
-    /// Entity ids that could not be colored and must be spilled, in the
+    /// Node ids that could not be colored and must be spilled, in the
     /// order select reached them.
     pub spilled: Vec<usize>,
     /// Optimistic spill candidates simplify took: the times it found no
@@ -49,7 +49,7 @@ fn ratio_key(costs: &SpillCosts, degree: usize, i: usize) -> u64 {
 
 /// Colors the nodes of `g` with `k` colors.
 ///
-/// Entities that are live across calls are denied colors below
+/// Nodes that are live across calls are denied colors below
 /// `caller_saved` (0 disables the restriction). Spill choice follows the
 /// classic cost/degree heuristic over [`SpillCosts`], whose costs must
 /// all be non-negative.
@@ -168,9 +168,9 @@ fn for_each_masked(row: &[u64], mask: &[u64], mut f: impl FnMut(usize)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costs::{block_weights, INFINITE};
-    use crate::entity::EntityIndex;
+    use crate::costs::INFINITE;
     use crate::testkit::{isolated_nodes, SplitMix64};
+    use analysis::LoopInfo;
     use iloc::builder::FuncBuilder;
     use iloc::RegClass;
     use std::collections::{HashMap, HashSet};
@@ -190,12 +190,12 @@ mod tests {
     }
 
     fn build(f: &iloc::Function) -> InterferenceGraph {
-        InterferenceGraph::build(f, EntityIndex::build(f, RegClass::Gpr))
+        InterferenceGraph::build(f, RegClass::Gpr)
     }
 
     fn costs_for(f: &iloc::Function, g: &InterferenceGraph) -> SpillCosts {
         let none = HashSet::new();
-        SpillCosts::compute(f, &block_weights(f), &g.entities, &none, &none)
+        SpillCosts::compute(f, &LoopInfo::block_weights(f), &g.regs, &none, &none)
     }
 
     #[test]
@@ -204,7 +204,7 @@ mod tests {
         let g = build(&f);
         let c = color(&g, 8, 0, &costs_for(&f, &g));
         assert!(c.spilled.is_empty());
-        for (id, _) in g.entities.iter() {
+        for (id, _) in g.regs.iter() {
             assert!(c.colors[id].is_some());
         }
     }
@@ -214,7 +214,7 @@ mod tests {
         let (f, _) = wide_function(5);
         let g = build(&f);
         let c = color(&g, 8, 0, &costs_for(&f, &g));
-        for (id, _) in g.entities.iter() {
+        for (id, _) in g.regs.iter() {
             for nb in g.neighbors(id) {
                 if let (Some(a), Some(b)) = (c.colors[id], c.colors[nb]) {
                     assert_ne!(a, b, "interfering nodes share a color");
@@ -242,7 +242,7 @@ mod tests {
         let f = fb.finish();
         let g = build(&f);
         let c = color(&g, 8, 4, &costs_for(&f, &g));
-        let ia = g.entities.id(a);
+        let ia = g.regs.id(a);
         assert!(
             c.colors[ia].unwrap() >= 4,
             "call-crossing value must avoid caller-saved colors"

@@ -1,19 +1,19 @@
 //! Chaitin-style spill-cost estimation.
 //!
-//! Costs live in a `Vec<f64>` indexed by dense entity id, the same
-//! numbering the interference graph and the coloring use. The per-block
-//! reference weights depend only on the control-flow graph, which spill
-//! code, rematerialization and coalescing never change, so the allocator
-//! computes them once per function ([`block_weights`]).
+//! Costs live in a `Vec<f64>` indexed by dense node id, the same
+//! numbering (a [`RegIndex`]) the interference graph and the coloring
+//! use. The per-block reference weights depend only on the control-flow
+//! graph, which spill code, rematerialization and coalescing never
+//! change, so the allocator computes them once per function
+//! ([`analysis::LoopInfo::block_weights`], the rule the CCM passes'
+//! slot costs use too).
 
 use std::collections::HashSet;
 
-use analysis::{Dominators, LoopInfo};
+use analysis::RegIndex;
 use iloc::{Function, Reg};
 
-use crate::entity::EntityIndex;
-
-/// Spill costs per entity: the estimated dynamic cost of spilling the
+/// Spill costs per node: the estimated dynamic cost of spilling the
 /// live range, `Σ 10^loopdepth` over its definitions and uses.
 #[derive(Clone, Debug)]
 pub struct SpillCosts {
@@ -23,15 +23,7 @@ pub struct SpillCosts {
 /// Cost value treated as unspillable (spill temporaries, tiny ranges).
 pub const INFINITE: f64 = f64::INFINITY;
 
-/// Chaitin's reference weight `10^loopdepth` of every block of `f`, by
-/// block index.
-pub fn block_weights(f: &Function) -> Vec<f64> {
-    let dom = Dominators::compute(f);
-    let loops = LoopInfo::compute(f, &dom);
-    f.block_ids().map(|b| loops.weight(b)).collect()
-}
-
-/// What the tiny-range rule needs of an entity's references: how many
+/// What the tiny-range rule needs of a node's references: how many
 /// there are, and where its first definition and first use sit, as
 /// `(block, instruction)`.
 #[derive(Clone, Copy, Default)]
@@ -42,20 +34,21 @@ struct Refs {
 }
 
 impl SpillCosts {
-    /// Computes costs for every entity of `entities` in `f`, weighting a
-    /// reference in block `b` by `weights[b]` (see [`block_weights`]).
+    /// Computes costs for every register of `regs` in `f`, weighting a
+    /// reference in block `b` by `weights[b]` (see
+    /// [`analysis::LoopInfo::block_weights`]).
     ///
     /// `unspillable` registers (the short-lived temporaries created by
     /// earlier spill insertion) get infinite cost, as do "tiny" ranges
     /// whose def and sole use are adjacent — respilling those would
     /// generate as much traffic as it removes. Registers in `remat` (cheap
     /// to recompute) get half cost, biasing the allocator toward spilling
-    /// them first, as in Briggs' allocator. An entity with no reference
+    /// them first, as in Briggs' allocator. A register with no reference
     /// costs 0.
     pub fn compute(
         f: &Function,
         weights: &[f64],
-        entities: &EntityIndex,
+        regs: &RegIndex,
         unspillable: &HashSet<Reg>,
         remat: &HashSet<Reg>,
     ) -> SpillCosts {
@@ -64,7 +57,7 @@ impl SpillCosts {
             f.blocks.len(),
             "block weights are stale: the block count changed"
         );
-        let n = entities.len();
+        let n = regs.len();
         let mut costs = vec![0.0; n];
         let mut refs = vec![Refs::default(); n];
 
@@ -72,14 +65,14 @@ impl SpillCosts {
             let (bi, w) = (b.index(), weights[b.index()]);
             for (i, instr) in f.block(b).instrs.iter().enumerate() {
                 instr.op.visit_defs(|r| {
-                    if let Some(id) = entities.get(r) {
+                    if let Some(id) = regs.get(r) {
                         costs[id] += w;
                         refs[id].count += 1;
                         refs[id].def.get_or_insert((bi, i));
                     }
                 });
                 instr.op.visit_uses(|r| {
-                    if let Some(id) = entities.get(r) {
+                    if let Some(id) = regs.get(r) {
                         costs[id] += w;
                         refs[id].count += 1;
                         refs[id].use_.get_or_insert((bi, i));
@@ -88,7 +81,7 @@ impl SpillCosts {
             }
         }
 
-        for (id, r) in entities.iter() {
+        for (id, r) in regs.iter() {
             let s = refs[id];
             if s.count == 0 {
                 continue;
@@ -112,13 +105,13 @@ impl SpillCosts {
         SpillCosts { costs }
     }
 
-    /// Spill costs given directly, by entity id.
+    /// Spill costs given directly, by node id.
     #[cfg(test)]
     pub(crate) fn from_costs(costs: Vec<f64>) -> SpillCosts {
         SpillCosts { costs }
     }
 
-    /// The cost of spilling entity `id`.
+    /// The cost of spilling node `id`.
     #[inline]
     pub fn cost(&self, id: usize) -> f64 {
         self.costs[id]
@@ -128,13 +121,15 @@ impl SpillCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use analysis::LoopInfo;
     use iloc::builder::FuncBuilder;
     use iloc::{Op, RegClass};
 
     /// `f`'s GPR costs and the index that numbers them.
-    fn gpr_costs(f: &Function, unspillable: &HashSet<Reg>) -> (SpillCosts, EntityIndex) {
-        let idx = EntityIndex::build(f, RegClass::Gpr);
-        let costs = SpillCosts::compute(f, &block_weights(f), &idx, unspillable, &HashSet::new());
+    fn gpr_costs(f: &Function, unspillable: &HashSet<Reg>) -> (SpillCosts, RegIndex) {
+        let idx = RegIndex::build_where(f, |r| r.class() == RegClass::Gpr && r.is_virtual());
+        let weights = LoopInfo::block_weights(f);
+        let costs = SpillCosts::compute(f, &weights, &idx, unspillable, &HashSet::new());
         (costs, idx)
     }
 

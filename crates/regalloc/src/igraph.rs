@@ -1,13 +1,15 @@
 //! Interference-graph construction over the virtual registers of one
 //! class.
 //!
-//! The graph is built per register class with the classic backward scan:
-//! block liveness over the class's registers comes from
-//! [`analysis::live`] (gen/kill written straight into its rows), each
-//! block is walked backwards from its live-out row (copied into one
-//! reused set), and at each instruction every register defined there interferes
-//! with every register live after it (copies exempt their source,
-//! enabling coalescing).
+//! The nodes are a [`RegIndex`] over the class's virtual registers
+//! ([`RegIndex::build_where`]), numbered in first-appearance order, so
+//! every tie-break by node id follows the code. The graph is built with
+//! the classic backward scan of [`Liveness`], the one liveness core the
+//! slot analysis and register pressure share: block liveness over the
+//! nodes, then a walk of each block backwards from its live-out row,
+//! where every register defined at an instruction interferes with every
+//! register live after it (copies exempt their source, enabling
+//! coalescing).
 //!
 //! The graph is one square bit matrix, row-major with a whole number of
 //! 64-bit words per row (the matrix half of Briggs' dual representation,
@@ -38,10 +40,8 @@
 use std::cell::Cell;
 
 use analysis::bitset::ones;
-use analysis::{BitRows, BitSet, Solution};
-use iloc::{Function, Op};
-
-use crate::entity::EntityIndex;
+use analysis::{Liveness, RegIndex};
+use iloc::{Function, Op, RegClass};
 
 /// An interference graph over the virtual registers of one class.
 #[derive(Clone, Debug)]
@@ -53,48 +53,38 @@ pub struct InterferenceGraph {
     words: usize,
     /// Set bits per row.
     degree: Vec<usize>,
-    /// Entities that are live across at least one call site.
+    /// Nodes that are live across at least one call site.
     crosses_call: Vec<bool>,
-    /// The dense numbering.
-    pub entities: EntityIndex,
+    /// The nodes: the class's virtual registers, densely numbered.
+    pub regs: RegIndex,
 }
 
 impl InterferenceGraph {
-    /// Builds the graph for the class covered by `entities`.
-    pub fn build(f: &Function, entities: EntityIndex) -> InterferenceGraph {
-        let n = entities.len();
+    /// Builds the graph over the virtual registers of `class` in `f`.
+    pub fn build(f: &Function, class: RegClass) -> InterferenceGraph {
+        let regs = RegIndex::build_where(f, |r| r.class() == class && r.is_virtual());
+        let n = regs.len();
         let words = n.div_ceil(64);
         // This thread's spare buffer, zeroed over the words it needs.
         let mut bits = SPARE.take();
         bits.clear();
         bits.resize(n * words, 0);
-        let mut g = InterferenceGraph {
-            bits,
-            words,
-            degree: vec![0; n],
-            crosses_call: vec![false; n],
-            entities,
-        };
-        if n == 0 {
-            return g;
-        }
+        let mut crosses_call = vec![false; n];
 
         // Backward walk per block, from its live-out set: each
         // definition's row takes the registers live after it.
-        let sol = entity_liveness(f, &g.entities);
-        let (mut uses, mut defs) = (Vec::new(), Vec::new());
-        let mut live = BitSet::new(n);
-        for b in f.block_ids() {
-            live.copy_from_row(sol.out.row(b.index()));
-            for instr in f.block(b).instrs.iter().rev() {
-                g.entities.uses_defs(&instr.op, &mut uses, &mut defs);
+        if n > 0 {
+            let operands = regs.operands();
+            let liveness = Liveness::solve(f, n, &operands);
+            liveness.walk(f, &operands, |b, i, defs, live| {
+                let op = &f.block(b).instrs[i].op;
                 // Copy: the source does not interfere with the target.
-                let copy_src: Option<usize> = match &instr.op {
-                    Op::I2I { src, .. } | Op::F2F { src, .. } => g.entities.get(*src),
+                let copy_src: Option<usize> = match op {
+                    Op::I2I { src, .. } | Op::F2F { src, .. } => regs.get(*src),
                     _ => None,
                 };
-                for &d in &defs {
-                    let row = &mut g.bits[d * words..(d + 1) * words];
+                for &d in defs {
+                    let row = &mut bits[d * words..(d + 1) * words];
                     // A source that already interferes with the target
                     // (another definition of it) keeps its edge.
                     let masked = copy_src.filter(|&s| row[s / 64] & (1 << (s % 64)) == 0);
@@ -106,21 +96,22 @@ impl InterferenceGraph {
                     }
                 }
                 // Values live across a call (live after it minus its defs).
-                if matches!(instr.op, Op::Call { .. }) {
+                if matches!(op, Op::Call { .. }) {
                     for l in live.iter() {
                         if !defs.contains(&l) {
-                            g.crosses_call[l] = true;
+                            crosses_call[l] = true;
                         }
                     }
                 }
-                for &d in &defs {
-                    live.remove(d);
-                }
-                for &u in &uses {
-                    live.insert(u);
-                }
-            }
+            });
         }
+        let mut g = InterferenceGraph {
+            bits,
+            words,
+            degree: vec![0; n],
+            crosses_call,
+            regs,
+        };
 
         // Mirror every bit: an edge found from either end is an edge.
         // Block (I, J) of the matrix (rows 64·I.., word J) and its mirror
@@ -157,7 +148,7 @@ impl InterferenceGraph {
         // Parameters are simultaneously defined at entry: make them
         // pairwise interfere so the call sequence can bind each to a
         // distinct register.
-        let params: Vec<usize> = f.params.iter().filter_map(|p| g.entities.get(*p)).collect();
+        let params: Vec<usize> = f.params.iter().filter_map(|p| g.regs.get(*p)).collect();
         for i in 0..params.len() {
             for j in i + 1..params.len() {
                 g.add_edge(params[i], params[j]);
@@ -208,7 +199,7 @@ impl InterferenceGraph {
         self.degree[a]
     }
 
-    /// Number of nodes (entities).
+    /// Number of nodes.
     pub fn len(&self) -> usize {
         self.degree.len()
     }
@@ -218,12 +209,12 @@ impl InterferenceGraph {
         self.degree.is_empty()
     }
 
-    /// Whether entity `a` is live across some call.
+    /// Whether node `a` is live across some call.
     pub fn crosses_call(&self, a: usize) -> bool {
         self.crosses_call[a]
     }
 
-    /// Marks entity `a` as live across a call.
+    /// Marks node `a` as live across a call.
     #[cfg(test)]
     pub(crate) fn set_crosses_call(&mut self, a: usize) {
         self.crosses_call[a] = true;
@@ -318,41 +309,13 @@ pub(crate) fn transpose64(m: &mut [u64; 64]) {
     }
 }
 
-/// Block-level liveness over the registers of `idx`: `gen` is a block's
-/// upward-exposed uses and `kill` its definitions.
-fn entity_liveness(f: &Function, idx: &EntityIndex) -> Solution {
-    let mut gen = BitRows::new(f.blocks.len(), idx.len());
-    let mut kill = gen.clone();
-    let (mut uses, mut defs) = (Vec::new(), Vec::new());
-    for b in f.block_ids() {
-        let bi = b.index();
-        for instr in &f.block(b).instrs {
-            idx.uses_defs(&instr.op, &mut uses, &mut defs);
-            for &u in &uses {
-                if !kill.contains(bi, u) {
-                    gen.insert(bi, u);
-                }
-            }
-            for &d in &defs {
-                kill.insert(bi, d);
-            }
-        }
-    }
-    analysis::live(f, &gen, &kill)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use iloc::builder::FuncBuilder;
-    use iloc::RegClass;
     use std::collections::{BTreeSet, HashSet};
 
     use crate::testkit::{isolated_nodes, random_function, SplitMix64};
-
-    fn graph_for(f: &Function, class: RegClass) -> InterferenceGraph {
-        InterferenceGraph::build(f, EntityIndex::build(f, class))
-    }
 
     #[test]
     fn simultaneously_live_values_interfere() {
@@ -363,11 +326,11 @@ mod tests {
         let c = fb.add(a, b); // a and b live together
         fb.ret(&[c]);
         let f = fb.finish();
-        let g = graph_for(&f, RegClass::Gpr);
-        let (ia, ib) = (g.entities.id(a), g.entities.id(b));
+        let g = InterferenceGraph::build(&f, RegClass::Gpr);
+        let (ia, ib) = (g.regs.id(a), g.regs.id(b));
         assert!(g.interferes(ia, ib));
         // c is defined when nothing else is live → no edges to a/b.
-        let ic = g.entities.id(c);
+        let ic = g.regs.id(c);
         assert!(!g.interferes(ic, ia));
     }
 
@@ -380,8 +343,8 @@ mod tests {
         let c = fb.add(a, b);
         fb.ret(&[c]);
         let f = fb.finish();
-        let g = graph_for(&f, RegClass::Gpr);
-        let (ia, ib) = (g.entities.id(a), g.entities.id(b));
+        let g = InterferenceGraph::build(&f, RegClass::Gpr);
+        let (ia, ib) = (g.regs.id(a), g.regs.id(b));
         assert!(
             !g.interferes(ia, ib),
             "copy-related nodes must not interfere"
@@ -397,10 +360,10 @@ mod tests {
         let c = fb.add(a, rets[0]);
         fb.ret(&[c]);
         let f = fb.finish();
-        let g = graph_for(&f, RegClass::Gpr);
-        assert!(g.crosses_call(g.entities.id(a)));
+        let g = InterferenceGraph::build(&f, RegClass::Gpr);
+        assert!(g.crosses_call(g.regs.id(a)));
         // The call's own result does not cross the call.
-        assert!(!g.crosses_call(g.entities.id(rets[0])));
+        assert!(!g.crosses_call(g.regs.id(rets[0])));
     }
 
     #[test]
@@ -410,8 +373,8 @@ mod tests {
         let q = fb.param(RegClass::Gpr);
         fb.ret(&[]); // neither used
         let f = fb.finish();
-        let g = graph_for(&f, RegClass::Gpr);
-        assert!(g.interferes(g.entities.id(p), g.entities.id(q)));
+        let g = InterferenceGraph::build(&f, RegClass::Gpr);
+        assert!(g.interferes(g.regs.id(p), g.regs.id(q)));
     }
 
     #[test]
@@ -424,8 +387,8 @@ mod tests {
         let c = fb.add(b, x);
         fb.ret(&[c]);
         let f = fb.finish();
-        let mut g = graph_for(&f, RegClass::Gpr);
-        let (ia, ib, ix) = (g.entities.id(a), g.entities.id(b), g.entities.id(x));
+        let mut g = InterferenceGraph::build(&f, RegClass::Gpr);
+        let (ia, ib, ix) = (g.regs.id(a), g.regs.id(b), g.regs.id(x));
         assert!(g.interferes(ib, ix));
         g.merge(ia, ib);
         assert!(g.interferes(ia, ix), "a inherits b's edge to x");
@@ -436,8 +399,8 @@ mod tests {
     /// one edge to every register live after it except the definition
     /// and a copy's source. Returns the neighbor sets and the
     /// call-crossing flags.
-    fn reference_build(f: &Function, idx: &EntityIndex) -> (Vec<BTreeSet<usize>>, Vec<bool>) {
-        let n = idx.len();
+    fn reference_build(f: &Function, regs: &RegIndex) -> (Vec<BTreeSet<usize>>, Vec<bool>) {
+        let n = regs.len();
         let mut adj = vec![BTreeSet::new(); n];
         let mut add_edge = |a: usize, b: usize| {
             if a != b {
@@ -446,43 +409,29 @@ mod tests {
             }
         };
         let mut crosses_call = vec![false; n];
-        if n == 0 {
-            return (adj, crosses_call);
-        }
-        let sol = entity_liveness(f, idx);
-        let (mut uses, mut defs) = (Vec::new(), Vec::new());
-        let mut live = BitSet::new(n);
-        for b in f.block_ids() {
-            live.copy_from_row(sol.out.row(b.index()));
-            for instr in f.block(b).instrs.iter().rev() {
-                idx.uses_defs(&instr.op, &mut uses, &mut defs);
-                let copy_src: Option<usize> = match &instr.op {
-                    Op::I2I { src, .. } | Op::F2F { src, .. } => idx.get(*src),
-                    _ => None,
-                };
-                for &d in &defs {
-                    for l in live.iter() {
-                        if l != d && Some(l) != copy_src {
-                            add_edge(d, l);
-                        }
+        let operands = regs.operands();
+        Liveness::solve(f, n, &operands).walk(f, &operands, |b, i, defs, live| {
+            let op = &f.block(b).instrs[i].op;
+            let copy_src: Option<usize> = match op {
+                Op::I2I { src, .. } | Op::F2F { src, .. } => regs.get(*src),
+                _ => None,
+            };
+            for &d in defs {
+                for l in live.iter() {
+                    if l != d && Some(l) != copy_src {
+                        add_edge(d, l);
                     }
-                }
-                if matches!(instr.op, Op::Call { .. }) {
-                    for l in live.iter() {
-                        if !defs.contains(&l) {
-                            crosses_call[l] = true;
-                        }
-                    }
-                }
-                for &d in &defs {
-                    live.remove(d);
-                }
-                for &u in &uses {
-                    live.insert(u);
                 }
             }
-        }
-        let params: Vec<usize> = f.params.iter().filter_map(|p| idx.get(*p)).collect();
+            if matches!(op, Op::Call { .. }) {
+                for l in live.iter() {
+                    if !defs.contains(&l) {
+                        crosses_call[l] = true;
+                    }
+                }
+            }
+        });
+        let params: Vec<usize> = f.params.iter().filter_map(|p| regs.get(*p)).collect();
         for i in 0..params.len() {
             for j in i + 1..params.len() {
                 add_edge(params[i], params[j]);
@@ -493,7 +442,7 @@ mod tests {
 
     /// Asserts that `g`, built from `f`, equals [`reference_build`].
     fn assert_matches_reference(f: &Function, g: &InterferenceGraph, case: &str) {
-        let (adj, crosses_call) = reference_build(f, &g.entities);
+        let (adj, crosses_call) = reference_build(f, &g.regs);
         for a in 0..g.len() {
             let listed: Vec<usize> = g.neighbors(a).collect();
             let want: Vec<usize> = adj[a].iter().copied().collect();
@@ -513,13 +462,13 @@ mod tests {
         for case in 0..240 {
             let f = random_function(&mut rng);
             for class in RegClass::ALL {
-                let g = graph_for(&f, class);
+                let g = InterferenceGraph::build(&f, class);
                 assert_matches_reference(&f, &g, &format!("case {case} {class:?}"));
                 wide += usize::from(g.len() > 64);
                 // Copies whose source already interferes with the target.
                 for instr in f.blocks.iter().flat_map(|b| &b.instrs) {
                     if let Op::I2I { src, dst } | Op::F2F { src, dst } = &instr.op {
-                        if let (Some(s), Some(d)) = (g.entities.get(*src), g.entities.get(*dst)) {
+                        if let (Some(s), Some(d)) = (g.regs.get(*src), g.regs.get(*dst)) {
                             kept_copy_edges += usize::from(g.interferes(s, d));
                         }
                     }
@@ -541,7 +490,8 @@ mod tests {
         let (mut large, mut small) = (Vec::new(), Vec::new());
         while large.len() < 2 || small.is_empty() {
             let f = random_function(&mut rng);
-            let n = EntityIndex::build(&f, RegClass::Gpr).len();
+            let n =
+                RegIndex::build_where(&f, |r| r.class() == RegClass::Gpr && r.is_virtual()).len();
             if n > 128 && large.len() < 2 {
                 large.push(f);
             } else if (16..64).contains(&n) && small.is_empty() {
@@ -552,7 +502,7 @@ mod tests {
         // takes the buffer the previous graph gave back.
         let mut taken = 0;
         for (step, f) in [&large[0], &small[0], &large[1]].into_iter().enumerate() {
-            let g = graph_for(f, RegClass::Gpr);
+            let g = InterferenceGraph::build(f, RegClass::Gpr);
             if step > 0 {
                 assert!(g.bits.capacity() >= taken, "step {step}: not reused");
             }
@@ -662,8 +612,8 @@ mod tests {
         let r: Vec<_> = (0..4).map(|_| fb.loadi(0)).collect();
         fb.ret(&[]);
         let f = fb.finish();
-        let mut g = graph_for(&f, RegClass::Gpr);
-        let ids: Vec<usize> = r.iter().map(|x| g.entities.id(*x)).collect();
+        let mut g = InterferenceGraph::build(&f, RegClass::Gpr);
+        let ids: Vec<usize> = r.iter().map(|x| g.regs.id(*x)).collect();
         // center = ids[0]; leaves = 1,2,3.
         g.add_edge(ids[0], ids[1]);
         g.add_edge(ids[0], ids[2]);

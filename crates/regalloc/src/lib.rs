@@ -39,7 +39,6 @@ pub mod allocator;
 pub mod color;
 pub mod config;
 pub mod costs;
-pub mod entity;
 pub mod igraph;
 pub mod spill;
 #[cfg(test)]
@@ -49,6 +48,5 @@ pub use allocator::{allocate_function, allocate_module, no_virtual_regs, AllocSt
 pub use color::{color, Coloring};
 pub use config::AllocConfig;
 pub use costs::{SpillCosts, INFINITE};
-pub use entity::EntityIndex;
 pub use igraph::InterferenceGraph;
 pub use spill::insert_spill_code;

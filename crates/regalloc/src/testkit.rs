@@ -5,7 +5,6 @@
 use iloc::builder::FuncBuilder;
 use iloc::{Function, Op, Reg, RegClass};
 
-use crate::entity::EntityIndex;
 use crate::igraph::InterferenceGraph;
 
 /// SplitMix64: a tiny seeded generator for random graphs.
@@ -106,7 +105,7 @@ pub(crate) fn isolated_nodes(n: usize) -> InterferenceGraph {
     }
     fb.ret(&[]);
     let f = fb.finish();
-    let g = InterferenceGraph::build(&f, EntityIndex::build(&f, RegClass::Gpr));
+    let g = InterferenceGraph::build(&f, RegClass::Gpr);
     assert_eq!((g.len(), (0..n).map(|i| g.degree(i)).sum()), (n, 0));
     g
 }

@@ -256,9 +256,9 @@ mod tests {
         }
         fb.ret(&[acc]);
         let mut f = fb.finish();
-        let before = analysis::Liveness::compute(&f).max_pressure(&f, RegClass::Gpr);
+        let before = analysis::Liveness::max_pressure(&f, RegClass::Gpr);
         schedule_function(&mut f, 8); // long latency → aggressive hoisting
-        let after = analysis::Liveness::compute(&f).max_pressure(&f, RegClass::Gpr);
+        let after = analysis::Liveness::max_pressure(&f, RegClass::Gpr);
         assert!(
             after > before,
             "scheduling should lengthen load ranges: {before} → {after}"

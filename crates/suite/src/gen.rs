@@ -221,8 +221,7 @@ mod tests {
         f.ret_classes = vec![];
         m.push_function(f);
         m.verify().unwrap();
-        let lv = analysis::Liveness::compute(&m.functions[0]);
-        let p = lv.max_pressure(&m.functions[0], RegClass::Fpr);
+        let p = analysis::Liveness::max_pressure(&m.functions[0], RegClass::Fpr);
         assert!(
             (10..=13).contains(&p),
             "pressure {p} should be near the width 10"

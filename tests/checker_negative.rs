@@ -456,6 +456,37 @@ fn restore_before_store_in_a_looping_entry_is_caught() {
     assert!(hits[0].message.contains("slot 0"));
 }
 
+/// A store and a restore tagged with slot 3 of a one-slot frame: the
+/// structural verifier names the tag, and the slot analyses skip it
+/// rather than index their per-slot tables with it.
+#[test]
+fn a_spill_tag_naming_no_slot_is_a_structure_error() {
+    let m = entry_loop_module(|f| {
+        let s = f.frame.new_slot(RegClass::Gpr);
+        let off = f.frame.slot(s).offset;
+        vec![
+            Instr::new(Op::LoadI {
+                imm: 1,
+                dst: Reg::gpr(1),
+            }),
+            slot_store(s, off, Reg::gpr(1)),
+            slot_store(SlotId(3), off, Reg::gpr(1)),
+            slot_restore(SlotId(3), off, Reg::gpr(2)),
+            slot_restore(s, off, Reg::gpr(2)),
+        ]
+    });
+    let diags = check_module(&m, &cfg(AllocConfig::tiny(3)));
+    let hits = find(&diags, "structure");
+    assert_eq!(hits.len(), 1, "{}", render_text(&diags));
+    assert!(
+        hits[0]
+            .message
+            .contains("spill tag names nonexistent slot3"),
+        "{}",
+        render_text(&diags)
+    );
+}
+
 /// Slot 0 stays live while eight other slots are each stored and
 /// restored, and all nine share one offset: the eight `slot-overlap`
 /// errors name slot 0's partners in ascending order.

@@ -1,16 +1,17 @@
 //! Property-based validation of the analyses against brute-force oracles
 //! on randomly generated CFGs, of the dataflow core ([`analysis::live`]
-//! and [`analysis::must`]) against path oracles, and of [`BitSet`]
-//! against a `HashSet` model.
+//! and [`analysis::must`]) against path oracles, of the liveness core
+//! ([`analysis::Liveness`]) against an instruction-level fixpoint, and of
+//! [`BitSet`] against a `HashSet` model.
 
 mod common;
 
 use std::collections::HashSet;
 
-use analysis::{BitRows, BitSet, Dominators};
+use analysis::{BitRows, BitSet, Dominators, Liveness, RegIndex};
 use common::{Case, Rng};
 use iloc::builder::FuncBuilder;
-use iloc::{BlockId, Function, Op};
+use iloc::{BlockId, FBinKind, Function, IBinKind, Instr, Op, Reg, RegClass, SlotId, SpillKind};
 
 /// Random CFGs per property.
 const CASES: usize = 96;
@@ -149,13 +150,233 @@ fn cbr_conditions_never_leak_liveness() {
     for case in 0..CASES {
         let f = arb_cfg(case, 8, 16);
         let _case = Case::new(case, &f);
-        let live = analysis::Liveness::compute(&f);
+        let live = analysis::Liveness::compute(&f, &analysis::RegIndex::build(&f));
         let entry_in = live.live_in.row(f.entry().index());
         assert!(
             entry_in.iter().all(|w| *w == 0),
             "nothing should be live-in at entry"
         );
     }
+}
+
+/// Case `case`'s random CFG with random straight-line code before each
+/// terminator: integer adds and copies over physical and virtual GPRs,
+/// float adds over FPRs, and spill stores and restores of GPRs tagged
+/// with one of up to four frame slots, so every block may use, define,
+/// redefine, store and restore.
+fn arb_body(case: usize) -> Function {
+    let mut f = arb_cfg(case, 10, 20);
+    let mut rng = Rng::for_case(3 * CASES + case);
+    let gprs = [
+        Reg::gpr(1),
+        Reg::gpr(2),
+        Reg::gpr(64),
+        Reg::gpr(65),
+        Reg::gpr(66),
+    ];
+    let fprs = [Reg::fpr(1), Reg::fpr(64), Reg::fpr(65)];
+    let slots: Vec<SlotId> = (0..1 + rng.below(4))
+        .map(|_| f.frame.new_slot(RegClass::Gpr))
+        .collect();
+    for b in 0..f.blocks.len() {
+        let mut body = Vec::new();
+        for _ in 0..rng.below(7) {
+            let g = |rng: &mut Rng| gprs[rng.below(gprs.len())];
+            let s = slots[rng.below(slots.len())];
+            let off = i64::from(f.frame.slot(s).offset);
+            body.push(match rng.below(5) {
+                0 => Instr::new(Op::IBin {
+                    kind: IBinKind::Add,
+                    lhs: g(&mut rng),
+                    rhs: g(&mut rng),
+                    dst: g(&mut rng),
+                }),
+                1 => Instr::new(Op::I2I {
+                    src: g(&mut rng),
+                    dst: g(&mut rng),
+                }),
+                2 => Instr::new(Op::FBin {
+                    kind: FBinKind::Add,
+                    lhs: fprs[rng.below(fprs.len())],
+                    rhs: fprs[rng.below(fprs.len())],
+                    dst: fprs[rng.below(fprs.len())],
+                }),
+                3 => {
+                    let (val, addr) = (g(&mut rng), Reg::RARP);
+                    Instr::spill_store(Op::StoreAI { val, addr, off }, s)
+                }
+                _ => {
+                    let (addr, dst) = (Reg::RARP, g(&mut rng));
+                    Instr::spill_restore(Op::LoadAI { addr, off, dst }, s)
+                }
+            });
+        }
+        let instrs = &mut f.blocks[b].instrs;
+        let at = instrs.len() - 1;
+        instrs.splice(at..at, body);
+    }
+    f
+}
+
+/// The ids an instruction uses and defines, in some numbering.
+type Operands<'a> = &'a dyn Fn(&Instr) -> (Vec<usize>, Vec<usize>);
+
+/// An operand visitor as [`Liveness::solve`] takes it.
+type Visitor<'a> = &'a dyn Fn(&Instr, &mut Vec<usize>, &mut Vec<usize>);
+
+/// Reference liveness with no block summaries: the set live after every
+/// instruction, `after[b][i]`, iterated to the least fixpoint of
+/// `before(i) = uses(i) ∪ (after(i) − defs(i))`, where `after` of a
+/// block's last instruction is the union of `before` of its successors'
+/// first instructions, for successors reachable from the entry (the
+/// solver leaves an unreachable block's `in` empty).
+fn reference_liveness(f: &Function, u: usize, operands: Operands) -> Vec<Vec<BitSet>> {
+    let before = |after: &BitSet, instr: &Instr| {
+        let (uses, defs) = operands(instr);
+        let mut set = after.clone();
+        defs.iter().for_each(|&d| {
+            set.remove(d);
+        });
+        uses.iter().for_each(|&x| {
+            set.insert(x);
+        });
+        set
+    };
+    let mut after: Vec<Vec<BitSet>> = f
+        .blocks
+        .iter()
+        .map(|b| vec![BitSet::new(u); b.instrs.len()])
+        .collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for b in f.block_ids() {
+            let instrs = &f.block(b).instrs;
+            for i in (0..instrs.len()).rev() {
+                let mut set = BitSet::new(u);
+                if i + 1 < instrs.len() {
+                    set = before(&after[b.index()][i + 1], &instrs[i + 1]);
+                } else {
+                    for &s in f.successors(b).iter().filter(|&&s| reachable(f, s)) {
+                        set.union_with(&before(&after[s.index()][0], &f.block(s).instrs[0]));
+                    }
+                }
+                if set != after[b.index()][i] {
+                    after[b.index()][i] = set;
+                    changed = true;
+                }
+            }
+        }
+    }
+    after
+}
+
+/// Asserts that the core, solved and walked with `visitor`, agrees with
+/// [`reference_liveness`] over `reference` on every block's `live_in`
+/// and `live_out` and on every live-after set and definition list of the
+/// walk; returns the liveness.
+fn assert_core_matches_reference(
+    f: &Function,
+    u: usize,
+    visitor: Visitor,
+    reference: Operands,
+    what: &str,
+) -> Liveness {
+    let after = reference_liveness(f, u, reference);
+    let lv = Liveness::solve(f, u, visitor);
+    for b in f.block_ids() {
+        let instrs = &f.block(b).instrs;
+        let last = instrs.len() - 1;
+        assert_eq!(
+            set(&lv.live_out, b),
+            after[b.index()][last],
+            "{what}: out[{b}]"
+        );
+        let mut top = after[b.index()][0].clone();
+        if reachable(f, b) {
+            let (uses, defs) = reference(&instrs[0]);
+            defs.iter().for_each(|&d| {
+                top.remove(d);
+            });
+            uses.iter().for_each(|&x| {
+                top.insert(x);
+            });
+        } else {
+            top = BitSet::new(u);
+        }
+        assert_eq!(set(&lv.live_in, b), top, "{what}: in[{b}]");
+    }
+    let mut walked = Vec::new();
+    lv.walk(f, visitor, |b, i, defs, live| {
+        assert_eq!(live, &after[b.index()][i], "{what}: live after {b}:{i}");
+        assert_eq!(
+            defs,
+            reference(&f.block(b).instrs[i]).1,
+            "{what}: defs at {b}:{i}"
+        );
+        walked.push((b, i));
+    });
+    let order: Vec<(BlockId, usize)> = f
+        .block_ids()
+        .flat_map(|b| (0..f.block(b).instrs.len()).rev().map(move |i| (b, i)))
+        .collect();
+    assert_eq!(walked, order, "{what}: walk order");
+    lv
+}
+
+/// The liveness core against the instruction-level reference on 240
+/// random bodies, over three numberings: every register, one class's
+/// virtual registers, and the spill slots of the tags (where the core's
+/// rows must also be `ccm::SlotAnalysis`'s).
+#[test]
+fn liveness_core_matches_an_instruction_level_fixpoint() {
+    let mut slot_facts = 0;
+    for case in 0..240 {
+        let f = arb_body(case);
+        let _case = Case::new(case, &f);
+        // Reference operands read straight from the instruction.
+        let by_reg = |regs: &RegIndex, instr: &Instr| {
+            let (mut uses, mut defs) = (Vec::new(), Vec::new());
+            instr.op.visit_uses(|r| uses.extend(regs.get(r)));
+            instr.op.visit_defs(|r| defs.extend(regs.get(r)));
+            (uses, defs)
+        };
+
+        let all = RegIndex::build(&f);
+        let reference = |instr: &Instr| by_reg(&all, instr);
+        assert_core_matches_reference(&f, all.len(), &all.operands(), &reference, "all");
+
+        let class = RegClass::ALL[case % 2];
+        let virt = RegIndex::build_where(&f, |r| r.class() == class && r.is_virtual());
+        let reference = |instr: &Instr| by_reg(&virt, instr);
+        let what = format!("{class:?} virtual");
+        assert_core_matches_reference(&f, virt.len(), &virt.operands(), &reference, &what);
+
+        let n = f.frame.slots.len();
+        let visitor =
+            |instr: &Instr, uses: &mut Vec<usize>, defs: &mut Vec<usize>| match instr.spill {
+                SpillKind::Store(s) => defs.push(s.index()),
+                SpillKind::Restore(s) => uses.push(s.index()),
+                SpillKind::None => {}
+            };
+        let reference = |instr: &Instr| match instr.spill {
+            SpillKind::Store(s) => (vec![], vec![s.index()]),
+            SpillKind::Restore(s) => (vec![s.index()], vec![]),
+            SpillKind::None => (vec![], vec![]),
+        };
+        let lv = assert_core_matches_reference(&f, n, &visitor, &reference, "slots");
+        let sa = ccm::SlotAnalysis::compute(&f);
+        for b in f.block_ids() {
+            assert_eq!(sa.live_in(b), lv.live_in.row(b.index()), "slots: in[{b}]");
+            assert_eq!(
+                sa.live_out(b),
+                lv.live_out.row(b.index()),
+                "slots: out[{b}]"
+            );
+            slot_facts += set(&lv.live_in, b).count();
+        }
+    }
+    assert!(slot_facts >= 200, "only {slot_facts} slot live-in facts");
 }
 
 /// A random subset of `0..u`.
