@@ -8,7 +8,9 @@
 //! allocation also gets one digest per CCM derivation the tables print:
 //! `ccm::promote_allocated` for the three CCM methods at 512 and 1024 B
 //! (module text plus degradations) and `ccm::compact_module` (module
-//! text plus compaction stats). The tables and figures only pin
+//! text plus compaction stats). Each fuzz module's default allocation
+//! gets one per CCM method at the oracle's sizes, 64, 256 and 1024 B,
+//! by the same rule. The tables and figures only pin
 //! aggregates; this test pins every coloring, spill choice, coalesce and
 //! CCM or compacted offset, so a change that only makes the allocator or
 //! the placement faster must leave it passing as recorded.
@@ -49,16 +51,16 @@ fn digest(m: &Module, s: &AllocStats) -> u64 {
     fnv(m.to_string().bytes().chain(stats))
 }
 
-/// One `unit ccm:DERIVATION digest` line per CCM derivation of a
-/// kernel's default allocation `allocated`.
-fn ccm_lines(name: &str, allocated: &Module) -> String {
+/// One `unit ccm:DERIVATION digest` line per CCM method at each of
+/// `sizes` derived from the default allocation `allocated`.
+fn ccm_lines(name: &str, allocated: &Module, sizes: &[u32]) -> String {
     let mut out = String::new();
     for v in [
         Variant::PostPass,
         Variant::PostPassCallGraph,
         Variant::Integrated,
     ] {
-        for size in [512, 1024] {
+        for &size in sizes {
             let mut m = allocated.clone();
             let degraded = ccm::promote_allocated(&mut m, v, size);
             let reasons = degraded
@@ -68,6 +70,13 @@ fn ccm_lines(name: &str, allocated: &Module) -> String {
             out += &format!("{name} ccm:{}@{size} {h:016x}\n", v.short());
         }
     }
+    out
+}
+
+/// [`ccm_lines`] at the tables' sizes, then one `unit ccm:compact
+/// digest` line for the compaction of a kernel's default allocation.
+fn kernel_ccm_lines(name: &str, allocated: &Module) -> String {
+    let mut out = ccm_lines(name, allocated, &[512, 1024]);
     let mut m = allocated.clone();
     let stats = ccm::compact_module(&mut m);
     let stats = stats.iter().flat_map(|(f, s)| {
@@ -90,7 +99,7 @@ fn units() -> Vec<(String, Module)> {
     out
 }
 
-/// One `unit config digest` line per allocation, then a kernel's CCM
+/// One `unit config digest` line per allocation, then a unit's CCM
 /// derivation lines, in unit order.
 fn digest_lines() -> String {
     let configs = [
@@ -119,8 +128,11 @@ fn digest_lines() -> String {
                 out += &format!("{name} {label} {:016x}\n", digest(&mm, &stats));
                 default.get_or_insert(mm);
             }
+            let default = default.expect("the default configuration");
             if name.starts_with("kernel:") {
-                out += &ccm_lines(name, &default.expect("the default configuration"));
+                out += &kernel_ccm_lines(name, &default);
+            } else {
+                out += &ccm_lines(name, &default, &[64, 256, 1024]);
             }
             out
         },
@@ -134,7 +146,7 @@ fn digest_lines() -> String {
 #[test]
 fn allocations_match_the_recorded_digests() {
     let got = digest_lines();
-    assert_eq!(got.lines().count(), (64 + 128) * 4 + 64 * 7);
+    assert_eq!(got.lines().count(), (64 + 128) * 4 + 64 * 7 + 128 * 9);
     if std::env::var_os("GOLDEN_UPDATE").is_some() {
         std::fs::write(GOLDEN, &got).expect("write the golden file");
         return;
