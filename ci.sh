@@ -44,22 +44,27 @@ echo "== workspace: cargo test -q --workspace"
 # the exec, checker and sim unit tests.
 cargo test -q --workspace
 
-echo "== allocators, dataflow and IR: cargo test -q --release -p regalloc -p ccm -p iloc -p checker -p analysis"
-# The register and CCM allocators', the dataflow core's, the IR's and
-# the checker's unit tests again with optimizations on: overflow checks
-# and debug_assert! are off here, so the bit matrix's row indexing and
+echo "== allocators, dataflow, IR and fuzz oracle: cargo test -q --release -p regalloc -p ccm -p iloc -p checker -p analysis -p fuzz"
+# The register and CCM allocators', the dataflow core's, the IR's, the
+# checker's and the fuzz oracle's unit tests again with optimizations
+# on: overflow checks and debug_assert! are off here, so the bit
+# matrix's row indexing and
 # block transpose, a reused matrix against the per-edge reference build
 # (large, small, large on one thread), the flat gen/kill rows of `live`
 # and `must` against their per-block reference solvers, the equivalence
 # tests against the quadratic reference coloring and the HashSet graph
 # model, the sorted first-fit slot search against its offset-by-offset
 # reference, the packed register's class and index bits and order, and
-# the parser's out-of-range register error must hold without them. The
-# checker's negative tests (one report per bad register and instruction
-# among them) and the dataflow core's allocation bound (a fixed number
-# of heap allocations per solve at 8, 64 and 512 blocks) are the root
-# package's, so they run here by name.
-cargo test -q --release -p regalloc -p ccm -p iloc -p checker -p analysis
+# the parser's out-of-range register error must hold without them, and
+# so must the fuzz oracle's placement-keyed memo against its reference
+# oracle (memo_matches_the_reference_oracle), its run count
+# (runs_count_distinct_modules), its caught mutations
+# (mutations_are_caught_on_spilling_modules) and the placement key
+# against module equality. The checker's negative tests (one report per
+# bad register and instruction among them) and the dataflow core's
+# allocation bound (a fixed number of heap allocations per solve at 8,
+# 64 and 512 blocks) are the root package's, so they run here by name.
+cargo test -q --release -p regalloc -p ccm -p iloc -p checker -p analysis -p fuzz
 cargo test -q --release --test checker_negative
 cargo test -q --release --test dataflow_allocs
 
@@ -69,7 +74,8 @@ echo "== allocation golden: cargo test -q --release --test alloc_golden"
 # rematerialization) over the module text and its AllocStats, plus one
 # per CCM derivation of each kernel's default allocation (post-pass,
 # post-pass with call graph and integrated at 512 and 1024 B, and
-# spill-memory compaction): every coloring, spill choice, coalesce and
+# spill-memory compaction) and of each fuzz module's (the three methods
+# at 64, 256 and 1024 B): every coloring, spill choice, coalesce and
 # CCM or compacted offset, pinned in release mode, where the tables only
 # pin aggregates.
 cargo test -q --release --test alloc_golden

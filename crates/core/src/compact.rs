@@ -6,7 +6,7 @@
 //! slot takes the lowest aligned offset not overlapping any
 //! already-placed *interfering* slot — so disjoint lifetimes share bytes.
 
-use iloc::{Function, Module, SlotId};
+use iloc::{FrameInfo, Function, Module, SlotId};
 
 use crate::postpass::{first_fit, retarget_spill_ops};
 use crate::slots::SlotAnalysis;
@@ -42,15 +42,25 @@ pub fn compact_spill_memory(f: &mut Function) -> CompactStats {
         };
     }
     let analysis = SlotAnalysis::compute(f);
+    compact_frame(&mut f.frame, &analysis);
+    retarget_spill_ops(f);
+    CompactStats {
+        before,
+        after: f.frame.spill_bytes(),
+    }
+}
 
+/// Gives every main-memory slot of `frame` a new offset, by `analysis`
+/// of the code that addresses them; CCM slots keep theirs.
+pub(crate) fn compact_frame(frame: &mut FrameInfo, analysis: &SlotAnalysis) {
     // Place slots in descending-cost order: hot slots get the low offsets
     // (harmless for correctness; keeps placement deterministic).
-    let base = f.frame.locals_size;
+    let base = frame.locals_size;
     let mut placed: Vec<Option<(u32, u32)>> = vec![None; analysis.n]; // (off, size)
     let mut taken = Vec::new(); // The placed neighbors' intervals.
     for slot_id in analysis.by_descending_cost() {
         let si = slot_id.index();
-        let slot = *f.frame.slot(slot_id);
+        let slot = *frame.slot(slot_id);
         if slot.in_ccm {
             continue;
         }
@@ -63,18 +73,10 @@ pub fn compact_spill_memory(f: &mut Function) -> CompactStats {
             .expect("finitely many placed slots leave a gap");
         placed[si] = Some((off, size));
     }
-
-    // Move the slots, then the spill instructions that address them.
     for (si, p) in placed.iter().enumerate() {
         if let Some((off, _)) = p {
-            f.frame.slot_mut(SlotId(si as u32)).offset = *off;
+            frame.slot_mut(SlotId(si as u32)).offset = *off;
         }
-    }
-    retarget_spill_ops(f);
-
-    CompactStats {
-        before,
-        after: f.frame.spill_bytes(),
     }
 }
 

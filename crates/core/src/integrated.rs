@@ -25,7 +25,8 @@
 //! The result is byte-identical to running the allocator with the CCM
 //! placement built into spill-code insertion, at a fraction of the cost.
 
-use crate::postpass::{align_up, first_fit, retarget_spill_ops};
+use crate::placement::{moves_off, BaselineAnalysis, Placement, SlotMove};
+use crate::postpass::{align_up, first_fit, FnPromotion};
 use crate::slots::SlotAnalysis;
 use crate::Degradation;
 use iloc::{Function, Module};
@@ -42,27 +43,35 @@ pub struct IntegratedStats {
     pub high_water: u32,
 }
 
-/// Places one allocated function's spill slots the integrated way and
-/// retargets its spill code. Returns the placement stats and — when CCM
-/// placement had to be abandoned for this function — a [`Degradation`]
-/// event; a degraded function keeps its baseline frame slots untouched.
-fn place_function(f: &mut Function, ccm_size: u32) -> (IntegratedStats, Option<Degradation>) {
+/// Places function `fi`, `f`, of an allocated module the integrated
+/// way, pushing a move per slot whose home changes. Returns the counts
+/// and, when CCM placement had to be abandoned for this function, the
+/// reason; a degraded function keeps its baseline frame slots untouched.
+fn place_function(
+    f: &Function,
+    fi: usize,
+    analysis: &SlotAnalysis,
+    ccm_size: u32,
+    moves: &mut Vec<SlotMove>,
+) -> FnPromotion {
+    let mut stats = FnPromotion {
+        name: f.name.clone(),
+        promoted: 0,
+        heavyweight: 0,
+        high_water: 0,
+        degraded: None,
+    };
     if inject::faultpoint!("alloc.ccm_coloring") {
-        let stats = IntegratedStats {
-            heavyweight_spills: f.frame.slots.len(),
-            ..IntegratedStats::default()
+        return FnPromotion {
+            heavyweight: f.frame.slots.len(),
+            degraded: Some("injected CCM coloring failure".to_string()),
+            ..stats
         };
-        let d = Degradation {
-            function: f.name.clone(),
-            reason: "injected CCM coloring failure".to_string(),
-        };
-        return (stats, Some(d));
     }
-    let mut stats = IntegratedStats::default();
     if f.frame.slots.is_empty() {
-        return (stats, None);
+        return stats;
     }
-    let analysis = SlotAnalysis::compute(f);
+    let mut slots = f.frame.slots.clone();
     // CCM byte intervals per class; a slot may use none of the other
     // class's bytes.
     let mut used: [Vec<(u32, u32)>; 2] = [Vec::new(), Vec::new()];
@@ -70,7 +79,6 @@ fn place_function(f: &mut Function, ccm_size: u32) -> (IntegratedStats, Option<D
     // The intervals a slot must avoid, gathered once per slot.
     let mut taken = Vec::new();
     for si in 0..analysis.n {
-        let slots = &f.frame.slots;
         debug_assert!(
             !slots[si].in_ccm,
             "integrated placement runs on a baseline allocation"
@@ -91,13 +99,13 @@ fn place_function(f: &mut Function, ccm_size: u32) -> (IntegratedStats, Option<D
             taken.extend_from_slice(&used[1 - class.index()]);
             first_fit(0, size, ccm_size, &mut taken)
         };
-        let slot = &mut f.frame.slots[si];
+        let slot = &mut slots[si];
         match placed {
             Some(off) => {
                 used[class.index()].push((off, size));
                 slot.offset = off;
                 slot.in_ccm = true;
-                stats.ccm_spills += 1;
+                stats.promoted += 1;
                 stats.high_water = stats.high_water.max(off + size);
             }
             None => {
@@ -105,34 +113,49 @@ fn place_function(f: &mut Function, ccm_size: u32) -> (IntegratedStats, Option<D
                 // had the CCM slots never taken frame space.
                 slot.offset = align_up(frame_end, size);
                 frame_end = slot.offset + size;
-                stats.heavyweight_spills += 1;
+                stats.heavyweight += 1;
             }
         }
     }
-    retarget_spill_ops(f);
-    (stats, None)
+    moves_off(fi, &f.frame.slots, &slots, moves);
+    stats
 }
 
-/// The integrated CCM allocator as a placement pass over an allocated
-/// module (every spill slot still in the frame). Each function is
-/// placed on its own; the intraprocedural convention (no call-crossing
-/// values in CCM) makes cross-function offset reuse safe. Returns the
-/// summed placement stats and every function that degraded to
-/// heavyweight spilling.
-pub fn integrated_promote(m: &mut Module, ccm_size: u32) -> (IntegratedStats, Vec<Degradation>) {
+/// The integrated allocator's [`Placement`] of baseline allocation `m`
+/// (every spill slot still in the frame), by its shared `analysis`.
+/// Each function is placed on its own; the intraprocedural convention
+/// (no call-crossing values in CCM) makes cross-function offset reuse
+/// safe. A function's `promoted` count is its CCM spills and its
+/// `heavyweight` count its slots left in the frame.
+pub(crate) fn integrated_placement(
+    m: &Module,
+    analysis: &BaselineAnalysis,
+    ccm_size: u32,
+) -> Placement {
     if inject::faultpoint!("alloc.panic") {
         panic!("injected allocator panic (integrated)");
     }
+    let mut moves = Vec::new();
+    let functions = (m.functions.iter().enumerate())
+        .map(|(fi, f)| place_function(f, fi, &analysis.slots[fi], ccm_size, &mut moves))
+        .collect();
+    Placement::new(functions, moves)
+}
+
+/// The integrated CCM allocator as a placement pass over an allocated
+/// module: [`Placement::apply`] of its placement. Returns the summed
+/// placement stats and every function that degraded to heavyweight
+/// spilling.
+pub fn integrated_promote(m: &mut Module, ccm_size: u32) -> (IntegratedStats, Vec<Degradation>) {
+    let placement = integrated_placement(m, &BaselineAnalysis::compute(m), ccm_size);
+    placement.apply_to(m);
     let mut total = IntegratedStats::default();
-    let mut degradations = Vec::new();
-    for f in &mut m.functions {
-        let (c, d) = place_function(f, ccm_size);
-        total.ccm_spills += c.ccm_spills;
-        total.heavyweight_spills += c.heavyweight_spills;
-        total.high_water = total.high_water.max(c.high_water);
-        degradations.extend(d);
+    for p in &placement.functions {
+        total.ccm_spills += p.promoted;
+        total.heavyweight_spills += p.heavyweight;
+        total.high_water = total.high_water.max(p.high_water);
     }
-    (total, degradations)
+    (total, placement.degradations())
 }
 
 /// Runs the integrated allocator: the Chaitin-Briggs allocation, then

@@ -15,10 +15,12 @@
 //! * [`integrated_promote`] / [`allocate_module_integrated`] — the
 //!   integrated allocator's CCM spilling (§3.2, Figure 2), as a
 //!   spill-order placement over the Chaitin-Briggs allocation;
-//! * [`allocate_variant`] — one [`Variant`] (the baseline or one of the
-//!   three CCM methods) applied end to end, the dispatch every
-//!   experiment and the fuzz oracle share; [`promote_allocated`] derives
-//!   any variant from an existing baseline allocation.
+//! * [`place`] — one [`Variant`] (the baseline or one of the three CCM
+//!   methods) at one CCM size as a [`Placement`] of a baseline
+//!   allocation's spill slots over its [`BaselineAnalysis`], the
+//!   derivation every experiment and the fuzz oracle share;
+//!   [`Placement::apply`] builds the module, [`promote_allocated`] does
+//!   both in place and [`allocate_variant`] allocates first.
 //!
 //! # Quickstart
 //!
@@ -50,6 +52,7 @@
 
 pub mod compact;
 pub mod integrated;
+pub mod placement;
 pub mod postpass;
 pub mod slots;
 pub mod variant;
@@ -80,6 +83,7 @@ impl std::fmt::Display for Degradation {
 
 pub use compact::{compact_module, compact_spill_memory, CompactStats};
 pub use integrated::{allocate_module_integrated, integrated_promote, IntegratedStats};
+pub use placement::{BaselineAnalysis, Placement};
 pub use postpass::{postpass_promote, FnPromotion, PostpassConfig};
 pub use slots::{CallSite, SlotAnalysis};
-pub use variant::{allocate_variant, promote_allocated, AllocOutcome, Variant};
+pub use variant::{allocate_variant, place, promote_allocated, AllocOutcome, Variant};

@@ -16,11 +16,9 @@
 //!   across a call to `q` only above `q`'s mark. Routines on call-graph
 //!   cycles are conservatively marked as using the entire CCM.
 
-use std::collections::HashMap;
-
-use analysis::CallGraph;
 use iloc::{Function, Module, Op, SlotId, SpillSlot};
 
+use crate::placement::{BaselineAnalysis, Placement, SlotMove};
 use crate::slots::SlotAnalysis;
 
 /// Configuration for the post-pass allocator.
@@ -54,51 +52,58 @@ pub struct FnPromotion {
 /// Runs the post-pass CCM allocator over the whole module. Code must
 /// already be register-allocated (spill instructions tagged).
 pub fn postpass_promote(m: &mut Module, cfg: &PostpassConfig) -> Vec<FnPromotion> {
+    let placement = postpass_placement(m, &BaselineAnalysis::compute(m), cfg);
+    placement.apply_to(m);
+    placement.functions
+}
+
+/// The post-pass allocator's [`Placement`] of baseline allocation `m`,
+/// by its shared `analysis`.
+pub(crate) fn postpass_placement(
+    m: &Module,
+    analysis: &BaselineAnalysis,
+    cfg: &PostpassConfig,
+) -> Placement {
     if inject::faultpoint!("alloc.panic") {
         panic!("injected allocator panic (postpass)");
     }
-    let cg = CallGraph::build(m);
-    let recursive: Vec<usize> = cg.recursive_functions();
-    let mut high_water: Vec<u32> = vec![0; m.functions.len()];
-    for &r in &recursive {
-        // Conservative: a routine on a cycle is assumed to use all of CCM.
-        high_water[r] = cfg.ccm_size;
-    }
-    let name_to_idx: HashMap<String, usize> = m
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.clone(), i))
+    let n = m.functions.len();
+    // Conservative: a routine on a cycle is assumed to use all of CCM.
+    let mut high_water: Vec<u32> = (analysis.recursive.iter())
+        .map(|&r| if r { cfg.ccm_size } else { 0 })
         .collect();
-
     let order = if cfg.interprocedural {
-        cg.bottom_up_order()
+        analysis.bottom_up.clone()
     } else {
-        (0..m.functions.len()).collect()
+        (0..n).collect()
     };
 
-    let mut out: Vec<Option<FnPromotion>> = vec![None; m.functions.len()];
+    let mut out: Vec<Option<FnPromotion>> = vec![None; n];
+    let mut moves = Vec::new();
     for fi in order {
-        let is_recursive = recursive.contains(&fi);
-        let f = &mut m.functions[fi];
-        let stats = promote_function(f, cfg, |callee| {
-            if !cfg.interprocedural {
-                // No call-graph info: any call-crossing slot is ineligible.
-                return cfg.ccm_size;
-            }
-            name_to_idx
-                .get(callee)
-                .map(|&ci| high_water[ci])
-                .unwrap_or(cfg.ccm_size)
-        });
+        let callees = &analysis.site_callees[fi];
+        let stats = place_function(
+            &m.functions[fi],
+            fi,
+            &analysis.slots[fi],
+            cfg,
+            |site| {
+                if !cfg.interprocedural {
+                    // No call-graph info: any call-crossing slot is ineligible.
+                    return cfg.ccm_size;
+                }
+                callees[site].map_or(cfg.ccm_size, |ci| high_water[ci])
+            },
+            &mut moves,
+        );
         // Transitive high-water: own usage plus everything callees use.
         let mut hw = stats.high_water;
         if cfg.interprocedural {
-            for &ci in &cg.callees[fi] {
+            for &ci in &analysis.callees[fi] {
                 hw = hw.max(high_water[ci]);
             }
         }
-        if is_recursive {
+        if analysis.recursive[fi] {
             hw = cfg.ccm_size;
         }
         high_water[fi] = hw;
@@ -107,39 +112,43 @@ pub fn postpass_promote(m: &mut Module, cfg: &PostpassConfig) -> Vec<FnPromotion
             ..stats
         });
     }
-    out.into_iter().map(|o| o.expect("all visited")).collect()
+    let functions = out.into_iter().map(|o| o.expect("all visited")).collect();
+    Placement::new(functions, moves)
 }
 
-/// Promotes one function's slots. `callee_high_water` maps a callee name
-/// to the lowest CCM offset a slot live across that call may use.
-fn promote_function(
-    f: &mut Function,
+/// Places function `fi`'s slots, `f`, pushing a move per promoted slot.
+/// `callee_high_water` maps a call site (an index into
+/// [`SlotAnalysis::call_sites`]) to the lowest CCM offset a slot live
+/// across that call may use.
+fn place_function(
+    f: &Function,
+    fi: usize,
+    analysis: &SlotAnalysis,
     cfg: &PostpassConfig,
-    callee_high_water: impl Fn(&str) -> u32,
+    callee_high_water: impl Fn(usize) -> u32,
+    moves: &mut Vec<SlotMove>,
 ) -> FnPromotion {
-    let analysis = SlotAnalysis::compute(f);
-
     // Per-slot base offset: the maximum high-water mark over the call
     // sites the slot is live across ("the 'beginning' of this search space
     // is the maximum of the CCM usage in the set of subroutines across
     // which the spilled value is live").
     let mut base = vec![0u32; analysis.n];
-    for cs in &analysis.call_sites {
-        let hw = callee_high_water(&cs.callee);
+    for (site, cs) in analysis.call_sites.iter().enumerate() {
+        let hw = callee_high_water(site);
         for &s in &cs.live_slots {
             base[s] = base[s].max(hw);
         }
     }
 
-    let colored = color_function_slots(f, cfg, &analysis, &base);
+    let colored = color_function_slots(f, cfg, analysis, &base);
     let (placements, promoted, heavyweight, high_water) = match colored {
         Ok(c) => c,
         Err(reason) => {
             // Graceful degradation: abandon CCM allocation for this
-            // function only. Nothing has been rewritten yet, so the
-            // conventional heavyweight spills stay exactly as the
-            // register allocator produced them — the paper's §3.1
-            // fallback, applied wholesale.
+            // function only. No slot moves, so the conventional
+            // heavyweight spills stay exactly as the register allocator
+            // produced them — the paper's §3.1 fallback, applied
+            // wholesale.
             let heavyweight = (0..analysis.n)
                 .filter(|&si| !f.frame.slot(SlotId(si as u32)).in_ccm && analysis.refs[si] > 0)
                 .count();
@@ -153,17 +162,19 @@ fn promote_function(
         }
     };
 
-    // Move the promoted slots, then point their spill code at the CCM.
+    // Move the promoted slots into the CCM.
     for (si, p) in placements.iter().enumerate() {
-        let Some((ccm_off, _)) = p else { continue };
-        let slot = f.frame.slot_mut(SlotId(si as u32));
-        *slot = SpillSlot {
-            offset: *ccm_off,
-            class: slot.class,
-            in_ccm: true,
-        };
+        let Some((offset, _)) = *p else { continue };
+        moves.push(SlotMove {
+            function: fi as u32,
+            slot: si as u32,
+            home: SpillSlot {
+                offset,
+                class: f.frame.slots[si].class,
+                in_ccm: true,
+            },
+        });
     }
-    retarget_spill_ops(f);
 
     FnPromotion {
         name: f.name.clone(),
@@ -277,8 +288,9 @@ pub(crate) fn first_fit(
 
 /// Points every tagged spill instruction of `f` at its slot's current
 /// home: a CCM access at the offset of a slot in the CCM, a frame access
-/// at the offset of a slot in the activation record. The CCM passes and
-/// spill-memory compaction move slots, then call this once.
+/// at the offset of a slot in the activation record.
+/// [`Placement::apply`] and spill-memory compaction move slots, then call
+/// this once per function they moved a slot of.
 pub(crate) fn retarget_spill_ops(f: &mut Function) {
     let slots = &f.frame.slots;
     for instr in f.blocks.iter_mut().flat_map(|b| &mut b.instrs) {

@@ -1,13 +1,16 @@
 //! The experimental variable of the paper: which allocation strategy
-//! runs. [`allocate_variant`] is the one dispatch from a [`Variant`] to
-//! the allocator calls that implement it; the harness experiments, the
-//! drivers and the fuzz oracle all go through it. Its second half,
-//! [`promote_allocated`], lets a caller that already holds the baseline
-//! allocation derive every variant from it without allocating again.
+//! runs. [`place`] is the one dispatch from a [`Variant`] to the CCM
+//! method that implements it, as a [`Placement`] of the baseline
+//! allocation's spill slots over its shared [`BaselineAnalysis`]; the
+//! harness's memo and the fuzz oracle derive every configuration this
+//! way and build a module only to check, simulate, compact or mutate
+//! it. [`promote_allocated`] places and rewrites in one call, and
+//! [`allocate_variant`] allocates first.
 
 use iloc::Module;
 use regalloc::AllocConfig;
 
+use crate::placement::{BaselineAnalysis, Placement};
 use crate::Degradation;
 
 /// The allocation strategy under test — the three CCM methods of the
@@ -83,40 +86,49 @@ pub fn allocate_variant(
     }
 }
 
-/// Derives `variant` at `ccm_size` from a module that already holds the
-/// baseline Chaitin-Briggs allocation, returning the per-function
-/// degradation events. A no-op for [`Variant::Baseline`].
+/// Where `variant` at `ccm_size` puts the spill slots of `m`, a module
+/// that holds the baseline Chaitin-Briggs allocation, by `m`'s
+/// `analysis`. [`Variant::Baseline`] moves nothing.
 ///
 /// No CCM method changes the register assignment: the post-pass
 /// allocator runs after a conventional allocation (§3.1), and the
 /// integrated allocator's CCM edges decide only where a spilled value
-/// lands, never which values spill (§3.2; see [`integrated_promote`]).
-/// So one baseline allocation serves every variant and CCM size: cloning
-/// it and promoting gives exactly what [`allocate_variant`] gives.
-///
-/// [`integrated_promote`]: crate::integrated_promote
-pub fn promote_allocated(m: &mut Module, variant: Variant, ccm_size: u32) -> Vec<Degradation> {
+/// lands, never which values spill (§3.2; see
+/// [`integrated_promote`](crate::integrated_promote)). So one baseline
+/// allocation and one analysis of it serve every variant and CCM size:
+/// [`Placement::apply`] gives exactly what [`allocate_variant`] gives.
+pub fn place(
+    m: &Module,
+    analysis: &BaselineAnalysis,
+    variant: Variant,
+    ccm_size: u32,
+) -> Placement {
     let interprocedural = match variant {
-        Variant::Baseline => return Vec::new(),
+        Variant::Baseline => return Placement::default(),
         Variant::PostPass => false,
         Variant::PostPassCallGraph => true,
-        Variant::Integrated => return crate::integrated_promote(m, ccm_size).1,
+        Variant::Integrated => {
+            return crate::integrated::integrated_placement(m, analysis, ccm_size)
+        }
     };
-    crate::postpass_promote(
-        m,
-        &crate::PostpassConfig {
-            ccm_size,
-            interprocedural,
-        },
-    )
-    .into_iter()
-    .filter_map(|p| {
-        p.degraded.map(|reason| Degradation {
-            function: p.name,
-            reason,
-        })
-    })
-    .collect()
+    let cfg = crate::PostpassConfig {
+        ccm_size,
+        interprocedural,
+    };
+    crate::postpass::postpass_placement(m, analysis, &cfg)
+}
+
+/// Derives `variant` at `ccm_size` from a module that already holds the
+/// baseline Chaitin-Briggs allocation, in place: [`place`], then
+/// [`Placement::apply_to`]. Returns the per-function degradation events.
+/// A no-op for [`Variant::Baseline`].
+pub fn promote_allocated(m: &mut Module, variant: Variant, ccm_size: u32) -> Vec<Degradation> {
+    if variant == Variant::Baseline {
+        return Vec::new();
+    }
+    let placement = place(m, &BaselineAnalysis::compute(m), variant, ccm_size);
+    placement.apply_to(m);
+    placement.degradations()
 }
 
 #[cfg(test)]

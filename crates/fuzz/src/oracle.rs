@@ -12,12 +12,16 @@
 //!    never slow a program down: promoted spills cost 1 cycle instead
 //!    of 2 and no other code changes).
 //!
-//! Every distinct allocated module is checked and simulated once per CCM
-//! size it depends on, through the key rule of [`ModuleMemo`]: a module
-//! that does not [`uses_ccm`](Module::uses_ccm) behaves the same at
-//! every size, and most derived variants equal the baseline allocation
-//! (the post-pass allocator only rewrites spill code), so their runs are
-//! reused.
+//! Each configuration is derived as a [`Placement`] of the one baseline
+//! allocation's spill slots ([`ccm::place`], over one shared
+//! [`BaselineAnalysis`]), and each distinct (placement, CCM key) is
+//! built, checked and simulated once. Two placements of one baseline
+//! are equal exactly when they build equal modules, and the CCM key
+//! ([`Placement::ccm_key`]) is the CCM size only when the module would
+//! [`uses_ccm`](Module::uses_ccm): a module that does not behaves the
+//! same at every size. Most derivations move no slot at all (most
+//! generated modules do not spill) and reuse the baseline's run without
+//! building, copying or comparing a module.
 //!
 //! Failures carry the variant, CCM size, and a [`FailureKind`] the
 //! minimizer uses to preserve "the same bug" while shrinking. Allocator
@@ -30,10 +34,9 @@
 //! oracle actually catches allocator bugs rather than vacuously passing.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
-use ccm::Variant;
-use iloc::{Module, ModuleMemo, Op, SpillKind};
+use ccm::{BaselineAnalysis, Placement, Variant};
+use iloc::{Module, Op, SpillKind};
 use regalloc::AllocConfig;
 use sim::MachineConfig;
 
@@ -229,8 +232,9 @@ pub struct CaseStats {
     pub ccm_ops: u64,
     /// Baseline cycles at the first CCM size.
     pub base_cycles: u64,
-    /// Check+sim pairs actually executed: one per distinct (module, CCM
-    /// size it depends on), at most one per (variant, CCM size).
+    /// Check+sim pairs actually executed: one per distinct (placement,
+    /// CCM key) and one per mutated module, at most one per (variant,
+    /// CCM size).
     pub runs: usize,
 }
 
@@ -249,25 +253,6 @@ fn panicked(variant: Variant, ccm: u32, payload: &(dyn std::any::Any + Send)) ->
         ccm,
         detail: exec::render_payload(payload),
     }
-}
-
-/// Derives `variant` at `ccm` from `allocated`, the baseline allocation,
-/// and applies `mutation`.
-fn derive_variant(
-    allocated: &Module,
-    variant: Variant,
-    ccm: u32,
-    mutation: Option<Mutation>,
-) -> Result<Module, Failure> {
-    catch_unwind(AssertUnwindSafe(|| {
-        let mut mm = allocated.clone();
-        ccm::promote_allocated(&mut mm, variant, ccm);
-        if let Some(mu) = mutation {
-            apply_mutation(&mut mm, mu);
-        }
-        mm
-    }))
-    .map_err(|p| panicked(variant, ccm, p.as_ref()))
 }
 
 /// Checks and simulates one allocated configuration.
@@ -302,21 +287,35 @@ fn check_and_run(
     }
 }
 
-/// [`check_and_run`], unless an equal module already passed under the
-/// same CCM key in `memo` (see [`ModuleMemo`]). Failures are not kept:
-/// the oracle stops at the first.
-fn memoized_check_and_run(
-    memo: &mut ModuleMemo<VariantRun>,
-    mm: Arc<Module>,
+/// The runs of one case that passed, each kept under its (placement,
+/// CCM key) of the one baseline allocation: the first run of a key
+/// serves every later configuration with that key. Failures are not
+/// kept: the oracle stops at the first.
+type Runs = Vec<((Placement, Option<u32>), VariantRun)>;
+
+/// [`check_and_run`] on `placement`'s module, unless a run is stored in
+/// `runs` under the same (placement, CCM key). The module is built only
+/// then, and a placement that moves no slot runs `allocated` itself.
+fn placed_check_and_run(
+    runs: &mut Runs,
+    allocated: &Module,
+    base_uses_ccm: bool,
+    placement: Placement,
     variant: Variant,
     ccm: u32,
     cfg: &OracleConfig,
 ) -> Result<VariantRun, Failure> {
-    if let Some((_, r)) = memo.get(&mm, ccm) {
+    let ccm_key = placement.ccm_key(base_uses_ccm, ccm);
+    let key = (placement, ccm_key);
+    if let Some((_, r)) = runs.iter().find(|(k, _)| *k == key) {
         return Ok(r.clone());
     }
-    let r = check_and_run(&mm, variant, ccm, cfg)?;
-    memo.insert(mm, ccm, r.clone());
+    let r = if key.0.is_identity() {
+        check_and_run(allocated, variant, ccm, cfg)?
+    } else {
+        check_and_run(&key.0.apply(allocated), variant, ccm, cfg)?
+    };
+    runs.push((key, r.clone()));
     Ok(r)
 }
 
@@ -364,20 +363,23 @@ fn allocate_baseline(m: &Module, ccm: u32, cfg: &OracleConfig) -> Result<(Module
 /// Runs the full differential oracle on one module.
 ///
 /// The baseline Chaitin-Briggs allocation is computed once per module
-/// and serves every CCM size: it is the baseline at each size, and the
-/// CCM variants are derived from it with [`ccm::promote_allocated`],
-/// exactly as a fresh [`ccm::allocate_variant`] would produce them.
-/// Every (variant, CCM size) is still derived, mutated when configured
-/// and compared with the baseline, but every distinct allocated module
-/// is checked and simulated once per CCM size it depends on (see
-/// [`CaseStats::runs`]): a configuration whose module equals one that
-/// already passed under the same CCM key reuses that run.
+/// and serves every CCM size: it is the baseline at each size, and each
+/// CCM variant is a [`Placement`] of its spill slots ([`ccm::place`]),
+/// over one [`BaselineAnalysis`] computed at the first derivation.
+/// Every (variant, CCM size) is still placed and compared with the
+/// baseline, but each distinct (placement, CCM key) is built, checked
+/// and simulated once (see [`CaseStats::runs`]); a placement that moves
+/// no slot is the baseline and reuses its run. A configured
+/// [`Mutation`] is applied to every derived module it can break, and
+/// such a module is checked and simulated on its own, never under its
+/// unmutated placement's key.
 ///
 /// # Errors
 ///
 /// Returns the first [`Failure`] in deterministic (CCM size, variant)
 /// order. A panic in the baseline allocation is reported at the first
-/// CCM size.
+/// CCM size, one in the analysis or a placement at the configuration
+/// that needed it.
 pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> {
     let mut stats = CaseStats {
         instrs: m.instr_count(),
@@ -387,13 +389,16 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
         return Ok(stats);
     };
     let (allocated, spilled) = allocate_baseline(m, first_ccm, cfg)?;
-    let allocated = Arc::new(allocated);
     stats.spilled_ranges = spilled;
-    let mut memo = ModuleMemo::default();
+    let base_uses_ccm = allocated.uses_ccm();
+    let mut analysis = None;
+    let mut runs = Runs::new();
     for (i, &ccm) in cfg.ccm_sizes.iter().enumerate() {
-        let base = memoized_check_and_run(
-            &mut memo,
-            Arc::clone(&allocated),
+        let base = placed_check_and_run(
+            &mut runs,
+            &allocated,
+            base_uses_ccm,
+            Placement::default(),
             Variant::Baseline,
             ccm,
             cfg,
@@ -405,13 +410,37 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
             if v == Variant::Baseline {
                 continue;
             }
-            let mm = derive_variant(&allocated, v, ccm, cfg.mutation)?;
-            let r = memoized_check_and_run(&mut memo, Arc::new(mm), v, ccm, cfg)?;
+            let (placement, mutated) = catch_unwind(AssertUnwindSafe(|| {
+                let analysis =
+                    analysis.get_or_insert_with(|| BaselineAnalysis::compute(&allocated));
+                let placement = ccm::place(&allocated, analysis, v, ccm);
+                let mutated = cfg.mutation.and_then(|mu| {
+                    let mut mm = placement.apply(&allocated);
+                    apply_mutation(&mut mm, mu).then_some(mm)
+                });
+                (placement, mutated)
+            }))
+            .map_err(|p| panicked(v, ccm, p.as_ref()))?;
+            let r = match mutated {
+                Some(mm) => {
+                    stats.runs += 1;
+                    check_and_run(&mm, v, ccm, cfg)?
+                }
+                None => placed_check_and_run(
+                    &mut runs,
+                    &allocated,
+                    base_uses_ccm,
+                    placement,
+                    v,
+                    ccm,
+                    cfg,
+                )?,
+            };
             stats.ccm_ops += r.ccm_ops;
             compare(&base, &r, v, ccm)?;
         }
     }
-    stats.runs = memo.len();
+    stats.runs += runs.len();
     Ok(stats)
 }
 
@@ -421,8 +450,27 @@ mod tests {
     use crate::case_seed;
     use crate::gen::gen_module;
 
-    /// The oracle without the memo: checks and simulates every (variant,
-    /// CCM size) configuration.
+    /// Derives `variant` at `ccm` from `allocated`, the baseline
+    /// allocation, by promoting a copy, and applies `mutation`.
+    fn derive_variant(
+        allocated: &Module,
+        variant: Variant,
+        ccm: u32,
+        mutation: Option<Mutation>,
+    ) -> Result<Module, Failure> {
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut mm = allocated.clone();
+            ccm::promote_allocated(&mut mm, variant, ccm);
+            if let Some(mu) = mutation {
+                apply_mutation(&mut mm, mu);
+            }
+            mm
+        }))
+        .map_err(|p| panicked(variant, ccm, p.as_ref()))
+    }
+
+    /// The oracle without the memo: derives every (variant, CCM size)
+    /// configuration as a promoted copy, checks and simulates it.
     fn reference_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> {
         let mut stats = CaseStats {
             instrs: m.instr_count(),
@@ -542,6 +590,57 @@ mod tests {
             (f.kind, f.variant, f.ccm),
             (FailureKind::CheckerRejected, Variant::Baseline, 32)
         );
+    }
+
+    /// The key the oracle's and the harness's memos use instead of
+    /// comparing modules: two placements of one baseline allocation are
+    /// equal exactly when [`Placement::apply`] builds equal modules, the
+    /// identity exactly when that module is the baseline, and the CCM key
+    /// names the size exactly when the built module uses the CCM. A
+    /// spill-free case places every configuration as the identity.
+    #[test]
+    fn placements_are_equal_exactly_when_their_modules_are() {
+        let sizes = OracleConfig::default().ccm_sizes;
+        let (mut spill_free, mut moved) = (0, 0);
+        for alloc in [
+            AllocConfig::default(),
+            AllocConfig::tiny(3),
+            AllocConfig::tiny(5),
+        ] {
+            for i in 0..64 {
+                let mut allocated = gen_module(case_seed(1, i));
+                let spilled = regalloc::allocate_module(&mut allocated, &alloc).total_spilled();
+                let analysis = BaselineAnalysis::compute(&allocated);
+                let uses_ccm = allocated.uses_ccm();
+                let mut derived = Vec::new();
+                for &ccm in &sizes {
+                    for v in Variant::ALL {
+                        let p = ccm::place(&allocated, &analysis, v, ccm);
+                        let m = p.apply(&allocated);
+                        let ctx = format!("case {i} under {alloc:?}: {v:?} @ {ccm} B");
+                        assert_eq!(p.is_identity(), m == allocated, "{ctx}: identity");
+                        assert_eq!(
+                            p.ccm_key(uses_ccm, ccm),
+                            m.uses_ccm().then_some(ccm),
+                            "{ctx}: CCM key"
+                        );
+                        if spilled == 0 {
+                            assert!(p.is_identity(), "{ctx}: a spill-free case moved a slot");
+                        }
+                        moved += usize::from(!p.is_identity());
+                        derived.push((ctx, p, m));
+                    }
+                }
+                spill_free += usize::from(spilled == 0);
+                for (ctx, p, m) in &derived {
+                    for (other, q, n) in &derived {
+                        assert_eq!(p == q, m == n, "{ctx} against {other}");
+                    }
+                }
+            }
+        }
+        assert!(spill_free > 0, "no case was spill-free");
+        assert!(moved > 0, "no placement moved a slot");
     }
 
     #[test]

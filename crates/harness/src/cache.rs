@@ -12,46 +12,57 @@
 //!   the kernel tables already made, so `repro --all` optimizes each
 //!   kernel once;
 //! * **the baseline allocation** — [`Run::baseline_allocation`] memoizes
-//!   the Chaitin-Briggs allocation per (unit, setup). No CCM method
-//!   changes the register assignment: the post-pass allocator only
-//!   rewrites spill code (§3.1), and the integrated allocator's CCM
-//!   edges decide only where a spill lands (§3.2). So all four variants
-//!   at every size share it, and [`Run::compacted`] compacts it;
-//! * **derivations, checks and simulations** — [`Run::allocated`]
-//!   derives a configuration from that allocation (`Baseline` shares the
-//!   module, a CCM variant promotes a clone with
-//!   [`ccm::promote_allocated`], exactly what a fresh
-//!   [`ccm::allocate_variant`] gives) and keeps it per (unit, setup,
-//!   variant, CCM size). Checker diagnostics, under the setup's register
-//!   supply, are kept in one [`ModuleMemo`] per (unit, setup), and
-//!   [`Run::measure_unit`]'s simulations in one per (unit,
-//!   `MachineConfig` with its CCM size cleared). A [`ModuleMemo`] is
-//!   keyed by the module's content and by the CCM size only when the
-//!   module uses the CCM, so equal modules are checked and simulated
-//!   once: `repro`'s kernel tables check and simulate 264 of their 422
-//!   configurations, the figures 66 of 104 ([`Run::measured`]).
+//!   the Chaitin-Briggs allocation per (unit, setup), with its
+//!   [`ccm::BaselineAnalysis`] (one slot analysis per function and the
+//!   call graph). No CCM method changes the register assignment: the
+//!   post-pass allocator only moves spill slots (§3.1), and the
+//!   integrated allocator's CCM edges decide only where a spill lands
+//!   (§3.2). So all four variants at every size are placements of it
+//!   over that one analysis, and [`Run::compacted`] compacts one;
+//! * **placements, checks and simulations** — [`Run::allocated`] keeps
+//!   each configuration as a [`ccm::Placement`] of that allocation's
+//!   slots ([`ccm::place`]; `Baseline` moves none) with its checker
+//!   diagnostics, per (unit, setup, variant, CCM size). Checks, under
+//!   the setup's register supply, are kept per (unit, setup) and
+//!   [`Run::measure_unit`]'s simulations per (unit, `MachineConfig` with
+//!   its CCM size cleared), each keyed by the placement and its CCM key
+//!   ([`ccm::Placement::ccm_key`]: the CCM size only when the module uses
+//!   the CCM). Two placements of one allocation are equal exactly when
+//!   their modules are, so equal modules are checked and simulated once
+//!   without comparing modules: `repro`'s kernel tables check and
+//!   simulate 264 of their 422 configurations, the figures 66 of 104
+//!   ([`Run::measured`]). Setups with equal allocations (the design
+//!   ablation's) share simulations: each new baseline allocation is
+//!   compared once with the unit's distinct ones, and the simulation key
+//!   names the one it equals.
+//!
+//! The memo keeps no derived module: a configuration's module is built
+//! ([`ccm::Placement::apply`]) only to check it, lives through its
+//! simulation and is dropped; a placement that moves no slot is the
+//! baseline allocation itself and is never copied.
 //!
 //! Failure is structured end to end: an unknown unit name is a
 //! `stage=parse` error, build panics become `stage=opt` errors,
-//! allocation and promotion panics `stage=alloc` (a failed build or
+//! allocation and placement panics `stage=alloc` (a failed build or
 //! baseline allocation is reported at each configuration that needed
 //! it), checker rejections `stage=checker`, simulator traps
 //! `stage=sim`. Failures are never cached: a later call recomputes
 //! (`tests/fault_injection.rs`, `failures_are_never_memoized`).
 //!
-//! Expensive work happens outside the map locks (only the module
-//! comparisons of a [`ModuleMemo`] lookup run under one): two workers
-//! racing on the same key may both compute it (identical results, first
-//! insert wins), but never serialize on each other's computation, and a
-//! cache hit returns exactly the value a recomputation would, so the
-//! engine's output stays byte-identical at any `--jobs`.
+//! Expensive work happens outside the map locks (only the comparison of
+//! a new baseline allocation with the unit's others runs under one): two
+//! workers racing on the same key may both compute it (identical
+//! results, first insert wins), but never serialize on each other's
+//! computation, and a cache hit returns exactly the value a
+//! recomputation would, so the engine's output stays byte-identical at
+//! any `--jobs`.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ccm::{CompactStats, Variant};
-use iloc::{Module, ModuleMemo};
+use ccm::{BaselineAnalysis, CompactStats, Placement, Variant};
+use iloc::Module;
 use opt::OptOptions;
 use sim::{MachineConfig, Metrics};
 
@@ -67,10 +78,29 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 type Builds = Mutex<HashMap<(&'static str, OptOptions), Arc<Module>>>;
 type PerSetup<T> = Mutex<HashMap<(String, Setup), T>>;
 
+/// What a check or a simulation of one baseline allocation's
+/// configuration depends on: its placement and its CCM key.
+type PlacedKey = (Arc<Placement>, Option<u32>);
+
+/// One unit's baseline allocation under one setup, and what every
+/// configuration derived from it shares.
+pub(crate) struct Baseline {
+    module: Arc<Module>,
+    /// Live ranges the allocation spilled.
+    spilled: usize,
+    analysis: BaselineAnalysis,
+    /// Whether `module` itself uses the CCM.
+    uses_ccm: bool,
+    /// `module`'s index among the unit's distinct baseline allocations
+    /// across setups: equal allocations share simulations.
+    id: usize,
+}
+
 /// The simulations of one (unit, machine with its CCM size cleared).
 #[derive(Default)]
 struct Sims {
-    runs: ModuleMemo<(Metrics, f64)>,
+    /// Per (baseline id, placement, CCM key): metrics and checksum.
+    runs: HashMap<(usize, PlacedKey), (Metrics, f64)>,
     /// The (setup, variant, CCM size) configurations these runs served,
     /// for the count [`Run::measured`] reports.
     served: HashSet<(Setup, Variant, u32)>,
@@ -80,9 +110,12 @@ struct Sims {
 #[derive(Default)]
 pub(crate) struct Memo {
     builds: Builds,
-    baselines: PerSetup<(Arc<Module>, usize)>,
+    baselines: PerSetup<Arc<Baseline>>,
+    /// Per unit, its distinct baseline allocations, indexed by
+    /// [`Baseline`]'s `id`.
+    distinct: Mutex<HashMap<String, Vec<Arc<Module>>>>,
     derived: Mutex<HashMap<(String, Setup, Variant, u32), Allocated>>,
-    checks: PerSetup<ModuleMemo<Arc<Vec<checker::Diagnostic>>>>,
+    checks: PerSetup<HashMap<PlacedKey, Arc<Vec<checker::Diagnostic>>>>,
     sims: Mutex<HashMap<(String, MachineConfig), Sims>>,
 }
 
@@ -105,7 +138,7 @@ fn memoized(
 }
 
 /// Runs allocation work `f` for `unit` with panics contained: a panic
-/// inside register allocation or CCM promotion becomes a `stage=alloc`
+/// inside register allocation or CCM placement becomes a `stage=alloc`
 /// [`PipelineError`] with no (variant, CCM size) coordinates; callers
 /// attach them.
 fn contain_alloc<T>(unit: &str, f: impl FnOnce() -> T) -> Result<T, PipelineError> {
@@ -119,15 +152,19 @@ fn simulate(m: &Module, machine: &MachineConfig) -> Result<(Metrics, f64), sim::
     Ok((metrics, vals.floats.first().copied().unwrap_or(f64::NAN)))
 }
 
-/// The measurement of `m`, an allocation from `a`, simulated to
-/// `(metrics, checksum)`.
-fn measurement(m: &Module, a: &Allocated, (metrics, checksum): (Metrics, f64)) -> Measurement {
+/// The measurement of a module with `spill_bytes` of main-memory spill
+/// space, a configuration of `a`, simulated to `(metrics, checksum)`.
+fn measurement(
+    spill_bytes: u32,
+    a: &Allocated,
+    (metrics, checksum): (Metrics, f64),
+) -> Measurement {
     Measurement {
         cycles: metrics.cycles,
         mem_cycles: metrics.mem_op_cycles,
         metrics,
         checksum,
-        spill_bytes: m.functions.iter().map(|f| f.frame.spill_bytes()).sum(),
+        spill_bytes,
         spilled_ranges: a.spilled_ranges,
         degraded: a.degraded.clone(),
     }
@@ -136,14 +173,35 @@ fn measurement(m: &Module, a: &Allocated, (metrics, checksum): (Metrics, f64)) -
 /// One allocated-and-checked configuration of one suite unit.
 #[derive(Clone)]
 pub struct Allocated {
-    /// The baseline allocation, promoted for the variant.
-    pub module: Arc<Module>,
+    baseline: Arc<Baseline>,
+    /// Where the variant puts the baseline allocation's spill slots.
+    placement: Arc<Placement>,
     /// Every diagnostic from [`checker::check_module`].
     pub diags: Arc<Vec<checker::Diagnostic>>,
     /// Live ranges spilled during allocation.
     pub spilled_ranges: usize,
     /// Per-function CCM→heavyweight degradation events.
     pub degraded: Vec<ccm::Degradation>,
+}
+
+impl Allocated {
+    /// The configuration's module: the baseline allocation itself when
+    /// the placement moves no slot, otherwise built from it now with
+    /// [`Placement::apply`] and kept by no memo.
+    pub fn module(&self) -> Arc<Module> {
+        if self.placement.is_identity() {
+            Arc::clone(&self.baseline.module)
+        } else {
+            Arc::new(self.placement.apply(&self.baseline.module))
+        }
+    }
+
+    /// The check and simulation key of this configuration at a
+    /// `ccm_size`-byte CCM.
+    fn key(&self, ccm_size: u32) -> PlacedKey {
+        let ccm_key = self.placement.ccm_key(self.baseline.uses_ccm, ccm_size);
+        (Arc::clone(&self.placement), ccm_key)
+    }
 }
 
 impl Run {
@@ -189,9 +247,9 @@ impl Run {
     /// under `setup.alloc`, memoized per (unit, setup): the allocated
     /// module and the number of live ranges it spilled. It depends on
     /// neither the variant nor the CCM size, so every configuration in
-    /// [`Run::allocated`] and every compaction ([`Run::compacted`]) start
-    /// from this one allocation. The build is fetched only on a memo
-    /// miss.
+    /// [`Run::allocated`] and every compaction ([`Run::compacted`]) is a
+    /// placement of this one allocation. The build is fetched only on a
+    /// memo miss.
     ///
     /// # Errors
     ///
@@ -203,30 +261,56 @@ impl Run {
         name: &str,
         setup: &Setup,
     ) -> Result<(Arc<Module>, usize), PipelineError> {
+        let b = self.baseline(name, setup)?;
+        Ok((Arc::clone(&b.module), b.spilled))
+    }
+
+    /// [`Run::baseline_allocation`] with its analysis and its index among
+    /// the unit's distinct allocations.
+    fn baseline(&self, name: &str, setup: &Setup) -> Result<Arc<Baseline>, PipelineError> {
         let key = (name.to_string(), *setup);
-        if let Some((m, spilled)) = lock(&self.memo.baselines).get(&key) {
-            return Ok((Arc::clone(m), *spilled));
+        if let Some(b) = lock(&self.memo.baselines).get(&key) {
+            return Ok(Arc::clone(b));
         }
         let base = self.unit(name, setup)?;
-        let (m, spilled) = contain_alloc(name, || {
+        let (module, spilled, analysis) = contain_alloc(name, || {
             let mut m = (*base).clone();
             let spilled = regalloc::allocate_module(&mut m, &setup.alloc).total_spilled();
-            (m, spilled)
+            let analysis = BaselineAnalysis::compute(&m);
+            (m, spilled, analysis)
         })?;
-        let mut map = lock(&self.memo.baselines);
-        let (m, spilled) = map.entry(key).or_insert((Arc::new(m), spilled));
-        Ok((Arc::clone(m), *spilled))
+        let uses_ccm = module.uses_ccm();
+        let module = Arc::new(module);
+        let id = {
+            // The one module comparison: this allocation against each
+            // distinct one of the unit's other setups.
+            let mut distinct = lock(&self.memo.distinct);
+            let seen = distinct.entry(key.0.clone()).or_default();
+            seen.iter().position(|m| **m == *module).unwrap_or_else(|| {
+                seen.push(Arc::clone(&module));
+                seen.len() - 1
+            })
+        };
+        let b = Arc::new(Baseline {
+            module,
+            spilled,
+            analysis,
+            uses_ccm,
+            id,
+        });
+        Ok(Arc::clone(
+            lock(&self.memo.baselines).entry(key).or_insert(b),
+        ))
     }
 
     /// Derives `variant` at `ccm_size` from the unit's
     /// [`Run::baseline_allocation`] under `setup` and checks it, once per
-    /// (unit, setup, variant, CCM size) and run. `Baseline` shares the
-    /// allocated module as is; the CCM variants promote a clone of it
-    /// with [`ccm::promote_allocated`]. The checker runs under
-    /// `setup.alloc`, once per module the (unit, setup)'s [`ModuleMemo`]
-    /// tells apart, and the module returned is the one stored there.
-    /// Kernel and program names are globally unique in the suite, so the
-    /// flat name key cannot collide.
+    /// (unit, setup, variant, CCM size) and run. The derivation is a
+    /// [`ccm::place`] over the allocation's shared analysis; the checker
+    /// runs under `setup.alloc`, once per (placement, CCM key) of the
+    /// (unit, setup), on a module built for it and then dropped. Kernel
+    /// and program names are globally unique in the suite, so the flat
+    /// name key cannot collide.
     ///
     /// Checker diagnostics are data here, not failure: `--check` reports
     /// error rows rather than skipping them. [`Run::measure_unit`]
@@ -234,7 +318,7 @@ impl Run {
     ///
     /// # Errors
     ///
-    /// A [`Run::baseline_allocation`] failure, or a promotion panic
+    /// A [`Run::baseline_allocation`] failure, or a placement panic
     /// contained as a `stage=alloc` error, at (`variant`, `ccm_size`).
     pub fn allocated(
         &self,
@@ -243,56 +327,66 @@ impl Run {
         variant: Variant,
         ccm_size: u32,
     ) -> Result<Allocated, PipelineError> {
+        Ok(self.checked(name, setup, variant, ccm_size)?.0)
+    }
+
+    /// [`Run::allocated`], with the module it built to run the checker,
+    /// if it ran it.
+    fn checked(
+        &self,
+        name: &str,
+        setup: &Setup,
+        variant: Variant,
+        ccm_size: u32,
+    ) -> Result<(Allocated, Option<Arc<Module>>), PipelineError> {
         let key = (name.to_string(), *setup, variant, ccm_size);
         if let Some(a) = lock(&self.memo.derived).get(&key) {
-            return Ok(a.clone());
+            return Ok((a.clone(), None));
         }
         let at = |e: PipelineError| e.at(variant, ccm_size);
-        let (allocated, spilled_ranges) = self.baseline_allocation(name, setup).map_err(at)?;
-        let (module, degraded) = if variant == Variant::Baseline {
-            (allocated, Vec::new())
-        } else {
-            let (m, degraded) = contain_alloc(name, || {
-                let mut m = (*allocated).clone();
-                let degraded = ccm::promote_allocated(&mut m, variant, ccm_size);
-                (m, degraded)
-            })
-            .map_err(at)?;
-            (Arc::new(m), degraded)
+        let baseline = self.baseline(name, setup).map_err(at)?;
+        let placement = contain_alloc(name, || {
+            ccm::place(&baseline.module, &baseline.analysis, variant, ccm_size)
+        })
+        .map_err(at)?;
+        let mut a = Allocated {
+            degraded: placement.degradations(),
+            placement: Arc::new(placement),
+            diags: Arc::default(),
+            spilled_ranges: baseline.spilled,
+            baseline,
         };
         let checks_key = (name.to_string(), *setup);
+        let placed = a.key(ccm_size);
         let stored = lock(&self.memo.checks)
             .get(&checks_key)
-            .and_then(|checks| checks.get(&module, ccm_size))
-            .map(|(m, d)| (Arc::clone(m), Arc::clone(d)));
-        let (module, diags) = stored.unwrap_or_else(|| {
+            .and_then(|checks| checks.get(&placed))
+            .cloned();
+        let mut built = None;
+        a.diags = stored.unwrap_or_else(|| {
+            let m = a.module();
             let diags = Arc::new(checker::check_module(
-                &module,
+                &m,
                 &checker::CheckerConfig::with_alloc(ccm_size, setup.alloc),
             ));
+            built = Some(m);
             let mut map = lock(&self.memo.checks);
-            let (m, d) = map
-                .entry(checks_key)
-                .or_default()
-                .insert(module, ccm_size, diags);
-            (Arc::clone(m), Arc::clone(d))
+            let checks = map.entry(checks_key).or_default();
+            Arc::clone(checks.entry(placed).or_insert(diags))
         });
-        let a = Allocated {
-            module,
-            diags,
-            spilled_ranges,
-            degraded,
-        };
-        Ok(lock(&self.memo.derived).entry(key).or_insert(a).clone())
+        let a = lock(&self.memo.derived).entry(key).or_insert(a).clone();
+        Ok((a, built))
     }
 
     /// Measures suite unit `name` under `setup` and `variant` on
-    /// `machine`: the allocation from [`Run::allocated`], refused if the
-    /// checker found errors, then simulated. The simulation is kept in a
-    /// [`ModuleMemo`] per (unit name, `machine` with its CCM size
-    /// cleared), so distinct cache models, latencies or step budgets
-    /// never share an entry, and an equal module under an equal CCM key
-    /// is simulated once, whichever setup made it.
+    /// `machine`: the configuration from [`Run::allocated`], refused if
+    /// the checker found errors, then simulated. The simulation is kept
+    /// per (unit name, `machine` with its CCM size cleared), so distinct
+    /// cache models, latencies or step budgets never share an entry, and
+    /// under it per (baseline allocation, placement, CCM key), so an
+    /// equal module under an equal CCM key is simulated once, whichever
+    /// setup made it. The module is built only on a miss, or reused from
+    /// the check that just built it.
     ///
     /// # Errors
     ///
@@ -311,7 +405,7 @@ impl Run {
         machine: &MachineConfig,
     ) -> Result<Measurement, PipelineError> {
         let ccm_size = machine.ccm_size;
-        let a = self.allocated(name, setup, variant, ccm_size)?;
+        let (a, built) = self.checked(name, setup, variant, ccm_size)?;
         let at = |e: PipelineError| e.at(variant, ccm_size);
         if let Some(detail) = checker::error_summary(&a.diags) {
             return Err(at(PipelineError::new(Stage::Checker, name, detail)));
@@ -323,11 +417,12 @@ impl Run {
                 ..machine.clone()
             },
         );
+        let run_key = (a.baseline.id, a.key(ccm_size));
         let config = (*setup, variant, ccm_size);
         let stored = {
             let mut map = lock(&self.memo.sims);
             let sims = map.entry(key.clone()).or_default();
-            let hit = sims.runs.get(&a.module, ccm_size).map(|(_, s)| *s);
+            let hit = sims.runs.get(&run_key).copied();
             if hit.is_some() {
                 sims.served.insert(config);
             }
@@ -336,23 +431,26 @@ impl Run {
         let simulated = match stored {
             Some(s) => s,
             None => {
-                let s = simulate(&a.module, machine)
+                let m = built.unwrap_or_else(|| a.module());
+                let s = simulate(&m, machine)
                     .map_err(|e| at(PipelineError::new(Stage::Sim, name, e.to_string())))?;
                 let mut map = lock(&self.memo.sims);
                 let sims = map.entry(key).or_default();
-                sims.runs.insert(Arc::clone(&a.module), ccm_size, s);
+                sims.runs.entry(run_key).or_insert(s);
                 sims.served.insert(config);
                 s
             }
         };
-        Ok(measurement(&a.module, &a, simulated))
+        let spill_bytes = a.placement.spill_bytes(&a.baseline.module);
+        Ok(measurement(spill_bytes, &a, simulated))
     }
 
     /// Footnote 3's spill-memory compaction of one configuration, for
-    /// Table 1 and the design ablation: compacts a clone of
-    /// [`Run::allocated`]'s module, checks it (`compaction overlap`
-    /// included) and simulates it on `machine`. `None` when no
-    /// main-memory spill slot is left to compact; nothing is memoized.
+    /// Table 1 and the design ablation: [`Run::allocated`]'s placement,
+    /// compacted over the baseline allocation's shared analysis
+    /// ([`Placement::compacted`]), built, checked (`compaction overlap`
+    /// included) and simulated on `machine`. `None` when no main-memory
+    /// spill slot is left to compact; nothing is memoized.
     ///
     /// # Errors
     ///
@@ -367,17 +465,18 @@ impl Run {
         machine: &MachineConfig,
     ) -> Result<Option<(CompactStats, Measurement)>, PipelineError> {
         let a = self.allocated(name, setup, variant, machine.ccm_size)?;
-        let mut m = Module::clone(&a.module);
-        let stats =
-            ccm::compact_module(&mut m)
-                .into_iter()
-                .fold(CompactStats::default(), |t, (_, s)| CompactStats {
-                    before: t.before + s.before,
-                    after: t.after + s.after,
-                });
+        let baseline = &a.baseline.module;
+        let (placement, stats) = a.placement.compacted(baseline, &a.baseline.analysis);
+        let stats = stats
+            .into_iter()
+            .fold(CompactStats::default(), |t, (_, s)| CompactStats {
+                before: t.before + s.before,
+                after: t.after + s.after,
+            });
         if stats.before == 0 {
             return Ok(None);
         }
+        let m = placement.apply(baseline);
         let diags = checker::check_module(
             &m,
             &checker::CheckerConfig::with_alloc(machine.ccm_size, setup.alloc),
@@ -390,12 +489,13 @@ impl Run {
             ));
         }
         let compacted = measurement(
-            &m,
+            placement.spill_bytes(baseline),
             &a,
             simulate(&m, machine).map_err(|e| {
                 PipelineError::new(Stage::Sim, name, format!("trapped after compaction: {e}"))
             })?,
         );
+        drop(m);
         let uncompacted = self.measure_unit(name, setup, variant, machine)?;
         compacted.same_output(&uncompacted, name, " after compaction")?;
         Ok(Some((stats, compacted)))
@@ -479,7 +579,7 @@ mod tests {
         // Baseline at both sizes is the memoized module itself, not a copy.
         for size in [512, 1024] {
             let b = at(Variant::Baseline, size);
-            assert!(Arc::ptr_eq(&b.module, &shared), "baseline @ {size} B");
+            assert!(Arc::ptr_eq(&b.module(), &shared), "baseline @ {size} B");
             assert_eq!(b.spilled_ranges, spilled);
         }
         // A derived CCM configuration equals a fresh allocation.
@@ -494,7 +594,7 @@ mod tests {
                 let out = ccm::allocate_variant(&mut fresh, v, size, &AllocConfig::default());
                 assert_eq!(
                     format!("{fresh}"),
-                    format!("{}", derived.module),
+                    format!("{}", derived.module()),
                     "{v:?} @ {size} B"
                 );
                 assert_eq!(out.spilled_ranges, derived.spilled_ranges);
@@ -538,8 +638,8 @@ mod tests {
         let checked = |s| run.allocated("urand", s, Variant::Baseline, 512).unwrap();
         let (a, b) = (checked(&tables), checked(&convention));
         assert_eq!(
-            a.module.to_string(),
-            b.module.to_string(),
+            a.module().to_string(),
+            b.module().to_string(),
             "urand makes no call"
         );
         assert!(!Arc::ptr_eq(&a.diags, &b.diags));
@@ -615,7 +715,7 @@ mod tests {
                 .allocated(name, &tables, Variant::Baseline, 512)
                 .unwrap();
             let (allocation, _) = run.baseline_allocation(name, &tables).unwrap();
-            assert!(Arc::ptr_eq(&cell.module, &allocation), "{name}");
+            assert!(Arc::ptr_eq(&cell.module(), &allocation), "{name}");
         }
     }
 

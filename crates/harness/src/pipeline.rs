@@ -7,9 +7,9 @@
 //! experiment takes it by reference and reads each measurement of a
 //! suite unit through [`Run::measure_unit`], by the unit's name and
 //! setup alone (the run finds its own build, [`Run::unit`]): one
-//! baseline allocation per (unit, setup), [`ccm::promote_allocated`] per
-//! variant, the checker, then the simulator, each distinct module
-//! checked and simulated once. `repro`, `probe`, each inject-sweep point
+//! baseline allocation per (unit, setup), a [`ccm::place`] of its spill
+//! slots per variant and CCM size, the checker, then the simulator, each
+//! distinct placement built, checked and simulated once. `repro`, `probe`, each inject-sweep point
 //! and each test build their own, so nothing one of them memoizes or
 //! records is seen by another.
 //!

@@ -53,7 +53,7 @@ pub mod verify;
 
 pub use block::{Block, BlockId, Succs};
 pub use func::{FrameInfo, Function, SlotId, SpillKind, SpillSlot};
-pub use module::{Global, Module, ModuleMemo};
+pub use module::{Global, Module};
 pub use op::{f2i, read_imm, Call, CmpKind, FBinKind, IBinKind, Instr, Op};
 pub use parse::{parse_module, ParseError};
 pub use reg::{Reg, RegClass, FIRST_VREG};

@@ -32,10 +32,10 @@
 //! of allocating and faulting in a fresh one (6.8 MB at n = 7364).
 //! With two or more jobs, `exec`'s scoped workers end with their stage,
 //! and the buffer with them. With one job, `exec` runs every item inline
-//! on the calling thread, so the main thread's spare (the largest matrix
-//! the run built) lives until the process exits: `repro --figure3
-//! --figure4` peaks at 29.8 MiB at `--jobs 1` against 23.8–26.6 MiB at
-//! `--jobs 2`.
+//! on the calling thread, which keeps its spare when the stage ends; the
+//! harness's stages (`harness::Run::par_contained`) therefore end with
+//! [`release_spare_matrix`], so the largest matrix a stage built does not
+//! outlive it on one worker either.
 
 use std::cell::Cell;
 
@@ -274,6 +274,13 @@ impl InterferenceGraph {
 thread_local! {
     /// The largest matrix buffer a graph dropped on this thread gave back.
     static SPARE: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Frees this thread's spare matrix buffer. A stage whose items ran
+/// inline on the calling thread calls it when it ends; the next build on
+/// the thread allocates afresh.
+pub fn release_spare_matrix() {
+    let _ = SPARE.try_with(Cell::take);
 }
 
 impl Drop for InterferenceGraph {

@@ -48,5 +48,5 @@ pub use allocator::{allocate_function, allocate_module, no_virtual_regs, AllocSt
 pub use color::{color, Coloring};
 pub use config::AllocConfig;
 pub use costs::{SpillCosts, INFINITE};
-pub use igraph::InterferenceGraph;
+pub use igraph::{release_spare_matrix, InterferenceGraph};
 pub use spill::insert_spill_code;

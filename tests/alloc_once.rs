@@ -3,7 +3,8 @@
 //! the module a fresh `ccm::allocate_variant` produces — same code, same
 //! spill count, same degradation events. The harness cache and the fuzz
 //! oracle allocate each unit once and derive every configuration this
-//! way.
+//! way (`ccm::place` and `Placement::apply`, which `promote_allocated`
+//! wraps).
 
 use ccm::Variant;
 use iloc::Module;

@@ -1,8 +1,9 @@
 //! The run's check-and-simulate memo against a reference path that
 //! checks and simulates every configuration itself.
 //!
-//! A `harness::Run` checks and simulates each distinct (module, CCM key)
-//! of a unit once (`iloc::ModuleMemo`). The reference here shares
+//! A `harness::Run` checks and simulates each distinct (placement, CCM
+//! key) of a unit's baseline allocation once (`ccm::Placement`). The
+//! reference here shares
 //! nothing: per unit it makes its own Chaitin-Briggs allocation, then
 //! per (variant, CCM size) promotes a fresh copy, runs the checker and
 //! the simulator. Every `Measurement` field and every `check_suite`
