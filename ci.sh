@@ -24,9 +24,11 @@ cargo build --release
 
 echo "== perfbench: cargo build --release --locked"
 # The benchmark helper is its own Cargo package outside the workspace and
-# calls the crates' public API (ccm::PostpassConfig,
-# allocate_module_integrated, checker::check_module, ...), so no other
-# stage compiles it. The separate target dir leaves perfbench/ untouched,
+# calls the crates' public API (checker::check_module, sim::run_module,
+# ...), so no other stage compiles it. Of ccm it calls exactly the three
+# in-place shims kept for it: postpass_promote with PostpassConfig (reading
+# the FnPromotion counts it returns), allocate_module_integrated and
+# compact_module. The separate target dir leaves perfbench/ untouched,
 # and --locked fails rather than rewrite its lockfile. That lockfile also
 # records each workspace crate's own dependency list (exec = [inject],
 # ...), so any [dependencies] edit to a crate perfbench reaches, directly
@@ -34,6 +36,13 @@ echo "== perfbench: cargo build --release --locked"
 # is regenerated.
 CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked \
     --manifest-path perfbench/Cargo.toml
+
+echo "== examples: cargo run --release -q --example NAME"
+# Each example asserts that the CCM configurations it builds return what
+# the baseline returns; the stages above only compile them.
+for example in quickstart spill_promotion from_text cache_pollution; do
+    cargo run --release -q --example "$example" > /dev/null
+done
 
 echo "== tier-1: cargo test -q"
 cargo test -q

@@ -160,7 +160,8 @@ mod tests {
         let mut m = Module::new();
         m.push_function(fb.finish());
         let alloc = AllocConfig::tiny(3);
-        ccm::allocate_variant(&mut m, variant, 512, &alloc);
+        regalloc::allocate_module(&mut m, &alloc);
+        ccm::promote_allocated(&mut m, variant, 512);
         (m, alloc)
     }
 

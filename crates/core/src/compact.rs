@@ -5,10 +5,13 @@
 //! when possible." Slots are assigned new frame offsets greedily — each
 //! slot takes the lowest aligned offset not overlapping any
 //! already-placed *interfering* slot — so disjoint lifetimes share bytes.
+//! [`Placement::compacted`] applies this rule to any configuration's
+//! frames as a placement of its baseline allocation.
 
-use iloc::{FrameInfo, Function, Module, SlotId};
+use iloc::{FrameInfo, Module, SlotId};
 
-use crate::postpass::{first_fit, retarget_spill_ops};
+use crate::placement::{BaselineAnalysis, Placement};
+use crate::postpass::first_fit;
 use crate::slots::SlotAnalysis;
 
 /// Result of compacting one function's spill memory.
@@ -28,25 +31,6 @@ impl CompactStats {
         } else {
             self.after as f64 / self.before as f64
         }
-    }
-}
-
-/// Compacts the main-memory spill slots of `f` (CCM-resident slots are
-/// untouched). Returns before/after spill-memory sizes.
-pub fn compact_spill_memory(f: &mut Function) -> CompactStats {
-    let before = f.frame.spill_bytes();
-    if f.frame.slots.is_empty() {
-        return CompactStats {
-            before,
-            after: before,
-        };
-    }
-    let analysis = SlotAnalysis::compute(f);
-    compact_frame(&mut f.frame, &analysis);
-    retarget_spill_ops(f);
-    CompactStats {
-        before,
-        after: f.frame.spill_bytes(),
     }
 }
 
@@ -80,19 +64,33 @@ pub(crate) fn compact_frame(frame: &mut FrameInfo, analysis: &SlotAnalysis) {
     }
 }
 
-/// Compacts every function; returns per-function stats alongside names.
+/// Compacts every function of `m` in place: the baseline's
+/// [`Placement::compacted`] over `m`'s own analysis, applied. Returns
+/// per-function stats alongside names.
+///
+/// Exists only because the `perfbench` replay helper calls it; every
+/// other caller compacts a placement with [`Placement::compacted`].
 pub fn compact_module(m: &mut Module) -> Vec<(String, CompactStats)> {
-    m.functions
-        .iter_mut()
-        .map(|f| (f.name.clone(), compact_spill_memory(f)))
-        .collect()
+    let (compacted, stats) = Placement::default().compacted(m, &BaselineAnalysis::compute(m));
+    compacted.apply_to(m);
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use iloc::builder::FuncBuilder;
-    use iloc::{Instr, Op, Reg, RegClass, SpillKind};
+    use iloc::{Function, Instr, Op, Reg, RegClass, SpillKind};
+
+    /// Compacts `f`'s spill memory: [`Placement::compacted`] of the
+    /// one-function module that holds it, applied.
+    fn compact(f: &mut Function) -> CompactStats {
+        let mut m = Module::new();
+        m.push_function(f.clone());
+        let (compacted, stats) = Placement::default().compacted(&m, &BaselineAnalysis::compute(&m));
+        *f = compacted.apply(&m).functions.remove(0);
+        stats[0].1
+    }
 
     /// Two slots with disjoint lifetimes: store0/load0 then store1/load1.
     fn disjoint_slots() -> Function {
@@ -156,7 +154,7 @@ mod tests {
     fn disjoint_slots_share_one_location() {
         let mut f = disjoint_slots();
         assert_eq!(f.frame.spill_bytes(), 16);
-        let stats = compact_spill_memory(&mut f);
+        let stats = compact(&mut f);
         assert_eq!(stats.before, 16);
         assert_eq!(stats.after, 8, "two disjoint 8-byte slots share one");
         assert!((stats.ratio() - 0.5).abs() < 1e-12);
@@ -230,7 +228,7 @@ mod tests {
         for (i, instr) in seq.into_iter().enumerate() {
             f.block_mut(e).instrs.insert(i, instr);
         }
-        let stats = compact_spill_memory(&mut f);
+        let stats = compact(&mut f);
         assert_eq!(stats.after, stats.before, "interfering slots cannot share");
         assert_ne!(f.frame.slots[0].offset, f.frame.slots[1].offset);
     }
@@ -241,7 +239,7 @@ mod tests {
         let mut m0 = iloc::Module::new();
         m0.push_function(f.clone());
         let (v0, _) = sim::run_module(&m0, sim::MachineConfig::default(), "f").unwrap();
-        compact_spill_memory(&mut f);
+        compact(&mut f);
         let mut m1 = iloc::Module::new();
         m1.push_function(f);
         let (v1, _) = sim::run_module(&m1, sim::MachineConfig::default(), "f").unwrap();
@@ -303,7 +301,7 @@ mod tests {
         for (i, instr) in seq.into_iter().enumerate() {
             f.block_mut(e).instrs.insert(i, instr);
         }
-        compact_spill_memory(&mut f);
+        compact(&mut f);
         assert_eq!(f.frame.slot(sf).offset % 8, 0, "float slot 8-aligned");
         assert_eq!(f.frame.slot(sg).offset % 4, 0);
         // No byte overlap between interfering slots.
@@ -316,7 +314,7 @@ mod tests {
         let mut fb = FuncBuilder::new("f");
         fb.ret(&[]);
         let mut f = fb.finish();
-        let stats = compact_spill_memory(&mut f);
+        let stats = compact(&mut f);
         assert_eq!(stats.before, 0);
         assert_eq!(stats.ratio(), 1.0);
     }
@@ -325,6 +323,7 @@ mod tests {
 #[cfg(test)]
 mod promoted_interaction_tests {
     use super::*;
+    use crate::{place, Variant};
     use iloc::RegClass;
     use regalloc::{allocate_module, AllocConfig};
 
@@ -342,44 +341,36 @@ mod promoted_interaction_tests {
             acc = fb.add(acc, *v);
         }
         fb.ret(&[acc]);
-        let mut m = iloc::Module::new();
-        m.push_function(fb.finish());
-        allocate_module(&mut m, &AllocConfig::tiny(3));
-        crate::postpass_promote(
-            &mut m,
-            &crate::PostpassConfig {
-                ccm_size: 16,
-                interprocedural: false,
-            },
+        let mut base = iloc::Module::new();
+        base.push_function(fb.finish());
+        allocate_module(&mut base, &AllocConfig::tiny(3));
+        let analysis = BaselineAnalysis::compute(&base);
+        let promoted = place(&base, &analysis, Variant::PostPass, 16);
+        let (compacted, stats) = promoted.compacted(&base, &analysis);
+        let (promoted, compacted) = (promoted.apply(&base), compacted.apply(&base));
+        let slots = |m: &Module, in_ccm: bool| -> Vec<_> {
+            (m.functions[0].frame.slots.iter())
+                .filter(|s| s.in_ccm == in_ccm)
+                .cloned()
+                .collect()
+        };
+        assert!(
+            !slots(&promoted, true).is_empty(),
+            "some slots must promote"
         );
-        let ccm_before: Vec<_> = m.functions[0]
-            .frame
-            .slots
-            .iter()
-            .filter(|s| s.in_ccm)
-            .cloned()
-            .collect();
-        assert!(!ccm_before.is_empty(), "some slots must promote");
-        let heavy_before = m.functions[0]
-            .frame
-            .slots
-            .iter()
-            .filter(|s| !s.in_ccm)
-            .count();
-        assert!(heavy_before > 0, "some slots must remain heavyweight");
+        assert!(
+            !slots(&promoted, false).is_empty(),
+            "some slots must remain heavyweight"
+        );
 
-        let stats = compact_spill_memory(&mut m.functions[0]);
-        assert!(stats.after <= stats.before);
-        let ccm_after: Vec<_> = m.functions[0]
-            .frame
-            .slots
-            .iter()
-            .filter(|s| s.in_ccm)
-            .cloned()
-            .collect();
-        assert_eq!(ccm_before, ccm_after, "CCM slots must not move");
+        assert!(stats[0].1.after <= stats[0].1.before);
+        assert_eq!(
+            slots(&promoted, true),
+            slots(&compacted, true),
+            "CCM slots must not move"
+        );
         // And it still runs.
-        let (v, _) = sim::run_module(&m, sim::MachineConfig::with_ccm(16), "main").unwrap();
+        let (v, _) = sim::run_module(&compacted, sim::MachineConfig::with_ccm(16), "main").unwrap();
         assert_eq!(v.ints, vec![(0..20).sum::<i64>()]);
     }
 }

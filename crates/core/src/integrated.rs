@@ -28,20 +28,10 @@
 use crate::placement::{moves_off, BaselineAnalysis, Placement, SlotMove};
 use crate::postpass::{align_up, first_fit, FnPromotion};
 use crate::slots::SlotAnalysis;
+use crate::variant::{promote_allocated, Variant};
 use crate::Degradation;
 use iloc::{Function, Module};
 use regalloc::{AllocConfig, AllocStats};
-
-/// Statistics from integrated CCM placement.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IntegratedStats {
-    /// Spilled live ranges redirected into the CCM.
-    pub ccm_spills: usize,
-    /// Spilled live ranges sent to main memory (heavyweight).
-    pub heavyweight_spills: usize,
-    /// Highest CCM byte used.
-    pub high_water: u32,
-}
 
 /// Places function `fi`, `f`, of an allocated module the integrated
 /// way, pushing a move per slot whose home changes. Returns the counts
@@ -142,33 +132,23 @@ pub(crate) fn integrated_placement(
     Placement::new(functions, moves)
 }
 
-/// The integrated CCM allocator as a placement pass over an allocated
-/// module: [`Placement::apply`] of its placement. Returns the summed
-/// placement stats and every function that degraded to heavyweight
-/// spilling.
-pub fn integrated_promote(m: &mut Module, ccm_size: u32) -> (IntegratedStats, Vec<Degradation>) {
-    let placement = integrated_placement(m, &BaselineAnalysis::compute(m), ccm_size);
-    placement.apply_to(m);
-    let mut total = IntegratedStats::default();
-    for p in &placement.functions {
-        total.ccm_spills += p.promoted;
-        total.heavyweight_spills += p.heavyweight;
-        total.high_water = total.high_water.max(p.high_water);
-    }
-    (total, placement.degradations())
-}
-
-/// Runs the integrated allocator: the Chaitin-Briggs allocation, then
-/// [`integrated_promote`]. Returns the allocator stats, the placement
-/// stats and the functions that degraded to heavyweight spilling.
+/// Runs the integrated allocator in place: the Chaitin-Briggs
+/// allocation, then [`promote_allocated`] of [`Variant::Integrated`].
+/// Returns the allocator stats, the placement it applied and the
+/// functions that degraded to heavyweight spilling.
+///
+/// Exists only because the `perfbench` replay helper calls it; every
+/// other caller allocates with [`regalloc::allocate_module`] and derives
+/// through [`place`](crate::place) or [`promote_allocated`].
 pub fn allocate_module_integrated(
     m: &mut Module,
     cfg: &AllocConfig,
     ccm_size: u32,
-) -> (AllocStats, IntegratedStats, Vec<Degradation>) {
+) -> (AllocStats, Placement, Vec<Degradation>) {
     let alloc = regalloc::allocate_module(m, cfg);
-    let (stats, degradations) = integrated_promote(m, ccm_size);
-    (alloc, stats, degradations)
+    let placement = promote_allocated(m, Variant::Integrated, ccm_size);
+    let degradations = placement.degradations();
+    (alloc, placement, degradations)
 }
 
 #[cfg(test)]
@@ -192,13 +172,22 @@ mod tests {
         m
     }
 
+    /// Allocates `m` under `k` registers per class, then places its
+    /// spills the integrated way in a `ccm_size`-byte CCM. Returns the
+    /// live ranges spilled and the first function's placement report.
+    fn integrated(m: &mut Module, k: u32, ccm_size: u32) -> (usize, FnPromotion) {
+        let spilled = regalloc::allocate_module(m, &AllocConfig::tiny(k)).total_spilled();
+        let placement = promote_allocated(m, Variant::Integrated, ccm_size);
+        (spilled, placement.functions()[0].clone())
+    }
+
     #[test]
     fn integrated_spills_go_to_ccm() {
         let mut m = wide_module(14);
-        let (alloc, ccm, _) = allocate_module_integrated(&mut m, &AllocConfig::tiny(4), 512);
-        assert!(alloc.total_spilled() > 0);
-        assert_eq!(ccm.ccm_spills, alloc.total_spilled());
-        assert_eq!(ccm.heavyweight_spills, 0);
+        let (spilled, main) = integrated(&mut m, 4, 512);
+        assert!(spilled > 0);
+        assert_eq!(main.promoted, spilled);
+        assert_eq!(main.heavyweight, 0);
         m.verify().unwrap();
         // All spill instructions are CCM ops.
         for b in &m.functions[0].blocks {
@@ -219,7 +208,7 @@ mod tests {
         let mut base = wide_module(16);
         let mut ccm_m = base.clone();
         regalloc::allocate_module(&mut base, &AllocConfig::tiny(4));
-        allocate_module_integrated(&mut ccm_m, &AllocConfig::tiny(4), 512);
+        integrated(&mut ccm_m, 4, 512);
         let (v0, m0) = sim::run_module(&base, sim::MachineConfig::default(), "main").unwrap();
         let (v1, m1) = sim::run_module(&ccm_m, sim::MachineConfig::default(), "main").unwrap();
         assert_eq!(v0, v1);
@@ -231,9 +220,9 @@ mod tests {
         let mut a = wide_module(14);
         let mut b = a.clone();
         regalloc::allocate_module(&mut a, &AllocConfig::tiny(4));
-        let (_, ccm, _) = allocate_module_integrated(&mut b, &AllocConfig::tiny(4), 0);
-        assert_eq!(ccm.ccm_spills, 0);
-        assert!(ccm.heavyweight_spills > 0);
+        let (_, main) = integrated(&mut b, 4, 0);
+        assert_eq!(main.promoted, 0);
+        assert!(main.heavyweight > 0);
         assert_eq!(a.to_string(), b.to_string(), "byte-identical to baseline");
     }
 
@@ -243,8 +232,8 @@ mod tests {
         // frame, packed from the bottom as if the CCM slots took no
         // frame space.
         let mut m = wide_module(40);
-        let (_, ccm, _) = allocate_module_integrated(&mut m, &AllocConfig::tiny(3), 8);
-        assert!(ccm.ccm_spills > 0 && ccm.heavyweight_spills > 0);
+        let (_, main) = integrated(&mut m, 3, 8);
+        assert!(main.promoted > 0 && main.heavyweight > 0);
         let frame = &m.functions[0].frame;
         let mut offsets: Vec<u32> = frame
             .slots
@@ -257,7 +246,7 @@ mod tests {
             .collect();
         offsets.sort_unstable();
         assert_eq!(offsets, expected);
-        assert_eq!(frame.spill_bytes(), 4 * ccm.heavyweight_spills as u32);
+        assert_eq!(frame.spill_bytes(), 4 * main.heavyweight as u32);
     }
 
     #[test]
@@ -281,9 +270,9 @@ mod tests {
         let mut m = Module::new();
         m.push_function(fb.finish());
         m.push_function(leaf.finish());
-        let (_, ccm, _) = allocate_module_integrated(&mut m, &AllocConfig::tiny(3), 512);
+        let (_, main) = integrated(&mut m, 3, 512);
         assert!(
-            ccm.heavyweight_spills > 0,
+            main.heavyweight > 0,
             "call-crossing spills must go to main memory"
         );
         let (v, _) = sim::run_module(&m, sim::MachineConfig::default(), "main").unwrap();
@@ -293,10 +282,10 @@ mod tests {
     #[test]
     fn tiny_ccm_mixes_ccm_and_heavyweight() {
         let mut m = wide_module(40);
-        let (_, ccm, _) = allocate_module_integrated(&mut m, &AllocConfig::tiny(3), 8);
-        assert!(ccm.ccm_spills > 0);
-        assert!(ccm.heavyweight_spills > 0);
-        assert!(ccm.high_water <= 8);
+        let (_, main) = integrated(&mut m, 3, 8);
+        assert!(main.promoted > 0);
+        assert!(main.heavyweight > 0);
+        assert!(main.high_water <= 8);
         let (v, _) = sim::run_module(&m, sim::MachineConfig::default(), "main").unwrap();
         assert_eq!(v.ints, vec![(0..40).sum::<i64>()]);
     }
@@ -321,7 +310,7 @@ mod tests {
         fb.ret(&[out]);
         let mut m = Module::new();
         m.push_function(fb.finish());
-        allocate_module_integrated(&mut m, &AllocConfig::tiny(4), 64);
+        integrated(&mut m, 4, 64);
         // Collect CCM intervals per class from the frame and check
         // pairwise disjointness across classes.
         let f = &m.functions[0];

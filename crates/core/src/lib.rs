@@ -8,19 +8,22 @@
 //!
 //! * [`SlotAnalysis`] — liveness and interference over spill *locations*
 //!   (§3.1's reformulation of dataflow analysis on memory slots);
-//! * [`compact_spill_memory`] — coloring-based spill-memory compaction
-//!   (§4.1, Table 1);
-//! * [`postpass_promote`] — the post-pass CCM allocator, intraprocedural
-//!   and interprocedural (Figure 1);
-//! * [`integrated_promote`] / [`allocate_module_integrated`] — the
-//!   integrated allocator's CCM spilling (§3.2, Figure 2), as a
-//!   spill-order placement over the Chaitin-Briggs allocation;
 //! * [`place`] — one [`Variant`] (the baseline or one of the three CCM
 //!   methods) at one CCM size as a [`Placement`] of a baseline
 //!   allocation's spill slots over its [`BaselineAnalysis`], the
-//!   derivation every experiment and the fuzz oracle share;
-//!   [`Placement::apply`] builds the module, [`promote_allocated`] does
-//!   both in place and [`allocate_variant`] allocates first.
+//!   derivation every experiment and the fuzz oracle share: the
+//!   post-pass CCM allocator, intraprocedural and interprocedural
+//!   ([`postpass`], Figure 1), and the integrated allocator's CCM
+//!   spilling ([`integrated`], §3.2, Figure 2);
+//! * [`Placement::apply`] — the module of a placement;
+//! * [`Placement::compacted`] — coloring-based spill-memory compaction
+//!   (§4.1, Table 1) of a placement, as another placement;
+//! * [`promote_allocated`] — [`place`] and [`Placement::apply_to`] in
+//!   one call, on a module that holds a baseline allocation.
+//!
+//! [`postpass_promote`], [`allocate_module_integrated`] and
+//! [`compact_module`] are in-place shims over these, kept only for the
+//! `perfbench` replay helper.
 //!
 //! # Quickstart
 //!
@@ -40,14 +43,14 @@
 //! let mut m = iloc::Module::new();
 //! m.push_function(fb.finish());
 //!
-//! // Allocate with 4 registers, then promote the spills into a 512-byte
-//! // CCM with the post-pass allocator.
+//! // Allocate with 4 registers, then place the spills into a 512-byte
+//! // CCM with the post-pass allocator and the call graph.
 //! regalloc::allocate_module(&mut m, &AllocConfig::tiny(4));
-//! let stats = ccm::postpass_promote(
-//!     &mut m,
-//!     &ccm::PostpassConfig { ccm_size: 512, interprocedural: true },
-//! );
-//! assert!(stats[0].promoted > 0);
+//! let analysis = ccm::BaselineAnalysis::compute(&m);
+//! let placement = ccm::place(&m, &analysis, ccm::Variant::PostPassCallGraph, 512);
+//! assert!(placement.functions()[0].promoted > 0);
+//! let promoted = placement.apply(&m);
+//! assert!(promoted.uses_ccm());
 //! ```
 
 pub mod compact;
@@ -81,9 +84,9 @@ impl std::fmt::Display for Degradation {
     }
 }
 
-pub use compact::{compact_module, compact_spill_memory, CompactStats};
-pub use integrated::{allocate_module_integrated, integrated_promote, IntegratedStats};
+pub use compact::{compact_module, CompactStats};
+pub use integrated::allocate_module_integrated;
 pub use placement::{BaselineAnalysis, Placement};
 pub use postpass::{postpass_promote, FnPromotion, PostpassConfig};
 pub use slots::{CallSite, SlotAnalysis};
-pub use variant::{allocate_variant, place, promote_allocated, AllocOutcome, Variant};
+pub use variant::{place, promote_allocated, Variant};

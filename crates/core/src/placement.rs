@@ -151,6 +151,13 @@ impl Placement {
         (baseline_uses_ccm || self.moves.iter().any(|m| m.home.in_ccm)).then_some(ccm_size)
     }
 
+    /// Per function, in module order: its promoted and heavyweight slot
+    /// counts, its CCM high-water mark and any degradation. Empty for the
+    /// baseline.
+    pub fn functions(&self) -> &[FnPromotion] {
+        &self.functions
+    }
+
     /// The functions that fell back to heavyweight spills, in module
     /// order.
     pub fn degradations(&self) -> Vec<Degradation> {
@@ -215,9 +222,9 @@ impl Placement {
 
     /// Footnote 3's spill-memory compaction of this placement's module
     /// as a placement of `baseline`: every slot left in the frame is
-    /// repacked ([`compact_spill_memory`](crate::compact_spill_memory)'s
-    /// rule, over `analysis`), CCM slots stay. Returns it with each
-    /// function's name and before/after spill bytes.
+    /// repacked by [`crate::compact`]'s rule over `analysis`, CCM slots
+    /// stay. Returns it with each function's name and before/after spill
+    /// bytes.
     pub fn compacted(
         &self,
         baseline: &Module,

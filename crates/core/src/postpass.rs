@@ -20,6 +20,7 @@ use iloc::{Function, Module, Op, SlotId, SpillSlot};
 
 use crate::placement::{BaselineAnalysis, Placement, SlotMove};
 use crate::slots::SlotAnalysis;
+use crate::variant::{promote_allocated, Variant};
 
 /// Configuration for the post-pass allocator.
 #[derive(Clone, Copy, Debug)]
@@ -49,12 +50,20 @@ pub struct FnPromotion {
     pub degraded: Option<String>,
 }
 
-/// Runs the post-pass CCM allocator over the whole module. Code must
-/// already be register-allocated (spill instructions tagged).
+/// The post-pass allocator in place: [`promote_allocated`] of
+/// [`Variant::PostPassCallGraph`] when `cfg.interprocedural` is set,
+/// [`Variant::PostPass`] otherwise. Returns the per-function counts.
+///
+/// Exists only because the `perfbench` replay helper calls it; every
+/// other caller derives through [`place`](crate::place) or
+/// [`promote_allocated`].
 pub fn postpass_promote(m: &mut Module, cfg: &PostpassConfig) -> Vec<FnPromotion> {
-    let placement = postpass_placement(m, &BaselineAnalysis::compute(m), cfg);
-    placement.apply_to(m);
-    placement.functions
+    let variant = if cfg.interprocedural {
+        Variant::PostPassCallGraph
+    } else {
+        Variant::PostPass
+    };
+    promote_allocated(m, variant, cfg.ccm_size).functions
 }
 
 /// The post-pass allocator's [`Placement`] of baseline allocation `m`,
@@ -265,8 +274,7 @@ pub(crate) fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
 /// `Vec`: the post-pass colouring (`color_function_slots`), the
 /// integrated placement (`place_function`, which adds every interval
 /// the other register class holds) and spill-memory compaction
-/// ([`compact_spill_memory`](crate::compact_spill_memory), with no
-/// limit).
+/// (`compact_frame`, under [`Placement::compacted`], with no limit).
 pub(crate) fn first_fit(
     start: u32,
     size: u32,
@@ -289,8 +297,8 @@ pub(crate) fn first_fit(
 /// Points every tagged spill instruction of `f` at its slot's current
 /// home: a CCM access at the offset of a slot in the CCM, a frame access
 /// at the offset of a slot in the activation record.
-/// [`Placement::apply`] and spill-memory compaction move slots, then call
-/// this once per function they moved a slot of.
+/// [`Placement::apply_to`] moves slots, then calls this once per
+/// function it moved a slot of.
 pub(crate) fn retarget_spill_ops(f: &mut Function) {
     let slots = &f.frame.slots;
     for instr in f.blocks.iter_mut().flat_map(|b| &mut b.instrs) {
@@ -408,13 +416,8 @@ mod tests {
         let mut m = spilled_leaf_module(12, 4);
         let slots_before = m.functions[0].frame.slots.len();
         assert!(slots_before > 0, "setup must spill");
-        let stats = postpass_promote(
-            &mut m,
-            &PostpassConfig {
-                ccm_size: 512,
-                interprocedural: false,
-            },
-        );
+        let placement = promote_allocated(&mut m, Variant::PostPass, 512);
+        let stats = placement.functions();
         assert_eq!(stats[0].promoted, slots_before);
         assert_eq!(stats[0].heavyweight, 0);
         assert!(stats[0].high_water > 0);
@@ -433,13 +436,7 @@ mod tests {
     fn promotion_preserves_results_and_saves_cycles() {
         let mut m = spilled_leaf_module(14, 4);
         let (v0, m0) = sim::run_module(&m, sim::MachineConfig::default(), "main").unwrap();
-        postpass_promote(
-            &mut m,
-            &PostpassConfig {
-                ccm_size: 512,
-                interprocedural: false,
-            },
-        );
+        promote_allocated(&mut m, Variant::PostPass, 512);
         let (v1, m1) = sim::run_module(&m, sim::MachineConfig::default(), "main").unwrap();
         assert_eq!(v0, v1, "promotion must not change results");
         assert!(m1.cycles < m0.cycles, "CCM spills must be cheaper");
@@ -450,13 +447,9 @@ mod tests {
     #[test]
     fn tiny_ccm_leaves_heavyweight_spills() {
         let mut m = spilled_leaf_module(40, 3);
-        let stats = postpass_promote(
-            &mut m,
-            &PostpassConfig {
-                ccm_size: 8, // room for just two 4-byte slots
-                interprocedural: false,
-            },
-        );
+        // Room for just two 4-byte slots.
+        let placement = promote_allocated(&mut m, Variant::PostPass, 8);
+        let stats = placement.functions();
         assert!(stats[0].promoted >= 1);
         assert!(stats[0].heavyweight >= 1);
         assert!(stats[0].high_water <= 8);
@@ -501,13 +494,8 @@ mod tests {
         let sa = SlotAnalysis::compute(m.function("main").unwrap());
         let crossing = sa.crosses_call.iter().filter(|&&c| c).count();
         assert!(crossing > 0, "setup: some slot must cross the call");
-        let stats = postpass_promote(
-            &mut m,
-            &PostpassConfig {
-                ccm_size: 512,
-                interprocedural: false,
-            },
-        );
+        let placement = promote_allocated(&mut m, Variant::PostPass, 512);
+        let stats = placement.functions();
         let main_stats = stats.iter().find(|s| s.name == "main").unwrap();
         assert!(
             main_stats.heavyweight >= crossing,
@@ -520,13 +508,8 @@ mod tests {
     #[test]
     fn interprocedural_places_crossing_slots_above_callee_mark() {
         let mut m = caller_callee_module(3);
-        let stats = postpass_promote(
-            &mut m,
-            &PostpassConfig {
-                ccm_size: 512,
-                interprocedural: true,
-            },
-        );
+        let placement = promote_allocated(&mut m, Variant::PostPassCallGraph, 512);
+        let stats = placement.functions();
         let leaf_stats = stats.iter().find(|s| s.name == "leaf").unwrap();
         let main_stats = stats.iter().find(|s| s.name == "main").unwrap();
         assert!(leaf_stats.promoted > 0);
@@ -581,13 +564,8 @@ mod tests {
         m.push_function(main.finish());
         allocate_module(&mut m, &AllocConfig::tiny(2));
 
-        let stats = postpass_promote(
-            &mut m,
-            &PostpassConfig {
-                ccm_size: 512,
-                interprocedural: true,
-            },
-        );
+        let placement = promote_allocated(&mut m, Variant::PostPassCallGraph, 512);
+        let stats = placement.functions();
         let rec_stats = stats.iter().find(|s| s.name == "rec").unwrap();
         assert_eq!(rec_stats.high_water, 512, "cycle members use all of CCM");
         let (v, _) = sim::run_module(&m, sim::MachineConfig::default(), "main").unwrap();
@@ -616,13 +594,8 @@ mod tests {
         allocate_module(&mut m, &AllocConfig::tiny(3));
         let slots = m.functions[0].frame.slots.len();
         assert!(slots >= 2);
-        let stats = postpass_promote(
-            &mut m,
-            &PostpassConfig {
-                ccm_size: 8,
-                interprocedural: false,
-            },
-        );
+        let placement = promote_allocated(&mut m, Variant::PostPass, 8);
+        let stats = placement.functions();
         assert!(
             stats[0].promoted >= 2,
             "disjoint slots must share CCM words: {stats:?}"

@@ -4,14 +4,11 @@
 //! allocation's spill slots over its shared [`BaselineAnalysis`]; the
 //! harness's memo and the fuzz oracle derive every configuration this
 //! way and build a module only to check, simulate, compact or mutate
-//! it. [`promote_allocated`] places and rewrites in one call, and
-//! [`allocate_variant`] allocates first.
+//! it. [`promote_allocated`] places and rewrites in one call.
 
 use iloc::Module;
-use regalloc::AllocConfig;
 
 use crate::placement::{BaselineAnalysis, Placement};
-use crate::Degradation;
 
 /// The allocation strategy under test — the three CCM methods of the
 /// paper plus the no-CCM baseline.
@@ -57,35 +54,6 @@ impl Variant {
     }
 }
 
-/// The outcome of [`allocate_variant`]: spill statistics plus any
-/// per-function degradation events.
-#[derive(Clone, Debug, Default)]
-pub struct AllocOutcome {
-    /// Live ranges spilled during allocation.
-    pub spilled_ranges: usize,
-    /// Functions that abandoned CCM allocation and kept conventional
-    /// heavyweight spills.
-    pub degraded: Vec<Degradation>,
-}
-
-/// Applies `variant` allocation with register supply `cfg` and CCM
-/// capacity `ccm_size` to an optimized (still virtual-register) module.
-///
-/// Every variant is the baseline Chaitin-Briggs allocation followed by
-/// [`promote_allocated`].
-pub fn allocate_variant(
-    m: &mut Module,
-    variant: Variant,
-    ccm_size: u32,
-    cfg: &AllocConfig,
-) -> AllocOutcome {
-    let spilled_ranges = regalloc::allocate_module(m, cfg).total_spilled();
-    AllocOutcome {
-        spilled_ranges,
-        degraded: promote_allocated(m, variant, ccm_size),
-    }
-}
-
 /// Where `variant` at `ccm_size` puts the spill slots of `m`, a module
 /// that holds the baseline Chaitin-Briggs allocation, by `m`'s
 /// `analysis`. [`Variant::Baseline`] moves nothing.
@@ -93,10 +61,9 @@ pub fn allocate_variant(
 /// No CCM method changes the register assignment: the post-pass
 /// allocator runs after a conventional allocation (§3.1), and the
 /// integrated allocator's CCM edges decide only where a spilled value
-/// lands, never which values spill (§3.2; see
-/// [`integrated_promote`](crate::integrated_promote)). So one baseline
-/// allocation and one analysis of it serve every variant and CCM size:
-/// [`Placement::apply`] gives exactly what [`allocate_variant`] gives.
+/// lands, never which values spill (§3.2; see [`crate::integrated`]).
+/// So one baseline allocation and one analysis of it serve every
+/// variant and CCM size.
 pub fn place(
     m: &Module,
     analysis: &BaselineAnalysis,
@@ -119,45 +86,94 @@ pub fn place(
 }
 
 /// Derives `variant` at `ccm_size` from a module that already holds the
-/// baseline Chaitin-Briggs allocation, in place: [`place`], then
-/// [`Placement::apply_to`]. Returns the per-function degradation events.
+/// baseline Chaitin-Briggs allocation, in place: [`place`] over a fresh
+/// [`BaselineAnalysis`], then [`Placement::apply_to`]. Returns the
+/// placement it applied, whose [`Placement::functions`] and
+/// [`Placement::degradations`] report per-function counts and fallbacks.
 /// A no-op for [`Variant::Baseline`].
-pub fn promote_allocated(m: &mut Module, variant: Variant, ccm_size: u32) -> Vec<Degradation> {
+pub fn promote_allocated(m: &mut Module, variant: Variant, ccm_size: u32) -> Placement {
     if variant == Variant::Baseline {
-        return Vec::new();
+        return Placement::default();
     }
     let placement = place(m, &BaselineAnalysis::compute(m), variant, ccm_size);
     placement.apply_to(m);
-    placement.degradations()
+    placement
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{allocate_module_integrated, compact_module, postpass_promote, PostpassConfig};
     use iloc::builder::FuncBuilder;
     use iloc::RegClass;
+    use regalloc::AllocConfig;
 
+    /// The in-place entry points kept for the `perfbench` replay build
+    /// exactly the module of their placement: each post-pass flag value
+    /// its own variant, the integrated allocator its placement after the
+    /// same Chaitin-Briggs allocation, and compaction the baseline's
+    /// compacted placement. `main` keeps spilled values live across a
+    /// call to a spilling `leaf`, so the two post-pass variants differ.
     #[test]
-    fn integrated_derives_from_the_baseline_allocation() {
-        let mut fb = FuncBuilder::new("main");
-        fb.set_ret_classes(&[RegClass::Gpr]);
-        let vals: Vec<_> = (0..14).map(|i| fb.loadi(i)).collect();
-        let mut acc = vals[13];
-        for v in vals[..13].iter().rev() {
-            acc = fb.add(acc, *v);
-        }
-        fb.ret(&[acc]);
+    fn perfbench_entry_points_match_their_placements() {
+        let wide = |name: &str, call: bool| {
+            let mut fb = FuncBuilder::new(name);
+            fb.set_ret_classes(&[RegClass::Gpr]);
+            let vals: Vec<_> = (0..10).map(|i| fb.loadi(i)).collect();
+            let mut acc = if call {
+                fb.call("leaf", &[], &[RegClass::Gpr])[0]
+            } else {
+                fb.loadi(0)
+            };
+            for v in vals {
+                acc = fb.add(acc, v);
+            }
+            fb.ret(&[acc]);
+            fb.finish()
+        };
         let mut m = Module::new();
-        m.push_function(fb.finish());
-        let cfg = AllocConfig::tiny(4);
+        m.push_function(wide("leaf", false));
+        m.push_function(wide("main", true));
+        let cfg = AllocConfig::tiny(3);
+        let mut base = m.clone();
+        let alloc = regalloc::allocate_module(&mut base, &cfg);
+        assert!(alloc.total_spilled() > 0, "setup must spill");
+        let analysis = BaselineAnalysis::compute(&base);
+        let placed = |v| place(&base, &analysis, v, 512);
+        assert_ne!(
+            placed(Variant::PostPass),
+            placed(Variant::PostPassCallGraph),
+            "setup: the call graph must change the placement"
+        );
 
-        let mut derived = m.clone();
-        regalloc::allocate_module(&mut derived, &cfg);
-        assert!(promote_allocated(&mut derived, Variant::Integrated, 64).is_empty());
-        let mut fresh = m;
-        let out = allocate_variant(&mut fresh, Variant::Integrated, 64, &cfg);
-        assert!(out.spilled_ranges > 0);
-        assert_eq!(derived.to_string(), fresh.to_string());
-        assert!(derived.functions[0].frame.slots.iter().any(|s| s.in_ccm));
+        for (interprocedural, v) in [
+            (false, Variant::PostPass),
+            (true, Variant::PostPassCallGraph),
+        ] {
+            let mut got = base.clone();
+            let cfg = PostpassConfig {
+                ccm_size: 512,
+                interprocedural,
+            };
+            let functions = postpass_promote(&mut got, &cfg);
+            let want = placed(v);
+            assert_eq!(got, want.apply(&base), "{v:?}");
+            assert_eq!(functions, want.functions(), "{v:?}");
+        }
+
+        let mut got = m;
+        let (stats, placement, degraded) = allocate_module_integrated(&mut got, &cfg, 512);
+        let want = placed(Variant::Integrated);
+        assert_eq!(stats, alloc);
+        assert_eq!(got, want.apply(&base));
+        assert_eq!(placement, want);
+        assert_eq!(placement.functions(), want.functions());
+        assert_eq!(degraded, want.degradations());
+
+        let mut got = base.clone();
+        let stats = compact_module(&mut got);
+        let (want, want_stats) = Placement::default().compacted(&base, &analysis);
+        assert_eq!(got, want.apply(&base));
+        assert_eq!(stats, want_stats);
     }
 }

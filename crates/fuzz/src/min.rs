@@ -388,7 +388,8 @@ mod tests {
         };
         // Make sure the mutation actually applies to this module.
         let mut probe = m.clone();
-        ccm::allocate_variant(&mut probe, ccm::Variant::PostPassCallGraph, 64, &tiny);
+        regalloc::allocate_module(&mut probe, &tiny);
+        ccm::promote_allocated(&mut probe, ccm::Variant::PostPassCallGraph, 64);
         assert!(apply_mutation(&mut probe, Mutation::BumpCcmOffset));
 
         let (small, f) = minimize(&m, &broken).expect("bug must be caught");

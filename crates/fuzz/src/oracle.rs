@@ -706,7 +706,8 @@ mod tests {
             // two always apply on a promoted module. If the mutation
             // could not apply, passing is the correct outcome.
             let mut probe = m.clone();
-            ccm::allocate_variant(&mut probe, Variant::PostPassCallGraph, 64, &broken.alloc);
+            regalloc::allocate_module(&mut probe, &broken.alloc);
+            ccm::promote_allocated(&mut probe, Variant::PostPassCallGraph, 64);
             let applies = apply_mutation(&mut probe, mu);
             let verdict = run_oracle(&m, &broken);
             if applies {

@@ -135,9 +135,8 @@ fn main() {
     let mut spilled = 0;
     let mut degraded: Vec<ccm::Degradation> = Vec::new();
     staged("allocate", &mut || {
-        let outcome = ccm::allocate_variant(&mut m, o.variant, o.ccm_size, &AllocConfig::default());
-        spilled = outcome.spilled_ranges;
-        degraded = outcome.degraded;
+        spilled = regalloc::allocate_module(&mut m, &AllocConfig::default()).total_spilled();
+        degraded = ccm::promote_allocated(&mut m, o.variant, o.ccm_size).degradations();
         m.verify()
             .unwrap_or_else(|e| die(&format!("post-allocation verify: {e}")));
     });

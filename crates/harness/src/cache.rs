@@ -165,8 +165,8 @@ fn measurement(
         metrics,
         checksum,
         spill_bytes,
-        spilled_ranges: a.spilled_ranges,
-        degraded: a.degraded.clone(),
+        spilled_ranges: a.spilled_ranges(),
+        degraded: a.degraded(),
     }
 }
 
@@ -178,13 +178,19 @@ pub struct Allocated {
     placement: Arc<Placement>,
     /// Every diagnostic from [`checker::check_module`].
     pub diags: Arc<Vec<checker::Diagnostic>>,
-    /// Live ranges spilled during allocation.
-    pub spilled_ranges: usize,
-    /// Per-function CCM→heavyweight degradation events.
-    pub degraded: Vec<ccm::Degradation>,
 }
 
 impl Allocated {
+    /// Live ranges spilled during the baseline allocation.
+    pub fn spilled_ranges(&self) -> usize {
+        self.baseline.spilled
+    }
+
+    /// Per-function CCM→heavyweight degradation events.
+    pub fn degraded(&self) -> Vec<ccm::Degradation> {
+        self.placement.degradations()
+    }
+
     /// The configuration's module: the baseline allocation itself when
     /// the placement moves no slot, otherwise built from it now with
     /// [`Placement::apply`] and kept by no memo.
@@ -350,10 +356,8 @@ impl Run {
         })
         .map_err(at)?;
         let mut a = Allocated {
-            degraded: placement.degradations(),
             placement: Arc::new(placement),
             diags: Arc::default(),
-            spilled_ranges: baseline.spilled,
             baseline,
         };
         let checks_key = (name.to_string(), *setup);
@@ -580,7 +584,7 @@ mod tests {
         for size in [512, 1024] {
             let b = at(Variant::Baseline, size);
             assert!(Arc::ptr_eq(&b.module(), &shared), "baseline @ {size} B");
-            assert_eq!(b.spilled_ranges, spilled);
+            assert_eq!(b.spilled_ranges(), spilled);
         }
         // A derived CCM configuration equals a fresh allocation.
         for v in [
@@ -591,14 +595,15 @@ mod tests {
             for size in [512, 1024] {
                 let derived = at(v, size);
                 let mut fresh = (*base).clone();
-                let out = ccm::allocate_variant(&mut fresh, v, size, &AllocConfig::default());
+                let alloc = regalloc::allocate_module(&mut fresh, &AllocConfig::default());
+                let placement = ccm::promote_allocated(&mut fresh, v, size);
                 assert_eq!(
                     format!("{fresh}"),
                     format!("{}", derived.module()),
                     "{v:?} @ {size} B"
                 );
-                assert_eq!(out.spilled_ranges, derived.spilled_ranges);
-                assert_eq!(out.degraded, derived.degraded);
+                assert_eq!(alloc.total_spilled(), derived.spilled_ranges());
+                assert_eq!(placement.degradations(), derived.degraded());
             }
         }
         // The run keeps one derivation per (variant, size): eight.
@@ -669,11 +674,15 @@ mod tests {
         } else {
             Variant::Baseline
         };
-        let spilled = ccm::allocate_variant(&mut m, variant, 512, alloc).spilled_ranges;
+        let spilled = regalloc::allocate_module(&mut m, alloc).total_spilled();
+        ccm::promote_allocated(&mut m, variant, 512);
         if *promote {
             // Paper, footnote 3: repack the remaining heavyweight slots
-            // so the reported spill space is honest.
-            ccm::compact_module(&mut m);
+            // so the reported spill space is honest. Compacted as a
+            // placement of the promoted module, not of the baseline
+            // allocation as `Run::compacted` does.
+            let analysis = BaselineAnalysis::compute(&m);
+            m = Placement::default().compacted(&m, &analysis).0.apply(&m);
         }
         let diags = checker::check_module(&m, &checker::CheckerConfig::with_alloc(512, *alloc));
         if let Some(detail) = checker::error_summary(&diags) {
@@ -730,13 +739,15 @@ mod tests {
         let cached = run.measure_unit(name, &tables, v, &machine).unwrap();
         let hit = run.measure_unit(name, &tables, v, &machine).unwrap();
         let mut fresh = (*base).clone();
-        let out = ccm::allocate_variant(&mut fresh, v, 512, &AllocConfig::default());
+        let spilled =
+            regalloc::allocate_module(&mut fresh, &AllocConfig::default()).total_spilled();
+        ccm::promote_allocated(&mut fresh, v, 512);
         let (vals, metrics) = sim::run_module(&fresh, machine, "main").unwrap();
         for m in [&cached, &hit] {
             assert_eq!(m.cycles, metrics.cycles);
             assert_eq!(m.mem_cycles, metrics.mem_op_cycles);
             assert_eq!(m.checksum.to_bits(), vals.floats[0].to_bits());
-            assert_eq!(m.spilled_ranges, out.spilled_ranges);
+            assert_eq!(m.spilled_ranges, spilled);
             assert_eq!(
                 m.spill_bytes,
                 fresh

@@ -358,7 +358,8 @@ pub fn scheduling_study(run: &Run) -> Vec<SchedRow> {
                 sched::schedule_module(&mut m, 3);
             }
             let spilled =
-                ccm::allocate_variant(&mut m, variant, 512, &AllocConfig::default()).spilled_ranges;
+                regalloc::allocate_module(&mut m, &AllocConfig::default()).total_spilled();
+            ccm::promote_allocated(&mut m, variant, 512);
             if post_sched {
                 sched::schedule_module(&mut m, 3);
             }

@@ -61,14 +61,15 @@ pub struct FaultPoint {
 pub const REGISTRY: &[FaultPoint] = &[
     FaultPoint {
         name: "alloc.ccm_coloring",
-        site: "ccm::postpass::promote_function / ccm::integrated::place_function",
+        site: "ccm::postpass::color_function_slots / ccm::integrated::place_function",
         effect: "CCM slot coloring fails for one function",
         expect: "degradation event: the function falls back to heavyweight spills; \
                  outputs byte-identical; no error",
     },
     FaultPoint {
         name: "alloc.panic",
-        site: "ccm::postpass_promote / ccm::integrated_promote entry",
+        site: "ccm::postpass::postpass_placement / ccm::integrated::integrated_placement \
+               entry, reached through ccm::place",
         effect: "the CCM allocator panics",
         expect: "PipelineError stage=alloc containing `injected allocator panic`",
     },

@@ -12,13 +12,12 @@
 use regalloc::AllocConfig;
 use sim::{CacheConfig, MachineConfig};
 
-fn run(m: &iloc::Module, cache: CacheConfig) -> sim::Metrics {
+fn run(m: &iloc::Module, cache: CacheConfig) -> (sim::RetValues, sim::Metrics) {
     let cfg = MachineConfig {
         cache: Some(cache),
         ..MachineConfig::with_ccm(512)
     };
-    let (_, metrics) = sim::run_module(m, cfg, "main").expect("kernel runs");
-    metrics
+    sim::run_module(m, cfg, "main").expect("kernel runs")
 }
 
 fn main() {
@@ -31,13 +30,7 @@ fn main() {
 
     // CCM: same allocation, spills redirected to the scratchpad.
     let mut promoted = baseline.clone();
-    ccm::postpass_promote(
-        &mut promoted,
-        &ccm::PostpassConfig {
-            ccm_size: 512,
-            interprocedural: true,
-        },
-    );
+    ccm::promote_allocated(&mut promoted, ccm::Variant::PostPassCallGraph, 512);
 
     let configs: Vec<(&str, CacheConfig)> = vec![
         ("8K direct-mapped", CacheConfig::small_direct_mapped()),
@@ -71,8 +64,9 @@ fn main() {
         "hierarchy", "cache cyc", "hit rate", "ccm cyc", "hit rate", "speedup"
     );
     for (name, cache) in configs {
-        let b = run(&baseline, cache.clone());
-        let c = run(&promoted, cache);
+        let (bv, b) = run(&baseline, cache.clone());
+        let (cv, c) = run(&promoted, cache);
+        assert_eq!(bv, cv, "{name}: promotion must preserve results");
         println!(
             "{:<22} {:>12} {:>8.1}% {:>12} {:>8.1}% {:>8.2}x",
             name,

@@ -30,14 +30,8 @@ fn main() {
         stats.total_spilled()
     );
     assert!(stats.total_spilled() > 0, "the unrolled loop must spill");
-    let promo = ccm::postpass_promote(
-        &mut m,
-        &ccm::PostpassConfig {
-            ccm_size: 256,
-            interprocedural: true,
-        },
-    );
-    let promoted: usize = promo.iter().map(|p| p.promoted).sum();
+    let placement = ccm::promote_allocated(&mut m, ccm::Variant::PostPassCallGraph, 256);
+    let promoted: usize = placement.functions().iter().map(|p| p.promoted).sum();
     println!("promoted {promoted} spill slots into a 256-byte CCM");
 
     let (vals, metrics) = sim::run_module(&m, MachineConfig::with_ccm(256), "main").expect("runs");

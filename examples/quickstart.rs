@@ -39,16 +39,11 @@ fn main() {
     // 3. The paper's post-pass CCM allocator: redirect those same spill
     //    instructions into a 512-byte on-chip compiler-controlled memory.
     let mut promoted = baseline.clone();
-    let promo = ccm::postpass_promote(
-        &mut promoted,
-        &ccm::PostpassConfig {
-            ccm_size: 512,
-            interprocedural: true,
-        },
-    );
+    let placement = ccm::promote_allocated(&mut promoted, ccm::Variant::PostPassCallGraph, 512);
+    let promo = &placement.functions()[0];
     println!(
         "post-pass promoted {} spill slots into the CCM (high water {} bytes)",
-        promo[0].promoted, promo[0].high_water
+        promo.promoted, promo.high_water
     );
 
     let (v1, m1) = sim::run_module(&promoted, machine.clone(), "main").expect("promoted runs");
@@ -58,14 +53,15 @@ fn main() {
     );
     assert_eq!(v0, v1, "promotion must preserve results");
 
-    // 4. Or do it in one step with the integrated allocator (§3.2).
-    let mut integrated = module.clone();
-    let (_, ccm_stats, _) =
-        ccm::allocate_module_integrated(&mut integrated, &AllocConfig::default(), 512);
+    // 4. Or the integrated allocator (§3.2), which puts each spill in the
+    //    CCM as it inserts it: the same spills, placed in spill order.
+    let mut integrated = baseline.clone();
+    let placement = ccm::promote_allocated(&mut integrated, ccm::Variant::Integrated, 512);
+    let integ = &placement.functions()[0];
     let (v2, m2) = sim::run_module(&integrated, machine, "main").expect("integrated runs");
     println!(
         "integrated: {:>5} cycles, {} spills in CCM, {} heavyweight   result = {}",
-        m2.cycles, ccm_stats.ccm_spills, ccm_stats.heavyweight_spills, v2.floats[0]
+        m2.cycles, integ.promoted, integ.heavyweight, v2.floats[0]
     );
     assert_eq!(v0, v2);
 

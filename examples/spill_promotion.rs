@@ -38,13 +38,7 @@ fn main() {
 
     // Run the post-pass allocator with a 512-byte CCM.
     let mut promoted = m.clone();
-    let stats = ccm::postpass_promote(
-        &mut promoted,
-        &ccm::PostpassConfig {
-            ccm_size: 512,
-            interprocedural: true,
-        },
-    );
+    let placement = ccm::promote_allocated(&mut promoted, ccm::Variant::PostPassCallGraph, 512);
     let pass2 = promoted.function("pass").expect("routine exists");
     println!("== the same instructions after promotion ==");
     let mut shown = 0;
@@ -59,7 +53,7 @@ fn main() {
             }
         }
     }
-    for s in &stats {
+    for s in placement.functions() {
         if s.promoted + s.heavyweight > 0 {
             println!(
                 "  {}: {} slots promoted, {} heavyweight, CCM high water {} bytes",
@@ -89,14 +83,13 @@ fn main() {
     let p = suite::program("turb3d").expect("program exists");
     let mut pm = suite::build_program(&p);
     regalloc::allocate_module(&mut pm, &AllocConfig::default());
-    let stats = ccm::postpass_promote(
-        &mut pm,
-        &ccm::PostpassConfig {
-            ccm_size: 512,
-            interprocedural: true,
-        },
-    );
-    for s in stats.iter().filter(|s| s.promoted > 0).take(12) {
+    let placement = ccm::promote_allocated(&mut pm, ccm::Variant::PostPassCallGraph, 512);
+    for s in placement
+        .functions()
+        .iter()
+        .filter(|s| s.promoted > 0)
+        .take(12)
+    {
         println!(
             "  {:<22} promoted {:>3}  heavyweight {:>3}  high water {:>4} B",
             s.name, s.promoted, s.heavyweight, s.high_water

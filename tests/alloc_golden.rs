@@ -6,8 +6,8 @@
 //! allocated under the default configuration, `tiny(3)`, `tiny(5)` and
 //! the default with rematerialization on. Each kernel's default
 //! allocation also gets one digest per CCM derivation the tables print:
-//! `ccm::promote_allocated` for the three CCM methods at 512 and 1024 B
-//! (module text plus degradations) and `ccm::compact_module` (module
+//! `ccm::place` for the three CCM methods at 512 and 1024 B (module text
+//! plus degradations) and the baseline's `Placement::compacted` (module
 //! text plus compaction stats). Each fuzz module's default allocation
 //! gets one per CCM method at the oracle's sizes, 64, 256 and 1024 B,
 //! by the same rule. The tables and figures only pin
@@ -18,7 +18,7 @@
 //! Re-record only for an intended change of decisions:
 //! `GOLDEN_UPDATE=1 cargo test --release --test alloc_golden`.
 
-use ccm::Variant;
+use ccm::{BaselineAnalysis, Placement, Variant};
 use iloc::Module;
 use regalloc::{AllocConfig, AllocStats};
 
@@ -52,8 +52,9 @@ fn digest(m: &Module, s: &AllocStats) -> u64 {
 }
 
 /// One `unit ccm:DERIVATION digest` line per CCM method at each of
-/// `sizes` derived from the default allocation `allocated`.
-fn ccm_lines(name: &str, allocated: &Module, sizes: &[u32]) -> String {
+/// `sizes` derived from the default allocation `allocated` by its
+/// `analysis`.
+fn ccm_lines(name: &str, allocated: &Module, analysis: &BaselineAnalysis, sizes: &[u32]) -> String {
     let mut out = String::new();
     for v in [
         Variant::PostPass,
@@ -61,11 +62,12 @@ fn ccm_lines(name: &str, allocated: &Module, sizes: &[u32]) -> String {
         Variant::Integrated,
     ] {
         for &size in sizes {
-            let mut m = allocated.clone();
-            let degraded = ccm::promote_allocated(&mut m, v, size);
+            let placement = ccm::place(allocated, analysis, v, size);
+            let degraded = placement.degradations();
             let reasons = degraded
                 .iter()
                 .flat_map(|d| d.function.bytes().chain(d.reason.bytes()));
+            let m = placement.apply(allocated);
             let h = fnv(m.to_string().bytes().chain(reasons));
             out += &format!("{name} ccm:{}@{size} {h:016x}\n", v.short());
         }
@@ -75,10 +77,10 @@ fn ccm_lines(name: &str, allocated: &Module, sizes: &[u32]) -> String {
 
 /// [`ccm_lines`] at the tables' sizes, then one `unit ccm:compact
 /// digest` line for the compaction of a kernel's default allocation.
-fn kernel_ccm_lines(name: &str, allocated: &Module) -> String {
-    let mut out = ccm_lines(name, allocated, &[512, 1024]);
-    let mut m = allocated.clone();
-    let stats = ccm::compact_module(&mut m);
+fn kernel_ccm_lines(name: &str, allocated: &Module, analysis: &BaselineAnalysis) -> String {
+    let mut out = ccm_lines(name, allocated, analysis, &[512, 1024]);
+    let (compacted, stats) = Placement::default().compacted(allocated, analysis);
+    let m = compacted.apply(allocated);
     let stats = stats.iter().flat_map(|(f, s)| {
         f.bytes()
             .chain(s.before.to_le_bytes())
@@ -129,10 +131,11 @@ fn digest_lines() -> String {
                 default.get_or_insert(mm);
             }
             let default = default.expect("the default configuration");
+            let analysis = BaselineAnalysis::compute(&default);
             if name.starts_with("kernel:") {
-                out += &kernel_ccm_lines(name, &default);
+                out += &kernel_ccm_lines(name, &default, &analysis);
             } else {
-                out += &ccm_lines(name, &default, &[64, 256, 1024]);
+                out += &ccm_lines(name, &default, &analysis, &[64, 256, 1024]);
             }
             out
         },

@@ -32,13 +32,7 @@ fn spilled_module() -> (Module, AllocConfig) {
 /// `spilled_module` after post-pass CCM promotion into 512 bytes.
 fn promoted_module() -> (Module, AllocConfig) {
     let (mut m, alloc) = spilled_module();
-    ccm::postpass_promote(
-        &mut m,
-        &ccm::PostpassConfig {
-            ccm_size: 512,
-            interprocedural: true,
-        },
-    );
+    ccm::promote_allocated(&mut m, ccm::Variant::PostPassCallGraph, 512);
     assert!(
         m.functions[0].frame.slots.iter().any(|s| s.in_ccm),
         "fixture must promote at least one slot"
@@ -73,13 +67,7 @@ fn interproc_module() -> (Module, AllocConfig) {
     m.push_function(leaf.finish());
     let alloc = AllocConfig::tiny(3);
     regalloc::allocate_module(&mut m, &alloc);
-    ccm::postpass_promote(
-        &mut m,
-        &ccm::PostpassConfig {
-            ccm_size: 512,
-            interprocedural: true,
-        },
-    );
+    ccm::promote_allocated(&mut m, ccm::Variant::PostPassCallGraph, 512);
     (m, alloc)
 }
 

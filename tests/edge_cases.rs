@@ -50,13 +50,7 @@ fn irreducible_cfg_through_full_pipeline() {
 
     regalloc::allocate_module(&mut m, &AllocConfig::tiny(2));
     m.verify().unwrap();
-    ccm::postpass_promote(
-        &mut m,
-        &ccm::PostpassConfig {
-            ccm_size: 64,
-            interprocedural: true,
-        },
-    );
+    ccm::promote_allocated(&mut m, ccm::Variant::PostPassCallGraph, 64);
     m.verify().unwrap();
     let (v2, _) = sim::run_module(&m, MachineConfig::with_ccm(64), "main").unwrap();
     assert_eq!(
@@ -72,15 +66,13 @@ fn postpass_promotion_is_idempotent() {
     let k = suite::kernel("radf5").expect("kernel exists");
     let mut m = suite::build_optimized(&k);
     regalloc::allocate_module(&mut m, &AllocConfig::default());
-    let cfg = ccm::PostpassConfig {
-        ccm_size: 512,
-        interprocedural: true,
-    };
-    ccm::postpass_promote(&mut m, &cfg);
+    let v = ccm::Variant::PostPassCallGraph;
+    ccm::promote_allocated(&mut m, v, 512);
     let snapshot = m.clone();
-    let second = ccm::postpass_promote(&mut m, &cfg);
+    let second = ccm::promote_allocated(&mut m, v, 512);
+    assert!(second.is_identity(), "second promotion moves no slot");
     assert_eq!(m, snapshot, "second promotion must be a no-op on the code");
-    for s in &second {
+    for s in second.functions() {
         assert_eq!(s.promoted, 0, "{}: nothing left to promote", s.name);
     }
     let (v, _) = sim::run_module(&m, MachineConfig::with_ccm(512), "main").unwrap();
@@ -94,13 +86,7 @@ fn machine_runs_are_independent() {
     let k = suite::kernel("cosqf1").expect("kernel exists");
     let mut m = suite::build_optimized(&k);
     regalloc::allocate_module(&mut m, &AllocConfig::default());
-    ccm::postpass_promote(
-        &mut m,
-        &ccm::PostpassConfig {
-            ccm_size: 512,
-            interprocedural: true,
-        },
-    );
+    ccm::promote_allocated(&mut m, ccm::Variant::PostPassCallGraph, 512);
     let first = sim::run_module(&m, MachineConfig::with_ccm(512), "main").unwrap();
     let second = sim::run_module(&m, MachineConfig::with_ccm(512), "main").unwrap();
     assert_eq!(first, second);
@@ -112,10 +98,14 @@ fn compaction_is_idempotent() {
     let k = suite::kernel("twldrv").expect("kernel exists");
     let mut m = suite::build_optimized(&k);
     regalloc::allocate_module(&mut m, &AllocConfig::default());
-    let first = ccm::compact_module(&mut m);
-    let snapshot = m.clone();
-    let second = ccm::compact_module(&mut m);
-    assert_eq!(m, snapshot);
+    let compact = |m: &iloc::Module| {
+        ccm::Placement::default().compacted(m, &ccm::BaselineAnalysis::compute(m))
+    };
+    let (once, first) = compact(&m);
+    let m = once.apply(&m);
+    let (twice, second) = compact(&m);
+    assert!(twice.is_identity(), "second compaction moves no slot");
+    assert_eq!(twice.apply(&m), m);
     for ((_, a), (_, b)) in first.iter().zip(&second) {
         assert_eq!(a.after, b.before);
         assert_eq!(b.after, b.before, "second compaction finds nothing");
@@ -138,13 +128,7 @@ fn scheduler_composes_with_ccm_pipeline() {
     let mut m = (*m0).clone();
     sched::schedule_module(&mut m, 2);
     regalloc::allocate_module(&mut m, &AllocConfig::default());
-    ccm::postpass_promote(
-        &mut m,
-        &ccm::PostpassConfig {
-            ccm_size: 512,
-            interprocedural: true,
-        },
-    );
+    ccm::promote_allocated(&mut m, ccm::Variant::PostPassCallGraph, 512);
     sched::schedule_module(&mut m, 2);
     m.verify().unwrap();
     let (v, _) = sim::run_module(&m, machine, "main").unwrap();

@@ -38,7 +38,7 @@ fn reference(run: &Run, base: &Module) -> Vec<Config> {
     for ccm in SIZES {
         for variant in Variant::ALL {
             let mut m = allocated.clone();
-            let degraded = ccm::promote_allocated(&mut m, variant, ccm);
+            let degraded = ccm::promote_allocated(&mut m, variant, ccm).degradations();
             let diags = checker::check_module(&m, &checker::CheckerConfig::new(ccm));
             let measured = checker::error_summary(&diags).is_none().then(|| {
                 let (vals, metrics) =

@@ -7,6 +7,7 @@ mod common;
 #[path = "common/stmts.rs"]
 mod stmts;
 
+use ccm::{BaselineAnalysis, Placement, Variant};
 use common::{Case, Rng};
 use regalloc::AllocConfig;
 use stmts::{arb_stmts, build_module, run_checksum};
@@ -56,7 +57,10 @@ fn compaction_preserves_semantics() {
         let expected = run_checksum(&m);
         let mut a = m.clone();
         regalloc::allocate_module(&mut a, &AllocConfig::tiny(3));
-        ccm::compact_module(&mut a);
+        let a = Placement::default()
+            .compacted(&a, &BaselineAnalysis::compute(&a))
+            .0
+            .apply(&a);
         a.verify().expect("compacted module verifies");
         assert_eq!(run_checksum(&a), expected);
     }
@@ -70,24 +74,14 @@ fn postpass_promotion_preserves_semantics() {
         let mut rng = Rng::for_case(case);
         let m = build_module(&arb_stmts(&mut rng));
         let _case = Case::new(case, &m);
-        let interprocedural = rng.below(2) == 1;
+        let variant = [Variant::PostPass, Variant::PostPassCallGraph][rng.below(2)];
         let ccm_size = [8, 24, 64][rng.below(3)];
         let expected = run_checksum(&m);
         let mut a = m.clone();
         regalloc::allocate_module(&mut a, &AllocConfig::tiny(3));
-        ccm::postpass_promote(
-            &mut a,
-            &ccm::PostpassConfig {
-                ccm_size,
-                interprocedural,
-            },
-        );
+        ccm::promote_allocated(&mut a, variant, ccm_size);
         a.verify().expect("promoted module verifies");
-        assert_eq!(
-            run_checksum(&a),
-            expected,
-            "interprocedural={interprocedural} @ {ccm_size}B"
-        );
+        assert_eq!(run_checksum(&a), expected, "{variant:?} @ {ccm_size}B");
     }
 }
 
@@ -101,7 +95,8 @@ fn integrated_allocation_preserves_semantics() {
         let ccm_size = [8, 24, 64][rng.below(3)];
         let expected = run_checksum(&m);
         let mut a = m.clone();
-        ccm::allocate_module_integrated(&mut a, &AllocConfig::tiny(3), ccm_size);
+        regalloc::allocate_module(&mut a, &AllocConfig::tiny(3));
+        ccm::promote_allocated(&mut a, Variant::Integrated, ccm_size);
         a.verify().expect("integrated module verifies");
         assert_eq!(run_checksum(&a), expected, "@ {ccm_size}B");
     }
@@ -161,37 +156,16 @@ fn checker_never_fires_on_honest_output() {
         let alloc = AllocConfig::tiny(3);
         let cfg = checker::CheckerConfig::with_alloc(ccm_size, alloc);
 
-        // Baseline: plain Chaitin-Briggs.
+        // Plain Chaitin-Briggs, then each variant derived from it.
         let mut base = m.clone();
         regalloc::allocate_module(&mut base, &alloc);
-        // Post-pass promotion, without and with call-graph information.
-        let promoted = |interprocedural| {
-            let mut pp = base.clone();
-            ccm::postpass_promote(
-                &mut pp,
-                &ccm::PostpassConfig {
-                    ccm_size,
-                    interprocedural,
-                },
-            );
-            pp
-        };
-        let pp = promoted(false);
-        let ppcg = promoted(true);
-        // Integrated CCM allocation.
-        let mut integ = m.clone();
-        ccm::allocate_module_integrated(&mut integ, &alloc, ccm_size);
-
-        for (label, module) in [
-            ("baseline", &base),
-            ("postpass", &pp),
-            ("postpass-cg", &ppcg),
-            ("integrated", &integ),
-        ] {
-            let diags = checker::check_module(module, &cfg);
+        for variant in Variant::ALL {
+            let mut module = base.clone();
+            ccm::promote_allocated(&mut module, variant, ccm_size);
+            let diags = checker::check_module(&module, &cfg);
             assert!(
                 !checker::has_errors(&diags),
-                "{label} @ {ccm_size}B:\n{}",
+                "{variant:?} @ {ccm_size}B:\n{}",
                 checker::render_text(&diags)
             );
         }
@@ -208,13 +182,7 @@ fn promotion_is_never_a_pessimization() {
         let mut a = m.clone();
         regalloc::allocate_module(&mut a, &AllocConfig::tiny(3));
         let mut p = a.clone();
-        ccm::postpass_promote(
-            &mut p,
-            &ccm::PostpassConfig {
-                ccm_size: 64,
-                interprocedural: true,
-            },
-        );
+        ccm::promote_allocated(&mut p, ccm::Variant::PostPassCallGraph, 64);
         let cfg = sim::MachineConfig::with_ccm(64);
         let (_, mb) = sim::run_module(&a, cfg.clone(), "main").expect("baseline runs");
         let (_, mp) = sim::run_module(&p, cfg, "main").expect("promoted runs");

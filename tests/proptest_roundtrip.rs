@@ -41,13 +41,7 @@ fn allocated_module_round_trips() {
         let _case = Case::new(case, &m);
         let mut a = m.clone();
         regalloc::allocate_module(&mut a, &regalloc::AllocConfig::tiny(3));
-        ccm::postpass_promote(
-            &mut a,
-            &ccm::PostpassConfig {
-                ccm_size: 64,
-                interprocedural: true,
-            },
-        );
+        ccm::promote_allocated(&mut a, ccm::Variant::PostPassCallGraph, 64);
         let parsed = round_trip(&a);
         assert_eq!(run_checksum(&a), run_checksum(&parsed));
     }
